@@ -17,12 +17,12 @@ representation agree exactly (see ``representation``).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DomainError, StructuralError
-from .linalg import expand_in_span, skew_part
 
 TAU_ALG = 1e-10  # residual tolerance for presentation diagnostics
 
@@ -94,11 +94,54 @@ class GroupPresentation:
     def dim_g(self):
         return self.basis.shape[0]
 
+    # -- the Lie-algebra core, computed once per presentation ---------------
+    # cached_property writes the instance __dict__ directly, so it works on
+    # this frozen (unslotted) dataclass and leaves fields, eq and repr alone.
+
+    @cached_property
+    def flat_basis(self):
+        """Basis as a (k, n*n) array: ``matrix(c) = c @ flat_basis``."""
+        return self.basis.reshape(self.dim_g, -1)
+
+    @cached_property
+    def _pinv(self):
+        """Real pseudo-inverse of the basis, as complex (k, n*n) rows with
+        ``coords = Re(_pinv @ vec(xi))``.
+
+        The basis is realified by stacking real and imaginary parts; the
+        cutoff matches ``np.linalg.lstsq``'s, so a rank-deficient basis gets
+        the same minimum-norm coordinates.
+        """
+        flat = self.flat_basis
+        real = np.hstack([flat.real, flat.imag]).T
+        pinv = np.linalg.pinv(real, rcond=np.finfo(float).eps * max(real.shape))
+        half = flat.shape[1]
+        return pinv[:, :half] - 1j * pinv[:, half:]
+
+    @cached_property
+    def _metric_inv(self):
+        return np.linalg.inv(self.metric)
+
+    @cached_property
+    def structure(self):
+        """Structure tensor: ``structure[a, b] = coords([xi_a, xi_b])``."""
+        c, _ = self._expand(_brackets(self.basis))
+        c.setflags(write=False)
+        return c
+
+    def _expand(self, xi):
+        """Coordinates of matrices ``xi`` (..., n, n) and the Frobenius norms
+        of their parts outside the span."""
+        xi = np.asarray(xi)
+        coords = (xi.reshape(xi.shape[:-2] + (-1,)) @ self._pinv.T).real
+        residual = np.linalg.norm(xi - self.matrix(coords), axis=(-2, -1))
+        return coords, residual
+
     # -- coordinate plumbing ------------------------------------------------
 
     def sharp(self, lowered):
         """Contravariant coordinates from metric-lowered ones."""
-        return np.linalg.solve(self.metric, lowered)
+        return self._metric_inv @ lowered
 
     def lower(self, coords):
         return self.metric @ coords
@@ -110,15 +153,23 @@ class GroupPresentation:
         return float(c1 @ self.sharp(c2))
 
     def matrix(self, coords):
-        """The g-element with the given contravariant coordinates."""
-        return np.tensordot(np.asarray(coords), self.basis, axes=(0, 0))
+        """The g-element(s) with the given contravariant coordinates."""
+        coords = np.asarray(coords)
+        n = self.dim_v
+        return (coords @ self.flat_basis).reshape(coords.shape[:-1] + (n, n))
 
     def coords_of(self, xi, tol=None):
         """Expand a matrix in the basis; raise if it is not in the span."""
-        coords, residual = expand_in_span(self.basis, xi)
+        coords, residual = self._expand(xi)
         if tol is not None and residual > tol * max(1.0, np.linalg.norm(xi)):
             raise DomainError(f"matrix is not in the Lie algebra span (residual {residual:.2e})")
         return coords
+
+
+def _brackets(basis):
+    """All commutators [xi_a, xi_b] as a (k, k, n, n) array."""
+    prod = np.einsum("aij,bjk->abik", basis, basis)
+    return prod - prod.transpose(1, 0, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -168,28 +219,12 @@ def validate_presentation(p, tol=TAU_ALG):
     within ``tol``. Structural problems (shape mismatches) raise instead.
     """
     basis = p.basis
-    k = p.dim_g
+    skewness = np.linalg.norm(basis + basis.conj().transpose(0, 2, 1), axis=(1, 2)).max()
+    bracket = np.linalg.norm(_brackets(basis) - p.matrix(p.structure), axis=(2, 3)).max()
 
-    skewness = max(np.linalg.norm(xi + xi.conj().T) for xi in basis)
-
-    bracket = 0.0
-    structure = np.zeros((k, k, k))
-    for a in range(k):
-        for b in range(k):
-            if a == b:
-                continue
-            comm = basis[a] @ basis[b] - basis[b] @ basis[a]
-            coeffs, residual = expand_in_span(basis, comm)
-            structure[a, b] = coeffs
-            bracket = max(bracket, residual)
-
-    # <[zeta, xi], eta> + <xi, [zeta, eta]> over basis triples
-    ad_res = 0.0
-    for c in range(k):
-        for a in range(k):
-            for b in range(k):
-                val = structure[c, a] @ p.metric[:, b] + p.metric[a] @ structure[c, b]
-                ad_res = max(ad_res, abs(val))
+    # <[zeta, xi], eta> + <xi, [zeta, eta]> over basis triples (zeta, xi, eta)
+    s = p.structure
+    ad_res = np.abs(s @ p.metric + (s @ p.metric.T).transpose(0, 2, 1)).max()
 
     ok = skewness <= tol and bracket <= tol and ad_res <= tol
     return DiagnosticsReport(ok=ok, skewness=float(skewness),
@@ -317,10 +352,8 @@ def adjoint_coadjoint(p, g, coords, tol=TAU_ALG):
     basis; a large expansion residual means g does not normalize the algebra
     and raises :class:`DomainError`.
     """
-    coords = np.asarray(coords, dtype=float)
-    xi = p.matrix(coords)
-    conjugated = g @ xi @ np.linalg.inv(g)
-    out, residual = expand_in_span(p.basis, conjugated)
+    conjugated = g @ p.matrix(np.asarray(coords, dtype=float)) @ np.linalg.inv(g)
+    out, residual = p._expand(conjugated)
     scale = max(1.0, np.linalg.norm(conjugated))
     if residual > tol * scale:
         raise DomainError(
@@ -328,7 +361,3 @@ def adjoint_coadjoint(p, g, coords, tol=TAU_ALG):
         )
     return out
 
-
-def project_skew(p, matrix, tol=None):
-    """Coordinates of the skew-Hermitian part of ``matrix`` in the basis."""
-    return p.coords_of(skew_part(matrix), tol=tol)

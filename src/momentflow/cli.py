@@ -110,28 +110,29 @@ def parse_config(text):
     cfg = _parse_assignments(text)
 
     kind, kind_no = _pop(cfg, "group.kind", required=True)
-    if kind == "torus":
-        value, no = _pop(cfg, "group.weights", required=True)
-        weights = _parse_weights(value, no)
-        presentation = torus_presentation(weights)
-    elif kind == "su2_sym":
-        value, no = _pop(cfg, "group.degree", required=True)
-        presentation = su2_sym_presentation(int(value))
-        weights = None
-    elif kind == "su2_sym_sum":
-        value, no = _pop(cfg, "group.degrees", required=True)
-        degrees = [int(x) for x in value.split(",")]
-        presentation = direct_sum_presentation(
-            [su2_sym_presentation(d) for d in degrees])
-        weights = None
-    elif kind == "basis_file":
-        value, no = _pop(cfg, "group.basis_path", required=True)
-        presentation = _load_basis_file(value, no)
-        weights = None
-    else:
+    keys = {"torus": "group.weights", "su2_sym": "group.degree",
+            "su2_sym_sum": "group.degrees", "basis_file": "group.basis_path"}
+    if kind not in keys:
         raise ConfigError(
             f"group.kind must be torus | su2_sym | su2_sym_sum | basis_file, "
             f"got {kind!r}", kind_no)
+    value, no = _pop(cfg, keys[kind], required=True)
+    weights = None
+    try:
+        if kind == "torus":
+            weights = _parse_weights(value, no)
+            presentation = torus_presentation(weights)
+        elif kind == "su2_sym":
+            presentation = su2_sym_presentation(int(value))
+        elif kind == "su2_sym_sum":
+            presentation = direct_sum_presentation(
+                [su2_sym_presentation(int(d)) for d in value.split(",")])
+        else:
+            presentation = _load_basis_file(value, no)
+    except (ValueError, KeyError, TypeError, IndexError) as err:
+        # StructuralError and json.JSONDecodeError are ValueErrors; the
+        # others come from a basis file whose JSON has the wrong layout
+        raise ConfigError(f"invalid {keys[kind]}: {err}", no)
 
     report = validate_presentation(presentation)
     if not report.ok:

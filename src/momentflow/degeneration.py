@@ -183,14 +183,3 @@ def certify_rational(direction, max_denominator=64, angle_tol=ANGLE_TOL):
     return rationalize_direction(direction, max_denominator=max_denominator,
                                  angle_tol=angle_tol)
 
-
-def attach_oracle(p, report, weights, support=None):
-    """Fill the oracle fields of a report in place and return it."""
-    oracle = torus_oracle(weights, support=support)
-    if oracle.semistable:
-        report.oracle_direction = None
-        report.verdict = "no_oracle"
-        return report, oracle
-    report.oracle_direction = oracle.beta / np.linalg.norm(oracle.beta)
-    report.verdict = compare_with_oracle(report, oracle.beta)
-    return report, oracle

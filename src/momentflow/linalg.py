@@ -8,15 +8,11 @@ import numpy as np
 
 __all__ = [
     "hermitian_part",
-    "skew_part",
-    "herm",
-    "is_hermitian",
     "eigh_fun",
     "psd_sqrt",
     "psd_inv_sqrt",
     "psd_log",
     "psd_power",
-    "expand_in_span",
 ]
 
 
@@ -24,23 +20,10 @@ def hermitian_part(a):
     return 0.5 * (a + a.conj().T)
 
 
-def skew_part(a):
-    return 0.5 * (a - a.conj().T)
-
-
-def herm(a):
-    """Symmetrize in place-ish; cheap guard after eigen-based functions."""
-    return 0.5 * (a + a.conj().T)
-
-
-def is_hermitian(a, tol=1e-12):
-    return np.linalg.norm(a - a.conj().T) <= tol * max(1.0, np.linalg.norm(a))
-
-
 def eigh_fun(h, fun):
     """Apply a scalar function to a Hermitian matrix through its spectrum."""
     w, u = np.linalg.eigh(h)
-    return herm((u * fun(w)) @ u.conj().T)
+    return hermitian_part((u * fun(w)) @ u.conj().T)
 
 
 def psd_sqrt(h):
@@ -58,19 +41,3 @@ def psd_log(h):
 def psd_power(h, p):
     return eigh_fun(h, lambda w: np.power(w, p))
 
-
-def expand_in_span(basis, target, rcond=None):
-    """Least-squares expansion of ``target`` in a list of matrices.
-
-    Coefficients are real: the expansion treats the complex entries as pairs
-    of real coordinates. Returns ``(coeffs, residual)`` where ``residual`` is
-    the Frobenius norm of the unexplained part.
-    """
-    basis = np.asarray(basis)
-    k = basis.shape[0]
-    cols = basis.reshape(k, -1).T
-    a = np.vstack([cols.real, cols.imag])
-    b = np.concatenate([target.ravel().real, target.ravel().imag])
-    coeffs, *_ = np.linalg.lstsq(a, b, rcond=rcond)
-    residual = np.linalg.norm(a @ coeffs - b)
-    return coeffs, residual

@@ -112,12 +112,7 @@ class NormalFormModel:
     # -- embeddings ---------------------------------------------------------
 
     def g0_matrices(self):
-        return np.stack([self.parent.matrix(r) for r in self.g0_basis]) \
-            if self.dim_g0 else np.zeros((0, self.parent.dim_v, self.parent.dim_v), complex)
-
-    def m_matrices(self):
-        return np.stack([self.parent.matrix(r) for r in self.m_basis]) \
-            if self.dim_m else np.zeros((0, self.parent.dim_v, self.parent.dim_v), complex)
+        return self.parent.matrix(self.g0_basis)
 
     def embed_m(self, rho):
         """m-coordinates -> contravariant g-coordinates."""
@@ -144,18 +139,14 @@ class NormalFormModel:
 
     def mu_n(self, v):
         """Moment map of the G0-action on N, coordinates in g0_basis."""
-        if self.dim_g0 == 0:
-            return np.zeros(0)
         u = self.slice_vector(v)
-        return np.array([0.5 * np.vdot(u, z @ u).imag for z in self.g0_matrices()])
+        return 0.5 * ((self.g0_matrices() @ u) @ u.conj()).imag
 
     def d_mu_n(self, v, vdot):
         """Derivative of mu_N at v along vdot, coordinates in g0_basis."""
-        if self.dim_g0 == 0:
-            return np.zeros(0)
         u = self.slice_vector(v)
         w = self.slice_vector(vdot)
-        return np.array([_omega0(z @ u, w) for z in self.g0_matrices()])
+        return ((self.g0_matrices() @ u) @ w.conj()).imag
 
 
 @dataclass(frozen=True)
@@ -247,27 +238,25 @@ def _check_invariants(model, tol_kill=1e-10, tol_perp=1e-12, tol_j=1e-10):
 
 def _ad_matrix(p, x_coords):
     """Matrix of ad_x on g-coordinates: column b is coords([x, xi_b])."""
-    k = p.dim_g
-    x_mat = p.matrix(x_coords)
-    out = np.zeros((k, k))
-    for b in range(k):
-        comm = x_mat @ p.basis[b] - p.basis[b] @ x_mat
-        out[:, b] = p.coords_of(comm)
-    return out
+    return np.einsum("a,abc->cb", x_coords, p.structure)
+
+
+def _bracket(p, x_coords, y_coords):
+    """Coordinates of [x, y]."""
+    return np.einsum("a,b,abc->c", x_coords, y_coords, p.structure)
 
 
 def _dexp_left(p, x_coords):
-    """Left-trivialized differential of exp at x: (1 - e^{-ad_x}) / ad_x."""
-    a = _ad_matrix(p, x_coords)
+    """Left-trivialized differential of exp at x: (1 - e^{-ad_x}) / ad_x.
+
+    Exact through Van Loan's block-triangular exponential: the upper-right
+    block of expm([[M, I], [0, 0]]) is (e^M - 1) / M, here with M = -ad_x.
+    """
     k = p.dim_g
-    out = np.eye(k)
-    term = np.eye(k)
-    for j in range(1, 30):
-        term = term @ (-a) / (j + 1)
-        out = out + term
-        if np.linalg.norm(term) < 1e-17:
-            break
-    return out
+    block = np.zeros((2 * k, 2 * k))
+    block[:k, :k] = -_ad_matrix(p, x_coords)
+    block[:k, k:] = np.eye(k)
+    return scipy.linalg.expm(block)[:k, k:]
 
 
 def _omega_display(model, at, t1, t2, include_bracket=True):
@@ -287,11 +276,8 @@ def _omega_display(model, at, t1, t2, include_bracket=True):
     total = float(pair1 @ p.metric @ z1) - float(pair2 @ p.metric @ z2)
 
     if include_bracket:
-        m1, m2 = p.matrix(z1), p.matrix(z2)
-        comm = m1 @ m2 - m2 @ m1
-        comm_coords = p.coords_of(comm)
         lam = model.embed_m(at.rho) + model.embed_g0(model.mu_n(at.v))
-        total += float(lam @ p.metric @ comm_coords)
+        total += float(lam @ p.metric @ _bracket(p, z1, z2))
 
     a1 = p.matrix(z1) @ model.z0
     a2 = p.matrix(z2) @ model.z0
@@ -300,15 +286,15 @@ def _omega_display(model, at, t1, t2, include_bracket=True):
     return total
 
 
-def _intrinsic(model, at, x):
+def _intrinsic(model, dexp, x):
     """Intrinsic representative of a chart tangent (xi_m dot, rho dot, v dot).
 
     Chart coordinate velocities at exp(xi_m) left-translate through the
-    differential of exp; the fiber components pass through unchanged.
+    differential ``dexp`` of exp there; the fiber components pass through
+    unchanged.
     """
     xi, rdot, vdot = (np.asarray(a, dtype=float) for a in x)
-    zeta = _dexp_left(model.parent, model.embed_m(at.xi_m)) @ model.embed_m(xi)
-    return (zeta, rdot, vdot)
+    return (dexp @ model.embed_m(xi), rdot, vdot)
 
 
 def model_symplectic_form(model, at, x1, x2, include_bracket=True):
@@ -322,8 +308,9 @@ def model_symplectic_form(model, at, x1, x2, include_bracket=True):
     this deliberately corrupted variant exists as a negative control for the
     closedness harness.
     """
-    return _omega_display(model, at, _intrinsic(model, at, x1),
-                          _intrinsic(model, at, x2),
+    dexp = _dexp_left(model.parent, model.embed_m(at.xi_m))
+    return _omega_display(model, at, _intrinsic(model, dexp, x1),
+                          _intrinsic(model, dexp, x2),
                           include_bracket=include_bracket)
 
 
@@ -346,15 +333,9 @@ def infinitesimal_model_action(model, at, xi_g):
     xi_dot = sol[:model.dim_m]
     zeta_0 = sol[model.dim_m:]
 
-    if model.dim_g0:
-        z0_mat = p.matrix(model.embed_g0(zeta_0))
-        rho_mat = p.matrix(model.embed_m(at.rho))
-        comm = z0_mat @ rho_mat - rho_mat @ z0_mat
-        rho_dot = model.project_m(p.coords_of(comm))
-        v_dot = model.slice_coords(z0_mat @ model.slice_vector(at.v))
-    else:
-        rho_dot = np.zeros(model.dim_m)
-        v_dot = np.zeros(model.dim_n)
+    z0_coords = model.embed_g0(zeta_0)
+    rho_dot = model.project_m(_bracket(p, z0_coords, model.embed_m(at.rho)))
+    v_dot = model.slice_coords(p.matrix(z0_coords) @ model.slice_vector(at.v))
     return (xi_dot, rho_dot, v_dot)
 
 

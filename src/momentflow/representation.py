@@ -40,8 +40,7 @@ __all__ = [
 
 def infinitesimal_action(p, v):
     """Materialized map L_v from g-coordinates to V; column a is xi_a v."""
-    v = np.asarray(v, dtype=complex)
-    return np.stack([xi @ v for xi in p.basis], axis=1)
+    return (p.basis @ np.asarray(v, dtype=complex)).T
 
 
 def moment_map(p, v):

@@ -19,7 +19,7 @@ import scipy.linalg
 
 from .errors import (ContractViolationError, DomainError, NotAsymptoticError,
                      RayDivergenceError)
-from .linalg import herm, psd_inv_sqrt, psd_log, psd_power, psd_sqrt
+from .linalg import hermitian_part, psd_inv_sqrt, psd_log, psd_power, psd_sqrt
 from .rational import rationalize_direction
 
 THETA_RAY = 1e-3      # Cauchy threshold for successive chord directions
@@ -52,7 +52,11 @@ class SymmetricSpacePoint:
         h = np.asarray(self.H, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DomainError("H must be a square matrix")
-        if np.linalg.norm(h - h.conj().T) > 1e-12 * max(1.0, np.linalg.norm(h)):
+        # both sides over max|H_ij| (>= 1): the same test, and the Frobenius
+        # norms cannot overflow for far-out points
+        scale = max(1.0, np.abs(h).max())
+        if (np.linalg.norm((h - h.conj().T) / scale)
+                > 1e-12 * max(1.0 / scale, np.linalg.norm(h / scale))):
             raise DomainError("H must be Hermitian")
         if self.factor is None and np.linalg.eigvalsh(h)[0] <= 0:
             raise DomainError("H must be positive-definite")
@@ -68,7 +72,7 @@ class SymmetricSpacePoint:
         g = np.asarray(g, dtype=complex)
         if not np.all(np.isfinite(g.view(float))):
             raise DomainError("group factor must be finite")
-        return cls(H=herm(g.conj().T @ g), factor=g)
+        return cls(H=hermitian_part(g.conj().T @ g), factor=g)
 
     @property
     def n(self):
@@ -89,8 +93,8 @@ def _whitened_log(p0, p1):
         m0 = p1.factor @ inv_sqrt0
         _, sigma, wh = np.linalg.svd(m0)
         w = wh.conj().T
-        return herm((w * (2.0 * np.log(sigma))) @ w.conj().T)
-    c = herm(inv_sqrt0 @ p1.H @ inv_sqrt0)
+        return hermitian_part((w * (2.0 * np.log(sigma))) @ w.conj().T)
+    c = hermitian_part(inv_sqrt0 @ p1.H @ inv_sqrt0)
     return psd_log(c)
 
 
@@ -110,8 +114,8 @@ def geodesic(p0, p1, u):
     p0, p1 = _as_point(p0), _as_point(p1)
     sqrt0 = psd_sqrt(p0.H)
     inv_sqrt0 = psd_inv_sqrt(p0.H)
-    c = herm(inv_sqrt0 @ p1.H @ inv_sqrt0)
-    return SymmetricSpacePoint(H=herm(sqrt0 @ psd_power(c, u) @ sqrt0))
+    c = hermitian_part(inv_sqrt0 @ p1.H @ inv_sqrt0)
+    return SymmetricSpacePoint(H=hermitian_part(sqrt0 @ psd_power(c, u) @ sqrt0))
 
 
 def geodesic_path(p0, p1, num):
@@ -124,7 +128,7 @@ def log_map(p0, p1):
     """Initial velocity A of the geodesic from H0 to H1; |A|_H0 = distance."""
     p0 = _as_point(p0)
     sqrt0 = psd_sqrt(p0.H)
-    return herm(sqrt0 @ _whitened_log(p0, p1) @ sqrt0)
+    return hermitian_part(sqrt0 @ _whitened_log(p0, p1) @ sqrt0)
 
 
 def exp_map(p0, direction, s=1.0):
@@ -132,8 +136,8 @@ def exp_map(p0, direction, s=1.0):
     p0 = _as_point(p0)
     sqrt0 = psd_sqrt(p0.H)
     inv_sqrt0 = psd_inv_sqrt(p0.H)
-    m = herm(inv_sqrt0 @ direction @ inv_sqrt0)
-    return SymmetricSpacePoint(H=herm(sqrt0 @ scipy.linalg.expm(s * m) @ sqrt0))
+    m = hermitian_part(inv_sqrt0 @ direction @ inv_sqrt0)
+    return SymmetricSpacePoint(H=hermitian_part(sqrt0 @ scipy.linalg.expm(s * m) @ sqrt0))
 
 
 def base_inner(p0, a, b):
@@ -170,7 +174,7 @@ class GeodesicRay:
     def spectrum(self):
         """Sorted eigenvalues of the whitened direction (conjugacy invariant)."""
         inv_sqrt0 = psd_inv_sqrt(self.base.H)
-        m = herm(inv_sqrt0 @ self.direction @ inv_sqrt0)
+        m = hermitian_part(inv_sqrt0 @ self.direction @ inv_sqrt0)
         return np.linalg.eigvalsh(m)
 
 
@@ -232,10 +236,12 @@ def extract_asymptotic_ray(path, base, clocks=None, *, theta_ray=THETA_RAY,
     spectrum = np.linalg.eigvalsh(m_hat)
 
     sqrt0 = psd_sqrt(base.H)
-    chi = SymmetricSpacePoint(H=herm(sqrt0 @ scipy.linalg.expm(probe * m_hat) @ sqrt0))
+    chi = SymmetricSpacePoint(
+        H=hermitian_part(sqrt0 @ scipy.linalg.expm(probe * m_hat) @ sqrt0))
     resid = []
     for m in dirs[-6:-1]:
-        gamma_t = SymmetricSpacePoint(H=herm(sqrt0 @ scipy.linalg.expm(probe * m) @ sqrt0))
+        gamma_t = SymmetricSpacePoint(
+            H=hermitian_part(sqrt0 @ scipy.linalg.expm(probe * m) @ sqrt0))
         resid.append(distance(gamma_t, chi))
     diagnostics = RayDiagnostics(
         clocks=clocks[tail], distances=dists[tail], angles=angles,
@@ -248,7 +254,7 @@ def extract_asymptotic_ray(path, base, clocks=None, *, theta_ray=THETA_RAY,
             diagnostics=diagnostics,
         )
 
-    direction = herm(sqrt0 @ m_hat @ sqrt0)
+    direction = hermitian_part(sqrt0 @ m_hat @ sqrt0)
     direction /= np.sqrt(base_inner(base, direction, direction))
     ray = GeodesicRay(base=base, direction=direction,
                       rational_approx=rationalize_direction(spectrum))

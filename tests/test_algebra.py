@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_presentation
 
 from momentflow.algebra import (GroupPresentation, WeightSystem, adjoint_coadjoint,
                                 exp_group, matrix_presentation, su2_presentation,
@@ -24,11 +25,10 @@ def test_validate_su2_structure():
     assert report.skewness <= 1e-14
     assert report.bracket_closure <= 1e-14
     # structure constants of the i*sigma/2 basis: [xi_a, xi_b] = -eps_abc xi_c
-    from momentflow.linalg import expand_in_span
     comm = p.basis[0] @ p.basis[1] - p.basis[1] @ p.basis[0]
-    coeffs, resid = expand_in_span(p.basis, comm)
-    assert resid <= 1e-14
-    np.testing.assert_allclose(coeffs, [0.0, 0.0, -1.0], atol=1e-14)
+    np.testing.assert_allclose(p.structure[0, 1], [0.0, 0.0, -1.0], atol=1e-14)
+    np.testing.assert_allclose(p.coords_of(comm, tol=1e-14), [0.0, 0.0, -1.0],
+                               atol=1e-14)
 
 
 def test_validate_rejects_hermitian_generator():
@@ -146,6 +146,10 @@ def test_adjoint_outside_algebra_raises():
     g = np.array([[1, 1], [0, 1]], dtype=complex)
     with pytest.raises(DomainError):
         adjoint_coadjoint(p, g, [1.0])
+    # a non-unitary scaling maps su(2) onto traceless non-skew matrices
+    g = np.diag([2.0, 1.0]).astype(complex)
+    with pytest.raises(DomainError):
+        adjoint_coadjoint(su2_presentation(), g, [1.0, 0.0, 0.0])
 
 
 def test_non_orthonormal_basis_routes_through_metric():
@@ -163,3 +167,35 @@ def test_sym_power_and_un_presentations_validate():
     for degree in (2, 3, 4):
         assert validate_presentation(su2_sym_presentation(degree)).ok
     assert validate_presentation(un_presentation(3)).ok
+
+
+def _lstsq_coords(basis, target):
+    """Reference expansion: real least squares on stacked real/imaginary parts."""
+    cols = basis.reshape(basis.shape[0], -1).T
+    a = np.vstack([cols.real, cols.imag])
+    b = np.concatenate([target.ravel().real, target.ravel().imag])
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def test_structure_tensor_matches_lstsq(rng):
+    for _ in range(20):
+        p = random_presentation(rng)
+        for a in range(p.dim_g):
+            for b in range(p.dim_g):
+                comm = p.basis[a] @ p.basis[b] - p.basis[b] @ p.basis[a]
+                np.testing.assert_allclose(p.structure[a, b],
+                                           _lstsq_coords(p.basis, comm), atol=1e-12)
+
+
+def test_coords_of_matches_lstsq_and_rejects_out_of_span(rng):
+    for _ in range(20):
+        p = random_presentation(rng)
+        xi = p.matrix(rng.standard_normal(p.dim_g))
+        np.testing.assert_allclose(p.coords_of(xi, tol=1e-10),
+                                   _lstsq_coords(p.basis, xi), atol=1e-12)
+        # Hermitian matrices are Re-trace orthogonal to every skew-Hermitian one
+        off = xi + np.eye(p.dim_v)
+        np.testing.assert_allclose(p.coords_of(off), _lstsq_coords(p.basis, off),
+                                   atol=1e-12)
+        with pytest.raises(DomainError):
+            p.coords_of(off, tol=1e-10)

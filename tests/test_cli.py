@@ -169,3 +169,19 @@ def test_report_sections_fixed_order(tmp_path):
               "VERDICT")]
     assert order == sorted(order)
     assert "[RATES]\n  disabled" in text
+
+
+@pytest.mark.parametrize("group", [
+    "group.kind = su2_sym\ngroup.degree = abc",
+    "group.kind = su2_sym\ngroup.degree = 0",
+    "group.kind = su2_sym_sum\ngroup.degrees = 2,x",
+    "group.kind = torus\ngroup.weights = 1,0; 1",
+    "group.kind = basis_file\ngroup.basis_path = {bad_json}",
+], ids=["degree_abc", "degree_0", "degrees_2x", "ragged_weights", "bad_json"])
+def test_malformed_group_exits_2_with_line(tmp_path, capsys, group):
+    bad_json = tmp_path / "basis.json"
+    bad_json.write_text('{"basis": [')
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(group.format(bad_json=bad_json) + "\ninitial_vector = 1:0, 0:0\n")
+    assert main(["--config", str(cfg), "--quiet"]) == 2
+    assert "line 2: invalid group." in capsys.readouterr().err

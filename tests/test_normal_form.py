@@ -4,7 +4,8 @@ import pytest
 from momentflow.algebra import (direct_sum_presentation, exp_group,
                                 su2_sym_presentation, torus_presentation)
 from momentflow.errors import DomainError
-from momentflow.normal_form import (ModelPoint, build_model,
+from momentflow.normal_form import (ModelPoint, _ad_matrix, _dexp_left,
+                                    build_model,
                                     infinitesimal_model_action,
                                     model_moment_map, model_symplectic_form,
                                     rho_tilde, verify_closedness,
@@ -268,3 +269,24 @@ def test_infinitesimal_action_consistency(rng):
     pushed = p.lower(adjoint_coadjoint(p, g, p.sharp(model_moment_map(model, at))))
     rhs = (pushed - model_moment_map(model, at)) / h
     np.testing.assert_allclose(lhs, rhs, atol=1e-4)
+
+
+def _dexp_series(a, terms=30):
+    """Truncated series sum_j (-a)^j / (j + 1)!, the reference for dexp."""
+    out = term = np.eye(len(a))
+    for j in range(1, terms):
+        term = term @ (-a) / (j + 1)
+        out = out + term
+        if np.linalg.norm(term) < 1e-17:
+            break
+    return out
+
+
+def test_dexp_closed_form_matches_series(rng):
+    p, model = su2_model()
+    for _ in range(20):
+        x = rng.standard_normal(model.dim_m)
+        x *= rng.uniform(0.0, 1.0) / np.linalg.norm(x)
+        xg = model.embed_m(x)
+        np.testing.assert_allclose(_dexp_left(p, xg),
+                                   _dexp_series(_ad_matrix(p, xg)), atol=1e-12)
