@@ -149,9 +149,6 @@ class GroupPresentation:
     def norm_lowered(self, lowered):
         return float(np.sqrt(max(lowered @ self.sharp(lowered), 0.0)))
 
-    def inner_lowered(self, c1, c2):
-        return float(c1 @ self.sharp(c2))
-
     def matrix(self, coords):
         """The g-element(s) with the given contravariant coordinates."""
         coords = np.asarray(coords)

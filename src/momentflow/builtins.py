@@ -11,6 +11,7 @@ import numpy as np
 from .algebra import (direct_sum_presentation, su2_sym_presentation,
                       torus_presentation)
 from .flow import FlowOptions
+from .runner import Experiment
 
 __all__ = ["BUILTIN_NAMES", "get_builtin"]
 
@@ -19,29 +20,11 @@ BUILTIN_NAMES = ("u1_weight1", "torus_12", "torus_c3", "su2_symd",
                  "mgs_u1", "mgs_su2")
 
 
-class BuiltinExperiment:
-    def __init__(self, name, presentation, v0, flow_opts, mode, analyses,
-                 weights=None, oracle_support=None, oracle_embedding=None,
-                 checks=(), notes=""):
-        self.name = name
-        self.presentation = presentation
-        self.v0 = np.asarray(v0, dtype=complex)
-        self.flow_opts = flow_opts
-        self.mode = mode
-        self.analyses = tuple(analyses)
-        self.weights = weights
-        self.oracle_support = oracle_support
-        # maps oracle coordinates into g-coordinates (None: identity)
-        self.oracle_embedding = oracle_embedding
-        self.checks = tuple(checks)   # (check name, lo, hi) bounds on report values
-        self.notes = notes
-
-
 def _u1_weight1():
-    return BuiltinExperiment(
+    return Experiment(
         name="u1_weight1",
         presentation=torus_presentation([[1]]),
-        v0=[1.0],
+        v0=np.array([1.0]),
         flow_opts=FlowOptions(t_max=1e4),
         mode="affine",
         analyses=("rates",),
@@ -57,7 +40,7 @@ def _u1_weight1():
 
 
 def _torus_12():
-    return BuiltinExperiment(
+    return Experiment(
         name="torus_12",
         presentation=torus_presentation([[1], [2]]),
         v0=np.array([1.0, 1.0]) / np.sqrt(2),
@@ -74,7 +57,7 @@ def _torus_12():
 
 
 def _torus_c3():
-    return BuiltinExperiment(
+    return Experiment(
         name="torus_c3",
         presentation=torus_presentation([[1, 0], [0, 1], [1, 1]]),
         v0=np.array([1.0, 1.0, 1.0]) / np.sqrt(3),
@@ -101,26 +84,25 @@ def _su2_symd():
     # The limit sits on an unstable stratum of positive codimension; round-off
     # eventually ejects a double-precision trajectory, so the flow terminates
     # by gradient while still on-stratum instead of running to eps = 1e-10.
-    return BuiltinExperiment(
+    return Experiment(
         name="su2_symd",
         presentation=p,
         v0=v0,
         flow_opts=FlowOptions(t_max=300.0, eps_grad=1e-5, rtol=1e-10, atol=1e-14),
         mode="projective",
         analyses=("degeneration", "oracle", "ray"),
+        # the sym-power weights, restricted to the weight support of v0
         weights=[[2], [1], [0], [-1], [-2]],
         oracle_support=(0, 1),
         oracle_embedding=np.array([[0.0], [0.0], [1.0]]),
         checks=(
             ("ray.spectrum_vs_oracle", 0.0, 1e-2),
         ),
-        notes="torus weights are the sym-power weights; the oracle support is "
-              "the weight support of v0",
     )
 
 
 def _mgs_u1():
-    return BuiltinExperiment(
+    return Experiment(
         name="mgs_u1",
         presentation=torus_presentation([[1], [-1]]),
         v0=np.array([1.0, 1.0]) / np.sqrt(2),
@@ -139,7 +121,8 @@ def _mgs_su2():
     p = direct_sum_presentation([p1, p1])
     z0 = np.zeros(6, dtype=complex)
     z0[1] = 1.0   # the zero-weight vector of the first summand
-    return BuiltinExperiment(
+    # its isotropy has dimension 1 and acts on the slice via the second summand
+    return Experiment(
         name="mgs_su2",
         presentation=p,
         v0=z0,
@@ -151,8 +134,6 @@ def _mgs_su2():
             ("normal_form.closedness", 0.0, 1e-4),
             ("normal_form.negative_control", 1e-2, float("inf")),
         ),
-        notes="isotropy has dimension 1 and acts nontrivially on the slice "
-              "through the second summand",
     )
 
 

@@ -29,9 +29,9 @@ import numpy as np
 from .algebra import (direct_sum_presentation, matrix_presentation,
                       su2_sym_presentation, torus_presentation,
                       validate_presentation)
-from .builtins import BUILTIN_NAMES, BuiltinExperiment, get_builtin
+from .builtins import BUILTIN_NAMES, get_builtin
 from .flow import FlowOptions
-from .runner import run_experiment
+from .runner import Experiment, run_experiment
 
 ANALYSES = ("rates", "ray", "degeneration", "oracle", "normal_form")
 
@@ -65,33 +65,37 @@ def _pop(cfg, key, default=None, required=False):
     return (default, None)
 
 
-def _parse_float(cfg, key, default):
+def _finite(strings):
+    """The entries as floats, or None unless each one is a finite number."""
+    try:
+        xs = [float(x) for x in strings]
+    except ValueError:
+        return None
+    return xs if np.all(np.isfinite(xs)) else None
+
+
+def _parse_positive(cfg, key, default):
     value, no = _pop(cfg, key, default=None)
     if value is None:
         return default
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {value!r}", no)
+    x = _finite([value])
+    if x is None or x[0] <= 0:
+        raise ConfigError(f"{key} must be a positive finite number, got {value!r}", no)
+    return x[0]
 
 
 def _parse_weights(value, no):
-    try:
-        rows = [r for r in value.split(";") if r.strip()]
-        return [[float(x) for x in row.split(",")] for row in rows]
-    except ValueError:
-        raise ConfigError(f"group.weights must be 'a,b; c,d; ...', got {value!r}", no)
+    rows = [_finite(row.split(",")) for row in value.split(";") if row.strip()]
+    if None in rows:
+        raise ConfigError(f"group.weights must be finite 'a,b; c,d; ...', got {value!r}", no)
+    return rows
 
 
 def _parse_vector(value, no):
-    try:
-        out = []
-        for pair in value.split(","):
-            re_s, im_s = pair.split(":")
-            out.append(complex(float(re_s), float(im_s)))
-        return np.array(out)
-    except ValueError:
-        raise ConfigError(f"initial_vector entries must be 're:im', got {value!r}", no)
+    pairs = [_finite(pair.split(":")) for pair in value.split(",")]
+    if any(pair is None or len(pair) != 2 for pair in pairs):
+        raise ConfigError(f"initial_vector entries must be finite 're:im', got {value!r}", no)
+    return np.array([complex(re, im) for re, im in pairs])
 
 
 def _load_basis_file(path, no):
@@ -129,33 +133,32 @@ def parse_config(text):
                 [su2_sym_presentation(int(d)) for d in value.split(",")])
         else:
             presentation = _load_basis_file(value, no)
-    except (ValueError, KeyError, TypeError, IndexError) as err:
+    except (ValueError, KeyError, TypeError, IndexError, OSError) as err:
         # StructuralError and json.JSONDecodeError are ValueErrors; the
-        # others come from a basis file whose JSON has the wrong layout
+        # others come from a basis file whose JSON has the wrong layout or
+        # that cannot be read
         raise ConfigError(f"invalid {keys[kind]}: {err}", no)
 
     report = validate_presentation(presentation)
     if not report.ok:
-        raise ConfigError(f"group presentation fails validation: {report}")
+        raise ConfigError(f"group presentation fails validation: {report}", no)
 
-    value, no = _pop(cfg, "initial_vector", required=True)
-    v0 = _parse_vector(value, no)
+    value, v0_no = _pop(cfg, "initial_vector", required=True)
+    v0 = _parse_vector(value, v0_no)
     if len(v0) != presentation.dim_v:
         raise ConfigError(
             f"initial_vector has {len(v0)} entries, the group acts on "
-            f"C^{presentation.dim_v}", no)
+            f"C^{presentation.dim_v}", v0_no)
 
     mode, no = _pop(cfg, "flow.mode", default="affine")
     if mode not in ("affine", "projective", "cointegrate"):
         raise ConfigError(f"flow.mode must be affine | projective | cointegrate, "
                           f"got {mode!r}", no)
-    t_max = _parse_float(cfg, "flow.t_max", 1e6 if mode == "projective" else 1e4)
-    if t_max <= 0:
-        raise ConfigError("flow.t_max must be positive")
-    eps_grad = _parse_float(cfg, "flow.eps_grad", 1e-10)
-    if eps_grad <= 0:
-        raise ConfigError("flow.eps_grad must be positive")
-    initial_step = _parse_float(cfg, "flow.initial_step", 1e-3)
+    if mode == "projective" and not np.any(v0):
+        raise ConfigError("the projective flow needs a nonzero initial_vector", v0_no)
+    t_max = _parse_positive(cfg, "flow.t_max", 1e6 if mode == "projective" else 1e4)
+    eps_grad = _parse_positive(cfg, "flow.eps_grad", 1e-10)
+    initial_step = _parse_positive(cfg, "flow.initial_step", 1e-3)
     opts = FlowOptions(t_max=t_max, eps_grad=eps_grad, initial_step=initial_step)
 
     value, no = _pop(cfg, "analyses", default="")
@@ -179,9 +182,9 @@ def parse_config(text):
         key = sorted(cfg)[0]
         raise ConfigError(f"unknown key {key!r}", cfg[key][1])
 
-    exp = BuiltinExperiment(name="config", presentation=presentation, v0=v0,
-                            flow_opts=opts, mode=mode, analyses=analyses,
-                            weights=weights)
+    exp = Experiment(name="config", presentation=presentation, v0=v0,
+                     flow_opts=opts, mode=mode, analyses=analyses,
+                     weights=weights)
     return exp, out_dir, seed
 
 
@@ -234,7 +237,8 @@ def main(argv=None):
     try:
         status, _ = run_experiment(exp, out_dir, seed=seed,
                                    tol_scale=args.tol_scale, quiet=args.quiet)
-    except Exception as err:  # numerical failure: name the failing stage
+    except Exception as err:  # the flow itself failed; a failing analysis
+        # is a FAIL check in the report instead
         print(f"numerical failure: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     return status

@@ -29,6 +29,7 @@ __all__ = [
     "limit_direction",
     "torus_oracle",
     "compare_with_oracle",
+    "oracle_angle",
     "certify_rational",
     "hermitian_generator",
 ]
@@ -42,7 +43,6 @@ class DegenerationReport:
     limit_point: np.ndarray         # unit representative of [v]_infinity
     spectrum: np.ndarray            # eigenvalues of the induced Hermitian matrix
     rational_approx: tuple | None = None
-    oracle_direction: np.ndarray | None = None
     verdict: str = "no_oracle"
 
 
@@ -162,19 +162,25 @@ def torus_oracle(weights, support=None, max_support=10, zero_tol=1e-9):
                         support_face=best_face)
 
 
-def compare_with_oracle(report, beta, angle_tol=ANGLE_TOL):
-    """Match the flow limit direction against the oracle direction.
+def oracle_angle(direction, beta):
+    """Angle between a limit direction and the oracle direction beta.
 
     Torus scope: coordinates are Euclidean, and the fixed sign convention
-    puts the flow limit on +beta/|beta|. Returns 'match' or 'mismatch'.
+    puts the flow limit on +beta/|beta|.
     """
     beta = np.asarray(beta, dtype=float)
     bn = np.linalg.norm(beta)
     if bn == 0:
         raise DomainError("oracle produced no destabilizing direction")
-    d = np.asarray(report.limit_direction, dtype=float)
+    d = np.asarray(direction, dtype=float)
     cosang = float(d @ beta) / (np.linalg.norm(d) * bn)
-    angle = float(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    return float(np.arccos(np.clip(cosang, -1.0, 1.0)))
+
+
+def compare_with_oracle(report, beta, angle_tol=ANGLE_TOL):
+    """'match' when the flow limit direction lies within ``angle_tol`` of the
+    oracle direction, else 'mismatch'."""
+    angle = oracle_angle(report.limit_direction, beta)
     return "match" if angle <= angle_tol else "mismatch"
 
 

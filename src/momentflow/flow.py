@@ -341,8 +341,6 @@ class LojasiewiczFit:
     decay_exponent: float
     fit_quality: float        # R^2 of log f against log t (power law)
     semilog_quality: float    # R^2 of log f against t (exponential)
-    window: tuple = (0.0, 0.0)
-    n_samples: int = 0
 
     @property
     def power_law_preferred(self):
@@ -390,18 +388,13 @@ def fit_lojasiewicz(traj, min_samples=50):
     alpha_hat = 0.5 * (1.0 + 1.0 / decay) if decay != 0 else float("nan")
     _, r2_semilog = _r_squared(t[window], lf)
     return LojasiewiczFit(alpha_hat=float(alpha_hat), decay_exponent=float(decay),
-                          fit_quality=r2, semilog_quality=r2_semilog,
-                          window=(float(t[window][0]), float(t_end)),
-                          n_samples=int(window.sum()))
+                          fit_quality=r2, semilog_quality=r2_semilog)
 
 
 @dataclass
 class RateReport:
     applicable: bool
-    alpha: float = float("nan")
-    f_plateau_sup: float = float("nan")
     f_plateau_ratio: float = float("nan")
-    dist_plateau_sup: float = float("nan")
     dist_plateau_ratio: float = float("nan")
     limit_is_origin: bool = False
 
@@ -410,7 +403,7 @@ def check_rates(traj, alpha, limit=None):
     """Plateau check of the polynomial decay rates implied by exponent alpha.
 
     Over the final decade, f(t) * t^(1/(2a-1)) and |v(t) - v_inf| * t^((1-a)/(2a-1))
-    must flatten out; the report carries their sups and max/min ratios. For a
+    must flatten out; the report carries their max/min ratios. For a
     stationary trajectory the report is flagged not applicable.
 
     ``limit`` overrides the limit point: 'origin', an explicit vector, or
@@ -456,8 +449,6 @@ def check_rates(traj, alpha, limit=None):
             return float("nan")
         return float(vals.max() / vals.min())
 
-    return RateReport(applicable=True, alpha=alpha,
-                      f_plateau_sup=float(vals_f.max()), f_plateau_ratio=ratio(vals_f),
-                      dist_plateau_sup=float(vals_d.max()) if len(vals_d) else float("nan"),
+    return RateReport(applicable=True, f_plateau_ratio=ratio(vals_f),
                       dist_plateau_ratio=ratio(vals_d),
                       limit_is_origin=limit_is_origin)

@@ -124,9 +124,6 @@ class NormalFormModel:
     def project_m(self, coords_g):
         return self.m_basis @ self.parent.metric @ np.asarray(coords_g, dtype=float)
 
-    def project_g0(self, coords_g):
-        return self.g0_basis @ self.parent.metric @ np.asarray(coords_g, dtype=float)
-
     def slice_vector(self, v):
         """N-coordinates (real) -> vector in V."""
         return np.asarray(v, dtype=float) @ self.n_basis

@@ -1,22 +1,24 @@
 """Experiment execution: flows, analyses, CSV and report emission.
 
 ``run_experiment`` drives one experiment to completion: it integrates the
-configured flow, runs the enabled analyses, writes ``trajectory.csv`` (and
-``ray.csv`` when the ray analysis is on) plus a plain-text ``report.txt``
-with fixed section order, and returns the check list that decides the exit
-status. Everything is deterministic given the experiment and its seed; the
-seed only feeds the randomized verification samples of the normal-form
-analysis.
+configured flow, runs the enabled analyses, writes ``trajectory.csv`` (plus
+``ray.csv`` and ``degeneration.csv`` for those analyses) and a plain-text
+``report.txt`` with fixed section order, and returns the exit status the
+checks decide. A run integrates each flow at most once (``Legs``) and
+solves the torus oracle at most once (``Oracle``). Everything is
+deterministic given the experiment and its seed; the seed only feeds the
+randomized verification samples of the normal-form analysis.
 """
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .degeneration import (compare_with_oracle, hermitian_generator,
-                           limit_direction, torus_oracle)
-from .errors import DiagnosticError
+from .algebra import GroupPresentation
+from .degeneration import (ANGLE_TOL, hermitian_generator, limit_direction,
+                           oracle_angle, torus_oracle)
 from .flow import (FlowOptions, check_rates, cointegrate_group, fit_lojasiewicz,
                    integrate_kempf_ness, integrate_projective, reparametrize)
 from .normal_form import (ModelPoint, build_model, model_symplectic_form,
@@ -27,22 +29,101 @@ from .symmetric_space import SymmetricSpacePoint, extract_asymptotic_ray
 SECTIONS = ("CONFIG", "FLOW", "RATES", "RAY", "DEGENERATION", "NORMAL_FORM",
             "VERDICT")
 
+# Horizons of the two legs that differ from the primary flow: the affine leg
+# of the rates analysis in projective mode (clock t) and the projective leg
+# of the degeneration analysis in affine or cointegrate mode (clock s).
+AFFINE_LEG_T_MAX = 1e4
+PROJECTIVE_LEG_S_MAX = 200.0
 
-@dataclass
-class Check:
+INF = float("inf")
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A presentation, a start vector, the flow to run and its analyses.
+
+    ``checks`` holds (check name, lo, hi) bounds that tighten the report's
+    checks. ``oracle_embedding`` maps oracle coordinates into g-coordinates
+    (None: identity).
+    """
+
     name: str
-    value: float
-    lo: float
-    hi: float
+    presentation: GroupPresentation
+    v0: np.ndarray
+    flow_opts: FlowOptions
+    mode: str
+    analyses: tuple
+    weights: list | None = None
+    oracle_support: tuple | None = None
+    oracle_embedding: np.ndarray | None = None
+    checks: tuple = ()
 
-    @property
-    def passed(self):
-        return self.lo <= self.value <= self.hi and np.isfinite(self.value)
 
-    def line(self):
-        status = "PASS" if self.passed else "FAIL"
-        return (f"  {self.name} = {_num(self.value)}  "
-                f"in [{_num(self.lo)}, {_num(self.hi)}]  {status}")
+@dataclass(frozen=True)
+class Legs:
+    """The flows of one run, each integrated at most once, on first use.
+
+    ``primary`` is the configured flow, cointegrated when the ray analysis
+    needs the group lift. ``affine`` and ``projective`` are the primary
+    flow when its kind matches, and a leg of their own only otherwise.
+    """
+
+    exp: Experiment
+
+    @cached_property
+    def primary(self):
+        exp = self.exp
+        p, v0, opts = exp.presentation, exp.v0, exp.flow_opts
+        lift = "ray" in exp.analyses
+        if exp.mode == "projective":
+            return integrate_projective(p, v0, opts, cointegrate=lift)
+        if exp.mode == "cointegrate" or lift:
+            return cointegrate_group(p, v0, opts)
+        return integrate_kempf_ness(p, v0, opts)
+
+    @cached_property
+    def affine(self):
+        """Affine trajectory with its s clock, for the rates analysis."""
+        exp = self.exp
+        if exp.mode != "projective":
+            return reparametrize(self.primary)
+        opts = FlowOptions(t_max=AFFINE_LEG_T_MAX, eps_grad=exp.flow_opts.eps_grad,
+                           initial_step=exp.flow_opts.initial_step)
+        return reparametrize(integrate_kempf_ness(exp.presentation, exp.v0, opts))
+
+    @cached_property
+    def projective(self):
+        """Projectivized trajectory, for the degeneration analysis."""
+        exp = self.exp
+        if exp.mode == "projective":
+            return self.primary
+        opts = FlowOptions(t_max=PROJECTIVE_LEG_S_MAX, eps_grad=exp.flow_opts.eps_grad)
+        return integrate_projective(exp.presentation, exp.v0, opts)
+
+
+@dataclass(frozen=True)
+class Oracle:
+    """The torus oracle of one run and the spectrum of its direction on V,
+    each computed at most once, on first use."""
+
+    exp: Experiment
+
+    @cached_property
+    def result(self):
+        """The oracle's answer, or None when the run has no oracle."""
+        exp = self.exp
+        if "oracle" not in exp.analyses or exp.weights is None:
+            return None
+        return torus_oracle(exp.weights, support=exp.oracle_support)
+
+    @cached_property
+    def spectrum(self):
+        """Sorted spectrum of the generator of a destabilizing oracle beta,
+        the conjugacy invariant the degeneration and ray spectra meet."""
+        p, beta = self.exp.presentation, self.result.beta
+        if self.exp.oracle_embedding is not None:
+            beta = self.exp.oracle_embedding @ beta
+        return np.linalg.eigvalsh(hermitian_generator(p, p.lower(beta)))
 
 
 def _num(x):
@@ -50,6 +131,17 @@ def _num(x):
     if np.isinf(x):
         return "inf" if x > 0 else "-inf"
     return repr(x)
+
+
+def _vec(x):
+    return "[" + ", ".join(_num(v) for v in np.asarray(x, dtype=float)) + "]"
+
+
+def _rational(approx):
+    if approx is None:
+        return "  rational = none (certification failed honestly)"
+    ints, den = approx
+    return f"  rational = {list(ints)} / {den}"
 
 
 def _scale_bounds(lo, hi, scale):
@@ -75,302 +167,130 @@ def _subsample_geometric(clocks, start=0.5, growth=1.05):
     return np.array(idx, dtype=int)
 
 
-class ExperimentRun:
-    """Mutable run state: sections of the report and the check list."""
-
-    def __init__(self, exp, tol_scale=1.0, seed=0):
-        self.exp = exp
-        self.tol_scale = tol_scale
-        self.seed = seed
-        self.sections = {name: [] for name in SECTIONS}
-        self.checks = []
-        self.extra_bounds = {name: (lo, hi) for name, lo, hi in exp.checks}
-
-    def say(self, section, text):
-        self.sections[section].append(text)
-
-    def check(self, name, value, lo=-float("inf"), hi=float("inf")):
-        if name in self.extra_bounds:
-            blo, bhi = self.extra_bounds.pop(name)
-            lo, hi = max(lo, blo), min(hi, bhi)
-        lo, hi = _scale_bounds(lo, hi, self.tol_scale)
-        self.checks.append(Check(name=name, value=float(value), lo=lo, hi=hi))
-
-
-def run_experiment(exp, out_dir, *, seed=0, tol_scale=1.0, quiet=False):
-    """Execute one experiment; returns (exit_status, report_path).
-
-    Exit status 0 means every enabled check passed its documented tolerance
-    (scaled by ``tol_scale``); 1 means a numerical check failed.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    run = ExperimentRun(exp, tol_scale=tol_scale, seed=seed)
-    p = exp.presentation
-
-    run.say("CONFIG", f"  name = {exp.name}")
-    run.say("CONFIG", f"  group_kind = {p.kind}")
-    run.say("CONFIG", f"  dim_V = {p.dim_v}")
-    run.say("CONFIG", f"  dim_g = {p.dim_g}")
-    run.say("CONFIG", f"  mode = {exp.mode}")
-    run.say("CONFIG", f"  t_max = {_num(exp.flow_opts.t_max)}")
-    run.say("CONFIG", f"  eps_grad = {_num(exp.flow_opts.eps_grad)}")
-    run.say("CONFIG", f"  initial_step = {_num(exp.flow_opts.initial_step)}")
-    run.say("CONFIG", f"  analyses = {', '.join(exp.analyses) if exp.analyses else 'none'}")
-    run.say("CONFIG", f"  seed = {seed}")
-    run.say("CONFIG", f"  tol_scale = {_num(tol_scale)}")
-
-    need_ray = "ray" in exp.analyses
-    traj = _primary_flow(exp, cointegrate=need_ray)
-    traj.to_csv(os.path.join(out_dir, "trajectory.csv"))
-    run.say("FLOW", f"  clock = {traj.clock}")
-    run.say("FLOW", f"  samples = {len(traj)}")
-    run.say("FLOW", f"  terminated = {traj.terminated_reason}")
-    run.say("FLOW", f"  final_time = {_num(traj.t[-1])}")
-    run.say("FLOW", f"  final_f = {_num(traj.f[-1])}")
-    run.say("FLOW", f"  final_grad = {_num(traj.grad_norm[-1])}")
-    fdiff = np.diff(traj.f)
-    run.say("FLOW", f"  max_f_increase = {_num(max(0.0, fdiff.max()) if len(fdiff) else 0.0)}")
-
-    if "rates" in exp.analyses:
-        _run_rates(run, exp, traj)
-    else:
-        run.say("RATES", "  disabled")
-
-    oracle = None
-    if "oracle" in exp.analyses and exp.weights is not None:
-        oracle = torus_oracle(exp.weights, support=exp.oracle_support)
-
-    if "degeneration" in exp.analyses:
-        _run_degeneration(run, exp, traj, oracle, out_dir)
-    else:
-        run.say("DEGENERATION", "  disabled")
-
-    if need_ray:
-        _run_ray(run, exp, traj, oracle, out_dir)
-    else:
-        run.say("RAY", "  disabled")
-
-    if "normal_form" in exp.analyses:
-        _run_normal_form(run, exp)
-    else:
-        run.say("NORMAL_FORM", "  disabled")
-
-    for check in run.checks:
-        run.say("VERDICT", check.line())
-    ok = all(c.passed for c in run.checks)
-    run.say("VERDICT", f"  overall = {'OK' if ok else 'FAIL'}")
-
-    report_path = os.path.join(out_dir, "report.txt")
-    with open(report_path, "w") as fh:
-        for section in SECTIONS:
-            fh.write(f"[{section}]\n")
-            for line in run.sections[section]:
-                fh.write(line + "\n")
-            fh.write("\n")
-    if not quiet:
-        with open(report_path) as fh:
-            print(fh.read(), end="")
-    return (0 if ok else 1), report_path
-
-
-def _primary_flow(exp, cointegrate):
-    p, v0, opts = exp.presentation, exp.v0, exp.flow_opts
-    if exp.mode == "projective":
-        return integrate_projective(p, v0, opts, cointegrate=cointegrate)
-    if exp.mode == "cointegrate" or cointegrate:
-        return cointegrate_group(p, v0, opts)
-    return integrate_kempf_ness(p, v0, opts)
-
-
-def _affine_leg(exp):
-    """Affine trajectory for the rate analyses (reused if primary is affine)."""
-    opts = exp.flow_opts
-    if exp.mode != "projective":
-        return reparametrize(integrate_kempf_ness(exp.presentation, exp.v0, opts))
-    affine_opts = FlowOptions(t_max=1e4, eps_grad=opts.eps_grad,
-                              initial_step=opts.initial_step)
-    return reparametrize(integrate_kempf_ness(exp.presentation, exp.v0, affine_opts))
-
-
-def _run_rates(run, exp, traj):
-    p = exp.presentation
-    affine = _affine_leg(exp)
-    try:
-        fit = fit_lojasiewicz(affine)
-    except DiagnosticError as err:
-        run.say("RATES", f"  fit_error = {err}")
-        run.check("rates.fit_ok", 0.0, 1.0, 1.0)
-        return
-    run.say("RATES", f"  decay_exponent = {_num(fit.decay_exponent)}")
-    run.say("RATES", f"  alpha_hat = {_num(fit.alpha_hat)}")
-    run.say("RATES", f"  fit_quality = {_num(fit.fit_quality)}")
-    run.say("RATES", f"  semilog_quality = {_num(fit.semilog_quality)}")
-    run.check("rates.fit_quality", fit.fit_quality, 0.98, 1.0)
-    run.check("rates.decay_exponent", fit.decay_exponent)
-    run.check("rates.alpha_hat", fit.alpha_hat, 0.5, 1.0)
+def _rates(exp, legs, oracle, seed):
+    affine = legs.affine
+    fit = fit_lojasiewicz(affine)
+    lines = [f"  decay_exponent = {_num(fit.decay_exponent)}",
+             f"  alpha_hat = {_num(fit.alpha_hat)}",
+             f"  fit_quality = {_num(fit.fit_quality)}",
+             f"  semilog_quality = {_num(fit.semilog_quality)}"]
+    checks = [("rates.fit_quality", fit.fit_quality, 0.98, 1.0),
+              ("rates.decay_exponent", fit.decay_exponent, -INF, INF),
+              ("rates.alpha_hat", fit.alpha_hat, 0.5, 1.0)]
 
     rates = check_rates(affine, fit.alpha_hat)
     if rates.applicable:
-        run.say("RATES", f"  f_plateau_ratio = {_num(rates.f_plateau_ratio)}")
-        run.say("RATES", f"  dist_plateau_ratio = {_num(rates.dist_plateau_ratio)}")
-        run.check("rates.f_plateau_ratio", rates.f_plateau_ratio, 1.0, 1.5)
-        run.check("rates.dist_plateau_ratio", rates.dist_plateau_ratio, 1.0, 1.5)
+        lines += [f"  f_plateau_ratio = {_num(rates.f_plateau_ratio)}",
+                  f"  dist_plateau_ratio = {_num(rates.dist_plateau_ratio)}"]
+        checks += [("rates.f_plateau_ratio", rates.f_plateau_ratio, 1.0, 1.5),
+                   ("rates.dist_plateau_ratio", rates.dist_plateau_ratio, 1.0, 1.5)]
         # the collapse-rate plateau |v| * sqrt(t) at the stated exponent
         half = check_rates(affine, 0.75)
         if half.limit_is_origin:
-            run.say("RATES", f"  v_plateau_ratio = {_num(half.dist_plateau_ratio)}")
-            run.check("rates.v_plateau_ratio", half.dist_plateau_ratio, 1.0, 1.5)
+            lines.append(f"  v_plateau_ratio = {_num(half.dist_plateau_ratio)}")
+            checks.append(("rates.v_plateau_ratio", half.dist_plateau_ratio, 1.0, 1.5))
     # pointwise |grad f|^4 >= c f^3 on the final decade
     win = affine.t >= affine.t[-1] / 10.0
     with np.errstate(divide="ignore"):
         ratio = affine.grad_norm[win] ** 4 / affine.f[win] ** 3
-    run.say("RATES", f"  grad4_over_f3_min = {_num(ratio.min())}")
-    run.check("rates.grad4_over_f3_min", ratio.min(), 1e-2, float("inf"))
+    lines.append(f"  grad4_over_f3_min = {_num(ratio.min())}")
+    checks.append(("rates.grad4_over_f3_min", ratio.min(), 1e-2, INF))
     # the logarithmic clock: s against log t over the final decade
     st = affine.s[win]
     lt = np.log(affine.t[win])
     slope, intercept = np.polyfit(lt, st, 1)
     resid = st - (slope * lt + intercept)
     r2 = 1.0 - float(np.sum(resid**2)) / float(np.sum((st - st.mean()) ** 2))
-    run.say("RATES", f"  s_logt_r2 = {_num(r2)}")
-    run.say("RATES", f"  s_logt_slope = {_num(slope)}")
-    run.check("rates.s_logt_r2", r2, 0.99, 1.0)
+    lines += [f"  s_logt_r2 = {_num(r2)}", f"  s_logt_slope = {_num(slope)}"]
+    checks.append(("rates.s_logt_r2", r2, 0.99, 1.0))
+    return lines, checks, None
 
 
-def _projective_leg(exp, traj):
-    if traj.kind == "projective":
-        return traj
-    return integrate_projective(exp.presentation, exp.v0,
-                                FlowOptions(t_max=200.0,
-                                            eps_grad=exp.flow_opts.eps_grad))
-
-
-def _run_degeneration(run, exp, traj, oracle, out_dir):
-    p = exp.presentation
-    proj = _projective_leg(exp, traj)
+def _degeneration(exp, legs, oracle, seed):
+    p, proj = exp.presentation, legs.projective
     report = limit_direction(p, proj)
-    run.say("DEGENERATION", f"  limit_direction = {_vec(report.limit_direction)}")
-    run.say("DEGENERATION", f"  spectrum = {_vec(report.spectrum)}")
-    if report.rational_approx is not None:
-        ints, den = report.rational_approx
-        run.say("DEGENERATION", f"  rational = {list(ints)} / {den}")
-    else:
-        run.say("DEGENERATION", "  rational = none (certification failed honestly)")
     mu_norm = p.norm_lowered(projective_moment_map(p, report.limit_point))
-    run.say("DEGENERATION", f"  limit_mu_norm = {_num(mu_norm)}")
-    run.check("degeneration.limit_nonzero",
-              float(mu_norm >= 10.0 * proj.eps_grad), 1.0, 1.0)
+    lines = [f"  limit_direction = {_vec(report.limit_direction)}",
+             f"  spectrum = {_vec(report.spectrum)}",
+             _rational(report.rational_approx),
+             f"  limit_mu_norm = {_num(mu_norm)}"]
+    checks = [("degeneration.limit_nonzero",
+               float(mu_norm >= 10.0 * proj.eps_grad), 1.0, 1.0)]
 
-    if oracle is None:
-        run.say("DEGENERATION", "  oracle = not run")
-    elif oracle.semistable:
-        run.say("DEGENERATION", "  oracle = semi-stable (origin in hull)")
+    if oracle.result is None:
+        lines.append("  oracle = not run")
+    elif oracle.result.semistable:
+        lines.append("  oracle = semi-stable (origin in hull)")
     else:
-        beta = oracle.beta
-        run.say("DEGENERATION", f"  oracle_beta = {_vec(beta)}")
-        run.say("DEGENERATION", f"  oracle_face = {list(oracle.support_face)}")
-        if exp.oracle_embedding is not None:
-            coords = exp.oracle_embedding @ beta
-        else:
-            coords = beta
+        beta = oracle.result.beta
+        lines += [f"  oracle_beta = {_vec(beta)}",
+                  f"  oracle_face = {list(oracle.result.support_face)}"]
         if p.kind == "torus" and exp.oracle_embedding is None:
-            report.verdict = compare_with_oracle(report, beta)
-            report.oracle_direction = beta / np.linalg.norm(beta)
-            cosang = float(report.limit_direction @ beta) / (
-                np.linalg.norm(report.limit_direction) * np.linalg.norm(beta))
-            angle = float(np.arccos(np.clip(cosang, -1.0, 1.0)))
-            run.say("DEGENERATION", f"  verdict = {report.verdict}")
-            run.say("DEGENERATION", f"  oracle_angle = {_num(angle)}")
-            run.check("degeneration.oracle_angle", angle, 0.0, 1e-3)
+            angle = oracle_angle(report.limit_direction, beta)
+            report.verdict = "match" if angle <= ANGLE_TOL else "mismatch"
             # collapse onto the minimizing face: mass off the face must vanish
             off = [abs(report.limit_point[j]) for j in range(p.dim_v)
-                   if j not in oracle.support_face]
+                   if j not in oracle.result.support_face]
             off_mass = max(off) if off else 0.0
-            run.say("DEGENERATION", f"  off_face_mass = {_num(off_mass)}")
-            run.check("degeneration.off_face_mass", off_mass, 0.0, 1e-4)
+            lines += [f"  verdict = {report.verdict}",
+                      f"  oracle_angle = {_num(angle)}",
+                      f"  off_face_mass = {_num(off_mass)}"]
+            checks += [("degeneration.oracle_angle", angle, 0.0, 1e-3),
+                       ("degeneration.off_face_mass", off_mass, 0.0, 1e-4)]
         else:
             # nonabelian validation goes through conjugacy invariants
-            gen = hermitian_generator(p, p.lower(coords))
-            spec_oracle = np.linalg.eigvalsh(gen)
-            err = float(np.max(np.abs(report.spectrum - spec_oracle)))
+            err = float(np.max(np.abs(report.spectrum - oracle.spectrum)))
             report.verdict = "match" if err <= 1e-2 else "mismatch"
-            run.say("DEGENERATION", f"  spectrum_vs_oracle = {_num(err)}")
-            run.check("degeneration.spectrum_vs_oracle", err, 0.0, 1e-2)
+            lines.append(f"  spectrum_vs_oracle = {_num(err)}")
+            checks.append(("degeneration.spectrum_vs_oracle", err, 0.0, 1e-2))
 
-    with open(os.path.join(out_dir, "degeneration.csv"), "w") as fh:
-        fh.write("kind,index,value\n")
-        for i, lam in enumerate(report.spectrum):
-            fh.write(f"spectrum,{i},{_num(lam)}\n")
-        for i, c in enumerate(report.limit_direction):
-            fh.write(f"direction,{i},{_num(c)}\n")
-        fh.write(f"verdict,0,{report.verdict}\n")
+    table = [("spectrum", report.spectrum), ("direction", report.limit_direction),
+             ("verdict", [report.verdict])]
+    return lines, checks, table
 
 
-def _run_ray(run, exp, traj, oracle, out_dir):
-    p = exp.presentation
-    if traj.g is None:
-        run.say("RAY", "  error = ray analysis needs a cointegrated flow")
-        run.check("ray.available", 0.0, 1.0, 1.0)
-        return
+def _ray(exp, legs, oracle, seed):
+    traj = legs.primary
     idx = _subsample_geometric(traj.t)
     pts = [SymmetricSpacePoint.from_group(traj.g[i]) for i in idx]
-    base = SymmetricSpacePoint.from_matrix(np.eye(p.dim_v))
+    base = SymmetricSpacePoint.from_matrix(np.eye(exp.presentation.dim_v))
     ray, diag = extract_asymptotic_ray(pts, base, traj.t[idx])
-    run.say("RAY", f"  tail_samples = {len(diag.distances)}")
-    run.say("RAY", f"  final_distance = {_num(diag.distances[-1])}")
-    run.say("RAY", f"  final_angle = {_num(diag.angles[-1])}")
-    run.say("RAY", f"  residuals = {_vec(diag.residuals)}")
-    run.say("RAY", f"  spectrum = {_vec(diag.spectrum)}")
-    if ray.rational_approx is not None:
-        ints, den = ray.rational_approx
-        run.say("RAY", f"  rational = {list(ints)} / {den}")
-    else:
-        run.say("RAY", "  rational = none (certification failed honestly)")
-    run.check("ray.final_angle", diag.angles[-1], 0.0, 1e-3)
+    lines = [f"  tail_samples = {len(diag.distances)}",
+             f"  final_distance = {_num(diag.distances[-1])}",
+             f"  final_angle = {_num(diag.angles[-1])}",
+             f"  residuals = {_vec(diag.residuals)}",
+             f"  spectrum = {_vec(diag.spectrum)}",
+             _rational(ray.rational_approx)]
     # Cauchy decrease is asserted on the final stretch (the transit toward
     # the limit set may legitimately swing the chord first), with a slack at
     # the arccos round-off floor, far below the 1e-3 criterion.
     angles_tail = diag.angles[-8:]
     monotone = float(np.all(np.diff(angles_tail) <= 1e-6)) if len(angles_tail) > 1 else 1.0
-    run.check("ray.angles_monotone", monotone, 1.0, 1.0)
     resid_dec = float(np.all(np.diff(diag.residuals) <= 1e-6)) if len(diag.residuals) > 1 else 1.0
-    run.check("ray.residuals_decreasing", resid_dec, 1.0, 1.0)
-    run.check("ray.residual_last", diag.residuals[-1], 0.0, 1e-2)
+    checks = [("ray.final_angle", diag.angles[-1], 0.0, 1e-3),
+              ("ray.angles_monotone", monotone, 1.0, 1.0),
+              ("ray.residuals_decreasing", resid_dec, 1.0, 1.0),
+              ("ray.residual_last", diag.residuals[-1], 0.0, 1e-2)]
 
-    if oracle is not None and not oracle.semistable:
-        beta = oracle.beta
-        if exp.oracle_embedding is not None:
-            coords = exp.oracle_embedding @ beta
-        else:
-            coords = beta
-        gen = hermitian_generator(p, p.lower(coords))
-        spec_oracle = np.linalg.eigvalsh(gen)
-        err = float(np.max(np.abs(diag.spectrum - spec_oracle)))
-        run.say("RAY", f"  spectrum_vs_oracle = {_num(err)}")
-        run.check("ray.spectrum_vs_oracle", err, 0.0, 1e-2)
+    if oracle.result is not None and not oracle.result.semistable:
+        err = float(np.max(np.abs(diag.spectrum - oracle.spectrum)))
+        lines.append(f"  spectrum_vs_oracle = {_num(err)}")
+        checks.append(("ray.spectrum_vs_oracle", err, 0.0, 1e-2))
 
-    ray_path = os.path.join(out_dir, "ray.csv")
-    with open(ray_path, "w") as fh:
-        fh.write("kind,index,value\n")
-        for i, lam in enumerate(diag.spectrum):
-            fh.write(f"eigenvalue,{i},{_num(lam)}\n")
-        for i, ang in enumerate(diag.angles):
-            fh.write(f"angle,{i},{_num(ang)}\n")
-        for i, r in enumerate(diag.residuals):
-            fh.write(f"residual,{i},{_num(r)}\n")
-        for i, d in enumerate(diag.distances):
-            fh.write(f"distance,{i},{_num(d)}\n")
+    table = [("eigenvalue", diag.spectrum), ("angle", diag.angles),
+             ("residual", diag.residuals), ("distance", diag.distances)]
+    return lines, checks, table
 
 
-def _run_normal_form(run, exp):
+def _normal_form(exp, legs, oracle, seed):
     p = exp.presentation
-    rng = np.random.default_rng(run.seed)
+    rng = np.random.default_rng(seed)
     model = build_model(p, exp.v0)
-    run.say("NORMAL_FORM", f"  dim_g0 = {model.dim_g0}")
-    run.say("NORMAL_FORM", f"  dim_m = {model.dim_m}")
-    run.say("NORMAL_FORM", f"  dim_N_real = {model.dim_n}")
-    run.check("normal_form.dim_split",
-              float(2 * model.dim_m + model.dim_n == 2 * p.dim_v), 1.0, 1.0)
+    lines = [f"  dim_g0 = {model.dim_g0}",
+             f"  dim_m = {model.dim_m}",
+             f"  dim_N_real = {model.dim_n}"]
+    checks = [("normal_form.dim_split",
+               float(2 * model.dim_m + model.dim_n == 2 * p.dim_v), 1.0, 1.0)]
 
     def rand_point():
         return ModelPoint(xi_m=0.3 * rng.standard_normal(model.dim_m),
@@ -386,26 +306,114 @@ def _run_normal_form(run, exp):
     samples = [(rand_point(), rng.standard_normal(p.dim_g))
                for _ in range(n_samples)]
     resid_mu = verify_moment_identity(model, samples)
-    run.say("NORMAL_FORM", f"  moment_identity = {_num(resid_mu)}")
-    run.check("normal_form.moment_identity", resid_mu, 0.0, 1e-5)
+    lines.append(f"  moment_identity = {_num(resid_mu)}")
+    checks.append(("normal_form.moment_identity", resid_mu, 0.0, 1e-5))
 
     triples = [(rand_point(), rand_tangent(), rand_tangent(), rand_tangent())
                for _ in range(n_samples)]
     resid_d = verify_closedness(model, triples)
-    run.say("NORMAL_FORM", f"  closedness = {_num(resid_d)}")
-    run.check("normal_form.closedness", resid_d, 0.0, 1e-4)
+    lines.append(f"  closedness = {_num(resid_d)}")
+    checks.append(("normal_form.closedness", resid_d, 0.0, 1e-4))
 
-    nonabelian = model.dim_m > 1 and model.dim_g0 > 0
-    if nonabelian:
+    if model.dim_m > 1 and model.dim_g0 > 0:   # nonabelian
         def corrupted(m, at, x1, x2):
             return model_symplectic_form(m, at, x1, x2, include_bracket=False)
 
         resid_neg = verify_closedness(model, triples, form=corrupted)
-        run.say("NORMAL_FORM", f"  negative_control = {_num(resid_neg)}")
-        run.check("normal_form.negative_control", resid_neg, 1e-2, float("inf"))
+        lines.append(f"  negative_control = {_num(resid_neg)}")
+        checks.append(("normal_form.negative_control", resid_neg, 1e-2, INF))
     else:
-        run.say("NORMAL_FORM", "  negative_control = skipped (abelian model)")
+        lines.append("  negative_control = skipped (abelian model)")
+    return lines, checks, None
 
 
-def _vec(x):
-    return "[" + ", ".join(_num(v) for v in np.asarray(x, dtype=float)) + "]"
+# Each analysis maps (exp, legs, oracle, seed) to (report lines, checks as
+# (name, value, lo, hi), optional CSV table of (kind, values)). Run order,
+# which is the order of the VERDICT lines; sections print in SECTIONS order.
+ANALYSES = {"rates": _rates, "degeneration": _degeneration, "ray": _ray,
+            "normal_form": _normal_form}
+
+
+def run_experiment(exp, out_dir, *, seed=0, tol_scale=1.0, quiet=False):
+    """Execute one experiment; returns (exit_status, report_path).
+
+    Exit status 0 means every enabled check passed its documented tolerance
+    (scaled by ``tol_scale``); 1 means a check failed, an analysis raised,
+    or a declared bound's check never ran.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    legs, oracle = Legs(exp), Oracle(exp)
+    opts = exp.flow_opts
+    sections = {"CONFIG": [
+        f"  name = {exp.name}",
+        f"  group_kind = {exp.presentation.kind}",
+        f"  dim_V = {exp.presentation.dim_v}",
+        f"  dim_g = {exp.presentation.dim_g}",
+        f"  mode = {exp.mode}",
+        f"  t_max = {_num(opts.t_max)}",
+        f"  eps_grad = {_num(opts.eps_grad)}",
+        f"  initial_step = {_num(opts.initial_step)}",
+        f"  analyses = {', '.join(exp.analyses) if exp.analyses else 'none'}",
+        f"  seed = {seed}",
+        f"  tol_scale = {_num(tol_scale)}"]}
+
+    traj = legs.primary
+    traj.to_csv(os.path.join(out_dir, "trajectory.csv"))
+    fdiff = np.diff(traj.f)
+    sections["FLOW"] = [
+        f"  clock = {traj.clock}",
+        f"  samples = {len(traj)}",
+        f"  terminated = {traj.terminated_reason}",
+        f"  final_time = {_num(traj.t[-1])}",
+        f"  final_f = {_num(traj.f[-1])}",
+        f"  final_grad = {_num(traj.grad_norm[-1])}",
+        f"  max_f_increase = {_num(max(0.0, fdiff.max()) if len(fdiff) else 0.0)}"]
+
+    found = []
+    for name, analysis in ANALYSES.items():
+        if name not in exp.analyses:
+            sections[name.upper()] = ["  disabled"]
+            continue
+        try:
+            lines, checks, table = analysis(exp, legs, oracle, seed)
+        except (ValueError, RuntimeError) as err:
+            lines = [f"  error = {type(err).__name__}: {err}"]
+            checks, table = [(f"{name}.ok", 0.0, 1.0, 1.0)], None
+        sections[name.upper()] = lines
+        found += checks
+        if table is not None:
+            _write_table(os.path.join(out_dir, f"{name}.csv"), table)
+
+    # declared bounds tighten the emitted checks; one never emitted fails
+    bounds = {name: (lo, hi) for name, lo, hi in exp.checks}
+    emitted = {check[0] for check in found}
+    found += [(name, float("nan"), -INF, INF) for name in bounds if name not in emitted]
+    verdict, ok = [], True
+    for name, value, lo, hi in found:
+        blo, bhi = bounds.get(name, (lo, hi))
+        lo, hi = _scale_bounds(max(lo, blo), min(hi, bhi), tol_scale)
+        passed = lo <= value <= hi and np.isfinite(value)
+        ok = ok and passed
+        verdict.append(f"  {name} = {_num(value)}  in [{_num(lo)}, {_num(hi)}]  "
+                       f"{'PASS' if passed else 'FAIL'}")
+    sections["VERDICT"] = verdict + [f"  overall = {'OK' if ok else 'FAIL'}"]
+
+    report_path = os.path.join(out_dir, "report.txt")
+    with open(report_path, "w") as fh:
+        for section in SECTIONS:
+            fh.write(f"[{section}]\n")
+            for line in sections[section]:
+                fh.write(line + "\n")
+            fh.write("\n")
+    if not quiet:
+        with open(report_path) as fh:
+            print(fh.read(), end="")
+    return (0 if ok else 1), report_path
+
+
+def _write_table(path, table):
+    with open(path, "w") as fh:
+        fh.write("kind,index,value\n")
+        for kind, values in table:
+            for i, x in enumerate(values):
+                fh.write(f"{kind},{i},{x if isinstance(x, str) else _num(x)}\n")

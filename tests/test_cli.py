@@ -1,10 +1,12 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from momentflow.builtins import BUILTIN_NAMES, get_builtin
 from momentflow.cli import ConfigError, main, parse_config
+from momentflow import runner
 from momentflow.runner import run_experiment
 
 GOOD_CONFIG = """\
@@ -185,3 +187,83 @@ def test_malformed_group_exits_2_with_line(tmp_path, capsys, group):
     cfg.write_text(group.format(bad_json=bad_json) + "\ninitial_vector = 1:0, 0:0\n")
     assert main(["--config", str(cfg), "--quiet"]) == 2
     assert "line 2: invalid group." in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, line_no", [
+    ("flow.t_max = -3", 5),
+    ("flow.t_max = nan", 5),
+    ("flow.eps_grad = nan", 5),
+    ("flow.initial_step = -1", 5),
+    ("initial_vector = nan:0, 1:0", 5),
+    ("group.weights = nan\ninitial_vector = 1:0", 5),
+    ("initial_vector = 0:0, 0:0", 5),
+], ids=["t_max_negative", "t_max_nan", "eps_grad_nan", "initial_step_negative",
+        "vector_nan", "weights_nan", "zero_vector_projective"])
+def test_malformed_number_exits_2_with_line(tmp_path, capsys, lines, line_no):
+    # later keys override earlier ones, so the bad line is always line 5
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("group.kind = torus\ngroup.weights = 1; 2\n"
+                   "initial_vector = 0.7:0, 0.7:0\nflow.mode = projective\n"
+                   + lines + "\n")
+    assert main(["--config", str(cfg), "--quiet"]) == 2
+    assert f"line {line_no}: " in capsys.readouterr().err
+
+
+def test_failing_analysis_is_a_fail_check_in_the_report(tmp_path):
+    # the projective flow stops at s = 5 before converging, so the
+    # degeneration analysis raises DomainError; the run still reports
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("group.kind = torus\ngroup.weights = 1,0; 0,1; 1,1\n"
+                   "initial_vector = 0.577:0, 0.577:0, 0.577:0\n"
+                   "flow.mode = projective\nflow.t_max = 5\n"
+                   "analyses = rates, degeneration, oracle, ray\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 1
+    text = (out / "report.txt").read_text()
+    degeneration = text.split("[DEGENERATION]\n", 1)[1].split("\n\n", 1)[0]
+    assert degeneration.startswith("  error = DomainError: ")
+    assert "degeneration.ok = 0.0  in [1.0, 1.0]  FAIL" in text
+    assert "rates.s_logt_r2" in text    # the other analyses still ran
+    assert text.rstrip().endswith("overall = FAIL")
+
+
+def test_declared_bound_without_its_check_fails(tmp_path):
+    # mgs_u1 runs only normal_form, so a rates bound can never be checked
+    exp = replace(get_builtin("mgs_u1"),
+                  checks=(("rates.alpha_hat", 0.73, 0.77),))
+    status, path = run_experiment(exp, tmp_path / "m", quiet=True)
+    text = open(path).read()
+    assert status == 1
+    assert "rates.alpha_hat = nan  in [0.73, 0.77]  FAIL" in text
+    assert text.rstrip().endswith("overall = FAIL")
+
+
+AFFINE_RATES_RAY = """\
+group.kind = torus
+group.weights = 1; 2
+initial_vector = 0.6:0.2, 0.7:-0.1
+flow.mode = affine
+flow.t_max = 1e4
+analyses = rates, ray
+"""
+
+
+@pytest.mark.parametrize("case, integrations", [
+    ("u1_weight1", 1), ("affine_rates_ray", 1), ("torus_12", 2),
+    ("torus_c3", 2), ("su2_symd", 1), ("mgs_u1", 1), ("mgs_su2", 1),
+])
+def test_each_flow_runs_once_per_run(tmp_path, monkeypatch, case, integrations):
+    calls = []
+    for name in ("integrate_kempf_ness", "integrate_projective",
+                 "cointegrate_group"):
+        def counted(*args, _fn=getattr(runner, name), **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(runner, name, counted)
+    if case == "affine_rates_ray":
+        exp = parse_config(AFFINE_RATES_RAY)[0]
+    else:
+        exp = get_builtin(case)
+    status, _ = run_experiment(exp, tmp_path / case, quiet=True)
+    assert status == 0
+    assert len(calls) == integrations, calls
