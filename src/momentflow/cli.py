@@ -30,6 +30,7 @@ from .algebra import (direct_sum_presentation, matrix_presentation,
                       su2_sym_presentation, torus_presentation,
                       validate_presentation)
 from .builtins import BUILTIN_NAMES, get_builtin
+from .degeneration import ORACLE_MAX_WEIGHTS
 from .flow import FlowOptions
 from .runner import Experiment, run_experiment
 
@@ -74,13 +75,15 @@ def _finite(strings):
     return xs if np.all(np.isfinite(xs)) else None
 
 
-def _parse_positive(cfg, key, default):
+def _parse_positive(cfg, key, default, minimum=0.0):
     value, no = _pop(cfg, key, default=None)
     if value is None:
         return default
     x = _finite([value])
-    if x is None or x[0] <= 0:
-        raise ConfigError(f"{key} must be a positive finite number, got {value!r}", no)
+    if x is None or x[0] <= 0 or x[0] < minimum:
+        least = f" >= {minimum!r}" if minimum else ""
+        raise ConfigError(
+            f"{key} must be a positive finite number{least}, got {value!r}", no)
     return x[0]
 
 
@@ -158,7 +161,9 @@ def parse_config(text):
         raise ConfigError("the projective flow needs a nonzero initial_vector", v0_no)
     t_max = _parse_positive(cfg, "flow.t_max", 1e6 if mode == "projective" else 1e4)
     eps_grad = _parse_positive(cfg, "flow.eps_grad", 1e-10)
-    initial_step = _parse_positive(cfg, "flow.initial_step", 1e-3)
+    # a first step below the integrator's smallest step would underflow at once
+    initial_step = _parse_positive(cfg, "flow.initial_step", 1e-3,
+                                   minimum=FlowOptions.min_step)
     opts = FlowOptions(t_max=t_max, eps_grad=eps_grad, initial_step=initial_step)
 
     value, no = _pop(cfg, "analyses", default="")
@@ -168,6 +173,9 @@ def parse_config(text):
             raise ConfigError(f"unknown analysis {a!r}; known: {', '.join(ANALYSES)}", no)
     if "oracle" in analyses and weights is None:
         raise ConfigError("the oracle analysis needs a torus weight system", no)
+    if "oracle" in analyses and len(weights) > ORACLE_MAX_WEIGHTS:
+        raise ConfigError(f"the oracle supports at most {ORACLE_MAX_WEIGHTS} "
+                          f"weights (got {len(weights)})", no)
 
     out_dir, _ = _pop(cfg, "output_dir", default=None)
     value, no = _pop(cfg, "seed", default="0")

@@ -21,9 +21,11 @@ from .rational import rationalize_direction
 from .representation import moment_map, projective_moment_map
 
 ANGLE_TOL = 1e-3
+ORACLE_MAX_WEIGHTS = 10  # the oracle enumerates all 2^n - 1 faces
 
 __all__ = [
     "ANGLE_TOL",
+    "ORACLE_MAX_WEIGHTS",
     "DegenerationReport",
     "OracleResult",
     "limit_direction",
@@ -121,7 +123,8 @@ def _face_minimum(points):
     return lam @ w
 
 
-def torus_oracle(weights, support=None, max_support=10, zero_tol=1e-9):
+def torus_oracle(weights, support=None, max_support=ORACLE_MAX_WEIGHTS,
+                 zero_tol=1e-9):
     """Closest point of conv{w_j : j in support} to the origin, by brute force.
 
     Enumerates every subset of the supported weights, solves the

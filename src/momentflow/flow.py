@@ -11,6 +11,7 @@ integrator accuracy.
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -84,86 +85,94 @@ class FlowTrajectory:
 
     def to_csv(self, path):
         """Write the declared CSV contract with round-trip decimal numbers."""
-        n = self.v.shape[1]
+        m, n = self.v.shape
         cols = ["t", "s", "f", "grad_norm", "v_norm"]
         cols += [f"v{i}_{part}" for i in range(n) for part in ("re", "im")]
+        blocks = [np.ascontiguousarray(self.v).view(float)]
         if self.g is not None:
             cols += [f"g{i}{j}_{part}" for i in range(n) for j in range(n)
                      for part in ("re", "im")]
+            blocks.append(np.ascontiguousarray(self.g).reshape(m, -1).view(float))
         s = self.s if self.s is not None else np.full_like(self.t, np.nan)
-        vn = self.v_norm
+        table = np.column_stack([self.t, s, self.f, self.grad_norm, self.v_norm]
+                                + blocks)
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
-            for idx in range(len(self.t)):
-                row = [self.t[idx], s[idx], self.f[idx], self.grad_norm[idx], vn[idx]]
-                for i in range(n):
-                    row += [self.v[idx, i].real, self.v[idx, i].imag]
-                if self.g is not None:
-                    for i in range(n):
-                        for j in range(n):
-                            row += [self.g[idx, i, j].real, self.g[idx, i, j].imag]
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
+            # tolist() gives Python floats, whose repr round-trips; one row
+            # at a time, so no Python copy of the whole table is held
+            fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in table)
 
 
-# Fehlberg 4(5) tableau; the fifth-order solution is propagated.
-_RKF_C = np.array([0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2])
-_RKF_A = [
-    [],
-    [1 / 4],
-    [3 / 32, 9 / 32],
-    [1932 / 2197, -7200 / 2197, 7296 / 2197],
-    [439 / 216, -8.0, 3680 / 513, -845 / 4104],
+# Fehlberg 4(5) tableau; the fifth-order solution is propagated. Row i of
+# _RKF_A holds the weights of stages 0..i-1 in stage i; _RKF_E = b5 - b4
+# gives the embedded error estimate. The flow is autonomous, so the nodes
+# c_i are not needed.
+_RKF_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 4, 0.0, 0.0, 0.0, 0.0],
+    [3 / 32, 9 / 32, 0.0, 0.0, 0.0],
+    [1932 / 2197, -7200 / 2197, 7296 / 2197, 0.0, 0.0],
+    [439 / 216, -8.0, 3680 / 513, -845 / 4104, 0.0],
     [-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40],
-]
+])
 _RKF_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
 _RKF_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
+_RKF_E = _RKF_B5 - _RKF_B4
 
 
-def _rkf45_step(deriv, t, y, h):
-    ks = [deriv(t, y)]
+def _rkf45_step(rhs, y, h, k1):
+    """One Fehlberg step from y with first stage k1 = rhs(y) already known;
+    returns (fifth-order solution, error estimate)."""
+    ks = np.empty((6, y.size), dtype=complex)
+    ks[0] = k1
     for i in range(1, 6):
-        yi = y + h * sum(a * k for a, k in zip(_RKF_A[i], ks))
-        ks.append(deriv(t + _RKF_C[i] * h, yi))
-    y5 = y + h * sum(b * k for b, k in zip(_RKF_B5, ks))
-    err = h * sum((b5 - b4) * k for b5, b4, k in zip(_RKF_B5, _RKF_B4, ks))
-    return y5, err
+        ks[i] = rhs(y + h * (_RKF_A[i, :i] @ ks[:i]))
+    return y + h * (_RKF_B5 @ ks), h * (_RKF_E @ ks)
 
 
-def _adaptive_flow(deriv, y0, observe, opts, postprocess=None,
-                   lift_update=None, lift0=None):
-    """Shared driver; returns (samples, terminated_reason).
+def _adaptive_flow(energy, y0, opts, postprocess=None, lift_update=None,
+                   lift0=None):
+    """Shared integrator of y' = -grad; returns (samples, terminated_reason).
 
+    ``energy(y) -> (f, grad)`` is evaluated once per accepted state, and that
+    one evaluation feeds the sample (t, v, f, grad_norm, g), the energy
+    guard, the first stage of the next step and the end slopes of the lift.
     The optional group lift advances once per accepted step through
-    ``lift_update(g, h, y_prev, y_new)`` and stays outside the
+    ``lift_update(g, h, y_prev, y_new, d_prev, d_new)`` and stays outside the
     error-controlled state: its entries span huge dynamic ranges and the ray
     analysis needs their logarithms, which exponential updates preserve and
     additive Runge-Kutta updates do not.
     """
-    t, y = 0.0, np.asarray(y0, dtype=complex)
-    lift = lift0
-    obs = observe(t, y, lift)
-    samples = [obs]
+    def rhs(y):
+        return -energy(y)[1]
+
+    def record(t, y, f, grad, lift):
+        return {"t": t, "v": y, "f": f, "grad_norm": float(np.linalg.norm(grad)),
+                "g": lift}
+
+    t, y, lift = 0.0, np.array(y0, dtype=complex), lift0
+    f, grad = energy(y) if np.all(np.isfinite(y)) else (np.nan, np.full_like(y, np.nan))
+    samples = [record(t, y, f, grad, lift)]
+    if not (np.isfinite(f) and np.all(np.isfinite(grad))):
+        return samples, "nonfinite"
+    k1 = -grad
     h = opts.initial_step
-    reason = None
     steps = 0
     while True:
         if len(samples) >= 2 and samples[-1]["grad_norm"] < opts.eps_grad:
-            reason = "gradient_small"
-            break
+            return samples, "gradient_small"
         if t >= opts.t_max * (1 - 1e-15):
-            reason = "t_max"
-            break
+            return samples, "t_max"
         if h < opts.min_step:
-            reason = "step_underflow"
-            break
+            return samples, "step_underflow"
         steps += 1
         if steps > opts.max_steps:
             raise DiagnosticError("integrator exceeded the step budget")
 
         cap = max(opts.initial_step, opts.sample_growth * t)
         h_eff = min(h, cap, opts.t_max - t)
-        y_new, err = _rkf45_step(deriv, t, y, h_eff)
-        if not np.all(np.isfinite(y_new.view(float))):
+        y_new, err = _rkf45_step(rhs, y, h_eff, k1)
+        if not np.all(np.isfinite(y_new)):
             h = 0.5 * h_eff
             continue
         scale = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
@@ -173,24 +182,25 @@ def _adaptive_flow(deriv, y0, observe, opts, postprocess=None,
             continue
         if postprocess is not None:
             y_new = postprocess(y_new, y)
-        lift_new = lift if lift_update is None else lift_update(lift, h_eff, y, y_new)
-        obs_new = observe(t + h_eff, y_new, lift_new)
-        if obs_new["f"] > obs["f"] + 1e-12 * max(1.0, obs["f"]):
+        f_new, grad_new = energy(y_new)
+        if not f_new <= f + 1e-12 * max(1.0, f):   # also rejects a NaN energy
             h = 0.5 * h_eff
             continue
-        t, y, obs, lift = t + h_eff, y_new, obs_new, lift_new
-        samples.append(obs)
+        k_new = -grad_new
+        if lift_update is not None:
+            lift = lift_update(lift, h_eff, y, y_new, k1, k_new)
+        t, y, f, k1 = t + h_eff, y_new, f_new, k_new
+        samples.append(record(t, y, f, grad_new, lift))
         growth = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
         h = h_eff * growth
-    return samples, reason
 
 
-def _pack(samples, reason, *, with_g, clock, kind, eps_grad):
+def _pack(samples, reason, *, clock, kind, eps_grad):
     t = np.array([o["t"] for o in samples])
     v = np.array([o["v"] for o in samples])
     f = np.array([o["f"] for o in samples])
     gn = np.array([o["grad_norm"] for o in samples])
-    g = np.array([o["g"] for o in samples]) if with_g else None
+    g = None if samples[0]["g"] is None else np.array([o["g"] for o in samples])
     s = t.copy() if clock == "s" else None
     return FlowTrajectory(t=t, v=v, f=f, grad_norm=gn, terminated_reason=reason,
                           s=s, g=g, clock=clock, kind=kind, eps_grad=eps_grad)
@@ -199,29 +209,20 @@ def _pack(samples, reason, *, with_g, clock, kind, eps_grad):
 def integrate_kempf_ness(p, v0, opts=None):
     """Downward gradient flow of f = |mu|^2 from v0, affine clock."""
     opts = opts or FlowOptions()
-    v0 = np.asarray(v0, dtype=complex)
-
-    def deriv(_t, v):
-        return flow_generator(p, v) @ v
-
-    def observe(t, v, _lift):
-        f, grad = energy_and_gradient(p, v)
-        return {"t": t, "v": v.copy(), "f": f, "grad_norm": float(np.linalg.norm(grad))}
-
-    samples, reason = _adaptive_flow(deriv, v0, observe, opts)
-    return _pack(samples, reason, with_g=False, clock="t", kind="affine",
-                 eps_grad=opts.eps_grad)
+    samples, reason = _adaptive_flow(partial(energy_and_gradient, p), v0, opts)
+    return _pack(samples, reason, clock="t", kind="affine", eps_grad=opts.eps_grad)
 
 
-def _magnus_lift(p, projective, state_deriv):
+def _magnus_lift(p, projective):
     """Fourth-order Magnus update of the group lift over one accepted step.
 
     The propagator over [t, t+h] is exp(Omega) with the two-node Gauss
     Magnus exponent; the states at the Gauss nodes come from cubic Hermite
-    interpolation of the accepted endpoints. Errors sit in the exponent
-    (O(h^5) per step) and vanish once the generator has converged, so the
-    logarithms of the lift stay accurate over arbitrarily long horizons,
-    unlike additive updates, which lose the tiny entries of g.
+    interpolation of the accepted endpoints and their slopes d0, d1, which
+    :func:`_adaptive_flow` already holds. Errors sit in the exponent (O(h^5) per step)
+    and vanish once the generator has converged, so the logarithms of the
+    lift stay accurate over arbitrarily long horizons, unlike additive
+    updates, which lose the tiny entries of g.
     """
     c_nodes = (0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6)
 
@@ -231,10 +232,7 @@ def _magnus_lift(p, projective, state_deriv):
             gen = gen / float(np.vdot(v, v).real)
         return gen
 
-    def update(g, h, y_prev, y_new):
-        d0 = state_deriv(0.0, y_prev)
-        d1 = state_deriv(0.0, y_new)
-
+    def update(g, h, y_prev, y_new, d0, d1):
         def hermite(c):
             c2, c3 = c * c, c * c * c
             return ((1 - 3 * c2 + 2 * c3) * y_prev + (3 * c2 - 2 * c3) * y_new
@@ -256,23 +254,11 @@ def cointegrate_group(p, v0, opts=None):
     holds to integrator accuracy.
     """
     opts = opts or FlowOptions()
-    v0 = np.asarray(v0, dtype=complex)
-    n = p.dim_v
-
-    def deriv(_t, v):
-        return flow_generator(p, v) @ v
-
-    def observe(t, v, g):
-        f, grad = energy_and_gradient(p, v)
-        return {"t": t, "v": v.copy(), "g": g.copy(), "f": f,
-                "grad_norm": float(np.linalg.norm(grad))}
-
     samples, reason = _adaptive_flow(
-        deriv, v0, observe, opts,
-        lift0=np.eye(n, dtype=complex),
-        lift_update=_magnus_lift(p, projective=False, state_deriv=deriv))
-    return _pack(samples, reason, with_g=True, clock="t", kind="affine",
-                 eps_grad=opts.eps_grad)
+        partial(energy_and_gradient, p), v0, opts,
+        lift0=np.eye(p.dim_v, dtype=complex),
+        lift_update=_magnus_lift(p, projective=False))
+    return _pack(samples, reason, clock="t", kind="affine", eps_grad=opts.eps_grad)
 
 
 def projective_energy_gradient(p, v):
@@ -297,19 +283,7 @@ def integrate_projective(p, v0, opts=None, cointegrate=False):
     norm0 = np.linalg.norm(v0)
     if norm0 == 0.0:
         raise DiagnosticError("projective flow needs a nonzero start vector")
-    u0 = v0 / norm0
-
-    def deriv(_t, v):
-        _, ghat = projective_energy_gradient(p, v)
-        return -ghat
-
-    def observe(t, v, g):
-        fhat, ghat = projective_energy_gradient(p, v)
-        rec = {"t": t, "v": v.copy(), "f": fhat,
-               "grad_norm": float(np.linalg.norm(ghat))}
-        if cointegrate:
-            rec["g"] = g.copy()
-        return rec
+    u0 = v0 / norm0 if np.isfinite(norm0) else v0   # ends as "nonfinite"
 
     def postprocess(y_new, y_prev):
         v = y_new / np.linalg.norm(y_new)
@@ -319,12 +293,11 @@ def integrate_projective(p, v0, opts=None, cointegrate=False):
         return v
 
     lift0 = np.eye(p.dim_v, dtype=complex) if cointegrate else None
-    lift_update = _magnus_lift(p, projective=True, state_deriv=deriv) if cointegrate else None
-    samples, reason = _adaptive_flow(deriv, u0, observe, opts,
+    lift_update = _magnus_lift(p, projective=True) if cointegrate else None
+    samples, reason = _adaptive_flow(partial(projective_energy_gradient, p), u0, opts,
                                      postprocess=postprocess,
                                      lift0=lift0, lift_update=lift_update)
-    return _pack(samples, reason, with_g=cointegrate, clock="s", kind="projective",
-                 eps_grad=opts.eps_grad)
+    return _pack(samples, reason, clock="s", kind="projective", eps_grad=opts.eps_grad)
 
 
 def reparametrize(traj):

@@ -46,7 +46,10 @@ def infinitesimal_action(p, v):
 def moment_map(p, v):
     """Metric-lowered moment map: component a is 1/2 Omega0(xi_a v, v)."""
     v = np.asarray(v, dtype=complex)
-    lv = infinitesimal_action(p, v)
+    return _moment_from_action(v, infinitesimal_action(p, v))
+
+
+def _moment_from_action(v, lv):
     # <xi_a v, v> = v^dagger (xi_a v); Im of it is the pairing numerator
     return 0.5 * (v.conj() @ lv).imag
 
@@ -76,10 +79,11 @@ def projective_moment_map(p, v, min_norm=1e-150):
 def energy_and_gradient(p, v):
     """Energy f = |mu(v)|^2 in the g-metric and its exact g0-gradient."""
     v = np.asarray(v, dtype=complex)
-    lowered = moment_map(p, v)
+    lv = infinitesimal_action(p, v)
+    lowered = _moment_from_action(v, lv)
     sharp = p.sharp(lowered)
     f = float(lowered @ sharp)
-    grad = -2j * (infinitesimal_action(p, v) @ sharp)
+    grad = -2j * (lv @ sharp)
     return f, grad
 
 

@@ -339,7 +339,8 @@ def run_experiment(exp, out_dir, *, seed=0, tol_scale=1.0, quiet=False):
 
     Exit status 0 means every enabled check passed its documented tolerance
     (scaled by ``tol_scale``); 1 means a check failed, an analysis raised,
-    or a declared bound's check never ran.
+    a declared bound's check never ran, or the primary flow ended by
+    ``step_underflow`` or ``nonfinite``.
     """
     os.makedirs(out_dir, exist_ok=True)
     legs, oracle = Legs(exp), Oracle(exp)
@@ -369,7 +370,10 @@ def run_experiment(exp, out_dir, *, seed=0, tol_scale=1.0, quiet=False):
         f"  final_grad = {_num(traj.grad_norm[-1])}",
         f"  max_f_increase = {_num(max(0.0, fdiff.max()) if len(fdiff) else 0.0)}"]
 
+    # a flow that did not run cannot pass, even with no analysis enabled
     found = []
+    if traj.terminated_reason in ("step_underflow", "nonfinite"):
+        found.append(("flow.ok", 0.0, 1.0, 1.0))
     for name, analysis in ANALYSES.items():
         if name not in exp.analyses:
             sections[name.upper()] = ["  disabled"]

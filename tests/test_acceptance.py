@@ -22,8 +22,7 @@ from momentflow.flow import _adaptive_flow, _magnus_lift  # joint-flow driver
 from momentflow.normal_form import (ModelPoint, build_model,
                                     model_symplectic_form, verify_closedness,
                                     verify_moment_identity)
-from momentflow.representation import (energy_and_gradient, flow_generator,
-                                       kempf_ness_value)
+from momentflow.representation import energy_and_gradient, kempf_ness_value
 from momentflow.runner import _subsample_geometric, run_experiment
 from momentflow.symmetric_space import (SymmetricSpacePoint, distance,
                                         extract_asymptotic_ray, geodesic,
@@ -179,32 +178,21 @@ def _matched_clock_flow_pair(p, v0, h, t_max):
     w0 = h @ v0
     y0 = np.concatenate([v0, w0])
 
-    def deriv(_t, y):
-        v, w = y[:n], y[n:]
-        return np.concatenate([flow_generator(p, v) @ v,
-                               flow_generator(p, w) @ w])
+    def energy(y):
+        f1, g1 = energy_and_gradient(p, y[:n])
+        f2, g2 = energy_and_gradient(p, y[n:])
+        return f1 + f2, np.concatenate([g1, g2])
 
-    def observe(t, y, lift):
-        v, w = y[:n], y[n:]
-        f1, g1 = energy_and_gradient(p, v)
-        f2, g2 = energy_and_gradient(p, w)
+    sub1 = _magnus_lift(p, projective=False)
+
+    def lift_update(lift, hstep, y_prev, y_new, d_prev, d_new):
         g1p, g2p = lift
-        return {"t": t, "v": y.copy(), "f": f1 + f2,
-                "grad_norm": float(np.hypot(np.linalg.norm(g1),
-                                            np.linalg.norm(g2))),
-                "g": (g1p.copy(), g2p.copy())}
-
-    sub1 = _magnus_lift(p, projective=False,
-                        state_deriv=lambda _t, v: flow_generator(p, v) @ v)
-
-    def lift_update(lift, hstep, y_prev, y_new):
-        g1p, g2p = lift
-        g1n = sub1(g1p, hstep, y_prev[:n], y_new[:n])
-        g2n = sub1(g2p, hstep, y_prev[n:], y_new[n:])
+        g1n = sub1(g1p, hstep, y_prev[:n], y_new[:n], d_prev[:n], d_new[:n])
+        g2n = sub1(g2p, hstep, y_prev[n:], y_new[n:], d_prev[n:], d_new[n:])
         return (g1n, g2n)
 
     opts = FlowOptions(t_max=t_max)
-    samples, _ = _adaptive_flow(deriv, y0, observe, opts,
+    samples, _ = _adaptive_flow(energy, y0, opts,
                                 lift0=(np.eye(n, dtype=complex),
                                        np.eye(n, dtype=complex)),
                                 lift_update=lift_update)

@@ -6,6 +6,8 @@ import pytest
 
 from momentflow.builtins import BUILTIN_NAMES, get_builtin
 from momentflow.cli import ConfigError, main, parse_config
+from momentflow.degeneration import ORACLE_MAX_WEIGHTS
+from momentflow.flow import FlowOptions
 from momentflow import runner
 from momentflow.runner import run_experiment
 
@@ -197,8 +199,10 @@ def test_malformed_group_exits_2_with_line(tmp_path, capsys, group):
     ("initial_vector = nan:0, 1:0", 5),
     ("group.weights = nan\ninitial_vector = 1:0", 5),
     ("initial_vector = 0:0, 0:0", 5),
+    ("flow.initial_step = 1e-20", 5),
 ], ids=["t_max_negative", "t_max_nan", "eps_grad_nan", "initial_step_negative",
-        "vector_nan", "weights_nan", "zero_vector_projective"])
+        "vector_nan", "weights_nan", "zero_vector_projective",
+        "initial_step_below_min_step"])
 def test_malformed_number_exits_2_with_line(tmp_path, capsys, lines, line_no):
     # later keys override earlier ones, so the bad line is always line 5
     cfg = tmp_path / "exp.cfg"
@@ -207,6 +211,40 @@ def test_malformed_number_exits_2_with_line(tmp_path, capsys, lines, line_no):
                    + lines + "\n")
     assert main(["--config", str(cfg), "--quiet"]) == 2
     assert f"line {line_no}: " in capsys.readouterr().err
+
+
+def test_oracle_weight_limit_exits_2_with_line(tmp_path, capsys):
+    weights = "; ".join(str(k) for k in range(1, ORACLE_MAX_WEIGHTS + 2))
+    vector = ", ".join(["0.3:0"] * (ORACLE_MAX_WEIGHTS + 1))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"group.kind = torus\ngroup.weights = {weights}\n"
+                   f"initial_vector = {vector}\nflow.mode = projective\n"
+                   "analyses = degeneration, oracle\n")
+    assert main(["--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"line 5: the oracle supports at most {ORACLE_MAX_WEIGHTS} weights" in err
+
+
+@pytest.mark.parametrize("opts, v0, reason", [
+    (FlowOptions(initial_step=1e-20), [1.0, 1.0], "step_underflow"),
+    (FlowOptions(), [np.nan, 1.0], "nonfinite"),
+], ids=["initial_step_below_min_step", "nan_start"])
+def test_flow_that_did_not_run_fails(tmp_path, opts, v0, reason):
+    # no analysis is enabled, so only the flow check can fail the run
+    exp = replace(get_builtin("torus_12"), v0=np.array(v0, dtype=complex),
+                  flow_opts=opts, mode="affine", analyses=(), checks=())
+    status, path = run_experiment(exp, tmp_path / reason, quiet=True)
+    text = open(path).read()
+    assert status == 1
+    assert f"terminated = {reason}" in text
+    assert "flow.ok = 0.0  in [1.0, 1.0]  FAIL" in text
+    assert text.rstrip().endswith("overall = FAIL")
+
+    healthy = replace(exp, v0=np.array([1.0, 1.0], dtype=complex),
+                      flow_opts=FlowOptions(t_max=10.0))
+    status, path = run_experiment(healthy, tmp_path / "healthy", quiet=True)
+    assert status == 0
+    assert "flow.ok" not in open(path).read()
 
 
 def test_failing_analysis_is_a_fail_check_in_the_report(tmp_path):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from momentflow.algebra import torus_presentation
+from momentflow import flow
+from momentflow.algebra import (su2_sym_presentation, torus_presentation,
+                                un_presentation)
 from momentflow.errors import DiagnosticError
 from momentflow.flow import (FlowOptions, FlowTrajectory, check_rates,
                              cointegrate_group, fit_lojasiewicz,
                              integrate_kempf_ness, integrate_projective,
                              reparametrize)
-from momentflow.representation import moment_map
+from momentflow.representation import energy_and_gradient, moment_map
 
 
 def u1():
@@ -268,3 +270,55 @@ def test_trajectory_csv_round_trip(tmp_path):
     data = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     np.testing.assert_array_equal(data[:, 0], traj.t)  # full round-trip precision
     np.testing.assert_array_equal(data[:, 2], traj.f)
+
+
+# -- one energy evaluation per flow state -------------------------------------
+
+def test_one_energy_evaluation_per_state(monkeypatch):
+    calls = {"energy_and_gradient": 0, "flow_generator": 0, "_rkf45_step": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(flow, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(flow, name, counted)
+    traj = cointegrate_group(u1(), [1], FlowOptions(t_max=1e3))
+    accepted = len(traj) - 1
+    assert calls["_rkf45_step"] == accepted  # no rejected step
+    # the start state, then five new stages and the new state per step
+    assert calls["energy_and_gradient"] == 1 + 6 * accepted
+    # the two Gauss nodes of the Magnus update
+    assert calls["flow_generator"] == 2 * accepted
+
+
+_A = [[], [1 / 4], [3 / 32, 9 / 32],
+      [1932 / 2197, -7200 / 2197, 7296 / 2197],
+      [439 / 216, -8.0, 3680 / 513, -845 / 4104],
+      [-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40]]
+_B5 = [16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55]
+_B4 = [25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0]
+
+
+def _list_sum_rkf45_step(rhs, y, h):
+    """The Fehlberg step as a Python sum over stages, the independent oracle."""
+    ks = [rhs(y)]
+    for i in range(1, 6):
+        ks.append(rhs(y + h * sum(a * k for a, k in zip(_A[i], ks))))
+    y5 = y + h * sum(b * k for b, k in zip(_B5, ks))
+    err = h * sum((b5 - b4) * k for b5, b4, k in zip(_B5, _B4, ks))
+    return y5, err, ks
+
+
+def test_rkf45_tableau_products_match_list_sums(rng):
+    for p in (su2_sym_presentation(4), un_presentation(3),
+              torus_presentation([[1, 0], [0, 1], [1, 1]])):
+        def rhs(y):
+            return -energy_and_gradient(p, y)[1]
+
+        for h in (1e-3, 1e-2, 1e-1):
+            y = rng.standard_normal(p.dim_v) + 1j * rng.standard_normal(p.dim_v)
+            y5, err = flow._rkf45_step(rhs, y, h, rhs(y))
+            ref_y5, ref_err, ks = _list_sum_rkf45_step(rhs, y, h)
+            assert np.linalg.norm(y5 - ref_y5) <= 1e-14 * np.linalg.norm(ref_y5)
+            # err cancels between stages; measure it against its terms
+            scale = h * max(np.linalg.norm(k) for k in ks)
+            assert np.linalg.norm(err - ref_err) <= 1e-14 * scale
