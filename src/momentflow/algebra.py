@@ -345,16 +345,17 @@ def adjoint_coadjoint(p, g, coords, tol=TAU_ALG):
     """Adjoint action Ad_g on g-coordinates: g (sum_a c_a xi_a) g^{-1}.
 
     For elements of the compact group and an Ad-invariant metric this equals
-    the coadjoint action, hence the name. The result is re-expanded in the
-    basis; a large expansion residual means g does not normalize the algebra
-    and raises :class:`DomainError`.
+    the coadjoint action, hence the name. ``g`` and ``coords`` may carry
+    leading axes. The result is re-expanded in the basis; an expansion
+    residual above ``tol`` * max(1, |g xi g^-1|) at any point means that g
+    does not normalize the algebra and raises :class:`DomainError`.
     """
     conjugated = g @ p.matrix(np.asarray(coords, dtype=float)) @ np.linalg.inv(g)
     out, residual = p._expand(conjugated)
-    scale = max(1.0, np.linalg.norm(conjugated))
-    if residual > tol * scale:
+    scale = np.maximum(1.0, np.linalg.norm(conjugated, axis=(-2, -1)))
+    if np.any(residual > tol * scale):
         raise DomainError(
-            f"Ad_g leaves the presented algebra (expansion residual {residual:.2e})"
+            f"Ad_g leaves the presented algebra (expansion residual {np.max(residual):.2e})"
         )
     return out
 

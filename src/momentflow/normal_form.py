@@ -44,8 +44,9 @@ __all__ = [
 
 
 def _omega0(a, b):
-    """Omega0(a, b) = Im<a, b> with <a, b> = sum a_j conj(b_j)."""
-    return float(np.vdot(b, a).imag)
+    """Omega0(a, b) = Im<a, b> with <a, b> = sum a_j conj(b_j), over the last
+    axis. Formed from real products so that Omega0(a, a) is exactly 0."""
+    return np.sum(b.real * a.imag - b.imag * a.real, axis=-1)
 
 
 def _real_nullspace(a, cutoff=1e-8):
@@ -115,11 +116,11 @@ class NormalFormModel:
         return self.parent.matrix(self.g0_basis)
 
     def embed_m(self, rho):
-        """m-coordinates -> contravariant g-coordinates."""
-        return self.m_basis.T @ np.asarray(rho, dtype=float)
+        """m-coordinates (..., dim_m) -> contravariant g-coordinates."""
+        return np.asarray(rho, dtype=float) @ self.m_basis
 
     def embed_g0(self, c):
-        return self.g0_basis.T @ np.asarray(c, dtype=float)
+        return np.asarray(c, dtype=float) @ self.g0_basis
 
     def project_m(self, coords_g):
         return self.m_basis @ self.parent.metric @ np.asarray(coords_g, dtype=float)
@@ -129,21 +130,19 @@ class NormalFormModel:
         return np.asarray(v, dtype=float) @ self.n_basis
 
     def slice_coords(self, u):
-        """Re<.,.>-orthogonal projection of u onto N, in N-coordinates."""
-        return (self.n_basis.conj() @ np.asarray(u, dtype=complex)).real
+        """Re<.,.>-orthogonal projection of u (..., n) onto N, in N-coordinates."""
+        return (np.asarray(u, dtype=complex) @ self.n_basis.conj().T).real
 
     # -- the linearized isotropy action on the slice -------------------------
 
     def mu_n(self, v):
         """Moment map of the G0-action on N, coordinates in g0_basis."""
-        u = self.slice_vector(v)
-        return 0.5 * ((self.g0_matrices() @ u) @ u.conj()).imag
+        return 0.5 * self.d_mu_n(v, v)
 
     def d_mu_n(self, v, vdot):
         """Derivative of mu_N at v along vdot, coordinates in g0_basis."""
-        u = self.slice_vector(v)
-        w = self.slice_vector(vdot)
-        return ((self.g0_matrices() @ u) @ w.conj()).imag
+        gu = np.einsum("anm,...m->...an", self.g0_matrices(), self.slice_vector(v))
+        return _omega0(gu, self.slice_vector(vdot)[..., None, :])
 
 
 @dataclass(frozen=True)
@@ -213,34 +212,33 @@ def build_model(p, z0, mu_tol=1e-10):
 
 def _check_invariants(model, tol_kill=1e-10, tol_perp=1e-12, tol_j=1e-10):
     p, z0 = model.parent, model.z0
-    for row in model.g0_basis:
-        if np.linalg.norm(p.matrix(row) @ z0) > tol_kill * max(1, np.linalg.norm(z0)):
-            raise DomainError("an isotropy direction fails to annihilate z0")
-    for r0 in model.g0_basis:
-        for rm in model.m_basis:
-            if abs(r0 @ p.metric @ rm) > tol_perp:
-                raise DomainError("m is not metric-orthogonal to g0")
-    lv = infinitesimal_action(p, z0)
-    orbit = [lv @ row for row in model.m_basis]
-    orbit += [1j * t for t in orbit]
-    for b in model.n_basis:
-        for t in orbit:
-            if abs(np.vdot(t, b).real) > tol_perp * max(1.0, np.linalg.norm(t)):
-                raise DomainError("slice is not orthogonal to the orbit directions")
-        # J0-invariance: i*b must stay in the slice span
-        resid = 1j * b - model.slice_coords(1j * b) @ model.n_basis
-        if np.linalg.norm(resid) > tol_j:
-            raise DomainError("slice is not J0-invariant")
+    kill = np.linalg.norm(model.g0_matrices() @ z0, axis=-1)
+    if np.any(kill > tol_kill * max(1, np.linalg.norm(z0))):
+        raise DomainError("an isotropy direction fails to annihilate z0")
+    if np.any(np.abs(model.g0_basis @ p.metric @ model.m_basis.T) > tol_perp):
+        raise DomainError("m is not metric-orthogonal to g0")
+    orbit = model.m_basis @ infinitesimal_action(p, z0).T
+    orbit = np.vstack([orbit, 1j * orbit])
+    scale = np.maximum(1.0, np.linalg.norm(orbit, axis=-1))[:, None]
+    if np.any(np.abs((orbit.conj() @ model.n_basis.T).real) > tol_perp * scale):
+        raise DomainError("slice is not orthogonal to the orbit directions")
+    # J0-invariance: i*b must stay in the slice span
+    jb = 1j * model.n_basis
+    if np.any(np.linalg.norm(jb - model.slice_coords(jb) @ model.n_basis, axis=-1) > tol_j):
+        raise DomainError("slice is not J0-invariant")
 
 
 def _ad_matrix(p, x_coords):
     """Matrix of ad_x on g-coordinates: column b is coords([x, xi_b])."""
-    return np.einsum("a,abc->cb", x_coords, p.structure)
+    return np.einsum("...a,abc->...cb", x_coords, p.structure)
 
 
 def _bracket(p, x_coords, y_coords):
-    """Coordinates of [x, y]."""
-    return np.einsum("a,b,abc->c", x_coords, y_coords, p.structure)
+    """Coordinates of [x, y] from the antisymmetrized products
+    x_a y_b - x_b y_a, so that [y, x] = -[x, y] and [x, x] = 0 exactly."""
+    xy = np.asarray(x_coords)[..., :, None] * np.asarray(y_coords)[..., None, :]
+    w = xy - np.swapaxes(xy, -1, -2)
+    return 0.5 * (w.reshape(w.shape[:-2] + (-1,)) @ p.structure.reshape(-1, p.dim_g))
 
 
 def _dexp_left(p, x_coords):
@@ -250,10 +248,10 @@ def _dexp_left(p, x_coords):
     block of expm([[M, I], [0, 0]]) is (e^M - 1) / M, here with M = -ad_x.
     """
     k = p.dim_g
-    block = np.zeros((2 * k, 2 * k))
-    block[:k, :k] = -_ad_matrix(p, x_coords)
-    block[:k, k:] = np.eye(k)
-    return scipy.linalg.expm(block)[:k, k:]
+    block = np.zeros(np.shape(x_coords)[:-1] + (2 * k, 2 * k))
+    block[..., :k, :k] = -_ad_matrix(p, x_coords)
+    block[..., :k, k:] = np.eye(k)
+    return scipy.linalg.expm(block)[..., :k, k:]
 
 
 def _omega_display(model, at, t1, t2, include_bracket=True):
@@ -268,19 +266,19 @@ def _omega_display(model, at, t1, t2, include_bracket=True):
     z1, r1, v1 = t1
     z2, r2, v2 = t2
 
+    def pairing(x, y):
+        return np.sum((x @ p.metric) * y, axis=-1)
+
     pair1 = model.embed_m(r2) + model.embed_g0(model.d_mu_n(at.v, v2))
     pair2 = model.embed_m(r1) + model.embed_g0(model.d_mu_n(at.v, v1))
-    total = float(pair1 @ p.metric @ z1) - float(pair2 @ p.metric @ z2)
+    total = pairing(pair1, z1) - pairing(pair2, z2)
 
     if include_bracket:
         lam = model.embed_m(at.rho) + model.embed_g0(model.mu_n(at.v))
-        total += float(lam @ p.metric @ _bracket(p, z1, z2))
+        total = total + pairing(lam, _bracket(p, z1, z2))
 
-    a1 = p.matrix(z1) @ model.z0
-    a2 = p.matrix(z2) @ model.z0
-    total += _omega0(a1, a2)
-    total += _omega0(model.slice_vector(v1), model.slice_vector(v2))
-    return total
+    total = total + _omega0(p.matrix(z1) @ model.z0, p.matrix(z2) @ model.z0)
+    return total + _omega0(model.slice_vector(v1), model.slice_vector(v2))
 
 
 def _intrinsic(model, dexp, x):
@@ -291,7 +289,7 @@ def _intrinsic(model, dexp, x):
     unchanged.
     """
     xi, rdot, vdot = (np.asarray(a, dtype=float) for a in x)
-    return (dexp @ model.embed_m(xi), rdot, vdot)
+    return ((dexp @ model.embed_m(xi)[..., None])[..., 0], rdot, vdot)
 
 
 def model_symplectic_form(model, at, x1, x2, include_bracket=True):
@@ -304,11 +302,15 @@ def model_symplectic_form(model, at, x1, x2, include_bracket=True):
     ``include_bracket=False`` drops the <rho + mu_N(v), [xi1, xi2]> term;
     this deliberately corrupted variant exists as a negative control for the
     closedness harness.
+
+    Point fields and tangent components may carry leading axes, which
+    broadcast; the result has their shape, and is a float for one point.
     """
     dexp = _dexp_left(model.parent, model.embed_m(at.xi_m))
-    return _omega_display(model, at, _intrinsic(model, dexp, x1),
-                          _intrinsic(model, dexp, x2),
-                          include_bracket=include_bracket)
+    total = _omega_display(model, at, _intrinsic(model, dexp, x1),
+                           _intrinsic(model, dexp, x2),
+                           include_bracket=include_bracket)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def infinitesimal_model_action(model, at, xi_g):
@@ -324,9 +326,7 @@ def infinitesimal_model_action(model, at, xi_g):
     zeta = adjoint_coadjoint(p, np.linalg.inv(g), np.asarray(xi_g, dtype=float))
 
     t = _dexp_left(p, model.embed_m(at.xi_m))
-    cols = [t @ row for row in model.m_basis]
-    cols += [row for row in model.g0_basis]
-    sol = np.linalg.solve(np.array(cols).T, zeta)
+    sol = np.linalg.solve(np.vstack([model.m_basis @ t.T, model.g0_basis]).T, zeta)
     xi_dot = sol[:model.dim_m]
     zeta_0 = sol[model.dim_m:]
 
@@ -337,30 +337,17 @@ def infinitesimal_model_action(model, at, xi_g):
 
 
 def model_moment_map(model, at):
-    """Moment value Ad_g(mu_N(v) + rho) in metric-lowered g-coordinates."""
+    """Moment value Ad_g(mu_N(v) + rho) in metric-lowered g-coordinates, over
+    the leading axes the point's fields share."""
     p = model.parent
     lam = model.embed_m(at.rho) + model.embed_g0(model.mu_n(at.v))
     g = scipy.linalg.expm(p.matrix(model.embed_m(at.xi_m)))
-    conjugated = adjoint_coadjoint(p, g, lam)
-    return p.lower(conjugated)
+    return adjoint_coadjoint(p, g, lam) @ p.metric.T    # p.lower over leading axes
 
 
-def _coordinate_frame(model):
-    dm, dn = model.dim_m, model.dim_n
-    frame = []
-    for i in range(dm):
-        e = np.zeros(dm)
-        e[i] = 1.0
-        frame.append((e, np.zeros(dm), np.zeros(dn)))
-    for i in range(dm):
-        e = np.zeros(dm)
-        e[i] = 1.0
-        frame.append((np.zeros(dm), e, np.zeros(dn)))
-    for i in range(dn):
-        e = np.zeros(dn)
-        e[i] = 1.0
-        frame.append((np.zeros(dm), np.zeros(dm), e))
-    return frame
+def _stack(parts):
+    """Stack equally shaped tuples of arrays, component by component."""
+    return tuple(np.stack(c) for c in zip(*parts))
 
 
 def verify_moment_identity(model, samples, step=1e-4):
@@ -369,19 +356,23 @@ def verify_moment_identity(model, samples, step=1e-4):
     ``samples`` is a list of (ModelPoint, xi) with xi in contravariant
     g-coordinates. The left side is a central finite difference of the
     pairing along each chart coordinate direction; the right side evaluates
-    the model form on the infinitesimal action.
+    the model form on the infinitesimal action. Each sample's shifted points
+    go through one batched moment-map call and its frame through one form
+    call; samples are looped so the batched exponentials stay small.
     """
+    dm = model.dim_m
+    frame = np.eye(model.dim_chart)
+    frame = (frame[:, :dm], frame[:, dm:2 * dm], frame[:, 2 * dm:])
+    signed = np.array([step, -step])[:, None, None]
     worst = 0.0
     for at, xi in samples:
         xi = np.asarray(xi, dtype=float)
         x_xi = infinitesimal_model_action(model, at, xi)
-        for z in _coordinate_frame(model):
-            plus = model_moment_map(model, at.shifted(z, step)) @ xi
-            minus = model_moment_map(model, at.shifted(z, -step)) @ xi
-            lhs = (plus - minus) / (2.0 * step)
-            rhs = model_symplectic_form(model, at, x_xi, z)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+        plus, minus = model_moment_map(model, at.shifted(frame, signed)) @ xi
+        lhs = (plus - minus) / (2.0 * step)
+        rhs = model_symplectic_form(model, at, x_xi, frame)
+        worst = np.maximum(worst, np.max(np.abs(lhs - rhs)))    # NaN propagates
+    return float(worst)
 
 
 def verify_closedness(model, samples, step=1e-4, form=None):
@@ -390,19 +381,22 @@ def verify_closedness(model, samples, step=1e-4, form=None):
     ``samples`` is a list of (ModelPoint, X, Y, Z) with constant chart
     tangents. dOm(X, Y, Z) = D_X Om(Y, Z) - D_Y Om(X, Z) + D_Z Om(X, Y);
     each derivative is a central difference of ``form`` along the tangent.
+    ``form`` is called once, on all shifted points stacked as (3, 2, samples)
+    leading axes (term, sign, sample) and tangents broadcast against them.
     """
     if form is None:
         form = model_symplectic_form
-
-    def deriv(at, along, a, b):
-        return (form(model, at.shifted(along, step), a, b)
-                - form(model, at.shifted(along, -step), a, b)) / (2.0 * step)
-
-    worst = 0.0
-    for at, x, y, z in samples:
-        val = deriv(at, x, y, z) - deriv(at, y, x, z) + deriv(at, z, x, y)
-        worst = max(worst, abs(val))
-    return worst
+    if not samples:
+        return 0.0
+    points, xs, ys, zs = zip(*samples)
+    at = ModelPoint(*_stack((q.xi_m, q.rho, q.v) for q in points))
+    x, y, z = (_stack(t) for t in (xs, ys, zs))
+    along, a, b = (tuple(c[:, None] for c in _stack(t))
+                   for t in ((x, y, z), (y, x, x), (z, z, y)))
+    signed = np.array([step, -step])[:, None, None]
+    vals = form(model, at.shifted(along, signed), a, b)
+    d = (vals[:, 0] - vals[:, 1]) / (2.0 * step)
+    return float(np.max(np.abs(d[0] - d[1] + d[2])))
 
 
 def rho_tilde(model, rho):
@@ -414,12 +408,8 @@ def rho_tilde(model, rho):
     p = model.parent
     if model.dim_m == 0:
         raise StructuralError("identification needs a nontrivial m")
-    orbit = [p.matrix(row) @ model.z0 for row in model.m_basis]
-    jbasis = [1j * t for t in orbit]
-    a = np.array([[_omega0(jb, t) for jb in jbasis] for t in orbit])
-    rhs = np.asarray(rho, dtype=float)
-    coeffs = np.linalg.solve(a, rhs)
-    vec = np.zeros(p.dim_v, dtype=complex)
-    for c, jb in zip(coeffs, jbasis):
-        vec += c * jb
-    return vec, float(np.linalg.cond(a))
+    orbit = p.matrix(model.m_basis) @ model.z0
+    jbasis = 1j * orbit
+    a = _omega0(jbasis[None, :, :], orbit[:, None, :])
+    coeffs = np.linalg.solve(a, np.asarray(rho, dtype=float))
+    return coeffs @ jbasis, float(np.linalg.cond(a))

@@ -249,18 +249,22 @@ def _degeneration(exp, legs, oracle, seed):
     return lines, checks, table
 
 
+def _ray_diagnostics(diag):
+    """Report lines of ray diagnostics, also written when the ray diverges."""
+    return [f"  tail_samples = {len(diag.distances)}",
+            f"  final_distance = {_num(diag.distances[-1])}",
+            f"  final_angle = {_num(diag.angles[-1])}",
+            f"  residuals = {_vec(diag.residuals)}"]
+
+
 def _ray(exp, legs, oracle, seed):
     traj = legs.primary
     idx = _subsample_geometric(traj.t)
     pts = [SymmetricSpacePoint.from_group(traj.g[i]) for i in idx]
     base = SymmetricSpacePoint.from_matrix(np.eye(exp.presentation.dim_v))
     ray, diag = extract_asymptotic_ray(pts, base, traj.t[idx])
-    lines = [f"  tail_samples = {len(diag.distances)}",
-             f"  final_distance = {_num(diag.distances[-1])}",
-             f"  final_angle = {_num(diag.angles[-1])}",
-             f"  residuals = {_vec(diag.residuals)}",
-             f"  spectrum = {_vec(diag.spectrum)}",
-             _rational(ray.rational_approx)]
+    lines = _ray_diagnostics(diag) + [f"  spectrum = {_vec(diag.spectrum)}",
+                                      _rational(ray.rational_approx)]
     # Cauchy decrease is asserted on the final stretch (the transit toward
     # the limit set may legitimately swing the chord first), with a slack at
     # the arccos round-off floor, far below the 1e-3 criterion.
@@ -382,6 +386,8 @@ def run_experiment(exp, out_dir, *, seed=0, tol_scale=1.0, quiet=False):
             lines, checks, table = analysis(exp, legs, oracle, seed)
         except (ValueError, RuntimeError) as err:
             lines = [f"  error = {type(err).__name__}: {err}"]
+            if getattr(err, "diagnostics", None) is not None:
+                lines += _ray_diagnostics(err.diagnostics)
             checks, table = [(f"{name}.ok", 0.0, 1.0, 1.0)], None
         sections[name.upper()] = lines
         found += checks

@@ -204,8 +204,9 @@ def extract_asymptotic_ray(path, base, clocks=None, *, theta_ray=THETA_RAY,
     Diagnostics: the sequence of angles between successive directions (which
     must settle below ``theta_ray``), and the distance between the geodesic
     toward each of the last samples and the ray itself at arclength
-    ``probe``. Raises :class:`NotAsymptoticError` if the path stays bounded
-    and :class:`RayDivergenceError` if the directions fail to settle.
+    ``probe``. Raises :class:`NotAsymptoticError` if the path is empty or
+    stays bounded and :class:`RayDivergenceError` if the directions fail to
+    settle.
     """
     base = _as_point(base)
     points = [_as_point(q) for q in path]
@@ -216,6 +217,8 @@ def extract_asymptotic_ray(path, base, clocks=None, *, theta_ray=THETA_RAY,
     ms = [_whitened_log(base, q) for q in points]
     dists = np.array([float(np.linalg.norm(m)) for m in ms])
 
+    if len(dists) == 0:
+        raise NotAsymptoticError("path has no samples")
     if dists[-1] < min_escape:
         raise NotAsymptoticError(
             f"path reaches distance {dists[-1]:.3f} < {min_escape}; not escaping"

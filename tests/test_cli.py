@@ -7,9 +7,11 @@ import pytest
 from momentflow.builtins import BUILTIN_NAMES, get_builtin
 from momentflow.cli import ConfigError, main, parse_config
 from momentflow.degeneration import ORACLE_MAX_WEIGHTS
+from momentflow.errors import RayDivergenceError
 from momentflow.flow import FlowOptions
 from momentflow import runner
 from momentflow.runner import run_experiment
+from momentflow.symmetric_space import RayDiagnostics
 
 GOOD_CONFIG = """\
 # two-weight torus, projectivized
@@ -225,20 +227,34 @@ def test_oracle_weight_limit_exits_2_with_line(tmp_path, capsys):
     assert f"line 5: the oracle supports at most {ORACLE_MAX_WEIGHTS} weights" in err
 
 
-@pytest.mark.parametrize("opts, v0, reason", [
-    (FlowOptions(initial_step=1e-20), [1.0, 1.0], "step_underflow"),
-    (FlowOptions(), [np.nan, 1.0], "nonfinite"),
-], ids=["initial_step_below_min_step", "nan_start"])
-def test_flow_that_did_not_run_fails(tmp_path, opts, v0, reason):
-    # no analysis is enabled, so only the flow check can fail the run
-    exp = replace(get_builtin("torus_12"), v0=np.array(v0, dtype=complex),
-                  flow_opts=opts, mode="affine", analyses=(), checks=())
+_NO_ANALYSIS = {"mode": "affine", "analyses": ()}
+
+
+@pytest.mark.parametrize("name, changes, opts, v0, reason", [
+    ("torus_12", _NO_ANALYSIS, FlowOptions(initial_step=1e-20), [1.0, 1.0],
+     "step_underflow"),
+    ("torus_12", _NO_ANALYSIS, FlowOptions(), [np.nan, 1.0], "nonfinite"),
+    ("su2_symd", {}, FlowOptions(initial_step=1e-20), [1.0, 0.01, 0, 0, 0],
+     "step_underflow"),
+    ("su2_symd", {}, FlowOptions(), [np.nan, 0.01, 0, 0, 0], "nonfinite"),
+], ids=["initial_step_below_min_step", "nan_start",
+        "su2_symd_initial_step_below_min_step", "su2_symd_nan_start"])
+def test_flow_that_did_not_run_fails(tmp_path, name, changes, opts, v0, reason):
+    # torus_12 runs no analysis, so only the flow check can fail the run;
+    # su2_symd keeps its ray analysis, which reads the one-sample flow
+    exp = replace(get_builtin(name), v0=np.array(v0, dtype=complex),
+                  flow_opts=opts, checks=(), **changes)
     status, path = run_experiment(exp, tmp_path / reason, quiet=True)
     text = open(path).read()
     assert status == 1
     assert f"terminated = {reason}" in text
     assert "flow.ok = 0.0  in [1.0, 1.0]  FAIL" in text
+    if "ray" in exp.analyses:
+        assert "error = NotAsymptoticError: path has no samples" in text
+        assert "ray.ok = 0.0  in [1.0, 1.0]  FAIL" in text
     assert text.rstrip().endswith("overall = FAIL")
+    if exp.analyses:
+        return
 
     healthy = replace(exp, v0=np.array([1.0, 1.0], dtype=complex),
                       flow_opts=FlowOptions(t_max=10.0))
@@ -263,6 +279,27 @@ def test_failing_analysis_is_a_fail_check_in_the_report(tmp_path):
     assert "degeneration.ok = 0.0  in [1.0, 1.0]  FAIL" in text
     assert "rates.s_logt_r2" in text    # the other analyses still ran
     assert text.rstrip().endswith("overall = FAIL")
+
+
+def test_ray_divergence_diagnostics_in_the_report(tmp_path, monkeypatch):
+    diag = RayDiagnostics(clocks=np.array([1.0, 2.0]), distances=np.array([11.0, 12.5]),
+                          angles=np.array([0.25]), residuals=np.array([0.5, 0.125]),
+                          spectrum=np.zeros(1), probe=1.0, escaped=True)
+
+    def diverging(*args, **kwargs):
+        raise RayDivergenceError("chord directions not Cauchy", diagnostics=diag)
+
+    monkeypatch.setattr(runner, "extract_asymptotic_ray", diverging)
+    exp = replace(get_builtin("u1_weight1"), analyses=("ray",), checks=())
+    status, path = run_experiment(exp, tmp_path / "ray", quiet=True)
+    text = open(path).read()
+    ray = text.split("[RAY]\n", 1)[1].split("\n\n", 1)[0]
+    assert ray.splitlines() == [
+        "  error = RayDivergenceError: chord directions not Cauchy",
+        "  tail_samples = 2", "  final_distance = 12.5", "  final_angle = 0.25",
+        "  residuals = [0.5, 0.125]"]
+    assert "ray.ok = 0.0  in [1.0, 1.0]  FAIL" in text
+    assert status == 1
 
 
 def test_declared_bound_without_its_check_fails(tmp_path):

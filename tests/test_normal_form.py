@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from momentflow.algebra import (direct_sum_presentation, exp_group,
-                                su2_sym_presentation, torus_presentation)
+from momentflow import normal_form
+from momentflow.algebra import (adjoint_coadjoint, direct_sum_presentation,
+                                exp_group, su2_sym_presentation,
+                                torus_presentation)
 from momentflow.errors import DomainError
 from momentflow.normal_form import (ModelPoint, _ad_matrix, _dexp_left,
                                     build_model,
@@ -166,6 +169,16 @@ def test_moment_identity_random_samples_su2(rng):
     assert verify_moment_identity(model, samples, step=1e-4) <= 1e-5
 
 
+def test_verifiers_report_a_nan_residual(rng):
+    p, model = su2_model()
+    at = _rand_point(model, rng)
+    samples = [(at, rng.standard_normal(p.dim_g)), (at, np.array([np.nan, 0.0, 0.0]))]
+    assert np.isnan(verify_moment_identity(model, samples))
+    x = _rand_tangent(model, rng)
+    nan_x = (x[0], x[1], np.full(model.dim_n, np.nan))
+    assert np.isnan(verify_closedness(model, [(at, x, x, x), (at, nan_x, x, x)]))
+
+
 def test_closedness_constant_region(rng):
     _, model = u1_model()
     # abelian group, trivial isotropy: the form has constant coefficients
@@ -290,3 +303,63 @@ def test_dexp_closed_form_matches_series(rng):
         xg = model.embed_m(x)
         np.testing.assert_allclose(_dexp_left(p, xg),
                                    _dexp_series(_ad_matrix(p, xg)), atol=1e-12)
+
+
+def test_batched_model_maps_match_per_point_calls(rng):
+    p, model = su2_model()
+    points = [_rand_point(model, rng) for _ in range(7)]
+    xs = [_rand_tangent(model, rng) for _ in range(7)]
+    ys = [_rand_tangent(model, rng) for _ in range(7)]
+    at = ModelPoint(*normal_form._stack((q.xi_m, q.rho, q.v) for q in points))
+    x, y = normal_form._stack(xs), normal_form._stack(ys)
+
+    np.testing.assert_allclose(model_moment_map(model, at),
+                               [model_moment_map(model, q) for q in points],
+                               rtol=0, atol=1e-14)
+    for bracket in (True, False):
+        want = [model_symplectic_form(model, q, a, b, include_bracket=bracket)
+                for q, a, b in zip(points, xs, ys)]
+        assert all(type(w) is float for w in want)
+        got = model_symplectic_form(model, at, x, y, include_bracket=bracket)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        # one point against a stack of tangents broadcasts
+        got = model_symplectic_form(model, points[0], xs[0], y, include_bracket=bracket)
+        want = [model_symplectic_form(model, points[0], xs[0], b, include_bracket=bracket)
+                for b in ys]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    xg = model.embed_m(at.xi_m)
+    np.testing.assert_allclose(_dexp_left(p, xg), [_dexp_left(p, row) for row in xg],
+                               rtol=0, atol=1e-14)
+
+
+def test_batched_adjoint_rejects_one_non_normalizing_point(rng):
+    p, model = su2_model()
+    gs = scipy.linalg.expm(p.matrix(rng.standard_normal((3, p.dim_g))))  # in G
+    coords = rng.standard_normal((3, p.dim_g))
+    adjoint_coadjoint(p, gs, coords)
+    # a unitary that mixes the two summands leaves the presented algebra
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    gs[1] = q
+    with pytest.raises(DomainError):
+        adjoint_coadjoint(p, gs, coords)
+
+
+def test_verifiers_bound_dexp_calls_per_sample(monkeypatch, rng):
+    p, model = su2_model()
+    calls = []
+
+    def counted(*args, _fn=normal_form._dexp_left):
+        calls.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(normal_form, "_dexp_left", counted)
+    samples = [(_rand_point(model, rng), rng.standard_normal(p.dim_g))
+               for _ in range(5)]
+    verify_moment_identity(model, samples)
+    assert len(calls) <= 2 * len(samples)
+    calls.clear()
+    triples = [(_rand_point(model, rng), _rand_tangent(model, rng),
+                _rand_tangent(model, rng), _rand_tangent(model, rng))
+               for _ in range(5)]
+    verify_closedness(model, triples)
+    assert len(calls) <= len(triples)
