@@ -20,13 +20,13 @@ from .flow import (FlowOptions, FlowTrajectory, check_rates, cointegrate_group,
                    reparametrize)
 from .normal_form import (ModelPoint, NormalFormModel, build_model,
                           infinitesimal_model_action, model_moment_map,
-                          model_symplectic_form, rho_tilde,
-                          verify_closedness, verify_moment_identity)
+                          model_symplectic_form, verify_closedness,
+                          verify_moment_identity)
 from .representation import (energy_and_gradient, infinitesimal_action,
                              kempf_ness_value, moment_map,
-                             moment_map_via_adjoint, projective_moment_map)
-from .symmetric_space import (GeodesicRay, SymmetricSpacePoint, convexity_probe,
-                              distance, exp_map, extract_asymptotic_ray,
-                              geodesic, geodesic_path, log_map)
+                             projective_moment_map)
+from .symmetric_space import (GeodesicRay, SymmetricSpacePoint, distance,
+                              exp_map, extract_asymptotic_ray, geodesic,
+                              geodesic_path, log_map)
 
 __version__ = "0.1.0"

@@ -36,6 +36,10 @@ from .runner import Experiment, run_experiment
 
 ANALYSES = ("rates", "ray", "degeneration", "oracle", "normal_form")
 
+# Largest total degree of su2_sym / su2_sym_sum: Sym^d builds (d+1) x (d+1)
+# matrices, so a larger value is refused before anything is allocated.
+MAX_SYM_DEGREE = 64
+
 
 class ConfigError(Exception):
     def __init__(self, message, line_no=None):
@@ -101,6 +105,20 @@ def _parse_vector(value, no):
     return np.array([complex(re, im) for re, im in pairs])
 
 
+def _parse_degrees(entries, key, no):
+    """The symmetric-power degrees, each >= 1 and summing to at most
+    MAX_SYM_DEGREE."""
+    shown = ",".join(entries)
+    try:
+        degrees = [int(d) for d in entries]
+    except ValueError:
+        raise ConfigError(f"invalid {key}: expected integers, got {shown!r}", no)
+    if min(degrees) < 1 or sum(degrees) > MAX_SYM_DEGREE:
+        raise ConfigError(f"invalid {key}: degrees must be >= 1 and sum to at most "
+                          f"{MAX_SYM_DEGREE}, got {shown!r}", no)
+    return degrees
+
+
 def _load_basis_file(path, no):
     if not os.path.exists(path):
         raise ConfigError(f"basis file {path!r} does not exist", no)
@@ -130,10 +148,12 @@ def parse_config(text):
             weights = _parse_weights(value, no)
             presentation = torus_presentation(weights)
         elif kind == "su2_sym":
-            presentation = su2_sym_presentation(int(value))
+            degree, = _parse_degrees([value], keys[kind], no)
+            presentation = su2_sym_presentation(degree)
         elif kind == "su2_sym_sum":
+            degrees = _parse_degrees(value.split(","), keys[kind], no)
             presentation = direct_sum_presentation(
-                [su2_sym_presentation(int(d)) for d in value.split(",")])
+                [su2_sym_presentation(d) for d in degrees])
         else:
             presentation = _load_basis_file(value, no)
     except (ValueError, KeyError, TypeError, IndexError, OSError) as err:

@@ -5,9 +5,11 @@ Runge-Kutta-Fehlberg 4(5) pair. On top of the local-error controller sits an
 energy-monotonicity guard: any step that increases f is rejected outright,
 which enforces the one structural property the convergence analysis relies
 on. The projectivized flow runs on the unit-sphere representative with a
-per-step renormalization and phase gauge; the group lift g(t) integrates
-alongside v(t) with the same generator, so lift consistency holds to
-integrator accuracy.
+per-step renormalization and phase gauge. The group lift g(t) is computed
+from the finished trajectory: each step's Magnus exponent depends only on the
+states and slopes at its two ends, so the whole lift takes one batched
+generator call and one stacked exponential per block of steps, and lift
+consistency holds to integrator accuracy.
 """
 
 from dataclasses import dataclass, replace
@@ -130,32 +132,28 @@ def _rkf45_step(rhs, y, h, k1):
     return y + h * (_RKF_B5 @ ks), h * (_RKF_E @ ks)
 
 
-def _adaptive_flow(energy, y0, opts, postprocess=None, lift_update=None,
-                   lift0=None):
+def _adaptive_flow(energy, y0, opts, postprocess=None):
     """Shared integrator of y' = -grad; returns (samples, terminated_reason).
 
     ``energy(y) -> (f, grad)`` is evaluated once per accepted state, and that
-    one evaluation feeds the sample (t, v, f, grad_norm, g), the energy
-    guard, the first stage of the next step and the end slopes of the lift.
-    The optional group lift advances once per accepted step through
-    ``lift_update(g, h, y_prev, y_new, d_prev, d_new)`` and stays outside the
-    error-controlled state: its entries span huge dynamic ranges and the ray
-    analysis needs their logarithms, which exponential updates preserve and
-    additive Runge-Kutta updates do not.
+    one evaluation feeds the sample (t, v, f, grad_norm and the slope
+    d = -grad), the energy guard and the first stage of the next step. The
+    group lift is not integrated here: :func:`_lift_path` computes it
+    afterwards from the sampled states and slopes.
     """
     def rhs(y):
         return -energy(y)[1]
 
-    def record(t, y, f, grad, lift):
-        return {"t": t, "v": y, "f": f, "grad_norm": float(np.linalg.norm(grad)),
-                "g": lift}
+    def record(t, y, f, slope):
+        return {"t": t, "v": y, "f": f, "grad_norm": float(np.linalg.norm(slope)),
+                "d": slope}
 
-    t, y, lift = 0.0, np.array(y0, dtype=complex), lift0
+    t, y = 0.0, np.array(y0, dtype=complex)
     f, grad = energy(y) if np.all(np.isfinite(y)) else (np.nan, np.full_like(y, np.nan))
-    samples = [record(t, y, f, grad, lift)]
+    k1 = -grad
+    samples = [record(t, y, f, k1)]
     if not (np.isfinite(f) and np.all(np.isfinite(grad))):
         return samples, "nonfinite"
-    k1 = -grad
     h = opts.initial_step
     steps = 0
     while True:
@@ -186,21 +184,23 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, lift_update=None,
         if not f_new <= f + 1e-12 * max(1.0, f):   # also rejects a NaN energy
             h = 0.5 * h_eff
             continue
-        k_new = -grad_new
-        if lift_update is not None:
-            lift = lift_update(lift, h_eff, y, y_new, k1, k_new)
-        t, y, f, k1 = t + h_eff, y_new, f_new, k_new
-        samples.append(record(t, y, f, grad_new, lift))
+        t, y, f, k1 = t + h_eff, y_new, f_new, -grad_new
+        samples.append(record(t, y, f, k1))
         growth = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
         h = h_eff * growth
 
 
-def _pack(samples, reason, *, clock, kind, eps_grad):
+def _pack(samples, reason, *, clock, kind, eps_grad, lift=None):
+    """Stack the sample records into a trajectory; with a presentation
+    ``lift`` the group lift of the trajectory fills ``g``."""
     t = np.array([o["t"] for o in samples])
     v = np.array([o["v"] for o in samples])
     f = np.array([o["f"] for o in samples])
     gn = np.array([o["grad_norm"] for o in samples])
-    g = None if samples[0]["g"] is None else np.array([o["g"] for o in samples])
+    g = None
+    if lift is not None:
+        d = np.array([o["d"] for o in samples])
+        g = _lift_path(lift, t, v, d, projective=kind == "projective")
     s = t.copy() if clock == "s" else None
     return FlowTrajectory(t=t, v=v, f=f, grad_norm=gn, terminated_reason=reason,
                           s=s, g=g, clock=clock, kind=kind, eps_grad=eps_grad)
@@ -213,37 +213,51 @@ def integrate_kempf_ness(p, v0, opts=None):
     return _pack(samples, reason, clock="t", kind="affine", eps_grad=opts.eps_grad)
 
 
-def _magnus_lift(p, projective):
-    """Fourth-order Magnus update of the group lift over one accepted step.
+# Steps per batched Magnus pass: one generator call and one stacked expm per
+# block, while the temporaries stay a fixed size however long the flow runs.
+_LIFT_BLOCK = 64
 
-    The propagator over [t, t+h] is exp(Omega) with the two-node Gauss
-    Magnus exponent; the states at the Gauss nodes come from cubic Hermite
-    interpolation of the accepted endpoints and their slopes d0, d1, which
-    :func:`_adaptive_flow` already holds. Errors sit in the exponent (O(h^5) per step)
-    and vanish once the generator has converged, so the logarithms of the
-    lift stay accurate over arbitrarily long horizons, unlike additive
-    updates, which lose the tiny entries of g.
+# The two Gauss nodes on [0, 1], shaped (node, step, component), and the
+# cubic Hermite weights of y_prev, y_new, h d_prev and h d_new at them.
+_C = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])[:, None, None]
+_C2, _C3 = _C * _C, _C * _C * _C
+_H00, _H01 = 1 - 3 * _C2 + 2 * _C3, 3 * _C2 - 2 * _C3
+_H10, _H11 = _C - 2 * _C2 + _C3, _C3 - _C2
+
+
+def _lift_path(p, t, v, d, projective):
+    """Group lift of a finished trajectory by fourth-order Magnus steps.
+
+    g(0) = id and g' = A(v) g with A = flow_generator(p, v), divided by
+    |v|^2 for the projective flow. The propagator over step k is
+    exp(Omega_k) with the two-node Gauss Magnus exponent; the states at the
+    Gauss nodes come from cubic Hermite interpolation of the sampled states
+    ``v`` and slopes ``d`` at the step's ends. Omega_k never depends on g, so
+    each block of steps takes one batched generator call and one stacked
+    ``expm``, and g_{k+1} = exp(Omega_k) g_k is then a running product.
+    Errors sit in the exponent (O(h^5) per step) and vanish once the
+    generator has converged, so the logarithms of the lift stay accurate
+    over arbitrarily long horizons, unlike additive updates, which lose the
+    tiny entries of g.
     """
-    c_nodes = (0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6)
-
-    def gen_at(v):
-        gen = flow_generator(p, v)
+    m, n = v.shape
+    g = np.empty((m, n, n), dtype=complex)
+    g[0] = np.eye(n)
+    for a in range(0, m - 1, _LIFT_BLOCK):
+        b = min(a + _LIFT_BLOCK, m - 1)
+        h = (t[a + 1:b + 1] - t[a:b])[:, None]
+        nodes = (_H00 * v[a:b] + _H01 * v[a + 1:b + 1]
+                 + h * _H10 * d[a:b] + h * _H11 * d[a + 1:b + 1])   # (2, b - a, n)
+        gens = flow_generator(p, nodes)
         if projective:
-            gen = gen / float(np.vdot(v, v).real)
-        return gen
-
-    def update(g, h, y_prev, y_new, d0, d1):
-        def hermite(c):
-            c2, c3 = c * c, c * c * c
-            return ((1 - 3 * c2 + 2 * c3) * y_prev + (3 * c2 - 2 * c3) * y_new
-                    + h * (c - 2 * c2 + c3) * d0 + h * (c3 - c2) * d1)
-
-        a1 = gen_at(hermite(c_nodes[0]))
-        a2 = gen_at(hermite(c_nodes[1]))
+            n2 = np.einsum("...i,...i->...", nodes.conj(), nodes).real
+            gens = gens / n2[..., None, None]
+        a1, a2 = gens
+        h = h[:, :, None]
         omega = 0.5 * h * (a1 + a2) + (np.sqrt(3) * h * h / 12.0) * (a2 @ a1 - a1 @ a2)
-        return scipy.linalg.expm(omega) @ g
-
-    return update
+        for k, step in enumerate(scipy.linalg.expm(omega), start=a):
+            np.matmul(step, g[k], out=g[k + 1])
+    return g
 
 
 def cointegrate_group(p, v0, opts=None):
@@ -251,14 +265,13 @@ def cointegrate_group(p, v0, opts=None):
 
     v and g evolve by the same generator, so g(t) v0 = v(t) along the
     continuous flow; the trajectory invariant |g v0 - v| <= tau_lift |v0|
-    holds to integrator accuracy.
+    holds to integrator accuracy. The lift is computed from the finished
+    trajectory by :func:`_lift_path`.
     """
     opts = opts or FlowOptions()
-    samples, reason = _adaptive_flow(
-        partial(energy_and_gradient, p), v0, opts,
-        lift0=np.eye(p.dim_v, dtype=complex),
-        lift_update=_magnus_lift(p, projective=False))
-    return _pack(samples, reason, clock="t", kind="affine", eps_grad=opts.eps_grad)
+    samples, reason = _adaptive_flow(partial(energy_and_gradient, p), v0, opts)
+    return _pack(samples, reason, clock="t", kind="affine", eps_grad=opts.eps_grad,
+                 lift=p)
 
 
 def projective_energy_gradient(p, v):
@@ -275,8 +288,9 @@ def integrate_projective(p, v0, opts=None, cointegrate=False):
 
     Gauge: after every accepted step the representative is renormalized to
     |v| = 1 and the phase drift along J0 v is removed (alignment with the
-    previous sample). With ``cointegrate`` the reparametrized group lift
-    g' = 2i mu^ g runs alongside; then [g(s) v0] = [v(s)].
+    previous sample). With ``cointegrate`` the trajectory also carries the
+    reparametrized group lift g' = 2i mu^ g, computed from the finished
+    trajectory by :func:`_lift_path`; then [g(s) v0] = [v(s)].
     """
     opts = opts or FlowOptions(t_max=1e6)
     v0 = np.asarray(v0, dtype=complex)
@@ -292,12 +306,10 @@ def integrate_projective(p, v0, opts=None, cointegrate=False):
             v = v * (overlap.conjugate() / abs(overlap))
         return v
 
-    lift0 = np.eye(p.dim_v, dtype=complex) if cointegrate else None
-    lift_update = _magnus_lift(p, projective=True) if cointegrate else None
     samples, reason = _adaptive_flow(partial(projective_energy_gradient, p), u0, opts,
-                                     postprocess=postprocess,
-                                     lift0=lift0, lift_update=lift_update)
-    return _pack(samples, reason, clock="s", kind="projective", eps_grad=opts.eps_grad)
+                                     postprocess=postprocess)
+    return _pack(samples, reason, clock="s", kind="projective", eps_grad=opts.eps_grad,
+                 lift=p if cointegrate else None)
 
 
 def reparametrize(traj):

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import adjoint_coadjoint
-from .errors import DomainError, StructuralError
+from .errors import DomainError
 from .representation import infinitesimal_action, moment_map
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "model_moment_map",
     "verify_moment_identity",
     "verify_closedness",
-    "rho_tilde",
 ]
 
 
@@ -397,19 +396,3 @@ def verify_closedness(model, samples, step=1e-4, form=None):
     vals = form(model, at.shifted(along, signed), a, b)
     d = (vals[:, 0] - vals[:, 1]) / (2.0 * step)
     return float(np.max(np.abs(d[0] - d[1] + d[2])))
-
-
-def rho_tilde(model, rho):
-    """Solve the identification <rho, eta> = Omega0(rho~, eta.z0) on J0(g.z0).
-
-    Returns the vector rho~ in J0(g.z0) together with the conditioning of
-    the defining linear system.
-    """
-    p = model.parent
-    if model.dim_m == 0:
-        raise StructuralError("identification needs a nontrivial m")
-    orbit = p.matrix(model.m_basis) @ model.z0
-    jbasis = 1j * orbit
-    a = _omega0(jbasis[None, :, :], orbit[:, None, :])
-    coeffs = np.linalg.solve(a, np.asarray(rho, dtype=float))
-    return coeffs @ jbasis, float(np.linalg.cond(a))

@@ -30,7 +30,6 @@ __all__ = [
     "H_PATH",
     "infinitesimal_action",
     "moment_map",
-    "moment_map_via_adjoint",
     "projective_moment_map",
     "energy_and_gradient",
     "flow_generator",
@@ -52,19 +51,6 @@ def moment_map(p, v):
 def _moment_from_action(v, lv):
     # <xi_a v, v> = v^dagger (xi_a v); Im of it is the pairing numerator
     return 0.5 * (v.conj() @ lv).imag
-
-
-def moment_map_via_adjoint(p, v):
-    """Second defining route: 1/2 L_v^*(J0 v), lowered coordinates.
-
-    Kept separate from :func:`moment_map` so tests can assert the two
-    formulas agree under the fixed sign convention.
-    """
-    v = np.asarray(v, dtype=complex)
-    lv = infinitesimal_action(p, v)
-    u = 1j * v
-    # (L_v^* u)_a = Re<u, xi_a v>
-    return 0.5 * (lv.conj().T @ u).real
 
 
 def projective_moment_map(p, v, min_norm=1e-150):
@@ -93,9 +79,13 @@ def flow_generator(p, v):
     This equals minus the gradient of f divided out of v, i.e. the downward
     gradient flow of f = |mu|^2 is the linear action of this g^C element, and
     the same matrix drives the group lift g' = flow_generator(p, g v0) g.
+    ``v`` may carry leading batch axes (..., n); the result is (..., n, n),
+    so the lift of a whole trajectory block takes one call.
     """
-    lowered = moment_map(p, v)
-    return 2j * p.matrix(p.sharp(lowered))
+    v = np.asarray(v, dtype=complex)
+    lv = (p.basis @ v[..., None, :, None])[..., 0]          # (..., k, n): xi_a v
+    lowered = 0.5 * np.einsum("...i,...ai->...a", v.conj(), lv).imag
+    return 2j * p.matrix(p.sharp(lowered[..., None])[..., 0])
 
 
 def _j_component(p, x):

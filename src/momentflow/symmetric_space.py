@@ -17,17 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (ContractViolationError, DomainError, NotAsymptoticError,
-                     RayDivergenceError)
+from .errors import DomainError, NotAsymptoticError, RayDivergenceError
 from .linalg import hermitian_part, psd_inv_sqrt, psd_log, psd_power, psd_sqrt
 from .rational import rationalize_direction
 
 THETA_RAY = 1e-3      # Cauchy threshold for successive chord directions
-TAU_CONVEX = 1e-8     # slack for second differences of convex quantities
 
 __all__ = [
     "THETA_RAY",
-    "TAU_CONVEX",
     "SymmetricSpacePoint",
     "GeodesicRay",
     "RayDiagnostics",
@@ -37,7 +34,6 @@ __all__ = [
     "log_map",
     "exp_map",
     "extract_asymptotic_ray",
-    "convexity_probe",
 ]
 
 
@@ -262,27 +258,3 @@ def extract_asymptotic_ray(path, base, clocks=None, *, theta_ray=THETA_RAY,
     ray = GeodesicRay(base=base, direction=direction,
                       rational_approx=rationalize_direction(spectrum))
     return ray, diagnostics
-
-
-def convexity_probe(path_a, path_b, *, speed_tol=1e-8):
-    """Minimum centered second difference of u -> d(path_a(u), path_b(u)).
-
-    Both inputs must be geodesics sampled on a common uniform grid; constant
-    speed is verified (relative variation above ``speed_tol`` raises
-    :class:`ContractViolationError`). For true geodesics in this nonpositively
-    curved space the result is bounded below by -TAU_CONVEX at machine scale.
-    """
-    pa = [_as_point(q) for q in path_a]
-    pb = [_as_point(q) for q in path_b]
-    if len(pa) != len(pb) or len(pa) < 3:
-        raise ContractViolationError("paths must share a grid of at least 3 samples")
-
-    for pts in (pa, pb):
-        speeds = np.array([distance(x, y) for x, y in zip(pts[:-1], pts[1:])])
-        if speeds.max() > 0:
-            if (speeds.max() - speeds.min()) > speed_tol * max(1.0, speeds.max()):
-                raise ContractViolationError("input path does not have constant speed")
-
-    d = np.array([distance(x, y) for x, y in zip(pa, pb)])
-    second = d[:-2] - 2.0 * d[1:-1] + d[2:]
-    return float(second.min())

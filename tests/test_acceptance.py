@@ -18,7 +18,7 @@ from momentflow.degeneration import (compare_with_oracle, hermitian_generator,
 from momentflow.flow import (FlowOptions, check_rates, fit_lojasiewicz,
                              integrate_kempf_ness, integrate_projective,
                              reparametrize)
-from momentflow.flow import _adaptive_flow, _magnus_lift  # joint-flow driver
+from momentflow.flow import _adaptive_flow, _lift_path  # joint flow and its lift
 from momentflow.normal_form import (ModelPoint, build_model,
                                     model_symplectic_form, verify_closedness,
                                     verify_moment_identity)
@@ -173,7 +173,8 @@ def test_criterion_6_nonabelian_conjugacy():
 
 
 def _matched_clock_flow_pair(p, v0, h, t_max):
-    """Integrate two flows of one orbit jointly so clocks match exactly."""
+    """Integrate two flows of one orbit jointly so clocks match exactly;
+    returns the group lift of each half at the shared sample times."""
     n = p.dim_v
     w0 = h @ v0
     y0 = np.concatenate([v0, w0])
@@ -183,20 +184,12 @@ def _matched_clock_flow_pair(p, v0, h, t_max):
         f2, g2 = energy_and_gradient(p, y[n:])
         return f1 + f2, np.concatenate([g1, g2])
 
-    sub1 = _magnus_lift(p, projective=False)
-
-    def lift_update(lift, hstep, y_prev, y_new, d_prev, d_new):
-        g1p, g2p = lift
-        g1n = sub1(g1p, hstep, y_prev[:n], y_new[:n], d_prev[:n], d_new[:n])
-        g2n = sub1(g2p, hstep, y_prev[n:], y_new[n:], d_prev[n:], d_new[n:])
-        return (g1n, g2n)
-
-    opts = FlowOptions(t_max=t_max)
-    samples, _ = _adaptive_flow(energy, y0, opts,
-                                lift0=(np.eye(n, dtype=complex),
-                                       np.eye(n, dtype=complex)),
-                                lift_update=lift_update)
-    return samples
+    samples, _ = _adaptive_flow(energy, y0, FlowOptions(t_max=t_max))
+    t = np.array([s["t"] for s in samples])
+    y = np.array([s["v"] for s in samples])
+    d = np.array([s["d"] for s in samples])
+    return (_lift_path(p, t, y[:, :n], d[:, :n], projective=False),
+            _lift_path(p, t, y[:, n:], d[:, n:], projective=False))
 
 
 def test_criterion_7_convexity_and_distance_decrease():
@@ -221,10 +214,9 @@ def test_criterion_7_convexity_and_distance_decrease():
     v0 = np.array([1.0, 0.2, -0.1, 0.8], dtype=complex)
     herm = 1j * psum.matrix([0.2, -0.3, 0.4])
     h = scipy.linalg.expm(herm)
-    samples = _matched_clock_flow_pair(psum, v0, h, t_max=40.0)
+    lift1, lift2 = _matched_clock_flow_pair(psum, v0, h, t_max=40.0)
     dists = []
-    for s in samples:
-        g1, g2 = s["g"]
+    for g1, g2 in zip(lift1, lift2):
         h1 = SymmetricSpacePoint.from_group(g1)
         h2 = SymmetricSpacePoint.from_group(g2 @ h)
         dists.append(distance(h1, h2))

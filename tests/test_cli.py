@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from momentflow.builtins import BUILTIN_NAMES, get_builtin
-from momentflow.cli import ConfigError, main, parse_config
+from momentflow import cli
+from momentflow.cli import MAX_SYM_DEGREE, ConfigError, main, parse_config
 from momentflow.degeneration import ORACLE_MAX_WEIGHTS
 from momentflow.errors import RayDivergenceError
 from momentflow.flow import FlowOptions
@@ -181,9 +182,13 @@ def test_report_sections_fixed_order(tmp_path):
     "group.kind = su2_sym\ngroup.degree = abc",
     "group.kind = su2_sym\ngroup.degree = 0",
     "group.kind = su2_sym_sum\ngroup.degrees = 2,x",
+    "group.kind = su2_sym\ngroup.degree = 1000000000000000000",
+    "group.kind = su2_sym_sum\ngroup.degrees = 2, 1000000",
+    "group.kind = su2_sym_sum\ngroup.degrees = 40, 40",
     "group.kind = torus\ngroup.weights = 1,0; 1",
     "group.kind = basis_file\ngroup.basis_path = {bad_json}",
-], ids=["degree_abc", "degree_0", "degrees_2x", "ragged_weights", "bad_json"])
+], ids=["degree_abc", "degree_0", "degrees_2x", "degree_1e18", "degrees_1e6",
+        "degrees_sum_over_limit", "ragged_weights", "bad_json"])
 def test_malformed_group_exits_2_with_line(tmp_path, capsys, group):
     bad_json = tmp_path / "basis.json"
     bad_json.write_text('{"basis": [')
@@ -191,6 +196,20 @@ def test_malformed_group_exits_2_with_line(tmp_path, capsys, group):
     cfg.write_text(group.format(bad_json=bad_json) + "\ninitial_vector = 1:0, 0:0\n")
     assert main(["--config", str(cfg), "--quiet"]) == 2
     assert "line 2: invalid group." in capsys.readouterr().err
+
+
+def test_degree_limit_is_checked_before_any_matrix_is_built(monkeypatch):
+    vector = ", ".join(["1:0"] * (MAX_SYM_DEGREE + 1))
+    exp = parse_config(f"group.kind = su2_sym\ngroup.degree = {MAX_SYM_DEGREE}\n"
+                       f"initial_vector = {vector}\n")[0]
+    assert exp.presentation.dim_v == MAX_SYM_DEGREE + 1
+    built = []
+    monkeypatch.setattr(cli, "su2_sym_presentation", built.append)
+    for group in (f"su2_sym\ngroup.degree = {MAX_SYM_DEGREE + 1}",
+                  f"su2_sym_sum\ngroup.degrees = {MAX_SYM_DEGREE}, 1"):
+        with pytest.raises(ConfigError, match="line 2: invalid group.degree"):
+            parse_config(f"group.kind = {group}\ninitial_vector = 1:0\n")
+    assert built == []
 
 
 @pytest.mark.parametrize("lines, line_no", [

@@ -13,8 +13,10 @@ NUMBERS = st.sampled_from(VALID + ["0", "-0", "-3", "nan", "-nan", "inf",
                                    "-inf", "1e999", "abc", "", "1,", ":"])
 # mostly valid, so that parsing often gets past the first entries
 ENTRIES = st.sampled_from(VALID) | NUMBERS
-# small degrees: su2_sym of degree d builds (d+1) x (d+1) matrices
-DEGREES = st.integers(-2, 4).map(str) | NUMBERS
+# small degrees, and huge ones: su2_sym of degree d builds (d+1) x (d+1)
+# matrices, so the parser must refuse those before building anything
+DEGREES = (st.integers(-2, 4).map(str)
+           | st.sampled_from([str(10**6), str(10**18)]) | NUMBERS)
 
 
 @st.composite

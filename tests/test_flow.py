@@ -1,6 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_presentation, random_vector
 from momentflow import flow
 from momentflow.algebra import (su2_sym_presentation, torus_presentation,
                                 un_presentation)
@@ -9,7 +15,8 @@ from momentflow.flow import (FlowOptions, FlowTrajectory, check_rates,
                              cointegrate_group, fit_lojasiewicz,
                              integrate_kempf_ness, integrate_projective,
                              reparametrize)
-from momentflow.representation import energy_and_gradient, moment_map
+from momentflow.representation import (energy_and_gradient, flow_generator,
+                                       moment_map)
 
 
 def u1():
@@ -94,7 +101,6 @@ def test_cointegrate_abelian_diagonal_log_quadrature():
     traj = cointegrate_group(p, v0, FlowOptions(t_max=20.0, sample_growth=5e-4))
     off = max(abs(traj.g[i][0, 1]) + abs(traj.g[i][1, 0]) for i in range(len(traj)))
     assert off == 0.0
-    from momentflow.representation import flow_generator
     gens = np.array([np.diagonal(flow_generator(p, v)).real for v in traj.v])
     integral = cumulative_simpson(gens, x=traj.t, axis=0, initial=0.0)
     logs = np.log(np.abs(np.array([np.diagonal(g) for g in traj.g])))
@@ -275,19 +281,123 @@ def test_trajectory_csv_round_trip(tmp_path):
 # -- one energy evaluation per flow state -------------------------------------
 
 def test_one_energy_evaluation_per_state(monkeypatch):
-    calls = {"energy_and_gradient": 0, "flow_generator": 0, "_rkf45_step": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(flow, name), _name=name):
+    calls = {"energy_and_gradient": 0, "flow_generator": 0, "_rkf45_step": 0,
+             "expm": 0}
+    for owner, name in ((flow, "energy_and_gradient"), (flow, "flow_generator"),
+                        (flow, "_rkf45_step"), (scipy.linalg, "expm")):
+        def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(flow, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     traj = cointegrate_group(u1(), [1], FlowOptions(t_max=1e3))
     accepted = len(traj) - 1
+    assert accepted > 2 * flow._LIFT_BLOCK   # the lift spans several blocks
     assert calls["_rkf45_step"] == accepted  # no rejected step
     # the start state, then five new stages and the new state per step
     assert calls["energy_and_gradient"] == 1 + 6 * accepted
-    # the two Gauss nodes of the Magnus update
-    assert calls["flow_generator"] == 2 * accepted
+    # the lift makes one generator call (both Gauss nodes of every step of
+    # a block) and one stacked expm per block of steps
+    blocks = math.ceil(accepted / flow._LIFT_BLOCK)
+    assert calls["flow_generator"] == blocks
+    assert calls["expm"] == blocks
+
+
+# -- the group lift against the per-step Magnus update --------------------------
+
+def _per_step_magnus_lift(p, t, v, d, projective):
+    """The lift one fourth-order Magnus step at a time, the independent oracle.
+
+    Each step makes its own two generator calls at the Gauss nodes of the
+    cubic Hermite interpolant of its end states ``v`` and slopes ``d``, one
+    commutator and one ``expm``, and multiplies g from the left.
+    """
+    c_nodes = (0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6)
+
+    def gen_at(x):
+        gen = flow_generator(p, x)
+        if projective:
+            gen = gen / float(np.vdot(x, x).real)
+        return gen
+
+    def update(g, h, y_prev, y_new, d0, d1):
+        def hermite(c):
+            c2, c3 = c * c, c * c * c
+            return ((1 - 3 * c2 + 2 * c3) * y_prev + (3 * c2 - 2 * c3) * y_new
+                    + h * (c - 2 * c2 + c3) * d0 + h * (c3 - c2) * d1)
+
+        a1 = gen_at(hermite(c_nodes[0]))
+        a2 = gen_at(hermite(c_nodes[1]))
+        omega = 0.5 * h * (a1 + a2) + (np.sqrt(3) * h * h / 12.0) * (a2 @ a1 - a1 @ a2)
+        return scipy.linalg.expm(omega) @ g
+
+    gs = [np.eye(v.shape[1], dtype=complex)]
+    for k in range(len(t) - 1):
+        gs.append(update(gs[-1], t[k + 1] - t[k], v[k], v[k + 1], d[k], d[k + 1]))
+    return np.array(gs)
+
+
+def _slopes(p, traj):
+    """The integrator's slope -grad at each sample, recomputed from v."""
+    energy = (energy_and_gradient if traj.kind == "affine"
+              else flow.projective_energy_gradient)
+    return np.array([-energy(p, v)[1] for v in traj.v])
+
+
+def _lift_error(g, ref):
+    scale = np.maximum(1.0, np.linalg.norm(ref, axis=(1, 2)))
+    return float(np.max(np.linalg.norm(g - ref, axis=(1, 2)) / scale))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batched_lift_matches_per_step_magnus(seed):
+    rng = np.random.default_rng(seed)
+    p = random_presentation(rng)
+    v0 = random_vector(rng, p.dim_v)
+    for traj in (cointegrate_group(p, v0, FlowOptions(t_max=0.5)),
+                 integrate_projective(p, v0, FlowOptions(t_max=2.0), cointegrate=True)):
+        ref = _per_step_magnus_lift(p, traj.t, traj.v, _slopes(p, traj),
+                                    projective=traj.kind == "projective")
+        assert _lift_error(traj.g, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("projective", [False, True])
+def test_batched_lift_at_block_boundaries(projective):
+    p = su2_sym_presentation(3)
+    v0 = np.array([1.0, 0.3 - 0.2j, -0.5, 0.7j])
+    if projective:
+        traj = integrate_projective(p, v0, FlowOptions(t_max=50.0))
+    else:
+        traj = integrate_kempf_ness(p, v0, FlowOptions(t_max=50.0))
+    d = _slopes(p, traj)
+    block = flow._LIFT_BLOCK
+    assert len(traj) > block + 2
+    for steps in (1, block - 1, block, block + 1):
+        t, v, dd = traj.t[:steps + 1], traj.v[:steps + 1], d[:steps + 1]
+        g = flow._lift_path(p, t, v, dd, projective)
+        assert g.shape == (steps + 1, 4, 4)
+        assert _lift_error(g, _per_step_magnus_lift(p, t, v, dd, projective)) <= 1e-12
+
+
+@pytest.mark.parametrize("projective", [False, True])
+def test_single_sample_lift_is_identity(tmp_path, projective):
+    p = torus_presentation([[1], [2]])
+    v0 = np.array([np.nan, 1.0], dtype=complex)
+    if projective:
+        traj = integrate_projective(p, v0, FlowOptions(t_max=5.0), cointegrate=True)
+    else:
+        traj = cointegrate_group(p, v0, FlowOptions(t_max=5.0))
+    assert traj.terminated_reason == "nonfinite"
+    assert len(traj) == 1
+    np.testing.assert_array_equal(traj.g, [np.eye(2)])
+    path = tmp_path / "trajectory.csv"
+    traj.to_csv(path)
+    header, row = path.read_text().splitlines()
+    cols = header.split(",")
+    values = row.split(",")
+    assert len(values) == len(cols)
+    assert [float(values[cols.index(f"g{i}{j}_re")]) for i in range(2)
+            for j in range(2)] == [1.0, 0.0, 0.0, 1.0]
 
 
 _A = [[], [1 / 4], [3 / 32, 9 / 32],

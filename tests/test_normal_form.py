@@ -6,13 +6,12 @@ from momentflow import normal_form
 from momentflow.algebra import (adjoint_coadjoint, direct_sum_presentation,
                                 exp_group, su2_sym_presentation,
                                 torus_presentation)
-from momentflow.errors import DomainError
+from momentflow.errors import DomainError, StructuralError
 from momentflow.normal_form import (ModelPoint, _ad_matrix, _dexp_left,
-                                    build_model,
+                                    _omega0, build_model,
                                     infinitesimal_model_action,
                                     model_moment_map, model_symplectic_form,
-                                    rho_tilde, verify_closedness,
-                                    verify_moment_identity)
+                                    verify_closedness, verify_moment_identity)
 from momentflow.representation import moment_map
 
 
@@ -247,6 +246,22 @@ def test_residual_isotropy_equivariance(rng):
         lhs = model_moment_map(model, moved)
         rhs = p.lower(adjoint_coadjoint(p, g0, p.sharp(model_moment_map(model, at))))
         np.testing.assert_allclose(lhs, rhs, atol=1e-8)
+
+
+def rho_tilde(model, rho):
+    """Solve the identification <rho, eta> = Omega0(rho~, eta.z0) on J0(g.z0).
+
+    Returns the vector rho~ in J0(g.z0) together with the conditioning of
+    the defining linear system.
+    """
+    p = model.parent
+    if model.dim_m == 0:
+        raise StructuralError("identification needs a nontrivial m")
+    orbit = p.matrix(model.m_basis) @ model.z0
+    jbasis = 1j * orbit
+    a = _omega0(jbasis[None, :, :], orbit[:, None, :])
+    coeffs = np.linalg.solve(a, np.asarray(rho, dtype=float))
+    return coeffs @ jbasis, float(np.linalg.cond(a))
 
 
 def test_rho_tilde_identification(rng):

