@@ -285,25 +285,16 @@ def un_presentation(n):
 def sym_power_generator(a, d):
     """Generator induced on Sym^d(C^2) by a 2x2 generator ``a``.
 
-    Acts as a derivation on monomials x^(d-j) y^j; the basis is normalized by
-    sqrt(binomial(d, j)) so unitary 2x2 matrices induce unitary action.
+    Acts as a derivation on monomials x^(d-j) y^j, with x -> a00 x + a10 y
+    and y -> a01 x + a11 y; the basis is normalized by sqrt(binomial(d, j))
+    so unitary 2x2 matrices induce unitary action. In that basis the
+    binomials cancel to sqrt((j+1)(d-j)) on the off-diagonals.
     """
-    from math import comb
-
     a = np.asarray(a, dtype=complex)
-    dim = d + 1
-    out = np.zeros((dim, dim), dtype=complex)
-    # x -> a00 x + a10 y,  y -> a01 x + a11 y  (column action on (x, y))
-    for j in range(dim):
-        # derivative of x^(d-j) y^j
-        if d - j > 0:
-            out[j, j] += (d - j) * a[0, 0]
-            out[j + 1, j] += (d - j) * a[1, 0]
-        if j > 0:
-            out[j, j] += j * a[1, 1]
-            out[j - 1, j] += j * a[0, 1]
-    scale = np.array([np.sqrt(comb(d, j)) for j in range(dim)])
-    return (out * scale[None, :]) / scale[:, None]
+    j = np.arange(d + 1)
+    off = np.sqrt((j[:-1] + 1.0) * (d - j[:-1]))
+    return (np.diag((d - j) * a[0, 0] + j * a[1, 1])
+            + np.diag(a[1, 0] * off, -1) + np.diag(a[0, 1] * off, 1))
 
 
 def su2_sym_presentation(degree):

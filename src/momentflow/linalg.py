@@ -11,8 +11,6 @@ __all__ = [
     "eigh_fun",
     "psd_sqrt",
     "psd_inv_sqrt",
-    "psd_log",
-    "psd_power",
 ]
 
 
@@ -32,12 +30,4 @@ def psd_sqrt(h):
 
 def psd_inv_sqrt(h):
     return eigh_fun(h, lambda w: 1.0 / np.sqrt(w))
-
-
-def psd_log(h):
-    return eigh_fun(h, np.log)
-
-
-def psd_power(h, p):
-    return eigh_fun(h, lambda w: np.power(w, p))
 

@@ -19,8 +19,9 @@ import numpy as np
 from .algebra import GroupPresentation
 from .degeneration import (ANGLE_TOL, hermitian_generator, limit_direction,
                            oracle_angle, torus_oracle)
-from .flow import (FlowOptions, check_rates, cointegrate_group, fit_lojasiewicz,
-                   integrate_kempf_ness, integrate_projective, reparametrize)
+from .flow import (FlowOptions, _r_squared, check_rates, cointegrate_group,
+                   fit_lojasiewicz, integrate_kempf_ness, integrate_projective,
+                   reparametrize)
 from .normal_form import (ModelPoint, build_model, model_symplectic_form,
                           verify_closedness, verify_moment_identity)
 from .representation import projective_moment_map
@@ -196,11 +197,7 @@ def _rates(exp, legs, oracle, seed):
     lines.append(f"  grad4_over_f3_min = {_num(ratio.min())}")
     checks.append(("rates.grad4_over_f3_min", ratio.min(), 1e-2, INF))
     # the logarithmic clock: s against log t over the final decade
-    st = affine.s[win]
-    lt = np.log(affine.t[win])
-    slope, intercept = np.polyfit(lt, st, 1)
-    resid = st - (slope * lt + intercept)
-    r2 = 1.0 - float(np.sum(resid**2)) / float(np.sum((st - st.mean()) ** 2))
+    slope, r2 = _r_squared(np.log(affine.t[win]), affine.s[win])
     lines += [f"  s_logt_r2 = {_num(r2)}", f"  s_logt_slope = {_num(slope)}"]
     checks.append(("rates.s_logt_r2", r2, 0.99, 1.0))
     return lines, checks, None

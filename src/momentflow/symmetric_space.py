@@ -1,24 +1,25 @@
 """Geometry of G^C/G realized as positive-definite Hermitian matrices.
 
-A coset [g] is represented by H = g* g, which removes the compact gauge
-exactly. The metric is the affine-invariant one with the trace norm; on the
-tangent space at the identity it matches the default trace inner product on
-the Lie algebra. Matrix functions go through Hermitian eigendecompositions
-with re-symmetrization.
+A coset [g] is held by one representative g, its factor; the point is
+H = g* g, which removes the compact gauge exactly. ``from_matrix(H)`` stores
+the Hermitian square root of H as the factor. The metric is the
+affine-invariant one with the trace norm; on the tangent space at the
+identity it matches the default trace inner product on the Lie algebra.
 
-Far-out points generated by group lifts carry their factor g. Logs and
-distances then route through an SVD of the factor instead of an
-eigendecomposition of H = g* g, which keeps small singular values (and thus
-their logarithms) accurate even when H is numerically singular.
+Every log and distance goes through the SVD of a product of factors, never
+through H = g* g: small singular values, and thus their logarithms, stay
+accurate where H is numerically singular, and far-out points do not overflow.
+H, H^{1/2} and H^{-1/2} are formed lazily, only for points used as a base.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DomainError, NotAsymptoticError, RayDivergenceError
-from .linalg import hermitian_part, psd_inv_sqrt, psd_log, psd_power, psd_sqrt
+from .linalg import hermitian_part, psd_inv_sqrt, psd_sqrt
 from .rational import rationalize_direction
 
 THETA_RAY = 1e-3      # Cauchy threshold for successive chord directions
@@ -37,42 +38,63 @@ __all__ = [
 ]
 
 
+def _square_finite(a, what):
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError(f"{what} must be a square matrix")
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"{what} must be finite")
+    return a
+
+
 @dataclass(frozen=True)
 class SymmetricSpacePoint:
-    """Positive-definite Hermitian H = g* g, optionally with the factor g."""
+    """The point H = g* g of G^C/G, held by its factor g."""
 
-    H: np.ndarray
-    factor: np.ndarray | None = None
+    factor: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.H, dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise DomainError("H must be a square matrix")
+        g = _square_finite(self.factor, "group factor")
+        g.setflags(write=False)
+        object.__setattr__(self, "factor", g)
+
+    @classmethod
+    def from_matrix(cls, h):
+        """The point H = h, for finite Hermitian positive-definite h."""
+        h = _square_finite(h, "H")
         # both sides over max|H_ij| (>= 1): the same test, and the Frobenius
         # norms cannot overflow for far-out points
         scale = max(1.0, np.abs(h).max())
         if (np.linalg.norm((h - h.conj().T) / scale)
                 > 1e-12 * max(1.0 / scale, np.linalg.norm(h / scale))):
             raise DomainError("H must be Hermitian")
-        if self.factor is None and np.linalg.eigvalsh(h)[0] <= 0:
+        w, u = np.linalg.eigh(h)
+        if w[0] <= 0:
             raise DomainError("H must be positive-definite")
-        h.setflags(write=False)
-        object.__setattr__(self, "H", h)
-
-    @classmethod
-    def from_matrix(cls, h):
-        return cls(H=np.asarray(h, dtype=complex))
+        return cls(hermitian_part((u * np.sqrt(w)) @ u.conj().T))
 
     @classmethod
     def from_group(cls, g):
-        g = np.asarray(g, dtype=complex)
-        if not np.all(np.isfinite(g.view(float))):
-            raise DomainError("group factor must be finite")
-        return cls(H=hermitian_part(g.conj().T @ g), factor=g)
+        """The coset [g], H = g* g."""
+        return cls(g)
 
     @property
     def n(self):
-        return self.H.shape[0]
+        return self.factor.shape[0]
+
+    @cached_property
+    def H(self):
+        return hermitian_part(self.factor.conj().T @ self.factor)
+
+    @cached_property
+    def sqrt(self):
+        """H^{1/2}."""
+        return psd_sqrt(self.H)
+
+    @cached_property
+    def inv_sqrt(self):
+        """H^{-1/2}."""
+        return psd_inv_sqrt(self.H)
 
 
 def _as_point(x):
@@ -84,64 +106,54 @@ def _as_point(x):
 def _whitened_log(p0, p1):
     """M with log_map(p0, p1) = H0^{1/2} M H0^{1/2}; |M|_F is the distance."""
     p0, p1 = _as_point(p0), _as_point(p1)
-    inv_sqrt0 = psd_inv_sqrt(p0.H)
-    if p1.factor is not None:
-        m0 = p1.factor @ inv_sqrt0
-        _, sigma, wh = np.linalg.svd(m0)
-        w = wh.conj().T
-        return hermitian_part((w * (2.0 * np.log(sigma))) @ w.conj().T)
-    c = hermitian_part(inv_sqrt0 @ p1.H @ inv_sqrt0)
-    return psd_log(c)
+    _, sigma, wh = np.linalg.svd(p1.factor @ p0.inv_sqrt)
+    w = wh.conj().T
+    return hermitian_part((w * (2.0 * np.log(sigma))) @ w.conj().T)
+
+
+def _along(p0, m, s):
+    """The point H0^{1/2} exp(s M) H0^{1/2}, by its factor exp(s M/2) H0^{1/2}."""
+    return SymmetricSpacePoint(scipy.linalg.expm(0.5 * s * m) @ p0.sqrt)
 
 
 def distance(p0, p1):
     """Affine-invariant distance |log(H0^{-1/2} H1 H0^{-1/2})| in trace norm."""
     p0, p1 = _as_point(p0), _as_point(p1)
-    if p0.factor is not None and p1.factor is not None:
-        # stable for two far-out points close to each other
-        m = p1.factor @ np.linalg.inv(p0.factor)
-        sigma = np.linalg.svd(m, compute_uv=False)
-        return float(np.linalg.norm(2.0 * np.log(sigma)))
-    return float(np.linalg.norm(_whitened_log(p0, p1)))
+    # the singular values of g1 g0^{-1} are those of H1^{1/2} H0^{-1/2}
+    sigma = np.linalg.svd(p1.factor @ np.linalg.inv(p0.factor), compute_uv=False)
+    return float(np.linalg.norm(2.0 * np.log(sigma)))
 
 
 def geodesic(p0, p1, u):
     """Point at parameter u on the geodesic from H0 to H1."""
-    p0, p1 = _as_point(p0), _as_point(p1)
-    sqrt0 = psd_sqrt(p0.H)
-    inv_sqrt0 = psd_inv_sqrt(p0.H)
-    c = hermitian_part(inv_sqrt0 @ p1.H @ inv_sqrt0)
-    return SymmetricSpacePoint(H=hermitian_part(sqrt0 @ psd_power(c, u) @ sqrt0))
+    p0 = _as_point(p0)
+    return _along(p0, _whitened_log(p0, p1), u)
 
 
 def geodesic_path(p0, p1, num):
     """The geodesic sampled on a uniform grid of ``num`` parameters in [0, 1]."""
-    grid = np.linspace(0.0, 1.0, num)
-    return [geodesic(p0, p1, u) for u in grid]
+    p0 = _as_point(p0)
+    m = _whitened_log(p0, p1)
+    return [_along(p0, m, u) for u in np.linspace(0.0, 1.0, num)]
 
 
 def log_map(p0, p1):
     """Initial velocity A of the geodesic from H0 to H1; |A|_H0 = distance."""
     p0 = _as_point(p0)
-    sqrt0 = psd_sqrt(p0.H)
-    return hermitian_part(sqrt0 @ _whitened_log(p0, p1) @ sqrt0)
+    return hermitian_part(p0.sqrt @ _whitened_log(p0, p1) @ p0.sqrt)
 
 
 def exp_map(p0, direction, s=1.0):
     """Geodesic from H0 with initial velocity ``direction`` at time s."""
     p0 = _as_point(p0)
-    sqrt0 = psd_sqrt(p0.H)
-    inv_sqrt0 = psd_inv_sqrt(p0.H)
-    m = hermitian_part(inv_sqrt0 @ direction @ inv_sqrt0)
-    return SymmetricSpacePoint(H=hermitian_part(sqrt0 @ scipy.linalg.expm(s * m) @ sqrt0))
+    return _along(p0, hermitian_part(p0.inv_sqrt @ direction @ p0.inv_sqrt), s)
 
 
 def base_inner(p0, a, b):
     """Inner product of tangent vectors at H0: Re tr(H0^-1 A H0^-1 B)."""
     p0 = _as_point(p0)
-    inv_sqrt0 = psd_inv_sqrt(p0.H)
-    ma = inv_sqrt0 @ a @ inv_sqrt0
-    mb = inv_sqrt0 @ b @ inv_sqrt0
+    ma = p0.inv_sqrt @ a @ p0.inv_sqrt
+    mb = p0.inv_sqrt @ b @ p0.inv_sqrt
     return float(np.trace(ma @ mb).real)
 
 
@@ -162,16 +174,6 @@ class GeodesicRay:
             raise DomainError(f"ray direction must be unit norm, got {norm}")
         d.setflags(write=False)
         object.__setattr__(self, "direction", d)
-
-    def point(self, s):
-        return exp_map(self.base, self.direction, s)
-
-    @property
-    def spectrum(self):
-        """Sorted eigenvalues of the whitened direction (conjugacy invariant)."""
-        inv_sqrt0 = psd_inv_sqrt(self.base.H)
-        m = hermitian_part(inv_sqrt0 @ self.direction @ inv_sqrt0)
-        return np.linalg.eigvalsh(m)
 
 
 @dataclass
@@ -234,14 +236,8 @@ def extract_asymptotic_ray(path, base, clocks=None, *, theta_ray=THETA_RAY,
     m_hat = dirs[-1]
     spectrum = np.linalg.eigvalsh(m_hat)
 
-    sqrt0 = psd_sqrt(base.H)
-    chi = SymmetricSpacePoint(
-        H=hermitian_part(sqrt0 @ scipy.linalg.expm(probe * m_hat) @ sqrt0))
-    resid = []
-    for m in dirs[-6:-1]:
-        gamma_t = SymmetricSpacePoint(
-            H=hermitian_part(sqrt0 @ scipy.linalg.expm(probe * m) @ sqrt0))
-        resid.append(distance(gamma_t, chi))
+    chi = _along(base, m_hat, probe)
+    resid = [distance(_along(base, m, probe), chi) for m in dirs[-6:-1]]
     diagnostics = RayDiagnostics(
         clocks=clocks[tail], distances=dists[tail], angles=angles,
         residuals=np.array(resid), spectrum=spectrum, probe=probe, escaped=True,
@@ -253,7 +249,7 @@ def extract_asymptotic_ray(path, base, clocks=None, *, theta_ray=THETA_RAY,
             diagnostics=diagnostics,
         )
 
-    direction = hermitian_part(sqrt0 @ m_hat @ sqrt0)
+    direction = hermitian_part(base.sqrt @ m_hat @ base.sqrt)
     direction /= np.sqrt(base_inner(base, direction, direction))
     ray = GeodesicRay(base=base, direction=direction,
                       rational_approx=rationalize_direction(spectrum))

@@ -4,8 +4,9 @@ from conftest import random_presentation
 
 from momentflow.algebra import (GroupPresentation, WeightSystem, adjoint_coadjoint,
                                 exp_group, matrix_presentation, su2_presentation,
-                                su2_sym_presentation, torus_presentation,
-                                trace_metric, un_presentation, validate_presentation)
+                                su2_sym_presentation, sym_power_generator,
+                                torus_presentation, trace_metric, un_presentation,
+                                validate_presentation)
 from momentflow.errors import DomainError, StructuralError
 
 
@@ -167,6 +168,17 @@ def test_sym_power_and_un_presentations_validate():
     for degree in (2, 3, 4):
         assert validate_presentation(su2_sym_presentation(degree)).ok
     assert validate_presentation(un_presentation(3)).ok
+
+
+def test_sym_power_generator_past_float_binomials():
+    # binomial(1100, j) exceeds the float range for j near 550; the
+    # generator of i sigma_x / 2 still has the weights i (d/2 - j)
+    d = 1100
+    gen = sym_power_generator(0.5j * np.array([[0.0, 1.0], [1.0, 0.0]]), d)
+    assert np.all(np.isfinite(gen))
+    np.testing.assert_allclose(gen + gen.conj().T, 0.0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.eigvalsh(-1j * gen),
+                               d / 2 - np.arange(d + 1)[::-1], atol=1e-9 * d)
 
 
 def _lstsq_coords(basis, target):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentflow.errors import (ContractViolationError, DomainError,
                                NotAsymptoticError, RayDivergenceError)
@@ -24,6 +26,8 @@ def test_point_validation():
         SymmetricSpacePoint.from_matrix(np.array([[1.0, 0.5], [0.4, 1.0]]))
     with pytest.raises(DomainError):
         SymmetricSpacePoint.from_matrix(np.diag([1.0, -0.1]))
+    with pytest.raises(DomainError):
+        SymmetricSpacePoint.from_matrix(np.full((2, 2), np.nan))
 
 
 def test_distance_identity_and_scalar_form(rng):
@@ -103,6 +107,40 @@ def test_factor_points_far_out_accuracy():
     assert d == pytest.approx(np.linalg.norm(lam), rel=1e-10)
     a = log_map(np.eye(3), point)
     np.testing.assert_allclose(np.linalg.eigvalsh(a), np.sort(lam), rtol=1e-10)
+
+
+def test_factor_points_past_the_overflow_of_h():
+    # g* g would overflow: exp(720) > max float
+    lam = np.array([720.0, 5.0, -725.0])
+    point = SymmetricSpacePoint.from_group(np.diag(np.exp(lam / 2)))
+    assert distance(np.eye(3), point) == pytest.approx(np.linalg.norm(lam), rel=1e-12)
+    np.testing.assert_allclose(np.linalg.eigvalsh(log_map(np.eye(3), point)),
+                               np.sort(lam), rtol=1e-12)
+
+
+def _well_conditioned(rng, n):
+    """exp of a Hermitian matrix of norm <= 2, times a random unitary."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    a = rand_herm(rng, n)
+    return scipy.linalg.expm(rng.uniform(0.0, 2.0) * a / np.linalg.norm(a, 2)) @ q
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_group_and_matrix_points_agree(seed):
+    # the factor a point was built from does not change its logs or distances
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    g1, g2 = _well_conditioned(rng, n), _well_conditioned(rng, n)
+    forms = [(SymmetricSpacePoint.from_group(g),
+              SymmetricSpacePoint.from_matrix(g.conj().T @ g)) for g in (g1, g2)]
+    d_ref = distance(forms[0][0], forms[1][0])
+    a_ref = log_map(forms[0][0], forms[1][0])
+    for p1 in forms[0]:
+        for p2 in forms[1]:
+            assert distance(p1, p2) == pytest.approx(d_ref, rel=1e-9)
+            np.testing.assert_allclose(log_map(p1, p2), a_ref,
+                                       rtol=0, atol=1e-9 * max(1.0, np.abs(a_ref).max()))
 
 
 def convexity_probe(path_a, path_b, *, speed_tol=1e-8):
@@ -245,15 +283,16 @@ def test_ray_divergence_diagnostic(rng):
     assert len(exc.value.diagnostics.angles) > 0
 
 
-def test_ray_base_change_stability():
+@pytest.mark.parametrize("horizon", [800, 1200])
+def test_ray_base_change_stability(horizon):
     # rays extracted from two bases on one escaping path have matching
     # direction spectra; the diagonal sector keeps every step exact, so the
     # horizon can be pushed far enough for the 1/s chord error to shrink
-    # below the tolerance
+    # below the tolerance, and at 1200 past the overflow of g* g
     lam = np.array([0.8, -0.2, -0.6])
     lam = lam / np.linalg.norm(lam)
     direction = np.diag(lam).astype(complex)
-    clocks = np.geomspace(1.0, 800.0, 120)
+    clocks = np.geomspace(1.0, horizon, 120)
     pts = [SymmetricSpacePoint.from_group(scipy.linalg.expm(0.5 * s * direction))
            for s in clocks]
     ray1, diag1 = extract_asymptotic_ray(pts, np.eye(3), clocks)
