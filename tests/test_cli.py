@@ -86,6 +86,18 @@ def test_cli_config_file_exit_codes(tmp_path, capsys):
     assert main(["--config", str(bad), "--quiet"]) == 2
 
 
+def test_model_without_m_passes_the_moment_identity(tmp_path, capsys):
+    # the weight-zero circle fixes z0, so the normal-form model has dim_m = 0
+    cfg = tmp_path / "trivial.cfg"
+    cfg.write_text("group.kind = torus\ngroup.weights = 0\ninitial_vector = 1:0\n"
+                   "flow.t_max = 1\nanalyses = normal_form\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 0
+    report = (out / "report.txt").read_text()
+    assert "  dim_m = 0\n" in report
+    assert "normal_form.moment_identity = 0.0  in [0.0, 1e-05]  PASS" in report
+
+
 def test_cli_out_dir_env_fallback(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(GOOD_CONFIG)

@@ -361,20 +361,91 @@ def test_batched_adjoint_rejects_one_non_normalizing_point(rng):
 
 def test_verifiers_bound_dexp_calls_per_sample(monkeypatch, rng):
     p, model = su2_model()
-    calls = []
+    calls, exponentials = [], []
 
     def counted(*args, _fn=normal_form._dexp_left):
         calls.append(1)
         return _fn(*args)
 
+    def counted_expm(a, _fn=scipy.linalg.expm):
+        exponentials.append(int(np.prod(np.shape(a)[:-2])))
+        return _fn(a)
+
     monkeypatch.setattr(normal_form, "_dexp_left", counted)
-    samples = [(_rand_point(model, rng), rng.standard_normal(p.dim_g))
-               for _ in range(5)]
-    verify_moment_identity(model, samples)
-    assert len(calls) <= 2 * len(samples)
+    monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
+    for n_samples in (1, 5):
+        samples = [(_rand_point(model, rng), rng.standard_normal(p.dim_g))
+                   for _ in range(n_samples)]
+        calls.clear()
+        exponentials.clear()
+        verify_moment_identity(model, samples)
+        # one dexp per verification; one exponential per sample for g, one
+        # per sample for dexp, one per point shifted along xi_m
+        assert len(calls) <= 1
+        assert sum(exponentials) <= n_samples * (2 + 2 * model.dim_m)
     calls.clear()
     triples = [(_rand_point(model, rng), _rand_tangent(model, rng),
                 _rand_tangent(model, rng), _rand_tangent(model, rng))
                for _ in range(5)]
     verify_closedness(model, triples)
     assert len(calls) <= len(triples)
+
+
+def _loop_moment_identity(model, samples, step=1e-4):
+    """The per-sample reference: every shifted point through the public
+    moment map, the frame through the public form, one sample at a time."""
+    dm = model.dim_m
+    frame = np.eye(model.dim_chart)
+    frame = (frame[:, :dm], frame[:, dm:2 * dm], frame[:, 2 * dm:])
+    signed = np.array([step, -step])[:, None, None]
+    worst = 0.0
+    for at, xi in samples:
+        xi = np.asarray(xi, dtype=float)
+        x_xi = infinitesimal_model_action(model, at, xi)
+        plus, minus = model_moment_map(model, at.shifted(frame, signed)) @ xi
+        lhs = (plus - minus) / (2.0 * step)
+        rhs = model_symplectic_form(model, at, x_xi, frame)
+        worst = np.maximum(worst, np.max(np.abs(lhs - rhs)))
+    return float(worst)
+
+
+@pytest.mark.parametrize("make", [u1_model, su2_model])
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_batched_moment_identity_matches_per_sample_loop(make, seed):
+    p, model = make()
+    rng = np.random.default_rng(seed)
+    samples = [(_rand_point(model, rng), rng.standard_normal(p.dim_g))
+               for _ in range(40)]
+    got = verify_moment_identity(model, samples)
+    want = _loop_moment_identity(model, samples)
+    assert want <= 1e-5    # both are finite-difference noise
+    assert got == pytest.approx(want, rel=0, abs=1e-10)
+
+
+@pytest.mark.parametrize("make", [u1_model, su2_model])
+def test_stacked_model_action_matches_per_point_calls(make, rng):
+    p, model = make()
+    points = [_rand_point(model, rng) for _ in range(6)]
+    xis = rng.standard_normal((6, p.dim_g))
+    at = ModelPoint(*normal_form._stack((q.xi_m, q.rho, q.v) for q in points))
+    got = infinitesimal_model_action(model, at, xis)
+    want = [infinitesimal_model_action(model, q, xi) for q, xi in zip(points, xis)]
+    for got_c, want_c in zip(got, zip(*want)):
+        assert got_c.shape == (6,) + want_c[0].shape
+        np.testing.assert_allclose(got_c, want_c, rtol=0, atol=1e-14)
+
+
+def test_moment_identity_without_samples_is_zero():
+    _, model = su2_model()
+    assert verify_moment_identity(model, []) == 0.0
+    assert verify_closedness(model, []) == 0.0
+
+
+def test_moment_identity_on_a_model_without_m(rng):
+    # the weight-zero circle fixes every vector: g = g0, no orbit directions
+    p = torus_presentation([[0]])
+    model = build_model(p, np.array([1.0 + 0j]))
+    assert model.dim_m == 0 and model.dim_n == 2
+    samples = [(_rand_point(model, rng), rng.standard_normal(p.dim_g))
+               for _ in range(4)]
+    assert verify_moment_identity(model, samples) == 0.0
