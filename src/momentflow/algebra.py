@@ -133,7 +133,8 @@ class GroupPresentation:
         """Coordinates of matrices ``xi`` (..., n, n) and the Frobenius norms
         of their parts outside the span."""
         xi = np.asarray(xi)
-        coords = (xi.reshape(xi.shape[:-2] + (-1,)) @ self._pinv.T).real
+        coords = (xi.reshape(xi.shape[:-2] + (xi.shape[-2] * xi.shape[-1],))
+                  @ self._pinv.T).real
         residual = np.linalg.norm(xi - self.matrix(coords), axis=(-2, -1))
         return coords, residual
 

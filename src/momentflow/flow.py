@@ -1,18 +1,20 @@
 """Numerical integration of the moment-map energy flow and its diagnostics.
 
-The downward gradient flow of f = |mu|^2 is integrated with an embedded
-Runge-Kutta-Fehlberg 4(5) pair. On top of the local-error controller sits an
+The downward gradient flow of f = |mu|^2 is integrated with the embedded
+Dormand-Prince 5(4) pair. On top of the local-error controller sits an
 energy-monotonicity guard: any step that increases f is rejected outright,
 which enforces the one structural property the convergence analysis relies
-on. The projectivized flow runs on the unit-sphere representative with a
-per-step renormalization and phase gauge. The group lift g(t) is computed
-from the finished trajectory: each step's Magnus exponent depends only on the
-states and slopes at its two ends, so the whole lift takes one batched
-generator call and one stacked exponential per block of steps, and lift
+on. The controller and the guard alone set the step; samples are read off
+the pair's continuous extension on a geometric output grid. The
+projectivized flow runs on the unit-sphere representative with a per-step
+renormalization and phase gauge. The group lift g(t) is computed from the
+finished trajectory: each Magnus exponent depends only on the states and
+slopes at two consecutive samples, so the whole lift takes one batched
+generator call and one stacked exponential per block of samples, and lift
 consistency holds to integrator accuracy.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -40,8 +42,10 @@ class FlowOptions:
     """Knobs of the adaptive integrator.
 
     ``t_max`` is in the flow's own clock (t for affine, s for projective).
-    ``sample_growth`` caps the step at that fraction of the current time so
-    log-log fits over the final decade always have enough samples.
+    ``sample_growth`` is the ratio of the output grid, not a step cap:
+    samples sit at t_0 = 0 and t_{j+1} = t_j + max(initial_step,
+    sample_growth t_j), so log-log fits over the final decade always have
+    enough samples, whatever step the error controller takes.
     """
 
     t_max: float = 1e4
@@ -61,7 +65,9 @@ class FlowTrajectory:
     ``clock`` names the meaning of ``t``: the affine flow time or the
     reparametrized time s of the projectivized flow. ``s`` is filled by
     :func:`reparametrize` for affine trajectories and coincides with ``t``
-    for projective ones.
+    for projective ones. ``steps`` counts the accepted integrator steps,
+    which differ from the samples; ``rejected`` counts the rejected ones by
+    cause (``error``, ``energy``, ``nonfinite``).
     """
 
     t: np.ndarray
@@ -74,6 +80,8 @@ class FlowTrajectory:
     clock: str = "t"
     kind: str = "affine"
     eps_grad: float = 1e-10
+    steps: int = 0
+    rejected: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.t)
@@ -105,92 +113,150 @@ class FlowTrajectory:
             fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in table)
 
 
-# Fehlberg 4(5) tableau; the fifth-order solution is propagated. Row i of
-# _RKF_A holds the weights of stages 0..i-1 in stage i; _RKF_E = b5 - b4
-# gives the embedded error estimate. The flow is autonomous, so the nodes
-# c_i are not needed.
-_RKF_A = np.array([
+# Dormand-Prince 5(4) tableau (Hairer, Norsett and Wanner, Solving ODEs I,
+# II.5); the fifth-order solution is propagated. Row i of _DP_A holds the
+# weights of stages 0..i-1 in stage i. The seventh stage is the slope at the
+# new state, which is also the first stage of the next step (first same as
+# last), so _DP_B has a zero there and _DP_E = b5 - b4 spans all seven stages.
+# The fourth-order continuous extension (II.6) is y(t + theta h) = y + h
+# sum_p theta^p (_DP_P[p - 1] @ ks), p = 1..4; it meets the step's ends in
+# value and slope. The flow is autonomous, so the nodes c_i are not needed.
+_DP_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 4, 0.0, 0.0, 0.0, 0.0],
-    [3 / 32, 9 / 32, 0.0, 0.0, 0.0],
-    [1932 / 2197, -7200 / 2197, 7296 / 2197, 0.0, 0.0],
-    [439 / 216, -8.0, 3680 / 513, -845 / 4104, 0.0],
-    [-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
 ])
-_RKF_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
-_RKF_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
-_RKF_E = _RKF_B5 - _RKF_B4
+_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_E = _DP_B - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                          -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+                  -10690763975 / 1880347072, 701980252875 / 199316789632,
+                  -1453857185 / 822651844, 69997945 / 29380423])
+_E0, _E6 = np.eye(7)[[0, 6]]
+_DP_P = np.array([_E0, 3 * _DP_B - 2 * _E0 - _E6 + _DP_D,
+                  _E0 + _E6 - 2 * _DP_B - 2 * _DP_D, _DP_D])
 
 
-def _rkf45_step(rhs, y, h, k1):
-    """One Fehlberg step from y with first stage k1 = rhs(y) already known;
-    returns (fifth-order solution, error estimate)."""
-    ks = np.empty((6, y.size), dtype=complex)
+def _rkf45_step(energy, y, h, k1, postprocess=None):
+    """One Dormand-Prince step from y, whose slope k1 = -grad is known.
+
+    Returns (y_new, f_new, ks, err): the fifth-order solution (passed through
+    ``postprocess``), its energy, the seven stages and the embedded error
+    estimate. The last stage is the slope at y_new, so a step makes six
+    energy calls. A non-finite y_new is not evaluated: f_new and the last
+    stage are NaN.
+    """
+    ks = np.empty((7, y.size), dtype=complex)
     ks[0] = k1
+    ha = h * _DP_A
     for i in range(1, 6):
-        ks[i] = rhs(y + h * (_RKF_A[i, :i] @ ks[:i]))
-    return y + h * (_RKF_B5 @ ks), h * (_RKF_E @ ks)
+        ks[i] = -energy(y + ha[i, :i] @ ks[:i])[1]
+    y_new = y + h * (_DP_B[:6] @ ks[:6])
+    f_new, ks[6] = np.nan, np.nan
+    if np.all(np.isfinite(y_new)):
+        if postprocess is not None:
+            y_new = postprocess(y_new, y)
+        f_new, grad = energy(y_new)
+        ks[6] = -grad
+    return y_new, f_new, ks, h * (_DP_E @ ks)
 
 
 def _adaptive_flow(energy, y0, opts, postprocess=None):
-    """Shared integrator of y' = -grad; returns (samples, terminated_reason).
+    """Shared integrator of y' = -grad; returns (samples, stats), where stats
+    holds the ``terminated_reason``, ``steps`` and ``rejected`` fields of the
+    trajectory.
 
-    ``energy(y) -> (f, grad)`` is evaluated once per accepted state, and that
-    one evaluation feeds the sample (t, v, f, grad_norm and the slope
-    d = -grad), the energy guard and the first stage of the next step. The
-    group lift is not integrated here: :func:`_lift_path` computes it
-    afterwards from the sampled states and slopes.
+    The error controller and the energy guard alone set the step. Samples
+    lie on the output grid t_0 = 0, t_{j+1} = t_j + max(initial_step,
+    sample_growth t_j): a grid point inside an accepted step is read off the
+    continuous extension (through ``postprocess``) and costs one ``energy``
+    call, for its f, grad_norm and slope d = -grad. A step end is a sample
+    only when it is a grid point or no grid point fell inside the step; the
+    final state always is. ``energy(y) -> (f, grad)`` is evaluated once per
+    accepted state, which feeds the energy guard and the first stage of the
+    next step. A step is rejected when its new state is not finite
+    (``rejected["nonfinite"]``), when the local error test fails
+    (``"error"``) or when f would rise, relative slack 1e-12, at its end or
+    at any sample it emits (``"energy"``). The group lift is not integrated
+    here: :func:`_lift_path` computes it afterwards from the samples.
     """
-    def rhs(y):
-        return -energy(y)[1]
-
     def record(t, y, f, slope):
         return {"t": t, "v": y, "f": f, "grad_norm": float(np.linalg.norm(slope)),
                 "d": slope}
+
+    def after(tg):    # the output-grid point that follows tg
+        return tg + max(opts.initial_step, opts.sample_growth * tg)
+
+    def finish(reason):
+        if samples[-1]["t"] != t:
+            samples.append(record(t, y, f, k1))
+        return samples, dict(terminated_reason=reason, steps=steps, rejected=rejected)
 
     t, y = 0.0, np.array(y0, dtype=complex)
     f, grad = energy(y) if np.all(np.isfinite(y)) else (np.nan, np.full_like(y, np.nan))
     k1 = -grad
     samples = [record(t, y, f, k1)]
+    steps, rejected = 0, {"error": 0, "energy": 0, "nonfinite": 0}
     if not (np.isfinite(f) and np.all(np.isfinite(grad))):
-        return samples, "nonfinite"
+        return finish("nonfinite")
+    grid = opts.initial_step    # the next output-grid point
     h = opts.initial_step
-    steps = 0
     while True:
-        if len(samples) >= 2 and samples[-1]["grad_norm"] < opts.eps_grad:
-            return samples, "gradient_small"
+        if steps and np.linalg.norm(k1) < opts.eps_grad:
+            return finish("gradient_small")
         if t >= opts.t_max * (1 - 1e-15):
-            return samples, "t_max"
+            return finish("t_max")
         if h < opts.min_step:
-            return samples, "step_underflow"
-        steps += 1
-        if steps > opts.max_steps:
+            return finish("step_underflow")
+        if steps + sum(rejected.values()) >= opts.max_steps:
             raise DiagnosticError("integrator exceeded the step budget")
 
-        cap = max(opts.initial_step, opts.sample_growth * t)
-        h_eff = min(h, cap, opts.t_max - t)
-        y_new, err = _rkf45_step(rhs, y, h_eff, k1)
-        if not np.all(np.isfinite(y_new)):
+        h_eff = min(h, opts.t_max - t)
+        y_new, f_new, ks, err = _rkf45_step(energy, y, h_eff, k1, postprocess)
+        if not (np.isfinite(f_new) and np.all(np.isfinite(err))):
+            rejected["nonfinite"] += 1
             h = 0.5 * h_eff
             continue
         scale = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = float(np.max(np.abs(err) / scale))
         if err_norm > 1.0:
+            rejected["error"] += 1
             h = h_eff * max(0.2, 0.9 * err_norm ** -0.2)
             continue
-        if postprocess is not None:
-            y_new = postprocess(y_new, y)
-        f_new, grad_new = energy(y_new)
-        if not f_new <= f + 1e-12 * max(1.0, f):   # also rejects a NaN energy
+
+        t_new, inside, nxt = t + h_eff, [], grid
+        while nxt < t_new:
+            inside.append(nxt)
+            nxt = after(nxt)
+        emitted = []
+        if inside:
+            theta = (np.array(inside)[:, None] - t) / h_eff
+            dense = y + h_eff * (theta ** np.arange(1, 5) @ (_DP_P @ ks))
+            for tg, yg in zip(inside, dense):
+                if postprocess is not None:
+                    yg = postprocess(yg, y)
+                fg, gg = energy(yg)
+                emitted.append(record(tg, yg, fg, -gg))
+        # f along the step, from the lower of the state and the last sample
+        fs = np.array([min(f, samples[-1]["f"])] + [o["f"] for o in emitted] + [f_new])
+        if not np.all(fs[1:] <= fs[:-1] * (1 + 1e-12)):    # also a NaN energy
+            rejected["energy"] += 1
             h = 0.5 * h_eff
             continue
-        t, y, f, k1 = t + h_eff, y_new, f_new, -grad_new
-        samples.append(record(t, y, f, k1))
+        steps += 1
+        t, y, f, k1 = t_new, y_new, f_new, ks[6].copy()
+        if not inside or nxt == t:
+            emitted.append(record(t, y, f, k1))
+        samples += emitted
+        grid = after(nxt) if nxt == t else nxt
         growth = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
         h = h_eff * growth
 
 
-def _pack(samples, reason, *, clock, kind, eps_grad, lift=None):
+def _pack(samples, stats, *, clock, kind, eps_grad, lift=None):
     """Stack the sample records into a trajectory; with a presentation
     ``lift`` the group lift of the trajectory fills ``g``."""
     t = np.array([o["t"] for o in samples])
@@ -202,15 +268,15 @@ def _pack(samples, reason, *, clock, kind, eps_grad, lift=None):
         d = np.array([o["d"] for o in samples])
         g = _lift_path(lift, t, v, d, projective=kind == "projective")
     s = t.copy() if clock == "s" else None
-    return FlowTrajectory(t=t, v=v, f=f, grad_norm=gn, terminated_reason=reason,
-                          s=s, g=g, clock=clock, kind=kind, eps_grad=eps_grad)
+    return FlowTrajectory(t=t, v=v, f=f, grad_norm=gn, s=s, g=g, clock=clock,
+                          kind=kind, eps_grad=eps_grad, **stats)
 
 
 def integrate_kempf_ness(p, v0, opts=None):
     """Downward gradient flow of f = |mu|^2 from v0, affine clock."""
     opts = opts or FlowOptions()
-    samples, reason = _adaptive_flow(partial(energy_and_gradient, p), v0, opts)
-    return _pack(samples, reason, clock="t", kind="affine", eps_grad=opts.eps_grad)
+    samples, stats = _adaptive_flow(partial(energy_and_gradient, p), v0, opts)
+    return _pack(samples, stats, clock="t", kind="affine", eps_grad=opts.eps_grad)
 
 
 # Steps per batched Magnus pass: one generator call and one stacked expm per
@@ -269,8 +335,8 @@ def cointegrate_group(p, v0, opts=None):
     trajectory by :func:`_lift_path`.
     """
     opts = opts or FlowOptions()
-    samples, reason = _adaptive_flow(partial(energy_and_gradient, p), v0, opts)
-    return _pack(samples, reason, clock="t", kind="affine", eps_grad=opts.eps_grad,
+    samples, stats = _adaptive_flow(partial(energy_and_gradient, p), v0, opts)
+    return _pack(samples, stats, clock="t", kind="affine", eps_grad=opts.eps_grad,
                  lift=p)
 
 
@@ -306,9 +372,9 @@ def integrate_projective(p, v0, opts=None, cointegrate=False):
             v = v * (overlap.conjugate() / abs(overlap))
         return v
 
-    samples, reason = _adaptive_flow(partial(projective_energy_gradient, p), u0, opts,
-                                     postprocess=postprocess)
-    return _pack(samples, reason, clock="s", kind="projective", eps_grad=opts.eps_grad,
+    samples, stats = _adaptive_flow(partial(projective_energy_gradient, p), u0, opts,
+                                    postprocess=postprocess)
+    return _pack(samples, stats, clock="s", kind="projective", eps_grad=opts.eps_grad,
                  lift=p if cointegrate else None)
 
 

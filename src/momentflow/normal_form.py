@@ -375,9 +375,8 @@ def verify_moment_identity(model, samples, step=1e-4):
     ad_g = adjoint_coadjoint(p, g[:, None], np.eye(p.dim_g))    # row b: Ad_g xi_b
     lam = _fiber_moment(model, moved.rho[:, dm:], moved.v[:, dm:])
     mu = np.einsum("...sa,sab->...sb", lam, ad_g) @ p.metric.T
-    if dm:    # with dim_m = 0 the batch is empty, which _expand cannot reshape
-        along_xi = ModelPoint(moved.xi_m[:, :dm], at.rho, at.v)
-        mu = np.concatenate([model_moment_map(model, along_xi), mu], axis=1)
+    along_xi = ModelPoint(moved.xi_m[:, :dm], at.rho, at.v)
+    mu = np.concatenate([model_moment_map(model, along_xi), mu], axis=1)
     plus, minus = np.sum(mu * xi, axis=-1)
     x_xi = _intrinsic(model, dexp, _model_action(model, at, xi, g, dexp))
     rhs = _omega_display(model, at, x_xi, _intrinsic(model, dexp, frame))

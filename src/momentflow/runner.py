@@ -365,6 +365,8 @@ def run_experiment(exp, out_dir, *, seed=0, tol_scale=1.0, quiet=False):
     sections["FLOW"] = [
         f"  clock = {traj.clock}",
         f"  samples = {len(traj)}",
+        f"  steps = {traj.steps}",
+        "  rejected = " + ", ".join(f"{cause} {n}" for cause, n in traj.rejected.items()),
         f"  terminated = {traj.terminated_reason}",
         f"  final_time = {_num(traj.t[-1])}",
         f"  final_f = {_num(traj.f[-1])}",

@@ -141,6 +141,14 @@ def test_adjoint_composition(rng):
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
+def test_adjoint_empty_batch():
+    # an empty stack of group elements gives an empty stack of coordinates
+    p = su2_presentation()
+    g = np.zeros((0, 2, 2), dtype=complex)
+    assert adjoint_coadjoint(p, g, np.zeros((0, 3))).shape == (0, 3)
+    assert adjoint_coadjoint(p, g[:, None], np.eye(3)).shape == (0, 3, 3)
+
+
 def test_adjoint_outside_algebra_raises():
     p = torus_presentation([[1], [2]])
     # a shear does not normalize the diagonal algebra

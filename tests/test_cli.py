@@ -190,6 +190,27 @@ def test_report_sections_fixed_order(tmp_path):
     assert "[RATES]\n  disabled" in text
 
 
+def test_flow_section_counts_steps_beside_samples(tmp_path):
+    # a polystable torus whose flows reject steps for both causes; its
+    # affine rates leg to t = 1e4 ends once the gradient is small
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("group.kind = torus\n"
+                   "group.weights = 0, 1; 2, 0; -1, 1; 1, -2\n"
+                   "initial_vector = 0:1, 0:2, -1:2, -1:-1\n"
+                   "flow.mode = projective\n"
+                   "analyses = rates\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) in (0, 1)
+    flow_lines = open(out / "report.txt").read().split("[FLOW]\n")[1].split("\n\n")[0]
+    fields = dict(line.strip().split(" = ") for line in flow_lines.splitlines())
+    assert fields["terminated"] == "gradient_small"
+    assert int(fields["samples"]) <= 1000
+    assert 0 < int(fields["steps"]) < int(fields["samples"])
+    rejected = dict(part.split() for part in fields["rejected"].split(", "))
+    assert list(rejected) == ["error", "energy", "nonfinite"]
+    assert int(rejected["error"]) > 0 and int(rejected["energy"]) > 0
+
+
 @pytest.mark.parametrize("group", [
     "group.kind = su2_sym\ngroup.degree = abc",
     "group.kind = su2_sym\ngroup.degree = 0",

@@ -1,4 +1,6 @@
+import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -283,23 +285,127 @@ def test_trajectory_csv_round_trip(tmp_path):
 def test_one_energy_evaluation_per_state(monkeypatch):
     calls = {"energy_and_gradient": 0, "flow_generator": 0, "_rkf45_step": 0,
              "expm": 0}
+    step_sizes = []
     for owner, name in ((flow, "energy_and_gradient"), (flow, "flow_generator"),
                         (flow, "_rkf45_step"), (scipy.linalg, "expm")):
         def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
+            if _name == "_rkf45_step":
+                step_sizes.append(args[2])
             return _fn(*args)
         monkeypatch.setattr(owner, name, counted)
     traj = cointegrate_group(u1(), [1], FlowOptions(t_max=1e3))
-    accepted = len(traj) - 1
-    assert accepted > 2 * flow._LIFT_BLOCK   # the lift spans several blocks
-    assert calls["_rkf45_step"] == accepted  # no rejected step
-    # the start state, then five new stages and the new state per step
-    assert calls["energy_and_gradient"] == 1 + 6 * accepted
-    # the lift makes one generator call (both Gauss nodes of every step of
-    # a block) and one stacked expm per block of steps
-    blocks = math.ceil(accepted / flow._LIFT_BLOCK)
+    samples = len(traj) - 1
+    assert samples > 2 * flow._LIFT_BLOCK   # the lift spans several blocks
+    assert traj.rejected == {"error": 0, "energy": 0, "nonfinite": 0}
+    assert calls["_rkf45_step"] == traj.steps
+    assert traj.steps <= 2 * samples / 3     # the output grid does not set the step
+    # with no rejection the step ends are the running sums of the step sizes;
+    # every other sample after t = 0 was read off the continuous extension
+    ends = set(itertools.accumulate(step_sizes))
+    interior = sum(t not in ends for t in traj.t[1:])
+    assert 0 < interior < samples
+    # the start state, then five new stages and the new state per step, and
+    # one evaluation per interior grid sample
+    assert calls["energy_and_gradient"] == 1 + 6 * traj.steps + interior
+    # the lift makes one generator call (both Gauss nodes of every sample
+    # interval of a block) and one stacked expm per block of intervals
+    blocks = math.ceil(samples / flow._LIFT_BLOCK)
     assert calls["flow_generator"] == blocks
     assert calls["expm"] == blocks
+
+
+def _rk4_reference(p, v0, times, h=1e-3):
+    """Fixed-step RK4 of y' = -grad from v0, landing on each of ``times``."""
+    def rhs(y):
+        return -energy_and_gradient(p, y)[1]
+
+    out, v, t = [], np.array(v0, dtype=complex), 0.0
+    for t_next in times:
+        n = max(1, math.ceil((t_next - t) / h))
+        dt = (t_next - t) / n
+        for _ in range(n):
+            k1 = rhs(v)
+            k2 = rhs(v + 0.5 * dt * k1)
+            k3 = rhs(v + 0.5 * dt * k2)
+            k4 = rhs(v + dt * k3)
+            v = v + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(v)
+        t = t_next
+    return np.array(out)
+
+
+def test_dense_output_matches_tiny_step_reference():
+    p = su2_sym_presentation(3)
+    v0 = np.array([1.0, 0.3 - 0.2j, -0.5, 0.7j])
+    traj = integrate_kempf_ness(p, v0, FlowOptions(t_max=3.0))
+    assert traj.terminated_reason == "t_max"
+    assert len(traj) - 1 > 4 * traj.steps   # most samples are interior
+    ref = _rk4_reference(p, v0, traj.t[1:])
+    rel = np.linalg.norm(traj.v[1:] - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    assert rel.max() <= 1e-8
+
+
+def test_samples_lie_on_the_output_grid():
+    opts = FlowOptions(t_max=50.0)
+    traj = integrate_kempf_ness(u1(), np.array([1.0 + 0j]), opts)
+    grid = [0.0]
+    while grid[-1] < opts.t_max:
+        grid.append(grid[-1] + max(opts.initial_step, opts.sample_growth * grid[-1]))
+    np.testing.assert_array_equal(traj.t, grid[:-1] + [opts.t_max])
+
+
+# -- rejected steps, by cause ------------------------------------------------
+
+def _quadratic(y):
+    """f = |y|^2, whose flow y' = -2y decays without crossing zero."""
+    return float(np.vdot(y, y).real), 2.0 * y
+
+
+def test_rejection_by_local_error_is_counted():
+    traj = integrate_kempf_ness(u1(), np.array([1.0 + 0j]),
+                                FlowOptions(t_max=5.0, initial_step=1.0))
+    assert traj.terminated_reason == "t_max"
+    assert traj.rejected["error"] >= 1
+    assert traj.rejected["energy"] == traj.rejected["nonfinite"] == 0
+
+
+def test_rejection_by_energy_increase_is_counted():
+    # h = 2 puts -2h = -4 outside the real stability interval of the pair,
+    # so |y| grows; a loose atol lets the error test pass, the guard rejects
+    samples, stats = flow._adaptive_flow(
+        _quadratic, [1.0], FlowOptions(t_max=2.0, initial_step=2.0, atol=1e3))
+    assert stats["rejected"] == {"error": 0, "energy": 1, "nonfinite": 0}
+    assert stats["steps"] == 2 and samples[-1]["t"] == 2.0
+
+
+def test_rejection_by_nonfinite_state_is_counted():
+    # the fourth stage of a unit step overshoots below zero, where this
+    # energy is undefined; the half step stays positive
+    def energy(y):
+        if np.any(y.real < 0):
+            return np.nan, np.full_like(y, np.nan)
+        return _quadratic(y)
+
+    samples, stats = flow._adaptive_flow(
+        energy, [1.0], FlowOptions(t_max=1.0, initial_step=1.0, atol=1e3))
+    assert stats["rejected"] == {"error": 0, "energy": 0, "nonfinite": 1}
+    assert stats["steps"] == 2 and samples[-1]["t"] == 1.0
+
+
+def test_polystable_torus_converges_in_few_samples():
+    # a polystable start: f falls below 1e-12 long before the gradient
+    # reaches eps_grad, so the energy guard must be relative to f; the step
+    # budget makes a regression fail fast instead of running for minutes
+    p = torus_presentation([[0, 1], [2, 0], [-1, 1], [1, -2]])
+    v0 = np.array([1j, 2j, -1 + 2j, -1 - 1j])
+    affine = FlowOptions(t_max=300.0, max_steps=5000)
+    projective = FlowOptions(t_max=1e6, max_steps=5000)
+    for traj in (integrate_kempf_ness(p, v0, affine),
+                 integrate_projective(p, v0, projective)):
+        assert traj.terminated_reason == "gradient_small"
+        assert len(traj) <= 1000
+        assert np.all(traj.f[1:] <= traj.f[:-1] * (1 + 1e-12))
 
 
 # -- the group lift against the per-step Magnus update --------------------------
@@ -400,35 +506,39 @@ def test_single_sample_lift_is_identity(tmp_path, projective):
             for j in range(2)] == [1.0, 0.0, 0.0, 1.0]
 
 
-_A = [[], [1 / 4], [3 / 32, 9 / 32],
-      [1932 / 2197, -7200 / 2197, 7296 / 2197],
-      [439 / 216, -8.0, 3680 / 513, -845 / 4104],
-      [-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40]]
-_B5 = [16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55]
-_B4 = [25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0]
+_A = [[], [1 / 5], [3 / 40, 9 / 40],
+      [44 / 45, -56 / 15, 32 / 9],
+      [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+      [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]]
+_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100,
+       1 / 40]
 
 
-def _list_sum_rkf45_step(rhs, y, h):
-    """The Fehlberg step as a Python sum over stages, the independent oracle."""
-    ks = [rhs(y)]
+def _list_sum_dopri_step(energy, y, h):
+    """The Dormand-Prince step as a Python sum over stages, the independent
+    oracle: six stages, the fifth-order solution, its energy and slope as the
+    seventh stage, and the embedded error estimate over all seven."""
+    ks = [-energy(y)[1]]
     for i in range(1, 6):
-        ks.append(rhs(y + h * sum(a * k for a, k in zip(_A[i], ks))))
+        ks.append(-energy(y + h * sum(a * k for a, k in zip(_A[i], ks)))[1])
     y5 = y + h * sum(b * k for b, k in zip(_B5, ks))
+    f5, grad5 = energy(y5)
+    ks.append(-grad5)
     err = h * sum((b5 - b4) * k for b5, b4, k in zip(_B5, _B4, ks))
-    return y5, err, ks
+    return y5, f5, err, ks
 
 
 def test_rkf45_tableau_products_match_list_sums(rng):
     for p in (su2_sym_presentation(4), un_presentation(3),
               torus_presentation([[1, 0], [0, 1], [1, 1]])):
-        def rhs(y):
-            return -energy_and_gradient(p, y)[1]
-
+        energy = partial(energy_and_gradient, p)
         for h in (1e-3, 1e-2, 1e-1):
             y = rng.standard_normal(p.dim_v) + 1j * rng.standard_normal(p.dim_v)
-            y5, err = flow._rkf45_step(rhs, y, h, rhs(y))
-            ref_y5, ref_err, ks = _list_sum_rkf45_step(rhs, y, h)
+            y5, f5, ks, err = flow._rkf45_step(energy, y, h, -energy(y)[1])
+            ref_y5, ref_f5, ref_err, ref_ks = _list_sum_dopri_step(energy, y, h)
             assert np.linalg.norm(y5 - ref_y5) <= 1e-14 * np.linalg.norm(ref_y5)
+            assert abs(f5 - ref_f5) <= 1e-14 * ref_f5
             # err cancels between stages; measure it against its terms
-            scale = h * max(np.linalg.norm(k) for k in ks)
+            scale = h * max(np.linalg.norm(k) for k in ref_ks)
             assert np.linalg.norm(err - ref_err) <= 1e-14 * scale
