@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, StructuralError
+from .linalg import expm
 
 TAU_ALG = 1e-10  # residual tolerance for presentation diagnostics
 
@@ -317,20 +317,21 @@ def direct_sum_presentation(presentations):
     ks = {p.dim_g for p in presentations}
     if len(ks) != 1:
         raise StructuralError("summands must present the same Lie algebra")
-    k = ks.pop()
-    blocks = []
-    for a in range(k):
-        blocks.append(scipy.linalg.block_diag(*[p.basis[a] for p in presentations]))
-    basis = np.stack(blocks)
+    n = sum(p.dim_v for p in presentations)
+    basis = np.zeros((ks.pop(), n, n), dtype=complex)
+    i = 0
+    for p in presentations:
+        basis[:, i:i + p.dim_v, i:i + p.dim_v] = p.basis
+        i += p.dim_v
     return matrix_presentation(basis)
 
 
 def exp_group(xi):
-    """Matrix exponential (scaling-and-squaring via scipy)."""
+    """Matrix exponential of one square matrix (:func:`linalg.expm`)."""
     xi = np.asarray(xi, dtype=complex)
     if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
         raise StructuralError("exp_group expects a square matrix")
-    return scipy.linalg.expm(xi)
+    return expm(xi)
 
 
 def adjoint_coadjoint(p, g, coords, tol=TAU_ALG):

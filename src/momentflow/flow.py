@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DiagnosticError
+from .linalg import expm
 from .representation import energy_and_gradient, flow_generator
 
 __all__ = [
@@ -67,7 +67,9 @@ class FlowTrajectory:
     :func:`reparametrize` for affine trajectories and coincides with ``t``
     for projective ones. ``steps`` counts the accepted integrator steps,
     which differ from the samples; ``rejected`` counts the rejected ones by
-    cause (``error``, ``energy``, ``nonfinite``).
+    cause (``error``, ``energy``, ``nonfinite``); ``evaluations`` counts the
+    energy calls of the integration, rejected steps included; ``h_min`` and
+    ``h_max`` bound the accepted step sizes (NaN with no accepted step).
     """
 
     t: np.ndarray
@@ -82,6 +84,9 @@ class FlowTrajectory:
     eps_grad: float = 1e-10
     steps: int = 0
     rejected: dict = field(default_factory=dict)
+    evaluations: int = 0
+    h_min: float = np.nan
+    h_max: float = np.nan
 
     def __len__(self):
         return len(self.t)
@@ -166,8 +171,8 @@ def _rkf45_step(energy, y, h, k1, postprocess=None):
 
 def _adaptive_flow(energy, y0, opts, postprocess=None):
     """Shared integrator of y' = -grad; returns (samples, stats), where stats
-    holds the ``terminated_reason``, ``steps`` and ``rejected`` fields of the
-    trajectory.
+    holds the ``terminated_reason``, ``steps``, ``rejected``,
+    ``evaluations``, ``h_min`` and ``h_max`` fields of the trajectory.
 
     The error controller and the energy guard alone set the step. Samples
     lie on the output grid t_0 = 0, t_{j+1} = t_j + max(initial_step,
@@ -193,13 +198,16 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
     def finish(reason):
         if samples[-1]["t"] != t:
             samples.append(record(t, y, f, k1))
-        return samples, dict(terminated_reason=reason, steps=steps, rejected=rejected)
+        return samples, dict(terminated_reason=reason, steps=steps, rejected=rejected,
+                             evaluations=evaluations, h_min=min(hs, default=np.nan),
+                             h_max=max(hs, default=np.nan))
 
     t, y = 0.0, np.array(y0, dtype=complex)
-    f, grad = energy(y) if np.all(np.isfinite(y)) else (np.nan, np.full_like(y, np.nan))
+    evaluations = int(np.all(np.isfinite(y)))
+    f, grad = energy(y) if evaluations else (np.nan, np.full_like(y, np.nan))
     k1 = -grad
     samples = [record(t, y, f, k1)]
-    steps, rejected = 0, {"error": 0, "energy": 0, "nonfinite": 0}
+    steps, rejected, hs = 0, {"error": 0, "energy": 0, "nonfinite": 0}, []
     if not (np.isfinite(f) and np.all(np.isfinite(grad))):
         return finish("nonfinite")
     grid = opts.initial_step    # the next output-grid point
@@ -216,7 +224,9 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
 
         h_eff = min(h, opts.t_max - t)
         y_new, f_new, ks, err = _rkf45_step(energy, y, h_eff, k1, postprocess)
+        evaluations += 6
         if not (np.isfinite(f_new) and np.all(np.isfinite(err))):
+            evaluations -= not np.all(np.isfinite(y_new))    # then not evaluated
             rejected["nonfinite"] += 1
             h = 0.5 * h_eff
             continue
@@ -239,6 +249,7 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
                 if postprocess is not None:
                     yg = postprocess(yg, y)
                 fg, gg = energy(yg)
+                evaluations += 1
                 emitted.append(record(tg, yg, fg, -gg))
         # f along the step, from the lower of the state and the last sample
         fs = np.array([min(f, samples[-1]["f"])] + [o["f"] for o in emitted] + [f_new])
@@ -247,6 +258,7 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
             h = 0.5 * h_eff
             continue
         steps += 1
+        hs.append(h_eff)
         t, y, f, k1 = t_new, y_new, f_new, ks[6].copy()
         if not inside or nxt == t:
             emitted.append(record(t, y, f, k1))
@@ -321,7 +333,7 @@ def _lift_path(p, t, v, d, projective):
         a1, a2 = gens
         h = h[:, :, None]
         omega = 0.5 * h * (a1 + a2) + (np.sqrt(3) * h * h / 12.0) * (a2 @ a1 - a1 @ a2)
-        for k, step in enumerate(scipy.linalg.expm(omega), start=a):
+        for k, step in enumerate(expm(omega), start=a):
             np.matmul(step, g[k], out=g[k + 1])
     return g
 

@@ -24,10 +24,10 @@ numerical confirmation.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import adjoint_coadjoint
 from .errors import DomainError
+from .linalg import expm
 from .representation import infinitesimal_action, moment_map
 
 __all__ = [
@@ -245,7 +245,7 @@ def _dexp_left(p, x_coords):
     block = np.zeros(np.shape(x_coords)[:-1] + (2 * k, 2 * k))
     block[..., :k, :k] = -_ad_matrix(p, x_coords)
     block[..., :k, k:] = np.eye(k)
-    return scipy.linalg.expm(block)[..., :k, k:]
+    return expm(block)[..., :k, k:]
 
 
 def _omega_display(model, at, t1, t2, include_bracket=True):
@@ -316,7 +316,7 @@ def infinitesimal_model_action(model, at, xi_g):
     axes, which broadcast.
     """
     p, x = model.parent, model.embed_m(at.xi_m)
-    return _model_action(model, at, xi_g, scipy.linalg.expm(p.matrix(x)), _dexp_left(p, x))
+    return _model_action(model, at, xi_g, expm(p.matrix(x)), _dexp_left(p, x))
 
 
 def _model_action(model, at, xi_g, g, dexp):
@@ -342,7 +342,7 @@ def model_moment_map(model, at):
     """Moment value Ad_g(mu_N(v) + rho) in metric-lowered g-coordinates, over
     the leading axes the point's fields share."""
     p = model.parent
-    g = scipy.linalg.expm(p.matrix(model.embed_m(at.xi_m)))
+    g = expm(p.matrix(model.embed_m(at.xi_m)))
     return adjoint_coadjoint(p, g, _fiber_moment(model, at.rho, at.v)) @ p.metric.T
 
 
@@ -368,7 +368,7 @@ def verify_moment_identity(model, samples, step=1e-4):
     at = ModelPoint(*_stack((q.xi_m, q.rho, q.v) for q, _ in samples))
     xi = np.array([x for _, x in samples], dtype=float)
     p, dm, x = model.parent, model.dim_m, model.embed_m(at.xi_m)
-    g, dexp = scipy.linalg.expm(p.matrix(x)), _dexp_left(p, x)
+    g, dexp = expm(p.matrix(x)), _dexp_left(p, x)
     frame = np.eye(model.dim_chart)[:, None]    # (chart direction, 1, chart)
     frame = (frame[..., :dm], frame[..., dm:2 * dm], frame[..., 2 * dm:])
     moved = at.shifted(frame, np.array([step, -step])[:, None, None, None])

@@ -19,10 +19,9 @@ is the pairing <mu(v), xi_a>. Contravariant coordinates are recovered with
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractViolationError, DegenerateInputError
-from .linalg import hermitian_part
+from .linalg import expm, hermitian_part
 
 H_PATH = 1e-2  # maximal admissible sampling step for Kempf-Ness paths
 
@@ -118,6 +117,9 @@ def kempf_ness_value(p, v0, path, projective=True, step_tol=H_PATH):
     if np.linalg.norm(path[0] - np.eye(n)) > 1e-12:
         raise ContractViolationError("Kempf-Ness paths must start at the identity")
 
+    # imported here, so importing the package never loads scipy.linalg
+    import scipy.linalg
+
     total = 0.0
     for g_prev, g_next in zip(path[:-1], path[1:]):
         x = scipy.linalg.logm(g_next @ np.linalg.inv(g_prev))
@@ -125,7 +127,7 @@ def kempf_ness_value(p, v0, path, projective=True, step_tol=H_PATH):
             raise ContractViolationError(
                 f"path step {np.linalg.norm(x, 2):.3e} exceeds the sampling contract"
             )
-        g_mid = scipy.linalg.expm(0.5 * x) @ g_prev
+        g_mid = expm(0.5 * x) @ g_prev
         w = g_mid @ v0
         if projective:
             mu = projective_moment_map(p, w)

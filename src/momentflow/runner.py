@@ -366,6 +366,9 @@ def run_experiment(exp, out_dir, *, seed=0, tol_scale=1.0, quiet=False):
         f"  clock = {traj.clock}",
         f"  samples = {len(traj)}",
         f"  steps = {traj.steps}",
+        f"  evaluations = {traj.evaluations}",
+        f"  h_min = {_num(traj.h_min)}",
+        f"  h_max = {_num(traj.h_max)}",
         "  rejected = " + ", ".join(f"{cause} {n}" for cause, n in traj.rejected.items()),
         f"  terminated = {traj.terminated_reason}",
         f"  final_time = {_num(traj.t[-1])}",

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, NotAsymptoticError, RayDivergenceError
-from .linalg import hermitian_part, psd_inv_sqrt, psd_sqrt
+from .linalg import eigh_fun, hermitian_part, psd_inv_sqrt, psd_sqrt
 from .rational import rationalize_direction
 
 THETA_RAY = 1e-3      # Cauchy threshold for successive chord directions
@@ -112,8 +111,9 @@ def _whitened_log(p0, p1):
 
 
 def _along(p0, m, s):
-    """The point H0^{1/2} exp(s M) H0^{1/2}, by its factor exp(s M/2) H0^{1/2}."""
-    return SymmetricSpacePoint(scipy.linalg.expm(0.5 * s * m) @ p0.sqrt)
+    """The point H0^{1/2} exp(s M) H0^{1/2}, by its factor exp(s M/2) H0^{1/2};
+    M is Hermitian, so its exponential goes through its spectrum."""
+    return SymmetricSpacePoint(eigh_fun(0.5 * s * m, np.exp) @ p0.sqrt)
 
 
 def distance(p0, p1):

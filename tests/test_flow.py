@@ -287,7 +287,7 @@ def test_one_energy_evaluation_per_state(monkeypatch):
              "expm": 0}
     step_sizes = []
     for owner, name in ((flow, "energy_and_gradient"), (flow, "flow_generator"),
-                        (flow, "_rkf45_step"), (scipy.linalg, "expm")):
+                        (flow, "_rkf45_step"), (flow, "expm")):
         def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
             if _name == "_rkf45_step":
@@ -308,11 +308,14 @@ def test_one_energy_evaluation_per_state(monkeypatch):
     # the start state, then five new stages and the new state per step, and
     # one evaluation per interior grid sample
     assert calls["energy_and_gradient"] == 1 + 6 * traj.steps + interior
+    assert traj.evaluations == calls["energy_and_gradient"]
+    assert (traj.h_min, traj.h_max) == (min(step_sizes), max(step_sizes))
     # the lift makes one generator call (both Gauss nodes of every sample
     # interval of a block) and one stacked expm per block of intervals
     blocks = math.ceil(samples / flow._LIFT_BLOCK)
     assert calls["flow_generator"] == blocks
     assert calls["expm"] == blocks
+    assert calls["expm"] > 0    # the patched name is the one the lift calls
 
 
 def _rk4_reference(p, v0, times, h=1e-3):
@@ -391,6 +394,27 @@ def test_rejection_by_nonfinite_state_is_counted():
         energy, [1.0], FlowOptions(t_max=1.0, initial_step=1.0, atol=1e3))
     assert stats["rejected"] == {"error": 0, "energy": 0, "nonfinite": 1}
     assert stats["steps"] == 2 and samples[-1]["t"] == 1.0
+
+
+@pytest.mark.parametrize("cause, opts, nonfinite_below_zero", [
+    ("energy", FlowOptions(t_max=2.0, initial_step=2.0, atol=1e3), False),
+    ("nonfinite", FlowOptions(t_max=1.0, initial_step=1.0, atol=1e3), True),
+])
+def test_evaluations_count_rejected_steps(cause, opts, nonfinite_below_zero):
+    # the two forced rejections above, with every energy call counted
+    calls = []
+
+    def energy(y):
+        calls.append(1)
+        if nonfinite_below_zero and np.any(y.real < 0):
+            return np.nan, np.full_like(y, np.nan)
+        return _quadratic(y)
+
+    _, stats = flow._adaptive_flow(energy, [1.0], opts)
+    assert stats["rejected"][cause] == 1
+    assert stats["evaluations"] == len(calls)
+    # the accepted steps are the two halves of the rejected first step
+    assert stats["h_min"] == stats["h_max"] == 0.5 * opts.initial_step
 
 
 def test_polystable_torus_converges_in_few_samples():

@@ -367,12 +367,12 @@ def test_verifiers_bound_dexp_calls_per_sample(monkeypatch, rng):
         calls.append(1)
         return _fn(*args)
 
-    def counted_expm(a, _fn=scipy.linalg.expm):
+    def counted_expm(a, _fn=normal_form.expm):
         exponentials.append(int(np.prod(np.shape(a)[:-2])))
         return _fn(a)
 
     monkeypatch.setattr(normal_form, "_dexp_left", counted)
-    monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
+    monkeypatch.setattr(normal_form, "expm", counted_expm)
     for n_samples in (1, 5):
         samples = [(_rand_point(model, rng), rng.standard_normal(p.dim_g))
                    for _ in range(n_samples)]
@@ -382,7 +382,7 @@ def test_verifiers_bound_dexp_calls_per_sample(monkeypatch, rng):
         # one dexp per verification; one exponential per sample for g, one
         # per sample for dexp, one per point shifted along xi_m
         assert len(calls) <= 1
-        assert sum(exponentials) <= n_samples * (2 + 2 * model.dim_m)
+        assert 0 < sum(exponentials) <= n_samples * (2 + 2 * model.dim_m)
     calls.clear()
     triples = [(_rand_point(model, rng), _rand_tangent(model, rng),
                 _rand_tangent(model, rng), _rand_tangent(model, rng))
