@@ -8,25 +8,22 @@ convex-geometry oracle, and numerically verifies the local model-space
 symplectic data around zeros of the moment map.
 """
 
-from .algebra import (GroupPresentation, WeightSystem, adjoint_coadjoint,
-                      direct_sum_presentation, exp_group, matrix_presentation,
+from .algebra import (GroupPresentation, adjoint_coadjoint,
+                      direct_sum_presentation, matrix_presentation,
                       su2_presentation, su2_sym_presentation, torus_presentation,
                       un_presentation, validate_presentation)
-from .degeneration import (DegenerationReport, certify_rational,
-                           compare_with_oracle, hermitian_generator,
+from .degeneration import (DegenerationReport, hermitian_generator,
                            limit_direction, torus_oracle)
 from .flow import (FlowOptions, FlowTrajectory, check_rates, cointegrate_group,
                    fit_lojasiewicz, integrate_kempf_ness, integrate_projective,
                    reparametrize)
 from .normal_form import (ModelPoint, NormalFormModel, build_model,
-                          infinitesimal_model_action, model_moment_map,
-                          model_symplectic_form, verify_closedness,
-                          verify_moment_identity)
+                          model_moment_map, model_symplectic_form,
+                          verify_closedness, verify_moment_identity)
 from .representation import (energy_and_gradient, infinitesimal_action,
                              kempf_ness_value, moment_map,
                              projective_moment_map)
 from .symmetric_space import (GeodesicRay, SymmetricSpacePoint, distance,
-                              exp_map, extract_asymptotic_ray, geodesic,
-                              geodesic_path, log_map)
+                              extract_asymptotic_ray, geodesic, geodesic_path)
 
 __version__ = "0.1.0"

@@ -22,14 +22,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .linalg import expm
 
 TAU_ALG = 1e-10  # residual tolerance for presentation diagnostics
 
 __all__ = [
     "TAU_ALG",
     "GroupPresentation",
-    "WeightSystem",
     "DiagnosticsReport",
     "validate_presentation",
     "torus_presentation",
@@ -40,7 +38,6 @@ __all__ = [
     "sym_power_generator",
     "su2_sym_presentation",
     "direct_sum_presentation",
-    "exp_group",
     "adjoint_coadjoint",
 ]
 
@@ -64,7 +61,8 @@ class GroupPresentation:
     ----------
     dim_v : complex dimension n of the representation space.
     basis : array (k, n, n), skew-Hermitian generators xi_a.
-    metric : array (k, k), Gram matrix of the invariant inner product on g.
+    metric : array (k, k), Gram matrix of the invariant inner product on g;
+        symmetric positive-definite, else :class:`DomainError`.
     kind : 'torus' for diagonal weight actions, 'matrix_basis' otherwise.
     """
 
@@ -85,6 +83,10 @@ class GroupPresentation:
         metric = np.asarray(self.metric, dtype=float)
         if metric.shape != (basis.shape[0], basis.shape[0]):
             raise StructuralError("metric shape must match the basis size")
+        if not (np.all(np.isfinite(metric))
+                and np.abs(metric - metric.T).max() <= TAU_ALG * np.abs(metric).max()
+                and np.linalg.eigvalsh(metric)[0] > 0):
+            raise DomainError("metric must be symmetric positive-definite")
         basis.setflags(write=False)
         metric.setflags(write=False)
         object.__setattr__(self, "basis", basis)
@@ -170,27 +172,6 @@ def _brackets(basis):
     return prod - prod.transpose(1, 0, 2, 3)
 
 
-@dataclass(frozen=True)
-class WeightSystem:
-    """Integer weights of a torus T^k acting diagonally on C^n."""
-
-    rank: int
-    weights: np.ndarray  # (n, k) integer
-
-    def __post_init__(self):
-        w = np.atleast_2d(np.asarray(self.weights, dtype=float))
-        if w.shape[0] == 0:
-            raise StructuralError("weight list must be non-empty")
-        if w.shape[1] != self.rank:
-            raise StructuralError(f"weights must have {self.rank} components")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def dim_v(self):
-        return self.weights.shape[0]
-
-
 @dataclass
 class DiagnosticsReport:
     """Residuals of the defining properties of a presentation."""
@@ -199,22 +180,21 @@ class DiagnosticsReport:
     skewness: float
     bracket_closure: float
     ad_invariance: float
-    tolerance: float = TAU_ALG
 
     def __str__(self):
         status = "ok" if self.ok else "FAILED"
         return (
             f"presentation {status}: skewness={self.skewness:.3e} "
             f"bracket={self.bracket_closure:.3e} ad_invariance={self.ad_invariance:.3e} "
-            f"(tol {self.tolerance:.1e})"
+            f"(tol {TAU_ALG:.1e})"
         )
 
 
-def validate_presentation(p, tol=TAU_ALG):
+def validate_presentation(p):
     """Check skew-Hermitianity, bracket closure and Ad-invariance of the metric.
 
     Returns a :class:`DiagnosticsReport`; ``ok`` is true iff every residual is
-    within ``tol``. Structural problems (shape mismatches) raise instead.
+    within TAU_ALG. Structural problems (shape mismatches) raise instead.
     """
     basis = p.basis
     skewness = np.linalg.norm(basis + basis.conj().transpose(0, 2, 1), axis=(1, 2)).max()
@@ -224,24 +204,25 @@ def validate_presentation(p, tol=TAU_ALG):
     s = p.structure
     ad_res = np.abs(s @ p.metric + (s @ p.metric.T).transpose(0, 2, 1)).max()
 
-    ok = skewness <= tol and bracket <= tol and ad_res <= tol
+    ok = skewness <= TAU_ALG and bracket <= TAU_ALG and ad_res <= TAU_ALG
     return DiagnosticsReport(ok=ok, skewness=float(skewness),
                              bracket_closure=float(bracket),
-                             ad_invariance=float(ad_res), tolerance=tol)
+                             ad_invariance=float(ad_res))
 
 
 def torus_presentation(w):
-    """Diagonal presentation of T^k from a weight system.
+    """Diagonal presentation of T^k from weights ``w``, an (n, k) array.
 
     Generator j is ``i * diag(w_1[j], ..., w_n[j])``; the metric is the
     standard Euclidean form on R^k.
     """
-    if not isinstance(w, WeightSystem):
-        w = WeightSystem(rank=np.atleast_2d(w).shape[1], weights=w)
-    n, k = w.dim_v, w.rank
+    w = np.atleast_2d(np.asarray(w, dtype=float))
+    n, k = w.shape
+    if n == 0:
+        raise StructuralError("weight list must be non-empty")
     basis = np.zeros((k, n, n), dtype=complex)
     for j in range(k):
-        basis[j] = 1j * np.diag(w.weights[:, j])
+        basis[j] = 1j * np.diag(w[:, j])
     return GroupPresentation(dim_v=n, basis=basis, metric=np.eye(k), kind="torus")
 
 
@@ -326,27 +307,19 @@ def direct_sum_presentation(presentations):
     return matrix_presentation(basis)
 
 
-def exp_group(xi):
-    """Matrix exponential of one square matrix (:func:`linalg.expm`)."""
-    xi = np.asarray(xi, dtype=complex)
-    if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
-        raise StructuralError("exp_group expects a square matrix")
-    return expm(xi)
-
-
-def adjoint_coadjoint(p, g, coords, tol=TAU_ALG):
+def adjoint_coadjoint(p, g, coords):
     """Adjoint action Ad_g on g-coordinates: g (sum_a c_a xi_a) g^{-1}.
 
     For elements of the compact group and an Ad-invariant metric this equals
     the coadjoint action, hence the name. ``g`` and ``coords`` may carry
     leading axes. The result is re-expanded in the basis; an expansion
-    residual above ``tol`` * max(1, |g xi g^-1|) at any point means that g
+    residual above TAU_ALG * max(1, |g xi g^-1|) at any point means that g
     does not normalize the algebra and raises :class:`DomainError`.
     """
     conjugated = g @ p.matrix(np.asarray(coords, dtype=float)) @ np.linalg.inv(g)
     out, residual = p._expand(conjugated)
     scale = np.maximum(1.0, np.linalg.norm(conjugated, axis=(-2, -1)))
-    if np.any(residual > tol * scale):
+    if np.any(residual > TAU_ALG * scale):
         raise DomainError(
             f"Ad_g leaves the presented algebra (expansion residual {np.max(residual):.2e})"
         )

@@ -130,6 +130,23 @@ def _load_basis_file(path, no):
     return matrix_presentation(basis, metric=metric)
 
 
+def _positive_finite(text):
+    x = _finite([text])
+    if x is None or x[0] <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return x[0]
+
+
+def _nonnegative_int(text):
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return n
+
+
 def parse_config(text):
     """Build an experiment from config text. Raises ConfigError on problems."""
     cfg = _parse_assignments(text)
@@ -200,10 +217,8 @@ def parse_config(text):
     out_dir, _ = _pop(cfg, "output_dir", default=None)
     value, no = _pop(cfg, "seed", default="0")
     try:
-        seed = int(value)
-        if seed < 0:
-            raise ValueError
-    except ValueError:
+        seed = _nonnegative_int(value)
+    except argparse.ArgumentTypeError:
         raise ConfigError(f"seed must be a nonnegative integer, got {value!r}", no)
 
     if cfg:
@@ -228,9 +243,10 @@ def main(argv=None):
     parser.add_argument("--out-dir", metavar="PATH",
                         help="output directory (fallback: config value, then "
                              "MOMENTFLOW_OUT, then ./momentflow_out)")
-    parser.add_argument("--tol-scale", type=float, default=1.0, metavar="FLOAT",
+    parser.add_argument("--tol-scale", type=_positive_finite, default=1.0,
+                        metavar="FLOAT",
                         help="uniform tolerance relaxation for exploratory runs")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_nonnegative_int, default=None,
                         help="override the experiment seed")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the report echo on stdout")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, InconsistencyError, StructuralError
 from .rational import rationalize_direction
-from .representation import moment_map, projective_moment_map
+from .representation import projective_moment_map
 
 ANGLE_TOL = 1e-3
 ORACLE_MAX_WEIGHTS = 10  # the oracle enumerates all 2^n - 1 faces
@@ -30,9 +30,7 @@ __all__ = [
     "OracleResult",
     "limit_direction",
     "torus_oracle",
-    "compare_with_oracle",
     "oracle_angle",
-    "certify_rational",
     "hermitian_generator",
 ]
 
@@ -70,13 +68,13 @@ def hermitian_generator(p, lowered):
     return mat / norm
 
 
-def limit_direction(p, traj, destabilized=True, nonzero_factor=10.0):
+def limit_direction(p, traj, destabilized=True):
     """Degeneration report from a converged projectivized trajectory.
 
     The rescaled moment value at the final sample is normalized in the
     g-metric. If the input was flagged as destabilized by the origin, a
-    vanishing limit value contradicts the nonzero-limit property and raises
-    :class:`InconsistencyError`.
+    limit value below 10 * eps_grad contradicts the nonzero-limit property
+    and raises :class:`InconsistencyError`.
     """
     if not traj.converged():
         raise DomainError(
@@ -86,7 +84,7 @@ def limit_direction(p, traj, destabilized=True, nonzero_factor=10.0):
     v_inf = v_inf / np.linalg.norm(v_inf)
     mu_hat = projective_moment_map(p, v_inf)
     norm = p.norm_lowered(mu_hat)
-    if destabilized and norm < nonzero_factor * traj.eps_grad:
+    if destabilized and norm < 10.0 * traj.eps_grad:
         raise InconsistencyError(
             f"|mu^([v]_inf)| = {norm:.3e} vanishes on a destabilized input"
         )
@@ -96,7 +94,7 @@ def limit_direction(p, traj, destabilized=True, nonzero_factor=10.0):
         limit_direction=direction,
         limit_point=v_inf,
         spectrum=spectrum,
-        rational_approx=certify_rational(direction),
+        rational_approx=rationalize_direction(direction),
     )
 
 
@@ -123,18 +121,17 @@ def _face_minimum(points):
     return lam @ w
 
 
-def torus_oracle(weights, support=None, max_support=ORACLE_MAX_WEIGHTS,
-                 zero_tol=1e-9):
+def torus_oracle(weights, support=None, max_support=ORACLE_MAX_WEIGHTS):
     """Closest point of conv{w_j : j in support} to the origin, by brute force.
 
     Enumerates every subset of the supported weights, solves the
     equality-constrained quadratic minimum on its affine hull, keeps the
     candidates with nonnegative barycentric coordinates and returns the
-    overall minimizer. If the minimum is (numerically) zero the origin lies
+    overall minimizer. If the squared minimum is at most 1e-9 the origin lies
     in the hull and the semi-stable verdict is returned instead of a
     direction.
     """
-    w = np.atleast_2d(np.asarray(getattr(weights, "weights", weights), dtype=float))
+    w = np.atleast_2d(np.asarray(weights, dtype=float))
     n = w.shape[0]
     if support is None:
         support = tuple(range(n))
@@ -159,7 +156,7 @@ def torus_oracle(weights, support=None, max_support=ORACLE_MAX_WEIGHTS,
                 best = (val, cand)
                 best_face = tuple(support[i] for i in face)
     val, beta = best
-    if val <= zero_tol:
+    if val <= 1e-9:
         return OracleResult(beta=None, semistable=True, min_norm_sq=val)
     return OracleResult(beta=beta, semistable=False, min_norm_sq=val,
                         support_face=best_face)
@@ -178,17 +175,4 @@ def oracle_angle(direction, beta):
     d = np.asarray(direction, dtype=float)
     cosang = float(d @ beta) / (np.linalg.norm(d) * bn)
     return float(np.arccos(np.clip(cosang, -1.0, 1.0)))
-
-
-def compare_with_oracle(report, beta, angle_tol=ANGLE_TOL):
-    """'match' when the flow limit direction lies within ``angle_tol`` of the
-    oracle direction, else 'mismatch'."""
-    angle = oracle_angle(report.limit_direction, beta)
-    return "match" if angle <= angle_tol else "mismatch"
-
-
-def certify_rational(direction, max_denominator=64, angle_tol=ANGLE_TOL):
-    """Integer certificate for a unit direction, or None when honest failure."""
-    return rationalize_direction(direction, max_denominator=max_denominator,
-                                 angle_tol=angle_tol)
 

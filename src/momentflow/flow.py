@@ -62,14 +62,15 @@ class FlowOptions:
 class FlowTrajectory:
     """Time-stamped samples of the flow and (optionally) its group lift.
 
-    ``clock`` names the meaning of ``t``: the affine flow time or the
-    reparametrized time s of the projectivized flow. ``s`` is filled by
-    :func:`reparametrize` for affine trajectories and coincides with ``t``
-    for projective ones. ``steps`` counts the accepted integrator steps,
-    which differ from the samples; ``rejected`` counts the rejected ones by
-    cause (``error``, ``energy``, ``nonfinite``); ``evaluations`` counts the
-    energy calls of the integration, rejected steps included; ``h_min`` and
-    ``h_max`` bound the accepted step sizes (NaN with no accepted step).
+    ``kind`` is ``affine`` or ``projective``; ``clock`` names the meaning of
+    ``t`` it implies: the affine flow time t or the reparametrized time s of
+    the projectivized flow. ``s`` is filled by :func:`reparametrize` for
+    affine trajectories and coincides with ``t`` for projective ones.
+    ``steps`` counts the accepted integrator steps, which differ from the
+    samples; ``rejected`` counts the rejected ones by cause (``error``,
+    ``energy``, ``nonfinite``); ``evaluations`` counts the energy calls of
+    the integration, rejected steps included; ``h_min`` and ``h_max`` bound
+    the accepted step sizes (NaN with no accepted step).
     """
 
     t: np.ndarray
@@ -79,7 +80,6 @@ class FlowTrajectory:
     terminated_reason: str
     s: np.ndarray | None = None
     g: np.ndarray | None = None
-    clock: str = "t"
     kind: str = "affine"
     eps_grad: float = 1e-10
     steps: int = 0
@@ -90,6 +90,10 @@ class FlowTrajectory:
 
     def __len__(self):
         return len(self.t)
+
+    @property
+    def clock(self):
+        return "s" if self.kind == "projective" else "t"
 
     @property
     def v_norm(self):
@@ -268,7 +272,7 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
         h = h_eff * growth
 
 
-def _pack(samples, stats, *, clock, kind, eps_grad, lift=None):
+def _pack(samples, stats, *, kind, eps_grad, lift=None):
     """Stack the sample records into a trajectory; with a presentation
     ``lift`` the group lift of the trajectory fills ``g``."""
     t = np.array([o["t"] for o in samples])
@@ -279,16 +283,16 @@ def _pack(samples, stats, *, clock, kind, eps_grad, lift=None):
     if lift is not None:
         d = np.array([o["d"] for o in samples])
         g = _lift_path(lift, t, v, d, projective=kind == "projective")
-    s = t.copy() if clock == "s" else None
-    return FlowTrajectory(t=t, v=v, f=f, grad_norm=gn, s=s, g=g, clock=clock,
-                          kind=kind, eps_grad=eps_grad, **stats)
+    s = t.copy() if kind == "projective" else None
+    return FlowTrajectory(t=t, v=v, f=f, grad_norm=gn, s=s, g=g, kind=kind,
+                          eps_grad=eps_grad, **stats)
 
 
 def integrate_kempf_ness(p, v0, opts=None):
     """Downward gradient flow of f = |mu|^2 from v0, affine clock."""
     opts = opts or FlowOptions()
     samples, stats = _adaptive_flow(partial(energy_and_gradient, p), v0, opts)
-    return _pack(samples, stats, clock="t", kind="affine", eps_grad=opts.eps_grad)
+    return _pack(samples, stats, kind="affine", eps_grad=opts.eps_grad)
 
 
 # Steps per batched Magnus pass: one generator call and one stacked expm per
@@ -348,8 +352,7 @@ def cointegrate_group(p, v0, opts=None):
     """
     opts = opts or FlowOptions()
     samples, stats = _adaptive_flow(partial(energy_and_gradient, p), v0, opts)
-    return _pack(samples, stats, clock="t", kind="affine", eps_grad=opts.eps_grad,
-                 lift=p)
+    return _pack(samples, stats, kind="affine", eps_grad=opts.eps_grad, lift=p)
 
 
 def projective_energy_gradient(p, v):
@@ -386,7 +389,7 @@ def integrate_projective(p, v0, opts=None, cointegrate=False):
 
     samples, stats = _adaptive_flow(partial(projective_energy_gradient, p), u0, opts,
                                     postprocess=postprocess)
-    return _pack(samples, stats, clock="s", kind="projective", eps_grad=opts.eps_grad,
+    return _pack(samples, stats, kind="projective", eps_grad=opts.eps_grad,
                  lift=p if cointegrate else None)
 
 
@@ -405,10 +408,6 @@ class LojasiewiczFit:
     fit_quality: float        # R^2 of log f against log t (power law)
     semilog_quality: float    # R^2 of log f against t (exponential)
 
-    @property
-    def power_law_preferred(self):
-        return self.fit_quality >= self.semilog_quality
-
 
 def _r_squared(x, y):
     slope, intercept = np.polyfit(x, y, 1)
@@ -419,7 +418,11 @@ def _r_squared(x, y):
     return slope, 1.0 - float(np.sum(resid**2)) / ss_tot
 
 
-def fit_lojasiewicz(traj, min_samples=50):
+# Fewest positive samples, in all and in the final decade, a tail fit takes.
+MIN_FIT_SAMPLES = 50
+
+
+def fit_lojasiewicz(traj):
     """Fit the tail decay rate of f and translate it into an exponent estimate.
 
     The slope m of log f against log t over the final decade of t gives
@@ -429,7 +432,7 @@ def fit_lojasiewicz(traj, min_samples=50):
     """
     t, f = traj.t, traj.f
     pos = (t > 0) & (f > 0)
-    if pos.sum() < min_samples:
+    if pos.sum() < MIN_FIT_SAMPLES:
         raise DiagnosticError("not enough positive samples for a tail fit")
     t, f = t[pos], f[pos]
     t_end = t[-1]
@@ -441,9 +444,9 @@ def fit_lojasiewicz(traj, min_samples=50):
         raise DiagnosticError("f does not decrease over the tail")
 
     window = t >= t_end / 10.0
-    if window.sum() < min_samples:
+    if window.sum() < MIN_FIT_SAMPLES:
         raise DiagnosticError(
-            f"final decade holds {int(window.sum())} samples; need {min_samples}"
+            f"final decade holds {int(window.sum())} samples; need {MIN_FIT_SAMPLES}"
         )
     lt, lf = np.log(t[window]), np.log(f[window])
     slope, r2 = _r_squared(lt, lf)
@@ -462,16 +465,14 @@ class RateReport:
     limit_is_origin: bool = False
 
 
-def check_rates(traj, alpha, limit=None):
+def check_rates(traj, alpha):
     """Plateau check of the polynomial decay rates implied by exponent alpha.
 
     Over the final decade, f(t) * t^(1/(2a-1)) and |v(t) - v_inf| * t^((1-a)/(2a-1))
     must flatten out; the report carries their max/min ratios. For a
-    stationary trajectory the report is flagged not applicable.
-
-    ``limit`` overrides the limit point: 'origin', an explicit vector, or
-    None for auto-detection (a still-collapsing trajectory whose norm keeps
-    shrinking is attributed to the origin).
+    stationary trajectory the report is flagged not applicable. The limit
+    v_inf is the final sample, or the origin for a still-collapsing
+    trajectory whose norm keeps shrinking.
     """
     if len(traj) < 10 or traj.f[0] <= 0 or traj.f[-1] >= traj.f[0] * (1 - 1e-9):
         return RateReport(applicable=False)
@@ -480,19 +481,10 @@ def check_rates(traj, alpha, limit=None):
     e_d = (1 - alpha) / (2 * alpha - 1)
 
     vn = traj.v_norm
-    if limit is None:
-        tail = vn[len(vn) // 2:]
-        still_shrinking = np.all(np.diff(tail) <= 1e-12 * vn[0])
-        limit_is_origin = (vn[-1] <= 1e-2 * vn[0] and still_shrinking
-                           and not traj.converged()) or vn[-1] <= 1e-6 * vn[0]
-    else:
-        limit_is_origin = isinstance(limit, str) and limit == "origin"
-    if limit_is_origin:
-        v_inf = np.zeros_like(traj.v[-1])
-    elif limit is None or isinstance(limit, str):
-        v_inf = traj.v[-1]
-    else:
-        v_inf = np.asarray(limit, dtype=complex)
+    still_shrinking = np.all(np.diff(vn[len(vn) // 2:]) <= 1e-12 * vn[0])
+    limit_is_origin = (vn[-1] <= 1e-2 * vn[0] and still_shrinking
+                       and not traj.converged()) or vn[-1] <= 1e-6 * vn[0]
+    v_inf = np.zeros_like(traj.v[-1]) if limit_is_origin else traj.v[-1]
 
     t_end = t[-1]
     win_f = (t >= t_end / 10.0) & (t > 0)

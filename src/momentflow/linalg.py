@@ -11,8 +11,6 @@ import numpy as np
 __all__ = [
     "hermitian_part",
     "eigh_fun",
-    "psd_sqrt",
-    "psd_inv_sqrt",
     "expm",
 ]
 
@@ -25,14 +23,6 @@ def eigh_fun(h, fun):
     """Apply a scalar function to a Hermitian matrix through its spectrum."""
     w, u = np.linalg.eigh(h)
     return hermitian_part((u * fun(w)) @ u.conj().T)
-
-
-def psd_sqrt(h):
-    return eigh_fun(h, np.sqrt)
-
-
-def psd_inv_sqrt(h):
-    return eigh_fun(h, lambda w: 1.0 / np.sqrt(w))
 
 
 # Coefficients of the [13/13] Pade approximant of exp and the largest 1-norm

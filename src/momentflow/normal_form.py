@@ -35,7 +35,6 @@ __all__ = [
     "ModelPoint",
     "build_model",
     "model_symplectic_form",
-    "infinitesimal_model_action",
     "model_moment_map",
     "verify_moment_identity",
     "verify_closedness",
@@ -159,19 +158,19 @@ class ModelPoint:
                           v=self.v + h * np.asarray(vdot, float))
 
 
-def build_model(p, z0, mu_tol=1e-10):
+def build_model(p, z0):
     """Construct the splitting (g0, m, N) at a zero z0 of the moment map.
 
-    Raises :class:`DomainError` when mu(z0) is not zero to ``mu_tol`` or z0
+    Raises :class:`DomainError` when |mu(z0)| exceeds 1e-10 or z0
     vanishes, and on numerically ambiguous rank decisions in the splitting.
     """
     z0 = np.asarray(z0, dtype=complex)
     if np.linalg.norm(z0) == 0:
         raise DomainError("z0 must be nonzero")
     mu0 = moment_map(p, z0)
-    if p.norm_lowered(mu0) > mu_tol:
+    if p.norm_lowered(mu0) > 1e-10:
         raise DomainError(
-            f"|mu(z0)| = {p.norm_lowered(mu0):.3e} exceeds {mu_tol:.1e}; not a zero"
+            f"|mu(z0)| = {p.norm_lowered(mu0):.3e} exceeds 1.0e-10; not a zero"
         )
 
     lv = infinitesimal_action(p, z0)                     # (n, k)
@@ -306,8 +305,9 @@ def model_symplectic_form(model, at, x1, x2, include_bracket=True):
     return float(total) if np.ndim(total) == 0 else total
 
 
-def infinitesimal_model_action(model, at, xi_g):
-    """Chart tangent of the left G-action generated by xi (g-coordinates).
+def _model_action(model, at, xi_g, g, dexp):
+    """Chart tangent of the left G-action generated by xi (g-coordinates),
+    given g = exp(xi_m) and ``dexp`` = _dexp_left there.
 
     At [g, rho, v] the velocity left-translates to Ad_{g^-1} xi. Its chart
     representative solves dexp(xi_m-dot) + zeta_0 = Ad_{g^-1} xi with
@@ -315,12 +315,6 @@ def infinitesimal_model_action(model, at, xi_g):
     turns zeta_0 into fiber motion. Point fields and xi_g may carry leading
     axes, which broadcast.
     """
-    p, x = model.parent, model.embed_m(at.xi_m)
-    return _model_action(model, at, xi_g, expm(p.matrix(x)), _dexp_left(p, x))
-
-
-def _model_action(model, at, xi_g, g, dexp):
-    """``infinitesimal_model_action`` with g = exp(xi_m) and dexp there given."""
     p = model.parent
     zeta = adjoint_coadjoint(p, np.linalg.inv(g), np.asarray(xi_g, dtype=float))
     # columns: dexp of each m basis direction, then the isotropy basis

@@ -9,13 +9,16 @@ import numpy as np
 
 __all__ = ["rationalize_direction"]
 
+MAX_DENOMINATOR = 64
+ANGLE_TOL = 1e-3
 
-def rationalize_direction(direction, max_denominator=64, angle_tol=1e-3):
+
+def rationalize_direction(direction):
     """Best integer representative of a unit direction, or None.
 
-    Scans common denominators q <= max_denominator against the largest
+    Scans common denominators q <= MAX_DENOMINATOR against the largest
     component, rounds q * d / d_max to integers, and accepts the smallest q
-    whose integer vector points within ``angle_tol`` of ``direction``.
+    whose integer vector points within ANGLE_TOL of ``direction``.
     Returns ``(integers, q)`` with the integer vector reduced by its gcd and
     oriented along the input.
     """
@@ -27,14 +30,14 @@ def rationalize_direction(direction, max_denominator=64, angle_tol=1e-3):
     pivot = int(np.argmax(np.abs(d)))
     ratios = d / d[pivot]
 
-    for q in range(1, max_denominator + 1):
+    for q in range(1, MAX_DENOMINATOR + 1):
         ints = np.round(ratios * q).astype(int)
         if not ints.any():
             continue
         cand = ints.astype(float)
         cosang = abs(cand @ d) / np.linalg.norm(cand)
         angle = float(np.arccos(min(1.0, cosang)))
-        if angle <= angle_tol:
+        if angle <= ANGLE_TOL:
             sign = 1 if cand @ d >= 0 else -1
             ints = sign * ints
             g = np.gcd.reduce(np.abs(ints[ints != 0]))

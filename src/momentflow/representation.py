@@ -93,7 +93,7 @@ def _j_component(p, x):
     return p.coords_of(eta)
 
 
-def kempf_ness_value(p, v0, path, projective=True, step_tol=H_PATH):
+def kempf_ness_value(p, v0, path, projective=True):
     """Integrate the Kempf-Ness one-form along a sampled path in G^C.
 
     Parameters
@@ -105,11 +105,11 @@ def kempf_ness_value(p, v0, path, projective=True, step_tol=H_PATH):
         the result then equals log|g.v0|^2 - log|v0|^2 up to quadrature
         error. With ``projective=False`` the affine moment map is used and
         the value equals |g.v0|^2 - |v0|^2.
-    step_tol : maximal admissible displacement per sample in operator norm.
 
-    The quadrature is composite midpoint on the supplied samples. The
-    normalization of the one-form is fixed so the projectivized value lands
-    on the logarithmic scale above.
+    A step between samples above 1.5 H_PATH in operator norm breaks the
+    sampling contract. The quadrature is composite midpoint on the supplied
+    samples. The normalization of the one-form is fixed so the projectivized
+    value lands on the logarithmic scale above.
     """
     v0 = np.asarray(v0, dtype=complex)
     path = [np.asarray(g, dtype=complex) for g in path]
@@ -123,7 +123,7 @@ def kempf_ness_value(p, v0, path, projective=True, step_tol=H_PATH):
     total = 0.0
     for g_prev, g_next in zip(path[:-1], path[1:]):
         x = scipy.linalg.logm(g_next @ np.linalg.inv(g_prev))
-        if np.linalg.norm(x, 2) > step_tol * 1.5:
+        if np.linalg.norm(x, 2) > H_PATH * 1.5:
             raise ContractViolationError(
                 f"path step {np.linalg.norm(x, 2):.3e} exceeds the sampling contract"
             )

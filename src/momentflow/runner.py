@@ -259,7 +259,7 @@ def _ray(exp, legs, oracle, seed):
     idx = _subsample_geometric(traj.t)
     pts = [SymmetricSpacePoint.from_group(traj.g[i]) for i in idx]
     base = SymmetricSpacePoint.from_matrix(np.eye(exp.presentation.dim_v))
-    ray, diag = extract_asymptotic_ray(pts, base, traj.t[idx])
+    ray, diag = extract_asymptotic_ray(pts, base)
     lines = _ray_diagnostics(diag) + [f"  spectrum = {_vec(diag.spectrum)}",
                                       _rational(ray.rational_approx)]
     # Cauchy decrease is asserted on the final stretch (the transit toward

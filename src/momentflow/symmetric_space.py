@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NotAsymptoticError, RayDivergenceError
-from .linalg import eigh_fun, hermitian_part, psd_inv_sqrt, psd_sqrt
+from .linalg import eigh_fun, hermitian_part
 from .rational import rationalize_direction
 
 THETA_RAY = 1e-3      # Cauchy threshold for successive chord directions
@@ -31,8 +31,6 @@ __all__ = [
     "distance",
     "geodesic",
     "geodesic_path",
-    "log_map",
-    "exp_map",
     "extract_asymptotic_ray",
 ]
 
@@ -77,10 +75,6 @@ class SymmetricSpacePoint:
         """The coset [g], H = g* g."""
         return cls(g)
 
-    @property
-    def n(self):
-        return self.factor.shape[0]
-
     @cached_property
     def H(self):
         return hermitian_part(self.factor.conj().T @ self.factor)
@@ -88,12 +82,12 @@ class SymmetricSpacePoint:
     @cached_property
     def sqrt(self):
         """H^{1/2}."""
-        return psd_sqrt(self.H)
+        return eigh_fun(self.H, np.sqrt)
 
     @cached_property
     def inv_sqrt(self):
         """H^{-1/2}."""
-        return psd_inv_sqrt(self.H)
+        return eigh_fun(self.H, lambda w: 1.0 / np.sqrt(w))
 
 
 def _as_point(x):
@@ -103,7 +97,7 @@ def _as_point(x):
 
 
 def _whitened_log(p0, p1):
-    """M with log_map(p0, p1) = H0^{1/2} M H0^{1/2}; |M|_F is the distance."""
+    """M with log_{H0}(H1) = H0^{1/2} M H0^{1/2}; |M|_F is the distance."""
     p0, p1 = _as_point(p0), _as_point(p1)
     _, sigma, wh = np.linalg.svd(p1.factor @ p0.inv_sqrt)
     w = wh.conj().T
@@ -137,54 +131,22 @@ def geodesic_path(p0, p1, num):
     return [_along(p0, m, u) for u in np.linspace(0.0, 1.0, num)]
 
 
-def log_map(p0, p1):
-    """Initial velocity A of the geodesic from H0 to H1; |A|_H0 = distance."""
-    p0 = _as_point(p0)
-    return hermitian_part(p0.sqrt @ _whitened_log(p0, p1) @ p0.sqrt)
-
-
-def exp_map(p0, direction, s=1.0):
-    """Geodesic from H0 with initial velocity ``direction`` at time s."""
-    p0 = _as_point(p0)
-    return _along(p0, hermitian_part(p0.inv_sqrt @ direction @ p0.inv_sqrt), s)
-
-
-def base_inner(p0, a, b):
-    """Inner product of tangent vectors at H0: Re tr(H0^-1 A H0^-1 B)."""
-    p0 = _as_point(p0)
-    ma = p0.inv_sqrt @ a @ p0.inv_sqrt
-    mb = p0.inv_sqrt @ b @ p0.inv_sqrt
-    return float(np.trace(ma @ mb).real)
-
-
 @dataclass(frozen=True)
 class GeodesicRay:
-    """Unit-speed geodesic ray: base point and base-metric-unit direction."""
+    """Unit-speed geodesic ray: base point and the Hermitian direction
+    H0^{1/2} M H0^{1/2} of a unit-Frobenius M, of unit norm at H0."""
 
     base: SymmetricSpacePoint
     direction: np.ndarray
     rational_approx: tuple | None = None
 
-    def __post_init__(self):
-        d = np.asarray(self.direction, dtype=complex)
-        if np.linalg.norm(d - d.conj().T) > 1e-10 * max(1.0, np.linalg.norm(d)):
-            raise DomainError("ray direction must be Hermitian")
-        norm = np.sqrt(base_inner(self.base, d, d))
-        if abs(norm - 1.0) > 1e-10:
-            raise DomainError(f"ray direction must be unit norm, got {norm}")
-        d.setflags(write=False)
-        object.__setattr__(self, "direction", d)
-
 
 @dataclass
 class RayDiagnostics:
-    clocks: np.ndarray
     distances: np.ndarray
     angles: np.ndarray       # successive chord-direction angles on the tail
-    residuals: np.ndarray    # the fixed-probe residuals for the last samples
+    residuals: np.ndarray    # the probe residuals at arclength 1 for the last samples
     spectrum: np.ndarray
-    probe: float
-    escaped: bool
 
 
 def _chord_angle(m1, m2):
@@ -192,39 +154,35 @@ def _chord_angle(m1, m2):
     return float(np.arccos(np.clip(val, -1.0, 1.0)))
 
 
-def extract_asymptotic_ray(path, base, clocks=None, *, theta_ray=THETA_RAY,
-                           probe=1.0, min_escape=10.0, dist_threshold=5.0,
-                           min_tail=20):
+def extract_asymptotic_ray(path, base):
     """Asymptotic geodesic ray of an escaping path, with Cauchy diagnostics.
 
-    For each tail sample the unit initial direction of the geodesic from
-    ``base`` to the sample is computed; the ray uses the final direction.
-    Diagnostics: the sequence of angles between successive directions (which
-    must settle below ``theta_ray``), and the distance between the geodesic
-    toward each of the last samples and the ray itself at arclength
-    ``probe``. Raises :class:`NotAsymptoticError` if the path is empty or
-    stays bounded and :class:`RayDivergenceError` if the directions fail to
-    settle.
+    The tail is the samples past distance 5 from ``base``; the path must end
+    at distance 10 or more and have at least 20 tail samples. For each tail
+    sample the unit initial direction of the geodesic from ``base`` to the
+    sample is computed; the ray uses the final direction. Diagnostics: the
+    sequence of angles between successive directions (which must settle
+    below THETA_RAY), and the distance between the geodesic toward each of
+    the last samples and the ray itself at arclength 1. Raises
+    :class:`NotAsymptoticError` if the path is empty or stays bounded and
+    :class:`RayDivergenceError` if the directions fail to settle.
     """
     base = _as_point(base)
     points = [_as_point(q) for q in path]
-    if clocks is None:
-        clocks = np.arange(len(points), dtype=float)
-    clocks = np.asarray(clocks, dtype=float)
 
     ms = [_whitened_log(base, q) for q in points]
     dists = np.array([float(np.linalg.norm(m)) for m in ms])
 
     if len(dists) == 0:
         raise NotAsymptoticError("path has no samples")
-    if dists[-1] < min_escape:
+    if dists[-1] < 10.0:
         raise NotAsymptoticError(
-            f"path reaches distance {dists[-1]:.3f} < {min_escape}; not escaping"
+            f"path reaches distance {dists[-1]:.3f} < 10.0; not escaping"
         )
-    tail = np.flatnonzero(dists > dist_threshold)
-    if len(tail) < min_tail:
+    tail = np.flatnonzero(dists > 5.0)
+    if len(tail) < 20:
         raise NotAsymptoticError(
-            f"only {len(tail)} samples past distance {dist_threshold}; need {min_tail}"
+            f"only {len(tail)} samples past distance 5.0; need 20"
         )
     # beyond the threshold the path must keep moving outward
     if np.any(np.diff(dists[tail]) < -0.5):
@@ -236,21 +194,18 @@ def extract_asymptotic_ray(path, base, clocks=None, *, theta_ray=THETA_RAY,
     m_hat = dirs[-1]
     spectrum = np.linalg.eigvalsh(m_hat)
 
-    chi = _along(base, m_hat, probe)
-    resid = [distance(_along(base, m, probe), chi) for m in dirs[-6:-1]]
-    diagnostics = RayDiagnostics(
-        clocks=clocks[tail], distances=dists[tail], angles=angles,
-        residuals=np.array(resid), spectrum=spectrum, probe=probe, escaped=True,
-    )
+    chi = _along(base, m_hat, 1.0)
+    resid = [distance(_along(base, m, 1.0), chi) for m in dirs[-6:-1]]
+    diagnostics = RayDiagnostics(distances=dists[tail], angles=angles,
+                                 residuals=np.array(resid), spectrum=spectrum)
 
-    if len(angles) and angles[-1] > theta_ray:
+    if len(angles) and angles[-1] > THETA_RAY:
         raise RayDivergenceError(
-            f"chord directions not Cauchy: last angle {angles[-1]:.3e} > {theta_ray:.1e}",
+            f"chord directions not Cauchy: last angle {angles[-1]:.3e} > {THETA_RAY:.1e}",
             diagnostics=diagnostics,
         )
 
     direction = hermitian_part(base.sqrt @ m_hat @ base.sqrt)
-    direction /= np.sqrt(base_inner(base, direction, direction))
     ray = GeodesicRay(base=base, direction=direction,
                       rational_approx=rationalize_direction(spectrum))
     return ray, diagnostics

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from conftest import random_presentation
 
-from momentflow.algebra import (GroupPresentation, WeightSystem, adjoint_coadjoint,
-                                exp_group, matrix_presentation, su2_presentation,
+from momentflow.algebra import (GroupPresentation, adjoint_coadjoint,
+                                matrix_presentation, su2_presentation,
                                 su2_sym_presentation, sym_power_generator,
                                 torus_presentation, trace_metric, un_presentation,
                                 validate_presentation)
 from momentflow.errors import DomainError, StructuralError
+from momentflow.linalg import expm
 
 
 def test_validate_diagonal_ok():
@@ -65,13 +66,29 @@ def test_torus_presentation_examples():
 
 
 def test_torus_empty_weights_raises():
-    with pytest.raises(StructuralError):
-        WeightSystem(rank=1, weights=np.zeros((0, 1)))
+    for k in (1, 2):
+        with pytest.raises(StructuralError):
+            torus_presentation(np.zeros((0, k)))
+
+
+@pytest.mark.parametrize("metric", [[[0.0]], [[-1.0]], [[np.nan]],
+                                    [[1.0, 0.5], [0.0, 1.0]]],
+                         ids=["singular", "negative", "nan", "asymmetric"])
+def test_presentation_metric_must_be_symmetric_positive_definite(metric):
+    basis = su2_presentation().basis[:len(metric)]
+    with pytest.raises(DomainError, match="symmetric positive-definite"):
+        GroupPresentation(dim_v=2, basis=basis, metric=metric)
+
+
+def test_trace_metric_of_a_hermitian_basis_is_refused():
+    # -tr(xi^2) < 0 for a Hermitian xi: the default metric is not positive
+    with pytest.raises(DomainError):
+        matrix_presentation(np.array([np.diag([1.0, 0.0])], dtype=complex))
 
 
 def test_exp_group_basics():
-    np.testing.assert_allclose(exp_group(np.zeros((3, 3))), np.eye(3), atol=1e-15)
-    got = exp_group(1j * np.diag([np.pi, np.pi]))
+    np.testing.assert_allclose(expm(np.zeros((3, 3))), np.eye(3), atol=1e-15)
+    got = expm(1j * np.diag([np.pi, np.pi]))
     np.testing.assert_allclose(got, -np.eye(2), atol=1e-12)
 
 
@@ -82,7 +99,7 @@ def test_exp_group_matches_rotation_closed_form(t):
     a = p.basis[0] + 0.5 * p.basis[2]
     theta = np.sqrt(np.linalg.det(a).real)
     expected = np.cos(t * theta) * np.eye(2) + np.sin(t * theta) / theta * a
-    np.testing.assert_allclose(exp_group(t * a), expected, atol=1e-12)
+    np.testing.assert_allclose(expm(t * a), expected, atol=1e-12)
 
 
 def test_exp_group_accurate_up_to_norm_ten(rng):
@@ -93,7 +110,7 @@ def test_exp_group_accurate_up_to_norm_ten(rng):
     for scale in (6.0, 12.0, 19.9):   # |scale * a| up to ~10
         theta = scale * 0.5
         expected = np.cos(theta) * np.eye(2) + np.sin(theta) / theta * (scale * a)
-        got = exp_group(scale * a)
+        got = expm(scale * a)
         rel = np.linalg.norm(got - expected, 2) / np.linalg.norm(expected, 2)
         assert rel <= 1e-12
 
@@ -102,20 +119,20 @@ def test_exp_group_inverse_property(rng):
     for _ in range(10):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         a = 0.5 * (a - a.conj().T)
-        prod = exp_group(a) @ exp_group(-a)
+        prod = expm(a) @ expm(-a)
         assert np.linalg.norm(prod - np.eye(4)) <= 1e-12
 
 
 def test_exp_group_rejects_nonsquare():
-    with pytest.raises(StructuralError):
-        exp_group(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        expm(np.zeros((2, 3)))
 
 
 def test_adjoint_identity_and_torus():
     p = torus_presentation([[1, 0], [0, 1], [1, 1]])
     xi = np.array([0.3, -1.2])
     np.testing.assert_allclose(adjoint_coadjoint(p, np.eye(3), xi), xi, atol=1e-14)
-    g = exp_group(p.matrix([0.5, 0.25]))
+    g = expm(p.matrix([0.5, 0.25]))
     np.testing.assert_allclose(adjoint_coadjoint(p, g, xi), xi, atol=1e-12)
 
 
@@ -123,7 +140,7 @@ def test_adjoint_su2_rotation():
     # Ad along exp(theta xi_1) rotates (xi_2, xi_3): at theta = pi/2,
     # xi_2 -> -xi_3 and xi_3 -> +xi_2 for the [xi_1, xi_2] = -xi_3 basis
     p = su2_presentation()
-    g = exp_group(p.matrix([np.pi / 2, 0.0, 0.0]))
+    g = expm(p.matrix([np.pi / 2, 0.0, 0.0]))
     np.testing.assert_allclose(adjoint_coadjoint(p, g, [0, 1, 0]), [0, 0, -1],
                                atol=1e-12)
     np.testing.assert_allclose(adjoint_coadjoint(p, g, [0, 0, 1]), [0, 1, 0],
@@ -133,8 +150,8 @@ def test_adjoint_su2_rotation():
 def test_adjoint_composition(rng):
     p = su2_sym_presentation(3)
     for _ in range(5):
-        g1 = exp_group(p.matrix(rng.standard_normal(3)))
-        g2 = exp_group(p.matrix(rng.standard_normal(3)))
+        g1 = expm(p.matrix(rng.standard_normal(3)))
+        g2 = expm(p.matrix(rng.standard_normal(3)))
         xi = rng.standard_normal(3)
         lhs = adjoint_coadjoint(p, g1 @ g2, xi)
         rhs = adjoint_coadjoint(p, g1, adjoint_coadjoint(p, g2, xi))

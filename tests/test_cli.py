@@ -131,6 +131,27 @@ def test_tol_scale_relaxes(tmp_path):
     assert strict == 0 and loose == 0
 
 
+@pytest.mark.parametrize("value", ["0", "nan", "-1", "inf"])
+def test_tol_scale_must_be_positive_finite(tmp_path, capsys, value):
+    # 0 divided a bound by zero, inf widened every bound to [-inf, inf]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--builtin", "u1_weight1", "--out-dir", str(out), "--quiet",
+              f"--tol-scale={value}"])
+    assert exc.value.code == 2
+    assert "--tol-scale: must be a positive finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--builtin", "mgs_u1", "--out-dir", str(out), "--quiet", "--seed=-1"])
+    assert exc.value.code == 2
+    assert "--seed: must be a nonnegative integer, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_su2_sym_sum_config_kind():
     cfg = ("group.kind = su2_sym_sum\n"
            "group.degrees = 2, 2\n"
@@ -220,13 +241,24 @@ def test_flow_section_counts_steps_beside_samples(tmp_path):
     "group.kind = su2_sym_sum\ngroup.degrees = 40, 40",
     "group.kind = torus\ngroup.weights = 1,0; 1",
     "group.kind = basis_file\ngroup.basis_path = {bad_json}",
+    "group.kind = basis_file\ngroup.basis_path = {singular_metric}",
+    "group.kind = basis_file\ngroup.basis_path = {negative_metric}",
 ], ids=["degree_abc", "degree_0", "degrees_2x", "degree_1e18", "degrees_1e6",
-        "degrees_sum_over_limit", "ragged_weights", "bad_json"])
+        "degrees_sum_over_limit", "ragged_weights", "bad_json",
+        "singular_metric", "negative_metric"])
 def test_malformed_group_exits_2_with_line(tmp_path, capsys, group):
-    bad_json = tmp_path / "basis.json"
-    bad_json.write_text('{"basis": [')
+    files = {"bad_json": '{"basis": ['}
+    # a u(1) generator with a metric that is not positive-definite: [[0]]
+    # ended in a singular-matrix error, [[-1]] ran to overall = OK
+    u1 = '{"basis": [[[[0, 1], [0, 0]], [[0, 0], [0, -1]]]], "metric": %s}'
+    files["singular_metric"] = u1 % "[[0.0]]"
+    files["negative_metric"] = u1 % "[[-1.0]]"
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(group.format(bad_json=bad_json) + "\ninitial_vector = 1:0, 0:0\n")
+    cfg.write_text(group.format(**paths) + "\ninitial_vector = 1:0, 0:0\n")
     assert main(["--config", str(cfg), "--quiet"]) == 2
     assert "line 2: invalid group." in capsys.readouterr().err
 
@@ -334,9 +366,8 @@ def test_failing_analysis_is_a_fail_check_in_the_report(tmp_path):
 
 
 def test_ray_divergence_diagnostics_in_the_report(tmp_path, monkeypatch):
-    diag = RayDiagnostics(clocks=np.array([1.0, 2.0]), distances=np.array([11.0, 12.5]),
-                          angles=np.array([0.25]), residuals=np.array([0.5, 0.125]),
-                          spectrum=np.zeros(1), probe=1.0, escaped=True)
+    diag = RayDiagnostics(distances=np.array([11.0, 12.5]), angles=np.array([0.25]),
+                          residuals=np.array([0.5, 0.125]), spectrum=np.zeros(1))
 
     def diverging(*args, **kwargs):
         raise RayDivergenceError("chord directions not Cauchy", diagnostics=diag)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from momentflow.algebra import torus_presentation
-from momentflow.degeneration import (certify_rational, compare_with_oracle,
-                                     hermitian_generator, limit_direction,
-                                     torus_oracle)
+from momentflow.degeneration import (ANGLE_TOL, hermitian_generator,
+                                     limit_direction, oracle_angle, torus_oracle)
 from momentflow.errors import DomainError, StructuralError
 from momentflow.flow import FlowOptions, integrate_projective
+from momentflow.rational import rationalize_direction
 
 
 def test_oracle_single_weight():
@@ -93,14 +93,14 @@ def test_limit_matches_oracle_two_weights():
     p, traj = _converged_projective([[1], [2]], [1.0, 1.0])
     rep = limit_direction(p, traj)
     res = torus_oracle([[1], [2]])
-    assert compare_with_oracle(rep, res.beta) == "match"
+    assert oracle_angle(rep.limit_direction, res.beta) <= ANGLE_TOL
 
 
 def test_limit_matches_oracle_c3():
     p, traj = _converged_projective([[1, 0], [0, 1], [1, 1]], [1.0, 1.0, 1.0])
     rep = limit_direction(p, traj)
     res = torus_oracle([[1, 0], [0, 1], [1, 1]])
-    assert compare_with_oracle(rep, res.beta) == "match"
+    assert oracle_angle(rep.limit_direction, res.beta) <= ANGLE_TOL
     np.testing.assert_allclose(rep.limit_direction, np.array([1, 1]) / np.sqrt(2),
                                atol=1e-6)
 
@@ -122,7 +122,7 @@ def test_mismatch_negative_control():
     rep = limit_direction(p, traj)
     wrong = torus_oracle([[1, 0], [2, 0], [2, 2]])
     np.testing.assert_allclose(wrong.beta, [1.0, 0.0])
-    assert compare_with_oracle(rep, wrong.beta) == "mismatch"
+    assert oracle_angle(rep.limit_direction, wrong.beta) > ANGLE_TOL
 
 
 def test_hermitian_generator_convention():
@@ -135,11 +135,11 @@ def test_hermitian_generator_convention():
 
 
 def test_certify_rational_examples():
-    ints, den = certify_rational(np.array([1.0, 1.0]) / np.sqrt(2))
+    ints, den = rationalize_direction(np.array([1.0, 1.0]) / np.sqrt(2))
     assert tuple(ints) == (1, 1) and den == 1
-    ints, den = certify_rational(np.array([1.0, 2.0]) / np.sqrt(5))
+    ints, den = rationalize_direction(np.array([1.0, 2.0]) / np.sqrt(5))
     assert tuple(ints) == (1, 2)
-    ints, den = certify_rational(np.array([-1.0, -1.0]) / np.sqrt(2))
+    ints, den = rationalize_direction(np.array([-1.0, -1.0]) / np.sqrt(2))
     assert tuple(ints) == (-1, -1)
 
 
@@ -148,7 +148,7 @@ def test_certify_rational_honest_failure():
     # at the 1e-3 angle tolerance must refuse
     d = np.array([1.0, 0.504])
     d /= np.linalg.norm(d)
-    assert certify_rational(d) is None
+    assert rationalize_direction(d) is None
 
 
 def test_certify_rational_noise_negative_control():
@@ -156,7 +156,7 @@ def test_certify_rational_noise_negative_control():
     noisy = d + np.array([7e-3, -8e-3])
     noisy /= np.linalg.norm(noisy)
     # the perturbation is ~1e-2 in angle: certification at 1e-3 must refuse
-    got = certify_rational(noisy)
+    got = rationalize_direction(noisy)
     if got is not None:
         ints, _ = got
         cand = np.array(ints, dtype=float)

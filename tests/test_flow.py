@@ -219,7 +219,7 @@ def test_fit_lojasiewicz_scalar_example():
     assert fit.decay_exponent == pytest.approx(2.0, abs=0.05)
     assert fit.alpha_hat == pytest.approx(0.75, abs=0.02)
     assert fit.fit_quality >= 0.999
-    assert fit.power_law_preferred
+    assert fit.fit_quality >= fit.semilog_quality
 
 
 def test_fit_pointwise_gradient_energy_inequality():
@@ -236,8 +236,7 @@ def test_fit_rejects_power_law_on_exponential_decay():
     traj = FlowTrajectory(t=t, v=v, f=f, grad_norm=f.copy(),
                           terminated_reason="t_max")
     fit = fit_lojasiewicz(traj)
-    assert fit.fit_quality <= fit.semilog_quality
-    assert not fit.power_law_preferred
+    assert fit.fit_quality < fit.semilog_quality
 
 
 def test_fit_requires_decay_span():
