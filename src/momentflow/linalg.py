@@ -16,7 +16,8 @@ __all__ = [
 
 
 def hermitian_part(a):
-    return 0.5 * (a + a.conj().T)
+    """(A + A^H) / 2 of a square matrix or of each matrix in a stack."""
+    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
 def eigh_fun(h, fun):

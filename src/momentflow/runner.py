@@ -19,6 +19,7 @@ import numpy as np
 from .algebra import GroupPresentation
 from .degeneration import (ANGLE_TOL, hermitian_generator, limit_direction,
                            oracle_angle, torus_oracle)
+from .errors import DomainError
 from .flow import (FlowOptions, _r_squared, check_rates, cointegrate_group,
                    fit_lojasiewicz, integrate_kempf_ness, integrate_projective,
                    reparametrize)
@@ -339,10 +340,12 @@ def run_experiment(exp, out_dir, *, seed=0, tol_scale=1.0, quiet=False):
     """Execute one experiment; returns (exit_status, report_path).
 
     Exit status 0 means every enabled check passed its documented tolerance
-    (scaled by ``tol_scale``); 1 means a check failed, an analysis raised,
-    a declared bound's check never ran, or the primary flow ended by
-    ``step_underflow`` or ``nonfinite``.
+    (scaled by ``tol_scale``, a positive finite number, else DomainError); 1
+    means a check failed, an analysis raised, a declared bound's check never
+    ran, or the primary flow ended by ``step_underflow`` or ``nonfinite``.
     """
+    if not 0 < tol_scale < INF:
+        raise DomainError(f"tol_scale must be a positive finite number, got {tol_scale!r}")
     os.makedirs(out_dir, exist_ok=True)
     legs, oracle = Legs(exp), Oracle(exp)
     opts = exp.flow_opts

@@ -8,7 +8,7 @@ from momentflow.builtins import BUILTIN_NAMES, get_builtin
 from momentflow import cli
 from momentflow.cli import MAX_SYM_DEGREE, ConfigError, main, parse_config
 from momentflow.degeneration import ORACLE_MAX_WEIGHTS
-from momentflow.errors import RayDivergenceError
+from momentflow.errors import DomainError, RayDivergenceError
 from momentflow.flow import FlowOptions
 from momentflow import runner
 from momentflow.runner import run_experiment
@@ -129,6 +129,15 @@ def test_tol_scale_relaxes(tmp_path):
     loose, _ = run_experiment(get_builtin("u1_weight1"), tmp_path / "l",
                               tol_scale=10.0, quiet=True)
     assert strict == 0 and loose == 0
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+def test_run_experiment_refuses_tol_scale(tmp_path, value):
+    # a library caller meets the same rule as the CLI, before any output
+    out = tmp_path / "out"
+    with pytest.raises(DomainError, match="tol_scale must be a positive finite number"):
+        run_experiment(get_builtin("u1_weight1"), out, tol_scale=value, quiet=True)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["0", "nan", "-1", "inf"])

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentflow.linalg import expm
+from momentflow.linalg import expm, hermitian_part
 
 
 def _norm1(a):
@@ -102,3 +102,11 @@ def test_random_stacks_match_scipy(seed, m, n, log_norm, complex_):
     # each matrix of the stack gets its own norm around 10^log_norm
     norms = 10.0 ** (log_norm + rng.uniform(-1.0, 1.0, m))
     _assert_close_to_scipy(np.stack([_matrix(rng, n, c, complex_) for c in norms]))
+
+
+def test_hermitian_part_of_a_stack(rng):
+    a = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    got = hermitian_part(a)
+    for h, x in zip(got, a):
+        np.testing.assert_array_equal(h, hermitian_part(x))
+        np.testing.assert_array_equal(h, 0.5 * (x + x.conj().T))

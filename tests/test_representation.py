@@ -6,7 +6,8 @@ from conftest import fd_gradient, random_presentation, random_vector
 from momentflow.algebra import adjoint_coadjoint, su2_presentation, torus_presentation
 from momentflow.errors import ContractViolationError, DegenerateInputError
 from momentflow.linalg import expm
-from momentflow.representation import (energy_and_gradient, infinitesimal_action,
+from momentflow.representation import (H_PATH, MIN_NORM, _step_logs,
+                                       energy_and_gradient, infinitesimal_action,
                                        kempf_ness_value, moment_map,
                                        projective_moment_map)
 
@@ -103,8 +104,9 @@ def test_projective_moment_map_degenerate_input():
     p = torus_presentation([[1]])
     with pytest.raises(DegenerateInputError):
         projective_moment_map(p, np.array([0.0 + 0j]))
+    assert MIN_NORM == 1e-150
     with pytest.raises(DegenerateInputError):
-        projective_moment_map(p, np.array([1e-8 + 0j]), min_norm=1e-6)
+        projective_moment_map(p, np.array([1e-151 + 0j]))
 
 
 def test_energy_gradient_closed_form_u1():
@@ -193,16 +195,6 @@ def test_kempf_ness_matches_log_norm_nonabelian(rng):
     assert got == pytest.approx(want, abs=1e-6)
 
 
-def test_kempf_ness_affine_variant_matches_norm_difference():
-    p = torus_presentation([[1]])
-    v0 = np.array([1.0 + 1.0j])
-    path = _exp_path(np.array([[0.5 + 0j]]), np.linspace(0, 1, 2001))
-    got = kempf_ness_value(p, v0, path, projective=False)
-    w = path[-1] @ v0
-    want = np.vdot(w, w).real - np.vdot(v0, v0).real
-    assert got == pytest.approx(want, abs=1e-7)
-
-
 def test_kempf_ness_contract_violations():
     p = torus_presentation([[1]])
     v0 = np.array([1.0 + 0j])
@@ -211,3 +203,54 @@ def test_kempf_ness_contract_violations():
     with pytest.raises(ContractViolationError):
         # two coarse samples: displacement far above the sampling contract
         kempf_ness_value(p, v0, _exp_path(np.array([[1.0 + 0j]]), [0.0, 1.0]))
+
+
+def test_kempf_ness_empty_and_nonfinite_paths():
+    p = torus_presentation([[1]])
+    v0 = np.array([1.0 + 0j])
+    with pytest.raises(ContractViolationError):
+        kempf_ness_value(p, v0, [])
+    path = _exp_path(np.array([[1.0 + 0j]]), np.linspace(0, 1, 201))
+    path[100] = np.array([[np.nan + 0j]])
+    with pytest.raises(ContractViolationError):
+        kempf_ness_value(p, v0, path)
+
+
+def test_kempf_ness_single_sample_is_zero():
+    p = torus_presentation([[1]])
+    assert kempf_ness_value(p, np.array([1.0 + 0j]), [np.eye(1, dtype=complex)]) == 0.0
+
+
+def test_step_logs_match_scipy_logm(rng):
+    # the series for log(I + E) against scipy's logm on steps meeting the contract
+    for n in range(1, 9):
+        xs = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+        xs *= (1.5 * H_PATH * rng.uniform(0.0, 1.0, 6)
+               / np.linalg.norm(xs, 2, axis=(1, 2)))[:, None, None]
+        es = np.stack([scipy.linalg.expm(x) for x in xs]) - np.eye(n)
+        got = _step_logs(es)
+        for e, x in zip(es, got):
+            np.testing.assert_allclose(x, scipy.linalg.logm(np.eye(n) + e), rtol=0, atol=1e-14)
+
+
+def test_kempf_ness_step_bound_before_the_log():
+    # |E| above expm1(1.5 H_PATH) is refused; just below it, the step passes
+    p = torus_presentation([[1]])
+    v0 = np.array([1.0 + 0j])
+    bound = np.expm1(1.5 * H_PATH)
+    with pytest.raises(ContractViolationError):
+        kempf_ness_value(p, v0, [np.eye(1), np.array([[1.0 + bound * (1 + 1e-9)]])])
+    e = bound * (1 - 1e-9)
+    # log|(1 + e) v0|^2 - log|v0|^2, which the midpoint rule gets exactly here
+    assert kempf_ness_value(p, v0, [np.eye(1), np.array([[1.0 + e]])]) == pytest.approx(
+        2 * np.log1p(e), rel=1e-12)
+    # at E = 1.3149..., ten terms of the series sum to 0: only the bound on E sees it
+    roots = np.roots([(-1) ** (j + 1) / j for j in range(10, 0, -1)] + [0.0])
+    e = max(r.real for r in roots if abs(r.imag) < 1e-12)
+    with pytest.raises(ContractViolationError):
+        kempf_ness_value(p, v0, [np.eye(1), np.array([[1.0 + e]])])
+    # a nilpotent E has log(I + E) = E: under the E bound, over the step bound
+    p2 = torus_presentation([[1], [2]])
+    step = np.eye(2, dtype=complex) + [[0.0, 0.0151], [0.0, 0.0]]
+    with pytest.raises(ContractViolationError):
+        kempf_ness_value(p2, np.array([1.0, 1.0 + 0j]), [np.eye(2), step])
