@@ -28,7 +28,6 @@ def _u1_weight1():
         flow_opts=FlowOptions(t_max=1e4),
         mode="affine",
         analyses=("rates",),
-        weights=[[1]],
         checks=(
             ("rates.decay_exponent", 1.95, 2.05),
             ("rates.alpha_hat", 0.73, 0.77),
@@ -47,7 +46,6 @@ def _torus_12():
         flow_opts=FlowOptions(t_max=200.0),
         mode="projective",
         analyses=("rates", "degeneration", "oracle"),
-        weights=[[1], [2]],
         checks=(
             ("degeneration.oracle_angle", 0.0, 1e-3),
             ("degeneration.off_face_mass", 0.0, 1e-4),
@@ -64,7 +62,6 @@ def _torus_c3():
         flow_opts=FlowOptions(t_max=200.0),
         mode="projective",
         analyses=("rates", "degeneration", "oracle", "ray"),
-        weights=[[1, 0], [0, 1], [1, 1]],
         checks=(
             ("degeneration.oracle_angle", 0.0, 1e-3),
             ("ray.final_angle", 0.0, 1e-3),
@@ -91,10 +88,6 @@ def _su2_symd():
         flow_opts=FlowOptions(t_max=300.0, eps_grad=1e-5, rtol=1e-10, atol=1e-14),
         mode="projective",
         analyses=("degeneration", "oracle", "ray"),
-        # the sym-power weights, restricted to the weight support of v0
-        weights=[[2], [1], [0], [-1], [-2]],
-        oracle_support=(0, 1),
-        oracle_embedding=np.array([[0.0], [0.0], [1.0]]),
         checks=(
             ("ray.spectrum_vs_oracle", 0.0, 1e-2),
         ),

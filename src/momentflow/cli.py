@@ -31,7 +31,7 @@ from .algebra import (direct_sum_presentation, matrix_presentation,
                       validate_presentation)
 from .builtins import BUILTIN_NAMES, get_builtin
 from .degeneration import ORACLE_MAX_WEIGHTS
-from .flow import FlowOptions
+from .flow import MIN_STEP, FlowOptions
 from .runner import Experiment, run_experiment
 
 ANALYSES = ("rates", "ray", "degeneration", "oracle", "normal_form")
@@ -45,7 +45,6 @@ class ConfigError(Exception):
     def __init__(self, message, line_no=None):
         prefix = f"line {line_no}: " if line_no is not None else ""
         super().__init__(prefix + message)
-        self.line_no = line_no
 
 
 def _parse_assignments(text):
@@ -159,11 +158,9 @@ def parse_config(text):
             f"group.kind must be torus | su2_sym | su2_sym_sum | basis_file, "
             f"got {kind!r}", kind_no)
     value, no = _pop(cfg, keys[kind], required=True)
-    weights = None
     try:
         if kind == "torus":
-            weights = _parse_weights(value, no)
-            presentation = torus_presentation(weights)
+            presentation = torus_presentation(_parse_weights(value, no))
         elif kind == "su2_sym":
             degree, = _parse_degrees([value], keys[kind], no)
             presentation = su2_sym_presentation(degree)
@@ -200,7 +197,7 @@ def parse_config(text):
     eps_grad = _parse_positive(cfg, "flow.eps_grad", 1e-10)
     # a first step below the integrator's smallest step would underflow at once
     initial_step = _parse_positive(cfg, "flow.initial_step", 1e-3,
-                                   minimum=FlowOptions.min_step)
+                                   minimum=MIN_STEP)
     opts = FlowOptions(t_max=t_max, eps_grad=eps_grad, initial_step=initial_step)
 
     value, no = _pop(cfg, "analyses", default="")
@@ -208,11 +205,11 @@ def parse_config(text):
     for a in analyses:
         if a not in ANALYSES:
             raise ConfigError(f"unknown analysis {a!r}; known: {', '.join(ANALYSES)}", no)
-    if "oracle" in analyses and weights is None:
+    if "oracle" in analyses and presentation.kind != "torus":
         raise ConfigError("the oracle analysis needs a torus weight system", no)
-    if "oracle" in analyses and len(weights) > ORACLE_MAX_WEIGHTS:
+    if "oracle" in analyses and presentation.dim_v > ORACLE_MAX_WEIGHTS:
         raise ConfigError(f"the oracle supports at most {ORACLE_MAX_WEIGHTS} "
-                          f"weights (got {len(weights)})", no)
+                          f"weights (got {presentation.dim_v})", no)
 
     out_dir, _ = _pop(cfg, "output_dir", default=None)
     value, no = _pop(cfg, "seed", default="0")
@@ -226,8 +223,7 @@ def parse_config(text):
         raise ConfigError(f"unknown key {key!r}", cfg[key][1])
 
     exp = Experiment(name="config", presentation=presentation, v0=v0,
-                     flow_opts=opts, mode=mode, analyses=analyses,
-                     weights=weights)
+                     flow_opts=opts, mode=mode, analyses=analyses)
     return exp, out_dir, seed
 
 

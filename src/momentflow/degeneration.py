@@ -29,6 +29,7 @@ __all__ = [
     "DegenerationReport",
     "OracleResult",
     "limit_direction",
+    "diagonal_torus",
     "torus_oracle",
     "oracle_angle",
     "hermitian_generator",
@@ -42,6 +43,7 @@ class DegenerationReport:
     limit_direction: np.ndarray     # normalized, metric-lowered g-coordinates
     limit_point: np.ndarray         # unit representative of [v]_infinity
     spectrum: np.ndarray            # eigenvalues of the induced Hermitian matrix
+    mu_norm: float                  # |mu^([v]_infinity)| in the g-metric
     rational_approx: tuple | None = None
     verdict: str = "no_oracle"
 
@@ -68,11 +70,11 @@ def hermitian_generator(p, lowered):
     return mat / norm
 
 
-def limit_direction(p, traj, destabilized=True):
+def limit_direction(p, traj):
     """Degeneration report from a converged projectivized trajectory.
 
     The rescaled moment value at the final sample is normalized in the
-    g-metric. If the input was flagged as destabilized by the origin, a
+    g-metric. The input is taken to be destabilized by the origin, so a
     limit value below 10 * eps_grad contradicts the nonzero-limit property
     and raises :class:`InconsistencyError`.
     """
@@ -84,7 +86,7 @@ def limit_direction(p, traj, destabilized=True):
     v_inf = v_inf / np.linalg.norm(v_inf)
     mu_hat = projective_moment_map(p, v_inf)
     norm = p.norm_lowered(mu_hat)
-    if destabilized and norm < 10.0 * traj.eps_grad:
+    if norm < 10.0 * traj.eps_grad:
         raise InconsistencyError(
             f"|mu^([v]_inf)| = {norm:.3e} vanishes on a destabilized input"
         )
@@ -94,8 +96,20 @@ def limit_direction(p, traj, destabilized=True):
         limit_direction=direction,
         limit_point=v_inf,
         spectrum=spectrum,
+        mu_norm=norm,
         rational_approx=rationalize_direction(direction),
     )
+
+
+def diagonal_torus(p, v0):
+    """Weights (n, r), support and embedding (k, r) of the torus oracle: each
+    diagonal basis element xi_a gives the weight column Im diag(xi_a) and the
+    embedding column e_a; the support is the nonzero entries of ``v0``."""
+    diag = [a for a, xi in enumerate(p.basis) if np.array_equal(xi, np.diag(np.diagonal(xi)))]
+    if not diag:
+        raise StructuralError("the oracle needs a diagonal basis element")
+    return (np.diagonal(p.basis[diag], axis1=1, axis2=2).imag.T,
+            tuple(int(j) for j in np.flatnonzero(v0)), np.eye(p.dim_g)[:, diag])
 
 
 def _face_minimum(points):
@@ -132,10 +146,7 @@ def torus_oracle(weights, support=None, max_support=ORACLE_MAX_WEIGHTS):
     direction.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
-    n = w.shape[0]
-    if support is None:
-        support = tuple(range(n))
-    support = tuple(sorted(set(support)))
+    support = tuple(sorted(set(range(len(w)) if support is None else support)))
     if len(support) == 0:
         raise StructuralError("oracle support must be non-empty")
     if len(support) > max_support:

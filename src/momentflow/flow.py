@@ -23,6 +23,10 @@ from .errors import DiagnosticError
 from .linalg import expm
 from .representation import energy_and_gradient, flow_generator
 
+MIN_STEP = 1e-14          # a step below this ends the flow by step_underflow
+SAMPLE_GROWTH = 0.04      # ratio of the geometric output grid
+MAX_STEPS = 2_000_000     # budget of accepted and rejected steps
+
 __all__ = [
     "FlowOptions",
     "FlowTrajectory",
@@ -42,9 +46,8 @@ class FlowOptions:
     """Knobs of the adaptive integrator.
 
     ``t_max`` is in the flow's own clock (t for affine, s for projective).
-    ``sample_growth`` is the ratio of the output grid, not a step cap:
-    samples sit at t_0 = 0 and t_{j+1} = t_j + max(initial_step,
-    sample_growth t_j), so log-log fits over the final decade always have
+    The output grid t_0 = 0, t_{j+1} = t_j + max(initial_step, SAMPLE_GROWTH
+    t_j) is not a step cap: log-log fits over the final decade always have
     enough samples, whatever step the error controller takes.
     """
 
@@ -53,9 +56,6 @@ class FlowOptions:
     initial_step: float = 1e-3
     rtol: float = 1e-8
     atol: float = 1e-12
-    min_step: float = 1e-14
-    sample_growth: float = 0.04
-    max_steps: int = 2_000_000
 
 
 @dataclass
@@ -180,7 +180,7 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
 
     The error controller and the energy guard alone set the step. Samples
     lie on the output grid t_0 = 0, t_{j+1} = t_j + max(initial_step,
-    sample_growth t_j): a grid point inside an accepted step is read off the
+    SAMPLE_GROWTH t_j): a grid point inside an accepted step is read off the
     continuous extension (through ``postprocess``) and costs one ``energy``
     call, for its f, grad_norm and slope d = -grad. A step end is a sample
     only when it is a grid point or no grid point fell inside the step; the
@@ -197,7 +197,7 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
                 "d": slope}
 
     def after(tg):    # the output-grid point that follows tg
-        return tg + max(opts.initial_step, opts.sample_growth * tg)
+        return tg + max(opts.initial_step, SAMPLE_GROWTH * tg)
 
     def finish(reason):
         if samples[-1]["t"] != t:
@@ -221,9 +221,9 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
             return finish("gradient_small")
         if t >= opts.t_max * (1 - 1e-15):
             return finish("t_max")
-        if h < opts.min_step:
+        if h < MIN_STEP:
             return finish("step_underflow")
-        if steps + sum(rejected.values()) >= opts.max_steps:
+        if steps + sum(rejected.values()) >= MAX_STEPS:
             raise DiagnosticError("integrator exceeded the step budget")
 
         h_eff = min(h, opts.t_max - t)

@@ -58,8 +58,8 @@ def projective_moment_map(p, v):
     """Moment map of the induced action on P(V): mu(v) / |v|^2."""
     v = np.asarray(v, dtype=complex)
     n2 = float(np.vdot(v, v).real)
-    if n2 <= MIN_NORM**2:
-        raise DegenerateInputError("projective moment map is undefined near v = 0")
+    if not MIN_NORM**2 < n2 < np.inf:
+        raise DegenerateInputError("projective moment map needs a finite |v|^2 away from 0")
     return moment_map(p, v) / n2
 
 
@@ -98,19 +98,22 @@ def kempf_ness_value(p, v0, path):
 
     ``path`` is a nonempty sequence of finite group matrices from the
     identity whose steps x_k = log(g_{k+1} g_k^-1) are at most 1.5 H_PATH in
-    operator norm. Paired with the projectivized moment map, the one-form
-    gives log|g.v0|^2 - log|v0|^2 up to the error of the midpoint rule,
-    applied to all steps at once with midpoints exp(x_k / 2) g_k.
+    operator norm; ``v0`` is finite. Paired with the projectivized moment
+    map, the one-form gives log|g.v0|^2 - log|v0|^2 up to the error of the
+    midpoint rule, applied to all steps at once with midpoints exp(x_k / 2) g_k.
     """
-    g = np.asarray(path, dtype=complex)
-    n = p.dim_v
+    n, v0 = p.dim_v, np.asarray(v0, dtype=complex)
+    try:
+        g = np.asarray(path, dtype=complex)
+    except ValueError:  # matrices of different shapes fail the check below
+        g = np.empty(0)
     if (g.shape[1:] != (n, n) or not len(g) or not np.isfinite(g).all()
-            or np.linalg.norm(g[0] - np.eye(n)) > 1e-12):
-        raise ContractViolationError("a Kempf-Ness path is a nonempty sequence of "
-                                     f"finite {n} x {n} matrices from the identity")
+            or not np.isfinite(v0).all() or np.linalg.norm(g[0] - np.eye(n)) > 1e-12):
+        raise ContractViolationError("a Kempf-Ness path is a nonempty sequence of finite "
+                                     f"{n} x {n} matrices from the identity, on a finite v0")
     x = _step_logs(np.swapaxes(np.linalg.solve(
         np.swapaxes(g[:-1], -1, -2), np.swapaxes(g[1:] - g[:-1], -1, -2)), -1, -2))
-    w = (expm(0.5 * x) @ (g[:-1] @ np.asarray(v0, dtype=complex))[..., None])[..., 0]
+    w = (expm(0.5 * x) @ (g[:-1] @ v0)[..., None])[..., 0]
     n2 = np.einsum("ki,ki->k", w.conj(), w).real
     if (n2 <= MIN_NORM**2).any():
         raise DegenerateInputError("projective moment map is undefined near v = 0")

@@ -17,15 +17,14 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import GroupPresentation
-from .degeneration import (ANGLE_TOL, hermitian_generator, limit_direction,
-                           oracle_angle, torus_oracle)
+from .degeneration import (ANGLE_TOL, diagonal_torus, hermitian_generator,
+                           limit_direction, oracle_angle, torus_oracle)
 from .errors import DomainError
 from .flow import (FlowOptions, _r_squared, check_rates, cointegrate_group,
                    fit_lojasiewicz, integrate_kempf_ness, integrate_projective,
                    reparametrize)
 from .normal_form import (ModelPoint, build_model, model_symplectic_form,
                           verify_closedness, verify_moment_identity)
-from .representation import projective_moment_map
 from .symmetric_space import SymmetricSpacePoint, extract_asymptotic_ray
 
 SECTIONS = ("CONFIG", "FLOW", "RATES", "RAY", "DEGENERATION", "NORMAL_FORM",
@@ -45,8 +44,7 @@ class Experiment:
     """A presentation, a start vector, the flow to run and its analyses.
 
     ``checks`` holds (check name, lo, hi) bounds that tighten the report's
-    checks. ``oracle_embedding`` maps oracle coordinates into g-coordinates
-    (None: identity).
+    checks.
     """
 
     name: str
@@ -55,9 +53,6 @@ class Experiment:
     flow_opts: FlowOptions
     mode: str
     analyses: tuple
-    weights: list | None = None
-    oracle_support: tuple | None = None
-    oracle_embedding: np.ndarray | None = None
     checks: tuple = ()
 
 
@@ -111,20 +106,23 @@ class Oracle:
     exp: Experiment
 
     @cached_property
+    def torus(self):
+        """Weights, support and embedding of the oracle's torus."""
+        return diagonal_torus(self.exp.presentation, self.exp.v0)
+
+    @cached_property
     def result(self):
         """The oracle's answer, or None when the run has no oracle."""
-        exp = self.exp
-        if "oracle" not in exp.analyses or exp.weights is None:
+        if "oracle" not in self.exp.analyses:
             return None
-        return torus_oracle(exp.weights, support=exp.oracle_support)
+        weights, support, _ = self.torus
+        return torus_oracle(weights, support=support)
 
     @cached_property
     def spectrum(self):
         """Sorted spectrum of the generator of a destabilizing oracle beta,
         the conjugacy invariant the degeneration and ray spectra meet."""
-        p, beta = self.exp.presentation, self.result.beta
-        if self.exp.oracle_embedding is not None:
-            beta = self.exp.oracle_embedding @ beta
+        p, beta = self.exp.presentation, self.torus[2] @ self.result.beta
         return np.linalg.eigvalsh(hermitian_generator(p, p.lower(beta)))
 
 
@@ -207,13 +205,12 @@ def _rates(exp, legs, oracle, seed):
 def _degeneration(exp, legs, oracle, seed):
     p, proj = exp.presentation, legs.projective
     report = limit_direction(p, proj)
-    mu_norm = p.norm_lowered(projective_moment_map(p, report.limit_point))
     lines = [f"  limit_direction = {_vec(report.limit_direction)}",
              f"  spectrum = {_vec(report.spectrum)}",
              _rational(report.rational_approx),
-             f"  limit_mu_norm = {_num(mu_norm)}"]
+             f"  limit_mu_norm = {_num(report.mu_norm)}"]
     checks = [("degeneration.limit_nonzero",
-               float(mu_norm >= 10.0 * proj.eps_grad), 1.0, 1.0)]
+               float(report.mu_norm >= 10.0 * proj.eps_grad), 1.0, 1.0)]
 
     if oracle.result is None:
         lines.append("  oracle = not run")
@@ -223,13 +220,12 @@ def _degeneration(exp, legs, oracle, seed):
         beta = oracle.result.beta
         lines += [f"  oracle_beta = {_vec(beta)}",
                   f"  oracle_face = {list(oracle.result.support_face)}"]
-        if p.kind == "torus" and exp.oracle_embedding is None:
+        if p.kind == "torus":
             angle = oracle_angle(report.limit_direction, beta)
             report.verdict = "match" if angle <= ANGLE_TOL else "mismatch"
             # collapse onto the minimizing face: mass off the face must vanish
-            off = [abs(report.limit_point[j]) for j in range(p.dim_v)
-                   if j not in oracle.result.support_face]
-            off_mass = max(off) if off else 0.0
+            off_mass = max((abs(report.limit_point[j]) for j in range(p.dim_v)
+                            if j not in oracle.result.support_face), default=0.0)
             lines += [f"  verdict = {report.verdict}",
                       f"  oracle_angle = {_num(angle)}",
                       f"  off_face_mass = {_num(off_mass)}"]

@@ -161,8 +161,10 @@ def test_criterion_6_nonabelian_conjugacy():
     idx = _subsample_geometric(traj.t)
     pts = [SymmetricSpacePoint.from_group(traj.g[i]) for i in idx]
     ray, diag = extract_asymptotic_ray(pts, np.eye(5))
-    beta = torus_oracle(exp.weights, support=exp.oracle_support).beta
-    coords = exp.oracle_embedding @ beta
+    # the maximal torus: i sigma_z / 2, the third generator, has the weights
+    # 2, 1, 0, -1, -2 on Sym^4; v0 has mass on the first two weight lines only
+    beta = torus_oracle([[2], [1], [0], [-1], [-2]], support=(0, 1)).beta
+    coords = np.array([[0.0], [0.0], [1.0]]) @ beta
     spec_oracle = np.linalg.eigvalsh(
         hermitian_generator(exp.presentation, exp.presentation.lower(coords)))
     spec_err = float(np.max(np.abs(diag.spectrum - spec_oracle)))

@@ -320,6 +320,32 @@ def test_oracle_weight_limit_exits_2_with_line(tmp_path, capsys):
     assert f"line 5: the oracle supports at most {ORACLE_MAX_WEIGHTS} weights" in err
 
 
+ZERO_ENTRY_CONFIG = """\
+group.kind = torus
+group.weights = 1,-1; 1,1; 0.5,0.5
+initial_vector = 0.6:0, 0.8:0, 0:0
+flow.mode = projective
+flow.t_max = 200
+flow.eps_grad = 1e-8
+analyses = degeneration, oracle
+"""
+
+
+def test_oracle_sees_only_the_support_of_the_start_vector(tmp_path):
+    # the weight (0.5, 0.5) has no mass in v0: over the full weight set the
+    # oracle would answer (0.6, 0.2) and the flow would read as a mismatch
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(ZERO_ENTRY_CONFIG)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 0
+    lines = (out / "report.txt").read_text().splitlines()
+    assert "  oracle_face = [0, 1]" in lines
+    assert "  oracle_beta = [1.0, 0.0]" in lines
+    assert "  verdict = match" in lines
+    angle, = (line for line in lines if line.startswith("  oracle_angle = "))
+    assert float(angle.split("=")[1]) <= 1e-3
+
+
 _NO_ANALYSIS = {"mode": "affine", "analyses": ()}
 
 

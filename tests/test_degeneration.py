@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from momentflow.algebra import torus_presentation
-from momentflow.degeneration import (ANGLE_TOL, hermitian_generator,
-                                     limit_direction, oracle_angle, torus_oracle)
+from momentflow.algebra import (matrix_presentation, su2_presentation,
+                                su2_sym_presentation, torus_presentation)
+from momentflow.builtins import get_builtin
+from momentflow.degeneration import (ANGLE_TOL, diagonal_torus,
+                                     hermitian_generator, limit_direction,
+                                     oracle_angle, torus_oracle)
 from momentflow.errors import DomainError, StructuralError
 from momentflow.flow import FlowOptions, integrate_projective
 from momentflow.rational import rationalize_direction
@@ -45,6 +48,32 @@ def test_oracle_support_restriction():
     np.testing.assert_allclose(res.beta, [1.0])
     # full support is semistable
     assert torus_oracle([[2], [1], [0], [-1], [-2]]).semistable
+
+
+def test_diagonal_torus_of_sym_power_is_the_sym_power_weights():
+    # the maximal torus of su(2) on Sym^4, restricted to the support of the
+    # su2_symd start vector
+    weights, support, embedding = diagonal_torus(su2_sym_presentation(4),
+                                                 get_builtin("su2_symd").v0)
+    np.testing.assert_array_equal(weights, [[2], [1], [0], [-1], [-2]])
+    assert support == (0, 1) and all(type(j) is int for j in support)
+    np.testing.assert_array_equal(embedding, [[0], [0], [1]])
+
+
+def test_diagonal_torus_of_a_torus_presentation_is_its_weights():
+    w = [[1, 0], [0.5, -2], [1, 1]]
+    weights, support, embedding = diagonal_torus(torus_presentation(w),
+                                                 np.array([1.0, 0.0, 1j]))
+    np.testing.assert_array_equal(weights, w)
+    assert support == (0, 2)
+    np.testing.assert_array_equal(embedding, np.eye(2))
+
+
+def test_diagonal_torus_needs_a_diagonal_basis_element():
+    # i sigma_x / 2 and i sigma_y / 2 alone: no basis element is diagonal
+    p = matrix_presentation(su2_presentation().basis[:2])
+    with pytest.raises(StructuralError):
+        diagonal_torus(p, np.ones(2))
 
 
 def test_oracle_size_limit():
@@ -175,7 +204,4 @@ def test_limit_inconsistency_on_semistable_flagged_destabilized():
     traj = integrate_projective(p, v0, FlowOptions(t_max=1e6))
     assert traj.converged()
     with pytest.raises(InconsistencyError):
-        limit_direction(p, traj, destabilized=True)
-    # and is fine when flagged honestly
-    rep = limit_direction(p, traj, destabilized=False)
-    assert rep.limit_point is not None
+        limit_direction(p, traj)

@@ -93,14 +93,15 @@ def test_cointegrate_lift_consistency():
     assert worst <= 1e-6 * np.linalg.norm(v0)
 
 
-def test_cointegrate_abelian_diagonal_log_quadrature():
+def test_cointegrate_abelian_diagonal_log_quadrature(monkeypatch):
     # g stays diagonal; log g equals the quadrature of the diagonal generator
     # (dense sampling + Simpson so the reference quadrature is good to 1e-6)
     from scipy.integrate import cumulative_simpson
 
     p = torus_presentation([[1], [2]])
     v0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    traj = cointegrate_group(p, v0, FlowOptions(t_max=20.0, sample_growth=5e-4))
+    monkeypatch.setattr(flow, "SAMPLE_GROWTH", 5e-4)
+    traj = cointegrate_group(p, v0, FlowOptions(t_max=20.0))
     off = max(abs(traj.g[i][0, 1]) + abs(traj.g[i][1, 0]) for i in range(len(traj)))
     assert off == 0.0
     gens = np.array([np.diagonal(flow_generator(p, v)).real for v in traj.v])
@@ -143,15 +144,14 @@ def test_projective_c3_limit_direction():
     np.testing.assert_allclose(direction, [1, 1] / np.sqrt(2), atol=1e-6)
 
 
-def test_projective_matches_affine_through_clock():
+def test_projective_matches_affine_through_clock(monkeypatch):
     # pushing the affine flow through normalization and the clock s reproduces
     # the projectivized flow on overlapping s-ranges
     p = torus_presentation([[1], [2]])
     v0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    affine = reparametrize(integrate_kempf_ness(
-        p, v0, FlowOptions(t_max=2e3, sample_growth=0.002)))
-    proj = integrate_projective(p, v0, FlowOptions(t_max=affine.s[-1],
-                                                   sample_growth=0.002))
+    monkeypatch.setattr(flow, "SAMPLE_GROWTH", 0.002)
+    affine = reparametrize(integrate_kempf_ness(p, v0, FlowOptions(t_max=2e3)))
+    proj = integrate_projective(p, v0, FlowOptions(t_max=affine.s[-1]))
     s_common = np.linspace(0.2, min(affine.s[-1], proj.t[-1]) * 0.95, 40)
     for i in range(2):
         aff_curve = np.interp(s_common, affine.s, np.abs(affine.v[:, i]) / affine.v_norm)
@@ -170,9 +170,9 @@ def test_tolerance_halving_convergence():
 
 def test_step_underflow_reported():
     p = u1()
+    assert flow.MIN_STEP == 1e-14
     traj = integrate_kempf_ness(p, np.array([1.0 + 0j]),
-                                FlowOptions(t_max=1.0, initial_step=1e-15,
-                                            min_step=1e-14))
+                                FlowOptions(t_max=1.0, initial_step=1e-15))
     assert traj.terminated_reason == "step_underflow"
 
 
@@ -353,7 +353,7 @@ def test_samples_lie_on_the_output_grid():
     traj = integrate_kempf_ness(u1(), np.array([1.0 + 0j]), opts)
     grid = [0.0]
     while grid[-1] < opts.t_max:
-        grid.append(grid[-1] + max(opts.initial_step, opts.sample_growth * grid[-1]))
+        grid.append(grid[-1] + max(opts.initial_step, flow.SAMPLE_GROWTH * grid[-1]))
     np.testing.assert_array_equal(traj.t, grid[:-1] + [opts.t_max])
 
 
@@ -416,14 +416,15 @@ def test_evaluations_count_rejected_steps(cause, opts, nonfinite_below_zero):
     assert stats["h_min"] == stats["h_max"] == 0.5 * opts.initial_step
 
 
-def test_polystable_torus_converges_in_few_samples():
+def test_polystable_torus_converges_in_few_samples(monkeypatch):
     # a polystable start: f falls below 1e-12 long before the gradient
     # reaches eps_grad, so the energy guard must be relative to f; the step
     # budget makes a regression fail fast instead of running for minutes
     p = torus_presentation([[0, 1], [2, 0], [-1, 1], [1, -2]])
     v0 = np.array([1j, 2j, -1 + 2j, -1 - 1j])
-    affine = FlowOptions(t_max=300.0, max_steps=5000)
-    projective = FlowOptions(t_max=1e6, max_steps=5000)
+    monkeypatch.setattr(flow, "MAX_STEPS", 5000)
+    affine = FlowOptions(t_max=300.0)
+    projective = FlowOptions(t_max=1e6)
     for traj in (integrate_kempf_ness(p, v0, affine),
                  integrate_projective(p, v0, projective)):
         assert traj.terminated_reason == "gradient_small"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_presentation, random_vector
-from momentflow.flow import (FlowOptions, cointegrate_group,
+from momentflow.flow import (SAMPLE_GROWTH, FlowOptions, cointegrate_group,
                              integrate_kempf_ness, integrate_projective)
 
 ENDED = {"t_max", "gradient_small"}
@@ -22,7 +22,7 @@ def _on_output_grid(traj, opts):
     point, so there are at most ``traj.steps`` of those."""
     grid = [0.0]
     while grid[-1] < traj.t[-1]:
-        grid.append(grid[-1] + max(opts.initial_step, opts.sample_growth * grid[-1]))
+        grid.append(grid[-1] + max(opts.initial_step, SAMPLE_GROWTH * grid[-1]))
     samples = set(traj.t.tolist())
     if not samples.issuperset(grid[:-1]):
         return False

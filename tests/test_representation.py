@@ -109,6 +109,13 @@ def test_projective_moment_map_degenerate_input():
         projective_moment_map(p, np.array([1e-151 + 0j]))
 
 
+def test_projective_moment_map_nonfinite_input():
+    p = torus_presentation([[1]])
+    for x in (np.nan, np.inf, 1e200):    # the last one overflows |v|^2
+        with pytest.raises(DegenerateInputError):
+            projective_moment_map(p, np.array([x + 0j]))
+
+
 def test_energy_gradient_closed_form_u1():
     p = torus_presentation([[1]])
     v = np.array([1.3 * np.exp(0.7j)])
@@ -214,6 +221,18 @@ def test_kempf_ness_empty_and_nonfinite_paths():
     path[100] = np.array([[np.nan + 0j]])
     with pytest.raises(ContractViolationError):
         kempf_ness_value(p, v0, path)
+
+
+def test_kempf_ness_nonfinite_start_vector():
+    p = torus_presentation([[1]])
+    with pytest.raises(ContractViolationError):
+        kempf_ness_value(p, np.array([np.nan + 0j]), [np.eye(1), 1.001 * np.eye(1)])
+
+
+def test_kempf_ness_path_of_mismatched_shapes():
+    p = torus_presentation([[1]])
+    with pytest.raises(ContractViolationError):
+        kempf_ness_value(p, np.array([1.0 + 0j]), [np.eye(1), np.eye(2)])
 
 
 def test_kempf_ness_single_sample_is_zero():
