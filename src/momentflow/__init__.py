@@ -17,9 +17,9 @@ from .degeneration import (DegenerationReport, hermitian_generator,
 from .flow import (FlowOptions, FlowTrajectory, check_rates, cointegrate_group,
                    fit_lojasiewicz, integrate_kempf_ness, integrate_projective,
                    reparametrize)
-from .normal_form import (ModelPoint, NormalFormModel, build_model,
-                          model_moment_map, model_symplectic_form,
-                          verify_closedness, verify_moment_identity)
+from .normal_form import (NormalFormModel, build_model, model_moment_map,
+                          model_symplectic_form, verify_closedness,
+                          verify_moment_identity)
 from .representation import (energy_and_gradient, infinitesimal_action,
                              kempf_ness_value, moment_map,
                              projective_moment_map)

@@ -5,7 +5,8 @@ Lie algebra into the isotropy part g0 = {xi : xi.z0 = 0} and its metric
 complement m, and V into the orbit directions g.z0 + J0 g.z0 and the slice
 N (their real-orthogonal complement). The isotropy group acts linearly on N
 with moment map mu_N. Points of the model near the identity coset are
-charted as (xi_m, rho, v) with group part exp(xi_m).
+charted as [exp(xi_m), rho, v], valid for |xi_m| <= 1; a chart point or
+tangent is one float array (..., dim_chart) laid out [xi_m | rho | v].
 
 The module evaluates the explicit model symplectic form
 
@@ -32,13 +33,14 @@ from .representation import infinitesimal_action, moment_map
 
 __all__ = [
     "NormalFormModel",
-    "ModelPoint",
     "build_model",
     "model_symplectic_form",
     "model_moment_map",
     "verify_moment_identity",
     "verify_closedness",
 ]
+
+FD_STEP = 1e-4  # central-difference step of both verifications
 
 
 def _omega0(a, b):
@@ -47,14 +49,14 @@ def _omega0(a, b):
     return np.sum(b.real * a.imag - b.imag * a.real, axis=-1)
 
 
-def _real_nullspace(a, cutoff=1e-8):
+def _real_nullspace(a):
     """Orthonormal basis (rows) of the real nullspace of a real matrix."""
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return np.eye(a.shape[1])
     u, s, vt = np.linalg.svd(a)
     smax = s.max() if len(s) else 0.0
-    tol = cutoff * max(smax, 1.0)
+    tol = 1e-8 * max(smax, 1.0)
     gray = [x for x in s if tol * 1e-2 < x < tol * 1e2 and x > 0]
     if smax > 0 and gray:
         raise DomainError(
@@ -108,6 +110,11 @@ class NormalFormModel:
     def dim_chart(self):
         return 2 * self.dim_m + self.dim_n
 
+    def split(self, x):
+        """Views (xi_m, rho, v) of a chart array (..., dim_chart)."""
+        x, dm = np.asarray(x, dtype=float), self.dim_m
+        return x[..., :dm], x[..., dm:2 * dm], x[..., 2 * dm:]
+
     # -- embeddings ---------------------------------------------------------
 
     def g0_matrices(self):
@@ -141,21 +148,6 @@ class NormalFormModel:
         """Derivative of mu_N at v along vdot, coordinates in g0_basis."""
         gu = np.einsum("anm,...m->...an", self.g0_matrices(), self.slice_vector(v))
         return _omega0(gu, self.slice_vector(vdot)[..., None, :])
-
-
-@dataclass(frozen=True)
-class ModelPoint:
-    """Chart point [exp(xi_m), rho, v]; valid for |xi_m| <= 1."""
-
-    xi_m: np.ndarray
-    rho: np.ndarray
-    v: np.ndarray
-
-    def shifted(self, tangent, h):
-        xi, rdot, vdot = tangent
-        return ModelPoint(xi_m=self.xi_m + h * np.asarray(xi, float),
-                          rho=self.rho + h * np.asarray(rdot, float),
-                          v=self.v + h * np.asarray(vdot, float))
 
 
 def build_model(p, z0):
@@ -203,21 +195,21 @@ def build_model(p, z0):
     return model
 
 
-def _check_invariants(model, tol_kill=1e-10, tol_perp=1e-12, tol_j=1e-10):
+def _check_invariants(model):
     p, z0 = model.parent, model.z0
     kill = np.linalg.norm(model.g0_matrices() @ z0, axis=-1)
-    if np.any(kill > tol_kill * max(1, np.linalg.norm(z0))):
+    if np.any(kill > 1e-10 * max(1, np.linalg.norm(z0))):
         raise DomainError("an isotropy direction fails to annihilate z0")
-    if np.any(np.abs(model.g0_basis @ p.metric @ model.m_basis.T) > tol_perp):
+    if np.any(np.abs(model.g0_basis @ p.metric @ model.m_basis.T) > 1e-12):
         raise DomainError("m is not metric-orthogonal to g0")
     orbit = model.m_basis @ infinitesimal_action(p, z0).T
     orbit = np.vstack([orbit, 1j * orbit])
     scale = np.maximum(1.0, np.linalg.norm(orbit, axis=-1))[:, None]
-    if np.any(np.abs((orbit.conj() @ model.n_basis.T).real) > tol_perp * scale):
+    if np.any(np.abs((orbit.conj() @ model.n_basis.T).real) > 1e-12 * scale):
         raise DomainError("slice is not orthogonal to the orbit directions")
     # J0-invariance: i*b must stay in the slice span
     jb = 1j * model.n_basis
-    if np.any(np.linalg.norm(jb - model.slice_coords(jb) @ model.n_basis, axis=-1) > tol_j):
+    if np.any(np.linalg.norm(jb - model.slice_coords(jb) @ model.n_basis, axis=-1) > 1e-10):
         raise DomainError("slice is not J0-invariant")
 
 
@@ -258,34 +250,35 @@ def _omega_display(model, at, t1, t2, include_bracket=True):
     p = model.parent
     z1, r1, v1 = t1
     z2, r2, v2 = t2
+    _, rho, v = model.split(at)
 
     def pairing(x, y):
         return np.sum((x @ p.metric) * y, axis=-1)
 
-    pair1 = model.embed_m(r2) + model.embed_g0(model.d_mu_n(at.v, v2))
-    pair2 = model.embed_m(r1) + model.embed_g0(model.d_mu_n(at.v, v1))
+    pair1 = model.embed_m(r2) + model.embed_g0(model.d_mu_n(v, v2))
+    pair2 = model.embed_m(r1) + model.embed_g0(model.d_mu_n(v, v1))
     total = pairing(pair1, z1) - pairing(pair2, z2)
 
     if include_bracket:
-        total = total + pairing(_fiber_moment(model, at.rho, at.v), _bracket(p, z1, z2))
+        total = total + pairing(_fiber_moment(model, at), _bracket(p, z1, z2))
 
     total = total + _omega0(p.matrix(z1) @ model.z0, p.matrix(z2) @ model.z0)
     return total + _omega0(model.slice_vector(v1), model.slice_vector(v2))
 
 
 def _intrinsic(model, dexp, x):
-    """Intrinsic representative of a chart tangent (xi_m dot, rho dot, v dot).
+    """Intrinsic representative (zeta, rho dot, v dot) of a chart tangent.
 
     Chart coordinate velocities at exp(xi_m) left-translate through the
-    differential ``dexp`` of exp there; the fiber components pass through
-    unchanged.
+    differential ``dexp`` of exp there to zeta in g; the fiber components
+    pass through unchanged.
     """
-    xi, rdot, vdot = (np.asarray(a, dtype=float) for a in x)
+    xi, rdot, vdot = model.split(x)
     return ((dexp @ model.embed_m(xi)[..., None])[..., 0], rdot, vdot)
 
 
 def model_symplectic_form(model, at, x1, x2, include_bracket=True):
-    """Evaluate the model two-form on chart tangents (xi, rho_dot, v_dot).
+    """Evaluate the model two-form at chart point ``at`` on chart tangents.
 
     The group components of chart tangents are m-valued coordinate
     velocities; away from the chart center they are converted to intrinsic
@@ -295,10 +288,10 @@ def model_symplectic_form(model, at, x1, x2, include_bracket=True):
     this deliberately corrupted variant exists as a negative control for the
     closedness harness.
 
-    Point fields and tangent components may carry leading axes, which
-    broadcast; the result has their shape, and is a float for one point.
+    The point and the tangents may carry leading axes, which broadcast; the
+    result has their shape, and is a float for one point.
     """
-    dexp = _dexp_left(model.parent, model.embed_m(at.xi_m))
+    dexp = _dexp_left(model.parent, model.embed_m(model.split(at)[0]))
     total = _omega_display(model, at, _intrinsic(model, dexp, x1),
                            _intrinsic(model, dexp, x2),
                            include_bracket=include_bracket)
@@ -306,96 +299,88 @@ def model_symplectic_form(model, at, x1, x2, include_bracket=True):
 
 
 def _model_action(model, at, xi_g, g, dexp):
-    """Chart tangent of the left G-action generated by xi (g-coordinates),
-    given g = exp(xi_m) and ``dexp`` = _dexp_left there.
+    """Chart tangent of the left G-action generated by xi (g-coordinates)
+    at chart point ``at``, given g = exp(xi_m) and ``dexp`` = _dexp_left there.
 
     At [g, rho, v] the velocity left-translates to Ad_{g^-1} xi. Its chart
     representative solves dexp(xi_m-dot) + zeta_0 = Ad_{g^-1} xi with
     xi_m-dot in m and zeta_0 in the isotropy algebra; the bundle equivalence
-    turns zeta_0 into fiber motion. Point fields and xi_g may carry leading
+    turns zeta_0 into fiber motion. The point and xi_g may carry leading
     axes, which broadcast.
     """
-    p = model.parent
+    p, (_, rho, v) = model.parent, model.split(at)
     zeta = adjoint_coadjoint(p, np.linalg.inv(g), np.asarray(xi_g, dtype=float))
     # columns: dexp of each m basis direction, then the isotropy basis
     g0 = np.broadcast_to(model.g0_basis.T, dexp.shape[:-1] + (model.dim_g0,))
     system = np.concatenate([dexp @ model.m_basis.T, g0], axis=-1)
     sol = np.linalg.solve(system, zeta[..., None])[..., 0]
     z0_coords = model.embed_g0(sol[..., model.dim_m:])     # zeta_0 turns into fiber motion
-    rho_dot = model.project_m(_bracket(p, z0_coords, model.embed_m(at.rho)))
-    moved = p.matrix(z0_coords) @ model.slice_vector(at.v)[..., None]
-    return (sol[..., :model.dim_m], rho_dot, model.slice_coords(moved[..., 0]))
+    rho_dot = model.project_m(_bracket(p, z0_coords, model.embed_m(rho)))
+    moved = p.matrix(z0_coords) @ model.slice_vector(v)[..., None]
+    return np.concatenate([sol[..., :model.dim_m], rho_dot,
+                           model.slice_coords(moved[..., 0])], axis=-1)
 
 
-def _fiber_moment(model, rho, v):
+def _fiber_moment(model, at):
     """rho + mu_N(v) in g-coordinates, the model moment before Ad_g."""
+    _, rho, v = model.split(at)
     return model.embed_m(rho) + model.embed_g0(model.mu_n(v))
 
 
 def model_moment_map(model, at):
     """Moment value Ad_g(mu_N(v) + rho) in metric-lowered g-coordinates, over
-    the leading axes the point's fields share."""
+    the leading axes of the chart point ``at``."""
     p = model.parent
-    g = expm(p.matrix(model.embed_m(at.xi_m)))
-    return adjoint_coadjoint(p, g, _fiber_moment(model, at.rho, at.v)) @ p.metric.T
+    g = expm(p.matrix(model.embed_m(model.split(at)[0])))
+    return adjoint_coadjoint(p, g, _fiber_moment(model, at)) @ p.metric.T
 
 
-def _stack(parts):
-    """Stack equally shaped tuples of arrays, component by component."""
-    return tuple(np.stack(c) for c in zip(*parts))
-
-
-def verify_moment_identity(model, samples, step=1e-4):
+def verify_moment_identity(model, samples):
     """Max residual of d<mu~, xi>(Z) = Om(X_xi, Z) over samples and frame Z.
 
-    ``samples`` is a list of (ModelPoint, xi) with xi in contravariant
-    g-coordinates. The left side is a central finite difference of the
-    pairing along each chart coordinate direction; the right side evaluates
-    the model form on the infinitesimal action. All samples go through one
-    pass: exp(xi_m) and dexp are formed once per sample and feed both sides,
-    and only the points shifted along xi_m get an exponential of their own;
-    the points shifted along rho or v share their sample's Ad_g, applied as
-    one (k, k) matrix per sample.
+    ``samples`` is a list of (chart point, xi) with xi in contravariant
+    g-coordinates. The left side is a central finite difference, step
+    ``FD_STEP``, of the pairing along each chart coordinate direction; the
+    right side evaluates the model form on the infinitesimal action. All
+    samples go through one pass: exp(xi_m) and dexp are formed once per
+    sample and feed both sides, and only the points shifted along xi_m get an
+    exponential of their own; the points shifted along rho or v share their
+    sample's Ad_g, applied as one (k, k) matrix per sample.
     """
     if not samples:
         return 0.0
-    at = ModelPoint(*_stack((q.xi_m, q.rho, q.v) for q, _ in samples))
+    at = np.array([q for q, _ in samples], dtype=float)
     xi = np.array([x for _, x in samples], dtype=float)
-    p, dm, x = model.parent, model.dim_m, model.embed_m(at.xi_m)
+    p, dm, x = model.parent, model.dim_m, model.embed_m(model.split(at)[0])
     g, dexp = expm(p.matrix(x)), _dexp_left(p, x)
     frame = np.eye(model.dim_chart)[:, None]    # (chart direction, 1, chart)
-    frame = (frame[..., :dm], frame[..., dm:2 * dm], frame[..., 2 * dm:])
-    moved = at.shifted(frame, np.array([step, -step])[:, None, None, None])
+    moved = at + np.array([FD_STEP, -FD_STEP])[:, None, None, None] * frame
     ad_g = adjoint_coadjoint(p, g[:, None], np.eye(p.dim_g))    # row b: Ad_g xi_b
-    lam = _fiber_moment(model, moved.rho[:, dm:], moved.v[:, dm:])
+    lam = _fiber_moment(model, moved[:, dm:])
     mu = np.einsum("...sa,sab->...sb", lam, ad_g) @ p.metric.T
-    along_xi = ModelPoint(moved.xi_m[:, :dm], at.rho, at.v)
-    mu = np.concatenate([model_moment_map(model, along_xi), mu], axis=1)
+    mu = np.concatenate([model_moment_map(model, moved[:, :dm]), mu], axis=1)
     plus, minus = np.sum(mu * xi, axis=-1)
     x_xi = _intrinsic(model, dexp, _model_action(model, at, xi, g, dexp))
     rhs = _omega_display(model, at, x_xi, _intrinsic(model, dexp, frame))
-    return float(np.max(np.abs((plus - minus) / (2.0 * step) - rhs)))    # NaN propagates
+    return float(np.max(np.abs((plus - minus) / (2.0 * FD_STEP) - rhs)))    # NaN propagates
 
 
-def verify_closedness(model, samples, step=1e-4, form=None):
+def verify_closedness(model, samples, include_bracket=True):
     """Max residual of the cyclic finite-difference exterior derivative.
 
-    ``samples`` is a list of (ModelPoint, X, Y, Z) with constant chart
+    ``samples`` is a list of (chart point, X, Y, Z) with constant chart
     tangents. dOm(X, Y, Z) = D_X Om(Y, Z) - D_Y Om(X, Z) + D_Z Om(X, Y);
-    each derivative is a central difference of ``form`` along the tangent.
-    ``form`` is called once, on all shifted points stacked as (3, 2, samples)
-    leading axes (term, sign, sample) and tangents broadcast against them.
+    each derivative is a central difference, step ``FD_STEP``, of the model
+    form along the tangent. The form is evaluated once, on all shifted points
+    stacked as (3, 2, samples) leading axes (term, sign, sample) and tangents
+    broadcast against them, with ``include_bracket`` passed through.
     """
-    if form is None:
-        form = model_symplectic_form
     if not samples:
         return 0.0
-    points, xs, ys, zs = zip(*samples)
-    at = ModelPoint(*_stack((q.xi_m, q.rho, q.v) for q in points))
-    x, y, z = (_stack(t) for t in (xs, ys, zs))
-    along, a, b = (tuple(c[:, None] for c in _stack(t))
-                   for t in ((x, y, z), (y, x, x), (z, z, y)))
-    signed = np.array([step, -step])[:, None, None]
-    vals = form(model, at.shifted(along, signed), a, b)
-    d = (vals[:, 0] - vals[:, 1]) / (2.0 * step)
+    at, x, y, z = (np.array(c, dtype=float) for c in zip(*samples))
+    along, a, b = (np.stack(t)[:, None] for t in ((x, y, z), (y, x, x), (z, z, y)))
+    signed = np.array([FD_STEP, -FD_STEP])[:, None, None]
+    vals = model_symplectic_form(model, at + signed * along, a, b,
+                                 include_bracket=include_bracket)
+    d = (vals[:, 0] - vals[:, 1]) / (2.0 * FD_STEP)
     return float(np.max(np.abs(d[0] - d[1] + d[2])))

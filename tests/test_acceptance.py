@@ -19,8 +19,7 @@ from momentflow.flow import (FlowOptions, check_rates, fit_lojasiewicz,
                              integrate_kempf_ness, integrate_projective,
                              reparametrize)
 from momentflow.flow import _adaptive_flow, _lift_path  # joint flow and its lift
-from momentflow.normal_form import (ModelPoint, build_model,
-                                    model_symplectic_form, verify_closedness,
+from momentflow.normal_form import (build_model, verify_closedness,
                                     verify_moment_identity)
 from momentflow.representation import energy_and_gradient, kempf_ness_value
 from momentflow.runner import _subsample_geometric, run_experiment
@@ -284,30 +283,25 @@ def test_criterion_9_mgs_model_verification():
         model = build_model(exp.presentation, exp.v0)
 
         def rand_point():
-            return ModelPoint(xi_m=0.3 * rng.standard_normal(model.dim_m),
-                              rho=0.5 * rng.standard_normal(model.dim_m),
-                              v=0.5 * rng.standard_normal(model.dim_n))
+            return np.concatenate([0.3 * rng.standard_normal(model.dim_m),
+                                   0.5 * rng.standard_normal(model.dim_m),
+                                   0.5 * rng.standard_normal(model.dim_n)])
 
         def rand_tan():
-            return (rng.standard_normal(model.dim_m),
-                    rng.standard_normal(model.dim_m),
-                    rng.standard_normal(model.dim_n))
+            return rng.standard_normal(model.dim_chart)
 
         samples = [(rand_point(), rng.standard_normal(exp.presentation.dim_g))
                    for _ in range(100)]
-        resid_mu = verify_moment_identity(model, samples, step=1e-4)
+        resid_mu = verify_moment_identity(model, samples)
         triples = [(rand_point(), rand_tan(), rand_tan(), rand_tan())
                    for _ in range(100)]
-        resid_d = verify_closedness(model, triples, step=1e-4)
+        resid_d = verify_closedness(model, triples)
         checks.append((f"{name}: moment identity {resid_mu:.2e} <= 1e-5",
                        resid_mu <= 1e-5))
         checks.append((f"{name}: closedness {resid_d:.2e} <= 1e-4",
                        resid_d <= 1e-4))
         if name == "mgs_su2":
-            def corrupted(m, at, x1, x2):
-                return model_symplectic_form(m, at, x1, x2,
-                                             include_bracket=False)
-            resid_neg = verify_closedness(model, triples, form=corrupted)
+            resid_neg = verify_closedness(model, triples, include_bracket=False)
             checks.append(
                 (f"{name}: dropped-bracket control {resid_neg:.2e} >= 1e-2",
                  resid_neg >= 1e-2))

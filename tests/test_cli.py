@@ -4,12 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from momentflow.algebra import sym_power_generator
 from momentflow.builtins import BUILTIN_NAMES, get_builtin
 from momentflow import cli
 from momentflow.cli import MAX_SYM_DEGREE, ConfigError, main, parse_config
 from momentflow.degeneration import ORACLE_MAX_WEIGHTS
 from momentflow.errors import DomainError, RayDivergenceError
 from momentflow.flow import FlowOptions
+from momentflow.linalg import expm
 from momentflow import runner
 from momentflow.runner import run_experiment
 from momentflow.symmetric_space import RayDiagnostics
@@ -318,6 +320,22 @@ def test_oracle_weight_limit_exits_2_with_line(tmp_path, capsys):
     assert main(["--config", str(cfg), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert f"line 5: the oracle supports at most {ORACLE_MAX_WEIGHTS} weights" in err
+    assert f"(got {ORACLE_MAX_WEIGHTS + 1})" in err
+
+
+def test_oracle_weight_limit_counts_the_support(tmp_path):
+    # eleven weights, two of them in the support of v0: the oracle sees two
+    weights = "; ".join(str(k) for k in range(1, ORACLE_MAX_WEIGHTS + 2))
+    vector = ", ".join(["0.3:0"] * 2 + ["0:0"] * (ORACLE_MAX_WEIGHTS - 1))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"group.kind = torus\ngroup.weights = {weights}\n"
+                   f"initial_vector = {vector}\nflow.mode = projective\n"
+                   "analyses = degeneration, oracle\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 0
+    lines = (out / "report.txt").read_text().splitlines()
+    assert "  oracle_face = [0]" in lines
+    assert "  oracle_angle = 0.0" in lines
 
 
 ZERO_ENTRY_CONFIG = """\
@@ -344,6 +362,23 @@ def test_oracle_sees_only_the_support_of_the_start_vector(tmp_path):
     assert "  verdict = match" in lines
     angle, = (line for line in lines if line.startswith("  oracle_angle = "))
     assert float(angle.split("=")[1]) <= 1e-3
+
+
+def test_semistable_oracle_beside_an_unstable_limit_is_a_mismatch(tmp_path):
+    # off the weight lines of the diagonal torus: its oracle sees the origin
+    # in the hull, while the flow's limit keeps |mu| = 0.158
+    exp = get_builtin("su2_symd")
+    a = 0.35j * np.array([[0, 1], [1, 0]]) + 0.15j * np.diag([1.0, -1.0])
+    exp = replace(exp, v0=expm(sym_power_generator(a, 4)) @ exp.v0,
+                  analyses=("degeneration", "oracle"), checks=())
+    status, path = run_experiment(exp, tmp_path, quiet=True)
+    lines = open(path).read().splitlines()
+    assert status == 1
+    assert "  oracle = semi-stable (origin in hull)" in lines
+    assert "  verdict = mismatch" in lines
+    assert any(line.startswith("  degeneration.oracle_destabilizes = ")
+               and line.endswith("FAIL") for line in lines)
+    assert "verdict,0,mismatch" in (tmp_path / "degeneration.csv").read_text()
 
 
 _NO_ANALYSIS = {"mode": "affine", "analyses": ()}

@@ -7,7 +7,7 @@ from momentflow.algebra import (adjoint_coadjoint, direct_sum_presentation,
                                 su2_sym_presentation, torus_presentation)
 from momentflow.errors import DomainError, StructuralError
 from momentflow.linalg import expm
-from momentflow.normal_form import (ModelPoint, _ad_matrix, _dexp_left,
+from momentflow.normal_form import (FD_STEP, _ad_matrix, _dexp_left,
                                     _model_action, _omega0, build_model,
                                     model_moment_map, model_symplectic_form,
                                     verify_closedness, verify_moment_identity)
@@ -28,16 +28,19 @@ def su2_model():
     return p, build_model(p, z0)
 
 
+def _chart(xi_m, rho, v):
+    """The chart array [xi_m | rho | v]."""
+    return np.concatenate([xi_m, rho, v])
+
+
 def _rand_point(model, rng, scale=0.5):
-    return ModelPoint(xi_m=0.3 * rng.standard_normal(model.dim_m),
-                      rho=scale * rng.standard_normal(model.dim_m),
-                      v=scale * rng.standard_normal(model.dim_n))
+    return _chart(0.3 * rng.standard_normal(model.dim_m),
+                  scale * rng.standard_normal(model.dim_m),
+                  scale * rng.standard_normal(model.dim_n))
 
 
 def _rand_tangent(model, rng):
-    return (rng.standard_normal(model.dim_m),
-            rng.standard_normal(model.dim_m),
-            rng.standard_normal(model.dim_n))
+    return rng.standard_normal(model.dim_chart)
 
 
 def test_build_trivial_action_slice_is_everything():
@@ -90,11 +93,11 @@ def test_form_antisymmetry_exact(rng):
 
 def test_form_slice_block_at_origin(rng):
     _, model = u1_model()
-    origin = ModelPoint(xi_m=np.zeros(1), rho=np.zeros(1), v=np.zeros(2))
+    origin = np.zeros(model.dim_chart)
     v1 = rng.standard_normal(2)
     v2 = rng.standard_normal(2)
-    x1 = (np.zeros(1), np.zeros(1), v1)
-    x2 = (np.zeros(1), np.zeros(1), v2)
+    x1 = _chart(np.zeros(1), np.zeros(1), v1)
+    x2 = _chart(np.zeros(1), np.zeros(1), v2)
     got = model_symplectic_form(model, origin, x1, x2)
     u1v = model.slice_vector(v1)
     u2v = model.slice_vector(v2)
@@ -104,19 +107,19 @@ def test_form_slice_block_at_origin(rng):
 
 def test_form_cotangent_pairing_at_origin():
     _, model = u1_model()
-    origin = ModelPoint(xi_m=np.zeros(1), rho=np.zeros(1), v=np.zeros(2))
-    x1 = (np.zeros(1), np.array([1.0]), np.zeros(2))   # rho_1 direction
-    x2 = (np.array([1.0]), np.zeros(1), np.zeros(2))   # xi_2 direction
+    origin = np.zeros(model.dim_chart)
+    x1 = _chart(np.zeros(1), np.array([1.0]), np.zeros(2))   # rho_1 direction
+    x2 = _chart(np.array([1.0]), np.zeros(1), np.zeros(2))   # xi_2 direction
     got = model_symplectic_form(model, origin, x1, x2)
     assert got == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_moment_map_origin_and_rho():
     p, model = su2_model()
-    origin = ModelPoint(xi_m=np.zeros(2), rho=np.zeros(2), v=np.zeros(8))
+    origin = np.zeros(model.dim_chart)
     np.testing.assert_allclose(model_moment_map(model, origin), 0.0, atol=1e-15)
     rho = np.array([0.7, -0.3])
-    at = ModelPoint(xi_m=np.zeros(2), rho=rho, v=np.zeros(8))
+    at = _chart(np.zeros(2), rho, np.zeros(8))
     got = model_moment_map(model, at)
     want = p.lower(model.embed_m(rho))
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -127,7 +130,7 @@ def test_moment_map_slice_matches_direct_pairing(rng):
     # moment pairing of the slice vector (the linearized isotropy action)
     p, model = su2_model()
     v = rng.standard_normal(model.dim_n)
-    at = ModelPoint(xi_m=np.zeros(2), rho=np.zeros(2), v=v)
+    at = _chart(np.zeros(2), np.zeros(2), v)
     got = model_moment_map(model, at)
     u = model.slice_vector(v)
     direct = moment_map(p, u)
@@ -141,15 +144,15 @@ def test_moment_map_slice_matches_direct_pairing(rng):
 def test_moment_identity_crafted_directions(rng):
     p, model = su2_model()
     v = 0.4 * rng.standard_normal(model.dim_n)
-    at = ModelPoint(xi_m=np.zeros(2), rho=np.zeros(2), v=v)
+    at = _chart(np.zeros(2), np.zeros(2), v)
     # xi in the isotropy algebra, slice directions only
     xi0 = model.embed_g0(np.array([1.0]))
-    resid = verify_moment_identity(model, [(at, xi0)], step=1e-4)
+    resid = verify_moment_identity(model, [(at, xi0)])
     assert resid <= 1e-8
     # xi in m against a rho direction at the origin: both sides <rho_dot, xi>
-    origin = ModelPoint(xi_m=np.zeros(2), rho=np.zeros(2), v=np.zeros(8))
+    origin = np.zeros(model.dim_chart)
     xim = model.embed_m(np.array([1.0, 0.0]))
-    resid = verify_moment_identity(model, [(origin, xim)], step=1e-4)
+    resid = verify_moment_identity(model, [(origin, xim)])
     assert resid <= 1e-8
 
 
@@ -157,14 +160,14 @@ def test_moment_identity_random_samples_u1(rng):
     p, model = u1_model()
     samples = [(_rand_point(model, rng), rng.standard_normal(p.dim_g))
                for _ in range(100)]
-    assert verify_moment_identity(model, samples, step=1e-4) <= 1e-5
+    assert verify_moment_identity(model, samples) <= 1e-5
 
 
 def test_moment_identity_random_samples_su2(rng):
     p, model = su2_model()
     samples = [(_rand_point(model, rng), rng.standard_normal(p.dim_g))
                for _ in range(100)]
-    assert verify_moment_identity(model, samples, step=1e-4) <= 1e-5
+    assert verify_moment_identity(model, samples) <= 1e-5
 
 
 def test_verifiers_report_a_nan_residual(rng):
@@ -173,17 +176,18 @@ def test_verifiers_report_a_nan_residual(rng):
     samples = [(at, rng.standard_normal(p.dim_g)), (at, np.array([np.nan, 0.0, 0.0]))]
     assert np.isnan(verify_moment_identity(model, samples))
     x = _rand_tangent(model, rng)
-    nan_x = (x[0], x[1], np.full(model.dim_n, np.nan))
+    xi_m, rho, _ = model.split(x)
+    nan_x = _chart(xi_m, rho, np.full(model.dim_n, np.nan))
     assert np.isnan(verify_closedness(model, [(at, x, x, x), (at, nan_x, x, x)]))
 
 
 def test_closedness_constant_region(rng):
     _, model = u1_model()
     # abelian group, trivial isotropy: the form has constant coefficients
-    samples = [(ModelPoint(xi_m=np.zeros(1), rho=np.zeros(1), v=np.zeros(2)),
+    samples = [(np.zeros(model.dim_chart),
                 _rand_tangent(model, rng), _rand_tangent(model, rng),
                 _rand_tangent(model, rng)) for _ in range(10)]
-    assert verify_closedness(model, samples, step=1e-4) <= 1e-10
+    assert verify_closedness(model, samples) <= 1e-10
 
 
 def test_closedness_random_samples(rng):
@@ -191,7 +195,7 @@ def test_closedness_random_samples(rng):
     samples = [(_rand_point(model, rng), _rand_tangent(model, rng),
                 _rand_tangent(model, rng), _rand_tangent(model, rng))
                for _ in range(60)]
-    assert verify_closedness(model, samples, step=1e-4) <= 1e-4
+    assert verify_closedness(model, samples) <= 1e-4
 
 
 def test_closedness_negative_control(rng):
@@ -199,27 +203,14 @@ def test_closedness_negative_control(rng):
     samples = [(_rand_point(model, rng), _rand_tangent(model, rng),
                 _rand_tangent(model, rng), _rand_tangent(model, rng))
                for _ in range(60)]
-
-    def corrupted(m, at, x1, x2):
-        return model_symplectic_form(m, at, x1, x2, include_bracket=False)
-
-    assert verify_closedness(model, samples, form=corrupted) >= 1e-2
+    assert verify_closedness(model, samples, include_bracket=False) >= 1e-2
 
 
 def test_form_nondegenerate_at_origin():
     for _, model in (u1_model(), su2_model()):
-        origin = ModelPoint(xi_m=np.zeros(model.dim_m),
-                            rho=np.zeros(model.dim_m),
-                            v=np.zeros(model.dim_n))
         d = model.dim_chart
+        origin, frame = np.zeros(d), np.eye(d)
         gram = np.zeros((d, d))
-        frame = []
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = 1.0
-            frame.append((e[:model.dim_m],
-                          e[model.dim_m:2 * model.dim_m],
-                          e[2 * model.dim_m:]))
         for i in range(d):
             for j in range(d):
                 gram[i, j] = model_symplectic_form(model, origin, frame[i], frame[j])
@@ -233,15 +224,15 @@ def test_residual_isotropy_equivariance(rng):
     p, model = su2_model()
     from momentflow.algebra import adjoint_coadjoint
     for _ in range(5):
-        at = ModelPoint(xi_m=np.zeros(2), rho=0.5 * rng.standard_normal(2),
-                        v=0.5 * rng.standard_normal(8))
+        rho, v = 0.5 * rng.standard_normal(2), 0.5 * rng.standard_normal(8)
+        at = _chart(np.zeros(2), rho, v)
         c0 = rng.standard_normal(1)
         g0 = expm(p.matrix(model.embed_g0(c0)))
         # push the fiber point through the isotropy action
-        rho_mat = p.matrix(model.embed_m(at.rho))
+        rho_mat = p.matrix(model.embed_m(rho))
         rho_new = model.project_m(p.coords_of(g0 @ rho_mat @ np.linalg.inv(g0)))
-        v_new = model.slice_coords(g0 @ model.slice_vector(at.v))
-        moved = ModelPoint(xi_m=at.xi_m, rho=rho_new, v=v_new)
+        v_new = model.slice_coords(g0 @ model.slice_vector(v))
+        moved = _chart(np.zeros(2), rho_new, v_new)
         lhs = model_moment_map(model, moved)
         rhs = p.lower(adjoint_coadjoint(p, g0, p.sharp(model_moment_map(model, at))))
         np.testing.assert_allclose(lhs, rhs, atol=1e-8)
@@ -286,10 +277,10 @@ def test_infinitesimal_action_consistency(rng):
     p, model = su2_model()
     at = _rand_point(model, rng)
     xi = rng.standard_normal(p.dim_g)
-    x = model.embed_m(at.xi_m)
+    x = model.embed_m(model.split(at)[0])
     tangent = _model_action(model, at, xi, expm(p.matrix(x)), _dexp_left(p, x))
     h = 1e-6
-    moved = at.shifted(tangent, h)
+    moved = at + h * tangent
     # compare moment values: d/dt mu~(e^{t xi} . at) = ad-type derivative
     lhs = (model_moment_map(model, moved) - model_moment_map(model, at)) / h
     g = expm(h * p.matrix(xi))
@@ -325,8 +316,7 @@ def test_batched_model_maps_match_per_point_calls(rng):
     points = [_rand_point(model, rng) for _ in range(7)]
     xs = [_rand_tangent(model, rng) for _ in range(7)]
     ys = [_rand_tangent(model, rng) for _ in range(7)]
-    at = ModelPoint(*normal_form._stack((q.xi_m, q.rho, q.v) for q in points))
-    x, y = normal_form._stack(xs), normal_form._stack(ys)
+    at, x, y = np.stack(points), np.stack(xs), np.stack(ys)
 
     np.testing.assert_allclose(model_moment_map(model, at),
                                [model_moment_map(model, q) for q in points],
@@ -342,7 +332,7 @@ def test_batched_model_maps_match_per_point_calls(rng):
         want = [model_symplectic_form(model, points[0], xs[0], b, include_bracket=bracket)
                 for b in ys]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-    xg = model.embed_m(at.xi_m)
+    xg = model.embed_m(model.split(at)[0])
     np.testing.assert_allclose(_dexp_left(p, xg), [_dexp_left(p, row) for row in xg],
                                rtol=0, atol=1e-14)
 
@@ -391,21 +381,19 @@ def test_verifiers_bound_dexp_calls_per_sample(monkeypatch, rng):
     assert len(calls) <= len(triples)
 
 
-def _loop_moment_identity(model, samples, step=1e-4):
+def _loop_moment_identity(model, samples):
     """The per-sample reference: every shifted point through the public
     moment map, the frame through the public form, one sample at a time."""
-    dm = model.dim_m
     frame = np.eye(model.dim_chart)
-    frame = (frame[:, :dm], frame[:, dm:2 * dm], frame[:, 2 * dm:])
-    signed = np.array([step, -step])[:, None, None]
+    signed = np.array([FD_STEP, -FD_STEP])[:, None, None]
     worst = 0.0
     p = model.parent
     for at, xi in samples:
         xi = np.asarray(xi, dtype=float)
-        x = model.embed_m(at.xi_m)
+        x = model.embed_m(model.split(at)[0])
         x_xi = _model_action(model, at, xi, expm(p.matrix(x)), _dexp_left(p, x))
-        plus, minus = model_moment_map(model, at.shifted(frame, signed)) @ xi
-        lhs = (plus - minus) / (2.0 * step)
+        plus, minus = model_moment_map(model, at + signed * frame) @ xi
+        lhs = (plus - minus) / (2.0 * FD_STEP)
         rhs = model_symplectic_form(model, at, x_xi, frame)
         worst = np.maximum(worst, np.max(np.abs(lhs - rhs)))
     return float(worst)
@@ -429,16 +417,15 @@ def test_stacked_model_action_matches_per_point_calls(make, rng):
     p, model = make()
     points = [_rand_point(model, rng) for _ in range(6)]
     xis = rng.standard_normal((6, p.dim_g))
-    at = ModelPoint(*normal_form._stack((q.xi_m, q.rho, q.v) for q in points))
-    x = model.embed_m(at.xi_m)
+    at = np.stack(points)
+    x = model.embed_m(model.split(at)[0])
     got = _model_action(model, at, xis, expm(p.matrix(x)), _dexp_left(p, x))
     want = []
     for q, xi in zip(points, xis):
-        y = model.embed_m(q.xi_m)
+        y = model.embed_m(model.split(q)[0])
         want.append(_model_action(model, q, xi, expm(p.matrix(y)), _dexp_left(p, y)))
-    for got_c, want_c in zip(got, zip(*want)):
-        assert got_c.shape == (6,) + want_c[0].shape
-        np.testing.assert_allclose(got_c, want_c, rtol=0, atol=1e-14)
+    assert got.shape == (6, model.dim_chart)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_moment_identity_without_samples_is_zero():
