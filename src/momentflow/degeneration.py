@@ -4,8 +4,11 @@ The projectivized flow of a vector destabilized by the origin converges to a
 limit whose rescaled moment value is nonzero; its normalized direction is
 the optimal degeneration direction. For torus actions the same direction is
 the closest point to the origin of the convex hull of the supported weights,
-which this module computes by exhaustive enumeration of all hull faces: an
-oracle deliberately too simple to be wrong.
+which this module computes by enumerating faces: an oracle deliberately too
+simple to be wrong. By Caratheodory's theorem the closest point of a hull in
+R^r is a convex combination of at most r + 1 affinely independent weights,
+so the faces of at most r + 1 weights hold it; a larger face is affinely
+dependent and adds no candidate.
 
 Sign convention: with Omega0 = Im<.,.> the flow limit direction equals
 +beta/|beta| in torus coordinates; the comparison below asserts that sign.
@@ -21,7 +24,10 @@ from .rational import rationalize_direction
 from .representation import projective_moment_map
 
 ANGLE_TOL = 1e-3
-ORACLE_MAX_WEIGHTS = 10  # the oracle enumerates all 2^n - 1 faces
+# Most supported weights the oracle takes, a config contract the CLI checks.
+# The oracle solves the faces of at most r + 1 of them in R^r: 175 faces for
+# 10 weights in R^2.
+ORACLE_MAX_WEIGHTS = 10
 
 __all__ = [
     "ANGLE_TOL",
@@ -112,64 +118,63 @@ def diagonal_torus(p, v0):
             tuple(int(j) for j in np.flatnonzero(v0)), np.eye(p.dim_g)[:, diag])
 
 
-def _face_minimum(points):
-    """Min-norm point of the affine hull of ``points`` if it has nonnegative
-    barycentric coordinates; None otherwise."""
-    m = len(points)
-    w = np.asarray(points, dtype=float)
-    kkt = np.zeros((m + 1, m + 1))
-    kkt[:m, :m] = 2.0 * (w @ w.T)
-    kkt[:m, m] = 1.0
-    kkt[m, :m] = 1.0
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    lam = sol[:m]
-    if np.any(lam < -1e-12):
-        return None
-    lam = np.clip(lam, 0.0, None)
-    lam = lam / lam.sum()
-    return lam @ w
-
-
 def torus_oracle(weights, support=None, max_support=ORACLE_MAX_WEIGHTS):
     """Closest point of conv{w_j : j in support} to the origin, by brute force.
 
-    Enumerates every subset of the supported weights, solves the
-    equality-constrained quadratic minimum on its affine hull, keeps the
-    candidates with nonnegative barycentric coordinates and returns the
-    overall minimizer. If the squared minimum is at most 1e-9 the origin lies
-    in the hull and the semi-stable verdict is returned instead of a
-    direction.
+    Enumerates the faces of at most r + 1 supported weights in R^r (enough,
+    by Caratheodory's theorem), solves the equality-constrained quadratic
+    minimum on each face's affine hull, keeps the candidates with
+    nonnegative barycentric coordinates and returns the overall minimizer.
+    Faces are scanned by size, then lexicographically, and a candidate
+    replaces the best so far only when it undercuts it by more than 1e-15.
+    If the squared minimum is at most 1e-9 the origin lies in the hull and
+    the semi-stable verdict is returned instead of a direction. Weights must
+    be finite and support indices must lie in ``range(len(weights))``.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
+    if not np.isfinite(w).all():
+        raise DomainError("oracle weights must be finite")
     support = tuple(sorted(set(range(len(w)) if support is None else support)))
     if len(support) == 0:
         raise StructuralError("oracle support must be non-empty")
+    if support[0] < 0 or support[-1] >= len(w):
+        raise StructuralError(
+            f"oracle support indices must lie in range({len(w)}) (got {list(support)})"
+        )
     if len(support) > max_support:
         raise StructuralError(
             f"oracle supports at most {max_support} weights (got {len(support)})"
         )
     pts = w[list(support)]
 
-    best = None
-    best_face = ()
-    for size in range(1, len(support) + 1):
-        for face in combinations(range(len(support)), size):
-            cand = _face_minimum(pts[list(face)])
-            if cand is None:
-                continue
-            val = float(cand @ cand)
-            if best is None or val < best[0] - 1e-15:
-                best = (val, cand)
+    best_val, best, best_face = np.inf, None, ()
+    for m in range(1, min(len(pts), pts.shape[1] + 1) + 1):
+        faces = np.array(list(combinations(range(len(pts)), m)))
+        fw = pts[faces]                                         # (F, m, r)
+        kkt = np.zeros((len(faces), m + 1, m + 1))
+        kkt[:, :m, :m] = 2.0 * (fw @ fw.transpose(0, 2, 1))
+        kkt[:, :m, m] = 1.0
+        kkt[:, m, :m] = 1.0
+        # b as a stack of columns, as kkt is a stack: numpy 1 and 2 differ
+        # on a 1-D b or a b with one axis fewer than kkt
+        rhs = np.zeros((1, m + 1, 1))
+        rhs[0, m] = 1.0
+        # slogdet and solve share the LU factorization: a zero sign is an
+        # exactly zero pivot, where solve would raise (det may underflow)
+        ok = np.linalg.slogdet(kkt)[0] != 0.0
+        lam = np.linalg.solve(kkt[ok], rhs)[:, :m, 0]
+        keep = ~(lam < -1e-12).any(axis=1)
+        lam = np.clip(lam[keep], 0.0, None)
+        lam = lam / lam.sum(axis=1, keepdims=True)
+        cands = (lam[:, None, :] @ fw[ok][keep])[:, 0]          # (F', r)
+        vals = (cands[:, None, :] @ cands[:, :, None])[:, 0, 0]
+        for val, cand, face in zip(vals.tolist(), cands, faces[ok][keep].tolist()):
+            if best is None or val < best_val - 1e-15:
+                best_val, best = val, cand
                 best_face = tuple(support[i] for i in face)
-    val, beta = best
-    if val <= 1e-9:
-        return OracleResult(beta=None, semistable=True, min_norm_sq=val)
-    return OracleResult(beta=beta, semistable=False, min_norm_sq=val,
+    if best_val <= 1e-9:
+        return OracleResult(beta=None, semistable=True, min_norm_sq=best_val)
+    return OracleResult(beta=best, semistable=False, min_norm_sq=best_val,
                         support_face=best_face)
 
 

@@ -1,10 +1,14 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentflow.algebra import (matrix_presentation, su2_presentation,
                                 su2_sym_presentation, torus_presentation)
 from momentflow.builtins import get_builtin
-from momentflow.degeneration import (ANGLE_TOL, diagonal_torus,
+from momentflow.degeneration import (ANGLE_TOL, OracleResult, diagonal_torus,
                                      hermitian_generator, limit_direction,
                                      oracle_angle, torus_oracle)
 from momentflow.errors import DomainError, StructuralError
@@ -82,6 +86,111 @@ def test_oracle_size_limit():
         torus_oracle(weights)
     with pytest.raises(StructuralError):
         torus_oracle([[1]], support=())
+
+
+@pytest.mark.parametrize("support", [(-1,), (5,), (0, 2)])
+def test_oracle_support_outside_the_weights_raises(support):
+    with pytest.raises(StructuralError, match="range"):
+        torus_oracle([[1], [2]], support=support)
+
+
+@pytest.mark.parametrize("weights", [[[np.nan]], [[1.0], [np.inf]],
+                                     [[1.0, 0.0], [-np.inf, 2.0]]])
+def test_oracle_nonfinite_weights_raise(weights):
+    with pytest.raises(DomainError):
+        torus_oracle(weights)
+
+
+def _reference_oracle(weights, support):
+    """Every one of the 2^n - 1 faces, one solve each, a singular face
+    skipped: the brute force the oracle must agree with bit for bit."""
+    pts = np.asarray(weights, dtype=float)[list(support)]
+    best, best_face = None, ()
+    for size in range(1, len(pts) + 1):
+        for face in combinations(range(len(pts)), size):
+            w = pts[list(face)]
+            kkt = np.zeros((size + 1, size + 1))
+            kkt[:size, :size] = 2.0 * (w @ w.T)
+            kkt[:size, size] = 1.0
+            kkt[size, :size] = 1.0
+            rhs = np.zeros(size + 1)
+            rhs[size] = 1.0
+            try:
+                lam = np.linalg.solve(kkt, rhs)[:size]
+            except np.linalg.LinAlgError:
+                continue
+            if np.any(lam < -1e-12):
+                continue
+            lam = np.clip(lam, 0.0, None)
+            cand = (lam / lam.sum()) @ w
+            val = float(cand @ cand)
+            if best is None or val < best[0] - 1e-15:
+                best = (val, cand)
+                best_face = tuple(support[i] for i in face)
+    val, beta = best
+    if val <= 1e-9:
+        return OracleResult(beta=None, semistable=True, min_norm_sq=val)
+    return OracleResult(beta=beta, semistable=False, min_norm_sq=val,
+                        support_face=best_face)
+
+
+def _assert_same_oracle(res, ref):
+    assert res.semistable == ref.semistable
+    assert res.min_norm_sq == ref.min_norm_sq
+    assert res.support_face == ref.support_face
+    if ref.beta is None:
+        assert res.beta is None
+    else:
+        assert res.beta.tobytes() == ref.beta.tobytes()
+
+
+# Ten weights in the half-plane w_1 >= 1, with repeats.
+TEN_WEIGHTS = [[3, -2], [3, -1], [3, 1], [2, 2], [3, 1], [3, -2], [3, 1], [1, 3],
+               [2, -2], [2, 0]]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_oracle_matches_the_brute_force_over_all_faces(seed):
+    # integer weights, some of them repeated or on a common line through the
+    # origin so that singular faces occur, then perturbed half of the time
+    rng = np.random.default_rng(seed)
+    r, n = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+    base = rng.integers(-3, 4, size=(int(rng.integers(1, n + 1)), r))
+    w = base[rng.integers(0, len(base), n)] * rng.integers(-2, 3, size=(n, 1))
+    if rng.random() < 0.5:
+        w = w + 1e-3 * rng.standard_normal((n, r))
+    support = tuple(int(j) for j in rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                               replace=False))
+    _assert_same_oracle(torus_oracle(w, support=support),
+                        _reference_oracle(w, sorted(support)))
+
+
+def test_oracle_matches_the_brute_force_on_ten_weights():
+    _assert_same_oracle(torus_oracle(TEN_WEIGHTS),
+                        _reference_oracle(TEN_WEIGHTS, range(10)))
+
+
+def test_oracle_solves_once_per_face_size_under_numpy_1_rules(monkeypatch):
+    # 10 weights in R^2: faces of 1, 2 and 3 weights, one batched solve each.
+    # numpy < 2 reads b as a stack of vectors exactly when it has one axis
+    # fewer than a, and as a stack of matrices otherwise; numpy >= 2 reads
+    # it as a vector only when it is 1-D. The answer must not depend on it.
+    solve, calls = np.linalg.solve, []
+
+    def numpy1_solve(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        calls.append(a.shape)
+        if b.ndim == a.ndim - 1:
+            return solve(a, b[..., None])[..., 0]
+        if b.ndim < 2:
+            raise ValueError("numpy < 2 reads a 1-D b beside a stacked a as matrices")
+        return solve(a, b)
+
+    expected = torus_oracle(TEN_WEIGHTS)
+    monkeypatch.setattr(np.linalg, "solve", numpy1_solve)
+    _assert_same_oracle(torus_oracle(TEN_WEIGHTS), expected)
+    assert len(calls) <= 3
 
 
 def test_oracle_refinement_consistency():
