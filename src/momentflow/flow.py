@@ -187,10 +187,11 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
     final state always is. ``energy(y) -> (f, grad)`` is evaluated once per
     accepted state, which feeds the energy guard and the first stage of the
     next step. A step is rejected when its new state is not finite
-    (``rejected["nonfinite"]``), when the local error test fails
-    (``"error"``) or when f would rise, relative slack 1e-12, at its end or
-    at any sample it emits (``"energy"``). The group lift is not integrated
-    here: :func:`_lift_path` computes it afterwards from the samples.
+    (``rejected["nonfinite"]``, also when a stage overflows, which warns
+    nothing), when the local error test fails (``"error"``) or when f would
+    rise, relative slack 1e-12, at its end or at any sample it emits
+    (``"energy"``). The group lift is not integrated here:
+    :func:`_lift_path` computes it afterwards from the samples.
     """
     def record(t, y, f, slope):
         return {"t": t, "v": y, "f": f, "grad_norm": float(np.linalg.norm(slope)),
@@ -216,60 +217,61 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
         return finish("nonfinite")
     grid = opts.initial_step    # the next output-grid point
     h = opts.initial_step
-    while True:
-        if steps and np.linalg.norm(k1) < opts.eps_grad:
-            return finish("gradient_small")
-        if t >= opts.t_max * (1 - 1e-15):
-            return finish("t_max")
-        if h < MIN_STEP:
-            return finish("step_underflow")
-        if steps + sum(rejected.values()) >= MAX_STEPS:
-            raise DiagnosticError("integrator exceeded the step budget")
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if steps and np.linalg.norm(k1) < opts.eps_grad:
+                return finish("gradient_small")
+            if t >= opts.t_max * (1 - 1e-15):
+                return finish("t_max")
+            if h < MIN_STEP:
+                return finish("step_underflow")
+            if steps + sum(rejected.values()) >= MAX_STEPS:
+                raise DiagnosticError("integrator exceeded the step budget")
 
-        h_eff = min(h, opts.t_max - t)
-        y_new, f_new, ks, err = _rkf45_step(energy, y, h_eff, k1, postprocess)
-        evaluations += 6
-        if not (np.isfinite(f_new) and np.all(np.isfinite(err))):
-            evaluations -= not np.all(np.isfinite(y_new))    # then not evaluated
-            rejected["nonfinite"] += 1
-            h = 0.5 * h_eff
-            continue
-        scale = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.max(np.abs(err) / scale))
-        if err_norm > 1.0:
-            rejected["error"] += 1
-            h = h_eff * max(0.2, 0.9 * err_norm ** -0.2)
-            continue
+            h_eff = min(h, opts.t_max - t)
+            y_new, f_new, ks, err = _rkf45_step(energy, y, h_eff, k1, postprocess)
+            evaluations += 6
+            if not (np.isfinite(f_new) and np.all(np.isfinite(err))):
+                evaluations -= not np.all(np.isfinite(y_new))    # then not evaluated
+                rejected["nonfinite"] += 1
+                h = 0.5 * h_eff
+                continue
+            scale = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err_norm = float(np.max(np.abs(err) / scale))
+            if err_norm > 1.0:
+                rejected["error"] += 1
+                h = h_eff * max(0.2, 0.9 * err_norm ** -0.2)
+                continue
 
-        t_new, inside, nxt = t + h_eff, [], grid
-        while nxt < t_new:
-            inside.append(nxt)
-            nxt = after(nxt)
-        emitted = []
-        if inside:
-            theta = (np.array(inside)[:, None] - t) / h_eff
-            dense = y + h_eff * (theta ** np.arange(1, 5) @ (_DP_P @ ks))
-            for tg, yg in zip(inside, dense):
-                if postprocess is not None:
-                    yg = postprocess(yg, y)
-                fg, gg = energy(yg)
-                evaluations += 1
-                emitted.append(record(tg, yg, fg, -gg))
-        # f along the step, from the lower of the state and the last sample
-        fs = np.array([min(f, samples[-1]["f"])] + [o["f"] for o in emitted] + [f_new])
-        if not np.all(fs[1:] <= fs[:-1] * (1 + 1e-12)):    # also a NaN energy
-            rejected["energy"] += 1
-            h = 0.5 * h_eff
-            continue
-        steps += 1
-        hs.append(h_eff)
-        t, y, f, k1 = t_new, y_new, f_new, ks[6].copy()
-        if not inside or nxt == t:
-            emitted.append(record(t, y, f, k1))
-        samples += emitted
-        grid = after(nxt) if nxt == t else nxt
-        growth = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-        h = h_eff * growth
+            t_new, inside, nxt = t + h_eff, [], grid
+            while nxt < t_new:
+                inside.append(nxt)
+                nxt = after(nxt)
+            emitted = []
+            if inside:
+                theta = (np.array(inside)[:, None] - t) / h_eff
+                dense = y + h_eff * (theta ** np.arange(1, 5) @ (_DP_P @ ks))
+                for tg, yg in zip(inside, dense):
+                    if postprocess is not None:
+                        yg = postprocess(yg, y)
+                    fg, gg = energy(yg)
+                    evaluations += 1
+                    emitted.append(record(tg, yg, fg, -gg))
+            # f along the step, from the lower of the state and the last sample
+            fs = np.array([min(f, samples[-1]["f"])] + [o["f"] for o in emitted] + [f_new])
+            if not np.all(fs[1:] <= fs[:-1] * (1 + 1e-12)):    # also a NaN energy
+                rejected["energy"] += 1
+                h = 0.5 * h_eff
+                continue
+            steps += 1
+            hs.append(h_eff)
+            t, y, f, k1 = t_new, y_new, f_new, ks[6].copy()
+            if not inside or nxt == t:
+                emitted.append(record(t, y, f, k1))
+            samples += emitted
+            grid = after(nxt) if nxt == t else nxt
+            growth = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+            h = h_eff * growth
 
 
 def _pack(samples, stats, *, kind, eps_grad, lift=None):

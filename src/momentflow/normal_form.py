@@ -239,13 +239,17 @@ def _dexp_left(p, x_coords):
     return expm(block)[..., :k, k:]
 
 
-def _omega_display(model, at, t1, t2, include_bracket=True):
+def _omega_display(model, at, t1, t2):
     """The explicit two-form on intrinsic representatives (zeta, rho_dot, v_dot).
 
     zeta ranges over all of g (left-trivialized group velocity); the fiber
     components live in m- and N-coordinates. The display is basic for the
     isotropy equivalence, so any representative of a model tangent gives the
     same value.
+
+    Returns the pair (form, form without the <rho + mu_N(v), [zeta1, zeta2]>
+    term) from one evaluation; both add the Omega0 terms last, in the same
+    order.
     """
     p = model.parent
     z1, r1, v1 = t1
@@ -258,12 +262,11 @@ def _omega_display(model, at, t1, t2, include_bracket=True):
     pair1 = model.embed_m(r2) + model.embed_g0(model.d_mu_n(v, v2))
     pair2 = model.embed_m(r1) + model.embed_g0(model.d_mu_n(v, v1))
     total = pairing(pair1, z1) - pairing(pair2, z2)
+    with_bracket = total + pairing(_fiber_moment(model, at), _bracket(p, z1, z2))
 
-    if include_bracket:
-        total = total + pairing(_fiber_moment(model, at), _bracket(p, z1, z2))
-
-    total = total + _omega0(p.matrix(z1) @ model.z0, p.matrix(z2) @ model.z0)
-    return total + _omega0(model.slice_vector(v1), model.slice_vector(v2))
+    orbit = _omega0(p.matrix(z1) @ model.z0, p.matrix(z2) @ model.z0)
+    slice_ = _omega0(model.slice_vector(v1), model.slice_vector(v2))
+    return (with_bracket + orbit) + slice_, (total + orbit) + slice_
 
 
 def _intrinsic(model, dexp, x):
@@ -277,6 +280,13 @@ def _intrinsic(model, dexp, x):
     return ((dexp @ model.embed_m(xi)[..., None])[..., 0], rdot, vdot)
 
 
+def _chart_forms(model, at, x1, x2):
+    """The pair of :func:`_omega_display` on chart tangents at chart points."""
+    dexp = _dexp_left(model.parent, model.embed_m(model.split(at)[0]))
+    return _omega_display(model, at, _intrinsic(model, dexp, x1),
+                          _intrinsic(model, dexp, x2))
+
+
 def model_symplectic_form(model, at, x1, x2, include_bracket=True):
     """Evaluate the model two-form at chart point ``at`` on chart tangents.
 
@@ -285,16 +295,13 @@ def model_symplectic_form(model, at, x1, x2, include_bracket=True):
     group velocities before the display is evaluated.
 
     ``include_bracket=False`` drops the <rho + mu_N(v), [xi1, xi2]> term;
-    this deliberately corrupted variant exists as a negative control for the
-    closedness harness.
+    this deliberately corrupted variant is the negative control that
+    :func:`verify_closedness` reports beside the closedness residual.
 
     The point and the tangents may carry leading axes, which broadcast; the
     result has their shape, and is a float for one point.
     """
-    dexp = _dexp_left(model.parent, model.embed_m(model.split(at)[0]))
-    total = _omega_display(model, at, _intrinsic(model, dexp, x1),
-                           _intrinsic(model, dexp, x2),
-                           include_bracket=include_bracket)
+    total = _chart_forms(model, at, x1, x2)[0 if include_bracket else 1]
     return float(total) if np.ndim(total) == 0 else total
 
 
@@ -361,26 +368,33 @@ def verify_moment_identity(model, samples):
     mu = np.concatenate([model_moment_map(model, moved[:, :dm]), mu], axis=1)
     plus, minus = np.sum(mu * xi, axis=-1)
     x_xi = _intrinsic(model, dexp, _model_action(model, at, xi, g, dexp))
-    rhs = _omega_display(model, at, x_xi, _intrinsic(model, dexp, frame))
+    rhs, _ = _omega_display(model, at, x_xi, _intrinsic(model, dexp, frame))
     return float(np.max(np.abs((plus - minus) / (2.0 * FD_STEP) - rhs)))    # NaN propagates
 
 
-def verify_closedness(model, samples, include_bracket=True):
-    """Max residual of the cyclic finite-difference exterior derivative.
+def verify_closedness(model, samples):
+    """Max residuals of the cyclic finite-difference exterior derivative, as
+    the pair (closedness, negative control).
 
     ``samples`` is a list of (chart point, X, Y, Z) with constant chart
     tangents. dOm(X, Y, Z) = D_X Om(Y, Z) - D_Y Om(X, Z) + D_Z Om(X, Y);
     each derivative is a central difference, step ``FD_STEP``, of the model
     form along the tangent. The form is evaluated once, on all shifted points
     stacked as (3, 2, samples) leading axes (term, sign, sample) and tangents
-    broadcast against them, with ``include_bracket`` passed through.
+    broadcast against them. That one evaluation gives both residuals: the
+    closedness of the model form, and the negative control, the same
+    derivative of the form without its bracket term (see
+    :func:`model_symplectic_form`), which is not closed on a nonabelian model.
     """
     if not samples:
-        return 0.0
+        return 0.0, 0.0
     at, x, y, z = (np.array(c, dtype=float) for c in zip(*samples))
     along, a, b = (np.stack(t)[:, None] for t in ((x, y, z), (y, x, x), (z, z, y)))
     signed = np.array([FD_STEP, -FD_STEP])[:, None, None]
-    vals = model_symplectic_form(model, at + signed * along, a, b,
-                                 include_bracket=include_bracket)
-    d = (vals[:, 0] - vals[:, 1]) / (2.0 * FD_STEP)
-    return float(np.max(np.abs(d[0] - d[1] + d[2])))
+    forms = _chart_forms(model, at + signed * along, a, b)
+
+    def residual(vals):
+        d = (vals[:, 0] - vals[:, 1]) / (2.0 * FD_STEP)
+        return float(np.max(np.abs(d[0] - d[1] + d[2])))    # NaN propagates
+
+    return tuple(residual(vals) for vals in forms)

@@ -293,29 +293,23 @@ def _normal_form(exp, legs, oracle, seed):
     checks = [("normal_form.dim_split",
                float(2 * model.dim_m + model.dim_n == 2 * p.dim_v), 1.0, 1.0)]
 
-    def rand_point():
-        return np.concatenate([0.3 * rng.standard_normal(model.dim_m),
-                               0.5 * rng.standard_normal(model.dim_m),
-                               0.5 * rng.standard_normal(model.dim_n)])
-
-    def rand_tangent():
-        return rng.standard_normal(model.dim_chart)
-
-    n_samples = 100
-    samples = [(rand_point(), rng.standard_normal(p.dim_g))
-               for _ in range(n_samples)]
+    # One array per draw: numpy fills it from the stream in row order, so a
+    # row holds the values one sample at a time would have drawn.
+    n_samples, dm = 100, model.dim_m
+    scale = np.array([0.3] * dm + [0.5] * (dm + model.dim_n))
+    draws = rng.standard_normal((n_samples, model.dim_chart + p.dim_g))
+    samples = list(zip(scale * draws[:, :model.dim_chart], draws[:, model.dim_chart:]))
     resid_mu = verify_moment_identity(model, samples)
     lines.append(f"  moment_identity = {_num(resid_mu)}")
     checks.append(("normal_form.moment_identity", resid_mu, 0.0, 1e-5))
 
-    triples = [(rand_point(), rand_tangent(), rand_tangent(), rand_tangent())
-               for _ in range(n_samples)]
-    resid_d = verify_closedness(model, triples)
+    draws = rng.standard_normal((n_samples, 4, model.dim_chart))
+    draws[:, 0] *= scale
+    resid_d, resid_neg = verify_closedness(model, list(draws))
     lines.append(f"  closedness = {_num(resid_d)}")
     checks.append(("normal_form.closedness", resid_d, 0.0, 1e-4))
 
     if model.dim_m > 1 and model.dim_g0 > 0:   # nonabelian
-        resid_neg = verify_closedness(model, triples, include_bracket=False)
         lines.append(f"  negative_control = {_num(resid_neg)}")
         checks.append(("normal_form.negative_control", resid_neg, 1e-2, INF))
     else:

@@ -243,6 +243,25 @@ def test_flow_section_counts_steps_beside_samples(tmp_path):
     assert int(rejected["error"]) > 0 and int(rejected["energy"]) > 0
 
 
+def test_overflowing_first_step_is_a_nonfinite_rejection(tmp_path, capsys):
+    # the first trial step from a large start overflows its stages; under
+    # the suite's error::RuntimeWarning filter a warning would fail the run
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("group.kind = torus\n"
+                   "group.weights = 1, 0; 0, 1; 1, 1; -2, 3\n"
+                   "initial_vector = 30:0, 30:0, 30:0, 30:0\n"
+                   "flow.mode = affine\n"
+                   "flow.t_max = 100\n"
+                   "analyses = rates\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    flow_lines = open(out / "report.txt").read().split("[FLOW]\n")[1].split("\n\n")[0]
+    fields = dict(line.strip().split(" = ") for line in flow_lines.splitlines())
+    rejected = dict(part.split() for part in fields["rejected"].split(", "))
+    assert rejected["nonfinite"] == "1"
+
+
 @pytest.mark.parametrize("group", [
     "group.kind = su2_sym\ngroup.degree = abc",
     "group.kind = su2_sym\ngroup.degree = 0",

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from momentflow import normal_form
+from momentflow import normal_form, runner
 from momentflow.algebra import (adjoint_coadjoint, direct_sum_presentation,
                                 su2_sym_presentation, torus_presentation)
+from momentflow.builtins import get_builtin
+from momentflow.cli import main
 from momentflow.errors import DomainError, StructuralError
 from momentflow.linalg import expm
 from momentflow.normal_form import (FD_STEP, _ad_matrix, _dexp_left,
@@ -178,7 +180,9 @@ def test_verifiers_report_a_nan_residual(rng):
     x = _rand_tangent(model, rng)
     xi_m, rho, _ = model.split(x)
     nan_x = _chart(xi_m, rho, np.full(model.dim_n, np.nan))
-    assert np.isnan(verify_closedness(model, [(at, x, x, x), (at, nan_x, x, x)]))
+    closedness, negative_control = verify_closedness(
+        model, [(at, x, x, x), (at, nan_x, x, x)])
+    assert np.isnan(closedness) and np.isnan(negative_control)
 
 
 def test_closedness_constant_region(rng):
@@ -187,7 +191,7 @@ def test_closedness_constant_region(rng):
     samples = [(np.zeros(model.dim_chart),
                 _rand_tangent(model, rng), _rand_tangent(model, rng),
                 _rand_tangent(model, rng)) for _ in range(10)]
-    assert verify_closedness(model, samples) <= 1e-10
+    assert verify_closedness(model, samples)[0] <= 1e-10
 
 
 def test_closedness_random_samples(rng):
@@ -195,7 +199,7 @@ def test_closedness_random_samples(rng):
     samples = [(_rand_point(model, rng), _rand_tangent(model, rng),
                 _rand_tangent(model, rng), _rand_tangent(model, rng))
                for _ in range(60)]
-    assert verify_closedness(model, samples) <= 1e-4
+    assert verify_closedness(model, samples)[0] <= 1e-4
 
 
 def test_closedness_negative_control(rng):
@@ -203,7 +207,8 @@ def test_closedness_negative_control(rng):
     samples = [(_rand_point(model, rng), _rand_tangent(model, rng),
                 _rand_tangent(model, rng), _rand_tangent(model, rng))
                for _ in range(60)]
-    assert verify_closedness(model, samples, include_bracket=False) >= 1e-2
+    _, negative_control = verify_closedness(model, samples)
+    assert negative_control >= 1e-2
 
 
 def test_form_nondegenerate_at_origin():
@@ -381,6 +386,74 @@ def test_verifiers_bound_dexp_calls_per_sample(monkeypatch, rng):
     assert len(calls) <= len(triples)
 
 
+def _two_pass_closedness(model, samples, include_bracket):
+    """The reference closedness residual: the public form, with or without
+    its bracket term, on the stacked shifted points."""
+    at, x, y, z = (np.array(c, dtype=float) for c in zip(*samples))
+    along, a, b = (np.stack(t)[:, None] for t in ((x, y, z), (y, x, x), (z, z, y)))
+    signed = np.array([FD_STEP, -FD_STEP])[:, None, None]
+    vals = model_symplectic_form(model, at + signed * along, a, b,
+                                 include_bracket=include_bracket)
+    d = (vals[:, 0] - vals[:, 1]) / (2.0 * FD_STEP)
+    return float(np.max(np.abs(d[0] - d[1] + d[2])))
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_one_pass_closedness_equals_the_model_form(seed):
+    _, model = su2_model()
+    rng = np.random.default_rng(seed)
+    triples = [(_rand_point(model, rng), _rand_tangent(model, rng),
+                _rand_tangent(model, rng), _rand_tangent(model, rng))
+               for _ in range(30)]
+    closedness, negative_control = verify_closedness(model, triples)
+    assert closedness == _two_pass_closedness(model, triples, True)
+    assert negative_control == _two_pass_closedness(model, triples, False)
+
+
+def test_mgs_su2_run_forms_dexp_twice(tmp_path, monkeypatch):
+    # one dexp for the moment identity, one for closedness and its control
+    calls = []
+
+    def counted(*args, _fn=normal_form._dexp_left):
+        calls.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(normal_form, "_dexp_left", counted)
+    assert main(["--builtin", "mgs_su2", "--out-dir", str(tmp_path), "--quiet"]) == 0
+    assert len(calls) == 2
+
+
+def _per_sample_draws(model, dim_g, seed, n_samples=100):
+    """The verification samples drawn one small array at a time."""
+    rng = np.random.default_rng(seed)
+    samples = [(_rand_point(model, rng), rng.standard_normal(dim_g))
+               for _ in range(n_samples)]
+    triples = [(_rand_point(model, rng), _rand_tangent(model, rng),
+                _rand_tangent(model, rng), _rand_tangent(model, rng))
+               for _ in range(n_samples)]
+    return samples, triples
+
+
+@pytest.mark.parametrize("name", ["mgs_u1", "mgs_su2"])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_runner_draws_the_per_sample_sequence(name, seed, tmp_path, monkeypatch):
+    seen = {}
+    for verify in ("verify_moment_identity", "verify_closedness"):
+        def captured(model, samples, _fn=getattr(runner, verify), _key=verify):
+            seen[_key] = (model, samples)
+            return _fn(model, samples)
+        monkeypatch.setattr(runner, verify, captured)
+    exp = get_builtin(name)
+    status, _ = runner.run_experiment(exp, tmp_path, seed=seed, quiet=True)
+    assert status == 0
+    model = seen["verify_moment_identity"][0]
+    wants = _per_sample_draws(model, exp.presentation.dim_g, seed)
+    for verify, want in zip(("verify_moment_identity", "verify_closedness"), wants):
+        got = seen[verify][1]
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for g, w in zip(got, want) for a, b in zip(g, w))
+
+
 def _loop_moment_identity(model, samples):
     """The per-sample reference: every shifted point through the public
     moment map, the frame through the public form, one sample at a time."""
@@ -431,7 +504,7 @@ def test_stacked_model_action_matches_per_point_calls(make, rng):
 def test_moment_identity_without_samples_is_zero():
     _, model = su2_model()
     assert verify_moment_identity(model, []) == 0.0
-    assert verify_closedness(model, []) == 0.0
+    assert verify_closedness(model, []) == (0.0, 0.0)
 
 
 def test_moment_identity_on_a_model_without_m(rng):
