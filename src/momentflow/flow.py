@@ -5,7 +5,8 @@ Dormand-Prince 5(4) pair. On top of the local-error controller sits an
 energy-monotonicity guard: any step that increases f is rejected outright,
 which enforces the one structural property the convergence analysis relies
 on. The controller and the guard alone set the step; samples are read off
-the pair's continuous extension on a geometric output grid. The
+the pair's continuous extension on a geometric output grid, all grid
+points inside a step as one stacked block with one energy evaluation. The
 projectivized flow runs on the unit-sphere representative with a per-step
 renormalization and phase gauge. The group lift g(t) is computed from the
 finished trajectory: each Magnus exponent depends only on the states and
@@ -97,7 +98,9 @@ class FlowTrajectory:
 
     @property
     def v_norm(self):
-        return np.linalg.norm(self.v, axis=1)
+        """|v| per sample; inf where |v|^2 overflows."""
+        with np.errstate(over="ignore"):
+            return np.linalg.norm(self.v, axis=1)
 
     def converged(self):
         return self.terminated_reason == "gradient_small"
@@ -178,46 +181,56 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
     holds the ``terminated_reason``, ``steps``, ``rejected``,
     ``evaluations``, ``h_min`` and ``h_max`` fields of the trajectory.
 
-    The error controller and the energy guard alone set the step. Samples
-    lie on the output grid t_0 = 0, t_{j+1} = t_j + max(initial_step,
-    SAMPLE_GROWTH t_j): a grid point inside an accepted step is read off the
-    continuous extension (through ``postprocess``) and costs one ``energy``
-    call, for its f, grad_norm and slope d = -grad. A step end is a sample
-    only when it is a grid point or no grid point fell inside the step; the
-    final state always is. ``energy(y) -> (f, grad)`` is evaluated once per
-    accepted state, which feeds the energy guard and the first stage of the
-    next step. A step is rejected when its new state is not finite
-    (``rejected["nonfinite"]``, also when a stage overflows, which warns
-    nothing), when the local error test fails (``"error"``) or when f would
-    rise, relative slack 1e-12, at its end or at any sample it emits
-    (``"energy"``). The group lift is not integrated here:
+    ``energy(y) -> (f, grad)`` takes a state (n,) or a stack (q, n), which
+    gives (q,) energies. The error controller and the energy guard alone set
+    the step. Samples lie on the output grid t_0 = 0, t_{j+1} = t_j +
+    max(initial_step, SAMPLE_GROWTH t_j): the q grid points inside an
+    accepted step are read off the continuous extension as one (q, n) block,
+    which takes one ``postprocess`` and one stacked ``energy`` call (q
+    evaluations) for the samples' f, grad_norm and slope d = -grad. A step
+    end is a sample only when it is a grid point or no grid point fell
+    inside the step; the final state always is. ``energy`` is evaluated
+    once per accepted state, which feeds the energy guard and the first
+    stage of the next step. A step is rejected when its new state is not
+    finite (``rejected["nonfinite"]``, also when a state overflows, which
+    warns nothing), when the local error test fails (``"error"``) or when f
+    would rise, relative slack 1e-12, at its end or at any sample it emits
+    (``"energy"``). ``samples`` holds the lists ``t``, ``f`` and
+    ``grad_norm`` and per-step (m, n) blocks of ``v`` and ``d``, which
+    :func:`_pack` concatenates. The group lift is not integrated here:
     :func:`_lift_path` computes it afterwards from the samples.
     """
-    def record(t, y, f, slope):
-        return {"t": t, "v": y, "f": f, "grad_norm": float(np.linalg.norm(slope)),
-                "d": slope}
+    samples = {"t": [], "f": [], "grad_norm": [], "v": [], "d": []}
+
+    def emit(ts, fs, norms, vs, ds):    # consecutive samples; vs, ds are (m, n)
+        for key, part in zip(samples, (ts, fs, norms, [vs], [ds])):
+            samples[key] += part
+
+    def emit_state():
+        emit([t], [f], [float(np.linalg.norm(k1))], y[None], k1[None])
 
     def after(tg):    # the output-grid point that follows tg
         return tg + max(opts.initial_step, SAMPLE_GROWTH * tg)
 
     def finish(reason):
-        if samples[-1]["t"] != t:
-            samples.append(record(t, y, f, k1))
+        if samples["t"][-1] != t:
+            emit_state()
         return samples, dict(terminated_reason=reason, steps=steps, rejected=rejected,
                              evaluations=evaluations, h_min=min(hs, default=np.nan),
                              h_max=max(hs, default=np.nan))
 
-    t, y = 0.0, np.array(y0, dtype=complex)
-    evaluations = int(np.all(np.isfinite(y)))
-    f, grad = energy(y) if evaluations else (np.nan, np.full_like(y, np.nan))
-    k1 = -grad
-    samples = [record(t, y, f, k1)]
-    steps, rejected, hs = 0, {"error": 0, "energy": 0, "nonfinite": 0}, []
-    if not (np.isfinite(f) and np.all(np.isfinite(grad))):
-        return finish("nonfinite")
-    grid = opts.initial_step    # the next output-grid point
-    h = opts.initial_step
+    # an overflowing state, the start included, ends as "nonfinite" silently
     with np.errstate(over="ignore", invalid="ignore"):
+        t, y = 0.0, np.array(y0, dtype=complex)
+        evaluations = int(np.all(np.isfinite(y)))
+        f, grad = energy(y) if evaluations else (np.nan, np.full_like(y, np.nan))
+        k1 = -grad
+        emit_state()
+        steps, rejected, hs = 0, {"error": 0, "energy": 0, "nonfinite": 0}, []
+        if not (np.isfinite(f) and np.all(np.isfinite(grad))):
+            return finish("nonfinite")
+        grid = opts.initial_step    # the next output-grid point
+        h = opts.initial_step
         while True:
             if steps and np.linalg.norm(k1) < opts.eps_grad:
                 return finish("gradient_small")
@@ -247,46 +260,53 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
             while nxt < t_new:
                 inside.append(nxt)
                 nxt = after(nxt)
-            emitted = []
+            # f along the step, from the lower of the state and the last sample
+            fs = [min(f, samples["f"][-1])]
             if inside:
                 theta = (np.array(inside)[:, None] - t) / h_eff
                 dense = y + h_eff * (theta ** np.arange(1, 5) @ (_DP_P @ ks))
-                for tg, yg in zip(inside, dense):
-                    if postprocess is not None:
-                        yg = postprocess(yg, y)
-                    fg, gg = energy(yg)
-                    evaluations += 1
-                    emitted.append(record(tg, yg, fg, -gg))
-            # f along the step, from the lower of the state and the last sample
-            fs = np.array([min(f, samples[-1]["f"])] + [o["f"] for o in emitted] + [f_new])
-            if not np.all(fs[1:] <= fs[:-1] * (1 + 1e-12)):    # also a NaN energy
+                if postprocess is not None:
+                    dense = postprocess(dense, y)
+                f_in, grad_in = energy(dense)
+                evaluations += len(inside)
+                f_in = f_in.tolist()
+                fs += f_in
+            fs.append(f_new)
+            if not all(b <= a * (1 + 1e-12) for a, b in zip(fs, fs[1:])):  # also NaN
                 rejected["energy"] += 1
                 h = 0.5 * h_eff
                 continue
             steps += 1
             hs.append(h_eff)
             t, y, f, k1 = t_new, y_new, f_new, ks[6].copy()
+            if inside:
+                d_in = -grad_in
+                emit(inside, f_in, _row_norms(d_in).tolist(), dense, d_in)
             if not inside or nxt == t:
-                emitted.append(record(t, y, f, k1))
-            samples += emitted
+                emit_state()
             grid = after(nxt) if nxt == t else nxt
             growth = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
             h = h_eff * growth
 
 
+def _row_norms(x):
+    """``np.linalg.norm`` of each row of a complex (q, n), bit for bit."""
+    re, im = x.real, x.imag
+    return np.sqrt(re[:, None] @ re[..., None] + im[:, None] @ im[..., None])[:, 0, 0]
+
+
 def _pack(samples, stats, *, kind, eps_grad, lift=None):
-    """Stack the sample records into a trajectory; with a presentation
+    """Concatenate the sample blocks into a trajectory; with a presentation
     ``lift`` the group lift of the trajectory fills ``g``."""
-    t = np.array([o["t"] for o in samples])
-    v = np.array([o["v"] for o in samples])
-    f = np.array([o["f"] for o in samples])
-    gn = np.array([o["grad_norm"] for o in samples])
+    t = np.array(samples["t"])
+    v = np.concatenate(samples["v"])
     g = None
     if lift is not None:
-        d = np.array([o["d"] for o in samples])
-        g = _lift_path(lift, t, v, d, projective=kind == "projective")
+        g = _lift_path(lift, t, v, np.concatenate(samples["d"]),
+                       projective=kind == "projective")
     s = t.copy() if kind == "projective" else None
-    return FlowTrajectory(t=t, v=v, f=f, grad_norm=gn, s=s, g=g, kind=kind,
+    return FlowTrajectory(t=t, v=v, f=np.array(samples["f"]),
+                          grad_norm=np.array(samples["grad_norm"]), s=s, g=g, kind=kind,
                           eps_grad=eps_grad, **stats)
 
 
@@ -358,12 +378,34 @@ def cointegrate_group(p, v0, opts=None):
 
 
 def projective_energy_gradient(p, v):
-    """Energy and ambient gradient of f^ = |mu^|^2 (degree-0 homogeneous)."""
+    """Energy and ambient gradient of f^ = |mu^|^2 (degree-0 homogeneous), of
+    a state (n,) or, bit for bit row by row, of a stack (q, n)."""
+    if np.ndim(v) == 2:    # per row: np.vdot, and the powers of a Python float
+        n2 = (v.conj()[:, None] @ v[..., None])[:, 0, 0].real.tolist()
+        n2_2, n2_3 = np.array([x**2 for x in n2]), np.array([x**3 for x in n2])
+        f, grad = energy_and_gradient(p, v)
+        return f / n2_2, grad / n2_2[:, None] - (4.0 * f / n2_3)[:, None] * v
     n2 = float(np.vdot(v, v).real)
     f, grad = energy_and_gradient(p, v)
     fhat = f / n2**2
     ghat = grad / n2**2 - (4.0 * f / n2**3) * v
     return fhat, ghat
+
+
+def _projective_gauge(y_new, y_prev):
+    """|v| = 1 and no phase drift along J0 v against ``y_prev``, for a state
+    (n,) or, bit for bit row by row, a stack (q, n)."""
+    if y_new.ndim == 1:
+        v = y_new / np.linalg.norm(y_new)
+        overlap = np.vdot(y_prev, v)
+        if abs(overlap) > 0:
+            v = v * (overlap.conjugate() / abs(overlap))
+        return v
+    v = y_new / _row_norms(y_new)[:, None]
+    for row, overlap in zip(v, (y_prev.conj() @ v[..., None])[:, 0]):   # np.vdot per row
+        if abs(overlap) > 0:
+            row *= overlap.conjugate() / abs(overlap)
+    return v
 
 
 def integrate_projective(p, v0, opts=None, cointegrate=False):
@@ -373,24 +415,22 @@ def integrate_projective(p, v0, opts=None, cointegrate=False):
     |v| = 1 and the phase drift along J0 v is removed (alignment with the
     previous sample). With ``cointegrate`` the trajectory also carries the
     reparametrized group lift g' = 2i mu^ g, computed from the finished
-    trajectory by :func:`_lift_path`; then [g(s) v0] = [v(s)].
+    trajectory by :func:`_lift_path`; then [g(s) v0] = [v(s)]. A finite v0
+    whose 2-norm under- or overflows is first divided by its largest real or
+    imaginary part.
     """
     opts = opts or FlowOptions(t_max=1e6)
     v0 = np.asarray(v0, dtype=complex)
-    norm0 = np.linalg.norm(v0)
+    with np.errstate(over="ignore"):
+        norm0 = np.linalg.norm(v0)
+    if norm0 in (0.0, np.inf) and np.all(np.isfinite(v0)) and v0.any():
+        v0 = v0 / max(np.abs(v0.real).max(), np.abs(v0.imag).max())   # |v0_j| may overflow
+        norm0 = np.linalg.norm(v0)
     if norm0 == 0.0:
         raise DiagnosticError("projective flow needs a nonzero start vector")
     u0 = v0 / norm0 if np.isfinite(norm0) else v0   # ends as "nonfinite"
-
-    def postprocess(y_new, y_prev):
-        v = y_new / np.linalg.norm(y_new)
-        overlap = np.vdot(y_prev, v)
-        if abs(overlap) > 0:
-            v = v * (overlap.conjugate() / abs(overlap))
-        return v
-
     samples, stats = _adaptive_flow(partial(projective_energy_gradient, p), u0, opts,
-                                    postprocess=postprocess)
+                                    postprocess=_projective_gauge)
     return _pack(samples, stats, kind="projective", eps_grad=opts.eps_grad,
                  lift=p if cointegrate else None)
 

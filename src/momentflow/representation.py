@@ -64,8 +64,17 @@ def projective_moment_map(p, v):
 
 
 def energy_and_gradient(p, v):
-    """Energy f = |mu(v)|^2 in the g-metric and its exact g0-gradient."""
+    """Energy f = |mu(v)|^2 in the g-metric and its exact g0-gradient.
+
+    A stack of states (q, n) gives (q,) energies and (q, n) gradients, each
+    row bit for bit the one-state result.
+    """
     v = np.asarray(v, dtype=complex)
+    if v.ndim == 2:    # each product keeps a row's one-state shapes and strides
+        lv = np.swapaxes((p.basis @ v[:, None, :, None])[..., 0], 1, 2)   # (q, n, k)
+        lowered = 0.5 * (v.conj()[:, None] @ lv)[:, 0].imag
+        sharp = p.sharp(lowered[..., None])
+        return (lowered[:, None] @ sharp)[:, 0, 0], -2j * (lv @ sharp)[..., 0]
     lv = infinitesimal_action(p, v)
     lowered = _moment_from_action(v, lv)
     sharp = p.sharp(lowered)

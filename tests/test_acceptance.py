@@ -180,15 +180,15 @@ def _matched_clock_flow_pair(p, v0, h, t_max):
     w0 = h @ v0
     y0 = np.concatenate([v0, w0])
 
-    def energy(y):
-        f1, g1 = energy_and_gradient(p, y[:n])
-        f2, g2 = energy_and_gradient(p, y[n:])
-        return f1 + f2, np.concatenate([g1, g2])
+    def energy(y):    # a state (2n,) or a stack (q, 2n)
+        f1, g1 = energy_and_gradient(p, y[..., :n])
+        f2, g2 = energy_and_gradient(p, y[..., n:])
+        return f1 + f2, np.concatenate([g1, g2], axis=-1)
 
     samples, _ = _adaptive_flow(energy, y0, FlowOptions(t_max=t_max))
-    t = np.array([s["t"] for s in samples])
-    y = np.array([s["v"] for s in samples])
-    d = np.array([s["d"] for s in samples])
+    t = np.array(samples["t"])
+    y = np.concatenate(samples["v"])
+    d = np.concatenate(samples["d"])
     return (_lift_path(p, t, y[:, :n], d[:, :n], projective=False),
             _lift_path(p, t, y[:, n:], d[:, n:], projective=False))
 

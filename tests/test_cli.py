@@ -262,6 +262,43 @@ def test_overflowing_first_step_is_a_nonfinite_rejection(tmp_path, capsys):
     assert rejected["nonfinite"] == "1"
 
 
+def test_overflowing_start_state_is_a_nonfinite_flow(tmp_path, capsys):
+    # |mu(v0)|^2 overflows at the start itself: the flow ends as nonfinite,
+    # silently under the suite's error::RuntimeWarning filter, and fails
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("group.kind = torus\n"
+                   "group.weights = 1\n"
+                   "initial_vector = 1e200:0\n"
+                   "flow.mode = affine\n"
+                   "analyses = rates\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == ""
+    report = open(out / "report.txt").read()
+    assert "  terminated = nonfinite\n" in report
+    assert any(line.startswith("  flow.ok = ") and line.endswith("FAIL")
+               for line in report.splitlines())
+
+
+@pytest.mark.parametrize("scale", ["1e-200", "1e200"])
+def test_projective_start_whose_norm_under_or_overflows(tmp_path, capsys, scale):
+    # |v0|^2 leaves the float range; the run must match the unit start
+    def run(entry):
+        cfg = tmp_path / f"{entry}.cfg"
+        cfg.write_text("group.kind = torus\n"
+                       "group.weights = 1\n"
+                       f"initial_vector = {entry}:0\n"
+                       "flow.mode = projective\n"
+                       "analyses = degeneration\n")
+        out = tmp_path / entry
+        status = main(["--config", str(cfg), "--out", str(out), "--quiet"])
+        report = open(out / "report.txt").read().split("[FLOW]")[1]   # not [CONFIG]
+        return status, report, open(out / "trajectory.csv").read()
+
+    assert run(scale) == run("1") and run("1")[0] == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("group", [
     "group.kind = su2_sym\ngroup.degree = abc",
     "group.kind = su2_sym\ngroup.degree = 0",

@@ -282,8 +282,10 @@ def test_trajectory_csv_round_trip(tmp_path):
 # -- one energy evaluation per flow state -------------------------------------
 
 def test_one_energy_evaluation_per_state(monkeypatch):
-    calls = {"energy_and_gradient": 0, "flow_generator": 0, "_rkf45_step": 0,
-             "expm": 0}
+    # energy_and_gradient counts evaluated states: one per one-state call,
+    # a row per state of a stacked call
+    calls = {"energy_and_gradient": 0, "stacked": 0, "flow_generator": 0,
+             "_rkf45_step": 0, "expm": 0}
     step_sizes = []
     for owner, name in ((flow, "energy_and_gradient"), (flow, "flow_generator"),
                         (flow, "_rkf45_step"), (flow, "expm")):
@@ -291,6 +293,9 @@ def test_one_energy_evaluation_per_state(monkeypatch):
             calls[_name] += 1
             if _name == "_rkf45_step":
                 step_sizes.append(args[2])
+            if _name == "energy_and_gradient" and np.ndim(args[1]) == 2:
+                calls["stacked"] += 1
+                calls[_name] += len(args[1]) - 1
             return _fn(*args)
         monkeypatch.setattr(owner, name, counted)
     traj = cointegrate_group(u1(), [1], FlowOptions(t_max=1e3))
@@ -305,8 +310,10 @@ def test_one_energy_evaluation_per_state(monkeypatch):
     interior = sum(t not in ends for t in traj.t[1:])
     assert 0 < interior < samples
     # the start state, then five new stages and the new state per step, and
-    # one evaluation per interior grid sample
+    # one evaluation per interior grid sample, a row of at most one stacked
+    # call per accepted step
     assert calls["energy_and_gradient"] == 1 + 6 * traj.steps + interior
+    assert 0 < calls["stacked"] <= traj.steps
     assert traj.evaluations == calls["energy_and_gradient"]
     assert (traj.h_min, traj.h_max) == (min(step_sizes), max(step_sizes))
     # the lift makes one generator call (both Gauss nodes of every sample
@@ -360,8 +367,16 @@ def test_samples_lie_on_the_output_grid():
 # -- rejected steps, by cause ------------------------------------------------
 
 def _quadratic(y):
-    """f = |y|^2, whose flow y' = -2y decays without crossing zero."""
-    return float(np.vdot(y, y).real), 2.0 * y
+    """f = |y|^2 of a state (n,) or of each row of a stack (q, n), whose flow
+    y' = -2y decays without crossing zero."""
+    return (y.conj() * y).real.sum(axis=-1), 2.0 * y
+
+
+def _undefined_below_zero(y):
+    """``_quadratic``, NaN on each state with an entry below zero."""
+    f, grad = _quadratic(y)
+    bad = (y.real < 0).any(axis=-1)
+    return np.where(bad, np.nan, f), np.where(bad[..., None], np.nan, grad)
 
 
 def test_rejection_by_local_error_is_counted():
@@ -378,21 +393,16 @@ def test_rejection_by_energy_increase_is_counted():
     samples, stats = flow._adaptive_flow(
         _quadratic, [1.0], FlowOptions(t_max=2.0, initial_step=2.0, atol=1e3))
     assert stats["rejected"] == {"error": 0, "energy": 1, "nonfinite": 0}
-    assert stats["steps"] == 2 and samples[-1]["t"] == 2.0
+    assert stats["steps"] == 2 and samples["t"][-1] == 2.0
 
 
 def test_rejection_by_nonfinite_state_is_counted():
     # the fourth stage of a unit step overshoots below zero, where this
     # energy is undefined; the half step stays positive
-    def energy(y):
-        if np.any(y.real < 0):
-            return np.nan, np.full_like(y, np.nan)
-        return _quadratic(y)
-
     samples, stats = flow._adaptive_flow(
-        energy, [1.0], FlowOptions(t_max=1.0, initial_step=1.0, atol=1e3))
+        _undefined_below_zero, [1.0], FlowOptions(t_max=1.0, initial_step=1.0, atol=1e3))
     assert stats["rejected"] == {"error": 0, "energy": 0, "nonfinite": 1}
-    assert stats["steps"] == 2 and samples[-1]["t"] == 1.0
+    assert stats["steps"] == 2 and samples["t"][-1] == 1.0
 
 
 @pytest.mark.parametrize("cause, opts, nonfinite_below_zero", [
@@ -400,18 +410,16 @@ def test_rejection_by_nonfinite_state_is_counted():
     ("nonfinite", FlowOptions(t_max=1.0, initial_step=1.0, atol=1e3), True),
 ])
 def test_evaluations_count_rejected_steps(cause, opts, nonfinite_below_zero):
-    # the two forced rejections above, with every energy call counted
+    # the two forced rejections above, with every evaluated state counted
     calls = []
 
     def energy(y):
-        calls.append(1)
-        if nonfinite_below_zero and np.any(y.real < 0):
-            return np.nan, np.full_like(y, np.nan)
-        return _quadratic(y)
+        calls.append(1 if y.ndim == 1 else len(y))
+        return (_undefined_below_zero if nonfinite_below_zero else _quadratic)(y)
 
     _, stats = flow._adaptive_flow(energy, [1.0], opts)
     assert stats["rejected"][cause] == 1
-    assert stats["evaluations"] == len(calls)
+    assert stats["evaluations"] == sum(calls)
     # the accepted steps are the two halves of the rejected first step
     assert stats["h_min"] == stats["h_max"] == 0.5 * opts.initial_step
 
