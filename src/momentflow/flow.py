@@ -6,8 +6,11 @@ energy-monotonicity guard: any step that increases f is rejected outright,
 which enforces the one structural property the convergence analysis relies
 on. The controller and the guard alone set the step; samples are read off
 the pair's continuous extension on a geometric output grid, all grid
-points inside a step as one stacked block with one energy evaluation. The
-projectivized flow runs on the unit-sphere representative with a per-step
+points inside a step as one stacked block with one energy evaluation (a
+single grid point as one state, which gives the same bits). Every
+evaluation runs the energy kernel bound to the presentation once per flow,
+and the step casts its tableau rows to complex once, so a step's numpy
+calls are its arithmetic. The projectivized flow runs on the unit-sphere representative with a per-step
 renormalization and phase gauge. The group lift g(t) is computed from the
 finished trajectory: each Magnus exponent depends only on the states and
 slopes at two consecutive samples, so the whole lift takes one batched
@@ -15,14 +18,14 @@ generator call and one stacked exponential per block of samples, and lift
 consistency holds to integrator accuracy.
 """
 
+import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
 from .errors import DiagnosticError
 from .linalg import expm
-from .representation import energy_and_gradient, flow_generator
+from .representation import energy_kernel, flow_generator
 
 MIN_STEP = 1e-14          # a step below this ends the flow by step_underflow
 SAMPLE_GROWTH = 0.04      # ratio of the geometric output grid
@@ -98,9 +101,16 @@ class FlowTrajectory:
 
     @property
     def v_norm(self):
-        """|v| per sample; inf where |v|^2 overflows."""
+        """|v| per sample; a finite row whose |v|^2 overflows is divided by
+        its largest real or imaginary part m first, and gets m |v / m|."""
         with np.errstate(over="ignore"):
-            return np.linalg.norm(self.v, axis=1)
+            norms = np.linalg.norm(self.v, axis=1)
+            big = np.isinf(norms) & np.isfinite(self.v).all(axis=1)
+            if big.any():
+                w = self.v[big]
+                m = np.maximum(np.abs(w.real).max(axis=1), np.abs(w.imag).max(axis=1))
+                norms[big] = m * np.linalg.norm(w / m[:, None], axis=1)
+        return norms
 
     def converged(self):
         return self.terminated_reason == "gradient_small"
@@ -150,6 +160,9 @@ _DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 _E0, _E6 = np.eye(7)[[0, 6]]
 _DP_P = np.array([_E0, 3 * _DP_B - 2 * _E0 - _E6 + _DP_D,
                   _E0 + _E6 - 2 * _DP_B - 2 * _DP_D, _DP_D])
+# The stages are complex: the rows are cast once here, not at every product.
+_DP_A, _DP_B6, _DP_E, _DP_P = (x.astype(complex) for x in (_DP_A, _DP_B[:6], _DP_E, _DP_P))
+_POWERS = np.arange(1, 5)
 
 
 def _rkf45_step(energy, y, h, k1, postprocess=None):
@@ -165,14 +178,14 @@ def _rkf45_step(energy, y, h, k1, postprocess=None):
     ks[0] = k1
     ha = h * _DP_A
     for i in range(1, 6):
-        ks[i] = -energy(y + ha[i, :i] @ ks[:i])[1]
-    y_new = y + h * (_DP_B[:6] @ ks[:6])
+        np.negative(energy(y + ha[i, :i] @ ks[:i])[1], out=ks[i])
+    y_new = y + h * (_DP_B6 @ ks[:6])
     f_new, ks[6] = np.nan, np.nan
-    if np.all(np.isfinite(y_new)):
+    if np.isfinite(y_new).all():
         if postprocess is not None:
             y_new = postprocess(y_new, y)
         f_new, grad = energy(y_new)
-        ks[6] = -grad
+        np.negative(grad, out=ks[6])
     return y_new, f_new, ks, h * (_DP_E @ ks)
 
 
@@ -207,7 +220,7 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
             samples[key] += part
 
     def emit_state():
-        emit([t], [f], [float(np.linalg.norm(k1))], y[None], k1[None])
+        emit([t], [f], [k1_norm], y[None], k1[None])
 
     def after(tg):    # the output-grid point that follows tg
         return tg + max(opts.initial_step, SAMPLE_GROWTH * tg)
@@ -222,17 +235,18 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
     # an overflowing state, the start included, ends as "nonfinite" silently
     with np.errstate(over="ignore", invalid="ignore"):
         t, y = 0.0, np.array(y0, dtype=complex)
-        evaluations = int(np.all(np.isfinite(y)))
+        evaluations = int(np.isfinite(y).all())
         f, grad = energy(y) if evaluations else (np.nan, np.full_like(y, np.nan))
         k1 = -grad
+        k1_norm, abs_y = _norm(k1), np.abs(y)
         emit_state()
         steps, rejected, hs = 0, {"error": 0, "energy": 0, "nonfinite": 0}, []
-        if not (np.isfinite(f) and np.all(np.isfinite(grad))):
+        if not (math.isfinite(f) and np.isfinite(grad).all()):
             return finish("nonfinite")
         grid = opts.initial_step    # the next output-grid point
         h = opts.initial_step
         while True:
-            if steps and np.linalg.norm(k1) < opts.eps_grad:
+            if steps and k1_norm < opts.eps_grad:
                 return finish("gradient_small")
             if t >= opts.t_max * (1 - 1e-15):
                 return finish("t_max")
@@ -244,13 +258,14 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
             h_eff = min(h, opts.t_max - t)
             y_new, f_new, ks, err = _rkf45_step(energy, y, h_eff, k1, postprocess)
             evaluations += 6
-            if not (np.isfinite(f_new) and np.all(np.isfinite(err))):
-                evaluations -= not np.all(np.isfinite(y_new))    # then not evaluated
+            if not (math.isfinite(f_new) and np.isfinite(err).all()):
+                evaluations -= not np.isfinite(y_new).all()    # then not evaluated
                 rejected["nonfinite"] += 1
                 h = 0.5 * h_eff
                 continue
-            scale = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = float(np.max(np.abs(err) / scale))
+            abs_new = np.abs(y_new)
+            scale = opts.atol + opts.rtol * np.maximum(abs_y, abs_new)
+            err_norm = float((np.abs(err) / scale).max())
             if err_norm > 1.0:
                 rejected["error"] += 1
                 h = h_eff * max(0.2, 0.9 * err_norm ** -0.2)
@@ -264,12 +279,9 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
             fs = [min(f, samples["f"][-1])]
             if inside:
                 theta = (np.array(inside)[:, None] - t) / h_eff
-                dense = y + h_eff * (theta ** np.arange(1, 5) @ (_DP_P @ ks))
-                if postprocess is not None:
-                    dense = postprocess(dense, y)
-                f_in, grad_in = energy(dense)
+                dense, f_in, d_in, norms_in = _read_grid(energy, y, h_eff, ks, theta,
+                                                         postprocess)
                 evaluations += len(inside)
-                f_in = f_in.tolist()
                 fs += f_in
             fs.append(f_new)
             if not all(b <= a * (1 + 1e-12) for a, b in zip(fs, fs[1:])):  # also NaN
@@ -278,15 +290,38 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
                 continue
             steps += 1
             hs.append(h_eff)
-            t, y, f, k1 = t_new, y_new, f_new, ks[6].copy()
+            t, y, f, k1, abs_y = t_new, y_new, f_new, ks[6].copy(), abs_new
+            k1_norm = _norm(k1)
             if inside:
-                d_in = -grad_in
-                emit(inside, f_in, _row_norms(d_in).tolist(), dense, d_in)
+                emit(inside, f_in, norms_in, dense, d_in)
             if not inside or nxt == t:
                 emit_state()
             grid = after(nxt) if nxt == t else nxt
             growth = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
             h = h_eff * growth
+
+
+def _read_grid(energy, y, h, ks, theta, postprocess=None):
+    """States (q, n), energy list, slopes d = -grad (q, n) and |d| list of the
+    samples at step fractions ``theta`` (q, 1) of the continuous extension;
+    one stacked call each, or for one row the one-state calls (same bits)."""
+    dense = y + h * (theta ** _POWERS @ (_DP_P @ ks))
+    if len(dense) == 1:
+        row = dense[0] if postprocess is None else postprocess(dense[0], y)
+        f, grad = energy(row)
+        d = -grad[None]
+        return row[None], [f], d, [_norm(d[0])]
+    if postprocess is not None:
+        dense = postprocess(dense, y)
+    f, grad = energy(dense)
+    d = -grad
+    return dense, f.tolist(), d, _row_norms(d).tolist()
+
+
+def _norm(x):
+    """``np.linalg.norm`` of a complex (n,), bit for bit, as a Python float."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _row_norms(x):
@@ -313,7 +348,7 @@ def _pack(samples, stats, *, kind, eps_grad, lift=None):
 def integrate_kempf_ness(p, v0, opts=None):
     """Downward gradient flow of f = |mu|^2 from v0, affine clock."""
     opts = opts or FlowOptions()
-    samples, stats = _adaptive_flow(partial(energy_and_gradient, p), v0, opts)
+    samples, stats = _adaptive_flow(energy_kernel(p), v0, opts)
     return _pack(samples, stats, kind="affine", eps_grad=opts.eps_grad)
 
 
@@ -373,30 +408,38 @@ def cointegrate_group(p, v0, opts=None):
     trajectory by :func:`_lift_path`.
     """
     opts = opts or FlowOptions()
-    samples, stats = _adaptive_flow(partial(energy_and_gradient, p), v0, opts)
+    samples, stats = _adaptive_flow(energy_kernel(p), v0, opts)
     return _pack(samples, stats, kind="affine", eps_grad=opts.eps_grad, lift=p)
+
+
+def _projective_kernel(energy):
+    """Energy and ambient gradient of f^ = |mu^|^2 (degree-0 homogeneous)
+    from the bound kernel ``energy`` of f, of a state (n,) or, bit for bit
+    row by row, of a stack (q, n)."""
+    def projective(v):
+        if v.ndim == 2:    # per row: np.vdot, and the powers of a Python float
+            n2 = (v.conj()[:, None] @ v[..., None])[:, 0, 0].real.tolist()
+            n2_2, n2_3 = np.array([x**2 for x in n2]), np.array([x**3 for x in n2])
+            f, grad = energy(v)
+            return f / n2_2, grad / n2_2[:, None] - (4.0 * f / n2_3)[:, None] * v
+        n2 = float(np.vdot(v, v).real)
+        f, grad = energy(v)
+        return f / n2**2, grad / n2**2 - (4.0 * f / n2**3) * v
+
+    return projective
 
 
 def projective_energy_gradient(p, v):
     """Energy and ambient gradient of f^ = |mu^|^2 (degree-0 homogeneous), of
     a state (n,) or, bit for bit row by row, of a stack (q, n)."""
-    if np.ndim(v) == 2:    # per row: np.vdot, and the powers of a Python float
-        n2 = (v.conj()[:, None] @ v[..., None])[:, 0, 0].real.tolist()
-        n2_2, n2_3 = np.array([x**2 for x in n2]), np.array([x**3 for x in n2])
-        f, grad = energy_and_gradient(p, v)
-        return f / n2_2, grad / n2_2[:, None] - (4.0 * f / n2_3)[:, None] * v
-    n2 = float(np.vdot(v, v).real)
-    f, grad = energy_and_gradient(p, v)
-    fhat = f / n2**2
-    ghat = grad / n2**2 - (4.0 * f / n2**3) * v
-    return fhat, ghat
+    return _projective_kernel(energy_kernel(p))(v)
 
 
 def _projective_gauge(y_new, y_prev):
     """|v| = 1 and no phase drift along J0 v against ``y_prev``, for a state
     (n,) or, bit for bit row by row, a stack (q, n)."""
     if y_new.ndim == 1:
-        v = y_new / np.linalg.norm(y_new)
+        v = y_new / _norm(y_new)
         overlap = np.vdot(y_prev, v)
         if abs(overlap) > 0:
             v = v * (overlap.conjugate() / abs(overlap))
@@ -429,7 +472,7 @@ def integrate_projective(p, v0, opts=None, cointegrate=False):
     if norm0 == 0.0:
         raise DiagnosticError("projective flow needs a nonzero start vector")
     u0 = v0 / norm0 if np.isfinite(norm0) else v0   # ends as "nonfinite"
-    samples, stats = _adaptive_flow(partial(projective_energy_gradient, p), u0, opts,
+    samples, stats = _adaptive_flow(_projective_kernel(energy_kernel(p)), u0, opts,
                                     postprocess=_projective_gauge)
     return _pack(samples, stats, kind="projective", eps_grad=opts.eps_grad,
                  lift=p if cointegrate else None)
@@ -437,7 +480,8 @@ def integrate_projective(p, v0, opts=None, cointegrate=False):
 
 def reparametrize(traj):
     """Fill the reparametrized clock s(t) = integral of |v|^2 dt (trapezoid)."""
-    n2 = traj.v_norm**2
+    with np.errstate(over="ignore"):
+        n2 = traj.v_norm**2
     dt = np.diff(traj.t)
     s = np.concatenate([[0.0], np.cumsum(0.5 * (n2[1:] + n2[:-1]) * dt)])
     return replace(traj, s=s)

@@ -32,6 +32,7 @@ __all__ = [
     "infinitesimal_action",
     "moment_map",
     "projective_moment_map",
+    "energy_kernel",
     "energy_and_gradient",
     "flow_generator",
     "kempf_ness_value",
@@ -46,12 +47,8 @@ def infinitesimal_action(p, v):
 def moment_map(p, v):
     """Metric-lowered moment map: component a is 1/2 Omega0(xi_a v, v)."""
     v = np.asarray(v, dtype=complex)
-    return _moment_from_action(v, infinitesimal_action(p, v))
-
-
-def _moment_from_action(v, lv):
     # <xi_a v, v> = v^dagger (xi_a v); Im of it is the pairing numerator
-    return 0.5 * (v.conj() @ lv).imag
+    return 0.5 * (v.conj() @ infinitesimal_action(p, v)).imag
 
 
 def projective_moment_map(p, v):
@@ -63,24 +60,33 @@ def projective_moment_map(p, v):
     return moment_map(p, v) / n2
 
 
-def energy_and_gradient(p, v):
-    """Energy f = |mu(v)|^2 in the g-metric and its exact g0-gradient.
-
-    A stack of states (q, n) gives (q,) energies and (q, n) gradients, each
-    row bit for bit the one-state result.
+def energy_kernel(p):
+    """``energy(v) -> (f, grad)`` bound to ``p``: f = |mu(v)|^2 in the
+    g-metric and its exact g0-gradient, of a complex state (n,) or, each row
+    bit for bit the one-state result, of a stack (q, n), which gives (q,)
+    energies and (q, n) gradients. The basis and the inverse metric are
+    looked up once, here, so each call pays only for its arithmetic.
     """
-    v = np.asarray(v, dtype=complex)
-    if v.ndim == 2:    # each product keeps a row's one-state shapes and strides
-        lv = np.swapaxes((p.basis @ v[:, None, :, None])[..., 0], 1, 2)   # (q, n, k)
-        lowered = 0.5 * (v.conj()[:, None] @ lv)[:, 0].imag
-        sharp = p.sharp(lowered[..., None])
-        return (lowered[:, None] @ sharp)[:, 0, 0], -2j * (lv @ sharp)[..., 0]
-    lv = infinitesimal_action(p, v)
-    lowered = _moment_from_action(v, lv)
-    sharp = p.sharp(lowered)
-    f = float(lowered @ sharp)
-    grad = -2j * (lv @ sharp)
-    return f, grad
+    basis, metric_inv = p.basis, p._metric_inv
+
+    def energy(v):
+        if v.ndim == 2:    # each product keeps a row's one-state shapes and strides
+            lv = np.swapaxes((basis @ v[:, None, :, None])[..., 0], 1, 2)   # (q, n, k)
+            lowered = 0.5 * (v.conj()[:, None] @ lv)[:, 0].imag
+            sharp = metric_inv @ lowered[..., None]
+            return (lowered[:, None] @ sharp)[:, 0, 0], -2j * (lv @ sharp)[..., 0]
+        lv = (basis @ v).T                                  # infinitesimal_action
+        lowered = 0.5 * (v.conj() @ lv).imag                # moment_map
+        sharp = metric_inv @ lowered
+        return float(lowered @ sharp), -2j * (lv @ sharp)
+
+    return energy
+
+
+def energy_and_gradient(p, v):
+    """Energy f = |mu(v)|^2 in the g-metric and its exact g0-gradient, of a
+    state (n,) or a stack (q, n); see :func:`energy_kernel`."""
+    return energy_kernel(p)(np.asarray(v, dtype=complex))
 
 
 def flow_generator(p, v):

@@ -307,6 +307,26 @@ def test_criterion_9_mgs_model_verification():
     _report(9, "MGS model verification", checks)
 
 
+# Ceilings on each builtin's [FLOW] steps, evaluations and samples at seed 0.
+# Work may fall below them; a change that spends more work raises this table
+# on purpose and says why.
+FLOW_COUNTER_CEILINGS = {
+    "u1_weight1": (129, 1126, 355),
+    "torus_12": (153, 1116, 265),
+    "torus_c3": (149, 1108, 279),
+    "su2_symd": (458, 2962, 574),
+    "mgs_u1": (1, 7, 2),
+    "mgs_su2": (1, 7, 2),
+}
+
+
+def _flow_counters(report):
+    """(steps, evaluations, samples) of a report's [FLOW] section."""
+    section = report.split("[FLOW]\n")[1].split("\n\n")[0]
+    fields = dict(line.strip().split(" = ", 1) for line in section.splitlines())
+    return tuple(int(fields[key]) for key in ("steps", "evaluations", "samples"))
+
+
 def test_criterion_10_reproducibility(tmp_path):
     checks = []
     for name in BUILTIN_NAMES:
@@ -314,7 +334,11 @@ def test_criterion_10_reproducibility(tmp_path):
                                 seed=0, quiet=True)
         s2, p2 = run_experiment(get_builtin(name), tmp_path / name / "run2",
                                 seed=0, quiet=True)
-        same = open(p1, "rb").read() == open(p2, "rb").read()
+        report = open(p1, "rb").read()
         checks.append((f"{name}: exit 0 twice, byte-identical report",
-                       s1 == 0 and s2 == 0 and same))
+                       s1 == 0 and s2 == 0 and report == open(p2, "rb").read()))
+        counters, ceilings = _flow_counters(report.decode()), FLOW_COUNTER_CEILINGS[name]
+        checks.append((f"{name}: [FLOW] steps, evaluations, samples {counters} "
+                       f"within {ceilings}",
+                       all(c <= m for c, m in zip(counters, ceilings))))
     _report(10, "reproducibility", checks)

@@ -278,6 +278,9 @@ def test_overflowing_start_state_is_a_nonfinite_flow(tmp_path, capsys):
     assert "  terminated = nonfinite\n" in report
     assert any(line.startswith("  flow.ok = ") and line.endswith("FAIL")
                for line in report.splitlines())
+    # |v|^2 overflows, |v| = 1e200 does not
+    header, row = (out / "trajectory.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["v_norm"] == "1e+200"
 
 
 @pytest.mark.parametrize("scale", ["1e-200", "1e200"])

@@ -263,6 +263,17 @@ def test_check_rates_stationary_not_applicable():
     assert not check_rates(traj, 0.75).applicable
 
 
+def test_v_norm_is_finite_where_only_its_square_overflows():
+    v = np.array([[1e200, 0.0], [3.0, 4j], [1e308, 1e308j], [1e-200, 0.0]])
+    traj = FlowTrajectory(t=np.arange(4.0), v=v, f=np.zeros(4), grad_norm=np.zeros(4),
+                          terminated_reason="t_max")
+    norms = traj.v_norm
+    assert norms[0] == 1e200 and norms[2] == pytest.approx(1e308 * np.sqrt(2.0), rel=1e-15)
+    # every other row keeps np.linalg.norm's value
+    assert np.array_equal(norms[[1, 3]], np.linalg.norm(v[[1, 3]], axis=1))
+    assert reparametrize(traj).s[-1] == np.inf    # |v|^2 overflows silently
+
+
 def test_trajectory_csv_round_trip(tmp_path):
     p = torus_presentation([[1], [2]])
     v0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
@@ -282,20 +293,26 @@ def test_trajectory_csv_round_trip(tmp_path):
 # -- one energy evaluation per flow state -------------------------------------
 
 def test_one_energy_evaluation_per_state(monkeypatch):
-    # energy_and_gradient counts evaluated states: one per one-state call,
-    # a row per state of a stacked call
-    calls = {"energy_and_gradient": 0, "stacked": 0, "flow_generator": 0,
-             "_rkf45_step": 0, "expm": 0}
+    # the bound energy kernel counts evaluated states: one per one-state
+    # call, a row per state of a stacked call
+    calls = {"energy": 0, "stacked": 0, "flow_generator": 0, "_rkf45_step": 0, "expm": 0}
     step_sizes = []
-    for owner, name in ((flow, "energy_and_gradient"), (flow, "flow_generator"),
-                        (flow, "_rkf45_step"), (flow, "expm")):
+
+    def counting_kernel(p, _bind=flow.energy_kernel):
+        kernel = _bind(p)
+
+        def energy(v):
+            calls["energy"] += len(v) if v.ndim == 2 else 1
+            calls["stacked"] += v.ndim == 2
+            return kernel(v)
+        return energy
+
+    monkeypatch.setattr(flow, "energy_kernel", counting_kernel)
+    for owner, name in ((flow, "flow_generator"), (flow, "_rkf45_step"), (flow, "expm")):
         def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
             if _name == "_rkf45_step":
                 step_sizes.append(args[2])
-            if _name == "energy_and_gradient" and np.ndim(args[1]) == 2:
-                calls["stacked"] += 1
-                calls[_name] += len(args[1]) - 1
             return _fn(*args)
         monkeypatch.setattr(owner, name, counted)
     traj = cointegrate_group(u1(), [1], FlowOptions(t_max=1e3))
@@ -312,9 +329,9 @@ def test_one_energy_evaluation_per_state(monkeypatch):
     # the start state, then five new stages and the new state per step, and
     # one evaluation per interior grid sample, a row of at most one stacked
     # call per accepted step
-    assert calls["energy_and_gradient"] == 1 + 6 * traj.steps + interior
+    assert calls["energy"] == 1 + 6 * traj.steps + interior
     assert 0 < calls["stacked"] <= traj.steps
-    assert traj.evaluations == calls["energy_and_gradient"]
+    assert traj.evaluations == calls["energy"]
     assert (traj.h_min, traj.h_max) == (min(step_sizes), max(step_sizes))
     # the lift makes one generator call (both Gauss nodes of every sample
     # interval of a block) and one stacked expm per block of intervals
