@@ -8,10 +8,9 @@ convex-geometry oracle, and numerically verifies the local model-space
 symplectic data around zeros of the moment map.
 """
 
-from .algebra import (GroupPresentation, adjoint_coadjoint,
-                      direct_sum_presentation, matrix_presentation,
-                      su2_presentation, su2_sym_presentation, torus_presentation,
-                      un_presentation, validate_presentation)
+from .algebra import (GroupPresentation, direct_sum_presentation,
+                      matrix_presentation, su2_presentation, su2_sym_presentation,
+                      torus_presentation, un_presentation, validate_presentation)
 from .degeneration import (DegenerationReport, hermitian_generator,
                            limit_direction, torus_oracle)
 from .flow import (FlowOptions, FlowTrajectory, check_rates, cointegrate_group,

@@ -38,7 +38,6 @@ __all__ = [
     "sym_power_generator",
     "su2_sym_presentation",
     "direct_sum_presentation",
-    "adjoint_coadjoint",
 ]
 
 
@@ -305,23 +304,4 @@ def direct_sum_presentation(presentations):
         basis[:, i:i + p.dim_v, i:i + p.dim_v] = p.basis
         i += p.dim_v
     return matrix_presentation(basis)
-
-
-def adjoint_coadjoint(p, g, coords):
-    """Adjoint action Ad_g on g-coordinates: g (sum_a c_a xi_a) g^{-1}.
-
-    For elements of the compact group and an Ad-invariant metric this equals
-    the coadjoint action, hence the name. ``g`` and ``coords`` may carry
-    leading axes. The result is re-expanded in the basis; an expansion
-    residual above TAU_ALG * max(1, |g xi g^-1|) at any point means that g
-    does not normalize the algebra and raises :class:`DomainError`.
-    """
-    conjugated = g @ p.matrix(np.asarray(coords, dtype=float)) @ np.linalg.inv(g)
-    out, residual = p._expand(conjugated)
-    scale = np.maximum(1.0, np.linalg.norm(conjugated, axis=(-2, -1)))
-    if np.any(residual > TAU_ALG * scale):
-        raise DomainError(
-            f"Ad_g leaves the presented algebra (expansion residual {np.max(residual):.2e})"
-        )
-    return out
 

@@ -74,7 +74,10 @@ class FlowTrajectory:
     samples; ``rejected`` counts the rejected ones by cause (``error``,
     ``energy``, ``nonfinite``); ``evaluations`` counts the energy calls of
     the integration, rejected steps included; ``h_min`` and ``h_max`` bound
-    the accepted step sizes (NaN with no accepted step).
+    the accepted step sizes (NaN with no accepted step). ``lift_residual``
+    is the lift's own check, set with ``g``: max |g v0 - v| / |v0| over the
+    samples, and for a projective trajectory the distance of g v0 / |g v0|
+    from v up to phase.
     """
 
     t: np.ndarray
@@ -91,6 +94,7 @@ class FlowTrajectory:
     evaluations: int = 0
     h_min: float = np.nan
     h_max: float = np.nan
+    lift_residual: float | None = None
 
     def __len__(self):
         return len(self.t)
@@ -332,17 +336,33 @@ def _row_norms(x):
 
 def _pack(samples, stats, *, kind, eps_grad, lift=None):
     """Concatenate the sample blocks into a trajectory; with a presentation
-    ``lift`` the group lift of the trajectory fills ``g``."""
+    ``lift`` the group lift of the trajectory fills ``g`` and its residual
+    ``lift_residual``."""
     t = np.array(samples["t"])
     v = np.concatenate(samples["v"])
-    g = None
+    g = residual = None
     if lift is not None:
         g = _lift_path(lift, t, v, np.concatenate(samples["d"]),
                        projective=kind == "projective")
+        residual = _lift_residual(g, v, projective=kind == "projective")
     s = t.copy() if kind == "projective" else None
     return FlowTrajectory(t=t, v=v, f=np.array(samples["f"]),
                           grad_norm=np.array(samples["grad_norm"]), s=s, g=g, kind=kind,
-                          eps_grad=eps_grad, **stats)
+                          eps_grad=eps_grad, lift_residual=residual, **stats)
+
+
+def _lift_residual(g, v, projective):
+    """max |g v0 - v| / |v0| over the samples, v0 = v[0]; projectively the
+    distance of g v0 / |g v0| from v after the phase that minimizes it. A
+    non-finite sample gives NaN."""
+    with np.errstate(invalid="ignore"):
+        gv = g @ v[0]
+        if projective:
+            gv = gv / np.linalg.norm(gv, axis=1)[:, None]
+            overlap = np.sum(v.conj() * gv, axis=1)
+            gv = gv * np.exp(-1j * np.angle(overlap))[:, None]
+            return float(np.linalg.norm(gv - v, axis=1).max())
+        return float(np.linalg.norm(gv - v, axis=1).max() / np.linalg.norm(v[0]))
 
 
 def integrate_kempf_ness(p, v0, opts=None):

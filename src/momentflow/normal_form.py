@@ -20,13 +20,20 @@ model moment map Ad_g(mu_N(v) + rho), and runs purely finite-difference
 verifications of the Hamiltonian identity and of closedness. No symbolic
 differentiation anywhere: the point of this module is an independent
 numerical confirmation.
+
+The group enters only through its Lie algebra: Ad_g for g = exp(x) is the
+real k x k matrix exp(ad_x), and Ad_{g^-1} = exp(-ad_x) comes out of the
+same Van Loan exponential that gives the differential of exp, so no n x n
+group element is ever exponentiated or inverted. That identity holds for a
+basis closed under brackets, which :func:`build_model` checks once per
+model.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import adjoint_coadjoint
+from .algebra import validate_presentation
 from .errors import DomainError
 from .linalg import expm
 from .representation import infinitesimal_action, moment_map
@@ -153,9 +160,14 @@ class NormalFormModel:
 def build_model(p, z0):
     """Construct the splitting (g0, m, N) at a zero z0 of the moment map.
 
-    Raises :class:`DomainError` when |mu(z0)| exceeds 1e-10 or z0
-    vanishes, and on numerically ambiguous rank decisions in the splitting.
+    Raises :class:`DomainError` when the presentation fails
+    :func:`validate_presentation` (Ad_g = exp(ad_x) needs a basis closed
+    under brackets), when |mu(z0)| exceeds 1e-10 or z0 vanishes, and on
+    numerically ambiguous rank decisions in the splitting.
     """
+    report = validate_presentation(p)
+    if not report.ok:
+        raise DomainError(f"presentation fails validation: {report}")
     z0 = np.asarray(z0, dtype=complex)
     if np.linalg.norm(z0) == 0:
         raise DomainError("z0 must be nonzero")
@@ -227,16 +239,20 @@ def _bracket(p, x_coords, y_coords):
 
 
 def _dexp_left(p, x_coords):
-    """Left-trivialized differential of exp at x: (1 - e^{-ad_x}) / ad_x.
+    """The pair (Ad_{exp(-x)}, dexp) at x, with dexp = (1 - e^{-ad_x}) / ad_x
+    the left-trivialized differential of exp.
 
-    Exact through Van Loan's block-triangular exponential: the upper-right
-    block of expm([[M, I], [0, 0]]) is (e^M - 1) / M, here with M = -ad_x.
+    Both are blocks of one Van Loan block-triangular exponential:
+    expm([[M, I], [0, 0]]) holds e^M upper left and (e^M - 1) / M upper
+    right, here with M = -ad_x, and e^{-ad_x} is Ad_{exp(-x)} on
+    g-coordinates.
     """
     k = p.dim_g
     block = np.zeros(np.shape(x_coords)[:-1] + (2 * k, 2 * k))
     block[..., :k, :k] = -_ad_matrix(p, x_coords)
     block[..., :k, k:] = np.eye(k)
-    return expm(block)[..., :k, k:]
+    block = expm(block)
+    return block[..., :k, :k], block[..., :k, k:]
 
 
 def _omega_display(model, at, t1, t2):
@@ -282,7 +298,7 @@ def _intrinsic(model, dexp, x):
 
 def _chart_forms(model, at, x1, x2):
     """The pair of :func:`_omega_display` on chart tangents at chart points."""
-    dexp = _dexp_left(model.parent, model.embed_m(model.split(at)[0]))
+    _, dexp = _dexp_left(model.parent, model.embed_m(model.split(at)[0]))
     return _omega_display(model, at, _intrinsic(model, dexp, x1),
                           _intrinsic(model, dexp, x2))
 
@@ -305,9 +321,10 @@ def model_symplectic_form(model, at, x1, x2, include_bracket=True):
     return float(total) if np.ndim(total) == 0 else total
 
 
-def _model_action(model, at, xi_g, g, dexp):
+def _model_action(model, at, xi_g, ad_inv, dexp):
     """Chart tangent of the left G-action generated by xi (g-coordinates)
-    at chart point ``at``, given g = exp(xi_m) and ``dexp`` = _dexp_left there.
+    at chart point ``at``, given the pair (``ad_inv``, ``dexp``) that
+    :func:`_dexp_left` returns there, g = exp(xi_m) and ad_inv = Ad_{g^-1}.
 
     At [g, rho, v] the velocity left-translates to Ad_{g^-1} xi. Its chart
     representative solves dexp(xi_m-dot) + zeta_0 = Ad_{g^-1} xi with
@@ -316,7 +333,7 @@ def _model_action(model, at, xi_g, g, dexp):
     axes, which broadcast.
     """
     p, (_, rho, v) = model.parent, model.split(at)
-    zeta = adjoint_coadjoint(p, np.linalg.inv(g), np.asarray(xi_g, dtype=float))
+    zeta = (ad_inv @ np.asarray(xi_g, dtype=float)[..., None])[..., 0]
     # columns: dexp of each m basis direction, then the isotropy basis
     g0 = np.broadcast_to(model.g0_basis.T, dexp.shape[:-1] + (model.dim_g0,))
     system = np.concatenate([dexp @ model.m_basis.T, g0], axis=-1)
@@ -336,10 +353,10 @@ def _fiber_moment(model, at):
 
 def model_moment_map(model, at):
     """Moment value Ad_g(mu_N(v) + rho) in metric-lowered g-coordinates, over
-    the leading axes of the chart point ``at``."""
+    the leading axes of the chart point ``at``; Ad_g = exp(ad_{xi_m})."""
     p = model.parent
-    g = expm(p.matrix(model.embed_m(model.split(at)[0])))
-    return adjoint_coadjoint(p, g, _fiber_moment(model, at)) @ p.metric.T
+    ad_g = expm(_ad_matrix(p, model.embed_m(model.split(at)[0])))
+    return (ad_g @ _fiber_moment(model, at)[..., None])[..., 0] @ p.metric.T
 
 
 def verify_moment_identity(model, samples):
@@ -349,25 +366,24 @@ def verify_moment_identity(model, samples):
     g-coordinates. The left side is a central finite difference, step
     ``FD_STEP``, of the pairing along each chart coordinate direction; the
     right side evaluates the model form on the infinitesimal action. All
-    samples go through one pass: exp(xi_m) and dexp are formed once per
-    sample and feed both sides, and only the points shifted along xi_m get an
-    exponential of their own; the points shifted along rho or v share their
-    sample's Ad_g, applied as one (k, k) matrix per sample.
+    samples go through one pass: one Van Loan exponential per sample gives
+    dexp and Ad_{g^-1}, which feed the right side; its inverse Ad_g serves
+    the points shifted along rho or v, as one (k, k) matrix per sample. Only
+    the points shifted along xi_m get an exponential exp(ad) of their own.
     """
     if not samples:
         return 0.0
     at = np.array([q for q, _ in samples], dtype=float)
     xi = np.array([x for _, x in samples], dtype=float)
     p, dm, x = model.parent, model.dim_m, model.embed_m(model.split(at)[0])
-    g, dexp = expm(p.matrix(x)), _dexp_left(p, x)
+    ad_inv, dexp = _dexp_left(p, x)
     frame = np.eye(model.dim_chart)[:, None]    # (chart direction, 1, chart)
     moved = at + np.array([FD_STEP, -FD_STEP])[:, None, None, None] * frame
-    ad_g = adjoint_coadjoint(p, g[:, None], np.eye(p.dim_g))    # row b: Ad_g xi_b
     lam = _fiber_moment(model, moved[:, dm:])
-    mu = np.einsum("...sa,sab->...sb", lam, ad_g) @ p.metric.T
+    mu = np.einsum("...sa,sba->...sb", lam, np.linalg.inv(ad_inv)) @ p.metric.T
     mu = np.concatenate([model_moment_map(model, moved[:, :dm]), mu], axis=1)
     plus, minus = np.sum(mu * xi, axis=-1)
-    x_xi = _intrinsic(model, dexp, _model_action(model, at, xi, g, dexp))
+    x_xi = _intrinsic(model, dexp, _model_action(model, at, xi, ad_inv, dexp))
     rhs, _ = _omega_display(model, at, x_xi, _intrinsic(model, dexp, frame))
     return float(np.max(np.abs((plus - minus) / (2.0 * FD_STEP) - rhs)))    # NaN propagates
 

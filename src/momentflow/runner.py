@@ -37,6 +37,8 @@ PROJECTIVE_LEG_S_MAX = 200.0
 
 RAY_CLOCK_START, RAY_CLOCK_GROWTH = 0.5, 1.05  # clocks of the ray's samples
 
+LIFT_TOL = 1e-6  # bound of the lift's relative residual, flow.lift_residual
+
 INF = float("inf")
 
 
@@ -366,11 +368,15 @@ def run_experiment(exp, out_dir, *, seed=0, tol_scale=1.0, quiet=False):
         f"  final_f = {_num(traj.f[-1])}",
         f"  final_grad = {_num(traj.grad_norm[-1])}",
         f"  max_f_increase = {_num(max(0.0, fdiff.max()) if len(fdiff) else 0.0)}"]
+    if traj.g is not None:
+        sections["FLOW"].append(f"  lift_residual = {_num(traj.lift_residual)}")
 
     # a flow that did not run cannot pass, even with no analysis enabled
     found = []
     if traj.terminated_reason in ("step_underflow", "nonfinite"):
         found.append(("flow.ok", 0.0, 1.0, 1.0))
+    if traj.g is not None:    # the lift checks itself: |g v0 - v| <= 1e-6 |v0|
+        found.append(("flow.lift_residual", traj.lift_residual, 0.0, LIFT_TOL))
     for name, analysis in ANALYSES.items():
         if name not in exp.analyses:
             sections[name.upper()] = ["  disabled"]

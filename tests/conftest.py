@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momentflow.algebra import (su2_presentation, su2_sym_presentation,
+from momentflow.algebra import (TAU_ALG, su2_presentation, su2_sym_presentation,
                                 torus_presentation, un_presentation)
 from momentflow.representation import energy_and_gradient
 
@@ -22,6 +22,14 @@ def fd_gradient(p, v, h=1e-5):
             fm = energy_and_gradient(p, v - h * e)[0]
             out[i] += (fp - fm) / (2 * h) * unit
     return out
+
+
+def conjugate_coords(p, g, coords):
+    """Ad_g on g-coordinates by conjugation, coords_of(g matrix(c) g^-1): the
+    independent reference for exp(ad_x). One group element ``g`` (n, n) and
+    one coordinate vector; raises when g does not normalize the algebra."""
+    return p.coords_of(g @ p.matrix(np.asarray(coords, dtype=float)) @ np.linalg.inv(g),
+                       tol=TAU_ALG)
 
 
 def random_presentation(rng):

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from conftest import random_presentation
+from conftest import conjugate_coords, random_presentation
 
-from momentflow.algebra import (GroupPresentation, adjoint_coadjoint,
-                                matrix_presentation, su2_presentation,
-                                su2_sym_presentation, sym_power_generator,
-                                torus_presentation, trace_metric, un_presentation,
+from momentflow.algebra import (GroupPresentation, matrix_presentation,
+                                su2_presentation, su2_sym_presentation,
+                                sym_power_generator, torus_presentation,
+                                trace_metric, un_presentation,
                                 validate_presentation)
 from momentflow.errors import DomainError, StructuralError
 from momentflow.linalg import expm
+from momentflow.normal_form import _ad_matrix, _dexp_left
 
 
 def test_validate_diagonal_ok():
@@ -128,54 +129,48 @@ def test_exp_group_rejects_nonsquare():
         expm(np.zeros((2, 3)))
 
 
+def _ad_exp(p, x):
+    """Ad_{exp(x)} on g-coordinates as the real k x k matrix exp(ad_x)."""
+    return expm(_ad_matrix(p, np.asarray(x, dtype=float)))
+
+
 def test_adjoint_identity_and_torus():
     p = torus_presentation([[1, 0], [0, 1], [1, 1]])
     xi = np.array([0.3, -1.2])
-    np.testing.assert_allclose(adjoint_coadjoint(p, np.eye(3), xi), xi, atol=1e-14)
-    g = expm(p.matrix([0.5, 0.25]))
-    np.testing.assert_allclose(adjoint_coadjoint(p, g, xi), xi, atol=1e-12)
+    np.testing.assert_allclose(_ad_exp(p, [0.0, 0.0]) @ xi, xi, atol=1e-14)
+    # an abelian algebra: ad_x = 0, so Ad_g is the identity exactly
+    assert np.array_equal(_ad_exp(p, [0.5, 0.25]) @ xi, xi)
+    np.testing.assert_allclose(conjugate_coords(p, expm(p.matrix([0.5, 0.25])), xi), xi,
+                               atol=1e-12)
 
 
 def test_adjoint_su2_rotation():
     # Ad along exp(theta xi_1) rotates (xi_2, xi_3): at theta = pi/2,
     # xi_2 -> -xi_3 and xi_3 -> +xi_2 for the [xi_1, xi_2] = -xi_3 basis
     p = su2_presentation()
-    g = expm(p.matrix([np.pi / 2, 0.0, 0.0]))
-    np.testing.assert_allclose(adjoint_coadjoint(p, g, [0, 1, 0]), [0, 0, -1],
-                               atol=1e-12)
-    np.testing.assert_allclose(adjoint_coadjoint(p, g, [0, 0, 1]), [0, 1, 0],
-                               atol=1e-12)
+    ad = _ad_exp(p, [np.pi / 2, 0.0, 0.0])
+    np.testing.assert_allclose(ad @ [0, 1, 0], [0, 0, -1], atol=1e-12)
+    np.testing.assert_allclose(ad @ [0, 0, 1], [0, 1, 0], atol=1e-12)
 
 
 def test_adjoint_composition(rng):
+    # Ad_{g1 g2} by conjugation equals exp(ad_x1) exp(ad_x2)
     p = su2_sym_presentation(3)
     for _ in range(5):
-        g1 = expm(p.matrix(rng.standard_normal(3)))
-        g2 = expm(p.matrix(rng.standard_normal(3)))
+        x1, x2 = rng.standard_normal(3), rng.standard_normal(3)
         xi = rng.standard_normal(3)
-        lhs = adjoint_coadjoint(p, g1 @ g2, xi)
-        rhs = adjoint_coadjoint(p, g1, adjoint_coadjoint(p, g2, xi))
+        lhs = conjugate_coords(p, expm(p.matrix(x1)) @ expm(p.matrix(x2)), xi)
+        rhs = _ad_exp(p, x1) @ (_ad_exp(p, x2) @ xi)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
 def test_adjoint_empty_batch():
-    # an empty stack of group elements gives an empty stack of coordinates
+    # an empty stack of points gives an empty stack of Ad matrices
     p = su2_presentation()
-    g = np.zeros((0, 2, 2), dtype=complex)
-    assert adjoint_coadjoint(p, g, np.zeros((0, 3))).shape == (0, 3)
-    assert adjoint_coadjoint(p, g[:, None], np.eye(3)).shape == (0, 3, 3)
-
-
-def test_adjoint_outside_algebra_raises():
-    p = torus_presentation([[1], [2]])
-    # a shear does not normalize the diagonal algebra
-    g = np.array([[1, 1], [0, 1]], dtype=complex)
-    with pytest.raises(DomainError):
-        adjoint_coadjoint(p, g, [1.0])
-    # a non-unitary scaling maps su(2) onto traceless non-skew matrices
-    g = np.diag([2.0, 1.0]).astype(complex)
-    with pytest.raises(DomainError):
-        adjoint_coadjoint(su2_presentation(), g, [1.0, 0.0, 0.0])
+    x = np.zeros((0, 3))
+    assert _ad_exp(p, x).shape == (0, 3, 3)
+    assert (_ad_exp(p, x) @ x[..., None]).shape == (0, 3, 1)
+    assert [b.shape for b in _dexp_left(p, x)] == [(0, 3, 3), (0, 3, 3)]
 
 
 def test_non_orthonormal_basis_routes_through_metric():

@@ -6,7 +6,7 @@ import pytest
 
 from momentflow.algebra import sym_power_generator
 from momentflow.builtins import BUILTIN_NAMES, get_builtin
-from momentflow import cli
+from momentflow import cli, flow
 from momentflow.cli import MAX_SYM_DEGREE, ConfigError, main, parse_config
 from momentflow.degeneration import ORACLE_MAX_WEIGHTS
 from momentflow.errors import DomainError, RayDivergenceError
@@ -438,6 +438,36 @@ def test_semistable_oracle_beside_an_unstable_limit_is_a_mismatch(tmp_path):
     assert any(line.startswith("  degeneration.oracle_destabilizes = ")
                and line.endswith("FAIL") for line in lines)
     assert "verdict,0,mismatch" in (tmp_path / "degeneration.csv").read_text()
+
+
+@pytest.mark.parametrize("name, residual", [("torus_c3", 3.40e-9), ("su2_symd", 1.08e-7)])
+def test_lifted_builtins_report_their_lift_residual(tmp_path, name, residual):
+    # both lifts are projective, so the residual is taken up to phase; the
+    # largest entry of the residual vector is 2.9e-9 and 8.0e-8 respectively
+    status, path = run_experiment(get_builtin(name), tmp_path, quiet=True)
+    assert status == 0
+    lines = open(path).read().splitlines()
+    flow_lines = lines[lines.index("[FLOW]"):lines.index("[RATES]")]
+    value = [float(line.split(" = ")[1]) for line in flow_lines
+             if line.startswith("  lift_residual = ")]
+    assert value == [pytest.approx(residual, rel=5e-3)]
+    assert any(line.startswith("  flow.lift_residual = ")
+               and line.endswith("in [0.0, 1e-06]  PASS") for line in lines)
+
+
+def test_lift_residual_gates_the_run(tmp_path, monkeypatch):
+    exp = replace(get_builtin("torus_12"), mode="cointegrate", analyses=(), checks=())
+    status, path = run_experiment(exp, tmp_path / "ok", quiet=True)
+    assert status == 0
+    assert "flow.lift_residual" in open(path).read()
+    monkeypatch.setattr(flow, "_lift_residual", lambda g, v, projective: 2e-6)
+    status, path = run_experiment(exp, tmp_path / "drift", quiet=True)
+    assert status == 1
+    assert "  flow.lift_residual = 2e-06  in [0.0, 1e-06]  FAIL" in open(path).read()
+    # an unlifted run neither prints nor checks a lift residual
+    status, path = run_experiment(replace(exp, mode="affine"), tmp_path / "affine",
+                                  quiet=True)
+    assert status == 0 and "lift_residual" not in open(path).read()
 
 
 _NO_ANALYSIS = {"mode": "affine", "analyses": ()}

@@ -93,6 +93,36 @@ def test_cointegrate_lift_consistency():
     assert worst <= 1e-6 * np.linalg.norm(v0)
 
 
+def _reference_lift_residual(traj):
+    """The lift's residual one sample at a time: |g v0 - v| / |v0|, or for a
+    projective trajectory |e^{i theta} w - v| with w = g v0 / |g v0| and the
+    phase e^{i theta} of <v, w>, conjugated."""
+    v0, worst = traj.v[0], 0.0
+    for g, v in zip(traj.g, traj.v):
+        w = g @ v0
+        if traj.kind == "projective":
+            w = w / np.linalg.norm(w)
+            c = np.vdot(w, v)
+            worst = max(worst, np.linalg.norm(w * c / abs(c) - v))
+        else:
+            worst = max(worst, np.linalg.norm(w - v) / np.linalg.norm(v0))
+    return worst
+
+
+def test_lift_residual_is_the_lift_check():
+    p = su2_sym_presentation(3)
+    v0 = np.array([1.0, 0.3 - 0.2j, -0.5, 0.7j])
+    opts = FlowOptions(t_max=50.0)
+    for traj in (cointegrate_group(p, v0, opts),
+                 integrate_projective(p, v0, opts, cointegrate=True)):
+        want = _reference_lift_residual(traj)
+        assert 0 < want <= 1e-6
+        assert traj.lift_residual == pytest.approx(want, rel=1e-6)
+    # a trajectory without its lift has no lift residual
+    assert integrate_kempf_ness(p, v0, opts).lift_residual is None
+    assert integrate_projective(p, v0, opts).lift_residual is None
+
+
 def test_cointegrate_abelian_diagonal_log_quadrature(monkeypatch):
     # g stays diagonal; log g equals the quadrature of the diagonal generator
     # (dense sampling + Simpson so the reference quadrature is good to 1e-6)

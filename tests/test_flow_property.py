@@ -48,6 +48,7 @@ def test_flow_invariants_on_random_presentations(seed):
     assert _f_never_increases(lifted)
     drift = np.linalg.norm(lifted.g @ v0 - lifted.v, axis=1)
     assert drift.max() <= 1e-6 * np.linalg.norm(v0)
+    assert lifted.lift_residual == drift.max() / np.linalg.norm(v0)
 
     proj_opts = FlowOptions(t_max=2.0)
     proj = integrate_projective(p, v0, proj_opts, cointegrate=True)
@@ -55,6 +56,7 @@ def test_flow_invariants_on_random_presentations(seed):
     assert _f_never_increases(proj)
     assert _on_output_grid(proj, proj_opts)
     np.testing.assert_allclose(proj.v_norm, 1.0, rtol=0, atol=1e-12)
+    assert proj.lift_residual <= 1e-6
 
 
 @settings(derandomize=True, max_examples=15, deadline=None)

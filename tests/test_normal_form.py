@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import conjugate_coords, random_presentation
 from momentflow import normal_form, runner
-from momentflow.algebra import (adjoint_coadjoint, direct_sum_presentation,
+from momentflow.algebra import (direct_sum_presentation, matrix_presentation,
                                 su2_sym_presentation, torus_presentation)
 from momentflow.builtins import get_builtin
 from momentflow.cli import main
@@ -80,6 +82,18 @@ def test_build_rejects_non_zero():
         build_model(p, z0)
     with pytest.raises(DomainError):
         build_model(p, np.zeros(2, dtype=complex))
+
+
+def test_build_rejects_a_basis_not_closed_under_brackets():
+    # i sigma_x and i sigma_y alone: their bracket is along i sigma_z, outside
+    # the span, so Ad_g = exp(ad_x) would not hold on this basis
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    p = matrix_presentation(1j * np.stack([sx, sy]))
+    z0 = np.array([1.0, 0.0], dtype=complex)
+    assert moment_map(p, z0) == pytest.approx(0.0, abs=1e-15)    # a zero of mu
+    with pytest.raises(DomainError, match="validation"):
+        build_model(p, z0)
 
 
 def test_form_antisymmetry_exact(rng):
@@ -227,7 +241,6 @@ def test_residual_isotropy_equivariance(rng):
     # mu~(g0 . point) = Ad_g0 mu~(point) for the isotropy action at the chart
     # origin (g = e), where g0 acts on (rho, v)
     p, model = su2_model()
-    from momentflow.algebra import adjoint_coadjoint
     for _ in range(5):
         rho, v = 0.5 * rng.standard_normal(2), 0.5 * rng.standard_normal(8)
         at = _chart(np.zeros(2), rho, v)
@@ -239,7 +252,7 @@ def test_residual_isotropy_equivariance(rng):
         v_new = model.slice_coords(g0 @ model.slice_vector(v))
         moved = _chart(np.zeros(2), rho_new, v_new)
         lhs = model_moment_map(model, moved)
-        rhs = p.lower(adjoint_coadjoint(p, g0, p.sharp(model_moment_map(model, at))))
+        rhs = p.lower(conjugate_coords(p, g0, p.sharp(model_moment_map(model, at))))
         np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
 
@@ -283,14 +296,13 @@ def test_infinitesimal_action_consistency(rng):
     at = _rand_point(model, rng)
     xi = rng.standard_normal(p.dim_g)
     x = model.embed_m(model.split(at)[0])
-    tangent = _model_action(model, at, xi, expm(p.matrix(x)), _dexp_left(p, x))
+    tangent = _model_action(model, at, xi, *_dexp_left(p, x))
     h = 1e-6
     moved = at + h * tangent
     # compare moment values: d/dt mu~(e^{t xi} . at) = ad-type derivative
     lhs = (model_moment_map(model, moved) - model_moment_map(model, at)) / h
     g = expm(h * p.matrix(xi))
-    from momentflow.algebra import adjoint_coadjoint
-    pushed = p.lower(adjoint_coadjoint(p, g, p.sharp(model_moment_map(model, at))))
+    pushed = p.lower(conjugate_coords(p, g, p.sharp(model_moment_map(model, at))))
     rhs = (pushed - model_moment_map(model, at)) / h
     np.testing.assert_allclose(lhs, rhs, atol=1e-4)
 
@@ -312,8 +324,30 @@ def test_dexp_closed_form_matches_series(rng):
         x = rng.standard_normal(model.dim_m)
         x *= rng.uniform(0.0, 1.0) / np.linalg.norm(x)
         xg = model.embed_m(x)
-        np.testing.assert_allclose(_dexp_left(p, xg),
-                                   _dexp_series(_ad_matrix(p, xg)), atol=1e-12)
+        ad_inv, dexp = _dexp_left(p, xg)
+        np.testing.assert_allclose(dexp, _dexp_series(_ad_matrix(p, xg)), atol=1e-12)
+        np.testing.assert_allclose(ad_inv, expm(-_ad_matrix(p, xg)), rtol=0, atol=1e-14)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ad_exp_matches_conjugation_on_random_presentations(seed):
+    # exp(ad_x) c is g matrix(c) g^-1 in coordinates, g = exp(x); the first
+    # block of _dexp_left is its inverse. A torus basis may have more
+    # generators than its span has dimensions, so the coordinates are
+    # compared as the matrices they present.
+    rng = np.random.default_rng(seed)
+    p = random_presentation(rng)
+    x = rng.standard_normal(p.dim_g)
+    x *= rng.uniform(0.0, 2.0) / max(np.linalg.norm(x), 1e-300)
+    c = rng.standard_normal(p.dim_g) * rng.uniform(0.1, 10.0)
+    ad = expm(_ad_matrix(p, x))
+    got = p.matrix(ad @ c)
+    want = p.matrix(conjugate_coords(p, expm(p.matrix(x)), c))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    ad_inv, _ = _dexp_left(p, x)
+    prod = ad_inv @ ad
+    assert np.all(np.abs(prod - np.eye(p.dim_g)) <= 1e-12)
 
 
 def test_batched_model_maps_match_per_point_calls(rng):
@@ -338,20 +372,8 @@ def test_batched_model_maps_match_per_point_calls(rng):
                 for b in ys]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
     xg = model.embed_m(model.split(at)[0])
-    np.testing.assert_allclose(_dexp_left(p, xg), [_dexp_left(p, row) for row in xg],
-                               rtol=0, atol=1e-14)
-
-
-def test_batched_adjoint_rejects_one_non_normalizing_point(rng):
-    p, model = su2_model()
-    gs = scipy.linalg.expm(p.matrix(rng.standard_normal((3, p.dim_g))))  # in G
-    coords = rng.standard_normal((3, p.dim_g))
-    adjoint_coadjoint(p, gs, coords)
-    # a unitary that mixes the two summands leaves the presented algebra
-    q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-    gs[1] = q
-    with pytest.raises(DomainError):
-        adjoint_coadjoint(p, gs, coords)
+    for got, want in zip(_dexp_left(p, xg), zip(*[_dexp_left(p, row) for row in xg])):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_verifiers_bound_dexp_calls_per_sample(monkeypatch, rng):
@@ -374,10 +396,10 @@ def test_verifiers_bound_dexp_calls_per_sample(monkeypatch, rng):
         calls.clear()
         exponentials.clear()
         verify_moment_identity(model, samples)
-        # one dexp per verification; one exponential per sample for g, one
-        # per sample for dexp, one per point shifted along xi_m
+        # one dexp per verification; one exponential per sample for dexp
+        # and Ad_{g^-1}, one per point shifted along xi_m
         assert len(calls) <= 1
-        assert 0 < sum(exponentials) <= n_samples * (2 + 2 * model.dim_m)
+        assert 0 < sum(exponentials) <= n_samples * (1 + 2 * model.dim_m)
     calls.clear()
     triples = [(_rand_point(model, rng), _rand_tangent(model, rng),
                 _rand_tangent(model, rng), _rand_tangent(model, rng))
@@ -411,16 +433,26 @@ def test_one_pass_closedness_equals_the_model_form(seed):
 
 
 def test_mgs_su2_run_forms_dexp_twice(tmp_path, monkeypatch):
-    # one dexp for the moment identity, one for closedness and its control
-    calls = []
+    # one dexp for the moment identity, one for closedness and its control;
+    # every exponential is a real k x k exp(ad_x) or a real 2k x 2k Van Loan
+    # block, never an n x n group element
+    k = get_builtin("mgs_su2").presentation.dim_g
+    calls, shapes = [], []
 
     def counted(*args, _fn=normal_form._dexp_left):
         calls.append(1)
         return _fn(*args)
 
+    def counted_expm(a, _fn=normal_form.expm):
+        shapes.append((np.asarray(a).dtype, np.shape(a)[-2:]))
+        return _fn(a)
+
     monkeypatch.setattr(normal_form, "_dexp_left", counted)
+    monkeypatch.setattr(normal_form, "expm", counted_expm)
     assert main(["--builtin", "mgs_su2", "--out-dir", str(tmp_path), "--quiet"]) == 0
     assert len(calls) == 2
+    assert shapes and all(dtype == np.float64 for dtype, _ in shapes)
+    assert {shape for _, shape in shapes} <= {(k, k), (2 * k, 2 * k)}
 
 
 def _per_sample_draws(model, dim_g, seed, n_samples=100):
@@ -464,7 +496,7 @@ def _loop_moment_identity(model, samples):
     for at, xi in samples:
         xi = np.asarray(xi, dtype=float)
         x = model.embed_m(model.split(at)[0])
-        x_xi = _model_action(model, at, xi, expm(p.matrix(x)), _dexp_left(p, x))
+        x_xi = _model_action(model, at, xi, *_dexp_left(p, x))
         plus, minus = model_moment_map(model, at + signed * frame) @ xi
         lhs = (plus - minus) / (2.0 * FD_STEP)
         rhs = model_symplectic_form(model, at, x_xi, frame)
@@ -492,11 +524,11 @@ def test_stacked_model_action_matches_per_point_calls(make, rng):
     xis = rng.standard_normal((6, p.dim_g))
     at = np.stack(points)
     x = model.embed_m(model.split(at)[0])
-    got = _model_action(model, at, xis, expm(p.matrix(x)), _dexp_left(p, x))
+    got = _model_action(model, at, xis, *_dexp_left(p, x))
     want = []
     for q, xi in zip(points, xis):
         y = model.embed_m(model.split(q)[0])
-        want.append(_model_action(model, q, xi, expm(p.matrix(y)), _dexp_left(p, y)))
+        want.append(_model_action(model, q, xi, *_dexp_left(p, y)))
     assert got.shape == (6, model.dim_chart)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
