@@ -173,6 +173,19 @@ def test_adjoint_empty_batch():
     assert [b.shape for b in _dexp_left(p, x)] == [(0, 3, 3), (0, 3, 3)]
 
 
+def test_adjoint_outside_algebra_raises():
+    # the conjugation reference rejects a g that does not normalize the algebra
+    p = torus_presentation([[1], [2]])
+    # a shear does not normalize the diagonal algebra
+    g = np.array([[1, 1], [0, 1]], dtype=complex)
+    with pytest.raises(DomainError):
+        conjugate_coords(p, g, [1.0])
+    # a non-unitary scaling maps su(2) onto traceless non-skew matrices
+    g = np.diag([2.0, 1.0]).astype(complex)
+    with pytest.raises(DomainError):
+        conjugate_coords(su2_presentation(), g, [1.0, 0.0, 0.0])
+
+
 def test_non_orthonormal_basis_routes_through_metric():
     base = su2_presentation()
     skew = np.stack([base.basis[0], base.basis[0] + base.basis[1], base.basis[2]])

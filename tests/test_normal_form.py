@@ -350,6 +350,24 @@ def test_ad_exp_matches_conjugation_on_random_presentations(seed):
     assert np.all(np.abs(prod - np.eye(p.dim_g)) <= 1e-12)
 
 
+def test_batched_adjoint_rejects_one_non_normalizing_point(rng):
+    p, model = su2_model()
+    xs = rng.standard_normal((3, p.dim_g))
+    gs = expm(p.matrix(xs))   # in G
+    coords = rng.standard_normal((3, p.dim_g))
+    # the batched exp(ad_x) agrees with the conjugation at every point of G
+    got = (expm(_ad_matrix(p, xs)) @ coords[..., None])[..., 0]
+    for g, c, row in zip(gs, coords, got):
+        np.testing.assert_allclose(row, conjugate_coords(p, g, c), atol=1e-12)
+    # a unitary that mixes the two summands leaves the presented algebra
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    gs[1] = q
+    conjugate_coords(p, gs[0], coords[0])
+    conjugate_coords(p, gs[2], coords[2])
+    with pytest.raises(DomainError):
+        conjugate_coords(p, gs[1], coords[1])
+
+
 def test_batched_model_maps_match_per_point_calls(rng):
     p, model = su2_model()
     points = [_rand_point(model, rng) for _ in range(7)]
