@@ -58,14 +58,13 @@ class GroupPresentation:
 
     Attributes
     ----------
-    dim_v : complex dimension n of the representation space.
-    basis : array (k, n, n), skew-Hermitian generators xi_a.
+    basis : array (k, n, n), skew-Hermitian generators xi_a; the complex
+        dimension ``dim_v`` = n of the representation space is read off it.
     metric : array (k, k), Gram matrix of the invariant inner product on g;
         symmetric positive-definite, else :class:`DomainError`.
     kind : 'torus' for diagonal weight actions, 'matrix_basis' otherwise.
     """
 
-    dim_v: int
     basis: np.ndarray
     metric: np.ndarray
     kind: str = "matrix_basis"
@@ -74,11 +73,9 @@ class GroupPresentation:
         basis = np.asarray(self.basis, dtype=complex)
         if basis.ndim != 3 or basis.shape[0] == 0:
             raise StructuralError("basis must be a non-empty list of matrices")
-        if basis.shape[1] != basis.shape[2] or basis.shape[1] != self.dim_v:
+        if basis.shape[1] != basis.shape[2]:
             raise StructuralError(
-                f"basis matrices must be {self.dim_v}x{self.dim_v}, "
-                f"got {basis.shape[1]}x{basis.shape[2]}"
-            )
+                f"basis matrices must be square, got {basis.shape[1]}x{basis.shape[2]}")
         metric = np.asarray(self.metric, dtype=float)
         if metric.shape != (basis.shape[0], basis.shape[0]):
             raise StructuralError("metric shape must match the basis size")
@@ -92,10 +89,14 @@ class GroupPresentation:
         object.__setattr__(self, "metric", metric)
 
     @property
+    def dim_v(self):
+        return self.basis.shape[1]
+
+    @property
     def dim_g(self):
         return self.basis.shape[0]
 
-    # -- the Lie-algebra core, computed once per presentation ---------------
+    # -- the Lie-algebra core and its validation, once per presentation -----
     # cached_property writes the instance __dict__ directly, so it works on
     # this frozen (unslotted) dataclass and leaves fields, eq and repr alone.
 
@@ -129,6 +130,19 @@ class GroupPresentation:
         c, _ = self._expand(_brackets(self.basis))
         c.setflags(write=False)
         return c
+
+    @cached_property
+    def _diagnostics(self):
+        """The :func:`validate_presentation` report."""
+        basis, s = self.basis, self.structure
+        skewness = np.linalg.norm(basis + basis.conj().transpose(0, 2, 1), axis=(1, 2)).max()
+        bracket = np.linalg.norm(_brackets(basis) - self.matrix(s), axis=(2, 3)).max()
+        # <[zeta, xi], eta> + <xi, [zeta, eta]> over basis triples (zeta, xi, eta)
+        ad_res = np.abs(s @ self.metric + (s @ self.metric.T).transpose(0, 2, 1)).max()
+        ok = skewness <= TAU_ALG and bracket <= TAU_ALG and ad_res <= TAU_ALG
+        return DiagnosticsReport(ok=ok, skewness=float(skewness),
+                                 bracket_closure=float(bracket),
+                                 ad_invariance=float(ad_res))
 
     def _expand(self, xi):
         """Coordinates of matrices ``xi`` (..., n, n) and the Frobenius norms
@@ -171,7 +185,7 @@ def _brackets(basis):
     return prod - prod.transpose(1, 0, 2, 3)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiagnosticsReport:
     """Residuals of the defining properties of a presentation."""
 
@@ -192,21 +206,11 @@ class DiagnosticsReport:
 def validate_presentation(p):
     """Check skew-Hermitianity, bracket closure and Ad-invariance of the metric.
 
-    Returns a :class:`DiagnosticsReport`; ``ok`` is true iff every residual is
-    within TAU_ALG. Structural problems (shape mismatches) raise instead.
+    Returns the presentation's :class:`DiagnosticsReport`, computed once;
+    ``ok`` is true iff every residual is within TAU_ALG. Structural problems
+    (shape mismatches) raise when the presentation is built.
     """
-    basis = p.basis
-    skewness = np.linalg.norm(basis + basis.conj().transpose(0, 2, 1), axis=(1, 2)).max()
-    bracket = np.linalg.norm(_brackets(basis) - p.matrix(p.structure), axis=(2, 3)).max()
-
-    # <[zeta, xi], eta> + <xi, [zeta, eta]> over basis triples (zeta, xi, eta)
-    s = p.structure
-    ad_res = np.abs(s @ p.metric + (s @ p.metric.T).transpose(0, 2, 1)).max()
-
-    ok = skewness <= TAU_ALG and bracket <= TAU_ALG and ad_res <= TAU_ALG
-    return DiagnosticsReport(ok=ok, skewness=float(skewness),
-                             bracket_closure=float(bracket),
-                             ad_invariance=float(ad_res))
+    return p._diagnostics
 
 
 def torus_presentation(w):
@@ -222,7 +226,7 @@ def torus_presentation(w):
     basis = np.zeros((k, n, n), dtype=complex)
     for j in range(k):
         basis[j] = 1j * np.diag(w[:, j])
-    return GroupPresentation(dim_v=n, basis=basis, metric=np.eye(k), kind="torus")
+    return GroupPresentation(basis=basis, metric=np.eye(k), kind="torus")
 
 
 def matrix_presentation(basis, metric=None):
@@ -230,8 +234,7 @@ def matrix_presentation(basis, metric=None):
     basis = np.asarray(basis, dtype=complex)
     if metric is None:
         metric = trace_metric(basis)
-    return GroupPresentation(dim_v=basis.shape[1], basis=basis, metric=metric,
-                             kind="matrix_basis")
+    return GroupPresentation(basis=basis, metric=metric, kind="matrix_basis")
 
 
 def su2_presentation():

@@ -31,7 +31,7 @@ from .algebra import (direct_sum_presentation, matrix_presentation,
                       validate_presentation)
 from .builtins import BUILTIN_NAMES, get_builtin
 from .degeneration import ORACLE_MAX_WEIGHTS, diagonal_torus
-from .flow import MIN_STEP, FlowOptions
+from .flow import MIN_STEP, PROJECTIVE_T_MAX, FlowOptions
 from .runner import Experiment, run_experiment
 
 ANALYSES = ("rates", "ray", "degeneration", "oracle", "normal_form")
@@ -193,10 +193,11 @@ def parse_config(text):
                           f"got {mode!r}", no)
     if mode == "projective" and not np.any(v0):
         raise ConfigError("the projective flow needs a nonzero initial_vector", v0_no)
-    t_max = _parse_positive(cfg, "flow.t_max", 1e6 if mode == "projective" else 1e4)
-    eps_grad = _parse_positive(cfg, "flow.eps_grad", 1e-10)
+    t_max = _parse_positive(cfg, "flow.t_max", PROJECTIVE_T_MAX if mode == "projective"
+                            else FlowOptions.t_max)
+    eps_grad = _parse_positive(cfg, "flow.eps_grad", FlowOptions.eps_grad)
     # a first step below the integrator's smallest step would underflow at once
-    initial_step = _parse_positive(cfg, "flow.initial_step", 1e-3,
+    initial_step = _parse_positive(cfg, "flow.initial_step", FlowOptions.initial_step,
                                    minimum=MIN_STEP)
     opts = FlowOptions(t_max=t_max, eps_grad=eps_grad, initial_step=initial_step)
 
@@ -262,8 +263,12 @@ def main(argv=None):
             exp = get_builtin(args.builtin)
             cfg_out, seed = None, 0
         else:
-            with open(args.config) as fh:
-                text = fh.read()
+            with open(args.config, "rb") as fh:
+                data = fh.read()
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise ConfigError("not valid UTF-8", err.object[:err.start].count(b"\n") + 1)
             exp, cfg_out, seed = parse_config(text)
     except (ConfigError, KeyError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -10,12 +10,13 @@ points inside a step as one stacked block with one energy evaluation (a
 single grid point as one state, which gives the same bits). Every
 evaluation runs the energy kernel bound to the presentation once per flow,
 and the step casts its tableau rows to complex once, so a step's numpy
-calls are its arithmetic. The projectivized flow runs on the unit-sphere representative with a per-step
-renormalization and phase gauge. The group lift g(t) is computed from the
-finished trajectory: each Magnus exponent depends only on the states and
-slopes at two consecutive samples, so the whole lift takes one batched
-generator call and one stacked exponential per block of samples, and lift
-consistency holds to integrator accuracy.
+calls are its arithmetic; the samples' |grad| is taken once per trajectory
+from their slopes. The projectivized flow runs on the unit-sphere
+representative with a per-step renormalization and phase gauge. The group
+lift g(t) is computed from the finished trajectory: each Magnus exponent
+depends only on the states and slopes at two consecutive samples, so the
+whole lift takes one batched generator call and one stacked exponential per
+block of samples, and lift consistency holds to integrator accuracy.
 """
 
 import math
@@ -30,6 +31,7 @@ from .representation import energy_kernel, flow_generator
 MIN_STEP = 1e-14          # a step below this ends the flow by step_underflow
 SAMPLE_GROWTH = 0.04      # ratio of the geometric output grid
 MAX_STEPS = 2_000_000     # budget of accepted and rejected steps
+PROJECTIVE_T_MAX = 1e6    # default horizon of the projective flow, clock s
 
 __all__ = [
     "FlowOptions",
@@ -88,7 +90,7 @@ class FlowTrajectory:
     s: np.ndarray | None = None
     g: np.ndarray | None = None
     kind: str = "affine"
-    eps_grad: float = 1e-10
+    eps_grad: float = FlowOptions.eps_grad
     steps: int = 0
     rejected: dict = field(default_factory=dict)
     evaluations: int = 0
@@ -204,27 +206,26 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
     max(initial_step, SAMPLE_GROWTH t_j): the q grid points inside an
     accepted step are read off the continuous extension as one (q, n) block,
     which takes one ``postprocess`` and one stacked ``energy`` call (q
-    evaluations) for the samples' f, grad_norm and slope d = -grad. A step
-    end is a sample only when it is a grid point or no grid point fell
-    inside the step; the final state always is. ``energy`` is evaluated
-    once per accepted state, which feeds the energy guard and the first
-    stage of the next step. A step is rejected when its new state is not
-    finite (``rejected["nonfinite"]``, also when a state overflows, which
-    warns nothing), when the local error test fails (``"error"``) or when f
-    would rise, relative slack 1e-12, at its end or at any sample it emits
-    (``"energy"``). ``samples`` holds the lists ``t``, ``f`` and
-    ``grad_norm`` and per-step (m, n) blocks of ``v`` and ``d``, which
-    :func:`_pack` concatenates. The group lift is not integrated here:
-    :func:`_lift_path` computes it afterwards from the samples.
+    evaluations) for the samples' f and slope d = -grad. A step end is a
+    sample only when it is a grid point or no grid point fell inside the
+    step; the final state always is. ``energy`` is evaluated once per
+    accepted state, which feeds the energy guard and the first stage of the
+    next step. A step is rejected when its new state is not finite
+    (``rejected["nonfinite"]``, also when a state overflows, which warns
+    nothing), when the local error test fails (``"error"``) or when f would
+    rise, relative slack 1e-12, at its end or at any sample it emits
+    (``"energy"``). ``samples`` holds the lists ``t`` and ``f`` and per-step
+    (m, n) blocks of ``v`` and ``d``, which :func:`_pack` concatenates; it
+    derives |grad| and the group lift from them.
     """
-    samples = {"t": [], "f": [], "grad_norm": [], "v": [], "d": []}
+    samples = {"t": [], "f": [], "v": [], "d": []}
 
-    def emit(ts, fs, norms, vs, ds):    # consecutive samples; vs, ds are (m, n)
-        for key, part in zip(samples, (ts, fs, norms, [vs], [ds])):
+    def emit(ts, fs, vs, ds):    # consecutive samples; vs, ds are (m, n)
+        for key, part in zip(samples, (ts, fs, [vs], [ds]), strict=True):
             samples[key] += part
 
     def emit_state():
-        emit([t], [f], [k1_norm], y[None], k1[None])
+        emit([t], [f], y[None], k1[None])
 
     def after(tg):    # the output-grid point that follows tg
         return tg + max(opts.initial_step, SAMPLE_GROWTH * tg)
@@ -283,8 +284,7 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
             fs = [min(f, samples["f"][-1])]
             if inside:
                 theta = (np.array(inside)[:, None] - t) / h_eff
-                dense, f_in, d_in, norms_in = _read_grid(energy, y, h_eff, ks, theta,
-                                                         postprocess)
+                dense, f_in, d_in = _read_grid(energy, y, h_eff, ks, theta, postprocess)
                 evaluations += len(inside)
                 fs += f_in
             fs.append(f_new)
@@ -297,7 +297,7 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
             t, y, f, k1, abs_y = t_new, y_new, f_new, ks[6].copy(), abs_new
             k1_norm = _norm(k1)
             if inside:
-                emit(inside, f_in, norms_in, dense, d_in)
+                emit(inside, f_in, dense, d_in)
             if not inside or nxt == t:
                 emit_state()
             grid = after(nxt) if nxt == t else nxt
@@ -306,20 +306,15 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
 
 
 def _read_grid(energy, y, h, ks, theta, postprocess=None):
-    """States (q, n), energy list, slopes d = -grad (q, n) and |d| list of the
-    samples at step fractions ``theta`` (q, 1) of the continuous extension;
-    one stacked call each, or for one row the one-state calls (same bits)."""
+    """States (q, n), energy list and slopes d = -grad (q, n) of the samples at
+    step fractions ``theta`` (q, 1) of the continuous extension; one row goes
+    in as a state (n,), for the kernels' cheaper one-state branch (same bits)."""
     dense = y + h * (theta ** _POWERS @ (_DP_P @ ks))
-    if len(dense) == 1:
-        row = dense[0] if postprocess is None else postprocess(dense[0], y)
-        f, grad = energy(row)
-        d = -grad[None]
-        return row[None], [f], d, [_norm(d[0])]
+    x = dense[0] if len(dense) == 1 else dense
     if postprocess is not None:
-        dense = postprocess(dense, y)
-    f, grad = energy(dense)
-    d = -grad
-    return dense, f.tolist(), d, _row_norms(d).tolist()
+        x = postprocess(x, y)
+    f, grad = energy(x)
+    return x.reshape(dense.shape), np.atleast_1d(f).tolist(), -grad.reshape(dense.shape)
 
 
 def _norm(x):
@@ -339,15 +334,16 @@ def _pack(samples, stats, *, kind, eps_grad, lift=None):
     ``lift`` the group lift of the trajectory fills ``g`` and its residual
     ``lift_residual``."""
     t = np.array(samples["t"])
-    v = np.concatenate(samples["v"])
+    v, d = np.concatenate(samples["v"]), np.concatenate(samples["d"])
+    with np.errstate(over="ignore", invalid="ignore"):    # |d|^2 overflows to inf
+        grad_norm = _row_norms(d)
     g = residual = None
     if lift is not None:
-        g = _lift_path(lift, t, v, np.concatenate(samples["d"]),
-                       projective=kind == "projective")
+        g = _lift_path(lift, t, v, d, projective=kind == "projective")
         residual = _lift_residual(g, v, projective=kind == "projective")
     s = t.copy() if kind == "projective" else None
     return FlowTrajectory(t=t, v=v, f=np.array(samples["f"]),
-                          grad_norm=np.array(samples["grad_norm"]), s=s, g=g, kind=kind,
+                          grad_norm=grad_norm, s=s, g=g, kind=kind,
                           eps_grad=eps_grad, lift_residual=residual, **stats)
 
 
@@ -482,7 +478,7 @@ def integrate_projective(p, v0, opts=None, cointegrate=False):
     whose 2-norm under- or overflows is first divided by its largest real or
     imaginary part.
     """
-    opts = opts or FlowOptions(t_max=1e6)
+    opts = opts or FlowOptions(t_max=PROJECTIVE_T_MAX)
     v0 = np.asarray(v0, dtype=complex)
     with np.errstate(over="ignore"):
         norm0 = np.linalg.norm(v0)

@@ -4,9 +4,9 @@
 configured flow, runs the enabled analyses, writes ``trajectory.csv`` (plus
 ``ray.csv`` and ``degeneration.csv`` for those analyses) and a plain-text
 ``report.txt`` with fixed section order, and returns the exit status the
-checks decide. A run integrates each flow at most once (``Legs``) and
-solves the torus oracle at most once (``Oracle``). Everything is
-deterministic given the experiment and its seed; the seed only feeds the
+checks decide. One ``Run`` owns what the analyses share, so a run integrates
+each flow at most once and solves the torus oracle at most once. Everything
+is deterministic given the experiment and its seed; the seed only feeds the
 randomized verification samples of the normal-form analysis.
 """
 
@@ -60,8 +60,9 @@ class Experiment:
 
 
 @dataclass(frozen=True)
-class Legs:
-    """The flows of one run, each integrated at most once, on first use.
+class Run:
+    """One run of an experiment: its seed and what its analyses share, each
+    computed at most once, on first use.
 
     ``primary`` is the configured flow, cointegrated when the ray analysis
     needs the group lift. ``affine`` and ``projective`` are the primary
@@ -69,6 +70,7 @@ class Legs:
     """
 
     exp: Experiment
+    seed: int
 
     @cached_property
     def primary(self):
@@ -100,32 +102,24 @@ class Legs:
         opts = FlowOptions(t_max=PROJECTIVE_LEG_S_MAX, eps_grad=exp.flow_opts.eps_grad)
         return integrate_projective(exp.presentation, exp.v0, opts)
 
-
-@dataclass(frozen=True)
-class Oracle:
-    """The torus oracle of one run and the spectrum of its direction on V,
-    each computed at most once, on first use."""
-
-    exp: Experiment
-
     @cached_property
     def torus(self):
         """Weights, support and embedding of the oracle's torus."""
         return diagonal_torus(self.exp.presentation, self.exp.v0)
 
     @cached_property
-    def result(self):
-        """The oracle's answer, or None when the run has no oracle."""
+    def oracle(self):
+        """The torus oracle's answer, or None when the run has no oracle."""
         if "oracle" not in self.exp.analyses:
             return None
         weights, support, _ = self.torus
         return torus_oracle(weights, support=support)
 
     @cached_property
-    def spectrum(self):
+    def oracle_spectrum(self):
         """Sorted spectrum of the generator of a destabilizing oracle beta,
         the conjugacy invariant the degeneration and ray spectra meet."""
-        p, beta = self.exp.presentation, self.torus[2] @ self.result.beta
+        p, beta = self.exp.presentation, self.torus[2] @ self.oracle.beta
         return np.linalg.eigvalsh(hermitian_generator(p, p.lower(beta)))
 
 
@@ -170,8 +164,8 @@ def _subsample_geometric(clocks):
     return np.array(idx, dtype=int)
 
 
-def _rates(exp, legs, oracle, seed):
-    affine = legs.affine
+def _rates(run):
+    affine = run.affine
     fit = fit_lojasiewicz(affine)
     lines = [f"  decay_exponent = {_num(fit.decay_exponent)}",
              f"  alpha_hat = {_num(fit.alpha_hat)}",
@@ -205,8 +199,8 @@ def _rates(exp, legs, oracle, seed):
     return lines, checks, None
 
 
-def _degeneration(exp, legs, oracle, seed):
-    p, proj = exp.presentation, legs.projective
+def _degeneration(run):
+    p, proj = run.exp.presentation, run.projective
     report = limit_direction(p, proj)
     lines = [f"  limit_direction = {_vec(report.limit_direction)}",
              f"  spectrum = {_vec(report.spectrum)}",
@@ -215,22 +209,23 @@ def _degeneration(exp, legs, oracle, seed):
     checks = [("degeneration.limit_nonzero",
                float(report.mu_norm >= 10.0 * proj.eps_grad), 1.0, 1.0)]
 
-    if oracle.result is None:
+    oracle = run.oracle
+    if oracle is None:
         lines.append("  oracle = not run")
-    elif oracle.result.semistable:   # yet the flow's limit is unstable (nonzero)
+    elif oracle.semistable:   # yet the flow's limit is unstable (nonzero)
         report.verdict = "mismatch"
         lines += ["  oracle = semi-stable (origin in hull)", f"  verdict = {report.verdict}"]
         checks.append(("degeneration.oracle_destabilizes", 0.0, 1.0, 1.0))
     else:
-        beta = oracle.result.beta
+        beta = oracle.beta
         lines += [f"  oracle_beta = {_vec(beta)}",
-                  f"  oracle_face = {list(oracle.result.support_face)}"]
+                  f"  oracle_face = {list(oracle.support_face)}"]
         if p.kind == "torus":
             angle = oracle_angle(report.limit_direction, beta)
             report.verdict = "match" if angle <= ANGLE_TOL else "mismatch"
             # collapse onto the minimizing face: mass off the face must vanish
             off_mass = max((abs(report.limit_point[j]) for j in range(p.dim_v)
-                            if j not in oracle.result.support_face), default=0.0)
+                            if j not in oracle.support_face), default=0.0)
             lines += [f"  verdict = {report.verdict}",
                       f"  oracle_angle = {_num(angle)}",
                       f"  off_face_mass = {_num(off_mass)}"]
@@ -238,7 +233,7 @@ def _degeneration(exp, legs, oracle, seed):
                        ("degeneration.off_face_mass", off_mass, 0.0, 1e-4)]
         else:
             # nonabelian validation goes through conjugacy invariants
-            err = float(np.max(np.abs(report.spectrum - oracle.spectrum)))
+            err = float(np.max(np.abs(report.spectrum - run.oracle_spectrum)))
             report.verdict = "match" if err <= 1e-2 else "mismatch"
             lines.append(f"  spectrum_vs_oracle = {_num(err)}")
             checks.append(("degeneration.spectrum_vs_oracle", err, 0.0, 1e-2))
@@ -256,11 +251,11 @@ def _ray_diagnostics(diag):
             f"  residuals = {_vec(diag.residuals)}"]
 
 
-def _ray(exp, legs, oracle, seed):
-    traj = legs.primary
+def _ray(run):
+    traj = run.primary
     idx = _subsample_geometric(traj.t)
     pts = [SymmetricSpacePoint.from_group(traj.g[i]) for i in idx]
-    base = SymmetricSpacePoint.from_matrix(np.eye(exp.presentation.dim_v))
+    base = SymmetricSpacePoint.from_matrix(np.eye(run.exp.presentation.dim_v))
     ray, diag = extract_asymptotic_ray(pts, base)
     lines = _ray_diagnostics(diag) + [f"  spectrum = {_vec(diag.spectrum)}",
                                       _rational(ray.rational_approx)]
@@ -275,8 +270,8 @@ def _ray(exp, legs, oracle, seed):
               ("ray.residuals_decreasing", resid_dec, 1.0, 1.0),
               ("ray.residual_last", diag.residuals[-1], 0.0, 1e-2)]
 
-    if oracle.result is not None and not oracle.result.semistable:
-        err = float(np.max(np.abs(diag.spectrum - oracle.spectrum)))
+    if run.oracle is not None and not run.oracle.semistable:
+        err = float(np.max(np.abs(diag.spectrum - run.oracle_spectrum)))
         lines.append(f"  spectrum_vs_oracle = {_num(err)}")
         checks.append(("ray.spectrum_vs_oracle", err, 0.0, 1e-2))
 
@@ -285,10 +280,10 @@ def _ray(exp, legs, oracle, seed):
     return lines, checks, table
 
 
-def _normal_form(exp, legs, oracle, seed):
-    p = exp.presentation
-    rng = np.random.default_rng(seed)
-    model = build_model(p, exp.v0)
+def _normal_form(run):
+    p = run.exp.presentation
+    rng = np.random.default_rng(run.seed)
+    model = build_model(p, run.exp.v0)
     lines = [f"  dim_g0 = {model.dim_g0}",
              f"  dim_m = {model.dim_m}",
              f"  dim_N_real = {model.dim_n}"]
@@ -319,9 +314,9 @@ def _normal_form(exp, legs, oracle, seed):
     return lines, checks, None
 
 
-# Each analysis maps (exp, legs, oracle, seed) to (report lines, checks as
-# (name, value, lo, hi), optional CSV table of (kind, values)). Run order,
-# which is the order of the VERDICT lines; sections print in SECTIONS order.
+# Each analysis maps a Run to (report lines, checks as (name, value, lo, hi),
+# optional CSV table of (kind, values)). Run order, which is the order of the
+# VERDICT lines; sections print in SECTIONS order.
 ANALYSES = {"rates": _rates, "degeneration": _degeneration, "ray": _ray,
             "normal_form": _normal_form}
 
@@ -337,7 +332,7 @@ def run_experiment(exp, out_dir, *, seed=0, tol_scale=1.0, quiet=False):
     if not 0 < tol_scale < INF:
         raise DomainError(f"tol_scale must be a positive finite number, got {tol_scale!r}")
     os.makedirs(out_dir, exist_ok=True)
-    legs, oracle = Legs(exp), Oracle(exp)
+    run = Run(exp, seed)
     opts = exp.flow_opts
     sections = {"CONFIG": [
         f"  name = {exp.name}",
@@ -352,7 +347,7 @@ def run_experiment(exp, out_dir, *, seed=0, tol_scale=1.0, quiet=False):
         f"  seed = {seed}",
         f"  tol_scale = {_num(tol_scale)}"]}
 
-    traj = legs.primary
+    traj = run.primary
     traj.to_csv(os.path.join(out_dir, "trajectory.csv"))
     fdiff = np.diff(traj.f)
     sections["FLOW"] = [
@@ -382,7 +377,7 @@ def run_experiment(exp, out_dir, *, seed=0, tol_scale=1.0, quiet=False):
             sections[name.upper()] = ["  disabled"]
             continue
         try:
-            lines, checks, table = analysis(exp, legs, oracle, seed)
+            lines, checks, table = analysis(run)
         except (ValueError, RuntimeError) as err:
             lines = [f"  error = {type(err).__name__}: {err}"]
             if getattr(err, "diagnostics", None) is not None:

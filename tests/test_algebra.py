@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from conftest import conjugate_coords, random_presentation
@@ -36,19 +38,24 @@ def test_validate_su2_structure():
 
 def test_validate_rejects_hermitian_generator():
     basis = np.array([np.diag([1.0, 0.0])], dtype=complex)
-    p = GroupPresentation(dim_v=2, basis=basis, metric=np.eye(1))
+    p = GroupPresentation(basis=basis, metric=np.eye(1))
     report = validate_presentation(p)
     assert not report.ok
     assert report.skewness == pytest.approx(2.0)
 
 
 def test_presentation_shape_mismatch_raises():
+    with pytest.raises(StructuralError, match="square"):
+        GroupPresentation(basis=np.zeros((1, 2, 3), dtype=complex), metric=np.eye(1))
     with pytest.raises(StructuralError):
-        GroupPresentation(dim_v=3, basis=np.zeros((1, 2, 2), dtype=complex),
-                          metric=np.eye(1))
-    with pytest.raises(StructuralError):
-        GroupPresentation(dim_v=2, basis=np.zeros((0, 2, 2), dtype=complex),
-                          metric=np.eye(0))
+        GroupPresentation(basis=np.zeros((0, 2, 2), dtype=complex), metric=np.eye(0))
+
+
+def test_presentation_reads_its_size_off_the_basis_and_validates_once():
+    assert [f.name for f in fields(GroupPresentation)] == ["basis", "metric", "kind"]
+    p = su2_sym_presentation(3)
+    assert (p.dim_v, p.dim_g) == (4, 3)
+    assert validate_presentation(p) is validate_presentation(p)
 
 
 def test_torus_presentation_examples():
@@ -78,7 +85,7 @@ def test_torus_empty_weights_raises():
 def test_presentation_metric_must_be_symmetric_positive_definite(metric):
     basis = su2_presentation().basis[:len(metric)]
     with pytest.raises(DomainError, match="symmetric positive-definite"):
-        GroupPresentation(dim_v=2, basis=basis, metric=metric)
+        GroupPresentation(basis=basis, metric=metric)
 
 
 def test_trace_metric_of_a_hermitian_basis_is_refused():

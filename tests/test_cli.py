@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from momentflow.algebra import sym_power_generator
+from momentflow import algebra
+from momentflow.algebra import DiagnosticsReport, sym_power_generator
 from momentflow.builtins import BUILTIN_NAMES, get_builtin
 from momentflow import cli, flow
 from momentflow.cli import MAX_SYM_DEGREE, ConfigError, main, parse_config
-from momentflow.degeneration import ORACLE_MAX_WEIGHTS
+from momentflow.degeneration import ORACLE_MAX_WEIGHTS, torus_oracle
 from momentflow.errors import DomainError, RayDivergenceError
 from momentflow.flow import FlowOptions
 from momentflow.linalg import expm
@@ -98,6 +99,32 @@ def test_model_without_m_passes_the_moment_identity(tmp_path, capsys):
     report = (out / "report.txt").read_text()
     assert "  dim_m = 0\n" in report
     assert "normal_form.moment_identity = 0.0  in [0.0, 1e-05]  PASS" in report
+
+
+def test_config_run_with_normal_form_validates_its_presentation_once(tmp_path, monkeypatch):
+    # parse_config and build_model both ask for the report; it is computed once
+    reports = []
+
+    def counted(*args, **kwargs):
+        reports.append(DiagnosticsReport(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(algebra, "DiagnosticsReport", counted)
+    cfg = tmp_path / "mgs.cfg"
+    cfg.write_text("group.kind = su2_sym_sum\ngroup.degrees = 2, 2\n"
+                   "initial_vector = 0:0, 1:0, 0:0, 0:0, 0:0, 0:0\n"
+                   "flow.t_max = 1\nanalyses = normal_form\n")
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 0
+    assert len(reports) == 1 and reports[0].ok
+
+
+def test_config_that_is_not_utf8_exits_2_with_line(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"group.kind = torus\ngroup.weights = 1; 2\n"
+                    b"initial_vector = 0.7:0, 0.7\xff:0\n")
+    assert main(["--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "line 3: " in err and "Traceback" not in err
 
 
 def test_cli_out_dir_env_fallback(tmp_path, capsys, monkeypatch):
@@ -584,3 +611,18 @@ def test_each_flow_runs_once_per_run(tmp_path, monkeypatch, case, integrations):
     status, _ = run_experiment(exp, tmp_path / case, quiet=True)
     assert status == 0
     assert len(calls) == integrations, calls
+
+
+@pytest.mark.parametrize("case", ["torus_c3", "su2_symd"])
+def test_torus_oracle_is_solved_once_per_run(tmp_path, monkeypatch, case):
+    # degeneration and ray both compare against the oracle
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return torus_oracle(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "torus_oracle", counted)
+    status, _ = run_experiment(get_builtin(case), tmp_path / case, quiet=True)
+    assert status == 0
+    assert len(calls) == 1

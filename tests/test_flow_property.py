@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import random_presentation, random_vector
 from momentflow.flow import (SAMPLE_GROWTH, FlowOptions, cointegrate_group,
-                             integrate_kempf_ness, integrate_projective)
+                             integrate_kempf_ness, integrate_projective,
+                             projective_energy_gradient)
+from momentflow.representation import energy_and_gradient
 
 ENDED = {"t_max", "gradient_small"}
 
@@ -57,6 +59,23 @@ def test_flow_invariants_on_random_presentations(seed):
     assert _on_output_grid(proj, proj_opts)
     np.testing.assert_allclose(proj.v_norm, 1.0, rtol=0, atol=1e-12)
     assert proj.lift_residual <= 1e-6
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), projective=st.booleans())
+def test_grad_norm_is_the_norm_of_each_sample_gradient(seed, projective):
+    # the trajectory takes |grad| of all its samples at once; each value keeps
+    # the bits of the norm of the gradient at that sample alone
+    rng = np.random.default_rng(seed)
+    p = random_presentation(rng)
+    v0 = random_vector(rng, p.dim_v)
+    if projective:
+        traj = integrate_projective(p, v0, FlowOptions(t_max=2.0))
+        gradient = projective_energy_gradient
+    else:
+        traj, gradient = integrate_kempf_ness(p, v0, FlowOptions(t_max=0.5)), energy_and_gradient
+    want = [np.linalg.norm(gradient(p, v)[1]) for v in traj.v]
+    assert np.array_equal(traj.grad_norm, want)
 
 
 @settings(derandomize=True, max_examples=15, deadline=None)
