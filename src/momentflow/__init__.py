@@ -14,8 +14,7 @@ from .algebra import (GroupPresentation, direct_sum_presentation,
 from .degeneration import (DegenerationReport, hermitian_generator,
                            limit_direction, torus_oracle)
 from .flow import (FlowOptions, FlowTrajectory, check_rates, cointegrate_group,
-                   fit_lojasiewicz, integrate_kempf_ness, integrate_projective,
-                   reparametrize)
+                   fit_lojasiewicz, integrate_kempf_ness, integrate_projective)
 from .normal_form import (NormalFormModel, build_model, model_moment_map,
                           model_symplectic_form, verify_closedness,
                           verify_moment_identity)

@@ -30,7 +30,7 @@ from .algebra import (direct_sum_presentation, matrix_presentation,
                       su2_sym_presentation, torus_presentation,
                       validate_presentation)
 from .builtins import BUILTIN_NAMES, get_builtin
-from .degeneration import ORACLE_MAX_WEIGHTS, diagonal_torus
+from .degeneration import ORACLE_MAX_WEIGHTS
 from .flow import MIN_STEP, PROJECTIVE_T_MAX, FlowOptions
 from .runner import Experiment, run_experiment
 
@@ -208,7 +208,7 @@ def parse_config(text):
             raise ConfigError(f"unknown analysis {a!r}; known: {', '.join(ANALYSES)}", no)
     if "oracle" in analyses and presentation.kind != "torus":
         raise ConfigError("the oracle analysis needs a torus weight system", no)
-    support = len(diagonal_torus(presentation, v0)[1]) if "oracle" in analyses else 0
+    support = np.count_nonzero(v0) if "oracle" in analyses else 0
     if support > ORACLE_MAX_WEIGHTS:
         raise ConfigError(f"the oracle supports at most {ORACLE_MAX_WEIGHTS} "
                           f"weights (got {support})", no)

@@ -10,17 +10,18 @@ points inside a step as one stacked block with one energy evaluation (a
 single grid point as one state, which gives the same bits). Every
 evaluation runs the energy kernel bound to the presentation once per flow,
 and the step casts its tableau rows to complex once, so a step's numpy
-calls are its arithmetic; the samples' |grad| is taken once per trajectory
-from their slopes. The projectivized flow runs on the unit-sphere
-representative with a per-step renormalization and phase gauge. The group
-lift g(t) is computed from the finished trajectory: each Magnus exponent
-depends only on the states and slopes at two consecutive samples, so the
-whole lift takes one batched generator call and one stacked exponential per
-block of samples, and lift consistency holds to integrator accuracy.
+calls are its arithmetic; the samples' |grad| and the clock s are taken
+once per trajectory, from their slopes and states. The projectivized flow
+runs on the unit-sphere representative, renormalized at every state; f^ is
+U(1)-invariant, so the flow has no phase drift to remove. The group lift
+g(t) is computed from the finished trajectory: each Magnus exponent depends
+only on the states and slopes at two consecutive samples, so the whole lift
+takes one batched generator call and one stacked exponential per block of
+samples, and lift consistency holds to integrator accuracy.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +42,6 @@ __all__ = [
     "integrate_kempf_ness",
     "cointegrate_group",
     "integrate_projective",
-    "reparametrize",
     "fit_lojasiewicz",
     "check_rates",
 ]
@@ -70,16 +70,16 @@ class FlowTrajectory:
 
     ``kind`` is ``affine`` or ``projective``; ``clock`` names the meaning of
     ``t`` it implies: the affine flow time t or the reparametrized time s of
-    the projectivized flow. ``s`` is filled by :func:`reparametrize` for
-    affine trajectories and coincides with ``t`` for projective ones.
-    ``steps`` counts the accepted integrator steps, which differ from the
-    samples; ``rejected`` counts the rejected ones by cause (``error``,
-    ``energy``, ``nonfinite``); ``evaluations`` counts the energy calls of
-    the integration, rejected steps included; ``h_min`` and ``h_max`` bound
-    the accepted step sizes (NaN with no accepted step). ``lift_residual``
-    is the lift's own check, set with ``g``: max |g v0 - v| / |v0| over the
-    samples, and for a projective trajectory the distance of g v0 / |g v0|
-    from v up to phase.
+    the projectivized flow. ``s`` holds s at every sample: the integral of
+    |v|^2 dt by the trapezoid rule for an affine trajectory, ``t`` itself
+    for a projective one. ``steps`` counts the accepted integrator steps,
+    which differ from the samples; ``rejected`` counts the rejected ones by
+    cause (``error``, ``energy``, ``nonfinite``); ``evaluations`` counts the
+    energy calls of the integration, rejected steps included; ``h_min`` and
+    ``h_max`` bound the accepted step sizes (NaN with no accepted step).
+    ``lift_residual`` is the lift's own check, set with ``g``: max |g v0 -
+    v| / |v0| over the samples, and for a projective trajectory the distance
+    of g v0 / |g v0| from v up to phase.
     """
 
     t: np.ndarray
@@ -87,7 +87,7 @@ class FlowTrajectory:
     f: np.ndarray
     grad_norm: np.ndarray
     terminated_reason: str
-    s: np.ndarray | None = None
+    s: np.ndarray
     g: np.ndarray | None = None
     kind: str = "affine"
     eps_grad: float = FlowOptions.eps_grad
@@ -107,16 +107,10 @@ class FlowTrajectory:
 
     @property
     def v_norm(self):
-        """|v| per sample; a finite row whose |v|^2 overflows is divided by
-        its largest real or imaginary part m first, and gets m |v / m|."""
+        """|v| per sample, safe from over- and underflow of |v|^2."""
+        c, r = _scaled_norms(self.v)
         with np.errstate(over="ignore"):
-            norms = np.linalg.norm(self.v, axis=1)
-            big = np.isinf(norms) & np.isfinite(self.v).all(axis=1)
-            if big.any():
-                w = self.v[big]
-                m = np.maximum(np.abs(w.real).max(axis=1), np.abs(w.imag).max(axis=1))
-                norms[big] = m * np.linalg.norm(w / m[:, None], axis=1)
-        return norms
+            return c * r
 
     def converged(self):
         return self.terminated_reason == "gradient_small"
@@ -131,8 +125,7 @@ class FlowTrajectory:
             cols += [f"g{i}{j}_{part}" for i in range(n) for j in range(n)
                      for part in ("re", "im")]
             blocks.append(np.ascontiguousarray(self.g).reshape(m, -1).view(float))
-        s = self.s if self.s is not None else np.full_like(self.t, np.nan)
-        table = np.column_stack([self.t, s, self.f, self.grad_norm, self.v_norm]
+        table = np.column_stack([self.t, self.s, self.f, self.grad_norm, self.v_norm]
                                 + blocks)
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
@@ -175,7 +168,7 @@ def _rkf45_step(energy, y, h, k1, postprocess=None):
     """One Dormand-Prince step from y, whose slope k1 = -grad is known.
 
     Returns (y_new, f_new, ks, err): the fifth-order solution (passed through
-    ``postprocess``), its energy, the seven stages and the embedded error
+    ``postprocess(y)``), its energy, the seven stages and the embedded error
     estimate. The last stage is the slope at y_new, so a step makes six
     energy calls. A non-finite y_new is not evaluated: f_new and the last
     stage are NaN.
@@ -189,7 +182,7 @@ def _rkf45_step(energy, y, h, k1, postprocess=None):
     f_new, ks[6] = np.nan, np.nan
     if np.isfinite(y_new).all():
         if postprocess is not None:
-            y_new = postprocess(y_new, y)
+            y_new = postprocess(y_new)
         f_new, grad = energy(y_new)
         np.negative(grad, out=ks[6])
     return y_new, f_new, ks, h * (_DP_E @ ks)
@@ -216,7 +209,7 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
     rise, relative slack 1e-12, at its end or at any sample it emits
     (``"energy"``). ``samples`` holds the lists ``t`` and ``f`` and per-step
     (m, n) blocks of ``v`` and ``d``, which :func:`_pack` concatenates; it
-    derives |grad| and the group lift from them.
+    derives |grad|, the clock s and the group lift from them.
     """
     samples = {"t": [], "f": [], "v": [], "d": []}
 
@@ -312,7 +305,7 @@ def _read_grid(energy, y, h, ks, theta, postprocess=None):
     dense = y + h * (theta ** _POWERS @ (_DP_P @ ks))
     x = dense[0] if len(dense) == 1 else dense
     if postprocess is not None:
-        x = postprocess(x, y)
+        x = postprocess(x)
     f, grad = energy(x)
     return x.reshape(dense.shape), np.atleast_1d(f).tolist(), -grad.reshape(dense.shape)
 
@@ -329,10 +322,35 @@ def _row_norms(x):
     return np.sqrt(re[:, None] @ re[..., None] + im[:, None] @ im[..., None])[:, 0, 0]
 
 
+def _scaled_norms(x):
+    """|x| of each row of a complex (m, n) as c |x / c|, returned as the pair
+    (c, |x / c|): c is 1, or the largest real or imaginary part of a finite
+    nonzero row whose |x|^2 under- or overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.linalg.norm(x, axis=1)
+    c = np.ones_like(r)
+    out = (r == 0) | np.isinf(r)
+    if out.any():
+        out &= np.isfinite(x).all(axis=1) & x.any(axis=1)
+        w = x[out]
+        c[out] = np.maximum(np.abs(w.real).max(axis=1), np.abs(w.imag).max(axis=1))
+        r[out] = np.linalg.norm(w / c[out, None], axis=1)
+    return c, r
+
+
+def _s_clock(t, v):
+    """s(t) = integral of |v|^2 dt at the samples, by the trapezoid rule; a
+    |v|^2 that overflows makes s infinite from there on, silently."""
+    c, r = _scaled_norms(v)
+    with np.errstate(over="ignore"):
+        n2 = (c * r) ** 2
+        return np.concatenate([[0.0], np.cumsum(0.5 * (n2[1:] + n2[:-1]) * np.diff(t))])
+
+
 def _pack(samples, stats, *, kind, eps_grad, lift=None):
-    """Concatenate the sample blocks into a trajectory; with a presentation
-    ``lift`` the group lift of the trajectory fills ``g`` and its residual
-    ``lift_residual``."""
+    """Concatenate the sample blocks into a trajectory with its clock s; with
+    a presentation ``lift`` the group lift of the trajectory fills ``g`` and
+    its residual ``lift_residual``."""
     t = np.array(samples["t"])
     v, d = np.concatenate(samples["v"]), np.concatenate(samples["d"])
     with np.errstate(over="ignore", invalid="ignore"):    # |d|^2 overflows to inf
@@ -341,7 +359,7 @@ def _pack(samples, stats, *, kind, eps_grad, lift=None):
     if lift is not None:
         g = _lift_path(lift, t, v, d, projective=kind == "projective")
         residual = _lift_residual(g, v, projective=kind == "projective")
-    s = t.copy() if kind == "projective" else None
+    s = t.copy() if kind == "projective" else _s_clock(t, v)
     return FlowTrajectory(t=t, v=v, f=np.array(samples["f"]),
                           grad_norm=grad_norm, s=s, g=g, kind=kind,
                           eps_grad=eps_grad, lift_residual=residual, **stats)
@@ -451,28 +469,21 @@ def projective_energy_gradient(p, v):
     return _projective_kernel(energy_kernel(p))(v)
 
 
-def _projective_gauge(y_new, y_prev):
-    """|v| = 1 and no phase drift along J0 v against ``y_prev``, for a state
-    (n,) or, bit for bit row by row, a stack (q, n)."""
-    if y_new.ndim == 1:
-        v = y_new / _norm(y_new)
-        overlap = np.vdot(y_prev, v)
-        if abs(overlap) > 0:
-            v = v * (overlap.conjugate() / abs(overlap))
-        return v
-    v = y_new / _row_norms(y_new)[:, None]
-    for row, overlap in zip(v, (y_prev.conj() @ v[..., None])[:, 0]):   # np.vdot per row
-        if abs(overlap) > 0:
-            row *= overlap.conjugate() / abs(overlap)
-    return v
+def _projective_gauge(y):
+    """The representative y / |y| with |v| = 1 of a state (n,) or, bit for
+    bit row by row, of a stack (q, n). No phase is fixed: f^ is
+    U(1)-invariant, so Re<grad f^(v), iv> = 0 and the flow has no phase
+    drift along J0 v."""
+    if y.ndim == 1:
+        return y / _norm(y)
+    return y / _row_norms(y)[:, None]
 
 
 def integrate_projective(p, v0, opts=None, cointegrate=False):
     """Projectivized flow on the unit-sphere representative, clock s.
 
-    Gauge: after every accepted step the representative is renormalized to
-    |v| = 1 and the phase drift along J0 v is removed (alignment with the
-    previous sample). With ``cointegrate`` the trajectory also carries the
+    Every state, the start included, goes through :func:`_projective_gauge`
+    (|v| = 1). With ``cointegrate`` the trajectory also carries the
     reparametrized group lift g' = 2i mu^ g, computed from the finished
     trajectory by :func:`_lift_path`; then [g(s) v0] = [v(s)]. A finite v0
     whose 2-norm under- or overflows is first divided by its largest real or
@@ -480,27 +491,14 @@ def integrate_projective(p, v0, opts=None, cointegrate=False):
     """
     opts = opts or FlowOptions(t_max=PROJECTIVE_T_MAX)
     v0 = np.asarray(v0, dtype=complex)
-    with np.errstate(over="ignore"):
-        norm0 = np.linalg.norm(v0)
-    if norm0 in (0.0, np.inf) and np.all(np.isfinite(v0)) and v0.any():
-        v0 = v0 / max(np.abs(v0.real).max(), np.abs(v0.imag).max())   # |v0_j| may overflow
-        norm0 = np.linalg.norm(v0)
+    (c,), (norm0,) = _scaled_norms(v0[None])
     if norm0 == 0.0:
         raise DiagnosticError("projective flow needs a nonzero start vector")
-    u0 = v0 / norm0 if np.isfinite(norm0) else v0   # ends as "nonfinite"
+    u0 = _projective_gauge(v0 / c) if np.isfinite(norm0) else v0   # ends as "nonfinite"
     samples, stats = _adaptive_flow(_projective_kernel(energy_kernel(p)), u0, opts,
                                     postprocess=_projective_gauge)
     return _pack(samples, stats, kind="projective", eps_grad=opts.eps_grad,
                  lift=p if cointegrate else None)
-
-
-def reparametrize(traj):
-    """Fill the reparametrized clock s(t) = integral of |v|^2 dt (trapezoid)."""
-    with np.errstate(over="ignore"):
-        n2 = traj.v_norm**2
-    dt = np.diff(traj.t)
-    s = np.concatenate([[0.0], np.cumsum(0.5 * (n2[1:] + n2[:-1]) * dt)])
-    return replace(traj, s=s)
 
 
 @dataclass

@@ -21,8 +21,7 @@ from .degeneration import (ANGLE_TOL, diagonal_torus, hermitian_generator,
                            limit_direction, oracle_angle, torus_oracle)
 from .errors import DomainError
 from .flow import (FlowOptions, _r_squared, check_rates, cointegrate_group,
-                   fit_lojasiewicz, integrate_kempf_ness, integrate_projective,
-                   reparametrize)
+                   fit_lojasiewicz, integrate_kempf_ness, integrate_projective)
 from .normal_form import build_model, verify_closedness, verify_moment_identity
 from .symmetric_space import SymmetricSpacePoint, extract_asymptotic_ray
 
@@ -85,13 +84,13 @@ class Run:
 
     @cached_property
     def affine(self):
-        """Affine trajectory with its s clock, for the rates analysis."""
+        """Affine trajectory, for the rates analysis."""
         exp = self.exp
         if exp.mode != "projective":
-            return reparametrize(self.primary)
+            return self.primary
         opts = FlowOptions(t_max=AFFINE_LEG_T_MAX, eps_grad=exp.flow_opts.eps_grad,
                            initial_step=exp.flow_opts.initial_step)
-        return reparametrize(integrate_kempf_ness(exp.presentation, exp.v0, opts))
+        return integrate_kempf_ness(exp.presentation, exp.v0, opts)
 
     @cached_property
     def projective(self):
@@ -244,21 +243,12 @@ def _degeneration(run):
 
 
 def _ray_diagnostics(diag):
-    """Report lines of ray diagnostics, also written when the ray diverges."""
-    return [f"  tail_samples = {len(diag.distances)}",
-            f"  final_distance = {_num(diag.distances[-1])}",
-            f"  final_angle = {_num(diag.angles[-1])}",
-            f"  residuals = {_vec(diag.residuals)}"]
-
-
-def _ray(run):
-    traj = run.primary
-    idx = _subsample_geometric(traj.t)
-    pts = [SymmetricSpacePoint.from_group(traj.g[i]) for i in idx]
-    base = SymmetricSpacePoint.from_matrix(np.eye(run.exp.presentation.dim_v))
-    ray, diag = extract_asymptotic_ray(pts, base)
-    lines = _ray_diagnostics(diag) + [f"  spectrum = {_vec(diag.spectrum)}",
-                                      _rational(ray.rational_approx)]
+    """Report lines and checks of ray diagnostics, also emitted when the ray
+    diverges."""
+    lines = [f"  tail_samples = {len(diag.distances)}",
+             f"  final_distance = {_num(diag.distances[-1])}",
+             f"  final_angle = {_num(diag.angles[-1])}",
+             f"  residuals = {_vec(diag.residuals)}"]
     # Cauchy decrease is asserted on the final stretch (the transit toward
     # the limit set may legitimately swing the chord first), with a slack at
     # the arccos round-off floor, far below the 1e-3 criterion.
@@ -269,6 +259,17 @@ def _ray(run):
               ("ray.angles_monotone", monotone, 1.0, 1.0),
               ("ray.residuals_decreasing", resid_dec, 1.0, 1.0),
               ("ray.residual_last", diag.residuals[-1], 0.0, 1e-2)]
+    return lines, checks
+
+
+def _ray(run):
+    traj = run.primary
+    idx = _subsample_geometric(traj.t)
+    pts = [SymmetricSpacePoint.from_group(traj.g[i]) for i in idx]
+    base = SymmetricSpacePoint.from_matrix(np.eye(run.exp.presentation.dim_v))
+    ray, diag = extract_asymptotic_ray(pts, base)
+    lines, checks = _ray_diagnostics(diag)
+    lines += [f"  spectrum = {_vec(diag.spectrum)}", _rational(ray.rational_approx)]
 
     if run.oracle is not None and not run.oracle.semistable:
         err = float(np.max(np.abs(diag.spectrum - run.oracle_spectrum)))
@@ -379,10 +380,11 @@ def run_experiment(exp, out_dir, *, seed=0, tol_scale=1.0, quiet=False):
         try:
             lines, checks, table = analysis(run)
         except (ValueError, RuntimeError) as err:
-            lines = [f"  error = {type(err).__name__}: {err}"]
+            lines, checks, table = [f"  error = {type(err).__name__}: {err}"], [], None
             if getattr(err, "diagnostics", None) is not None:
-                lines += _ray_diagnostics(err.diagnostics)
-            checks, table = [(f"{name}.ok", 0.0, 1.0, 1.0)], None
+                diag_lines, checks = _ray_diagnostics(err.diagnostics)
+                lines += diag_lines
+            checks.append((f"{name}.ok", 0.0, 1.0, 1.0))
         sections[name.upper()] = lines
         found += checks
         if table is not None:
@@ -402,16 +404,13 @@ def run_experiment(exp, out_dir, *, seed=0, tol_scale=1.0, quiet=False):
                        f"{'PASS' if passed else 'FAIL'}")
     sections["VERDICT"] = verdict + [f"  overall = {'OK' if ok else 'FAIL'}"]
 
+    text = "".join(f"[{section}]\n" + "".join(f"{line}\n" for line in sections[section]) + "\n"
+                   for section in SECTIONS)
     report_path = os.path.join(out_dir, "report.txt")
     with open(report_path, "w") as fh:
-        for section in SECTIONS:
-            fh.write(f"[{section}]\n")
-            for line in sections[section]:
-                fh.write(line + "\n")
-            fh.write("\n")
+        fh.write(text)
     if not quiet:
-        with open(report_path) as fh:
-            print(fh.read(), end="")
+        print(text, end="")
     return (0 if ok else 1), report_path
 
 

@@ -16,8 +16,7 @@ from momentflow.builtins import BUILTIN_NAMES, get_builtin
 from momentflow.degeneration import (ANGLE_TOL, hermitian_generator,
                                      limit_direction, oracle_angle, torus_oracle)
 from momentflow.flow import (FlowOptions, check_rates, fit_lojasiewicz,
-                             integrate_kempf_ness, integrate_projective,
-                             reparametrize)
+                             integrate_kempf_ness, integrate_projective)
 from momentflow.flow import _adaptive_flow, _lift_path  # joint flow and its lift
 from momentflow.normal_form import (build_model, verify_closedness,
                                     verify_moment_identity)
@@ -59,8 +58,7 @@ def test_criterion_1_gradient_consistency():
 def test_criterion_2_scalar_rates():
     t0 = time.time()
     p = torus_presentation([[1]])
-    traj = reparametrize(integrate_kempf_ness(p, np.array([1.0 + 0j]),
-                                              FlowOptions(t_max=1e4)))
+    traj = integrate_kempf_ness(p, np.array([1.0 + 0j]), FlowOptions(t_max=1e4))
     fit = fit_lojasiewicz(traj)
     rates = check_rates(traj, 0.75)
     win = traj.t >= traj.t[-1] / 10.0
@@ -89,7 +87,7 @@ def test_criterion_3_logarithmic_clock():
          np.array([1.0, 1.0, 1.0], dtype=complex) / np.sqrt(3)),
     ]
     for name, p, v0 in cases:
-        traj = reparametrize(integrate_kempf_ness(p, v0, FlowOptions(t_max=1e4)))
+        traj = integrate_kempf_ness(p, v0, FlowOptions(t_max=1e4))
         win = traj.t >= traj.t[-1] / 10.0
         lt = np.log(traj.t[win])
         st = traj.s[win]

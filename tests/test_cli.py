@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from momentflow import algebra
+from momentflow import algebra, degeneration
 from momentflow.algebra import DiagnosticsReport, sym_power_generator
 from momentflow.builtins import BUILTIN_NAMES, get_builtin
 from momentflow import cli, flow
@@ -435,6 +435,26 @@ analyses = degeneration, oracle
 """
 
 
+def test_config_run_builds_the_oracle_torus_once(tmp_path, monkeypatch):
+    # parse_config counts the support from the start vector; only the run
+    # builds the torus
+    calls, original = [], degeneration.diagonal_torus
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (degeneration, cli, runner):
+        if getattr(module, "diagonal_torus", None) is original:
+            monkeypatch.setattr(module, "diagonal_torus", counted)
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("group.kind = torus\ngroup.weights = 1; 2\n"
+                   "initial_vector = 0.6:0.2, 0.7:-0.1\nflow.mode = projective\n"
+                   "flow.t_max = 200\nanalyses = degeneration, oracle\n")
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 0
+    assert len(calls) == 1
+
+
 def test_oracle_sees_only_the_support_of_the_start_vector(tmp_path):
     # the weight (0.5, 0.5) has no mass in v0: over the full weight set the
     # oracle would answer (0.6, 0.2) and the flow would read as a mismatch
@@ -559,7 +579,8 @@ def test_ray_divergence_diagnostics_in_the_report(tmp_path, monkeypatch):
         raise RayDivergenceError("chord directions not Cauchy", diagnostics=diag)
 
     monkeypatch.setattr(runner, "extract_asymptotic_ray", diverging)
-    exp = replace(get_builtin("u1_weight1"), analyses=("ray",), checks=())
+    exp = replace(get_builtin("u1_weight1"), analyses=("ray",),
+                  checks=(("ray.final_angle", 0.0, 1e-3),))
     status, path = run_experiment(exp, tmp_path / "ray", quiet=True)
     text = open(path).read()
     ray = text.split("[RAY]\n", 1)[1].split("\n\n", 1)[0]
@@ -567,8 +588,34 @@ def test_ray_divergence_diagnostics_in_the_report(tmp_path, monkeypatch):
         "  error = RayDivergenceError: chord directions not Cauchy",
         "  tail_samples = 2", "  final_distance = 12.5", "  final_angle = 0.25",
         "  residuals = [0.5, 0.125]"]
+    # the diagnostics' checks are emitted, so a declared bound reads its value
+    assert "ray.final_angle = 0.25  in [0.0, 0.001]  FAIL" in text
+    assert "ray.residual_last = 0.125  in [0.0, 0.01]  FAIL" in text
     assert "ray.ok = 0.0  in [1.0, 1.0]  FAIL" in text
     assert status == 1
+
+
+@pytest.mark.parametrize("case", ["u1_weight1", "cointegrate", "torus_12"])
+def test_trajectory_csv_fills_the_s_column(tmp_path, case):
+    # affine and cointegrated flows carry s = int |v|^2 dt; the projective
+    # flow runs in s, so its column repeats t
+    if case == "cointegrate":
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("group.kind = torus\ngroup.weights = 1; 2\n"
+                       "initial_vector = 0.6:0.2, 0.7:-0.1\nflow.mode = cointegrate\n"
+                       "flow.t_max = 100\n")
+        argv, out = ["--config", str(cfg), "--out-dir", str(tmp_path / "c")], tmp_path / "c"
+    else:
+        argv, out = ["--builtin", case, "--out-dir", str(tmp_path)], tmp_path / case
+    assert main(argv + ["--quiet"]) == 0
+    with open(out / "trajectory.csv") as fh:
+        assert fh.readline().split(",")[:2] == ["t", "s"]
+        t, s = np.loadtxt(fh, delimiter=",", usecols=(0, 1), unpack=True)
+    if case == "torus_12":
+        assert np.array_equal(s, t)
+    else:
+        assert np.isfinite(s).all() and s[0] == 0.0 and s[-1] > 0.0
+        assert np.all(np.diff(s) >= 0)
 
 
 def test_declared_bound_without_its_check_fails(tmp_path):

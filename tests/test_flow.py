@@ -15,8 +15,7 @@ from momentflow.algebra import (su2_sym_presentation, torus_presentation,
 from momentflow.errors import DiagnosticError
 from momentflow.flow import (FlowOptions, FlowTrajectory, check_rates,
                              cointegrate_group, fit_lojasiewicz,
-                             integrate_kempf_ness, integrate_projective,
-                             reparametrize)
+                             integrate_kempf_ness, integrate_projective)
 from momentflow.representation import (energy_and_gradient, flow_generator,
                                        moment_map)
 
@@ -180,7 +179,7 @@ def test_projective_matches_affine_through_clock(monkeypatch):
     p = torus_presentation([[1], [2]])
     v0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
     monkeypatch.setattr(flow, "SAMPLE_GROWTH", 0.002)
-    affine = reparametrize(integrate_kempf_ness(p, v0, FlowOptions(t_max=2e3)))
+    affine = integrate_kempf_ness(p, v0, FlowOptions(t_max=2e3))
     proj = integrate_projective(p, v0, FlowOptions(t_max=affine.s[-1]))
     s_common = np.linspace(0.2, min(affine.s[-1], proj.t[-1]) * 0.95, 40)
     for i in range(2):
@@ -206,33 +205,25 @@ def test_step_underflow_reported():
     assert traj.terminated_reason == "step_underflow"
 
 
-# -- reparametrization --------------------------------------------------------
+# -- the clock s --------------------------------------------------------------
 
-def _synthetic_trajectory(t, v):
-    f = np.zeros_like(t)
-    return FlowTrajectory(t=t, v=v, f=f, grad_norm=f.copy(),
-                          terminated_reason="t_max")
-
-
-def test_reparametrize_constant_norm_gives_identity_clock():
+def test_s_clock_constant_norm_gives_identity_clock():
     t = np.linspace(0, 5, 200)
     v = np.ones((200, 1), dtype=complex)
-    traj = reparametrize(_synthetic_trajectory(t, v))
-    np.testing.assert_allclose(traj.s, t, atol=1e-12)
+    np.testing.assert_allclose(flow._s_clock(t, v), t, atol=1e-12)
 
 
-def test_reparametrize_known_integral():
+def test_s_clock_known_integral():
     t = np.linspace(0, 50, 20001)
     v = (1.0 / np.sqrt(1.0 + t))[:, None].astype(complex)
-    traj = reparametrize(_synthetic_trajectory(t, v))
-    np.testing.assert_allclose(traj.s, np.log(1.0 + t), atol=1e-5)
-    assert traj.s[0] == 0.0
-    assert np.all(np.diff(traj.s) >= 0)
+    s = flow._s_clock(t, v)
+    np.testing.assert_allclose(s, np.log(1.0 + t), atol=1e-5)
+    assert s[0] == 0.0
+    assert np.all(np.diff(s) >= 0)
 
 
 def test_logarithmic_clock_on_collapse():
-    traj = reparametrize(integrate_kempf_ness(u1(), np.array([1.0 + 0j]),
-                                              FlowOptions(t_max=1e4)))
+    traj = integrate_kempf_ness(u1(), np.array([1.0 + 0j]), FlowOptions(t_max=1e4))
     win = traj.t >= traj.t[-1] / 10
     lt = np.log(traj.t[win])
     slope, intercept = np.polyfit(lt, traj.s[win], 1)
@@ -264,7 +255,7 @@ def test_fit_rejects_power_law_on_exponential_decay():
     f = np.exp(-t / 50.0)
     v = np.sqrt(f)[:, None].astype(complex)
     traj = FlowTrajectory(t=t, v=v, f=f, grad_norm=f.copy(),
-                          terminated_reason="t_max")
+                          terminated_reason="t_max", s=t)
     fit = fit_lojasiewicz(traj)
     assert fit.fit_quality < fit.semilog_quality
 
@@ -273,7 +264,7 @@ def test_fit_requires_decay_span():
     t = np.linspace(5.0, 9.0, 300)  # under two decades of time
     f = 1.0 / (1 + t) ** 2
     traj = FlowTrajectory(t=t, v=np.ones((300, 1), dtype=complex), f=f,
-                          grad_norm=f.copy(), terminated_reason="t_max")
+                          grad_norm=f.copy(), terminated_reason="t_max", s=t)
     with pytest.raises(DiagnosticError):
         fit_lojasiewicz(traj)
 
@@ -294,20 +285,22 @@ def test_check_rates_stationary_not_applicable():
 
 
 def test_v_norm_is_finite_where_only_its_square_overflows():
-    v = np.array([[1e200, 0.0], [3.0, 4j], [1e308, 1e308j], [1e-200, 0.0]])
-    traj = FlowTrajectory(t=np.arange(4.0), v=v, f=np.zeros(4), grad_norm=np.zeros(4),
-                          terminated_reason="t_max")
+    v = np.array([[1e200, 0.0], [3.0, 4j], [1e308, 1e308j], [1e-200, 0.0], [0.0, 0.0]])
+    t = np.arange(5.0)
+    traj = FlowTrajectory(t=t, v=v, f=np.zeros(5), grad_norm=np.zeros(5),
+                          terminated_reason="t_max", s=t)
     norms = traj.v_norm
     assert norms[0] == 1e200 and norms[2] == pytest.approx(1e308 * np.sqrt(2.0), rel=1e-15)
+    assert norms[3] == 1e-200    # |v|^2 underflows to 0
     # every other row keeps np.linalg.norm's value
-    assert np.array_equal(norms[[1, 3]], np.linalg.norm(v[[1, 3]], axis=1))
-    assert reparametrize(traj).s[-1] == np.inf    # |v|^2 overflows silently
+    assert np.array_equal(norms[[1, 4]], np.linalg.norm(v[[1, 4]], axis=1))
+    assert flow._s_clock(t, v)[-1] == np.inf    # |v|^2 overflows silently
 
 
 def test_trajectory_csv_round_trip(tmp_path):
     p = torus_presentation([[1], [2]])
     v0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    traj = reparametrize(cointegrate_group(p, v0, FlowOptions(t_max=5.0)))
+    traj = cointegrate_group(p, v0, FlowOptions(t_max=5.0))
     path = tmp_path / "trajectory.csv"
     traj.to_csv(path)
     lines = path.read_text().splitlines()
@@ -317,6 +310,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert "g00_re" in header and "g11_im" in header
     data = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     np.testing.assert_array_equal(data[:, 0], traj.t)  # full round-trip precision
+    np.testing.assert_array_equal(data[:, 1], traj.s)
     np.testing.assert_array_equal(data[:, 2], traj.f)
 
 

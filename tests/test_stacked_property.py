@@ -1,6 +1,8 @@
-"""Property test: the stacked energy, projective energy and projective gauge
-equal one-state calls row by row, bit for bit, over random presentations and
-rows of magnitude 1e-3 to 1e3; the integrator's samples rely on it."""
+"""Property tests over random presentations and rows of magnitude 1e-3 to
+1e3: the stacked energy, projective energy and projective gauge equal
+one-state calls row by row, bit for bit, which the integrator's samples rely
+on; and grad f^ is orthogonal to v and to iv, which is why the projective
+gauge only renormalizes."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,15 +14,10 @@ from momentflow.representation import energy_and_gradient
 
 
 def _stack(rng, n):
-    """Rows of magnitude 1e-3 to 1e3, a previous state ``y_prev`` with a zero
-    first entry and, as the last row, one orthogonal to it."""
+    """Rows of magnitude 1e-3 to 1e3."""
     q = int(rng.integers(1, 7))
-    scale = 10.0 ** rng.uniform(-3, 3, size=(q + 1, 1))
-    rows = scale * (rng.standard_normal((q + 1, n)) + 1j * rng.standard_normal((q + 1, n)))
-    y_prev = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    y_prev[0] = 0.0
-    rows[-1, 1:] = 0.0
-    return rows, y_prev
+    scale = 10.0 ** rng.uniform(-3, 3, size=(q, 1))
+    return scale * (rng.standard_normal((q, n)) + 1j * rng.standard_normal((q, n)))
 
 
 def _assert_rows_equal(stacked, per_row):
@@ -36,12 +33,29 @@ def _assert_rows_equal(stacked, per_row):
 def test_stacked_calls_equal_one_state_calls(seed):
     rng = np.random.default_rng(seed)
     p = random_presentation(rng)
-    rows, y_prev = _stack(rng, p.dim_v)
+    rows = _stack(rng, p.dim_v)
     _assert_rows_equal(energy_and_gradient(p, rows),
                        [energy_and_gradient(p, y) for y in rows])
     _assert_rows_equal(projective_energy_gradient(p, rows),
                        [projective_energy_gradient(p, y) for y in rows])
-    gauged = _projective_gauge(rows, y_prev)
-    assert np.vdot(y_prev, gauged[-1]) == 0    # the zero-overlap branch
-    for y, v in zip(rows, gauged):
-        assert np.array_equal(v, _projective_gauge(y, y_prev))
+    for y, v in zip(rows, _projective_gauge(rows), strict=True):
+        assert np.array_equal(v, _projective_gauge(y))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_projective_gradient_is_orthogonal_to_v_and_iv(seed):
+    # f^ is homogeneous of degree 0 (Re<grad f^, v> = 0) and U(1)-invariant
+    # (Re<grad f^, iv> = 0): the flow neither scales nor turns the phase of v,
+    # up to round-off in the two terms of grad f^
+    rng = np.random.default_rng(seed)
+    p = random_presentation(rng)
+    rows = _stack(rng, p.dim_v)
+    stacked = projective_energy_gradient(p, rows)[1]
+    for v, grad_stacked in zip(rows, stacked, strict=True):
+        f, grad_f = energy_and_gradient(p, v)
+        norm = np.linalg.norm(v)
+        bound = 1e-14 * (np.linalg.norm(grad_f) / norm**4 + 4 * f / norm**5) * norm
+        for grad in (projective_energy_gradient(p, v)[1], grad_stacked):
+            assert abs(np.vdot(grad, v).real) <= bound
+            assert abs(np.vdot(grad, 1j * v).real) <= bound

@@ -46,12 +46,8 @@ def _projective(p, v):
     return f / n2**2, grad / n2**2 - (4.0 * f / n2**3) * v
 
 
-def _gauge(y_new, y_prev):
-    v = y_new / np.linalg.norm(y_new)
-    overlap = np.vdot(y_prev, v)
-    if abs(overlap) > 0:
-        v = v * (overlap.conjugate() / abs(overlap))
-    return v
+def _gauge(y):
+    return y / np.linalg.norm(y)
 
 
 def _step(energy, y, h, k1, postprocess):
@@ -64,7 +60,7 @@ def _step(energy, y, h, k1, postprocess):
     f_new, ks[6] = np.nan, np.nan
     if np.all(np.isfinite(y_new)):
         if postprocess is not None:
-            y_new = postprocess(y_new, y)
+            y_new = postprocess(y_new)
         f_new, grad = energy(y_new)
         ks[6] = -grad
     return y_new, f_new, ks, h * (_E @ ks)
@@ -72,7 +68,7 @@ def _step(energy, y, h, k1, postprocess):
 
 def _grid(energy, y, h, ks, theta, postprocess):
     dense = y + h * (theta ** np.arange(1, 5) @ (_P @ ks))
-    rows = [row if postprocess is None else postprocess(row, y) for row in dense]
+    rows = [row if postprocess is None else postprocess(row) for row in dense]
     fs, ds = zip(*((f, -grad) for f, grad in map(energy, rows)))
     return np.array(rows), list(fs), np.array(ds)
 
