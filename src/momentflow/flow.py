@@ -17,7 +17,10 @@ U(1)-invariant, so the flow has no phase drift to remove. The group lift
 g(t) is computed from the finished trajectory: each Magnus exponent depends
 only on the states and slopes at two consecutive samples, so the whole lift
 takes one batched generator call and one stacked exponential per block of
-samples, and lift consistency holds to integrator accuracy.
+samples, and lift consistency holds to integrator accuracy. A projective
+trajectory keeps its accepted steps, stages and stage energies, from which
+:func:`affine_read_off` reads the affine flow with no integration of its
+own: log|v|^2 and t are quadratures of the stage energies in the clock s.
 """
 
 import math
@@ -42,6 +45,7 @@ __all__ = [
     "integrate_kempf_ness",
     "cointegrate_group",
     "integrate_projective",
+    "affine_read_off",
     "fit_lojasiewicz",
     "check_rates",
 ]
@@ -71,15 +75,20 @@ class FlowTrajectory:
     ``kind`` is ``affine`` or ``projective``; ``clock`` names the meaning of
     ``t`` it implies: the affine flow time t or the reparametrized time s of
     the projectivized flow. ``s`` holds s at every sample: the integral of
-    |v|^2 dt by the trapezoid rule for an affine trajectory, ``t`` itself
-    for a projective one. ``steps`` counts the accepted integrator steps,
-    which differ from the samples; ``rejected`` counts the rejected ones by
-    cause (``error``, ``energy``, ``nonfinite``); ``evaluations`` counts the
-    energy calls of the integration, rejected steps included; ``h_min`` and
-    ``h_max`` bound the accepted step sizes (NaN with no accepted step).
+    |v|^2 dt by the trapezoid rule for an integrated affine trajectory, the
+    projective clock for one read off by :func:`affine_read_off`, and ``t``
+    itself for a projective one. ``steps`` counts the accepted integrator
+    steps, which differ from the samples; ``rejected`` counts the rejected
+    ones by cause (``error``, ``energy``, ``nonfinite``); ``evaluations``
+    counts the energy calls of the integration, rejected steps included;
+    ``h_min`` and ``h_max`` bound the accepted step sizes (NaN with no
+    accepted step); a read-off has none of these of its own.
     ``lift_residual`` is the lift's own check, set with ``g``: max |g v0 -
     v| / |v0| over the samples, and for a projective trajectory the distance
-    of g v0 / |g v0| from v up to phase.
+    of g v0 / |g v0| from v up to phase. ``step_records`` holds a
+    projective trajectory's accepted steps for :func:`affine_read_off`: the
+    lists ``y`` (start states), ``h`` (sizes), ``ks`` (the seven stages) and
+    ``f`` (the stages' energies, seven per step, flat).
     """
 
     t: np.ndarray
@@ -97,6 +106,7 @@ class FlowTrajectory:
     h_min: float = np.nan
     h_max: float = np.nan
     lift_residual: float | None = None
+    step_records: dict | None = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.t)
@@ -167,17 +177,20 @@ _POWERS = np.arange(1, 5)
 def _rkf45_step(energy, y, h, k1, postprocess=None):
     """One Dormand-Prince step from y, whose slope k1 = -grad is known.
 
-    Returns (y_new, f_new, ks, err): the fifth-order solution (passed through
-    ``postprocess(y)``), its energy, the seven stages and the embedded error
-    estimate. The last stage is the slope at y_new, so a step makes six
-    energy calls. A non-finite y_new is not evaluated: f_new and the last
-    stage are NaN.
+    Returns (y_new, f_new, ks, fs, err): the fifth-order solution (passed
+    through ``postprocess(y)``), its energy, the seven stages, the energies
+    of the five inner stages and the embedded error estimate. The last stage
+    is the slope at y_new, so a step makes six energy calls. A non-finite
+    y_new is not evaluated: f_new and the last stage are NaN.
     """
     ks = np.empty((7, y.size), dtype=complex)
     ks[0] = k1
     ha = h * _DP_A
+    fs = []
     for i in range(1, 6):
-        np.negative(energy(y + ha[i, :i] @ ks[:i])[1], out=ks[i])
+        f, grad = energy(y + ha[i, :i] @ ks[:i])
+        fs.append(f)
+        np.negative(grad, out=ks[i])
     y_new = y + h * (_DP_B6 @ ks[:6])
     f_new, ks[6] = np.nan, np.nan
     if np.isfinite(y_new).all():
@@ -185,13 +198,14 @@ def _rkf45_step(energy, y, h, k1, postprocess=None):
             y_new = postprocess(y_new)
         f_new, grad = energy(y_new)
         np.negative(grad, out=ks[6])
-    return y_new, f_new, ks, h * (_DP_E @ ks)
+    return y_new, f_new, ks, fs, h * (_DP_E @ ks)
 
 
-def _adaptive_flow(energy, y0, opts, postprocess=None):
+def _adaptive_flow(energy, y0, opts, postprocess=None, record=False):
     """Shared integrator of y' = -grad; returns (samples, stats), where stats
     holds the ``terminated_reason``, ``steps``, ``rejected``,
-    ``evaluations``, ``h_min`` and ``h_max`` fields of the trajectory.
+    ``evaluations``, ``h_min``, ``h_max`` and ``step_records`` fields of the
+    trajectory.
 
     ``energy(y) -> (f, grad)`` takes a state (n,) or a stack (q, n), which
     gives (q,) energies. The error controller and the energy guard alone set
@@ -209,9 +223,15 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
     rise, relative slack 1e-12, at its end or at any sample it emits
     (``"energy"``). ``samples`` holds the lists ``t`` and ``f`` and per-step
     (m, n) blocks of ``v`` and ``d``, which :func:`_pack` concatenates; it
-    derives |grad|, the clock s and the group lift from them.
+    derives |grad|, the clock s and the group lift from them. With
+    ``record`` each accepted step also keeps its start state, size, stages
+    and stage energies in ``step_records`` (None without ``record``), which
+    :func:`affine_read_off` integrates. They go into flat lists, so a long
+    flow leaves no per-step Python container for the garbage collector.
     """
     samples = {"t": [], "f": [], "v": [], "d": []}
+    hs = []
+    records = dict(y=[], h=hs, ks=[], f=[]) if record else None
 
     def emit(ts, fs, vs, ds):    # consecutive samples; vs, ds are (m, n)
         for key, part in zip(samples, (ts, fs, [vs], [ds]), strict=True):
@@ -228,7 +248,7 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
             emit_state()
         return samples, dict(terminated_reason=reason, steps=steps, rejected=rejected,
                              evaluations=evaluations, h_min=min(hs, default=np.nan),
-                             h_max=max(hs, default=np.nan))
+                             h_max=max(hs, default=np.nan), step_records=records)
 
     # an overflowing state, the start included, ends as "nonfinite" silently
     with np.errstate(over="ignore", invalid="ignore"):
@@ -238,7 +258,7 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
         k1 = -grad
         k1_norm, abs_y = _norm(k1), np.abs(y)
         emit_state()
-        steps, rejected, hs = 0, {"error": 0, "energy": 0, "nonfinite": 0}, []
+        steps, rejected = 0, {"error": 0, "energy": 0, "nonfinite": 0}
         if not (math.isfinite(f) and np.isfinite(grad).all()):
             return finish("nonfinite")
         grid = opts.initial_step    # the next output-grid point
@@ -254,7 +274,7 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
                 raise DiagnosticError("integrator exceeded the step budget")
 
             h_eff = min(h, opts.t_max - t)
-            y_new, f_new, ks, err = _rkf45_step(energy, y, h_eff, k1, postprocess)
+            y_new, f_new, ks, fs_in, err = _rkf45_step(energy, y, h_eff, k1, postprocess)
             evaluations += 6
             if not (math.isfinite(f_new) and np.isfinite(err).all()):
                 evaluations -= not np.isfinite(y_new).all()    # then not evaluated
@@ -287,6 +307,10 @@ def _adaptive_flow(energy, y0, opts, postprocess=None):
                 continue
             steps += 1
             hs.append(h_eff)
+            if record:
+                records["y"].append(y)
+                records["ks"].append(ks)
+                records["f"] += (f, *fs_in, f_new)
             t, y, f, k1, abs_y = t_new, y_new, f_new, ks[6].copy(), abs_new
             k1_norm = _norm(k1)
             if inside:
@@ -496,9 +520,85 @@ def integrate_projective(p, v0, opts=None, cointegrate=False):
         raise DiagnosticError("projective flow needs a nonzero start vector")
     u0 = _projective_gauge(v0 / c) if np.isfinite(norm0) else v0   # ends as "nonfinite"
     samples, stats = _adaptive_flow(_projective_kernel(energy_kernel(p)), u0, opts,
-                                    postprocess=_projective_gauge)
+                                    postprocess=_projective_gauge, record=True)
     return _pack(samples, stats, kind="projective", eps_grad=opts.eps_grad,
                  lift=p if cointegrate else None)
+
+
+def affine_read_off(p, traj, v0, opts):
+    """The affine flow from v0, read off the projective trajectory ``traj`` of
+    [v0] without a step of its own.
+
+    Write u = v/|v|, l = log|v|^2 and ds = |v|^2 dt. Euler's identity
+    Re<grad f(v), v> = 4 f(v) gives dl/ds = -8 f^(u) and dt/ds = e^-l, so l
+    and t are quadratures of the stage energies in ``traj.step_records``:
+    each step integrates them with its own weights and continuous extension,
+    outside the error control. The read-off ends at the first of t =
+    ``opts.t_max`` (reason ``t_max``), a step end where |grad f(v)| <
+    ``opts.eps_grad`` (``gradient_small``) and the end of ``traj`` (its
+    reason). Its samples are t = 0, the points of the output grid of
+    ``opts.initial_step`` before the end, and the end. One stacked energy
+    call at the gauged u gives v = e^(l/2) u, f(v) = e^(2l) f(u) and
+    |grad f(v)| = e^(3l/2) |grad f(u)|; ``s`` is the clock of ``traj``.
+    """
+    records, n = traj.step_records, traj.v.shape[1]
+    h = np.array(records["h"])
+    dl = -8.0 * np.array(records["f"]).reshape(-1, 7)               # dl/ds at the stages
+    grad_hat = _row_norms(np.array([ks[6] for ks in records["ks"]]).reshape(-1, n))
+    a, b, pp = _DP_A.real, _DP_B6.real, _DP_P.real
+    (c,), (norm0,) = _scaled_norms(np.asarray(v0, dtype=complex)[None])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        l_end = np.cumsum(np.concatenate([[2.0 * (np.log(c) + np.log(norm0))],
+                                          h * (dl[:, :6] @ b)]))
+        l_stage = np.column_stack([l_end[:-1, None] + h[:, None] * (dl[:, :5] @ a.T),
+                                   l_end[1:]])
+        dt = np.exp(-l_stage)                                           # dt/ds at the stages
+        t_end = np.concatenate([[0.0], np.cumsum(h * (dt[:, :6] @ b))])
+        # on the unit sphere grad f = grad f^ + 4 f^ u, and Re<grad f^, u> = 0
+        grad_end = np.exp(1.5 * l_end[1:]) * np.hypot(grad_hat, 0.5 * dl[:, 6])
+
+    # the first step that ends past the horizon, or with a small gradient
+    k_cross = next(iter(np.flatnonzero(~(t_end[1:] < opts.t_max))), len(h))
+    k_small = next(iter(np.flatnonzero(grad_end < opts.eps_grad)), len(h))
+    if k_cross < len(h) and k_cross <= k_small:
+        reason, t_final = "t_max", opts.t_max
+    else:
+        reason = "gradient_small" if k_small < len(h) else traj.terminated_reason
+        t_final = t_end[min(k_small + 1, len(h))]
+    targets, tg = [], opts.initial_step
+    while tg < t_final:
+        targets.append(tg)
+        tg += max(opts.initial_step, SAMPLE_GROWTH * tg)
+    targets = np.array(targets + [t_final] if t_final > 0 else targets)
+
+    # each sample's step k, and the fraction theta where the step's t meets it:
+    # Newton on the convex t(theta), clipped to the step, to round-off
+    k = np.clip(np.searchsorted(t_end, targets, side="right") - 1, 0, max(len(h) - 1, 0))
+    hk, t0, ct = h[k], t_end[k], (dt @ pp.T)[k]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        theta = np.clip((targets - t0) / (t_end[k + 1] - t0), 0.0, 1.0)
+        for _ in range(50):
+            tp = theta[:, None] ** np.arange(5)
+            resid = t0 + hk * np.sum(ct * tp[:, 1:], axis=1) - targets
+            step = np.clip(theta - resid / (hk * np.sum(ct * _POWERS * tp[:, :4], axis=1)),
+                           0.0, 1.0) - theta
+            theta += step
+            if not np.abs(step).max(initial=0.0) > 1e-12:
+                break
+    theta[targets == t_end[k + 1]] = 1.0    # a step end keeps the clock's bits
+    tp = theta[:, None] ** _POWERS
+    ks = np.array([records["ks"][i] for i in k]).reshape(-1, 7, n)
+    y = np.array([records["y"][i] for i in k]).reshape(-1, n)
+    dense = y + hk[:, None] * (tp[:, None] @ (_DP_P @ ks))[:, 0]
+    u = np.concatenate([traj.v[:1], _projective_gauge(dense)])
+    ell = np.concatenate([l_end[:1], l_end[k] + hk * np.sum(tp * (dl @ pp.T)[k], axis=1)])
+    s = np.concatenate([[0.0], np.cumsum(np.concatenate([[0.0], h]))[k] + theta * hk])
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_u, grad_u = energy_kernel(p)(u)
+        return FlowTrajectory(t=np.concatenate([[0.0], targets]), s=s,
+                              v=np.exp(0.5 * ell)[:, None] * u, f=np.exp(2.0 * ell) * f_u,
+                              grad_norm=np.exp(1.5 * ell) * _row_norms(grad_u),
+                              terminated_reason=reason, kind="affine", eps_grad=opts.eps_grad)
 
 
 @dataclass

@@ -5,9 +5,12 @@ configured flow, runs the enabled analyses, writes ``trajectory.csv`` (plus
 ``ray.csv`` and ``degeneration.csv`` for those analyses) and a plain-text
 ``report.txt`` with fixed section order, and returns the exit status the
 checks decide. One ``Run`` owns what the analyses share, so a run integrates
-each flow at most once and solves the torus oracle at most once. Everything
-is deterministic given the experiment and its seed; the seed only feeds the
-randomized verification samples of the normal-form analysis.
+each flow at most once and solves the torus oracle at most once. In
+projective mode the rates read the affine flow off the primary's own steps;
+only ``degeneration`` in affine or cointegrate mode integrates a second,
+projective leg. Everything is deterministic given the experiment and its
+seed; the seed only feeds the randomized verification samples of the
+normal-form analysis.
 """
 
 import os
@@ -19,19 +22,20 @@ import numpy as np
 from .algebra import GroupPresentation
 from .degeneration import (ANGLE_TOL, diagonal_torus, hermitian_generator,
                            limit_direction, oracle_angle, torus_oracle)
-from .errors import DomainError
-from .flow import (FlowOptions, _r_squared, check_rates, cointegrate_group,
-                   fit_lojasiewicz, integrate_kempf_ness, integrate_projective)
+from .errors import DiagnosticError, DomainError
+from .flow import (FlowOptions, _r_squared, affine_read_off, check_rates,
+                   cointegrate_group, fit_lojasiewicz, integrate_kempf_ness,
+                   integrate_projective)
 from .normal_form import build_model, verify_closedness, verify_moment_identity
 from .symmetric_space import SymmetricSpacePoint, extract_asymptotic_ray
 
 SECTIONS = ("CONFIG", "FLOW", "RATES", "RAY", "DEGENERATION", "NORMAL_FORM",
             "VERDICT")
 
-# Horizons of the two legs that differ from the primary flow: the affine leg
-# of the rates analysis in projective mode (clock t) and the projective leg
-# of the degeneration analysis in affine or cointegrate mode (clock s).
-AFFINE_LEG_T_MAX = 1e4
+# Horizon (clock t) of the affine flow the rates analysis reads off a
+# projective primary, and horizon (clock s) of the projective leg of the
+# degeneration analysis in affine or cointegrate mode. Neither is an option.
+AFFINE_READ_OFF_T_MAX = 1e4
 PROJECTIVE_LEG_S_MAX = 200.0
 
 RAY_CLOCK_START, RAY_CLOCK_GROWTH = 0.5, 1.05  # clocks of the ray's samples
@@ -65,7 +69,8 @@ class Run:
 
     ``primary`` is the configured flow, cointegrated when the ray analysis
     needs the group lift. ``affine`` and ``projective`` are the primary
-    flow when its kind matches, and a leg of their own only otherwise.
+    flow when its kind matches. Otherwise ``affine`` is read off the
+    projective primary's steps, and ``projective`` is a leg of its own.
     """
 
     exp: Experiment
@@ -88,9 +93,9 @@ class Run:
         exp = self.exp
         if exp.mode != "projective":
             return self.primary
-        opts = FlowOptions(t_max=AFFINE_LEG_T_MAX, eps_grad=exp.flow_opts.eps_grad,
+        opts = FlowOptions(t_max=AFFINE_READ_OFF_T_MAX, eps_grad=exp.flow_opts.eps_grad,
                            initial_step=exp.flow_opts.initial_step)
-        return integrate_kempf_ness(exp.presentation, exp.v0, opts)
+        return affine_read_off(exp.presentation, self.primary, exp.v0, opts)
 
     @cached_property
     def projective(self):
@@ -165,11 +170,16 @@ def _subsample_geometric(clocks):
 
 def _rates(run):
     affine = run.affine
-    fit = fit_lojasiewicz(affine)
-    lines = [f"  decay_exponent = {_num(fit.decay_exponent)}",
-             f"  alpha_hat = {_num(fit.alpha_hat)}",
-             f"  fit_quality = {_num(fit.fit_quality)}",
-             f"  semilog_quality = {_num(fit.semilog_quality)}"]
+    # the span of the trajectory fitted, which a short projective run ends early
+    lines = [f"  samples = {len(affine)}", f"  final_time = {_num(affine.t[-1])}"]
+    try:
+        fit = fit_lojasiewicz(affine)
+    except DiagnosticError as err:    # the span stays beside the error it explains
+        return lines + [f"  error = DiagnosticError: {err}"], [("rates.ok", 0.0, 1.0, 1.0)], None
+    lines += [f"  decay_exponent = {_num(fit.decay_exponent)}",
+              f"  alpha_hat = {_num(fit.alpha_hat)}",
+              f"  fit_quality = {_num(fit.fit_quality)}",
+              f"  semilog_quality = {_num(fit.semilog_quality)}"]
     checks = [("rates.fit_quality", fit.fit_quality, 0.98, 1.0),
               ("rates.decay_exponent", fit.decay_exponent, -INF, INF),
               ("rates.alpha_hat", fit.alpha_hat, 0.5, 1.0)]

@@ -250,8 +250,8 @@ def test_report_sections_fixed_order(tmp_path):
 
 
 def test_flow_section_counts_steps_beside_samples(tmp_path):
-    # a polystable torus whose flows reject steps for both causes; its
-    # affine rates leg to t = 1e4 ends once the gradient is small
+    # a polystable torus whose projective flow rejects steps for both
+    # causes, and ends once its gradient is small
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("group.kind = torus\n"
                    "group.weights = 0, 1; 2, 0; -1, 1; 1, -2\n"
@@ -268,6 +268,23 @@ def test_flow_section_counts_steps_beside_samples(tmp_path):
     rejected = dict(part.split() for part in fields["rejected"].split(", "))
     assert list(rejected) == ["error", "energy", "nonfinite"]
     assert int(rejected["error"]) > 0 and int(rejected["energy"]) > 0
+
+
+@pytest.mark.parametrize("s_max, final_time", [(200.0, 1e4), (2.0, None)])
+def test_rates_section_reports_the_span_it_fits(tmp_path, s_max, final_time):
+    # the rates of a projective run read the affine flow off the primary,
+    # so a short primary ends their span early, and the report shows it
+    exp = replace(get_builtin("torus_12"), flow_opts=FlowOptions(t_max=s_max))
+    _, path = run_experiment(exp, tmp_path / "out", quiet=True)
+    rates = open(path).read().split("[RATES]\n")[1].split("\n\n")[0].splitlines()
+    fields = dict(line.strip().split(" = ", 1) for line in rates)
+    affine = runner.Run(exp, 0).affine
+    assert int(fields["samples"]) == len(affine)
+    assert float(fields["final_time"]) == affine.t[-1]
+    if final_time is not None:
+        assert affine.t[-1] == final_time and affine.terminated_reason == "t_max"
+    else:    # the primary's end, at s = 2
+        assert affine.t[-1] < 1e4 and affine.s[-1] == 2.0
 
 
 def test_overflowing_first_step_is_a_nonfinite_rejection(tmp_path, capsys):
@@ -638,10 +655,24 @@ flow.t_max = 1e4
 analyses = rates, ray
 """
 
+# the shape of the benchmark's projective config: the rates read the primary
+PROJECTIVE_RATES_DEGENERATION = """\
+group.kind = torus
+group.weights = 1; 2
+initial_vector = 0.8:0.1, 0.5:-0.3
+flow.mode = projective
+flow.t_max = 200
+analyses = rates, degeneration, oracle
+"""
+
+CONFIGS = {"affine_rates_ray": AFFINE_RATES_RAY,
+           "projective_rates_degeneration": PROJECTIVE_RATES_DEGENERATION}
+
 
 @pytest.mark.parametrize("case, integrations", [
-    ("u1_weight1", 1), ("affine_rates_ray", 1), ("torus_12", 2),
-    ("torus_c3", 2), ("su2_symd", 1), ("mgs_u1", 1), ("mgs_su2", 1),
+    ("u1_weight1", 1), ("affine_rates_ray", 1), ("torus_12", 1),
+    ("torus_c3", 1), ("su2_symd", 1), ("mgs_u1", 1), ("mgs_su2", 1),
+    ("projective_rates_degeneration", 1),
 ])
 def test_each_flow_runs_once_per_run(tmp_path, monkeypatch, case, integrations):
     calls = []
@@ -651,10 +682,7 @@ def test_each_flow_runs_once_per_run(tmp_path, monkeypatch, case, integrations):
             calls.append(_fn.__name__)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(runner, name, counted)
-    if case == "affine_rates_ray":
-        exp = parse_config(AFFINE_RATES_RAY)[0]
-    else:
-        exp = get_builtin(case)
+    exp = parse_config(CONFIGS[case])[0] if case in CONFIGS else get_builtin(case)
     status, _ = run_experiment(exp, tmp_path / case, quiet=True)
     assert status == 0
     assert len(calls) == integrations, calls

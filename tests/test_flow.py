@@ -12,12 +12,14 @@ from conftest import random_presentation, random_vector
 from momentflow import flow
 from momentflow.algebra import (su2_sym_presentation, torus_presentation,
                                 un_presentation)
+from momentflow.builtins import get_builtin
 from momentflow.errors import DiagnosticError
 from momentflow.flow import (FlowOptions, FlowTrajectory, check_rates,
                              cointegrate_group, fit_lojasiewicz,
                              integrate_kempf_ness, integrate_projective)
 from momentflow.representation import (energy_and_gradient, flow_generator,
                                        moment_map)
+from momentflow.runner import Run
 
 
 def u1():
@@ -608,10 +610,39 @@ def test_rkf45_tableau_products_match_list_sums(rng):
         energy = partial(energy_and_gradient, p)
         for h in (1e-3, 1e-2, 1e-1):
             y = rng.standard_normal(p.dim_v) + 1j * rng.standard_normal(p.dim_v)
-            y5, f5, ks, err = flow._rkf45_step(energy, y, h, -energy(y)[1])
+            y5, f5, ks, _, err = flow._rkf45_step(energy, y, h, -energy(y)[1])
             ref_y5, ref_f5, ref_err, ref_ks = _list_sum_dopri_step(energy, y, h)
             assert np.linalg.norm(y5 - ref_y5) <= 1e-14 * np.linalg.norm(ref_y5)
             assert abs(f5 - ref_f5) <= 1e-14 * ref_f5
             # err cancels between stages; measure it against its terms
             scale = h * max(np.linalg.norm(k) for k in ref_ks)
             assert np.linalg.norm(err - ref_err) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("name", ["torus_12", "torus_c3"])
+def test_affine_read_off_matches_the_affine_flow(name):
+    # the rates of a projective run read the affine flow off the primary's
+    # steps; on the final decade it tracks a tight affine integration, and
+    # its fits agree with those of the default affine integration
+    exp = get_builtin(name)
+    read = Run(exp, 0).affine
+    assert read.kind == "affine" and read.terminated_reason == "t_max"
+    tight = integrate_kempf_ness(exp.presentation, exp.v0,
+                                 FlowOptions(t_max=1e4, rtol=1e-12, atol=1e-16))
+    t, i, j = np.intersect1d(read.t, tight.t, return_indices=True)
+    tail = t >= 1e3
+    assert tail.sum() >= 50
+    i, j = i[tail], j[tail]
+    assert np.abs(np.log(read.f[i]) - np.log(tight.f[j])).max() <= 1e-7
+    assert np.abs(2 * np.log(read.v_norm[i] / tight.v_norm[j])).max() <= 1e-7
+
+    leg = integrate_kempf_ness(exp.presentation, exp.v0, FlowOptions(t_max=1e4))
+    fit, fit_leg = fit_lojasiewicz(read), fit_lojasiewicz(leg)
+    for field_ in ("alpha_hat", "decay_exponent", "fit_quality", "semilog_quality"):
+        assert getattr(fit, field_) == pytest.approx(getattr(fit_leg, field_), rel=1e-6)
+    for alpha in (fit.alpha_hat, 0.75):
+        got, want = check_rates(read, alpha), check_rates(leg, alpha)
+        assert got.applicable and want.applicable
+        assert got.limit_is_origin == want.limit_is_origin
+        assert got.f_plateau_ratio == pytest.approx(want.f_plateau_ratio, rel=1e-6)
+        assert got.dist_plateau_ratio == pytest.approx(want.dist_plateau_ratio, rel=1e-6)

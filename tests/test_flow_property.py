@@ -1,14 +1,15 @@
 """Property test: the invariants of the flow driver over random presentations
-and random start vectors, at short horizons and on one long affine leg."""
+and random start vectors, at short horizons, on one long affine flow and on
+the affine flow read off a projective one."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_presentation, random_vector
-from momentflow.flow import (SAMPLE_GROWTH, FlowOptions, cointegrate_group,
-                             integrate_kempf_ness, integrate_projective,
-                             projective_energy_gradient)
+from momentflow.flow import (SAMPLE_GROWTH, FlowOptions, affine_read_off,
+                             cointegrate_group, integrate_kempf_ness,
+                             integrate_projective, projective_energy_gradient)
 from momentflow.representation import energy_and_gradient
 
 ENDED = {"t_max", "gradient_small"}
@@ -92,3 +93,46 @@ def test_long_affine_leg_keeps_a_dense_final_decade(seed):
     assert _on_output_grid(traj, opts)
     if traj.t[-1] >= 1.0:    # a flow that settles sooner has no tail to fit
         assert np.sum(traj.t >= traj.t[-1] / 10) >= 50
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), s_max=st.sampled_from([0.5, 5.0, 40.0]),
+       t_max=st.sampled_from([1.0, 1e2, 1e4]), eps_grad=st.sampled_from([1e-10, 1e-4, 1e-2]))
+def test_affine_read_off_invariants(seed, s_max, t_max, eps_grad):
+    # the projective flow keeps the default eps_grad, so that each of the
+    # three ends of the read-off occurs
+    rng = np.random.default_rng(seed)
+    p = random_presentation(rng)
+    v0 = random_vector(rng, p.dim_v)
+    proj = integrate_projective(p, v0, FlowOptions(t_max=s_max))
+    read = affine_read_off(p, proj, v0, FlowOptions(t_max=t_max, eps_grad=eps_grad))
+
+    assert read.t[0] == 0.0 and np.all(np.diff(read.t) > 0)
+    # no energy guard of its own: below about 1e-15 f(0), where the states'
+    # error swamps |mu|, the read-off's f may wobble
+    assert np.all(read.f[1:] <= read.f[:-1] * (1 + 1e-12) + 1e-15 * read.f[0])
+    n2 = read.v_norm ** 2    # l = log |v|^2 never rises either
+    assert np.all(n2[1:] <= n2[:-1] * (1 + 1e-12))
+    u = read.v / read.v_norm[:, None]
+    np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(read.v[0], v0, rtol=1e-14, atol=0)
+    # v = e^(l/2) u carries f and |grad f| of the affine flow; near the zero
+    # set of mu both sides cancel, so they are compared as f / |v|^4 and
+    # |grad f| / |v|^3 with an absolute slack
+    f, grad = zip(*(energy_and_gradient(p, v) for v in read.v))
+    np.testing.assert_allclose(read.f / n2**2, f / n2**2, rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(read.grad_norm / n2**1.5,
+                               np.linalg.norm(grad, axis=1) / n2**1.5, rtol=1e-10, atol=1e-14)
+
+    # it ends at the horizon, at a step end with a small gradient, or where
+    # the projective flow ends, with its reason
+    step_ends = np.cumsum(proj.step_records["h"]).tolist()
+    assert read.t[-1] <= t_max
+    if read.t[-1] == t_max:
+        assert read.terminated_reason == "t_max"
+    elif read.terminated_reason == "gradient_small" and read.grad_norm[-1] < eps_grad:
+        assert read.s[-1] in step_ends
+    else:
+        assert read.terminated_reason == proj.terminated_reason
+        assert read.s[-1] == proj.t[-1]
+        np.testing.assert_allclose(u[-1], proj.v[-1], rtol=0, atol=1e-12)

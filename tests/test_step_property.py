@@ -2,8 +2,9 @@
 and the bound energy kernel equal a textbook reference bit for bit, over
 random presentations, affine and projective with the gauge, and step sizes
 1e-3 to 1. The reference keeps the tableau as float rows, writes each slope
-as ``-energy(...)[1]`` and normalizes with ``np.linalg.norm``; the builtins'
-output files are reproducible across such rewrites only if these agree."""
+as ``-grad`` and normalizes with ``np.linalg.norm``; the builtins' output
+files are reproducible across such rewrites only if these agree. The inner
+stages' energies, which the affine read-off integrates, agree too."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -54,8 +55,11 @@ def _step(energy, y, h, k1, postprocess):
     ks = np.empty((7, y.size), dtype=complex)
     ks[0] = k1
     ha = h * _A
+    fs = []
     for i in range(1, 6):
-        ks[i] = -energy(y + ha[i, :i] @ ks[:i])[1]
+        f, grad = energy(y + ha[i, :i] @ ks[:i])
+        fs.append(f)
+        ks[i] = -grad
     y_new = y + h * (_B[:6] @ ks[:6])
     f_new, ks[6] = np.nan, np.nan
     if np.all(np.isfinite(y_new)):
@@ -63,7 +67,7 @@ def _step(energy, y, h, k1, postprocess):
             y_new = postprocess(y_new)
         f_new, grad = energy(y_new)
         ks[6] = -grad
-    return y_new, f_new, ks, h * (_E @ ks)
+    return y_new, f_new, ks, fs, h * (_E @ ks)
 
 
 def _grid(energy, y, h, ks, theta, postprocess):
@@ -96,11 +100,12 @@ def test_step_and_grid_read_equal_the_reference(seed, projective):
     k1 = -ref(y)[1]
 
     with np.errstate(over="ignore", invalid="ignore"):    # as in the integrator
-        y_new, f_new, ks, err = flow._rkf45_step(energy, y, h, k1, gauge)
-        ref_y, ref_f, ref_ks, ref_err = _step(ref, y, h, k1, ref_gauge)
+        y_new, f_new, ks, fs, err = flow._rkf45_step(energy, y, h, k1, gauge)
+        ref_y, ref_f, ref_ks, ref_fs, ref_err = _step(ref, y, h, k1, ref_gauge)
         assert np.array_equal(y_new, ref_y, equal_nan=True)
         assert _same(f_new, ref_f)
         assert np.array_equal(ks, ref_ks, equal_nan=True)
+        assert np.array_equal(fs, ref_fs, equal_nan=True)
         assert np.array_equal(err, ref_err, equal_nan=True)
         assert flow._norm(k1) == np.linalg.norm(k1)
         if np.isfinite(ks).all():
