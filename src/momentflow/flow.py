@@ -18,9 +18,10 @@ g(t) is computed from the finished trajectory: each Magnus exponent depends
 only on the states and slopes at two consecutive samples, so the whole lift
 takes one batched generator call and one stacked exponential per block of
 samples, and lift consistency holds to integrator accuracy. A projective
-trajectory keeps its accepted steps, stages and stage energies, from which
-:func:`affine_read_off` reads the affine flow with no integration of its
-own: log|v|^2 and t are quadratures of the stage energies in the clock s.
+trajectory can keep its accepted steps, stages and stage energies, from
+which :func:`affine_read_off` reads the affine flow with no integration of
+its own: log|v|^2 and t are quadratures of the stage energies in the clock
+s.
 """
 
 import math
@@ -85,8 +86,9 @@ class FlowTrajectory:
     accepted step); a read-off has none of these of its own.
     ``lift_residual`` is the lift's own check, set with ``g``: max |g v0 -
     v| / |v0| over the samples, and for a projective trajectory the distance
-    of g v0 / |g v0| from v up to phase. ``step_records`` holds a
-    projective trajectory's accepted steps for :func:`affine_read_off`: the
+    of g v0 / |g v0| from v up to phase. ``step_records`` holds the accepted
+    steps of a projective trajectory integrated with ``record``, for
+    :func:`affine_read_off`, else None: the
     lists ``y`` (start states), ``h`` (sizes), ``ks`` (the seven stages) and
     ``f`` (the stages' energies, seven per step, flat).
     """
@@ -503,13 +505,15 @@ def _projective_gauge(y):
     return y / _row_norms(y)[:, None]
 
 
-def integrate_projective(p, v0, opts=None, cointegrate=False):
+def integrate_projective(p, v0, opts=None, cointegrate=False, record=False):
     """Projectivized flow on the unit-sphere representative, clock s.
 
     Every state, the start included, goes through :func:`_projective_gauge`
     (|v| = 1). With ``cointegrate`` the trajectory also carries the
     reparametrized group lift g' = 2i mu^ g, computed from the finished
-    trajectory by :func:`_lift_path`; then [g(s) v0] = [v(s)]. A finite v0
+    trajectory by :func:`_lift_path`; then [g(s) v0] = [v(s)]. With
+    ``record`` it keeps its accepted steps in ``step_records``, which
+    :func:`affine_read_off` reads; they grow with the steps. A finite v0
     whose 2-norm under- or overflows is first divided by its largest real or
     imaginary part.
     """
@@ -520,14 +524,14 @@ def integrate_projective(p, v0, opts=None, cointegrate=False):
         raise DiagnosticError("projective flow needs a nonzero start vector")
     u0 = _projective_gauge(v0 / c) if np.isfinite(norm0) else v0   # ends as "nonfinite"
     samples, stats = _adaptive_flow(_projective_kernel(energy_kernel(p)), u0, opts,
-                                    postprocess=_projective_gauge, record=True)
+                                    postprocess=_projective_gauge, record=record)
     return _pack(samples, stats, kind="projective", eps_grad=opts.eps_grad,
                  lift=p if cointegrate else None)
 
 
 def affine_read_off(p, traj, v0, opts):
     """The affine flow from v0, read off the projective trajectory ``traj`` of
-    [v0] without a step of its own.
+    [v0], integrated with ``record``, without a step of its own.
 
     Write u = v/|v|, l = log|v|^2 and ds = |v|^2 dt. Euler's identity
     Re<grad f(v), v> = 4 f(v) gives dl/ds = -8 f^(u) and dt/ds = e^-l, so l
@@ -536,7 +540,11 @@ def affine_read_off(p, traj, v0, opts):
     outside the error control. The read-off ends at the first of t =
     ``opts.t_max`` (reason ``t_max``), a step end where |grad f(v)| <
     ``opts.eps_grad`` (``gradient_small``) and the end of ``traj`` (its
-    reason). Its samples are t = 0, the points of the output grid of
+    reason). A ``traj`` that ends ``gradient_small`` has stopped at a
+    critical point u_e of f^, where v still collapses along u_e: past its
+    end l follows the closed form e^-l = e^-l_e + 8 f^(u_e) (t - t_e) until
+    t = ``opts.t_max`` or until |grad f(v)| falls to ``opts.eps_grad``
+    (``gradient_small``). Its samples are t = 0, the points of the output grid of
     ``opts.initial_step`` before the end, and the end. One stacked energy
     call at the gauged u gives v = e^(l/2) u, f(v) = e^(2l) f(u) and
     |grad f(v)| = e^(3l/2) |grad f(u)|; ``s`` is the clock of ``traj``.
@@ -557,14 +565,25 @@ def affine_read_off(p, traj, v0, opts):
         # on the unit sphere grad f = grad f^ + 4 f^ u, and Re<grad f^, u> = 0
         grad_end = np.exp(1.5 * l_end[1:]) * np.hypot(grad_hat, 0.5 * dl[:, 6])
 
+    t_e, l_e = t_end[-1], l_end[-1]    # where the primary ends
     # the first step that ends past the horizon, or with a small gradient
     k_cross = next(iter(np.flatnonzero(~(t_end[1:] < opts.t_max))), len(h))
     k_small = next(iter(np.flatnonzero(grad_end < opts.eps_grad)), len(h))
     if k_cross < len(h) and k_cross <= k_small:
         reason, t_final = "t_max", opts.t_max
+    elif k_small < len(h):
+        reason, t_final = "gradient_small", t_end[k_small + 1]
+    elif traj.terminated_reason == "gradient_small":
+        # [v] has stopped at a critical point of f^, yet v keeps collapsing
+        # along it: past the primary's end, e^-l = e^-l_e + 8 f^ (t - t_e)
+        f_e = np.float64(records["f"][-1])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            l_small = (2.0 / 3.0) * np.log(opts.eps_grad / np.hypot(grad_hat[-1], 4.0 * f_e))
+            t_small = t_e + np.exp(-l_e) * np.expm1(l_e - l_small) / (8.0 * f_e)
+        reason, t_final = ("gradient_small", t_small) if t_small < opts.t_max else (
+            "t_max", opts.t_max)
     else:
-        reason = "gradient_small" if k_small < len(h) else traj.terminated_reason
-        t_final = t_end[min(k_small + 1, len(h))]
+        reason, t_final = traj.terminated_reason, t_e
     targets, tg = [], opts.initial_step
     while tg < t_final:
         targets.append(tg)
@@ -593,7 +612,13 @@ def affine_read_off(p, traj, v0, opts):
     u = np.concatenate([traj.v[:1], _projective_gauge(dense)])
     ell = np.concatenate([l_end[:1], l_end[k] + hk * np.sum(tp * (dl @ pp.T)[k], axis=1)])
     s = np.concatenate([[0.0], np.cumsum(np.concatenate([[0.0], h]))[k] + theta * hk])
+    past = np.concatenate([[False], targets > t_e])    # only past a gradient_small end
     with np.errstate(over="ignore", invalid="ignore"):
+        if past.any():
+            dt_e = np.exp(l_e) * (targets[past[1:]] - t_e)    # s - s_e for f^ = 0
+            x = 8.0 * f_e * dt_e
+            u[past], ell[past] = traj.v[-1], l_e - np.log1p(x)
+            s[past] = traj.t[-1] + dt_e * np.where(x > 0, np.log1p(x) / x, 1.0)
         f_u, grad_u = energy_kernel(p)(u)
         return FlowTrajectory(t=np.concatenate([[0.0], targets]), s=s,
                               v=np.exp(0.5 * ell)[:, None] * u, f=np.exp(2.0 * ell) * f_u,

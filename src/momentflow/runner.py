@@ -82,7 +82,9 @@ class Run:
         p, v0, opts = exp.presentation, exp.v0, exp.flow_opts
         lift = "ray" in exp.analyses
         if exp.mode == "projective":
-            return integrate_projective(p, v0, opts, cointegrate=lift)
+            # the rates read the affine flow off the primary's recorded steps
+            return integrate_projective(p, v0, opts, cointegrate=lift,
+                                        record="rates" in exp.analyses)
         if exp.mode == "cointegrate" or lift:
             return cointegrate_group(p, v0, opts)
         return integrate_kempf_ness(p, v0, opts)
@@ -175,7 +177,9 @@ def _rates(run):
     try:
         fit = fit_lojasiewicz(affine)
     except DiagnosticError as err:    # the span stays beside the error it explains
-        return lines + [f"  error = DiagnosticError: {err}"], [("rates.ok", 0.0, 1.0, 1.0)], None
+        for line in lines:
+            err.add_note(line)
+        raise
     lines += [f"  decay_exponent = {_num(fit.decay_exponent)}",
               f"  alpha_hat = {_num(fit.alpha_hat)}",
               f"  fit_quality = {_num(fit.fit_quality)}",
@@ -326,8 +330,10 @@ def _normal_form(run):
 
 
 # Each analysis maps a Run to (report lines, checks as (name, value, lo, hi),
-# optional CSV table of (kind, values)). Run order, which is the order of the
-# VERDICT lines; sections print in SECTIONS order.
+# optional CSV table of (kind, values)). An analysis that raises fails its
+# ``.ok`` check, and the report lines it attached to the error as notes stay
+# under the error line. Run order, which is the order of the VERDICT lines;
+# sections print in SECTIONS order.
 ANALYSES = {"rates": _rates, "degeneration": _degeneration, "ray": _ray,
             "normal_form": _normal_form}
 
@@ -391,6 +397,7 @@ def run_experiment(exp, out_dir, *, seed=0, tol_scale=1.0, quiet=False):
             lines, checks, table = analysis(run)
         except (ValueError, RuntimeError) as err:
             lines, checks, table = [f"  error = {type(err).__name__}: {err}"], [], None
+            lines += getattr(err, "__notes__", [])    # report lines the analysis attached
             if getattr(err, "diagnostics", None) is not None:
                 diag_lines, checks = _ray_diagnostics(err.diagnostics)
                 lines += diag_lines

@@ -287,6 +287,36 @@ def test_rates_section_reports_the_span_it_fits(tmp_path, s_max, final_time):
         assert affine.t[-1] < 1e4 and affine.s[-1] == 2.0
 
 
+@pytest.mark.parametrize("weights, initial_vector", [("1", "1:0"), ("1; 2", "1:0, 0:0")])
+def test_rates_continue_past_a_projective_critical_point(tmp_path, weights, initial_vector):
+    # a 1-dim representation and a torus weight vector start at a critical
+    # point of f^: the projective flow stops after one step, while v keeps
+    # collapsing along it, f ~ t^-2, and the rates follow it to t = 1e4
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("group.kind = torus\n"
+                   f"group.weights = {weights}\n"
+                   f"initial_vector = {initial_vector}\n"
+                   "flow.mode = projective\n"
+                   "flow.t_max = 200\n"
+                   "analyses = rates\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    text = open(out / "report.txt").read()
+    assert "  terminated = gradient_small\n  final_time = 0.001" in text
+    rates = text.split("[RATES]\n")[1].split("\n\n")[0].splitlines()
+    fields = dict(line.strip().split(" = ", 1) for line in rates)
+    assert float(fields["final_time"]) == 1e4
+    assert float(fields["decay_exponent"]) == pytest.approx(2.0, abs=1e-3)
+    affine = runner.Run(parse_config(cfg.read_text())[0], 0).affine
+    assert affine.terminated_reason == "t_max" and not affine.converged()
+
+
+@pytest.mark.parametrize("name, recorded", [("torus_12", True), ("su2_symd", False)])
+def test_projective_primary_records_its_steps_only_for_the_rates(name, recorded):
+    primary = runner.Run(get_builtin(name), 0).primary
+    assert (primary.step_records is not None) == recorded
+
+
 def test_overflowing_first_step_is_a_nonfinite_rejection(tmp_path, capsys):
     # the first trial step from a large start overflows its stages; under
     # the suite's error::RuntimeWarning filter a warning would fail the run

@@ -3,6 +3,7 @@ and random start vectors, at short horizons, on one long affine flow and on
 the affine flow read off a projective one."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -97,14 +98,18 @@ def test_long_affine_leg_keeps_a_dense_final_decade(seed):
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), s_max=st.sampled_from([0.5, 5.0, 40.0]),
-       t_max=st.sampled_from([1.0, 1e2, 1e4]), eps_grad=st.sampled_from([1e-10, 1e-4, 1e-2]))
-def test_affine_read_off_invariants(seed, s_max, t_max, eps_grad):
+       t_max=st.sampled_from([1.0, 1e2, 1e4]), eps_grad=st.sampled_from([1e-10, 1e-4, 1e-2]),
+       basis_start=st.booleans())
+def test_affine_read_off_invariants(seed, s_max, t_max, eps_grad, basis_start):
     # the projective flow keeps the default eps_grad, so that each of the
-    # three ends of the read-off occurs
+    # ends of the read-off occurs; a start on a basis vector, a weight
+    # vector of the presentations' torus, sits at a critical point of f^
     rng = np.random.default_rng(seed)
     p = random_presentation(rng)
     v0 = random_vector(rng, p.dim_v)
-    proj = integrate_projective(p, v0, FlowOptions(t_max=s_max))
+    if basis_start:
+        v0 = v0 * np.eye(p.dim_v)[rng.integers(p.dim_v)]
+    proj = integrate_projective(p, v0, FlowOptions(t_max=s_max), record=True)
     read = affine_read_off(p, proj, v0, FlowOptions(t_max=t_max, eps_grad=eps_grad))
 
     assert read.t[0] == 0.0 and np.all(np.diff(read.t) > 0)
@@ -124,15 +129,20 @@ def test_affine_read_off_invariants(seed, s_max, t_max, eps_grad):
     np.testing.assert_allclose(read.grad_norm / n2**1.5,
                                np.linalg.norm(grad, axis=1) / n2**1.5, rtol=1e-10, atol=1e-14)
 
-    # it ends at the horizon, at a step end with a small gradient, or where
-    # the projective flow ends, with its reason
+    # it ends at the horizon, at a step end with a small gradient, past a
+    # projective flow that ended with a small gradient where |grad f| falls
+    # to eps_grad, or where the projective flow ends, with its reason
     step_ends = np.cumsum(proj.step_records["h"]).tolist()
     assert read.t[-1] <= t_max
     if read.t[-1] == t_max:
         assert read.terminated_reason == "t_max"
+    elif read.s[-1] > proj.t[-1]:
+        assert proj.terminated_reason == read.terminated_reason == "gradient_small"
+        assert read.grad_norm[-1] == pytest.approx(eps_grad, rel=1e-9)
     elif read.terminated_reason == "gradient_small" and read.grad_norm[-1] < eps_grad:
         assert read.s[-1] in step_ends
     else:
+        assert proj.terminated_reason != "gradient_small"    # that one continues
         assert read.terminated_reason == proj.terminated_reason
         assert read.s[-1] == proj.t[-1]
         np.testing.assert_allclose(u[-1], proj.v[-1], rtol=0, atol=1e-12)
