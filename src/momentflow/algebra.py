@@ -180,9 +180,10 @@ class GroupPresentation:
 
 
 def _brackets(basis):
-    """All commutators [xi_a, xi_b] as a (k, k, n, n) array."""
-    prod = np.einsum("aij,bjk->abik", basis, basis)
-    return prod - prod.transpose(1, 0, 2, 3)
+    """All commutators [xi_a, xi_b] as a (k, k, n, n) array, overflow silent."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = np.einsum("aij,bjk->abik", basis, basis)
+        return prod - prod.transpose(1, 0, 2, 3)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DiagnosticError
-from .linalg import expm
+from .linalg import expm, row_norms
 from .representation import energy_kernel, flow_generator
 
 MIN_STEP = 1e-14          # a step below this ends the flow by step_underflow
@@ -76,7 +76,7 @@ class FlowTrajectory:
     ``kind`` is ``affine`` or ``projective``; ``clock`` names the meaning of
     ``t`` it implies: the affine flow time t or the reparametrized time s of
     the projectivized flow. ``s`` holds s at every sample: the integral of
-    |v|^2 dt by the trapezoid rule for an integrated affine trajectory, the
+    |v|^2 dt by :func:`_s_clock` for an integrated affine trajectory, the
     projective clock for one read off by :func:`affine_read_off`, and ``t``
     itself for a projective one. ``steps`` counts the accepted integrator
     steps, which differ from the samples; ``rejected`` counts the rejected
@@ -88,9 +88,9 @@ class FlowTrajectory:
     v| / |v0| over the samples, and for a projective trajectory the distance
     of g v0 / |g v0| from v up to phase. ``step_records`` holds the accepted
     steps of a projective trajectory integrated with ``record``, for
-    :func:`affine_read_off`, else None: the
-    lists ``y`` (start states), ``h`` (sizes), ``ks`` (the seven stages) and
-    ``f`` (the stages' energies, seven per step, flat).
+    :func:`affine_read_off`, else None: the lists ``y`` (start states), ``h``
+    (sizes), ``ks`` (the seven stages) and ``f`` (the stages' energies, seven
+    per step, flat), and ``l0``, log|v0|^2 of the unnormalized start.
     """
 
     t: np.ndarray
@@ -242,9 +242,6 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False):
     def emit_state():
         emit([t], [f], y[None], k1[None])
 
-    def after(tg):    # the output-grid point that follows tg
-        return tg + max(opts.initial_step, SAMPLE_GROWTH * tg)
-
     def finish(reason):
         if samples["t"][-1] != t:
             emit_state()
@@ -294,7 +291,7 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False):
             t_new, inside, nxt = t + h_eff, [], grid
             while nxt < t_new:
                 inside.append(nxt)
-                nxt = after(nxt)
+                nxt = _grid_after(nxt, opts.initial_step)
             # f along the step, from the lower of the state and the last sample
             fs = [min(f, samples["f"][-1])]
             if inside:
@@ -319,9 +316,14 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False):
                 emit(inside, f_in, dense, d_in)
             if not inside or nxt == t:
                 emit_state()
-            grid = after(nxt) if nxt == t else nxt
+            grid = _grid_after(nxt, opts.initial_step) if nxt == t else nxt
             growth = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
             h = h_eff * growth
+
+
+def _grid_after(tg, initial_step):
+    """The output-grid point that follows the grid point tg (FlowOptions)."""
+    return tg + max(initial_step, SAMPLE_GROWTH * tg)
 
 
 def _read_grid(energy, y, h, ks, theta, postprocess=None):
@@ -342,12 +344,6 @@ def _norm(x):
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _row_norms(x):
-    """``np.linalg.norm`` of each row of a complex (q, n), bit for bit."""
-    re, im = x.real, x.imag
-    return np.sqrt(re[:, None] @ re[..., None] + im[:, None] @ im[..., None])[:, 0, 0]
-
-
 def _scaled_norms(x):
     """|x| of each row of a complex (m, n) as c |x / c|, returned as the pair
     (c, |x / c|): c is 1, or the largest real or imaginary part of a finite
@@ -364,13 +360,17 @@ def _scaled_norms(x):
     return c, r
 
 
-def _s_clock(t, v):
-    """s(t) = integral of |v|^2 dt at the samples, by the trapezoid rule; a
-    |v|^2 that overflows makes s infinite from there on, silently."""
+def _s_clock(t, v, f):
+    """s(t) = integral of |v|^2 dt at the affine flow's samples, by the
+    trapezoid rule with its end correction -h^2/12 [d|v|^2/dt], where Euler's
+    identity gives d|v|^2/dt = -8 f. An overflow makes s non-finite from
+    there on, silently."""
     c, r = _scaled_norms(v)
-    with np.errstate(over="ignore"):
+    h = np.diff(t)
+    with np.errstate(over="ignore", invalid="ignore"):
         n2 = (c * r) ** 2
-        return np.concatenate([[0.0], np.cumsum(0.5 * (n2[1:] + n2[:-1]) * np.diff(t))])
+        ds = 0.5 * (n2[1:] + n2[:-1]) * h + (2.0 / 3.0) * h * h * np.diff(f)
+        return np.concatenate([[0.0], np.cumsum(ds)])
 
 
 def _pack(samples, stats, *, kind, eps_grad, lift=None):
@@ -380,14 +380,14 @@ def _pack(samples, stats, *, kind, eps_grad, lift=None):
     t = np.array(samples["t"])
     v, d = np.concatenate(samples["v"]), np.concatenate(samples["d"])
     with np.errstate(over="ignore", invalid="ignore"):    # |d|^2 overflows to inf
-        grad_norm = _row_norms(d)
+        grad_norm = row_norms(d)
     g = residual = None
     if lift is not None:
         g = _lift_path(lift, t, v, d, projective=kind == "projective")
         residual = _lift_residual(g, v, projective=kind == "projective")
-    s = t.copy() if kind == "projective" else _s_clock(t, v)
-    return FlowTrajectory(t=t, v=v, f=np.array(samples["f"]),
-                          grad_norm=grad_norm, s=s, g=g, kind=kind,
+    f = np.array(samples["f"])
+    s = t.copy() if kind == "projective" else _s_clock(t, v, f)
+    return FlowTrajectory(t=t, v=v, f=f, grad_norm=grad_norm, s=s, g=g, kind=kind,
                           eps_grad=eps_grad, lift_residual=residual, **stats)
 
 
@@ -489,12 +489,6 @@ def _projective_kernel(energy):
     return projective
 
 
-def projective_energy_gradient(p, v):
-    """Energy and ambient gradient of f^ = |mu^|^2 (degree-0 homogeneous), of
-    a state (n,) or, bit for bit row by row, of a stack (q, n)."""
-    return _projective_kernel(energy_kernel(p))(v)
-
-
 def _projective_gauge(y):
     """The representative y / |y| with |v| = 1 of a state (n,) or, bit for
     bit row by row, of a stack (q, n). No phase is fixed: f^ is
@@ -502,7 +496,7 @@ def _projective_gauge(y):
     drift along J0 v."""
     if y.ndim == 1:
         return y / _norm(y)
-    return y / _row_norms(y)[:, None]
+    return y / row_norms(y)[:, None]
 
 
 def integrate_projective(p, v0, opts=None, cointegrate=False, record=False):
@@ -512,8 +506,8 @@ def integrate_projective(p, v0, opts=None, cointegrate=False, record=False):
     (|v| = 1). With ``cointegrate`` the trajectory also carries the
     reparametrized group lift g' = 2i mu^ g, computed from the finished
     trajectory by :func:`_lift_path`; then [g(s) v0] = [v(s)]. With
-    ``record`` it keeps its accepted steps in ``step_records``, which
-    :func:`affine_read_off` reads; they grow with the steps. A finite v0
+    ``record`` it keeps its accepted steps and log|v0|^2 in ``step_records``,
+    which :func:`affine_read_off` reads; they grow with the steps. A finite v0
     whose 2-norm under- or overflows is first divided by its largest real or
     imaginary part.
     """
@@ -525,22 +519,24 @@ def integrate_projective(p, v0, opts=None, cointegrate=False, record=False):
     u0 = _projective_gauge(v0 / c) if np.isfinite(norm0) else v0   # ends as "nonfinite"
     samples, stats = _adaptive_flow(_projective_kernel(energy_kernel(p)), u0, opts,
                                     postprocess=_projective_gauge, record=record)
+    if record:    # l = log|v|^2 at the start, where the read-off's l begins
+        stats["step_records"]["l0"] = 2.0 * (np.log(c) + np.log(norm0))
     return _pack(samples, stats, kind="projective", eps_grad=opts.eps_grad,
                  lift=p if cointegrate else None)
 
 
-def affine_read_off(p, traj, v0, opts):
+def affine_read_off(p, traj, opts):
     """The affine flow from v0, read off the projective trajectory ``traj`` of
     [v0], integrated with ``record``, without a step of its own.
 
     Write u = v/|v|, l = log|v|^2 and ds = |v|^2 dt. Euler's identity
     Re<grad f(v), v> = 4 f(v) gives dl/ds = -8 f^(u) and dt/ds = e^-l, so l
-    and t are quadratures of the stage energies in ``traj.step_records``:
-    each step integrates them with its own weights and continuous extension,
-    outside the error control. The read-off ends at the first of t =
-    ``opts.t_max`` (reason ``t_max``), a step end where |grad f(v)| <
-    ``opts.eps_grad`` (``gradient_small``) and the end of ``traj`` (its
-    reason). A ``traj`` that ends ``gradient_small`` has stopped at a
+    and t are quadratures, from l0 = log|v0|^2, of the stage energies in
+    ``traj.step_records``: each step integrates them with its own weights
+    and continuous extension, outside the error control. The read-off ends
+    at the first of t = ``opts.t_max`` (reason ``t_max``), a step end where
+    |grad f(v)| < ``opts.eps_grad`` (``gradient_small``) and the end of
+    ``traj`` (its reason). A ``traj`` that ends ``gradient_small`` has stopped at a
     critical point u_e of f^, where v still collapses along u_e: past its
     end l follows the closed form e^-l = e^-l_e + 8 f^(u_e) (t - t_e) until
     t = ``opts.t_max`` or until |grad f(v)| falls to ``opts.eps_grad``
@@ -552,12 +548,10 @@ def affine_read_off(p, traj, v0, opts):
     records, n = traj.step_records, traj.v.shape[1]
     h = np.array(records["h"])
     dl = -8.0 * np.array(records["f"]).reshape(-1, 7)               # dl/ds at the stages
-    grad_hat = _row_norms(np.array([ks[6] for ks in records["ks"]]).reshape(-1, n))
+    grad_hat = row_norms(np.array([ks[6] for ks in records["ks"]]).reshape(-1, n))
     a, b, pp = _DP_A.real, _DP_B6.real, _DP_P.real
-    (c,), (norm0,) = _scaled_norms(np.asarray(v0, dtype=complex)[None])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        l_end = np.cumsum(np.concatenate([[2.0 * (np.log(c) + np.log(norm0))],
-                                          h * (dl[:, :6] @ b)]))
+        l_end = np.cumsum(np.concatenate([[records["l0"]], h * (dl[:, :6] @ b)]))
         l_stage = np.column_stack([l_end[:-1, None] + h[:, None] * (dl[:, :5] @ a.T),
                                    l_end[1:]])
         dt = np.exp(-l_stage)                                           # dt/ds at the stages
@@ -587,14 +581,15 @@ def affine_read_off(p, traj, v0, opts):
     targets, tg = [], opts.initial_step
     while tg < t_final:
         targets.append(tg)
-        tg += max(opts.initial_step, SAMPLE_GROWTH * tg)
+        tg = _grid_after(tg, opts.initial_step)
     targets = np.array(targets + [t_final] if t_final > 0 else targets)
 
     # each sample's step k, and the fraction theta where the step's t meets it:
     # Newton on the convex t(theta), clipped to the step, to round-off
     k = np.clip(np.searchsorted(t_end, targets, side="right") - 1, 0, max(len(h) - 1, 0))
-    hk, t0, ct = h[k], t_end[k], (dt @ pp.T)[k]
-    with np.errstate(invalid="ignore", divide="ignore"):
+    hk, t0 = h[k], t_end[k]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ct = dt[k] @ pp.T
         theta = np.clip((targets - t0) / (t_end[k + 1] - t0), 0.0, 1.0)
         for _ in range(50):
             tp = theta[:, None] ** np.arange(5)
@@ -622,7 +617,7 @@ def affine_read_off(p, traj, v0, opts):
         f_u, grad_u = energy_kernel(p)(u)
         return FlowTrajectory(t=np.concatenate([[0.0], targets]), s=s,
                               v=np.exp(0.5 * ell)[:, None] * u, f=np.exp(2.0 * ell) * f_u,
-                              grad_norm=np.exp(1.5 * ell) * _row_norms(grad_u),
+                              grad_norm=np.exp(1.5 * ell) * row_norms(grad_u),
                               terminated_reason=reason, kind="affine", eps_grad=opts.eps_grad)
 
 

@@ -12,12 +12,19 @@ __all__ = [
     "hermitian_part",
     "eigh_fun",
     "expm",
+    "row_norms",
 ]
 
 
 def hermitian_part(a):
     """(A + A^H) / 2 of a square matrix or of each matrix in a stack."""
     return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
+
+
+def row_norms(x):
+    """``np.linalg.norm`` of each row of a complex (q, n), bit for bit."""
+    re, im = x.real, x.imag
+    return np.sqrt(re[:, None] @ re[..., None] + im[:, None] @ im[..., None])[:, 0, 0]
 
 
 def eigh_fun(h, fun):

@@ -27,7 +27,7 @@ from .flow import (FlowOptions, _r_squared, affine_read_off, check_rates,
                    cointegrate_group, fit_lojasiewicz, integrate_kempf_ness,
                    integrate_projective)
 from .normal_form import build_model, verify_closedness, verify_moment_identity
-from .symmetric_space import SymmetricSpacePoint, extract_asymptotic_ray
+from .symmetric_space import extract_asymptotic_ray
 
 SECTIONS = ("CONFIG", "FLOW", "RATES", "RAY", "DEGENERATION", "NORMAL_FORM",
             "VERDICT")
@@ -97,7 +97,7 @@ class Run:
             return self.primary
         opts = FlowOptions(t_max=AFFINE_READ_OFF_T_MAX, eps_grad=exp.flow_opts.eps_grad,
                            initial_step=exp.flow_opts.initial_step)
-        return affine_read_off(exp.presentation, self.primary, exp.v0, opts)
+        return affine_read_off(exp.presentation, self.primary, opts)
 
     @cached_property
     def projective(self):
@@ -278,10 +278,7 @@ def _ray_diagnostics(diag):
 
 def _ray(run):
     traj = run.primary
-    idx = _subsample_geometric(traj.t)
-    pts = [SymmetricSpacePoint.from_group(traj.g[i]) for i in idx]
-    base = SymmetricSpacePoint.from_matrix(np.eye(run.exp.presentation.dim_v))
-    ray, diag = extract_asymptotic_ray(pts, base)
+    ray, diag = extract_asymptotic_ray(traj.g[_subsample_geometric(traj.t)])
     lines, checks = _ray_diagnostics(diag)
     lines += [f"  spectrum = {_vec(diag.spectrum)}", _rational(ray.rational_approx)]
 

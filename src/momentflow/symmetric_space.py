@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NotAsymptoticError, RayDivergenceError
-from .linalg import eigh_fun, hermitian_part
+from .linalg import eigh_fun, hermitian_part, row_norms
 from .rational import rationalize_direction
 
 THETA_RAY = 1e-3      # Cauchy threshold for successive chord directions
@@ -133,10 +133,9 @@ def geodesic_path(p0, p1, num):
 
 @dataclass(frozen=True)
 class GeodesicRay:
-    """Unit-speed geodesic ray: base point and the Hermitian direction
-    H0^{1/2} M H0^{1/2} of a unit-Frobenius M, of unit norm at H0."""
+    """Unit-speed geodesic ray from the identity: exp(s M) for the Hermitian
+    ``direction`` M of unit Frobenius norm."""
 
-    base: SymmetricSpacePoint
     direction: np.ndarray
     rational_approx: tuple | None = None
 
@@ -149,63 +148,59 @@ class RayDiagnostics:
     spectrum: np.ndarray
 
 
-def _chord_angle(m1, m2):
-    val = float(np.trace(m1 @ m2).real)
-    return float(np.arccos(np.clip(val, -1.0, 1.0)))
+def extract_asymptotic_ray(factors):
+    """Asymptotic geodesic ray from the identity of an escaping path, with
+    Cauchy diagnostics.
 
-
-def extract_asymptotic_ray(path, base):
-    """Asymptotic geodesic ray of an escaping path, with Cauchy diagnostics.
-
-    The tail is the samples past distance 5 from ``base``; the path must end
-    at distance 10 or more and have at least 20 tail samples. For each tail
-    sample the unit initial direction of the geodesic from ``base`` to the
-    sample is computed; the ray uses the final direction. Diagnostics: the
-    sequence of angles between successive directions (which must settle
-    below THETA_RAY), and the distance between the geodesic toward each of
-    the last samples and the ray itself at arclength 1. Raises
+    ``factors`` (m, n, n) holds a factor g of each sample H = g* g, as a
+    flow's group lift (g(0) = id) gives it; one stacked SVD g = U S W* gives
+    every log H = 2 W log(S) W*. The tail is the samples past distance 5;
+    the path must end at distance 10 or more and have at least 20 tail
+    samples. Each tail log, normalized, is the unit initial direction of the
+    geodesic from the identity to the sample; the ray uses the final one.
+    Diagnostics: the sequence of angles between successive directions (which
+    must settle below THETA_RAY), and the distance between the geodesic
+    toward each of the last samples and the ray itself at arclength 1.
+    Raises :class:`DomainError` for a non-finite factor,
     :class:`NotAsymptoticError` if the path is empty or stays bounded and
     :class:`RayDivergenceError` if the directions fail to settle.
     """
-    base = _as_point(base)
-    points = [_as_point(q) for q in path]
-
-    ms = [_whitened_log(base, q) for q in points]
-    dists = np.array([float(np.linalg.norm(m)) for m in ms])
-
-    if len(dists) == 0:
+    g = np.asarray(factors, dtype=complex)
+    if g.ndim != 3 or g.shape[1] != g.shape[2] or not np.isfinite(g).all():
+        raise DomainError("group factors must be a finite stack of square matrices")
+    if len(g) == 0:
         raise NotAsymptoticError("path has no samples")
+    _, sigma, wh = np.linalg.svd(g)
+    w = np.swapaxes(wh.conj(), -1, -2)
+    ms = hermitian_part((w * (2.0 * np.log(sigma))[:, None, :]) @ wh)
+    dists = row_norms(ms.reshape(len(ms), -1))
+
     if dists[-1] < 10.0:
-        raise NotAsymptoticError(
-            f"path reaches distance {dists[-1]:.3f} < 10.0; not escaping"
-        )
+        raise NotAsymptoticError(f"path reaches distance {dists[-1]:.3f} < 10.0; not escaping")
     tail = np.flatnonzero(dists > 5.0)
     if len(tail) < 20:
-        raise NotAsymptoticError(
-            f"only {len(tail)} samples past distance 5.0; need 20"
-        )
+        raise NotAsymptoticError(f"only {len(tail)} samples past distance 5.0; need 20")
     # beyond the threshold the path must keep moving outward
     if np.any(np.diff(dists[tail]) < -0.5):
         raise NotAsymptoticError("path distance is not increasing on the tail")
 
-    dirs = [ms[i] / dists[i] for i in tail]
-    angles = np.array([_chord_angle(a, b) for a, b in zip(dirs[:-1], dirs[1:])])
+    dirs = ms[tail] / dists[tail, None, None]
+    # the chord angles arccos Re tr(M_i M_{i+1}) of successive unit directions
+    angles = np.arccos(np.clip(np.trace(dirs[:-1] @ dirs[1:], axis1=1, axis2=2).real,
+                               -1.0, 1.0))
 
     m_hat = dirs[-1]
     spectrum = np.linalg.eigvalsh(m_hat)
 
-    chi = _along(base, m_hat, 1.0)
-    resid = [distance(_along(base, m, 1.0), chi) for m in dirs[-6:-1]]
+    # exp(M) of the last six directions, by the factors exp(M/2); the last is on the ray
+    ends = [SymmetricSpacePoint(eigh_fun(0.5 * m, np.exp)) for m in dirs[-6:]]
+    resid = [distance(q, ends[-1]) for q in ends[:-1]]
     diagnostics = RayDiagnostics(distances=dists[tail], angles=angles,
                                  residuals=np.array(resid), spectrum=spectrum)
 
-    if len(angles) and angles[-1] > THETA_RAY:
-        raise RayDivergenceError(
-            f"chord directions not Cauchy: last angle {angles[-1]:.3e} > {THETA_RAY:.1e}",
-            diagnostics=diagnostics,
-        )
+    if angles[-1] > THETA_RAY:    # the tail holds 20 or more samples
+        raise RayDivergenceError(f"chord directions not Cauchy: last angle {angles[-1]:.3e} "
+                                 f"> {THETA_RAY:.1e}", diagnostics=diagnostics)
 
-    direction = hermitian_part(base.sqrt @ m_hat @ base.sqrt)
-    ray = GeodesicRay(base=base, direction=direction,
-                      rational_approx=rationalize_direction(spectrum))
+    ray = GeodesicRay(direction=m_hat, rational_approx=rationalize_direction(spectrum))
     return ray, diagnostics

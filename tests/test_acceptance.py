@@ -130,9 +130,7 @@ def test_criterion_5_asymptotic_ray():
     p = torus_presentation([[1, 0], [0, 1], [1, 1]])
     v0 = np.array([1.0, 1.0, 1.0], dtype=complex) / np.sqrt(3)
     traj = integrate_projective(p, v0, FlowOptions(t_max=200.0), cointegrate=True)
-    idx = _subsample_geometric(traj.t)
-    pts = [SymmetricSpacePoint.from_group(traj.g[i]) for i in idx]
-    ray, diag = extract_asymptotic_ray(pts, np.eye(3))
+    ray, diag = extract_asymptotic_ray(traj.g[_subsample_geometric(traj.t)])
 
     angles_tail = diag.angles[-8:]
     monotone = bool(np.all(np.diff(angles_tail) <= 1e-6))
@@ -155,9 +153,7 @@ def test_criterion_6_nonabelian_conjugacy():
     exp = get_builtin("su2_symd")
     traj = integrate_projective(exp.presentation, exp.v0, exp.flow_opts,
                                 cointegrate=True)
-    idx = _subsample_geometric(traj.t)
-    pts = [SymmetricSpacePoint.from_group(traj.g[i]) for i in idx]
-    ray, diag = extract_asymptotic_ray(pts, np.eye(5))
+    ray, diag = extract_asymptotic_ray(traj.g[_subsample_geometric(traj.t)])
     # the maximal torus: i sigma_z / 2, the third generator, has the weights
     # 2, 1, 0, -1, -2 on Sym^4; v0 has mass on the first two weight lines only
     beta = torus_oracle([[2], [1], [0], [-1], [-2]], support=(0, 1)).beta

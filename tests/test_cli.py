@@ -311,6 +311,28 @@ def test_rates_continue_past_a_projective_critical_point(tmp_path, weights, init
     assert affine.terminated_reason == "t_max" and not affine.converged()
 
 
+def test_rates_read_off_steps_whose_clock_overflows(tmp_path):
+    # with eps_grad = 1e-30 the projective flow runs on to s = 200, long after
+    # the read-off's t = 1e4; there l = log|v|^2 has fallen so far that
+    # dt/ds = e^-l overflows. The read-off samples none of those steps and
+    # warns nothing (a RuntimeWarning is an error under this suite's filter).
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("group.kind = torus\n"
+                   "group.weights = 2; 4\n"
+                   "initial_vector = 0.6:0, 0.8:0\n"
+                   "flow.mode = projective\n"
+                   "flow.t_max = 200\n"
+                   "flow.eps_grad = 1e-30\n"
+                   "analyses = rates\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    text = open(out / "report.txt").read()
+    assert "  terminated = t_max\n" in text and "  final_time = 10000.0\n" in text
+    verdict = text.split("[VERDICT]\n")[1].splitlines()
+    rates = [line for line in verdict if line.startswith("  rates.")]
+    assert rates and all(line.endswith("PASS") for line in rates)
+
+
 @pytest.mark.parametrize("name, recorded", [("torus_12", True), ("su2_symd", False)])
 def test_projective_primary_records_its_steps_only_for_the_rates(name, recorded):
     primary = runner.Run(get_builtin(name), 0).primary
@@ -441,6 +463,17 @@ def test_malformed_number_exits_2_with_line(tmp_path, capsys, lines, line_no):
                    + lines + "\n")
     assert main(["--config", str(cfg), "--quiet"]) == 2
     assert f"line {line_no}: " in capsys.readouterr().err
+
+
+def test_huge_torus_weight_exits_2_with_line_and_no_warning(tmp_path, capsys):
+    # the brackets of a weight 1e200 overflow; the validation reports them
+    # as non-finite and warns nothing (a RuntimeWarning is an error under
+    # this suite's filter)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("group.kind = torus\ngroup.weights = 1e200\ninitial_vector = 1:0\n")
+    assert main(["--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "line 2: group presentation fails validation" in err and "bracket=nan" in err
 
 
 def test_oracle_weight_limit_exits_2_with_line(tmp_path, capsys):

@@ -17,8 +17,8 @@ from momentflow.errors import DiagnosticError
 from momentflow.flow import (FlowOptions, FlowTrajectory, check_rates,
                              cointegrate_group, fit_lojasiewicz,
                              integrate_kempf_ness, integrate_projective)
-from momentflow.representation import (energy_and_gradient, flow_generator,
-                                       moment_map)
+from momentflow.representation import (energy_and_gradient, energy_kernel,
+                                       flow_generator, moment_map)
 from momentflow.runner import Run
 
 
@@ -210,16 +210,19 @@ def test_step_underflow_reported():
 # -- the clock s --------------------------------------------------------------
 
 def test_s_clock_constant_norm_gives_identity_clock():
+    # d|v|^2/dt = -8 f, so a constant |v| has f = 0
     t = np.linspace(0, 5, 200)
     v = np.ones((200, 1), dtype=complex)
-    np.testing.assert_allclose(flow._s_clock(t, v), t, atol=1e-12)
+    np.testing.assert_allclose(flow._s_clock(t, v, np.zeros(200)), t, atol=1e-12)
 
 
 def test_s_clock_known_integral():
+    # |v|^2 = 1/(1 + t) has d|v|^2/dt = -1/(1 + t)^2 = -8 f; the endpoint
+    # correction takes the trapezoid's O(h^2) error to O(h^4)
     t = np.linspace(0, 50, 20001)
     v = (1.0 / np.sqrt(1.0 + t))[:, None].astype(complex)
-    s = flow._s_clock(t, v)
-    np.testing.assert_allclose(s, np.log(1.0 + t), atol=1e-5)
+    s = flow._s_clock(t, v, 1.0 / (8.0 * (1.0 + t) ** 2))
+    np.testing.assert_allclose(s, np.log(1.0 + t), atol=1e-10)
     assert s[0] == 0.0
     assert np.all(np.diff(s) >= 0)
 
@@ -296,7 +299,7 @@ def test_v_norm_is_finite_where_only_its_square_overflows():
     assert norms[3] == 1e-200    # |v|^2 underflows to 0
     # every other row keeps np.linalg.norm's value
     assert np.array_equal(norms[[1, 4]], np.linalg.norm(v[[1, 4]], axis=1))
-    assert flow._s_clock(t, v)[-1] == np.inf    # |v|^2 overflows silently
+    assert flow._s_clock(t, v, traj.f)[-1] == np.inf    # |v|^2 overflows silently
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -519,9 +522,9 @@ def _per_step_magnus_lift(p, t, v, d, projective):
 
 def _slopes(p, traj):
     """The integrator's slope -grad at each sample, recomputed from v."""
-    energy = (energy_and_gradient if traj.kind == "affine"
-              else flow.projective_energy_gradient)
-    return np.array([-energy(p, v)[1] for v in traj.v])
+    energy = (partial(energy_and_gradient, p) if traj.kind == "affine"
+              else flow._projective_kernel(energy_kernel(p)))
+    return np.array([-energy(v)[1] for v in traj.v])
 
 
 def _lift_error(g, ref):
@@ -646,3 +649,16 @@ def test_affine_read_off_matches_the_affine_flow(name):
         assert got.limit_is_origin == want.limit_is_origin
         assert got.f_plateau_ratio == pytest.approx(want.f_plateau_ratio, rel=1e-6)
         assert got.dist_plateau_ratio == pytest.approx(want.dist_plateau_ratio, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", ["torus_12", "torus_c3"])
+def test_integrated_s_clock_matches_the_read_off(name):
+    # the read-off's s is the projective primary's own clock; the affine
+    # flow's s, the end-corrected trapezoid over its samples, meets it on
+    # their common t (without the correction it is off by 2.1e-4 relative)
+    exp = get_builtin(name)
+    read = Run(exp, 0).affine
+    traj = integrate_kempf_ness(exp.presentation, exp.v0, FlowOptions(t_max=1e4))
+    t, i, j = np.intersect1d(read.t, traj.t, return_indices=True)
+    assert len(t) >= 300
+    np.testing.assert_allclose(traj.s[j], read.s[i], rtol=1e-6, atol=0)

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_presentation
-from momentflow.flow import _projective_gauge, projective_energy_gradient
-from momentflow.representation import energy_and_gradient
+from momentflow.flow import _projective_gauge, _projective_kernel
+from momentflow.representation import energy_and_gradient, energy_kernel
 
 
 def _stack(rng, n):
@@ -36,8 +36,8 @@ def test_stacked_calls_equal_one_state_calls(seed):
     rows = _stack(rng, p.dim_v)
     _assert_rows_equal(energy_and_gradient(p, rows),
                        [energy_and_gradient(p, y) for y in rows])
-    _assert_rows_equal(projective_energy_gradient(p, rows),
-                       [projective_energy_gradient(p, y) for y in rows])
+    projective = _projective_kernel(energy_kernel(p))
+    _assert_rows_equal(projective(rows), [projective(y) for y in rows])
     for y, v in zip(rows, _projective_gauge(rows), strict=True):
         assert np.array_equal(v, _projective_gauge(y))
 
@@ -51,11 +51,12 @@ def test_projective_gradient_is_orthogonal_to_v_and_iv(seed):
     rng = np.random.default_rng(seed)
     p = random_presentation(rng)
     rows = _stack(rng, p.dim_v)
-    stacked = projective_energy_gradient(p, rows)[1]
+    projective = _projective_kernel(energy_kernel(p))
+    stacked = projective(rows)[1]
     for v, grad_stacked in zip(rows, stacked, strict=True):
         f, grad_f = energy_and_gradient(p, v)
         norm = np.linalg.norm(v)
         bound = 1e-14 * (np.linalg.norm(grad_f) / norm**4 + 4 * f / norm**5) * norm
-        for grad in (projective_energy_gradient(p, v)[1], grad_stacked):
+        for grad in (projective(v)[1], grad_stacked):
             assert abs(np.vdot(grad, v).real) <= bound
             assert abs(np.vdot(grad, 1j * v).real) <= bound

@@ -204,18 +204,18 @@ def test_convexity_rejects_non_geodesic(rng):
 # -- asymptotic rays ----------------------------------------------------------
 
 def _ray_points(direction, clocks, wobble=None, factored=True):
-    """Points exp(s D) (wobbled by congruence), carrying their group factor
-    like the cointegrated flows do."""
+    """Factors of the points exp(s D) (wobbled by congruence), the group
+    factors like the cointegrated flows carry them, or else the Hermitian
+    square roots of the points."""
     pts = []
     for s in clocks:
         g = scipy.linalg.expm(0.5 * s * direction)
         if wobble is not None:
             g = g @ scipy.linalg.expm(wobble(s))
-        if factored:
-            pts.append(SymmetricSpacePoint.from_group(g))
-        else:
-            pts.append(SymmetricSpacePoint.from_matrix(g.conj().T @ g))
-    return pts
+        if not factored:
+            g = SymmetricSpacePoint.from_matrix(g.conj().T @ g).factor
+        pts.append(g)
+    return np.array(pts)
 
 
 def test_ray_recovers_its_own_direction(rng):
@@ -223,7 +223,7 @@ def test_ray_recovers_its_own_direction(rng):
     direction /= np.linalg.norm(direction)
     clocks = np.linspace(0.5, 25.0, 60)
     pts = _ray_points(direction, clocks)
-    ray, diag = extract_asymptotic_ray(pts, np.eye(3))
+    ray, diag = extract_asymptotic_ray(pts)
     assert np.max(diag.angles) <= 1e-7
     np.testing.assert_allclose(ray.direction, direction, atol=1e-9)
     assert np.max(diag.residuals) <= 1e-8
@@ -235,7 +235,7 @@ def test_ray_unfactored_points_moderate_range(rng):
     direction /= np.linalg.norm(direction)
     clocks = np.linspace(0.5, 12.0, 40)
     pts = _ray_points(direction, clocks, factored=False)
-    ray, diag = extract_asymptotic_ray(pts, np.eye(3))
+    ray, diag = extract_asymptotic_ray(pts)
     assert np.max(diag.angles) <= 1e-5
     angle = np.arccos(np.clip(np.trace(ray.direction @ direction).real, -1, 1))
     assert angle <= 1e-5
@@ -251,9 +251,8 @@ def test_ray_with_bounded_wobble(rng):
     pts = []
     for s in clocks:
         wob = b * np.sin(np.log1p(s))
-        pts.append(SymmetricSpacePoint.from_group(
-            scipy.linalg.expm(0.5 * (s * direction + wob))))
-    ray, diag = extract_asymptotic_ray(pts, np.eye(3))
+        pts.append(scipy.linalg.expm(0.5 * (s * direction + wob)))
+    ray, diag = extract_asymptotic_ray(pts)
     angle = np.arccos(np.clip(np.trace(ray.direction @ direction).real, -1, 1))
     assert angle <= 0.1 / clocks[-1] + 1e-6
     assert diag.angles[-1] <= 1e-3
@@ -264,7 +263,31 @@ def test_ray_requires_escape():
     clocks = np.linspace(0.1, 3.0, 30)   # never reaches distance 10
     pts = _ray_points(direction.astype(complex), clocks)
     with pytest.raises(NotAsymptoticError):
-        extract_asymptotic_ray(pts, np.eye(2))
+        extract_asymptotic_ray(pts)
+
+
+def test_ray_refuses_non_finite_factors_and_empty_paths():
+    pts = _ray_points(np.diag([1.0, -1.0]).astype(complex) / np.sqrt(2),
+                      np.linspace(0.5, 30.0, 40))
+    pts[7, 0, 1] = np.nan
+    with pytest.raises(DomainError):
+        extract_asymptotic_ray(pts)
+    with pytest.raises(NotAsymptoticError):
+        extract_asymptotic_ray(np.empty((0, 2, 2), dtype=complex))
+
+
+def test_ray_distances_are_the_whitened_logs_at_the_identity(rng):
+    # one stacked SVD of the factors gives each sample's log at the identity
+    # with the bits of its own whitened log
+    direction = rand_herm(rng, 3)
+    direction /= np.linalg.norm(direction)
+    wobble = rand_herm(rng, 3, scale=0.3)
+    pts = _ray_points(direction, np.linspace(0.5, 25.0, 60), wobble=lambda s: 1j * wobble)
+    _, diag = extract_asymptotic_ray(pts)
+    want = [np.linalg.norm(_whitened_log(np.eye(3), SymmetricSpacePoint.from_group(g)))
+            for g in pts]
+    tail = np.array(want) > 5.0
+    assert np.array_equal(diag.distances, np.array(want)[tail])
 
 
 def test_ray_divergence_diagnostic(rng):
@@ -277,28 +300,29 @@ def test_ray_divergence_diagnostic(rng):
         mix = 0.5 + 0.4 * np.sin(s)
         d = mix * d1 + (1 - mix) * d2
         d /= np.linalg.norm(d)
-        pts.append(SymmetricSpacePoint.from_matrix(scipy.linalg.expm(s * d)))
+        pts.append(SymmetricSpacePoint.from_matrix(scipy.linalg.expm(s * d)).factor)
     with pytest.raises(RayDivergenceError) as exc:
-        extract_asymptotic_ray(pts, np.eye(3))
+        extract_asymptotic_ray(pts)
     assert exc.value.diagnostics is not None
     assert len(exc.value.diagnostics.angles) > 0
 
 
 @pytest.mark.parametrize("horizon", [800, 1200])
 def test_ray_base_change_stability(horizon):
-    # rays extracted from two bases on one escaping path have matching
-    # direction spectra; the diagonal sector keeps every step exact, so the
-    # horizon can be pushed far enough for the 1/s chord error to shrink
-    # below the tolerance, and at 1200 past the overflow of g* g
+    # rays of one escaping path seen from two bases have matching direction
+    # spectra: from a second base H0 the path is g H0^{-1/2}, the isometry
+    # that moves H0 to the identity; the diagonal sector keeps every step
+    # exact, so the horizon can be pushed far enough for the 1/s chord
+    # error to shrink below the tolerance, and at 1200 past the overflow
+    # of g* g
     lam = np.array([0.8, -0.2, -0.6])
     lam = lam / np.linalg.norm(lam)
     direction = np.diag(lam).astype(complex)
     clocks = np.geomspace(1.0, horizon, 120)
-    pts = [SymmetricSpacePoint.from_group(scipy.linalg.expm(0.5 * s * direction))
-           for s in clocks]
-    ray1, diag1 = extract_asymptotic_ray(pts, np.eye(3))
-    base2 = np.diag(np.exp([0.3, -0.2, 0.4])).astype(complex)
-    ray2, diag2 = extract_asymptotic_ray(pts, base2)
+    pts = np.array([scipy.linalg.expm(0.5 * s * direction) for s in clocks])
+    ray1, diag1 = extract_asymptotic_ray(pts)
+    base2 = SymmetricSpacePoint.from_matrix(np.diag(np.exp([0.3, -0.2, 0.4])))
+    ray2, diag2 = extract_asymptotic_ray(pts @ base2.inv_sqrt)
     np.testing.assert_allclose(diag1.spectrum, diag2.spectrum, atol=1e-3)
     np.testing.assert_allclose(diag1.spectrum, np.sort(lam), atol=1e-12)
 
@@ -307,6 +331,6 @@ def test_ray_rationalizes_integer_spectrum():
     direction = np.diag([1.0, 1.0, 2.0]) / np.sqrt(6)
     clocks = np.linspace(0.5, 30.0, 60)
     pts = _ray_points(direction.astype(complex), clocks)
-    ray, _ = extract_asymptotic_ray(pts, np.eye(3))
+    ray, _ = extract_asymptotic_ray(pts)
     ints, den = ray.rational_approx
     assert tuple(ints) == (1, 1, 2)
