@@ -2,10 +2,11 @@
 
 The downward gradient flow of f = |mu|^2 is integrated with the embedded
 Dormand-Prince 5(4) pair. On top of the local-error controller sits an
-energy-monotonicity guard: any step that increases f is rejected outright,
-which enforces the one structural property the convergence analysis relies
-on. The controller and the guard alone set the step; samples are read off
-the pair's continuous extension on a geometric output grid, all grid
+energy-monotonicity guard: any step that increases f beyond its round-off
+is rejected outright, which enforces the one structural property the
+convergence analysis relies on. The controller and the guard alone set the
+step; samples are read off the pair's continuous extension on a geometric
+output grid, all grid
 points inside a step as one stacked block with one energy evaluation (a
 single grid point as one state, which gives the same bits). Every
 evaluation runs the energy kernel bound to the presentation once per flow,
@@ -13,15 +14,17 @@ and the step casts its tableau rows to complex once, so a step's numpy
 calls are its arithmetic; the samples' |grad| and the clock s are taken
 once per trajectory, from their slopes and states. The projectivized flow
 runs on the unit-sphere representative, renormalized at every state; f^ is
-U(1)-invariant, so the flow has no phase drift to remove. The group lift
-g(t) is computed from the finished trajectory: each Magnus exponent depends
-only on the states and slopes at two consecutive samples, so the whole lift
-takes one batched generator call and one stacked exponential per block of
-samples, and lift consistency holds to integrator accuracy. A projective
-trajectory can keep its accepted steps, stages and stage energies, from
-which :func:`affine_read_off` reads the affine flow with no integration of
-its own: log|v|^2 and t are quadratures of the stage energies in the clock
-s.
+U(1)-invariant, so the flow has no phase drift to remove. A trajectory can
+keep its accepted steps, stages and stage energies; a lifted one always
+does. The group lift g(t) is computed from the finished trajectory over its
+knots, the samples and the ends of the steps that hold none: each Magnus
+exponent depends only on the states at the two Gauss nodes of a knot
+interval, read off the continuous extension of the steps that hold them, so
+the whole lift takes one batched generator call and one stacked exponential
+per block of knots, and lift consistency holds to integrator accuracy
+however sparse the samples are. From a projective trajectory's steps
+:func:`affine_read_off` reads the affine flow with no integration of its
+own: log|v|^2 and t are quadratures of the stage energies in the clock s.
 """
 
 import math
@@ -37,6 +40,7 @@ MIN_STEP = 1e-14          # a step below this ends the flow by step_underflow
 SAMPLE_GROWTH = 0.04      # ratio of the geometric output grid
 MAX_STEPS = 2_000_000     # budget of accepted and rejected steps
 PROJECTIVE_T_MAX = 1e6    # default horizon of the projective flow, clock s
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "FlowOptions",
@@ -84,13 +88,19 @@ class FlowTrajectory:
     counts the energy calls of the integration, rejected steps included;
     ``h_min`` and ``h_max`` bound the accepted step sizes (NaN with no
     accepted step); a read-off has none of these of its own.
-    ``lift_residual`` is the lift's own check, set with ``g``: max |g v0 -
-    v| / |v0| over the samples, and for a projective trajectory the distance
-    of g v0 / |g v0| from v up to phase. ``step_records`` holds the accepted
-    steps of a projective trajectory integrated with ``record``, for
-    :func:`affine_read_off`, else None: the lists ``y`` (start states), ``h``
-    (sizes), ``ks`` (the seven stages) and ``f`` (the stages' energies, seven
-    per step, flat), and ``l0``, log|v0|^2 of the unnormalized start.
+    The samples lie on the output grid of :class:`FlowOptions`, plus the
+    final state. A lifted trajectory holds g at the samples in ``g``, and
+    in ``knots`` and ``g_knots`` the clock and g at the knots of the lift:
+    the samples and the ends of the steps that hold no sample (None
+    without the lift). ``lift_residual`` is the lift's own check, set with
+    ``g``: max |g v0 - v| / |v0| over the lift's knots, and for a projective
+    trajectory the distance of g v0 / |g v0| from v up to phase.
+    ``step_records`` holds the accepted steps of a lifted trajectory or of a
+    projective one integrated with ``record``, for the lift and for
+    :func:`affine_read_off`, else None: the lists ``y`` (start states),
+    ``h`` (sizes), ``ks`` (the seven stages) and ``f`` (the stages'
+    energies, seven per step, flat), and for a projective trajectory
+    ``l0``, log|v0|^2 of the unnormalized start.
     """
 
     t: np.ndarray
@@ -109,6 +119,8 @@ class FlowTrajectory:
     h_max: float = np.nan
     lift_residual: float | None = None
     step_records: dict | None = field(default=None, repr=False, compare=False)
+    knots: np.ndarray | None = field(default=None, repr=False, compare=False)
+    g_knots: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.t)
@@ -216,26 +228,29 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False):
     accepted step are read off the continuous extension as one (q, n) block,
     which takes one ``postprocess`` and one stacked ``energy`` call (q
     evaluations) for the samples' f and slope d = -grad. A step end is a
-    sample only when it is a grid point or no grid point fell inside the
-    step; the final state always is. ``energy`` is evaluated once per
-    accepted state, which feeds the energy guard and the first stage of the
-    next step. A step is rejected when its new state is not finite
-    (``rejected["nonfinite"]``, also when a state overflows, which warns
-    nothing), when the local error test fails (``"error"``) or when f would
-    rise, relative slack 1e-12, at its end or at any sample it emits
+    sample only when it is a grid point; the final state always is. The end
+    of a step that holds no sample is a knot of the group lift only: it is a
+    row too, and ``samples["knots_only"]`` lists its row index. ``energy`` is
+    evaluated once per accepted state, which feeds the energy guard and the
+    first stage of the next step. A step is rejected when its new state is
+    not finite (``rejected["nonfinite"]``, also when a state overflows, which
+    warns nothing), when the local error test fails (``"error"``) or when f
+    would rise, by more than 1e-12 of it and more than its round-off eps |y|
+    |grad f| at the step's start, at its end or at any sample it emits
     (``"energy"``). ``samples`` holds the lists ``t`` and ``f`` and per-step
-    (m, n) blocks of ``v`` and ``d``, which :func:`_pack` concatenates; it
-    derives |grad|, the clock s and the group lift from them. With
-    ``record`` each accepted step also keeps its start state, size, stages
-    and stage energies in ``step_records`` (None without ``record``), which
-    :func:`affine_read_off` integrates. They go into flat lists, so a long
-    flow leaves no per-step Python container for the garbage collector.
+    (m, n) blocks of ``v`` and ``d`` over all rows, which :func:`_pack`
+    concatenates; it derives |grad|, the clock s and the group lift from
+    them. With ``record`` each accepted step also keeps its start state,
+    size, stages and stage energies in ``step_records`` (None without
+    ``record``), which :func:`affine_read_off` integrates and the lift reads
+    its Gauss nodes off. They go into flat lists, so a long flow leaves no
+    per-step Python container for the garbage collector.
     """
     samples = {"t": [], "f": [], "v": [], "d": []}
-    hs = []
+    knots_only, hs = [], []
     records = dict(y=[], h=hs, ks=[], f=[]) if record else None
 
-    def emit(ts, fs, vs, ds):    # consecutive samples; vs, ds are (m, n)
+    def emit(ts, fs, vs, ds):    # consecutive rows; vs, ds are (m, n)
         for key, part in zip(samples, (ts, fs, [vs], [ds]), strict=True):
             samples[key] += part
 
@@ -245,6 +260,9 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False):
     def finish(reason):
         if samples["t"][-1] != t:
             emit_state()
+        elif knots_only[-1:] == [len(samples["t"]) - 1]:
+            knots_only.pop()    # the final state is a sample
+        samples["knots_only"] = knots_only
         return samples, dict(terminated_reason=reason, steps=steps, rejected=rejected,
                              evaluations=evaluations, h_min=min(hs, default=np.nan),
                              h_max=max(hs, default=np.nan), step_records=records)
@@ -300,7 +318,9 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False):
                 evaluations += len(inside)
                 fs += f_in
             fs.append(f_new)
-            if not all(b <= a * (1 + 1e-12) for a, b in zip(fs, fs[1:])):  # also NaN
+            # f is known only to its round-off: rounding y moves f by up to
+            # eps |y| |grad f|, more than the relative slack near a zero of mu
+            if not (_never_rises(fs) or _never_rises(fs, _EPS * _norm(y) * k1_norm)):
                 rejected["energy"] += 1
                 h = 0.5 * h_eff
                 continue
@@ -314,11 +334,20 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False):
             k1_norm = _norm(k1)
             if inside:
                 emit(inside, f_in, dense, d_in)
-            if not inside or nxt == t:
+            if nxt == t:    # the step ends on a grid point
+                emit_state()
+            elif not inside:    # a step that holds no sample ends at a lift knot
+                knots_only.append(len(samples["t"]))
                 emit_state()
             grid = _grid_after(nxt, opts.initial_step) if nxt == t else nxt
             growth = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
             h = h_eff * growth
+
+
+def _never_rises(fs, slack=0.0):
+    """Whether no energy of the list ``fs`` exceeds the one before it by more
+    than 1e-12 of it plus ``slack``; a NaN rises."""
+    return all(b <= a * (1 + 1e-12) + slack for a, b in zip(fs, fs[1:]))
 
 
 def _grid_after(tg, initial_step):
@@ -374,21 +403,31 @@ def _s_clock(t, v, f):
 
 
 def _pack(samples, stats, *, kind, eps_grad, lift=None):
-    """Concatenate the sample blocks into a trajectory with its clock s; with
-    a presentation ``lift`` the group lift of the trajectory fills ``g`` and
-    its residual ``lift_residual``."""
+    """Concatenate the row blocks into a trajectory of the samples with its
+    clock s; with a presentation ``lift`` the group lift over the knots (all
+    rows) fills ``g``, ``knots``, ``g_knots`` and ``lift_residual``."""
     t = np.array(samples["t"])
     v, d = np.concatenate(samples["v"]), np.concatenate(samples["d"])
+    f = np.array(samples["f"])
+    projective = kind == "projective"
+    s = t.copy() if projective else _s_clock(t, v, f)    # over all rows
+    knots = g_knots = residual = None
+    if lift is not None:
+        steps = _step_extension(stats["step_records"], v.shape[1])
+        knots, g_knots = t, _lift_path(lift, t, steps, projective)
+        residual = _lift_residual(g_knots, v, projective)
+    g = g_knots
+    if samples["knots_only"]:
+        keep = np.ones(len(t), dtype=bool)
+        keep[samples["knots_only"]] = False
+        t, v, d, f, s = t[keep], v[keep], d[keep], f[keep], s[keep]
+        if g is not None:
+            g = g[keep]
     with np.errstate(over="ignore", invalid="ignore"):    # |d|^2 overflows to inf
         grad_norm = row_norms(d)
-    g = residual = None
-    if lift is not None:
-        g = _lift_path(lift, t, v, d, projective=kind == "projective")
-        residual = _lift_residual(g, v, projective=kind == "projective")
-    f = np.array(samples["f"])
-    s = t.copy() if kind == "projective" else _s_clock(t, v, f)
     return FlowTrajectory(t=t, v=v, f=f, grad_norm=grad_norm, s=s, g=g, kind=kind,
-                          eps_grad=eps_grad, lift_residual=residual, **stats)
+                          eps_grad=eps_grad, lift_residual=residual, knots=knots,
+                          g_knots=g_knots, **stats)
 
 
 def _lift_residual(g, v, projective):
@@ -412,50 +451,63 @@ def integrate_kempf_ness(p, v0, opts=None):
     return _pack(samples, stats, kind="affine", eps_grad=opts.eps_grad)
 
 
-# Steps per batched Magnus pass: one generator call and one stacked expm per
-# block, while the temporaries stay a fixed size however long the flow runs.
+# Knot intervals per batched Magnus pass: one generator call and one stacked
+# expm per block, while the temporaries stay a fixed size however long the
+# flow runs.
 _LIFT_BLOCK = 64
 
-# The two Gauss nodes on [0, 1], shaped (node, step, component), and the
-# cubic Hermite weights of y_prev, y_new, h d_prev and h d_new at them.
-_C = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])[:, None, None]
-_C2, _C3 = _C * _C, _C * _C * _C
-_H00, _H01 = 1 - 3 * _C2 + 2 * _C3, 3 * _C2 - 2 * _C3
-_H10, _H11 = _C - 2 * _C2 + _C3, _C3 - _C2
+# The two Gauss nodes on [0, 1], shaped (node, interval).
+_GAUSS = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])[:, None]
 
 
-def _lift_path(p, t, v, d, projective):
-    """Group lift of a finished trajectory by fourth-order Magnus steps.
+def _step_extension(records, n):
+    """The continuous extensions of the recorded steps as arrays (t0, h, y,
+    c): step starts and sizes (S,), start states (S, n) and the rows c (S, 4,
+    n) of y(t0 + theta h) = y + sum_p theta^p c[p - 1]. The starts are the
+    running sums of the sizes, which are the integrator's clock bit for bit."""
+    h = np.array(records["h"])
+    t0 = np.concatenate([[0.0], np.cumsum(h)[:-1]])
+    c = h[:, None, None] * (_DP_P @ np.array(records["ks"]).reshape(-1, 7, n))
+    return t0, h, np.array(records["y"]).reshape(-1, n), c
+
+
+def _lift_path(p, t, steps, projective):
+    """Group lift at the knots ``t`` by fourth-order Magnus steps.
 
     g(0) = id and g' = A(v) g with A = flow_generator(p, v), divided by
-    |v|^2 for the projective flow. The propagator over step k is
-    exp(Omega_k) with the two-node Gauss Magnus exponent; the states at the
-    Gauss nodes come from cubic Hermite interpolation of the sampled states
-    ``v`` and slopes ``d`` at the step's ends. Omega_k never depends on g, so
-    each block of steps takes one batched generator call and one stacked
+    |v|^2 for the projective flow. The propagator over knot interval k is
+    exp(Omega_k) with the two-node Gauss Magnus exponent; the state at each
+    Gauss node is read off the continuous extension of the integrator step
+    that holds it, from ``steps`` = (t0, h, y, c) of :func:`_step_extension`,
+    in Horner form. Omega_k never depends on g, so each block of intervals
+    takes one ``searchsorted``, one batched generator call and one stacked
     ``expm``, and g_{k+1} = exp(Omega_k) g_k is then a running product.
-    Errors sit in the exponent (O(h^5) per step) and vanish once the
+    Errors sit in the exponent (O(h^5) per interval) and vanish once the
     generator has converged, so the logarithms of the lift stay accurate
     over arbitrarily long horizons, unlike additive updates, which lose the
     tiny entries of g.
     """
-    m, n = v.shape
+    t0, hs, ys, cs = steps
+    m, n = len(t), ys.shape[1]
     g = np.empty((m, n, n), dtype=complex)
     g[0] = np.eye(n)
     for a in range(0, m - 1, _LIFT_BLOCK):
         b = min(a + _LIFT_BLOCK, m - 1)
-        h = (t[a + 1:b + 1] - t[a:b])[:, None]
-        nodes = (_H00 * v[a:b] + _H01 * v[a + 1:b + 1]
-                 + h * _H10 * d[a:b] + h * _H11 * d[a + 1:b + 1])   # (2, b - a, n)
+        h = t[a + 1:b + 1] - t[a:b]
+        tau = t[a:b] + _GAUSS * h                                   # (2, b - a)
+        k = np.searchsorted(t0, tau, side="right") - 1              # the step of a node
+        theta, c = ((tau - t0[k]) / hs[k])[..., None], cs[k]
+        nodes = ys[k] + theta * (c[..., 0, :] + theta * (
+            c[..., 1, :] + theta * (c[..., 2, :] + theta * c[..., 3, :])))   # (2, b - a, n)
         gens = flow_generator(p, nodes)
         if projective:
             n2 = np.einsum("...i,...i->...", nodes.conj(), nodes).real
             gens = gens / n2[..., None, None]
         a1, a2 = gens
-        h = h[:, :, None]
+        h = h[:, None, None]
         omega = 0.5 * h * (a1 + a2) + (np.sqrt(3) * h * h / 12.0) * (a2 @ a1 - a1 @ a2)
-        for k, step in enumerate(expm(omega), start=a):
-            np.matmul(step, g[k], out=g[k + 1])
+        for i, step in enumerate(expm(omega), start=a):
+            np.matmul(step, g[i], out=g[i + 1])
     return g
 
 
@@ -465,10 +517,10 @@ def cointegrate_group(p, v0, opts=None):
     v and g evolve by the same generator, so g(t) v0 = v(t) along the
     continuous flow; the trajectory invariant |g v0 - v| <= tau_lift |v0|
     holds to integrator accuracy. The lift is computed from the finished
-    trajectory by :func:`_lift_path`.
+    trajectory and its recorded steps by :func:`_lift_path`.
     """
     opts = opts or FlowOptions()
-    samples, stats = _adaptive_flow(energy_kernel(p), v0, opts)
+    samples, stats = _adaptive_flow(energy_kernel(p), v0, opts, record=True)
     return _pack(samples, stats, kind="affine", eps_grad=opts.eps_grad, lift=p)
 
 
@@ -505,9 +557,10 @@ def integrate_projective(p, v0, opts=None, cointegrate=False, record=False):
     Every state, the start included, goes through :func:`_projective_gauge`
     (|v| = 1). With ``cointegrate`` the trajectory also carries the
     reparametrized group lift g' = 2i mu^ g, computed from the finished
-    trajectory by :func:`_lift_path`; then [g(s) v0] = [v(s)]. With
-    ``record`` it keeps its accepted steps and log|v0|^2 in ``step_records``,
-    which :func:`affine_read_off` reads; they grow with the steps. A finite v0
+    trajectory and its recorded steps by :func:`_lift_path`; then [g(s) v0]
+    = [v(s)]. With ``record`` or ``cointegrate`` it keeps its accepted steps
+    and log|v0|^2 in ``step_records``, which :func:`affine_read_off` reads;
+    they grow with the steps. A finite v0
     whose 2-norm under- or overflows is first divided by its largest real or
     imaginary part.
     """
@@ -517,6 +570,7 @@ def integrate_projective(p, v0, opts=None, cointegrate=False, record=False):
     if norm0 == 0.0:
         raise DiagnosticError("projective flow needs a nonzero start vector")
     u0 = _projective_gauge(v0 / c) if np.isfinite(norm0) else v0   # ends as "nonfinite"
+    record = record or cointegrate    # the lift reads the steps too
     samples, stats = _adaptive_flow(_projective_kernel(energy_kernel(p)), u0, opts,
                                     postprocess=_projective_gauge, record=record)
     if record:    # l = log|v|^2 at the start, where the read-off's l begins

@@ -278,7 +278,7 @@ def _ray_diagnostics(diag):
 
 def _ray(run):
     traj = run.primary
-    ray, diag = extract_asymptotic_ray(traj.g[_subsample_geometric(traj.t)])
+    ray, diag = extract_asymptotic_ray(traj.g_knots[_subsample_geometric(traj.knots)])
     lines, checks = _ray_diagnostics(diag)
     lines += [f"  spectrum = {_vec(diag.spectrum)}", _rational(ray.rational_approx)]
 

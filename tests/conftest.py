@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,13 @@ def random_presentation(rng):
 
 def random_vector(rng, n, scale=1.0):
     return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def knot_states(traj):
+    """The state at each knot of a lifted trajectory's lift: a sample's
+    state, else the state that starts the recorded step beginning there."""
+    records = traj.step_records
+    starts = itertools.accumulate(records["h"][:-1], initial=0.0)
+    states = dict(zip(starts, records["y"]))
+    states.update(zip(traj.t.tolist(), traj.v))
+    return np.array([states[t] for t in traj.knots.tolist()])

@@ -17,7 +17,8 @@ from momentflow.degeneration import (ANGLE_TOL, hermitian_generator,
                                      limit_direction, oracle_angle, torus_oracle)
 from momentflow.flow import (FlowOptions, check_rates, fit_lojasiewicz,
                              integrate_kempf_ness, integrate_projective)
-from momentflow.flow import _adaptive_flow, _lift_path  # joint flow and its lift
+from momentflow.flow import (_adaptive_flow, _lift_path,  # joint flow and its lift
+                             _step_extension)
 from momentflow.normal_form import (build_model, verify_closedness,
                                     verify_moment_identity)
 from momentflow.representation import energy_and_gradient, kempf_ness_value
@@ -130,7 +131,7 @@ def test_criterion_5_asymptotic_ray():
     p = torus_presentation([[1, 0], [0, 1], [1, 1]])
     v0 = np.array([1.0, 1.0, 1.0], dtype=complex) / np.sqrt(3)
     traj = integrate_projective(p, v0, FlowOptions(t_max=200.0), cointegrate=True)
-    ray, diag = extract_asymptotic_ray(traj.g[_subsample_geometric(traj.t)])
+    ray, diag = extract_asymptotic_ray(traj.g_knots[_subsample_geometric(traj.knots)])
 
     angles_tail = diag.angles[-8:]
     monotone = bool(np.all(np.diff(angles_tail) <= 1e-6))
@@ -153,7 +154,7 @@ def test_criterion_6_nonabelian_conjugacy():
     exp = get_builtin("su2_symd")
     traj = integrate_projective(exp.presentation, exp.v0, exp.flow_opts,
                                 cointegrate=True)
-    ray, diag = extract_asymptotic_ray(traj.g[_subsample_geometric(traj.t)])
+    ray, diag = extract_asymptotic_ray(traj.g_knots[_subsample_geometric(traj.knots)])
     # the maximal torus: i sigma_z / 2, the third generator, has the weights
     # 2, 1, 0, -1, -2 on Sym^4; v0 has mass on the first two weight lines only
     beta = torus_oracle([[2], [1], [0], [-1], [-2]], support=(0, 1)).beta
@@ -179,12 +180,11 @@ def _matched_clock_flow_pair(p, v0, h, t_max):
         f2, g2 = energy_and_gradient(p, y[..., n:])
         return f1 + f2, np.concatenate([g1, g2], axis=-1)
 
-    samples, _ = _adaptive_flow(energy, y0, FlowOptions(t_max=t_max))
-    t = np.array(samples["t"])
-    y = np.concatenate(samples["v"])
-    d = np.concatenate(samples["d"])
-    return (_lift_path(p, t, y[:, :n], d[:, :n], projective=False),
-            _lift_path(p, t, y[:, n:], d[:, n:], projective=False))
+    samples, stats = _adaptive_flow(energy, y0, FlowOptions(t_max=t_max), record=True)
+    t = np.array(samples["t"])    # the lift's knots
+    t0, h, y, c = _step_extension(stats["step_records"], 2 * n)
+    return (_lift_path(p, t, (t0, h, y[:, :n], c[..., :n]), projective=False),
+            _lift_path(p, t, (t0, h, y[:, n:], c[..., n:]), projective=False))
 
 
 def test_criterion_7_convexity_and_distance_decrease():
@@ -306,9 +306,9 @@ def test_criterion_9_mgs_model_verification():
 # on purpose and says why.
 FLOW_COUNTER_CEILINGS = {
     "u1_weight1": (129, 1126, 355),
-    "torus_12": (153, 1116, 265),
-    "torus_c3": (149, 1108, 279),
-    "su2_symd": (458, 2962, 574),
+    "torus_12": (153, 1116, 201),
+    "torus_c3": (149, 1108, 217),
+    "su2_symd": (458, 2962, 217),
     "mgs_u1": (1, 7, 2),
     "mgs_su2": (1, 7, 2),
 }

@@ -333,10 +333,39 @@ def test_rates_read_off_steps_whose_clock_overflows(tmp_path):
     assert rates and all(line.endswith("PASS") for line in rates)
 
 
-@pytest.mark.parametrize("name, recorded", [("torus_12", True), ("su2_symd", False)])
-def test_projective_primary_records_its_steps_only_for_the_rates(name, recorded):
-    primary = runner.Run(get_builtin(name), 0).primary
+@pytest.mark.parametrize("name, analyses, recorded", [
+    ("torus_12", None, True),
+    ("torus_c3", None, True),
+    ("su2_symd", None, True),
+    ("su2_symd", ("degeneration", "oracle"), False),
+    ("u1_weight1", None, False),
+    ("u1_weight1", ("rates", "ray"), True),
+], ids=["torus_12-rates", "torus_c3-rates_ray", "su2_symd-ray", "su2_symd-neither",
+        "u1_weight1-affine_rates", "u1_weight1-cointegrated_ray"])
+def test_primary_records_its_steps_only_for_the_rates_or_the_lift(name, analyses, recorded):
+    exp = get_builtin(name)
+    if analyses is not None:
+        exp = replace(exp, analyses=analyses)
+    primary = runner.Run(exp, 0).primary
     assert (primary.step_records is not None) == recorded
+    assert (primary.g is not None) == ("ray" in exp.analyses)
+
+
+def test_projective_flow_from_a_zero_of_mu_exits_0(tmp_path):
+    # f^ starts at round-off; its rise over the first step stays within it
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("group.kind = torus\n"
+                   "group.weights = 1; -1\n"
+                   "initial_vector = 1:0, 1:0\n"
+                   "flow.mode = projective\n"
+                   "flow.t_max = 50\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    text = open(out / "report.txt").read()
+    assert "  steps = 1\n" in text
+    assert "  rejected = error 0, energy 0, nonfinite 0\n" in text
+    assert "  terminated = gradient_small\n" in text
+    assert "  flow.ok" not in text and "  overall = OK\n" in text
 
 
 def test_overflowing_first_step_is_a_nonfinite_rejection(tmp_path, capsys):

@@ -8,17 +8,16 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_presentation, random_vector
+from conftest import knot_states, random_presentation, random_vector
 from momentflow import flow
-from momentflow.algebra import (su2_sym_presentation, torus_presentation,
-                                un_presentation)
+from momentflow.algebra import (direct_sum_presentation, su2_sym_presentation,
+                                torus_presentation, un_presentation)
 from momentflow.builtins import get_builtin
 from momentflow.errors import DiagnosticError
 from momentflow.flow import (FlowOptions, FlowTrajectory, check_rates,
                              cointegrate_group, fit_lojasiewicz,
                              integrate_kempf_ness, integrate_projective)
-from momentflow.representation import (energy_and_gradient, energy_kernel,
-                                       flow_generator, moment_map)
+from momentflow.representation import energy_and_gradient, flow_generator, moment_map
 from momentflow.runner import Run
 
 
@@ -95,11 +94,11 @@ def test_cointegrate_lift_consistency():
 
 
 def _reference_lift_residual(traj):
-    """The lift's residual one sample at a time: |g v0 - v| / |v0|, or for a
+    """The lift's residual one knot at a time: |g v0 - v| / |v0|, or for a
     projective trajectory |e^{i theta} w - v| with w = g v0 / |g v0| and the
     phase e^{i theta} of <v, w>, conjugated."""
     v0, worst = traj.v[0], 0.0
-    for g, v in zip(traj.g, traj.v):
+    for g, v in zip(traj.g_knots, knot_states(traj)):
         w = g @ v0
         if traj.kind == "projective":
             w = w / np.linalg.norm(w)
@@ -119,6 +118,10 @@ def test_lift_residual_is_the_lift_check():
         want = _reference_lift_residual(traj)
         assert 0 < want <= 1e-6
         assert traj.lift_residual == pytest.approx(want, rel=1e-6)
+        # the samples are knots, and g at a sample is g at its knot
+        at = np.searchsorted(traj.knots, traj.t)
+        np.testing.assert_array_equal(traj.knots[at], traj.t)
+        np.testing.assert_array_equal(traj.g_knots[at], traj.g)
     # a trajectory without its lift has no lift residual
     assert integrate_kempf_ness(p, v0, opts).lift_residual is None
     assert integrate_projective(p, v0, opts).lift_residual is None
@@ -345,8 +348,8 @@ def test_one_energy_evaluation_per_state(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(owner, name, counted)
     traj = cointegrate_group(u1(), [1], FlowOptions(t_max=1e3))
-    samples = len(traj) - 1
-    assert samples > 2 * flow._LIFT_BLOCK   # the lift spans several blocks
+    samples, intervals = len(traj) - 1, len(traj.knots) - 1
+    assert intervals > 2 * flow._LIFT_BLOCK   # the lift spans several blocks
     assert traj.rejected == {"error": 0, "energy": 0, "nonfinite": 0}
     assert calls["_rkf45_step"] == traj.steps
     assert traj.steps <= 2 * samples / 3     # the output grid does not set the step
@@ -362,9 +365,9 @@ def test_one_energy_evaluation_per_state(monkeypatch):
     assert 0 < calls["stacked"] <= traj.steps
     assert traj.evaluations == calls["energy"]
     assert (traj.h_min, traj.h_max) == (min(step_sizes), max(step_sizes))
-    # the lift makes one generator call (both Gauss nodes of every sample
+    # the lift makes one generator call (both Gauss nodes of every knot
     # interval of a block) and one stacked expm per block of intervals
-    blocks = math.ceil(samples / flow._LIFT_BLOCK)
+    blocks = math.ceil(intervals / flow._LIFT_BLOCK)
     assert calls["flow_generator"] == blocks
     assert calls["expm"] == blocks
     assert calls["expm"] > 0    # the patched name is the one the lift calls
@@ -486,16 +489,56 @@ def test_polystable_torus_converges_in_few_samples(monkeypatch):
         assert np.all(traj.f[1:] <= traj.f[:-1] * (1 + 1e-12))
 
 
+def test_projective_flow_from_a_zero_of_mu_ends_gradient_small():
+    # v0 = (1, 1) has mu = 0, so f^ is round-off (1.25e-34) and rises to
+    # 4.55e-34 over the first step; that is within f's round-off
+    # eps |v| |grad f^|, so the energy guard keeps the step
+    traj = integrate_projective(torus_presentation([[1], [-1]]), [1.0, 1.0],
+                                FlowOptions(t_max=50.0))
+    assert traj.terminated_reason == "gradient_small"
+    assert traj.steps == 1
+    assert traj.rejected == {"error": 0, "energy": 0, "nonfinite": 0}
+    assert traj.f[-1] <= 1e-30
+
+
 # -- the group lift against the per-step Magnus update --------------------------
 
-def _per_step_magnus_lift(p, t, v, d, projective):
+# The dense-output weights d_i of Hairer's dopri5, for the extension in its
+# contd5 form; _B5 below holds the fifth-order weights.
+_D5 = [-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+       -10690763975 / 1880347072, 701980252875 / 199316789632,
+       -1453857185 / 822651844, 69997945 / 29380423]
+
+
+def _list_sum_extension(y, h, ks, theta):
+    """The continuous extension of one recorded step at the fraction theta,
+    as Python sums over its stages in Hairer's contd5 form, the independent
+    oracle: y + theta (dy + (1 - theta) (r3 + theta (r4 + (1 - theta) r5)))
+    with dy = h sum b_i k_i, r3 = h k_1 - dy, r4 = dy - h k_7 - r3 and
+    r5 = h sum d_i k_i."""
+    dy = h * sum(b * k for b, k in zip(_B5, ks))
+    r3 = h * ks[0] - dy
+    r4 = dy - h * ks[6] - r3
+    r5 = h * sum(d * k for d, k in zip(_D5, ks))
+    return y + theta * (dy + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5)))
+
+
+def _per_step_magnus_lift(p, knots, records, projective):
     """The lift one fourth-order Magnus step at a time, the independent oracle.
 
-    Each step makes its own two generator calls at the Gauss nodes of the
-    cubic Hermite interpolant of its end states ``v`` and slopes ``d``, one
-    commutator and one ``expm``, and multiplies g from the left.
+    Each knot interval makes its own two generator calls at its Gauss nodes,
+    each node's state read off the extension of the recorded step that holds
+    it by :func:`_list_sum_extension`, one commutator and one ``expm``, and
+    multiplies g from the left.
     """
+    starts = list(itertools.accumulate(records["h"][:-1], initial=0.0))
     c_nodes = (0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6)
+
+    def state_at(tau):
+        j = max(i for i, t0 in enumerate(starts) if t0 <= tau)
+        h = records["h"][j]
+        return _list_sum_extension(records["y"][j], h, list(records["ks"][j]),
+                                   (tau - starts[j]) / h)
 
     def gen_at(x):
         gen = flow_generator(p, x)
@@ -503,28 +546,13 @@ def _per_step_magnus_lift(p, t, v, d, projective):
             gen = gen / float(np.vdot(x, x).real)
         return gen
 
-    def update(g, h, y_prev, y_new, d0, d1):
-        def hermite(c):
-            c2, c3 = c * c, c * c * c
-            return ((1 - 3 * c2 + 2 * c3) * y_prev + (3 * c2 - 2 * c3) * y_new
-                    + h * (c - 2 * c2 + c3) * d0 + h * (c3 - c2) * d1)
-
-        a1 = gen_at(hermite(c_nodes[0]))
-        a2 = gen_at(hermite(c_nodes[1]))
+    gs = [np.eye(records["y"][0].size, dtype=complex)]
+    for t0, t1 in zip(knots[:-1], knots[1:]):
+        h = t1 - t0
+        a1, a2 = (gen_at(state_at(t0 + c * h)) for c in c_nodes)
         omega = 0.5 * h * (a1 + a2) + (np.sqrt(3) * h * h / 12.0) * (a2 @ a1 - a1 @ a2)
-        return scipy.linalg.expm(omega) @ g
-
-    gs = [np.eye(v.shape[1], dtype=complex)]
-    for k in range(len(t) - 1):
-        gs.append(update(gs[-1], t[k + 1] - t[k], v[k], v[k + 1], d[k], d[k + 1]))
+        gs.append(scipy.linalg.expm(omega) @ gs[-1])
     return np.array(gs)
-
-
-def _slopes(p, traj):
-    """The integrator's slope -grad at each sample, recomputed from v."""
-    energy = (partial(energy_and_gradient, p) if traj.kind == "affine"
-              else flow._projective_kernel(energy_kernel(p)))
-    return np.array([-energy(v)[1] for v in traj.v])
 
 
 def _lift_error(g, ref):
@@ -540,9 +568,9 @@ def test_batched_lift_matches_per_step_magnus(seed):
     v0 = random_vector(rng, p.dim_v)
     for traj in (cointegrate_group(p, v0, FlowOptions(t_max=0.5)),
                  integrate_projective(p, v0, FlowOptions(t_max=2.0), cointegrate=True)):
-        ref = _per_step_magnus_lift(p, traj.t, traj.v, _slopes(p, traj),
+        ref = _per_step_magnus_lift(p, traj.knots, traj.step_records,
                                     projective=traj.kind == "projective")
-        assert _lift_error(traj.g, ref) <= 1e-12
+        assert _lift_error(traj.g_knots, ref) <= 1e-12
 
 
 @pytest.mark.parametrize("projective", [False, True])
@@ -550,17 +578,53 @@ def test_batched_lift_at_block_boundaries(projective):
     p = su2_sym_presentation(3)
     v0 = np.array([1.0, 0.3 - 0.2j, -0.5, 0.7j])
     if projective:
-        traj = integrate_projective(p, v0, FlowOptions(t_max=50.0))
+        traj = integrate_projective(p, v0, FlowOptions(t_max=50.0), cointegrate=True)
     else:
-        traj = integrate_kempf_ness(p, v0, FlowOptions(t_max=50.0))
-    d = _slopes(p, traj)
+        traj = cointegrate_group(p, v0, FlowOptions(t_max=50.0))
+    steps = flow._step_extension(traj.step_records, 4)
     block = flow._LIFT_BLOCK
-    assert len(traj) > block + 2
-    for steps in (1, block - 1, block, block + 1):
-        t, v, dd = traj.t[:steps + 1], traj.v[:steps + 1], d[:steps + 1]
-        g = flow._lift_path(p, t, v, dd, projective)
-        assert g.shape == (steps + 1, 4, 4)
-        assert _lift_error(g, _per_step_magnus_lift(p, t, v, dd, projective)) <= 1e-12
+    assert len(traj.knots) > block + 2
+    for intervals in (1, block - 1, block, block + 1):
+        knots = traj.knots[:intervals + 1]
+        g = flow._lift_path(p, knots, steps, projective)
+        assert g.shape == (intervals + 1, 4, 4)
+        ref = _per_step_magnus_lift(p, knots, traj.step_records, projective)
+        assert _lift_error(g, ref) <= 1e-12
+
+
+def test_lift_knots_are_the_samples_and_the_ends_of_steps_without_one():
+    # a step that holds no output-grid point ends at a knot that is no
+    # sample; su2_symd's tight rtol makes many such steps
+    exp = get_builtin("su2_symd")
+    opts = exp.flow_opts
+    traj = integrate_projective(exp.presentation, exp.v0, opts, cointegrate=True)
+    ends = list(itertools.accumulate(traj.step_records["h"]))
+    grid = [0.0]
+    while grid[-1] < traj.t[-1]:
+        grid.append(flow._grid_after(grid[-1], opts.initial_step))
+    np.testing.assert_array_equal(traj.t, grid[:-1] + [traj.t[-1]])
+    held = {int(np.searchsorted(ends, t)) for t in traj.t[1:]}    # steps holding a sample
+    want = sorted(set(traj.t.tolist()) | {e for j, e in enumerate(ends) if j not in held})
+    assert traj.knots.tolist() == want
+    assert len(traj.knots) > len(traj)
+
+
+def test_lift_of_the_seed_7_wide_start_stays_within_its_bound():
+    # the sym2_sym4 start of the perfbench wide workload at seed 7, where the
+    # lift once read its Gauss nodes off sparse samples and drifted to 1.10e-6
+    p = direct_sum_presentation([su2_sym_presentation(2), su2_sym_presentation(4)])
+    v0 = np.array([-0.15802246501467784 + 0.23269648741306803j,
+                   -0.030245723666209468 + 0.03231768911023899j,
+                   0.02991056077522717 - 0.17369201121779565j,
+                   0.017270297664820033 + 0.5416561331581813j,
+                   -0.33171041454019384 + 0.20639833681889475j,
+                   0.020616617493586606 - 0.32473346135912223j,
+                   0.3679308899993981 + 0.020176883863353264j,
+                   -0.41892295148406755 + 0.15615120285548983j])
+    traj = cointegrate_group(p, v0, FlowOptions(t_max=1e3))
+    drift = np.linalg.norm(traj.g @ v0 - traj.v, axis=1).max()
+    assert drift <= 1e-6 * np.linalg.norm(v0)
+    assert traj.lift_residual <= 1e-6
 
 
 @pytest.mark.parametrize("projective", [False, True])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_presentation, random_vector
+from conftest import knot_states, random_presentation, random_vector
 from momentflow.flow import (SAMPLE_GROWTH, FlowOptions, _projective_kernel,
                              affine_read_off, cointegrate_group,
                              integrate_kempf_ness, integrate_projective)
@@ -52,7 +52,9 @@ def test_flow_invariants_on_random_presentations(seed):
     assert _f_never_increases(lifted)
     drift = np.linalg.norm(lifted.g @ v0 - lifted.v, axis=1)
     assert drift.max() <= 1e-6 * np.linalg.norm(v0)
-    assert lifted.lift_residual == drift.max() / np.linalg.norm(v0)
+    # the lift's own residual is the same drift over all its knots
+    knot_drift = np.linalg.norm(lifted.g_knots @ v0 - knot_states(lifted), axis=1)
+    assert lifted.lift_residual == knot_drift.max() / np.linalg.norm(v0)
 
     proj_opts = FlowOptions(t_max=2.0)
     proj = integrate_projective(p, v0, proj_opts, cointegrate=True)
@@ -61,6 +63,21 @@ def test_flow_invariants_on_random_presentations(seed):
     assert _on_output_grid(proj, proj_opts)
     np.testing.assert_allclose(proj.v_norm, 1.0, rtol=0, atol=1e-12)
     assert proj.lift_residual <= 1e-6
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lift_holds_over_a_long_horizon(seed):
+    # the lift reads its Gauss nodes off the flow's own steps, so it keeps
+    # its bound however sparse the output grid is over a long horizon
+    rng = np.random.default_rng(seed)
+    p = random_presentation(rng)
+    v0 = random_vector(rng, p.dim_v)
+    opts = FlowOptions(t_max=1e3)
+    for traj in (cointegrate_group(p, v0, opts),
+                 integrate_projective(p, v0, opts, cointegrate=True)):
+        assert traj.terminated_reason in ENDED
+        assert traj.lift_residual <= 1e-6
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
