@@ -1,30 +1,14 @@
 """Numerical integration of the moment-map energy flow and its diagnostics.
 
 The downward gradient flow of f = |mu|^2 is integrated with the embedded
-Dormand-Prince 5(4) pair. On top of the local-error controller sits an
-energy-monotonicity guard: any step that increases f beyond its round-off
-is rejected outright, which enforces the one structural property the
-convergence analysis relies on. The controller and the guard alone set the
-step; samples are read off the pair's continuous extension on a geometric
-output grid, all grid
-points inside a step as one stacked block with one energy evaluation (a
-single grid point as one state, which gives the same bits). Every
-evaluation runs the energy kernel bound to the presentation once per flow,
-and the step casts its tableau rows to complex once, so a step's numpy
-calls are its arithmetic; the samples' |grad| and the clock s are taken
-once per trajectory, from their slopes and states. The projectivized flow
-runs on the unit-sphere representative, renormalized at every state; f^ is
-U(1)-invariant, so the flow has no phase drift to remove. A trajectory can
-keep its accepted steps, stages and stage energies; a lifted one always
-does. The group lift g(t) is computed from the finished trajectory over its
-knots, the samples and the ends of the steps that hold none: each Magnus
-exponent depends only on the states at the two Gauss nodes of a knot
-interval, read off the continuous extension of the steps that hold them, so
-the whole lift takes one batched generator call and one stacked exponential
-per block of knots, and lift consistency holds to integrator accuracy
-however sparse the samples are. From a projective trajectory's steps
-:func:`affine_read_off` reads the affine flow with no integration of its
-own: log|v|^2 and t are quadratures of the stage energies in the clock s.
+Dormand-Prince 5(4) pair in the projective clock s, under an energy guard
+that rejects any step raising f beyond its round-off; samples are read off
+the continuous extension on a geometric output grid. The projective flow
+runs on the unit sphere; the affine flow steps in polar form, u = v/|v| on
+the sphere while l = log|v|^2 and the time t are quadratures inside the
+error test, and collapses in closed form past a critical point of f^. The
+group lift is computed from the finished trajectory by batched Magnus
+steps; :func:`affine_read_off` reads the affine flow off projective steps.
 """
 
 import math
@@ -60,10 +44,10 @@ __all__ = [
 class FlowOptions:
     """Knobs of the adaptive integrator.
 
-    ``t_max`` is in the flow's own clock (t for affine, s for projective).
-    The output grid t_0 = 0, t_{j+1} = t_j + max(initial_step, SAMPLE_GROWTH
-    t_j) is not a step cap: log-log fits over the final decade always have
-    enough samples, whatever step the error controller takes.
+    ``t_max`` and the output grid t_0 = 0, t_{j+1} = t_j + max(initial_step,
+    SAMPLE_GROWTH t_j) are in the flow's own clock (t for affine, s for
+    projective), the steps in s. The grid is no step cap: log-log fits over
+    the final decade always have enough samples.
     """
 
     t_max: float = 1e4
@@ -77,30 +61,20 @@ class FlowOptions:
 class FlowTrajectory:
     """Time-stamped samples of the flow and (optionally) its group lift.
 
-    ``kind`` is ``affine`` or ``projective``; ``clock`` names the meaning of
-    ``t`` it implies: the affine flow time t or the reparametrized time s of
-    the projectivized flow. ``s`` holds s at every sample: the integral of
-    |v|^2 dt by :func:`_s_clock` for an integrated affine trajectory, the
-    projective clock for one read off by :func:`affine_read_off`, and ``t``
-    itself for a projective one. ``steps`` counts the accepted integrator
-    steps, which differ from the samples; ``rejected`` counts the rejected
-    ones by cause (``error``, ``energy``, ``nonfinite``); ``evaluations``
-    counts the energy calls of the integration, rejected steps included;
-    ``h_min`` and ``h_max`` bound the accepted step sizes (NaN with no
-    accepted step); a read-off has none of these of its own.
-    The samples lie on the output grid of :class:`FlowOptions`, plus the
-    final state. A lifted trajectory holds g at the samples in ``g``, and
-    in ``knots`` and ``g_knots`` the clock and g at the knots of the lift:
-    the samples and the ends of the steps that hold no sample (None
-    without the lift). ``lift_residual`` is the lift's own check, set with
-    ``g``: max |g v0 - v| / |v0| over the lift's knots, and for a projective
-    trajectory the distance of g v0 / |g v0| from v up to phase.
-    ``step_records`` holds the accepted steps of a lifted trajectory or of a
-    projective one integrated with ``record``, for the lift and for
-    :func:`affine_read_off`, else None: the lists ``y`` (start states),
-    ``h`` (sizes), ``ks`` (the seven stages) and ``f`` (the stages'
-    energies, seven per step, flat), and for a projective trajectory
-    ``l0``, log|v0|^2 of the unnormalized start.
+    ``kind`` is ``affine`` (``t`` is the affine time) or ``projective`` (``t``
+    is s); ``s`` = integral of |v|^2 dt is the integrator's clock. ``steps``
+    counts the accepted steps, ``rejected`` the rejected ones by cause,
+    ``evaluations`` the energy calls; ``h_min`` and ``h_max`` bound the step
+    sizes, in s; a read-off has none of these. The samples lie on the output
+    grid, plus the final state. A lifted trajectory holds g at the samples,
+    and at the knots of the lift (the samples and the ends of the steps that
+    hold none, in the trajectory's clock) in ``knots`` and ``g_knots``;
+    ``lift_residual`` is max |g v0 - v| / |v0| over the knots, projectively
+    up to phase. ``step_records`` keeps the steps of a lifted run or of a
+    projective one with ``record``: lists ``y`` (start states, and a polar
+    run's final state), ``h``, ``ks`` (stages) and ``f`` (stage energies,
+    flat); a polar run's ``t`` and ``l`` = log|v|^2 with each ``y``, a
+    projective run's ``l0`` = log|v0|^2.
     """
 
     t: np.ndarray
@@ -215,52 +189,97 @@ def _rkf45_step(energy, y, h, k1, postprocess=None):
     return y_new, f_new, ks, fs, h * (_DP_E @ ks)
 
 
-def _adaptive_flow(energy, y0, opts, postprocess=None, record=False):
-    """Shared integrator of y' = -grad; returns (samples, stats), where stats
-    holds the ``terminated_reason``, ``steps``, ``rejected``,
-    ``evaluations``, ``h_min``, ``h_max`` and ``step_records`` fields of the
-    trajectory.
+# Weights of the polar quadratures: _POLAR_W takes dl/ds at the stages to l
+# at the six stages that feed a step and at its end; _POLAR_C takes the stage
+# slopes of l or t to the increment, the error estimate and the extension.
+_POLAR_W = np.zeros((7, 7))
+_POLAR_W[:6, :5], _POLAR_W[6, :6] = _DP_A.real, _DP_B6.real
+_POLAR_C = np.column_stack([_DP_B, _DP_E.real, _DP_P.real.T])
 
-    ``energy(y) -> (f, grad)`` takes a state (n,) or a stack (q, n), which
-    gives (q,) energies. The error controller and the energy guard alone set
-    the step. Samples lie on the output grid t_0 = 0, t_{j+1} = t_j +
-    max(initial_step, SAMPLE_GROWTH t_j): the q grid points inside an
-    accepted step are read off the continuous extension as one (q, n) block,
-    which takes one ``postprocess`` and one stacked ``energy`` call (q
-    evaluations) for the samples' f and slope d = -grad. A step end is a
-    sample only when it is a grid point; the final state always is. The end
-    of a step that holds no sample is a knot of the group lift only: it is a
-    row too, and ``samples["knots_only"]`` lists its row index. ``energy`` is
-    evaluated once per accepted state, which feeds the energy guard and the
-    first stage of the next step. A step is rejected when its new state is
-    not finite (``rejected["nonfinite"]``, also when a state overflows, which
-    warns nothing), when the local error test fails (``"error"``) or when f
-    would rise, by more than 1e-12 of it and more than its round-off eps |y|
-    |grad f| at the step's start, at its end or at any sample it emits
-    (``"energy"``). ``samples`` holds the lists ``t`` and ``f`` and per-step
-    (m, n) blocks of ``v`` and ``d`` over all rows, which :func:`_pack`
-    concatenates; it derives |grad|, the clock s and the group lift from
-    them. With ``record`` each accepted step also keeps its start state,
-    size, stages and stage energies in ``step_records`` (None without
-    ``record``), which :func:`affine_read_off` integrates and the lift reads
-    its Gauss nodes off. They go into flat lists, so a long flow leaves no
-    per-step Python container for the garbage collector.
+
+def _polar_step(l, t, h, fs, opts):
+    """l = log|v|^2 and t after a polar step h from (l, t), the larger of
+    their local errors over rtol and atol + rtol t (inf if not finite), and
+    the lists cl, ct of their extensions l + sum_p theta^p cl[p - 1], from
+    f^ at the seven stages: dl/ds = -8 f^, dt/ds = e^-l."""
+    dl = -8.0 * np.array(fs)
+    ls = l + h * (_POLAR_W @ dl)
+    (_, l_err, *cl), (t_inc, t_err, *ct) = (h * (np.array([dl, np.exp(-ls)]) @ _POLAR_C)).tolist()
+    l_new, t_new = float(ls[6]), t + t_inc
+    err = max(abs(l_err) / opts.rtol, abs(t_err) / (opts.atol + opts.rtol * t_new))
+    return l_new, t_new, err if math.isfinite(l_new + t_new + err) else math.inf, cl, ct
+
+
+def _theta_in_step(target, t0, t1, ct):
+    """The fraction theta of a polar step where t0 + sum_p theta^p ct[p - 1]
+    meets ``target`` in (t0, t1]: Newton on the convex t(theta), in floats."""
+    c1, c2, c3, c4 = ct
+    theta = (target - t0) / (t1 - t0)
+    for _ in range(50):
+        resid = t0 + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4))) - target
+        slope = c1 + theta * (2.0 * c2 + theta * (3.0 * c3 + theta * 4.0 * c4))
+        step = min(max(theta - resid / slope, 0.0), 1.0) - theta
+        theta += step
+        if not abs(step) > 1e-12:
+            break
+    return theta
+
+
+def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None):
+    """Shared integrator of y' = -grad; returns (samples, stats), stats the
+    trajectory's ``terminated_reason``, ``steps``, ``rejected``,
+    ``evaluations``, ``h_min``, ``h_max`` and ``step_records``.
+
+    ``energy(y) -> (f, grad)`` takes a state (n,) or a stack (q, n). The
+    grid points inside a step are read off its continuous extension as one
+    block, with one ``postprocess`` and one stacked ``energy`` call; a step
+    end is a sample only on the grid, the final state always. The end of a
+    step that holds no sample is a lift knot only, a row listed in
+    ``samples["knots_only"]``. A step is rejected when its new state is not
+    finite (``"nonfinite"``, also on a silent overflow), when the error test
+    fails (``"error"``) or when f would rise, by more than 1e-12 of it and
+    its round-off eps |y| |grad f|, at its end or at a sample (``"energy"``).
+    With ``record`` each step keeps its start state, size, stages and their
+    energies in flat lists.
+
+    With ``l0`` = log|v0|^2 it is the affine flow from e^(l0/2) y0 in polar
+    form: ``energy`` is f^ on the sphere, and l and the time t, the grid's
+    clock, ride along by :func:`_polar_step`. A step is capped where t
+    would reach ``t_max`` at its start rate e^-l; t is convex in s, so that
+    step holds the last sample. It ends ``gradient_small`` where |grad f(v)|
+    = e^(3l/2) hypot(|grad f^|, 4 f^) < ``eps_grad`` (at once if |v|^3
+    underflows), or where |grad f^| and e^(3l/2) |grad f^| are both below
+    it: a critical point of f^, past which v collapses (:func:`_collapse_rows`).
     """
-    samples = {"t": [], "f": [], "v": [], "d": []}
+    polar = l0 is not None
+    samples = {"t": [], "f": [], "v": [], "d": [], "s": [], "l": []}
     knots_only, hs = [], []
-    records = dict(y=[], h=hs, ks=[], f=[]) if record else None
+    records = dict(y=[], h=hs, ks=[], f=[], **(dict(t=[], l=[]) if polar else {})
+                   ) if record else None
 
-    def emit(ts, fs, vs, ds):    # consecutive rows; vs, ds are (m, n)
-        for key, part in zip(samples, (ts, fs, [vs], [ds]), strict=True):
+    def emit(ts, fs, vs, ds, ss=(), ls=()):    # consecutive rows; vs, ds are (m, n)
+        for key, part in zip(samples, (ts, fs, [vs], [ds], ss, ls), strict=True):
             samples[key] += part
 
-    def emit_state():
-        emit([t], [f], y[None], k1[None])
+    def emit_state():    # with its s and l if polar
+        emit([clock], [f], y[None], k1[None], *(([t], [l]) if polar else ()))
+
+    def record_state():    # a step's start, or a polar run's end, with its t and l
+        records["y"].append(y)
+        if polar:
+            records["t"].append(clock)
+            records["l"].append(l)
 
     def finish(reason):
-        if samples["t"][-1] != t:
+        # a polar run that ends t_max has its last sample inside its last step
+        if samples["t"][-1] != clock and not (polar and reason == "t_max"):
+            knots_only.append(len(samples["t"]))
             emit_state()
-        elif knots_only[-1:] == [len(samples["t"]) - 1]:
+        if polar and reason == "gradient_small":    # v may collapse on past it
+            reason = _collapse_rows(samples, opts)
+        if polar and record:
+            record_state()
+        if knots_only[-1:] == [len(samples["t"]) - 1]:
             knots_only.pop()    # the final state is a sample
         samples["knots_only"] = knots_only
         return samples, dict(terminated_reason=reason, steps=steps, rejected=rejected,
@@ -269,7 +288,9 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False):
 
     # an overflowing state, the start included, ends as "nonfinite" silently
     with np.errstate(over="ignore", invalid="ignore"):
-        t, y = 0.0, np.array(y0, dtype=complex)
+        # t is the clock s of the steps; clock that of the output grid, t
+        # itself unless polar, where l = log|v|^2 (else 0) and err_lt ride along
+        t, clock, l, err_lt, y = 0.0, 0.0, l0 or 0.0, 0.0, np.array(y0, dtype=complex)
         evaluations = int(np.isfinite(y).all())
         f, grad = energy(y) if evaluations else (np.nan, np.full_like(y, np.nan))
         k1 = -grad
@@ -281,40 +302,57 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False):
         grid = opts.initial_step    # the next output-grid point
         h = opts.initial_step
         while True:
-            if steps and k1_norm < opts.eps_grad:
+            small = k1_norm < opts.eps_grad
+            if polar:
+                cube = math.exp(min(1.5 * l, 709.0))    # |v|^3
+                small = (cube * math.hypot(k1_norm, 4.0 * f) < opts.eps_grad
+                         or k1_norm <= opts.eps_grad / max(1.0, cube))
+            if small and (steps or polar and cube == 0.0):
                 return finish("gradient_small")
-            if t >= opts.t_max * (1 - 1e-15):
+            if clock >= opts.t_max * (1 - 1e-15):
                 return finish("t_max")
             if h < MIN_STEP:
                 return finish("step_underflow")
             if steps + sum(rejected.values()) >= MAX_STEPS:
                 raise DiagnosticError("integrator exceeded the step budget")
 
-            h_eff = min(h, opts.t_max - t)
+            h_eff = min(h, (opts.t_max - clock) * math.exp(min(l, 709.0)))
             y_new, f_new, ks, fs_in, err = _rkf45_step(energy, y, h_eff, k1, postprocess)
             evaluations += 6
-            if not (math.isfinite(f_new) and np.isfinite(err).all()):
+            t_new = clock_new = t + h_eff
+            l_new = l
+            if polar:
+                l_new, clock_new, err_lt, cl, ct = _polar_step(
+                    l, clock, h_eff, [f, *fs_in, f_new], opts)
+            if not (math.isfinite(f_new) and math.isfinite(err_lt)
+                    and np.isfinite(err).all()):
                 evaluations -= not np.isfinite(y_new).all()    # then not evaluated
                 rejected["nonfinite"] += 1
                 h = 0.5 * h_eff
                 continue
             abs_new = np.abs(y_new)
             scale = opts.atol + opts.rtol * np.maximum(abs_y, abs_new)
-            err_norm = float((np.abs(err) / scale).max())
+            err_norm = max(float((np.abs(err) / scale).max()), err_lt)
             if err_norm > 1.0:
                 rejected["error"] += 1
                 h = h_eff * max(0.2, 0.9 * err_norm ** -0.2)
                 continue
 
-            t_new, inside, nxt = t + h_eff, [], grid
-            while nxt < t_new:
+            inside, nxt = [], grid
+            last = polar and clock_new >= opts.t_max * (1 - 1e-15)    # the step reaches t_max
+            end = opts.t_max if last else clock_new
+            # a grid point within round-off of a polar step's end is that end
+            while nxt < (end * (1 - 1e-15) if polar else end):
                 inside.append(nxt)
                 nxt = _grid_after(nxt, opts.initial_step)
+            inside += [opts.t_max] if last else []
             # f along the step, from the lower of the state and the last sample
             fs = [min(f, samples["f"][-1])]
             if inside:
-                theta = (np.array(inside)[:, None] - t) / h_eff
-                dense, f_in, d_in = _read_grid(energy, y, h_eff, ks, theta, postprocess)
+                thetas = [_theta_in_step(x, clock, clock_new, ct) for x in inside] if polar else []
+                theta = np.array(thetas) if polar else (np.array(inside) - t) / h_eff
+                dense, f_in, d_in = _read_grid(energy, y, h_eff, ks, theta[:, None],
+                                               postprocess)
                 evaluations += len(inside)
                 fs += f_in
             fs.append(f_new)
@@ -327,19 +365,23 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False):
             steps += 1
             hs.append(h_eff)
             if record:
-                records["y"].append(y)
+                record_state()
                 records["ks"].append(ks)
                 records["f"] += (f, *fs_in, f_new)
+            if inside:    # polar rows keep their s, and l off its extension
+                emit(inside, f_in, dense, d_in, *(([t + x * h_eff for x in thetas], [
+                    l + x * (cl[0] + x * (cl[1] + x * (cl[2] + x * cl[3]))) for x in thetas])
+                    if polar else ()))
             t, y, f, k1, abs_y = t_new, y_new, f_new, ks[6].copy(), abs_new
-            k1_norm = _norm(k1)
-            if inside:
-                emit(inside, f_in, dense, d_in)
-            if nxt == t:    # the step ends on a grid point
+            k1_norm, l, clock = _norm(k1), l_new, clock_new
+            if last:    # its end lies past t_max, and is no row
+                return finish("t_max")
+            if nxt <= clock:    # the step ends on a grid point
                 emit_state()
             elif not inside:    # a step that holds no sample ends at a lift knot
                 knots_only.append(len(samples["t"]))
                 emit_state()
-            grid = _grid_after(nxt, opts.initial_step) if nxt == t else nxt
+            grid = _grid_after(nxt, opts.initial_step) if nxt <= clock else nxt
             growth = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
             h = h_eff * growth
 
@@ -389,45 +431,39 @@ def _scaled_norms(x):
     return c, r
 
 
-def _s_clock(t, v, f):
-    """s(t) = integral of |v|^2 dt at the affine flow's samples, by the
-    trapezoid rule with its end correction -h^2/12 [d|v|^2/dt], where Euler's
-    identity gives d|v|^2/dt = -8 f. An overflow makes s non-finite from
-    there on, silently."""
-    c, r = _scaled_norms(v)
-    h = np.diff(t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        n2 = (c * r) ** 2
-        ds = 0.5 * (n2[1:] + n2[:-1]) * h + (2.0 / 3.0) * h * h * np.diff(f)
-        return np.concatenate([[0.0], np.cumsum(ds)])
-
-
-def _pack(samples, stats, *, kind, eps_grad, lift=None):
-    """Concatenate the row blocks into a trajectory of the samples with its
-    clock s; with a presentation ``lift`` the group lift over the knots (all
-    rows) fills ``g``, ``knots``, ``g_knots`` and ``lift_residual``."""
+def _pack(samples, stats, eps_grad, lift=None, v0=None):
+    """The trajectory of the sample rows, lifted over all rows (the knots) in s
+    with a presentation ``lift``. A polar run's rows (u, f^, -grad f^) give
+    the affine v = e^(l/2) u (``v0`` first), f = e^(2l) f^ and |grad f| =
+    e^(3l/2) hypot(|grad f^|, 4 f^), as Re<grad f^, u> = 0."""
     t = np.array(samples["t"])
     v, d = np.concatenate(samples["v"]), np.concatenate(samples["d"])
     f = np.array(samples["f"])
-    projective = kind == "projective"
-    s = t.copy() if projective else _s_clock(t, v, f)    # over all rows
+    polar = bool(samples["l"])
+    s = np.array(samples["s"]) if polar else t.copy()
+    with np.errstate(over="ignore", invalid="ignore"):    # |d|^2 overflows to inf
+        grad_norm = row_norms(d)
+        if polar:
+            l = np.array(samples["l"])
+            grad_norm = np.exp(1.5 * l) * np.hypot(grad_norm, 4.0 * f)
+            f = np.exp(2.0 * l) * f
+            v = np.exp(0.5 * l)[:, None] * v
+            v[0] = v0
     knots = g_knots = residual = None
     if lift is not None:
-        steps = _step_extension(stats["step_records"], v.shape[1])
-        knots, g_knots = t, _lift_path(lift, t, steps, projective)
-        residual = _lift_residual(g_knots, v, projective)
+        knots = t
+        g_knots = _lift_path(lift, s, _step_extension(stats["step_records"], v.shape[1]))
+        residual = _lift_residual(g_knots, v, not polar)
     g = g_knots
     if samples["knots_only"]:
         keep = np.ones(len(t), dtype=bool)
         keep[samples["knots_only"]] = False
-        t, v, d, f, s = t[keep], v[keep], d[keep], f[keep], s[keep]
+        t, v, f, grad_norm, s = t[keep], v[keep], f[keep], grad_norm[keep], s[keep]
         if g is not None:
             g = g[keep]
-    with np.errstate(over="ignore", invalid="ignore"):    # |d|^2 overflows to inf
-        grad_norm = row_norms(d)
-    return FlowTrajectory(t=t, v=v, f=f, grad_norm=grad_norm, s=s, g=g, kind=kind,
-                          eps_grad=eps_grad, lift_residual=residual, knots=knots,
-                          g_knots=g_knots, **stats)
+    return FlowTrajectory(t=t, v=v, f=f, grad_norm=grad_norm, s=s, g=g,
+                          kind="affine" if polar else "projective", eps_grad=eps_grad,
+                          lift_residual=residual, knots=knots, g_knots=g_knots, **stats)
 
 
 def _lift_residual(g, v, projective):
@@ -442,13 +478,6 @@ def _lift_residual(g, v, projective):
             gv = gv * np.exp(-1j * np.angle(overlap))[:, None]
             return float(np.linalg.norm(gv - v, axis=1).max())
         return float(np.linalg.norm(gv - v, axis=1).max() / np.linalg.norm(v[0]))
-
-
-def integrate_kempf_ness(p, v0, opts=None):
-    """Downward gradient flow of f = |mu|^2 from v0, affine clock."""
-    opts = opts or FlowOptions()
-    samples, stats = _adaptive_flow(energy_kernel(p), v0, opts)
-    return _pack(samples, stats, kind="affine", eps_grad=opts.eps_grad)
 
 
 # Knot intervals per batched Magnus pass: one generator call and one stacked
@@ -471,57 +500,33 @@ def _step_extension(records, n):
     return t0, h, np.array(records["y"]).reshape(-1, n), c
 
 
-def _lift_path(p, t, steps, projective):
-    """Group lift at the knots ``t`` by fourth-order Magnus steps.
-
-    g(0) = id and g' = A(v) g with A = flow_generator(p, v), divided by
-    |v|^2 for the projective flow. The propagator over knot interval k is
-    exp(Omega_k) with the two-node Gauss Magnus exponent; the state at each
-    Gauss node is read off the continuous extension of the integrator step
-    that holds it, from ``steps`` = (t0, h, y, c) of :func:`_step_extension`,
-    in Horner form. Omega_k never depends on g, so each block of intervals
-    takes one ``searchsorted``, one batched generator call and one stacked
-    ``expm``, and g_{k+1} = exp(Omega_k) g_k is then a running product.
-    Errors sit in the exponent (O(h^5) per interval) and vanish once the
-    generator has converged, so the logarithms of the lift stay accurate
-    over arbitrarily long horizons, unlike additive updates, which lose the
-    tiny entries of g.
-    """
+def _lift_path(p, s, steps):
+    """Group lift at the knots ``s`` by fourth-order Magnus steps: g(0) = id,
+    dg/ds = A(u) g, A = flow_generator(p, u) / |u|^2 (the affine flow's too,
+    as A(v) dt = A(v) / |v|^2 ds). Each interval's two Gauss nodes are read
+    off the extension of the step that holds them (past the last step, its
+    end), so a block of intervals takes one batched generator call and one
+    stacked ``expm``, and g is a running product. Errors sit in the exponent
+    and vanish as the generator converges, so log g stays accurate."""
     t0, hs, ys, cs = steps
-    m, n = len(t), ys.shape[1]
+    m, n = len(s), ys.shape[1]
     g = np.empty((m, n, n), dtype=complex)
     g[0] = np.eye(n)
     for a in range(0, m - 1, _LIFT_BLOCK):
         b = min(a + _LIFT_BLOCK, m - 1)
-        h = t[a + 1:b + 1] - t[a:b]
-        tau = t[a:b] + _GAUSS * h                                   # (2, b - a)
+        h = s[a + 1:b + 1] - s[a:b]
+        tau = s[a:b] + _GAUSS * h                                   # (2, b - a)
         k = np.searchsorted(t0, tau, side="right") - 1              # the step of a node
-        theta, c = ((tau - t0[k]) / hs[k])[..., None], cs[k]
+        theta, c = np.minimum((tau - t0[k]) / hs[k], 1.0)[..., None], cs[k]
         nodes = ys[k] + theta * (c[..., 0, :] + theta * (
             c[..., 1, :] + theta * (c[..., 2, :] + theta * c[..., 3, :])))   # (2, b - a, n)
-        gens = flow_generator(p, nodes)
-        if projective:
-            n2 = np.einsum("...i,...i->...", nodes.conj(), nodes).real
-            gens = gens / n2[..., None, None]
-        a1, a2 = gens
+        n2 = np.einsum("...i,...i->...", nodes.conj(), nodes).real
+        a1, a2 = flow_generator(p, nodes) / n2[..., None, None]
         h = h[:, None, None]
         omega = 0.5 * h * (a1 + a2) + (np.sqrt(3) * h * h / 12.0) * (a2 @ a1 - a1 @ a2)
         for i, step in enumerate(expm(omega), start=a):
             np.matmul(step, g[i], out=g[i + 1])
     return g
-
-
-def cointegrate_group(p, v0, opts=None):
-    """Affine flow with the group lift: g(0) = id, g' = 2i mu(v)^ g.
-
-    v and g evolve by the same generator, so g(t) v0 = v(t) along the
-    continuous flow; the trajectory invariant |g v0 - v| <= tau_lift |v0|
-    holds to integrator accuracy. The lift is computed from the finished
-    trajectory and its recorded steps by :func:`_lift_path`.
-    """
-    opts = opts or FlowOptions()
-    samples, stats = _adaptive_flow(energy_kernel(p), v0, opts, record=True)
-    return _pack(samples, stats, kind="affine", eps_grad=opts.eps_grad, lift=p)
 
 
 def _projective_kernel(energy):
@@ -551,53 +556,128 @@ def _projective_gauge(y):
     return y / row_norms(y)[:, None]
 
 
+def _unit_start(v0):
+    """(v0, u0 = v0 / |v0|, l0 = log|v0|^2), safe from the under- or overflow
+    of |v0|^2; a zero or non-finite v0 is its own u0."""
+    v0 = np.asarray(v0, dtype=complex)
+    (c,), (norm0,) = _scaled_norms(v0[None])
+    u0 = _projective_gauge(v0 / c) if 0.0 < norm0 < np.inf else v0
+    with np.errstate(divide="ignore"):
+        return v0, u0, 2.0 * (np.log(c) + np.log(norm0))
+
+
+def _polar_flow(p, v0, opts, lift):
+    """The affine flow from v0 in polar form (:func:`_adaptive_flow`), lifted
+    if ``lift``; a zero v0 (l0 = -inf) is a fixed point, its only sample."""
+    opts, kernel = opts or FlowOptions(), energy_kernel(p)
+
+    # f and grad f - 4 f u, which are f^ and grad f^ on the unit sphere and
+    # leave it invariant, d|u|^2/ds = -8 f (1 - |u|^2), cheaper than f^'s
+    def sphere(u):
+        f, grad = kernel(u)
+        return f, grad - (4.0 * f if u.ndim == 1 else (4.0 * f)[:, None]) * u
+
+    v0, u0, l0 = _unit_start(v0)
+    samples, stats = _adaptive_flow(sphere, u0, opts, postprocess=_projective_gauge,
+                                    record=lift, l0=l0)
+    return _pack(samples, stats, opts.eps_grad, p if lift else None, v0)
+
+
+def _collapse_end(t_e, l_e, f_e, grad_e, opts):
+    """(reason, t_final) of v collapsing from (t_e, l_e) along a critical point
+    of f^ = f_e, |grad f^| = grad_e, until |grad f(v)| < eps_grad or t_max."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if np.exp(1.5 * l_e) * np.hypot(grad_e, 4.0 * f_e) < opts.eps_grad:
+            return "gradient_small", t_e
+        l_small = (2.0 / 3.0) * np.log(opts.eps_grad / np.hypot(grad_e, 4.0 * f_e))
+        # e^-l_small - e^-l_e, safe from the overflow of e^l_e
+        t_small = t_e - np.exp(-l_small) * np.expm1(l_small - l_e) / (8.0 * f_e)
+    return ("gradient_small", t_small) if t_small < opts.t_max else ("t_max", opts.t_max)
+
+
+def _collapse(t, t_e, s_e, l_e, f_e):
+    """l and s at the times ``t`` of that collapse from (t_e, s_e, l_e): e^-l
+    = e^-l_e + 8 f_e (t - t_e) gives l = l_e - log(1 + x), x = 8 f_e e^l_e (t
+    - t_e), and s - s_e = log(1 + x) / (8 f_e), taken from log x."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log1p_x = np.logaddexp(0.0, l_e + np.log(8.0 * f_e * (t - t_e)))
+        ds = log1p_x / (8.0 * f_e) if f_e > 0 else np.exp(l_e) * (t - t_e)
+        return l_e - log1p_x, s_e + ds
+
+
+def _collapse_rows(samples, opts):
+    """Append the collapse past a polar run's ``gradient_small`` end on the rest
+    of the output grid (none if |grad f(v)| is small there); its reason."""
+    t_e, s_e, l_e, f_e = (samples[key][-1] for key in ("t", "s", "l", "f"))
+    u_e, d_e = samples["v"][-1][-1:], samples["d"][-1][-1:]
+    reason, t_final = _collapse_end(t_e, l_e, f_e, _norm(d_e[0]), opts)
+    ts = _grid_to(t_final, opts.initial_step, after=t_e)
+    l, s = _collapse(np.array(ts), t_e, s_e, l_e, f_e)
+    q = len(ts)
+    for key, part in zip(("t", "f", "v", "d", "s", "l"), (
+            ts, [f_e] * q, [np.repeat(u_e, q, axis=0)], [np.repeat(d_e, q, axis=0)],
+            s.tolist(), l.tolist())):
+        samples[key] += part
+    return reason
+
+
+def _grid_to(t_end, initial_step, after=0.0):
+    """The output grid in (``after``, t_end) to round-off, then t_end."""
+    out, tg = [], initial_step
+    while tg < t_end * (1 - 1e-15):
+        if tg > after:
+            out.append(tg)
+        tg = _grid_after(tg, initial_step)
+    return out + [t_end] if t_end > after else out
+
+
+def integrate_kempf_ness(p, v0, opts=None):
+    """Downward gradient flow of f = |mu|^2 from v0, affine clock t, stepped
+    in polar form (:func:`_polar_flow`)."""
+    return _polar_flow(p, v0, opts, lift=False)
+
+
+def cointegrate_group(p, v0, opts=None):
+    """Affine flow with the group lift: g(0) = id, g' = 2i mu(v)^ g, so g(t)
+    v0 = v(t), and |g v0 - v| <= tau_lift |v0| holds to integrator accuracy;
+    the lift is computed from the recorded steps by :func:`_lift_path`."""
+    return _polar_flow(p, v0, opts, lift=True)
+
+
 def integrate_projective(p, v0, opts=None, cointegrate=False, record=False):
     """Projectivized flow on the unit-sphere representative, clock s.
 
     Every state, the start included, goes through :func:`_projective_gauge`
-    (|v| = 1). With ``cointegrate`` the trajectory also carries the
-    reparametrized group lift g' = 2i mu^ g, computed from the finished
-    trajectory and its recorded steps by :func:`_lift_path`; then [g(s) v0]
-    = [v(s)]. With ``record`` or ``cointegrate`` it keeps its accepted steps
-    and log|v0|^2 in ``step_records``, which :func:`affine_read_off` reads;
-    they grow with the steps. A finite v0
-    whose 2-norm under- or overflows is first divided by its largest real or
-    imaginary part.
+    (|v| = 1). With ``cointegrate`` the trajectory also carries the group
+    lift g' = 2i mu^ g, computed by :func:`_lift_path`, so [g(s) v0] = [v(s)].
+    With ``record`` or ``cointegrate`` it keeps its steps and log|v0|^2 in
+    ``step_records``, which :func:`affine_read_off` reads.
     """
     opts = opts or FlowOptions(t_max=PROJECTIVE_T_MAX)
-    v0 = np.asarray(v0, dtype=complex)
-    (c,), (norm0,) = _scaled_norms(v0[None])
-    if norm0 == 0.0:
+    v0, u0, l0 = _unit_start(v0)
+    if not v0.any():
         raise DiagnosticError("projective flow needs a nonzero start vector")
-    u0 = _projective_gauge(v0 / c) if np.isfinite(norm0) else v0   # ends as "nonfinite"
     record = record or cointegrate    # the lift reads the steps too
     samples, stats = _adaptive_flow(_projective_kernel(energy_kernel(p)), u0, opts,
                                     postprocess=_projective_gauge, record=record)
     if record:    # l = log|v|^2 at the start, where the read-off's l begins
-        stats["step_records"]["l0"] = 2.0 * (np.log(c) + np.log(norm0))
-    return _pack(samples, stats, kind="projective", eps_grad=opts.eps_grad,
-                 lift=p if cointegrate else None)
+        stats["step_records"]["l0"] = l0
+    return _pack(samples, stats, opts.eps_grad, lift=p if cointegrate else None)
 
 
 def affine_read_off(p, traj, opts):
-    """The affine flow from v0, read off the projective trajectory ``traj`` of
-    [v0], integrated with ``record``, without a step of its own.
+    """The affine flow from v0, read off the steps of the projective
+    trajectory ``traj`` of [v0], integrated with ``record``.
 
-    Write u = v/|v|, l = log|v|^2 and ds = |v|^2 dt. Euler's identity
-    Re<grad f(v), v> = 4 f(v) gives dl/ds = -8 f^(u) and dt/ds = e^-l, so l
-    and t are quadratures, from l0 = log|v0|^2, of the stage energies in
-    ``traj.step_records``: each step integrates them with its own weights
-    and continuous extension, outside the error control. The read-off ends
-    at the first of t = ``opts.t_max`` (reason ``t_max``), a step end where
-    |grad f(v)| < ``opts.eps_grad`` (``gradient_small``) and the end of
-    ``traj`` (its reason). A ``traj`` that ends ``gradient_small`` has stopped at a
-    critical point u_e of f^, where v still collapses along u_e: past its
-    end l follows the closed form e^-l = e^-l_e + 8 f^(u_e) (t - t_e) until
-    t = ``opts.t_max`` or until |grad f(v)| falls to ``opts.eps_grad``
-    (``gradient_small``). Its samples are t = 0, the points of the output grid of
-    ``opts.initial_step`` before the end, and the end. One stacked energy
-    call at the gauged u gives v = e^(l/2) u, f(v) = e^(2l) f(u) and
-    |grad f(v)| = e^(3l/2) |grad f(u)|; ``s`` is the clock of ``traj``.
+    With u = v/|v|, l = log|v|^2 and ds = |v|^2 dt, Euler's identity
+    Re<grad f(v), v> = 4 f(v) gives dl/ds = -8 f^(u) and dt/ds = e^-l: l and
+    t are quadratures of the recorded stage energies, each step with its own
+    weights and extension, outside the error control. It ends at t =
+    ``opts.t_max``, at a step end where |grad f(v)| < ``opts.eps_grad`` or
+    at the end of ``traj``, past whose ``gradient_small`` v collapses in
+    closed form (:func:`_collapse`). One stacked energy call at the samples
+    (t = 0, the output grid and the end) gives f(v) = e^(2l) f(u) and |grad
+    f(v)| = e^(3l/2) |grad f(u)|; ``s`` is the clock of ``traj``.
     """
     records, n = traj.step_records, traj.v.shape[1]
     h = np.array(records["h"])
@@ -623,25 +703,17 @@ def affine_read_off(p, traj, opts):
         reason, t_final = "gradient_small", t_end[k_small + 1]
     elif traj.terminated_reason == "gradient_small":
         # [v] has stopped at a critical point of f^, yet v keeps collapsing
-        # along it: past the primary's end, e^-l = e^-l_e + 8 f^ (t - t_e)
         f_e = np.float64(records["f"][-1])
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            l_small = (2.0 / 3.0) * np.log(opts.eps_grad / np.hypot(grad_hat[-1], 4.0 * f_e))
-            t_small = t_e + np.exp(-l_e) * np.expm1(l_e - l_small) / (8.0 * f_e)
-        reason, t_final = ("gradient_small", t_small) if t_small < opts.t_max else (
-            "t_max", opts.t_max)
+        reason, t_final = _collapse_end(t_e, l_e, f_e, grad_hat[-1], opts)
     else:
         reason, t_final = traj.terminated_reason, t_e
-    targets, tg = [], opts.initial_step
-    while tg < t_final:
-        targets.append(tg)
-        tg = _grid_after(tg, opts.initial_step)
-    targets = np.array(targets + [t_final] if t_final > 0 else targets)
+    targets = np.array(_grid_to(t_final, opts.initial_step))
 
+    k = np.clip(np.searchsorted(t_end, targets, side="right") - 1, 0, max(len(h) - 1, 0))
+    hk = h[k]
     # each sample's step k, and the fraction theta where the step's t meets it:
     # Newton on the convex t(theta), clipped to the step, to round-off
-    k = np.clip(np.searchsorted(t_end, targets, side="right") - 1, 0, max(len(h) - 1, 0))
-    hk, t0 = h[k], t_end[k]
+    t0 = t_end[k]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ct = dt[k] @ pp.T
         theta = np.clip((targets - t0) / (t_end[k + 1] - t0), 0.0, 1.0)
@@ -662,12 +734,10 @@ def affine_read_off(p, traj, opts):
     ell = np.concatenate([l_end[:1], l_end[k] + hk * np.sum(tp * (dl @ pp.T)[k], axis=1)])
     s = np.concatenate([[0.0], np.cumsum(np.concatenate([[0.0], h]))[k] + theta * hk])
     past = np.concatenate([[False], targets > t_e])    # only past a gradient_small end
+    if past.any():
+        u[past] = traj.v[-1]
+        ell[past], s[past] = _collapse(targets[past[1:]], t_e, traj.t[-1], l_e, f_e)
     with np.errstate(over="ignore", invalid="ignore"):
-        if past.any():
-            dt_e = np.exp(l_e) * (targets[past[1:]] - t_e)    # s - s_e for f^ = 0
-            x = 8.0 * f_e * dt_e
-            u[past], ell[past] = traj.v[-1], l_e - np.log1p(x)
-            s[past] = traj.t[-1] + dt_e * np.where(x > 0, np.log1p(x) / x, 1.0)
         f_u, grad_u = energy_kernel(p)(u)
         return FlowTrajectory(t=np.concatenate([[0.0], targets]), s=s,
                               v=np.exp(0.5 * ell)[:, None] * u, f=np.exp(2.0 * ell) * f_u,

@@ -33,30 +33,37 @@ def eigh_fun(h, fun):
     return hermitian_part((u * fun(w)) @ u.conj().T)
 
 
-# Coefficients of the [13/13] Pade approximant of exp and the largest 1-norm
-# at which it is accurate to double precision without scaling (Higham, "The
+# Coefficients of the [m/m] Pade approximants of exp and the largest 1-norm
+# theta_m at which each is accurate to double precision unscaled (Higham, "The
 # scaling and squaring method for the matrix exponential revisited", SIAM J.
-# Matrix Anal. Appl. 26, 2005, Table 2.3 and eq. 2.3).
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-           16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
+# Matrix Anal. Appl. 26, 2005, Table 2.3 and eq. 2.3), as in scipy.linalg.expm.
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+          (7, 9.504178996162932e-1), (9, 2.097847961257068e0), (13, 5.371920351148152))
 
 
 def expm(a):
     """Matrix exponential of a square matrix or of a stack of them.
 
-    Pade-13 scaling and squaring (Higham 2005), vectorized over all leading
-    axes: each matrix is scaled by its own power 2^-s, s = max(0,
-    ceil(log2(|A|_1 / theta_13))), so a small matrix in a stack is not
-    over-scaled by a large one; the Pade numerator and denominator of the
-    whole stack are formed together and solved in one batched call; the
-    squaring loop runs to the largest s and squares only the matrices that
-    still need it. A stack of diagonal matrices (the lift of a torus flow)
-    is exponentiated entrywise instead, as scipy does for each diagonal
-    slice. Real input gives a real result, complex a complex one; both are
-    computed in double precision.
+    Pade scaling and squaring (Higham 2005), vectorized over all leading
+    axes. The Pade degree m is the lowest of 3, 5, 7, 9 and 13 whose theta_m
+    bounds the stack's largest 1-norm; past theta_13 each matrix is scaled
+    by its own 2^-s, s = ceil(log2(|A|_1 / theta_13)), so a small matrix is
+    not over-scaled by a large one, and the squaring loop squares only the
+    matrices that still need it. The numerator and denominator of the whole
+    stack are formed together and solved in one batched call. A stack of
+    diagonal matrices is exponentiated entrywise, as scipy does. Real input
+    gives a real result, complex a complex one.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -71,22 +78,19 @@ def expm(a):
         out[..., range(n), range(n)] = np.exp(diag)
         return out
     a = a.reshape(-1, n, n)
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    m = next((m for m, theta in _THETA if norms.max() <= theta), 13)
     # s = ceil(log2(x)) from x = m 2^e with m in [0.5, 1): exact, and 0 for x = 0
-    m, e = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)
-    s = np.maximum(e - (m == 0.5), 0)
+    mant, e = np.frexp(norms / _THETA[-1][1])
+    s = np.maximum(e - (mant == 0.5), 0) if m == 13 else np.zeros(len(a), dtype=int)
     a = a * (0.5 ** s)[:, None, None]
-
-    b = _PADE13
-    ident = np.eye(n)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    powers = [np.eye(n), a @ a]    # the even powers up to A^(m - 1)
+    for _ in range(m // 2 - 1):
+        powers.append(powers[-1] @ powers[1])
+    b = _PADE[m]
+    u = a @ sum(b[2 * j + 1] * x for j, x in enumerate(powers))
+    v = sum(b[2 * j] * x for j, x in enumerate(powers))
     r = np.linalg.solve(v - u, v + u)
-
     for k in range(int(s.max())):
         if s.min() > k:
             r = r @ r

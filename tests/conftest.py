@@ -57,9 +57,28 @@ def random_vector(rng, n, scale=1.0):
 
 def knot_states(traj):
     """The state at each knot of a lifted trajectory's lift: a sample's
-    state, else the state that starts the recorded step beginning there."""
+    state, else the state that starts the recorded step beginning there. An
+    affine run steps in polar form and records each step's start u with its
+    t and l = log|v|^2, and its final state likewise; there v = e^(l/2) u."""
     records = traj.step_records
-    starts = itertools.accumulate(records["h"][:-1], initial=0.0)
-    states = dict(zip(starts, records["y"]))
+    if traj.kind == "affine":
+        starts = records["t"]
+        ys = np.exp(0.5 * np.array(records["l"]))[:, None] * np.array(records["y"])
+    else:
+        starts = itertools.accumulate(records["h"][:-1], initial=0.0)
+        ys = records["y"]
+    states = dict(zip(starts, ys))
     states.update(zip(traj.t.tolist(), traj.v))
     return np.array([states[t] for t in traj.knots.tolist()])
+
+
+def knot_clocks(traj):
+    """The integrator's clock s at each knot of a lifted trajectory, which
+    its lift runs in: the knots themselves for a projective run; for an
+    affine one a sample's s, else the running sum of the step sizes."""
+    if traj.kind == "projective":
+        return traj.knots
+    records = traj.step_records
+    clocks = dict(zip(records["t"], itertools.accumulate(records["h"], initial=0.0)))
+    clocks.update(zip(traj.t.tolist(), traj.s))
+    return np.array([clocks[t] for t in traj.knots.tolist()])

@@ -5,10 +5,11 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import solve_ivp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import knot_states, random_presentation, random_vector
+from conftest import knot_clocks, knot_states, random_presentation, random_vector
 from momentflow import flow
 from momentflow.algebra import (direct_sum_presentation, su2_sym_presentation,
                                 torus_presentation, un_presentation)
@@ -25,12 +26,31 @@ def u1():
     return torus_presentation([[1]])
 
 
+def _affine_reference(p, v0, t_eval):
+    """The affine flow v' = -grad f(v) in the clock t, with s' = |v|^2, at
+    the times ``t_eval`` by scipy's DOP853 at tight tolerances, the
+    independent reference: the states (m, n) and s (m,)."""
+    n = p.dim_v
+    v0 = np.asarray(v0, dtype=complex)
+
+    def rhs(_, y):
+        v = y[:n] + 1j * y[n:2 * n]
+        grad = energy_and_gradient(p, v)[1]
+        return np.concatenate([-grad.real, -grad.imag, [np.vdot(v, v).real]])
+
+    sol = solve_ivp(rhs, (0.0, t_eval[-1]), np.concatenate([v0.real, v0.imag, [0.0]]),
+                    method="DOP853", t_eval=t_eval, rtol=1e-12, atol=1e-14)
+    assert sol.success
+    return (sol.y[:n] + 1j * sol.y[n:2 * n]).T, sol.y[2 * n]
+
+
 def test_zero_start_is_stationary():
+    # the origin is a fixed point, with no polar form: the start is the only sample
     traj = integrate_kempf_ness(u1(), np.zeros(1, dtype=complex),
                                 FlowOptions(t_max=10.0))
     assert traj.terminated_reason == "gradient_small"
     assert np.all(traj.f == 0.0)
-    assert len(traj) == 2  # one sample beyond t = 0
+    assert len(traj) == 1 and traj.steps == 0
 
 
 def test_critical_start_moves_negligibly():
@@ -180,17 +200,36 @@ def test_projective_c3_limit_direction():
 
 def test_projective_matches_affine_through_clock(monkeypatch):
     # pushing the affine flow through normalization and the clock s reproduces
-    # the projectivized flow on overlapping s-ranges
+    # the projectivized flow on overlapping s-ranges; the affine flow is
+    # scipy's, integrated in t
     p = torus_presentation([[1], [2]])
     v0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
     monkeypatch.setattr(flow, "SAMPLE_GROWTH", 0.002)
-    affine = integrate_kempf_ness(p, v0, FlowOptions(t_max=2e3))
-    proj = integrate_projective(p, v0, FlowOptions(t_max=affine.s[-1]))
-    s_common = np.linspace(0.2, min(affine.s[-1], proj.t[-1]) * 0.95, 40)
+    t = np.concatenate([[0.0], np.geomspace(1e-3, 2e3, 4000)])
+    v, s = _affine_reference(p, v0, t)
+    proj = integrate_projective(p, v0, FlowOptions(t_max=s[-1]))
+    s_common = np.linspace(0.2, min(s[-1], proj.t[-1]) * 0.95, 40)
     for i in range(2):
-        aff_curve = np.interp(s_common, affine.s, np.abs(affine.v[:, i]) / affine.v_norm)
+        aff_curve = np.interp(s_common, s, np.abs(v[:, i]) / np.linalg.norm(v, axis=1))
         proj_curve = np.interp(s_common, proj.t, np.abs(proj.v[:, i]))
         assert np.max(np.abs(aff_curve - proj_curve)) <= 1e-5
+
+
+@pytest.mark.parametrize("case", ["u1_weight1", "u3", "u4"])
+def test_collapse_along_a_critical_point_takes_at_most_two_steps(case, rng):
+    # f^ is constant on the sphere of u(1) and of the standard rep of u(n):
+    # [v] sits at a critical point from the start, and v collapses in closed
+    # form once the polar steps have seen it (the affine steps took 100-129)
+    if case == "u1_weight1":
+        exp = get_builtin(case)
+        traj = integrate_kempf_ness(exp.presentation, exp.v0, exp.flow_opts)
+    else:
+        p = un_presentation(int(case[1]))
+        traj = cointegrate_group(p, random_vector(rng, p.dim_v), FlowOptions(t_max=1e3))
+        assert traj.lift_residual <= 1e-12
+    assert traj.steps <= 2
+    assert traj.terminated_reason == "t_max" and traj.rejected["error"] == 0
+    assert np.all(np.diff(traj.f) < 0)
 
 
 def test_tolerance_halving_convergence():
@@ -213,21 +252,22 @@ def test_step_underflow_reported():
 # -- the clock s --------------------------------------------------------------
 
 def test_s_clock_constant_norm_gives_identity_clock():
-    # d|v|^2/dt = -8 f, so a constant |v| has f = 0
-    t = np.linspace(0, 5, 200)
-    v = np.ones((200, 1), dtype=complex)
-    np.testing.assert_allclose(flow._s_clock(t, v, np.zeros(200)), t, atol=1e-12)
+    # d|v|^2/dt = -8 f, so at a zero of mu |v| = 1 stays put and s = t
+    traj = integrate_kempf_ness(torus_presentation([[1], [-1]]), [1.0, 1.0] / np.sqrt(2),
+                                FlowOptions(t_max=5.0))
+    assert traj.t[-1] > 0
+    np.testing.assert_allclose(traj.s, traj.t, rtol=1e-12, atol=0)
 
 
 def test_s_clock_known_integral():
-    # |v|^2 = 1/(1 + t) has d|v|^2/dt = -1/(1 + t)^2 = -8 f; the endpoint
-    # correction takes the trapezoid's O(h^2) error to O(h^4)
-    t = np.linspace(0, 50, 20001)
-    v = (1.0 / np.sqrt(1.0 + t))[:, None].astype(complex)
-    s = flow._s_clock(t, v, 1.0 / (8.0 * (1.0 + t) ** 2))
-    np.testing.assert_allclose(s, np.log(1.0 + t), atol=1e-10)
-    assert s[0] == 0.0
-    assert np.all(np.diff(s) >= 0)
+    # u(1) from |v0| = 1: |v|^2 = 1/(1 + 2t) and s = integral of |v|^2 dt =
+    # log(1 + 2t) / 2 in closed form; the polar steps carry both to round-off
+    traj = integrate_kempf_ness(u1(), np.array([1.0 + 0j]), FlowOptions(t_max=1e4))
+    t = traj.t
+    assert traj.terminated_reason == "t_max" and t[-1] == 1e4
+    assert np.abs(traj.s - 0.5 * np.log1p(2.0 * t)).max() <= 1e-12
+    assert np.abs(traj.v_norm**2 * (1.0 + 2.0 * t) - 1.0).max() <= 1e-12
+    assert traj.s[0] == 0.0 and np.all(np.diff(traj.s) > 0)
 
 
 def test_logarithmic_clock_on_collapse():
@@ -302,7 +342,6 @@ def test_v_norm_is_finite_where_only_its_square_overflows():
     assert norms[3] == 1e-200    # |v|^2 underflows to 0
     # every other row keeps np.linalg.norm's value
     assert np.array_equal(norms[[1, 4]], np.linalg.norm(v[[1, 4]], axis=1))
-    assert flow._s_clock(t, v, traj.f)[-1] == np.inf    # |v|^2 overflows silently
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -347,17 +386,20 @@ def test_one_energy_evaluation_per_state(monkeypatch):
                 step_sizes.append(args[2])
             return _fn(*args)
         monkeypatch.setattr(owner, name, counted)
-    traj = cointegrate_group(u1(), [1], FlowOptions(t_max=1e3))
+    traj = cointegrate_group(torus_presentation([[1], [2]]), [1.0, 1.0] / np.sqrt(2),
+                             FlowOptions(t_max=1e3))
     samples, intervals = len(traj) - 1, len(traj.knots) - 1
+    assert traj.terminated_reason == "t_max"
     assert intervals > 2 * flow._LIFT_BLOCK   # the lift spans several blocks
     assert traj.rejected == {"error": 0, "energy": 0, "nonfinite": 0}
     assert calls["_rkf45_step"] == traj.steps
     assert traj.steps <= 2 * samples / 3     # the output grid does not set the step
-    # with no rejection the step ends are the running sums of the step sizes;
-    # every other sample after t = 0 was read off the continuous extension
-    ends = set(itertools.accumulate(step_sizes))
+    # the polar steps record t at every step end; no sample after t = 0 lies
+    # on one here, the last at t_max included: each was read off a step's
+    # continuous extension
+    ends = set(traj.step_records["t"])
     interior = sum(t not in ends for t in traj.t[1:])
-    assert 0 < interior < samples
+    assert interior == samples
     # the start state, then five new stages and the new state per step, and
     # one evaluation per interior grid sample, a row of at most one stacked
     # call per accepted step
@@ -523,13 +565,15 @@ def _list_sum_extension(y, h, ks, theta):
     return y + theta * (dy + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5)))
 
 
-def _per_step_magnus_lift(p, knots, records, projective):
+def _per_step_magnus_lift(p, knots, records):
     """The lift one fourth-order Magnus step at a time, the independent oracle.
 
-    Each knot interval makes its own two generator calls at its Gauss nodes,
-    each node's state read off the extension of the recorded step that holds
-    it by :func:`_list_sum_extension`, one commutator and one ``expm``, and
-    multiplies g from the left.
+    The knots are in the integrator's clock s, where the generator is
+    flow_generator(p, x) / |x|^2 for the affine flow too. Each knot interval
+    makes its own two generator calls at its Gauss nodes, each node's state
+    read off the extension of the recorded step that holds it by
+    :func:`_list_sum_extension` (past the last step, its end), one
+    commutator and one ``expm``, and multiplies g from the left.
     """
     starts = list(itertools.accumulate(records["h"][:-1], initial=0.0))
     c_nodes = (0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6)
@@ -538,13 +582,10 @@ def _per_step_magnus_lift(p, knots, records, projective):
         j = max(i for i, t0 in enumerate(starts) if t0 <= tau)
         h = records["h"][j]
         return _list_sum_extension(records["y"][j], h, list(records["ks"][j]),
-                                   (tau - starts[j]) / h)
+                                   min((tau - starts[j]) / h, 1.0))
 
     def gen_at(x):
-        gen = flow_generator(p, x)
-        if projective:
-            gen = gen / float(np.vdot(x, x).real)
-        return gen
+        return flow_generator(p, x) / float(np.vdot(x, x).real)
 
     gs = [np.eye(records["y"][0].size, dtype=complex)]
     for t0, t1 in zip(knots[:-1], knots[1:]):
@@ -568,8 +609,7 @@ def test_batched_lift_matches_per_step_magnus(seed):
     v0 = random_vector(rng, p.dim_v)
     for traj in (cointegrate_group(p, v0, FlowOptions(t_max=0.5)),
                  integrate_projective(p, v0, FlowOptions(t_max=2.0), cointegrate=True)):
-        ref = _per_step_magnus_lift(p, traj.knots, traj.step_records,
-                                    projective=traj.kind == "projective")
+        ref = _per_step_magnus_lift(p, knot_clocks(traj), traj.step_records)
         assert _lift_error(traj.g_knots, ref) <= 1e-12
 
 
@@ -585,10 +625,10 @@ def test_batched_lift_at_block_boundaries(projective):
     block = flow._LIFT_BLOCK
     assert len(traj.knots) > block + 2
     for intervals in (1, block - 1, block, block + 1):
-        knots = traj.knots[:intervals + 1]
-        g = flow._lift_path(p, knots, steps, projective)
+        knots = knot_clocks(traj)[:intervals + 1]
+        g = flow._lift_path(p, knots, steps)
         assert g.shape == (intervals + 1, 4, 4)
-        ref = _per_step_magnus_lift(p, knots, traj.step_records, projective)
+        ref = _per_step_magnus_lift(p, knots, traj.step_records)
         assert _lift_error(g, ref) <= 1e-12
 
 
@@ -689,19 +729,17 @@ def test_rkf45_tableau_products_match_list_sums(rng):
 @pytest.mark.parametrize("name", ["torus_12", "torus_c3"])
 def test_affine_read_off_matches_the_affine_flow(name):
     # the rates of a projective run read the affine flow off the primary's
-    # steps; on the final decade it tracks a tight affine integration, and
-    # its fits agree with those of the default affine integration
+    # steps; on the final decade it tracks scipy's tight integration of the
+    # affine flow, and its fits agree with those of the polar affine run
     exp = get_builtin(name)
     read = Run(exp, 0).affine
     assert read.kind == "affine" and read.terminated_reason == "t_max"
-    tight = integrate_kempf_ness(exp.presentation, exp.v0,
-                                 FlowOptions(t_max=1e4, rtol=1e-12, atol=1e-16))
-    t, i, j = np.intersect1d(read.t, tight.t, return_indices=True)
-    tail = t >= 1e3
+    tail = read.t >= 1e3
     assert tail.sum() >= 50
-    i, j = i[tail], j[tail]
-    assert np.abs(np.log(read.f[i]) - np.log(tight.f[j])).max() <= 1e-7
-    assert np.abs(2 * np.log(read.v_norm[i] / tight.v_norm[j])).max() <= 1e-7
+    v, _ = _affine_reference(exp.presentation, exp.v0, read.t[tail])
+    f = np.array([energy_and_gradient(exp.presentation, x)[0] for x in v])
+    assert np.abs(np.log(read.f[tail]) - np.log(f)).max() <= 1e-7
+    assert np.abs(2 * np.log(read.v_norm[tail] / np.linalg.norm(v, axis=1))).max() <= 1e-7
 
     leg = integrate_kempf_ness(exp.presentation, exp.v0, FlowOptions(t_max=1e4))
     fit, fit_leg = fit_lojasiewicz(read), fit_lojasiewicz(leg)
@@ -717,12 +755,13 @@ def test_affine_read_off_matches_the_affine_flow(name):
 
 @pytest.mark.parametrize("name", ["torus_12", "torus_c3"])
 def test_integrated_s_clock_matches_the_read_off(name):
-    # the read-off's s is the projective primary's own clock; the affine
-    # flow's s, the end-corrected trapezoid over its samples, meets it on
-    # their common t (without the correction it is off by 2.1e-4 relative)
+    # the read-off's s is the projective primary's own clock, and the polar
+    # affine run's s is its integrator's; both meet s = integral of |v|^2 dt
+    # from scipy's tight integration of the affine flow
     exp = get_builtin(name)
     read = Run(exp, 0).affine
     traj = integrate_kempf_ness(exp.presentation, exp.v0, FlowOptions(t_max=1e4))
-    t, i, j = np.intersect1d(read.t, traj.t, return_indices=True)
-    assert len(t) >= 300
-    np.testing.assert_allclose(traj.s[j], read.s[i], rtol=1e-6, atol=0)
+    for got in (read, traj):
+        assert len(got) >= 300
+        _, s = _affine_reference(exp.presentation, exp.v0, got.t)
+        np.testing.assert_allclose(got.s, s, rtol=1e-6, atol=0)

@@ -83,18 +83,25 @@ def test_lift_holds_over_a_long_horizon(seed):
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), projective=st.booleans())
 def test_grad_norm_is_the_norm_of_each_sample_gradient(seed, projective):
-    # the trajectory takes |grad| of all its samples at once; each value keeps
-    # the bits of the norm of the gradient at that sample alone
+    # the trajectory takes |grad| of all its samples at once; each projective
+    # value keeps the bits of the norm of the gradient at that sample alone.
+    # An affine sample's f and |grad f| come from its polar state, f = e^(2l)
+    # f^ and e^(3l/2) hypot(|grad f^|, 4 f^): they meet the values at v to
+    # the round-off of |v|^4 and |v|^3
     rng = np.random.default_rng(seed)
     p = random_presentation(rng)
     v0 = random_vector(rng, p.dim_v)
     if projective:
         traj = integrate_projective(p, v0, FlowOptions(t_max=2.0))
         gradient = _projective_kernel(energy_kernel(p))
-    else:
-        traj, gradient = integrate_kempf_ness(p, v0, FlowOptions(t_max=0.5)), energy_kernel(p)
-    want = [np.linalg.norm(gradient(v)[1]) for v in traj.v]
-    assert np.array_equal(traj.grad_norm, want)
+        want = [np.linalg.norm(gradient(v)[1]) for v in traj.v]
+        assert np.array_equal(traj.grad_norm, want)
+        return
+    traj = integrate_kempf_ness(p, v0, FlowOptions(t_max=0.5))
+    f, grad = zip(*map(energy_kernel(p), traj.v))
+    scale = np.linalg.norm(traj.v, axis=1)
+    assert np.all(np.abs(traj.grad_norm - np.linalg.norm(grad, axis=1)) <= 1e-13 * scale**3)
+    assert np.all(np.abs(traj.f - f) <= 1e-13 * scale**4)
 
 
 @settings(derandomize=True, max_examples=15, deadline=None)

@@ -51,6 +51,34 @@ def test_mixed_norms_are_scaled_one_by_one(rng):
         assert _norm1(e - single) <= 1e-14 * max(1.0, _norm1(single))
 
 
+# theta_m of the Pade degrees 3, 5, 7, 9 and 13 (Higham 2005, Table 2.3)
+_THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+           2.097847961257068e0, 5.371920351148152e0)
+
+
+@pytest.mark.parametrize("theta", _THETAS)
+@pytest.mark.parametrize("side", [0.9, 1.1])
+def test_pade_degree_on_both_sides_of_each_theta(rng, theta, side):
+    # the stack's largest 1-norm picks the degree; just below theta_m the
+    # degree m must still give double precision, just above it the next
+    for n in (2, 3, 6, 8):
+        a = np.stack([_matrix(rng, n, theta * side, True) for _ in range(8)])
+        ref = np.stack([scipy.linalg.expm(x) for x in a])
+        err = _norm1(expm(a) - ref) / _norm1(ref)
+        assert err.max() <= 4e-15
+
+
+def test_stack_of_mixed_norms_takes_the_degree_of_its_largest(rng):
+    # one matrix on each side of every theta_m in one stack: the degree is
+    # that of the largest, and every matrix keeps double precision
+    norms = [t * side for t in _THETAS for side in (0.5, 0.9, 1.1)]
+    a = np.stack([_matrix(rng, 5, c, True) for c in norms])
+    _assert_close_to_scipy(a)
+    for x, e in zip(a, expm(a)):
+        ref = scipy.linalg.expm(x)
+        assert _norm1(e - ref) <= 4e-15 * _norm1(ref)
+
+
 def test_tiny_matrix_beside_large_one_is_not_overscaled(rng):
     # the norm-1e3 matrix needs s = 8; scaling a tiny A by 2^-8 and squaring
     # back would cost about 2^8 ulps in e^A - I, unscaled it costs a few
