@@ -6,9 +6,10 @@ that rejects any step raising f beyond its round-off; samples are read off
 the continuous extension on a geometric output grid. The projective flow
 runs on the unit sphere; the affine flow steps in polar form, u = v/|v| on
 the sphere while l = log|v|^2 and the time t are quadratures inside the
-error test, and collapses in closed form past a critical point of f^. The
-group lift is computed from the finished trajectory by batched Magnus
-steps; :func:`affine_read_off` reads the affine flow off projective steps.
+error test, and collapses in closed form past a critical point of f^. A
+projective run may carry the affine flow along, l and t outside its error
+test. The group lift is computed from the finished trajectory by batched
+Magnus steps.
 """
 
 import math
@@ -34,7 +35,6 @@ __all__ = [
     "integrate_kempf_ness",
     "cointegrate_group",
     "integrate_projective",
-    "affine_read_off",
     "fit_lojasiewicz",
     "check_rates",
 ]
@@ -65,16 +65,16 @@ class FlowTrajectory:
     is s); ``s`` = integral of |v|^2 dt is the integrator's clock. ``steps``
     counts the accepted steps, ``rejected`` the rejected ones by cause,
     ``evaluations`` the energy calls; ``h_min`` and ``h_max`` bound the step
-    sizes, in s; a read-off has none of these. The samples lie on the output
-    grid, plus the final state. A lifted trajectory holds g at the samples,
-    and at the knots of the lift (the samples and the ends of the steps that
-    hold none, in the trajectory's clock) in ``knots`` and ``g_knots``;
-    ``lift_residual`` is max |g v0 - v| / |v0| over the knots, projectively
-    up to phase. ``step_records`` keeps the steps of a lifted run or of a
-    projective one with ``record``: lists ``y`` (start states, and a polar
-    run's final state), ``h``, ``ks`` (stages) and ``f`` (stage energies,
-    flat); a polar run's ``t`` and ``l`` = log|v|^2 with each ``y``, a
-    projective run's ``l0`` = log|v0|^2.
+    sizes, in s; the affine flow a projective run carries has none of these.
+    The samples lie on the output grid, plus the final state. A lifted
+    trajectory holds g at the samples, and at the knots of the lift (the
+    samples and the ends of the steps that hold none, in the trajectory's
+    clock) in ``knots`` and ``g_knots``; ``lift_residual`` is max |g v0 - v|
+    / |v0| over the knots, projectively up to phase. ``step_records`` keeps
+    the steps of a lifted run: lists ``y`` (start states, and a polar run's
+    final state), ``h`` and ``ks`` (stages); a polar run's ``t`` and ``l`` =
+    log|v|^2 with each ``y``. ``affine`` is the affine flow a projective run
+    integrated with ``affine`` options carries.
     """
 
     t: np.ndarray
@@ -95,6 +95,7 @@ class FlowTrajectory:
     step_records: dict | None = field(default=None, repr=False, compare=False)
     knots: np.ndarray | None = field(default=None, repr=False, compare=False)
     g_knots: np.ndarray | None = field(default=None, repr=False, compare=False)
+    affine: "FlowTrajectory | None" = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.t)
@@ -225,7 +226,24 @@ def _theta_in_step(target, t0, t1, ct):
     return theta
 
 
-def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None):
+def _t_grid_rows(nxt, t0, t1, l, cl, ct, opts):
+    """The rows on the t grid of ``opts`` in a polar step from (t0, l) to t1,
+    extended by cl, ct (:func:`_polar_step`): their t from the grid point
+    ``nxt`` on, step fractions theta and l, the grid point after them, and
+    whether the step reaches ``t_max``, then the last row. A grid point
+    within round-off of the step's end is no row of it."""
+    last = t1 >= opts.t_max * (1 - 1e-15)
+    end, ts = opts.t_max if last else t1, []
+    while nxt < end * (1 - 1e-15):
+        ts.append(nxt)
+        nxt = _grid_after(nxt, opts.initial_step)
+    ts += [opts.t_max] if last else []
+    thetas = [_theta_in_step(x, t0, t1, ct) for x in ts]
+    ls = [l + x * (cl[0] + x * (cl[1] + x * (cl[2] + x * cl[3]))) for x in thetas]
+    return ts, thetas, ls, nxt, last
+
+
+def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None, affine=None):
     """Shared integrator of y' = -grad; returns (samples, stats), stats the
     trajectory's ``terminated_reason``, ``steps``, ``rejected``,
     ``evaluations``, ``h_min``, ``h_max`` and ``step_records``.
@@ -239,8 +257,8 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None):
     finite (``"nonfinite"``, also on a silent overflow), when the error test
     fails (``"error"``) or when f would rise, by more than 1e-12 of it and
     its round-off eps |y| |grad f|, at its end or at a sample (``"energy"``).
-    With ``record`` each step keeps its start state, size, stages and their
-    energies in flat lists.
+    With ``record`` each step keeps its start state, size and stages in
+    lists, for the lift.
 
     With ``l0`` = log|v0|^2 it is the affine flow from e^(l0/2) y0 in polar
     form: ``energy`` is f^ on the sphere, and l and the time t, the grid's
@@ -250,11 +268,20 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None):
     = e^(3l/2) hypot(|grad f^|, 4 f^) < ``eps_grad`` (at once if |v|^3
     underflows), or where |grad f^| and e^(3l/2) |grad f^| are both below
     it: a critical point of f^, past which v collapses (:func:`_collapse_rows`).
+
+    With ``affine`` options as well, the run stays projective and carries
+    that affine flow: l and t ride along, outside the error test, and its
+    rows on the t grid of ``affine`` are placed in each accepted step as the
+    polar rows are. The ride ends in the step that reaches ``affine.t_max``,
+    at a step end where |grad f(v)| < ``affine.eps_grad`` (at once if |v|^3
+    underflows), or with the run, past whose ``gradient_small`` v collapses. One stacked ``energy`` call
+    after the run gives the rows' f^ and slopes, outside the energy guard
+    and ``evaluations``; ``stats["affine"]`` holds the rows and their stats.
     """
-    polar = l0 is not None
+    polar, riding = l0 is not None and affine is None, affine is not None
     samples = {"t": [], "f": [], "v": [], "d": [], "s": [], "l": []}
     knots_only, hs = [], []
-    records = dict(y=[], h=hs, ks=[], f=[], **(dict(t=[], l=[]) if polar else {})
+    records = dict(y=[], h=hs, ks=[], **(dict(t=[], l=[]) if polar else {})
                    ) if record else None
 
     def emit(ts, fs, vs, ds, ss=(), ls=()):    # consecutive rows; vs, ds are (m, n)
@@ -263,6 +290,10 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None):
 
     def emit_state():    # with its s and l if polar
         emit([clock], [f], y[None], k1[None], *(([t], [l]) if polar else ()))
+
+    def ride(ts, ss, ls, us):    # consecutive affine rows; us is (m, n)
+        for key, part in zip(("t", "s", "l", "v"), (ts, ss, ls, [us])):
+            rows[key] += part
 
     def record_state():    # a step's start, or a polar run's end, with its t and l
         records["y"].append(y)
@@ -282,15 +313,28 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None):
         if knots_only[-1:] == [len(samples["t"]) - 1]:
             knots_only.pop()    # the final state is a sample
         samples["knots_only"] = knots_only
-        return samples, dict(terminated_reason=reason, steps=steps, rejected=rejected,
-                             evaluations=evaluations, h_min=min(hs, default=np.nan),
-                             h_max=max(hs, default=np.nan), step_records=records)
+        stats = dict(terminated_reason=reason, steps=steps, rejected=rejected,
+                     evaluations=evaluations, h_min=min(hs, default=np.nan),
+                     h_max=max(hs, default=np.nan), step_records=records)
+        if affine is not None:
+            if riding and steps:    # the ride ends with the run, at its end
+                ride([t_a], [t], [l_a], y[None])
+            f_a, grad_a = energy(np.concatenate(rows["v"]))
+            rows.update(f=f_a.tolist(), d=[-grad_a], knots_only=[])
+            end_a = reason_a
+            if riding:    # past a gradient_small end v collapses on
+                end_a = _collapse_rows(rows, affine) if reason == "gradient_small" else reason
+            stats["affine"] = rows, dict(terminated_reason=end_a)
+        return samples, stats
 
     # an overflowing state, the start included, ends as "nonfinite" silently
     with np.errstate(over="ignore", invalid="ignore"):
         # t is the clock s of the steps; clock that of the output grid, t
         # itself unless polar, where l = log|v|^2 (else 0) and err_lt ride along
-        t, clock, l, err_lt, y = 0.0, 0.0, l0 or 0.0, 0.0, np.array(y0, dtype=complex)
+        t, clock, l, err_lt, y = 0.0, 0.0, l0 if polar else 0.0, 0.0, np.array(y0, dtype=complex)
+        # a riding affine flow's time t_a, l_a = log|v|^2, next grid point and rows
+        t_a, l_a, grid_a, reason_a = 0.0, l0, riding and affine.initial_step, None
+        rows = dict(t=[0.0], s=[0.0], l=[l0], v=[y[None]])
         evaluations = int(np.isfinite(y).all())
         f, grad = energy(y) if evaluations else (np.nan, np.full_like(y, np.nan))
         k1 = -grad
@@ -302,6 +346,13 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None):
         grid = opts.initial_step    # the next output-grid point
         h = opts.initial_step
         while True:
+            if riding:    # it ends where |grad f(v)| < eps_grad, as a polar run does
+                cube_a = math.exp(min(1.5 * l_a, 709.0))
+                if (cube_a * math.hypot(k1_norm, 4.0 * f) < affine.eps_grad
+                        and (steps or cube_a == 0.0)):
+                    if steps:    # at a step end; a start is a row already
+                        ride([t_a], [t], [l_a], y[None])
+                    riding, reason_a = False, "gradient_small"
             small = k1_norm < opts.eps_grad
             if polar:
                 cube = math.exp(min(1.5 * l, 709.0))    # |v|^3
@@ -338,20 +389,19 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None):
                 h = h_eff * max(0.2, 0.9 * err_norm ** -0.2)
                 continue
 
-            inside, nxt = [], grid
-            last = polar and clock_new >= opts.t_max * (1 - 1e-15)    # the step reaches t_max
-            end = opts.t_max if last else clock_new
-            # a grid point within round-off of a polar step's end is that end
-            while nxt < (end * (1 - 1e-15) if polar else end):
-                inside.append(nxt)
-                nxt = _grid_after(nxt, opts.initial_step)
-            inside += [opts.t_max] if last else []
+            if polar:
+                inside, thetas, l_in, nxt, last = _t_grid_rows(
+                    grid, clock, clock_new, l, cl, ct, opts)
+            else:
+                inside, nxt, last = [], grid, False
+                while nxt < clock_new:
+                    inside.append(nxt)
+                    nxt = _grid_after(nxt, opts.initial_step)
+                thetas = [(x - t) / h_eff for x in inside]
             # f along the step, from the lower of the state and the last sample
             fs = [min(f, samples["f"][-1])]
             if inside:
-                thetas = [_theta_in_step(x, clock, clock_new, ct) for x in inside] if polar else []
-                theta = np.array(thetas) if polar else (np.array(inside) - t) / h_eff
-                dense, f_in, d_in = _read_grid(energy, y, h_eff, ks, theta[:, None],
+                dense, f_in, d_in = _read_grid(energy, y, h_eff, ks, np.array(thetas)[:, None],
                                                postprocess)
                 evaluations += len(inside)
                 fs += f_in
@@ -367,11 +417,19 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None):
             if record:
                 record_state()
                 records["ks"].append(ks)
-                records["f"] += (f, *fs_in, f_new)
             if inside:    # polar rows keep their s, and l off its extension
-                emit(inside, f_in, dense, d_in, *(([t + x * h_eff for x in thetas], [
-                    l + x * (cl[0] + x * (cl[1] + x * (cl[2] + x * cl[3]))) for x in thetas])
-                    if polar else ()))
+                emit(inside, f_in, dense, d_in,
+                     *(([t + x * h_eff for x in thetas], l_in) if polar else ()))
+            if riding:    # the affine flow's l and t, and its rows in this step
+                l_a1, t_a1, _, cl, ct = _polar_step(l_a, t_a, h_eff, [f, *fs_in, f_new], affine)
+                ts, thetas, ls, grid_a, last_a = _t_grid_rows(
+                    grid_a, t_a, t_a1, l_a, cl, ct, affine)
+                if ts:
+                    ride(ts, [t + x * h_eff for x in thetas], ls,
+                         postprocess(_extension(y, h_eff, ks, np.array(thetas)[:, None])))
+                t_a, l_a = t_a1, l_a1
+                if last_a:
+                    riding, reason_a = False, "t_max"
             t, y, f, k1, abs_y = t_new, y_new, f_new, ks[6].copy(), abs_new
             k1_norm, l, clock = _norm(k1), l_new, clock_new
             if last:    # its end lies past t_max, and is no row
@@ -397,11 +455,16 @@ def _grid_after(tg, initial_step):
     return tg + max(initial_step, SAMPLE_GROWTH * tg)
 
 
+def _extension(y, h, ks, theta):
+    """States (q, n) at step fractions ``theta`` (q, 1) of a step's extension."""
+    return y + h * (theta ** _POWERS @ (_DP_P @ ks))
+
+
 def _read_grid(energy, y, h, ks, theta, postprocess=None):
     """States (q, n), energy list and slopes d = -grad (q, n) of the samples at
     step fractions ``theta`` (q, 1) of the continuous extension; one row goes
     in as a state (n,), for the kernels' cheaper one-state branch (same bits)."""
-    dense = y + h * (theta ** _POWERS @ (_DP_P @ ks))
+    dense = _extension(y, h, ks, theta)
     x = dense[0] if len(dense) == 1 else dense
     if postprocess is not None:
         x = postprocess(x)
@@ -583,40 +646,32 @@ def _polar_flow(p, v0, opts, lift):
     return _pack(samples, stats, opts.eps_grad, p if lift else None, v0)
 
 
-def _collapse_end(t_e, l_e, f_e, grad_e, opts):
-    """(reason, t_final) of v collapsing from (t_e, l_e) along a critical point
-    of f^ = f_e, |grad f^| = grad_e, until |grad f(v)| < eps_grad or t_max."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if np.exp(1.5 * l_e) * np.hypot(grad_e, 4.0 * f_e) < opts.eps_grad:
-            return "gradient_small", t_e
-        l_small = (2.0 / 3.0) * np.log(opts.eps_grad / np.hypot(grad_e, 4.0 * f_e))
-        # e^-l_small - e^-l_e, safe from the overflow of e^l_e
-        t_small = t_e - np.exp(-l_small) * np.expm1(l_small - l_e) / (8.0 * f_e)
-    return ("gradient_small", t_small) if t_small < opts.t_max else ("t_max", opts.t_max)
-
-
-def _collapse(t, t_e, s_e, l_e, f_e):
-    """l and s at the times ``t`` of that collapse from (t_e, s_e, l_e): e^-l
-    = e^-l_e + 8 f_e (t - t_e) gives l = l_e - log(1 + x), x = 8 f_e e^l_e (t
-    - t_e), and s - s_e = log(1 + x) / (8 f_e), taken from log x."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log1p_x = np.logaddexp(0.0, l_e + np.log(8.0 * f_e * (t - t_e)))
-        ds = log1p_x / (8.0 * f_e) if f_e > 0 else np.exp(l_e) * (t - t_e)
-        return l_e - log1p_x, s_e + ds
-
-
 def _collapse_rows(samples, opts):
-    """Append the collapse past a polar run's ``gradient_small`` end on the rest
-    of the output grid (none if |grad f(v)| is small there); its reason."""
+    """Append the rows past a polar run's ``gradient_small`` end on the rest
+    of the output grid, where u_e is a critical point of f^ = f_e and v
+    collapses along it; their reason. e^-l = e^-l_e + 8 f_e (t - t_e) gives
+    l = l_e - log(1 + x), x = 8 f_e e^l_e (t - t_e), and s - s_e = log(1 +
+    x) / (8 f_e), taken from log x. The rows end where |grad f(v)| =
+    e^(3l/2) hypot(|grad f^|, 4 f_e) falls below eps_grad (none if it is
+    there already), or at t_max."""
     t_e, s_e, l_e, f_e = (samples[key][-1] for key in ("t", "s", "l", "f"))
     u_e, d_e = samples["v"][-1][-1:], samples["d"][-1][-1:]
-    reason, t_final = _collapse_end(t_e, l_e, f_e, _norm(d_e[0]), opts)
-    ts = _grid_to(t_final, opts.initial_step, after=t_e)
-    l, s = _collapse(np.array(ts), t_e, s_e, l_e, f_e)
-    q = len(ts)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        grad_e = np.hypot(_norm(d_e[0]), 4.0 * f_e)
+        if np.exp(1.5 * l_e) * grad_e < opts.eps_grad:
+            return "gradient_small"
+        l_small = (2.0 / 3.0) * np.log(opts.eps_grad / grad_e)
+        # e^-l_small - e^-l_e, safe from the overflow of e^l_e
+        t_small = t_e - np.exp(-l_small) * np.expm1(l_small - l_e) / (8.0 * f_e)
+        reason, t_final = (("gradient_small", t_small) if t_small < opts.t_max
+                           else ("t_max", opts.t_max))
+        t = np.array(_grid_to(t_final, opts.initial_step, after=t_e))
+        log1p_x = np.logaddexp(0.0, l_e + np.log(8.0 * f_e * (t - t_e)))
+        ds = log1p_x / (8.0 * f_e) if f_e > 0 else np.exp(l_e) * (t - t_e)
+    q = len(t)
     for key, part in zip(("t", "f", "v", "d", "s", "l"), (
-            ts, [f_e] * q, [np.repeat(u_e, q, axis=0)], [np.repeat(d_e, q, axis=0)],
-            s.tolist(), l.tolist())):
+            t.tolist(), [f_e] * q, [np.repeat(u_e, q, axis=0)], [np.repeat(d_e, q, axis=0)],
+            (s_e + ds).tolist(), (l_e - log1p_x).tolist())):
         samples[key] += part
     return reason
 
@@ -644,105 +699,27 @@ def cointegrate_group(p, v0, opts=None):
     return _polar_flow(p, v0, opts, lift=True)
 
 
-def integrate_projective(p, v0, opts=None, cointegrate=False, record=False):
+def integrate_projective(p, v0, opts=None, cointegrate=False, affine=None):
     """Projectivized flow on the unit-sphere representative, clock s.
 
     Every state, the start included, goes through :func:`_projective_gauge`
     (|v| = 1). With ``cointegrate`` the trajectory also carries the group
     lift g' = 2i mu^ g, computed by :func:`_lift_path`, so [g(s) v0] = [v(s)].
-    With ``record`` or ``cointegrate`` it keeps its steps and log|v0|^2 in
-    ``step_records``, which :func:`affine_read_off` reads.
+    With ``affine`` options it also carries, in ``affine``, the affine flow
+    from v0 on their t grid, read off its own steps (:func:`_adaptive_flow`).
     """
     opts = opts or FlowOptions(t_max=PROJECTIVE_T_MAX)
     v0, u0, l0 = _unit_start(v0)
     if not v0.any():
         raise DiagnosticError("projective flow needs a nonzero start vector")
-    record = record or cointegrate    # the lift reads the steps too
     samples, stats = _adaptive_flow(_projective_kernel(energy_kernel(p)), u0, opts,
-                                    postprocess=_projective_gauge, record=record)
-    if record:    # l = log|v|^2 at the start, where the read-off's l begins
-        stats["step_records"]["l0"] = l0
-    return _pack(samples, stats, opts.eps_grad, lift=p if cointegrate else None)
-
-
-def affine_read_off(p, traj, opts):
-    """The affine flow from v0, read off the steps of the projective
-    trajectory ``traj`` of [v0], integrated with ``record``.
-
-    With u = v/|v|, l = log|v|^2 and ds = |v|^2 dt, Euler's identity
-    Re<grad f(v), v> = 4 f(v) gives dl/ds = -8 f^(u) and dt/ds = e^-l: l and
-    t are quadratures of the recorded stage energies, each step with its own
-    weights and extension, outside the error control. It ends at t =
-    ``opts.t_max``, at a step end where |grad f(v)| < ``opts.eps_grad`` or
-    at the end of ``traj``, past whose ``gradient_small`` v collapses in
-    closed form (:func:`_collapse`). One stacked energy call at the samples
-    (t = 0, the output grid and the end) gives f(v) = e^(2l) f(u) and |grad
-    f(v)| = e^(3l/2) |grad f(u)|; ``s`` is the clock of ``traj``.
-    """
-    records, n = traj.step_records, traj.v.shape[1]
-    h = np.array(records["h"])
-    dl = -8.0 * np.array(records["f"]).reshape(-1, 7)               # dl/ds at the stages
-    grad_hat = row_norms(np.array([ks[6] for ks in records["ks"]]).reshape(-1, n))
-    a, b, pp = _DP_A.real, _DP_B6.real, _DP_P.real
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        l_end = np.cumsum(np.concatenate([[records["l0"]], h * (dl[:, :6] @ b)]))
-        l_stage = np.column_stack([l_end[:-1, None] + h[:, None] * (dl[:, :5] @ a.T),
-                                   l_end[1:]])
-        dt = np.exp(-l_stage)                                           # dt/ds at the stages
-        t_end = np.concatenate([[0.0], np.cumsum(h * (dt[:, :6] @ b))])
-        # on the unit sphere grad f = grad f^ + 4 f^ u, and Re<grad f^, u> = 0
-        grad_end = np.exp(1.5 * l_end[1:]) * np.hypot(grad_hat, 0.5 * dl[:, 6])
-
-    t_e, l_e = t_end[-1], l_end[-1]    # where the primary ends
-    # the first step that ends past the horizon, or with a small gradient
-    k_cross = next(iter(np.flatnonzero(~(t_end[1:] < opts.t_max))), len(h))
-    k_small = next(iter(np.flatnonzero(grad_end < opts.eps_grad)), len(h))
-    if k_cross < len(h) and k_cross <= k_small:
-        reason, t_final = "t_max", opts.t_max
-    elif k_small < len(h):
-        reason, t_final = "gradient_small", t_end[k_small + 1]
-    elif traj.terminated_reason == "gradient_small":
-        # [v] has stopped at a critical point of f^, yet v keeps collapsing
-        f_e = np.float64(records["f"][-1])
-        reason, t_final = _collapse_end(t_e, l_e, f_e, grad_hat[-1], opts)
-    else:
-        reason, t_final = traj.terminated_reason, t_e
-    targets = np.array(_grid_to(t_final, opts.initial_step))
-
-    k = np.clip(np.searchsorted(t_end, targets, side="right") - 1, 0, max(len(h) - 1, 0))
-    hk = h[k]
-    # each sample's step k, and the fraction theta where the step's t meets it:
-    # Newton on the convex t(theta), clipped to the step, to round-off
-    t0 = t_end[k]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ct = dt[k] @ pp.T
-        theta = np.clip((targets - t0) / (t_end[k + 1] - t0), 0.0, 1.0)
-        for _ in range(50):
-            tp = theta[:, None] ** np.arange(5)
-            resid = t0 + hk * np.sum(ct * tp[:, 1:], axis=1) - targets
-            step = np.clip(theta - resid / (hk * np.sum(ct * _POWERS * tp[:, :4], axis=1)),
-                           0.0, 1.0) - theta
-            theta += step
-            if not np.abs(step).max(initial=0.0) > 1e-12:
-                break
-    theta[targets == t_end[k + 1]] = 1.0    # a step end keeps the clock's bits
-    tp = theta[:, None] ** _POWERS
-    ks = np.array([records["ks"][i] for i in k]).reshape(-1, 7, n)
-    y = np.array([records["y"][i] for i in k]).reshape(-1, n)
-    dense = y + hk[:, None] * (tp[:, None] @ (_DP_P @ ks))[:, 0]
-    u = np.concatenate([traj.v[:1], _projective_gauge(dense)])
-    ell = np.concatenate([l_end[:1], l_end[k] + hk * np.sum(tp * (dl @ pp.T)[k], axis=1)])
-    s = np.concatenate([[0.0], np.cumsum(np.concatenate([[0.0], h]))[k] + theta * hk])
-    past = np.concatenate([[False], targets > t_e])    # only past a gradient_small end
-    if past.any():
-        u[past] = traj.v[-1]
-        ell[past], s[past] = _collapse(targets[past[1:]], t_e, traj.t[-1], l_e, f_e)
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_u, grad_u = energy_kernel(p)(u)
-        return FlowTrajectory(t=np.concatenate([[0.0], targets]), s=s,
-                              v=np.exp(0.5 * ell)[:, None] * u, f=np.exp(2.0 * ell) * f_u,
-                              grad_norm=np.exp(1.5 * ell) * row_norms(grad_u),
-                              terminated_reason=reason, kind="affine", eps_grad=opts.eps_grad)
+                                    postprocess=_projective_gauge, record=cointegrate,
+                                    l0=None if affine is None else l0, affine=affine)
+    rows = stats.pop("affine", None)
+    traj = _pack(samples, stats, opts.eps_grad, lift=p if cointegrate else None)
+    if rows is not None:
+        traj.affine = _pack(*rows, affine.eps_grad, v0=v0)
+    return traj
 
 
 @dataclass

@@ -6,15 +6,15 @@ configured flow, runs the enabled analyses, writes ``trajectory.csv`` (plus
 ``report.txt`` with fixed section order, and returns the exit status the
 checks decide. One ``Run`` owns what the analyses share, so a run integrates
 each flow at most once and solves the torus oracle at most once. In
-projective mode the rates read the affine flow off the primary's own steps;
-only ``degeneration`` in affine or cointegrate mode integrates a second,
+projective mode the primary carries the affine flow the rates read; only
+``degeneration`` in affine or cointegrate mode integrates a second,
 projective leg. Everything is deterministic given the experiment and its
 seed; the seed only feeds the randomized verification samples of the
 normal-form analysis.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -23,17 +23,16 @@ from .algebra import GroupPresentation
 from .degeneration import (ANGLE_TOL, diagonal_torus, hermitian_generator,
                            limit_direction, oracle_angle, torus_oracle)
 from .errors import DiagnosticError, DomainError
-from .flow import (FlowOptions, _r_squared, affine_read_off, check_rates,
-                   cointegrate_group, fit_lojasiewicz, integrate_kempf_ness,
-                   integrate_projective)
+from .flow import (FlowOptions, _r_squared, check_rates, cointegrate_group,
+                   fit_lojasiewicz, integrate_kempf_ness, integrate_projective)
 from .normal_form import build_model, verify_closedness, verify_moment_identity
 from .symmetric_space import extract_asymptotic_ray
 
 SECTIONS = ("CONFIG", "FLOW", "RATES", "RAY", "DEGENERATION", "NORMAL_FORM",
             "VERDICT")
 
-# Horizon (clock t) of the affine flow the rates analysis reads off a
-# projective primary, and horizon (clock s) of the projective leg of the
+# Horizon (clock t) of the affine flow a projective primary carries for the
+# rates analysis, and horizon (clock s) of the projective leg of the
 # degeneration analysis in affine or cointegrate mode. Neither is an option.
 AFFINE_READ_OFF_T_MAX = 1e4
 PROJECTIVE_LEG_S_MAX = 200.0
@@ -69,8 +68,8 @@ class Run:
 
     ``primary`` is the configured flow, cointegrated when the ray analysis
     needs the group lift. ``affine`` and ``projective`` are the primary
-    flow when its kind matches. Otherwise ``affine`` is read off the
-    projective primary's steps, and ``projective`` is a leg of its own.
+    flow when its kind matches. Otherwise ``affine`` is the one the
+    projective primary carries, and ``projective`` is a leg of its own.
     """
 
     exp: Experiment
@@ -81,10 +80,10 @@ class Run:
         exp = self.exp
         p, v0, opts = exp.presentation, exp.v0, exp.flow_opts
         lift = "ray" in exp.analyses
-        if exp.mode == "projective":
-            # the rates read the affine flow off the primary's recorded steps
-            return integrate_projective(p, v0, opts, cointegrate=lift,
-                                        record="rates" in exp.analyses)
+        if exp.mode == "projective":    # carrying the affine flow of the rates
+            affine = (replace(opts, t_max=AFFINE_READ_OFF_T_MAX)
+                      if "rates" in exp.analyses else None)
+            return integrate_projective(p, v0, opts, cointegrate=lift, affine=affine)
         if exp.mode == "cointegrate" or lift:
             return cointegrate_group(p, v0, opts)
         return integrate_kempf_ness(p, v0, opts)
@@ -92,12 +91,7 @@ class Run:
     @cached_property
     def affine(self):
         """Affine trajectory, for the rates analysis."""
-        exp = self.exp
-        if exp.mode != "projective":
-            return self.primary
-        opts = FlowOptions(t_max=AFFINE_READ_OFF_T_MAX, eps_grad=exp.flow_opts.eps_grad,
-                           initial_step=exp.flow_opts.initial_step)
-        return affine_read_off(exp.presentation, self.primary, opts)
+        return self.primary.affine if self.exp.mode == "projective" else self.primary
 
     @cached_property
     def projective(self):
@@ -105,7 +99,7 @@ class Run:
         exp = self.exp
         if exp.mode == "projective":
             return self.primary
-        opts = FlowOptions(t_max=PROJECTIVE_LEG_S_MAX, eps_grad=exp.flow_opts.eps_grad)
+        opts = replace(exp.flow_opts, t_max=PROJECTIVE_LEG_S_MAX)
         return integrate_projective(exp.presentation, exp.v0, opts)
 
     @cached_property

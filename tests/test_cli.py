@@ -314,9 +314,10 @@ def test_rates_continue_past_a_projective_critical_point(tmp_path, weights, init
 
 def test_rates_read_off_steps_whose_clock_overflows(tmp_path):
     # with eps_grad = 1e-30 the projective flow runs on to s = 200, long after
-    # the read-off's t = 1e4; there l = log|v|^2 has fallen so far that
-    # dt/ds = e^-l overflows. The read-off samples none of those steps and
-    # warns nothing (a RuntimeWarning is an error under this suite's filter).
+    # the rates' t = 1e4; there l = log|v|^2 has fallen so far that dt/ds =
+    # e^-l overflows. The affine flow stops riding at t = 1e4, integrates
+    # none of those steps and warns nothing (a RuntimeWarning is an error
+    # under this suite's filter).
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("group.kind = torus\n"
                    "group.weights = 2; 4\n"
@@ -335,7 +336,7 @@ def test_rates_read_off_steps_whose_clock_overflows(tmp_path):
 
 
 @pytest.mark.parametrize("name, analyses, recorded", [
-    ("torus_12", None, True),
+    ("torus_12", None, False),
     ("torus_c3", None, True),
     ("su2_symd", None, True),
     ("su2_symd", ("degeneration", "oracle"), False),
@@ -350,6 +351,18 @@ def test_primary_records_its_steps_only_for_the_rates_or_the_lift(name, analyses
     primary = runner.Run(exp, 0).primary
     assert (primary.step_records is not None) == recorded
     assert (primary.g is not None) == ("ray" in exp.analyses)
+
+
+def test_projective_leg_keeps_the_flow_options_but_its_horizon(monkeypatch):
+    # degeneration in affine mode integrates a projective leg to s = 200 with
+    # the experiment's own initial_step, rtol and atol
+    calls = []
+    monkeypatch.setattr(runner, "integrate_projective",
+                        lambda p, v0, opts=None, **kw: calls.append(opts))
+    exp = replace(get_builtin("su2_symd"), mode="affine")
+    runner.Run(exp, 0).projective
+    assert calls == [replace(exp.flow_opts, t_max=runner.PROJECTIVE_LEG_S_MAX)]
+    assert (calls[0].rtol, calls[0].atol) == (1e-10, 1e-14)
 
 
 def test_projective_flow_from_a_zero_of_mu_exits_0(tmp_path):

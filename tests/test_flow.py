@@ -728,8 +728,8 @@ def test_rkf45_tableau_products_match_list_sums(rng):
 
 @pytest.mark.parametrize("name", ["torus_12", "torus_c3"])
 def test_affine_read_off_matches_the_affine_flow(name):
-    # the rates of a projective run read the affine flow off the primary's
-    # steps; on the final decade it tracks scipy's tight integration of the
+    # the rates of a projective run read the affine flow the primary carries
+    # off its steps; on the final decade it tracks scipy's tight integration of the
     # affine flow, and its fits agree with those of the polar affine run
     exp = get_builtin(name)
     read = Run(exp, 0).affine
@@ -753,11 +753,24 @@ def test_affine_read_off_matches_the_affine_flow(name):
         assert got.dist_plateau_ratio == pytest.approx(want.dist_plateau_ratio, rel=1e-6)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-50])
+def test_carried_affine_flow_ends_as_the_affine_run(scale):
+    # a start whose |v|^3 underflows is at rest for the affine flow at once;
+    # a small one that does not runs on to t = 1e4, on the same grid
+    p, v0 = torus_presentation([[2], [4]]), scale * np.array([0.6, 0.8])
+    carried = integrate_projective(p, v0, FlowOptions(t_max=200),
+                                   affine=FlowOptions(t_max=1e4)).affine
+    traj = integrate_kempf_ness(p, v0, FlowOptions(t_max=1e4))
+    assert carried.terminated_reason == traj.terminated_reason
+    assert len(carried) == len(traj) and np.all(np.isfinite(carried.t))
+    np.testing.assert_allclose(carried.t, traj.t, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("name", ["torus_12", "torus_c3"])
 def test_integrated_s_clock_matches_the_read_off(name):
-    # the read-off's s is the projective primary's own clock, and the polar
-    # affine run's s is its integrator's; both meet s = integral of |v|^2 dt
-    # from scipy's tight integration of the affine flow
+    # the carried affine flow's s is the projective primary's own clock, and
+    # the polar affine run's s is its integrator's; both meet s = integral of
+    # |v|^2 dt from scipy's tight integration of the affine flow
     exp = get_builtin(name)
     read = Run(exp, 0).affine
     traj = integrate_kempf_ness(exp.presentation, exp.v0, FlowOptions(t_max=1e4))

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import knot_states, random_presentation, random_vector
 from momentflow.flow import (SAMPLE_GROWTH, FlowOptions, _projective_kernel,
-                             affine_read_off, cointegrate_group,
-                             integrate_kempf_ness, integrate_projective)
+                             cointegrate_group, integrate_kempf_ness,
+                             integrate_projective)
 from momentflow.representation import energy_and_gradient, energy_kernel
 
 ENDED = {"t_max", "gradient_small"}
@@ -125,20 +125,23 @@ def test_long_affine_leg_keeps_a_dense_final_decade(seed):
        t_max=st.sampled_from([1.0, 1e2, 1e4]), eps_grad=st.sampled_from([1e-10, 1e-4, 1e-2]),
        basis_start=st.booleans())
 def test_affine_read_off_invariants(seed, s_max, t_max, eps_grad, basis_start):
-    # the projective flow keeps the default eps_grad, so that each of the
-    # ends of the read-off occurs; a start on a basis vector, a weight
-    # vector of the presentations' torus, sits at a critical point of f^
+    # the affine flow a projective run carries, read off its steps; the
+    # projective flow keeps the default eps_grad, so that each of the ends of
+    # the affine rows occurs; a start on a basis vector, a weight vector of
+    # the presentations' torus, sits at a critical point of f^. The run is
+    # lifted only for its step records, which give the step ends.
     rng = np.random.default_rng(seed)
     p = random_presentation(rng)
     v0 = random_vector(rng, p.dim_v)
     if basis_start:
         v0 = v0 * np.eye(p.dim_v)[rng.integers(p.dim_v)]
-    proj = integrate_projective(p, v0, FlowOptions(t_max=s_max), record=True)
-    read = affine_read_off(p, proj, FlowOptions(t_max=t_max, eps_grad=eps_grad))
+    proj = integrate_projective(p, v0, FlowOptions(t_max=s_max), cointegrate=True,
+                                affine=FlowOptions(t_max=t_max, eps_grad=eps_grad))
+    read = proj.affine
 
     assert read.t[0] == 0.0 and np.all(np.diff(read.t) > 0)
     # no energy guard of its own: below about 1e-15 f(0), where the states'
-    # error swamps |mu|, the read-off's f may wobble
+    # error swamps |mu|, the affine rows' f may wobble
     assert np.all(read.f[1:] <= read.f[:-1] * (1 + 1e-12) + 1e-15 * read.f[0])
     n2 = read.v_norm ** 2    # l = log |v|^2 never rises either
     assert np.all(n2[1:] <= n2[:-1] * (1 + 1e-12))

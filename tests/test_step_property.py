@@ -4,7 +4,7 @@ random presentations, affine and projective with the gauge, and step sizes
 1e-3 to 1. The reference keeps the tableau as float rows, writes each slope
 as ``-grad`` and normalizes with ``np.linalg.norm``; the builtins' output
 files are reproducible across such rewrites only if these agree. The inner
-stages' energies, which the affine read-off integrates, agree too."""
+stages' energies, which a projective run's affine rows integrate, agree too."""
 
 import numpy as np
 from hypothesis import given, settings
