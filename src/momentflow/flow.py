@@ -70,11 +70,8 @@ class FlowTrajectory:
     trajectory holds g at the samples, and at the knots of the lift (the
     samples and the ends of the steps that hold none, in the trajectory's
     clock) in ``knots`` and ``g_knots``; ``lift_residual`` is max |g v0 - v|
-    / |v0| over the knots, projectively up to phase. ``step_records`` keeps
-    the steps of a lifted run: lists ``y`` (start states, and a polar run's
-    final state), ``h`` and ``ks`` (stages); a polar run's ``t`` and ``l`` =
-    log|v|^2 with each ``y``. ``affine`` is the affine flow a projective run
-    integrated with ``affine`` options carries.
+    / |v0| over the knots, projectively up to phase. ``affine`` is the affine
+    flow a projective run integrated with ``affine`` options carries.
     """
 
     t: np.ndarray
@@ -92,7 +89,6 @@ class FlowTrajectory:
     h_min: float = np.nan
     h_max: float = np.nan
     lift_residual: float | None = None
-    step_records: dict | None = field(default=None, repr=False, compare=False)
     knots: np.ndarray | None = field(default=None, repr=False, compare=False)
     g_knots: np.ndarray | None = field(default=None, repr=False, compare=False)
     affine: "FlowTrajectory | None" = field(default=None, repr=False, compare=False)
@@ -163,11 +159,11 @@ _DP_A, _DP_B6, _DP_E, _DP_P = (x.astype(complex) for x in (_DP_A, _DP_B[:6], _DP
 _POWERS = np.arange(1, 5)
 
 
-def _rkf45_step(energy, y, h, k1, postprocess=None):
+def _rkf45_step(energy, y, h, k1):
     """One Dormand-Prince step from y, whose slope k1 = -grad is known.
 
-    Returns (y_new, f_new, ks, fs, err): the fifth-order solution (passed
-    through ``postprocess(y)``), its energy, the seven stages, the energies
+    Returns (y_new, f_new, ks, fs, err): the fifth-order solution (through
+    :func:`_projective_gauge`), its energy, the seven stages, the energies
     of the five inner stages and the embedded error estimate. The last stage
     is the slope at y_new, so a step makes six energy calls. A non-finite
     y_new is not evaluated: f_new and the last stage are NaN.
@@ -183,8 +179,7 @@ def _rkf45_step(energy, y, h, k1, postprocess=None):
     y_new = y + h * (_DP_B6 @ ks[:6])
     f_new, ks[6] = np.nan, np.nan
     if np.isfinite(y_new).all():
-        if postprocess is not None:
-            y_new = postprocess(y_new)
+        y_new = _projective_gauge(y_new)
         f_new, grad = energy(y_new)
         np.negative(grad, out=ks[6])
     return y_new, f_new, ks, fs, h * (_DP_E @ ks)
@@ -231,34 +226,32 @@ def _t_grid_rows(nxt, t0, t1, l, cl, ct, opts):
     extended by cl, ct (:func:`_polar_step`): their t from the grid point
     ``nxt`` on, step fractions theta and l, the grid point after them, and
     whether the step reaches ``t_max``, then the last row. A grid point
-    within round-off of the step's end is no row of it."""
+    within round-off of the step's end is no row of it (:func:`_walk_grid`)."""
     last = t1 >= opts.t_max * (1 - 1e-15)
-    end, ts = opts.t_max if last else t1, []
-    while nxt < end * (1 - 1e-15):
-        ts.append(nxt)
-        nxt = _grid_after(nxt, opts.initial_step)
+    ts, nxt = _walk_grid(nxt, opts.t_max if last else t1, opts.initial_step)
     ts += [opts.t_max] if last else []
     thetas = [_theta_in_step(x, t0, t1, ct) for x in ts]
     ls = [l + x * (cl[0] + x * (cl[1] + x * (cl[2] + x * cl[3]))) for x in thetas]
     return ts, thetas, ls, nxt, last
 
 
-def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None, affine=None):
+def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
     """Shared integrator of y' = -grad; returns (samples, stats), stats the
     trajectory's ``terminated_reason``, ``steps``, ``rejected``,
-    ``evaluations``, ``h_min``, ``h_max`` and ``step_records``.
+    ``evaluations``, ``h_min`` and ``h_max``, and the ``step_records`` that
+    :func:`_pack` drops. Every state goes through :func:`_projective_gauge`.
 
     ``energy(y) -> (f, grad)`` takes a state (n,) or a stack (q, n). The
-    grid points inside a step are read off its continuous extension as one
-    block, with one ``postprocess`` and one stacked ``energy`` call; a step
-    end is a sample only on the grid, the final state always. The end of a
-    step that holds no sample is a lift knot only, a row listed in
+    grid points inside a step (:func:`_walk_grid`) are read off its
+    continuous extension as one block, with one stacked ``energy`` call; a
+    step end is a sample only on the grid, the final state always. The end
+    of a step that holds no sample is a lift knot only, a row listed in
     ``samples["knots_only"]``. A step is rejected when its new state is not
     finite (``"nonfinite"``, also on a silent overflow), when the error test
     fails (``"error"``) or when f would rise, by more than 1e-12 of it and
     its round-off eps |y| |grad f|, at its end or at a sample (``"energy"``).
-    With ``record`` each step keeps its start state, size and stages in
-    lists, for the lift.
+    With ``record`` each accepted step keeps its start state, size and
+    stages in lists, for the lift; else ``step_records`` is None.
 
     With ``l0`` = log|v0|^2 it is the affine flow from e^(l0/2) y0 in polar
     form: ``energy`` is f^ on the sphere, and l and the time t, the grid's
@@ -274,15 +267,15 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None, af
     rows on the t grid of ``affine`` are placed in each accepted step as the
     polar rows are. The ride ends in the step that reaches ``affine.t_max``,
     at a step end where |grad f(v)| < ``affine.eps_grad`` (at once if |v|^3
-    underflows), or with the run, past whose ``gradient_small`` v collapses. One stacked ``energy`` call
-    after the run gives the rows' f^ and slopes, outside the energy guard
-    and ``evaluations``; ``stats["affine"]`` holds the rows and their stats.
+    underflows), or with the run, past whose ``gradient_small`` v collapses.
+    One stacked ``energy`` call after the run gives the rows' f^ and slopes,
+    outside the energy guard and ``evaluations``; ``stats["affine"]`` holds
+    the rows and their stats.
     """
     polar, riding = l0 is not None and affine is None, affine is not None
     samples = {"t": [], "f": [], "v": [], "d": [], "s": [], "l": []}
     knots_only, hs = [], []
-    records = dict(y=[], h=hs, ks=[], **(dict(t=[], l=[]) if polar else {})
-                   ) if record else None
+    records = dict(y=[], h=hs, ks=[]) if record else None
 
     def emit(ts, fs, vs, ds, ss=(), ls=()):    # consecutive rows; vs, ds are (m, n)
         for key, part in zip(samples, (ts, fs, [vs], [ds], ss, ls), strict=True):
@@ -295,21 +288,13 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None, af
         for key, part in zip(("t", "s", "l", "v"), (ts, ss, ls, [us])):
             rows[key] += part
 
-    def record_state():    # a step's start, or a polar run's end, with its t and l
-        records["y"].append(y)
-        if polar:
-            records["t"].append(clock)
-            records["l"].append(l)
-
     def finish(reason):
         # a polar run that ends t_max has its last sample inside its last step
         if samples["t"][-1] != clock and not (polar and reason == "t_max"):
             knots_only.append(len(samples["t"]))
             emit_state()
         if polar and reason == "gradient_small":    # v may collapse on past it
-            reason = _collapse_rows(samples, opts)
-        if polar and record:
-            record_state()
+            reason = _collapse_rows(samples, opts, grid)
         if knots_only[-1:] == [len(samples["t"]) - 1]:
             knots_only.pop()    # the final state is a sample
         samples["knots_only"] = knots_only
@@ -321,9 +306,9 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None, af
                 ride([t_a], [t], [l_a], y[None])
             f_a, grad_a = energy(np.concatenate(rows["v"]))
             rows.update(f=f_a.tolist(), d=[-grad_a], knots_only=[])
-            end_a = reason_a
-            if riding:    # past a gradient_small end v collapses on
-                end_a = _collapse_rows(rows, affine) if reason == "gradient_small" else reason
+            end_a = reason if riding else reason_a
+            if riding and reason == "gradient_small":    # v collapses on past it
+                end_a = _collapse_rows(rows, affine, grid_a)
             stats["affine"] = rows, dict(terminated_reason=end_a)
         return samples, stats
 
@@ -343,8 +328,7 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None, af
         steps, rejected = 0, {"error": 0, "energy": 0, "nonfinite": 0}
         if not (math.isfinite(f) and np.isfinite(grad).all()):
             return finish("nonfinite")
-        grid = opts.initial_step    # the next output-grid point
-        h = opts.initial_step
+        grid = h = opts.initial_step    # the next output-grid point, and the step
         while True:
             if riding:    # it ends where |grad f(v)| < eps_grad, as a polar run does
                 cube_a = math.exp(min(1.5 * l_a, 709.0))
@@ -368,7 +352,7 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None, af
                 raise DiagnosticError("integrator exceeded the step budget")
 
             h_eff = min(h, (opts.t_max - clock) * math.exp(min(l, 709.0)))
-            y_new, f_new, ks, fs_in, err = _rkf45_step(energy, y, h_eff, k1, postprocess)
+            y_new, f_new, ks, fs_in, err = _rkf45_step(energy, y, h_eff, k1)
             evaluations += 6
             t_new = clock_new = t + h_eff
             l_new = l
@@ -393,16 +377,12 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None, af
                 inside, thetas, l_in, nxt, last = _t_grid_rows(
                     grid, clock, clock_new, l, cl, ct, opts)
             else:
-                inside, nxt, last = [], grid, False
-                while nxt < clock_new:
-                    inside.append(nxt)
-                    nxt = _grid_after(nxt, opts.initial_step)
+                (inside, nxt), last = _walk_grid(grid, clock_new, opts.initial_step), False
                 thetas = [(x - t) / h_eff for x in inside]
             # f along the step, from the lower of the state and the last sample
             fs = [min(f, samples["f"][-1])]
             if inside:
-                dense, f_in, d_in = _read_grid(energy, y, h_eff, ks, np.array(thetas)[:, None],
-                                               postprocess)
+                dense, f_in, d_in = _read_grid(energy, y, h_eff, ks, np.array(thetas)[:, None])
                 evaluations += len(inside)
                 fs += f_in
             fs.append(f_new)
@@ -415,7 +395,7 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None, af
             steps += 1
             hs.append(h_eff)
             if record:
-                record_state()
+                records["y"].append(y)
                 records["ks"].append(ks)
             if inside:    # polar rows keep their s, and l off its extension
                 emit(inside, f_in, dense, d_in,
@@ -426,7 +406,7 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None, af
                     grid_a, t_a, t_a1, l_a, cl, ct, affine)
                 if ts:
                     ride(ts, [t + x * h_eff for x in thetas], ls,
-                         postprocess(_extension(y, h_eff, ks, np.array(thetas)[:, None])))
+                         _projective_gauge(_extension(y, h_eff, ks, np.array(thetas)[:, None])))
                 t_a, l_a = t_a1, l_a1
                 if last_a:
                     riding, reason_a = False, "t_max"
@@ -440,8 +420,7 @@ def _adaptive_flow(energy, y0, opts, postprocess=None, record=False, l0=None, af
                 knots_only.append(len(samples["t"]))
                 emit_state()
             grid = _grid_after(nxt, opts.initial_step) if nxt <= clock else nxt
-            growth = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-            h = h_eff * growth
+            h = h_eff * (5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2)))
 
 
 def _never_rises(fs, slack=0.0):
@@ -455,19 +434,27 @@ def _grid_after(tg, initial_step):
     return tg + max(initial_step, SAMPLE_GROWTH * tg)
 
 
+def _walk_grid(nxt, end, initial_step):
+    """The output-grid points from the grid point ``nxt`` on that lie below
+    ``end`` by more than 1e-15 of it, and the grid point after them."""
+    ts = []
+    while nxt < end * (1 - 1e-15):
+        ts.append(nxt)
+        nxt = _grid_after(nxt, initial_step)
+    return ts, nxt
+
+
 def _extension(y, h, ks, theta):
     """States (q, n) at step fractions ``theta`` (q, 1) of a step's extension."""
     return y + h * (theta ** _POWERS @ (_DP_P @ ks))
 
 
-def _read_grid(energy, y, h, ks, theta, postprocess=None):
-    """States (q, n), energy list and slopes d = -grad (q, n) of the samples at
-    step fractions ``theta`` (q, 1) of the continuous extension; one row goes
-    in as a state (n,), for the kernels' cheaper one-state branch (same bits)."""
+def _read_grid(energy, y, h, ks, theta):
+    """Gauged states (q, n), energy list and slopes d = -grad (q, n) at step
+    fractions ``theta`` (q, 1) of the continuous extension; one row goes in
+    as a state (n,), for the kernels' cheaper one-state branch (same bits)."""
     dense = _extension(y, h, ks, theta)
-    x = dense[0] if len(dense) == 1 else dense
-    if postprocess is not None:
-        x = postprocess(x)
+    x = _projective_gauge(dense[0] if len(dense) == 1 else dense)
     f, grad = energy(x)
     return x.reshape(dense.shape), np.atleast_1d(f).tolist(), -grad.reshape(dense.shape)
 
@@ -496,9 +483,11 @@ def _scaled_norms(x):
 
 def _pack(samples, stats, eps_grad, lift=None, v0=None):
     """The trajectory of the sample rows, lifted over all rows (the knots) in s
-    with a presentation ``lift``. A polar run's rows (u, f^, -grad f^) give
-    the affine v = e^(l/2) u (``v0`` first), f = e^(2l) f^ and |grad f| =
-    e^(3l/2) hypot(|grad f^|, 4 f^), as Re<grad f^, u> = 0."""
+    with a presentation ``lift`` off the ``step_records`` of ``stats``, which
+    it drops. A polar run's rows (u, f^, -grad f^) give the affine v =
+    e^(l/2) u (``v0`` first), f = e^(2l) f^ and |grad f| = e^(3l/2)
+    hypot(|grad f^|, 4 f^), as Re<grad f^, u> = 0."""
+    records = stats.pop("step_records", None)
     t = np.array(samples["t"])
     v, d = np.concatenate(samples["v"]), np.concatenate(samples["d"])
     f = np.array(samples["f"])
@@ -514,16 +503,14 @@ def _pack(samples, stats, eps_grad, lift=None, v0=None):
             v[0] = v0
     knots = g_knots = residual = None
     if lift is not None:
-        knots = t
-        g_knots = _lift_path(lift, s, _step_extension(stats["step_records"], v.shape[1]))
+        knots, g_knots = t, _lift_path(lift, s, _step_extension(records, v.shape[1]))
         residual = _lift_residual(g_knots, v, not polar)
     g = g_knots
     if samples["knots_only"]:
         keep = np.ones(len(t), dtype=bool)
         keep[samples["knots_only"]] = False
         t, v, f, grad_norm, s = t[keep], v[keep], f[keep], grad_norm[keep], s[keep]
-        if g is not None:
-            g = g[keep]
+        g = None if g is None else g[keep]
     return FlowTrajectory(t=t, v=v, f=f, grad_norm=grad_norm, s=s, g=g,
                           kind="affine" if polar else "projective", eps_grad=eps_grad,
                           lift_residual=residual, knots=knots, g_knots=g_knots, **stats)
@@ -609,6 +596,17 @@ def _projective_kernel(energy):
     return projective
 
 
+def _sphere_kernel(energy):
+    """f and grad f - 4 f u from the bound kernel ``energy`` of f, of a state
+    (n,) or a stack (q, n): on the unit sphere f^ and grad f^, and they
+    leave it invariant, d|u|^2/ds = -8 f (1 - |u|^2), cheaper than f^'s."""
+    def sphere(u):
+        f, grad = energy(u)
+        return f, grad - (4.0 * f if u.ndim == 1 else (4.0 * f)[:, None]) * u
+
+    return sphere
+
+
 def _projective_gauge(y):
     """The representative y / |y| with |v| = 1 of a state (n,) or, bit for
     bit row by row, of a stack (q, n). No phase is fixed: f^ is
@@ -632,28 +630,20 @@ def _unit_start(v0):
 def _polar_flow(p, v0, opts, lift):
     """The affine flow from v0 in polar form (:func:`_adaptive_flow`), lifted
     if ``lift``; a zero v0 (l0 = -inf) is a fixed point, its only sample."""
-    opts, kernel = opts or FlowOptions(), energy_kernel(p)
-
-    # f and grad f - 4 f u, which are f^ and grad f^ on the unit sphere and
-    # leave it invariant, d|u|^2/ds = -8 f (1 - |u|^2), cheaper than f^'s
-    def sphere(u):
-        f, grad = kernel(u)
-        return f, grad - (4.0 * f if u.ndim == 1 else (4.0 * f)[:, None]) * u
-
+    opts = opts or FlowOptions()
     v0, u0, l0 = _unit_start(v0)
-    samples, stats = _adaptive_flow(sphere, u0, opts, postprocess=_projective_gauge,
-                                    record=lift, l0=l0)
-    return _pack(samples, stats, opts.eps_grad, p if lift else None, v0)
+    samples, stats = _adaptive_flow(_sphere_kernel(energy_kernel(p)), u0, opts, record=lift, l0=l0)
+    return _pack(samples, stats, opts.eps_grad, lift=p if lift else None, v0=v0)
 
 
-def _collapse_rows(samples, opts):
+def _collapse_rows(samples, opts, nxt):
     """Append the rows past a polar run's ``gradient_small`` end on the rest
-    of the output grid, where u_e is a critical point of f^ = f_e and v
-    collapses along it; their reason. e^-l = e^-l_e + 8 f_e (t - t_e) gives
-    l = l_e - log(1 + x), x = 8 f_e e^l_e (t - t_e), and s - s_e = log(1 +
-    x) / (8 f_e), taken from log x. The rows end where |grad f(v)| =
-    e^(3l/2) hypot(|grad f^|, 4 f_e) falls below eps_grad (none if it is
-    there already), or at t_max."""
+    of the output grid, from its grid point ``nxt`` on and after the end,
+    where u_e is a critical point of f^ = f_e and v collapses along it; their
+    reason. e^-l = e^-l_e + 8 f_e (t - t_e) gives l = l_e - log(1 + x), x =
+    8 f_e e^l_e (t - t_e), and s - s_e = log(1 + x) / (8 f_e), taken from
+    log x. The rows end where |grad f(v)| = e^(3l/2) hypot(|grad f^|, 4 f_e)
+    falls below eps_grad (none if it is there already), or at t_max."""
     t_e, s_e, l_e, f_e = (samples[key][-1] for key in ("t", "s", "l", "f"))
     u_e, d_e = samples["v"][-1][-1:], samples["d"][-1][-1:]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -665,7 +655,8 @@ def _collapse_rows(samples, opts):
         t_small = t_e - np.exp(-l_small) * np.expm1(l_small - l_e) / (8.0 * f_e)
         reason, t_final = (("gradient_small", t_small) if t_small < opts.t_max
                            else ("t_max", opts.t_max))
-        t = np.array(_grid_to(t_final, opts.initial_step, after=t_e))
+        ts, _ = _walk_grid(nxt, t_final, opts.initial_step)
+        t = np.array([x for x in ts if x > t_e] + ([t_final] if t_final > t_e else []))
         log1p_x = np.logaddexp(0.0, l_e + np.log(8.0 * f_e * (t - t_e)))
         ds = log1p_x / (8.0 * f_e) if f_e > 0 else np.exp(l_e) * (t - t_e)
     q = len(t)
@@ -674,16 +665,6 @@ def _collapse_rows(samples, opts):
             (s_e + ds).tolist(), (l_e - log1p_x).tolist())):
         samples[key] += part
     return reason
-
-
-def _grid_to(t_end, initial_step, after=0.0):
-    """The output grid in (``after``, t_end) to round-off, then t_end."""
-    out, tg = [], initial_step
-    while tg < t_end * (1 - 1e-15):
-        if tg > after:
-            out.append(tg)
-        tg = _grid_after(tg, initial_step)
-    return out + [t_end] if t_end > after else out
 
 
 def integrate_kempf_ness(p, v0, opts=None):
@@ -713,8 +694,8 @@ def integrate_projective(p, v0, opts=None, cointegrate=False, affine=None):
     if not v0.any():
         raise DiagnosticError("projective flow needs a nonzero start vector")
     samples, stats = _adaptive_flow(_projective_kernel(energy_kernel(p)), u0, opts,
-                                    postprocess=_projective_gauge, record=cointegrate,
-                                    l0=None if affine is None else l0, affine=affine)
+                                    record=cointegrate, affine=affine,
+                                    l0=None if affine is None else l0)
     rows = stats.pop("affine", None)
     traj = _pack(samples, stats, opts.eps_grad, lift=p if cointegrate else None)
     if rows is not None:

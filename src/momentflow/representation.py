@@ -45,10 +45,11 @@ def infinitesimal_action(p, v):
 
 
 def moment_map(p, v):
-    """Metric-lowered moment map: component a is 1/2 Omega0(xi_a v, v)."""
+    """Metric-lowered moment map of a vector (n,) or a stack (..., n), shape
+    (..., k): component a is 1/2 Omega0(xi_a v, v) = 1/2 Im v^dagger (xi_a v)."""
     v = np.asarray(v, dtype=complex)
-    # <xi_a v, v> = v^dagger (xi_a v); Im of it is the pairing numerator
-    return 0.5 * (v.conj() @ infinitesimal_action(p, v)).imag
+    lv = (p.basis @ v[..., None, :, None])[..., 0]          # (..., k, n): xi_a v
+    return 0.5 * np.einsum("...i,...ai->...a", v.conj(), lv).imag
 
 
 def projective_moment_map(p, v):
@@ -98,14 +99,7 @@ def flow_generator(p, v):
     ``v`` may carry leading batch axes (..., n); the result is (..., n, n),
     so the lift of a whole trajectory block takes one call.
     """
-    v = np.asarray(v, dtype=complex)
-    return 2j * p.matrix(p.sharp(_lowered_moments(p, v)[..., None])[..., 0])
-
-
-def _lowered_moments(p, v):
-    """moment_map over a stack of vectors (..., n); the result is (..., k)."""
-    lv = (p.basis @ v[..., None, :, None])[..., 0]          # (..., k, n): xi_a v
-    return 0.5 * np.einsum("...i,...ai->...a", v.conj(), lv).imag
+    return 2j * p.matrix(p.sharp(moment_map(p, v)[..., None])[..., 0])
 
 
 def kempf_ness_value(p, v0, path):
@@ -133,7 +127,7 @@ def kempf_ness_value(p, v0, path):
     if (n2 <= MIN_NORM**2).any():
         raise DegenerateInputError("projective moment map is undefined near v = 0")
     eta = p.coords_of(-1j * hermitian_part(x))  # x = xi + J0 eta, in g-coordinates
-    return -4.0 * float(np.sum(_lowered_moments(p, w) / n2[:, None] * eta))
+    return -4.0 * float(np.sum(moment_map(p, w) / n2[:, None] * eta))
 
 
 def _step_logs(e):

@@ -1,8 +1,9 @@
-import itertools
+import contextlib
 
 import numpy as np
 import pytest
 
+from momentflow import flow
 from momentflow.algebra import (TAU_ALG, su2_presentation, su2_sym_presentation,
                                 torus_presentation, un_presentation)
 from momentflow.representation import energy_and_gradient
@@ -55,30 +56,32 @@ def random_vector(rng, n, scale=1.0):
     return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
-def knot_states(traj):
-    """The state at each knot of a lifted trajectory's lift: a sample's
-    state, else the state that starts the recorded step beginning there. An
-    affine run steps in polar form and records each step's start u with its
-    t and l = log|v|^2, and its final state likewise; there v = e^(l/2) u."""
-    records = traj.step_records
-    if traj.kind == "affine":
-        starts = records["t"]
-        ys = np.exp(0.5 * np.array(records["l"]))[:, None] * np.array(records["y"])
-    else:
-        starts = itertools.accumulate(records["h"][:-1], initial=0.0)
-        ys = records["y"]
-    states = dict(zip(starts, ys))
-    states.update(zip(traj.t.tolist(), traj.v))
-    return np.array([states[t] for t in traj.knots.tolist()])
+@contextlib.contextmanager
+def packed():
+    """Spy on ``flow._pack`` inside the block; yields ``lookup(traj)``, which
+    gives a trajectory packed there as (records, states, clocks): the step
+    records its lift read, which no trajectory keeps, and the state and the
+    integrator clock s at each knot of the lift. The knots are the rows
+    ``_pack`` receives before it drops those that are no sample; a polar
+    run's row u with its l = log|v|^2 is the state v = e^(l/2) u, the first
+    one v0 itself, and carries its s."""
+    seen = []
 
+    def spy(samples, stats, eps_grad, lift=None, v0=None, _pack=flow._pack):
+        records = stats.get("step_records")
+        states = np.concatenate(samples["v"])
+        clocks = np.array(samples["s"] if samples["l"] else samples["t"])
+        if samples["l"]:
+            with np.errstate(over="ignore", invalid="ignore"):    # as _pack
+                states = np.exp(0.5 * np.array(samples["l"]))[:, None] * states
+            states[0] = v0
+        traj = _pack(samples, stats, eps_grad, lift=lift, v0=v0)
+        seen.append((traj, (records, states, clocks)))
+        return traj
 
-def knot_clocks(traj):
-    """The integrator's clock s at each knot of a lifted trajectory, which
-    its lift runs in: the knots themselves for a projective run; for an
-    affine one a sample's s, else the running sum of the step sizes."""
-    if traj.kind == "projective":
-        return traj.knots
-    records = traj.step_records
-    clocks = dict(zip(records["t"], itertools.accumulate(records["h"], initial=0.0)))
-    clocks.update(zip(traj.t.tolist(), traj.s))
-    return np.array([clocks[t] for t in traj.knots.tolist()])
+    def lookup(traj):
+        return next(out for packed_traj, out in seen if packed_traj is traj)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_pack", spy)
+        yield lookup

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 from functools import partial
 
 import numpy as np
@@ -9,7 +11,7 @@ from scipy.integrate import solve_ivp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import knot_clocks, knot_states, random_presentation, random_vector
+from conftest import packed, random_presentation, random_vector
 from momentflow import flow
 from momentflow.algebra import (direct_sum_presentation, su2_sym_presentation,
                                 torus_presentation, un_presentation)
@@ -113,12 +115,12 @@ def test_cointegrate_lift_consistency():
     assert worst <= 1e-6 * np.linalg.norm(v0)
 
 
-def _reference_lift_residual(traj):
-    """The lift's residual one knot at a time: |g v0 - v| / |v0|, or for a
-    projective trajectory |e^{i theta} w - v| with w = g v0 / |g v0| and the
-    phase e^{i theta} of <v, w>, conjugated."""
+def _reference_lift_residual(traj, states):
+    """The lift's residual one knot at a time, the knots' ``states`` v:
+    |g v0 - v| / |v0|, or for a projective trajectory |e^{i theta} w - v|
+    with w = g v0 / |g v0| and the phase e^{i theta} of <v, w>, conjugated."""
     v0, worst = traj.v[0], 0.0
-    for g, v in zip(traj.g_knots, knot_states(traj)):
+    for g, v in zip(traj.g_knots, states, strict=True):
         w = g @ v0
         if traj.kind == "projective":
             w = w / np.linalg.norm(w)
@@ -133,9 +135,11 @@ def test_lift_residual_is_the_lift_check():
     p = su2_sym_presentation(3)
     v0 = np.array([1.0, 0.3 - 0.2j, -0.5, 0.7j])
     opts = FlowOptions(t_max=50.0)
-    for traj in (cointegrate_group(p, v0, opts),
-                 integrate_projective(p, v0, opts, cointegrate=True)):
-        want = _reference_lift_residual(traj)
+    with packed() as knots_of:
+        trajs = (cointegrate_group(p, v0, opts),
+                 integrate_projective(p, v0, opts, cointegrate=True))
+    for traj in trajs:
+        want = _reference_lift_residual(traj, knots_of(traj)[1])
         assert 0 < want <= 1e-6
         assert traj.lift_residual == pytest.approx(want, rel=1e-6)
         # the samples are knots, and g at a sample is g at its knot
@@ -367,7 +371,7 @@ def test_one_energy_evaluation_per_state(monkeypatch):
     # the bound energy kernel counts evaluated states: one per one-state
     # call, a row per state of a stacked call
     calls = {"energy": 0, "stacked": 0, "flow_generator": 0, "_rkf45_step": 0, "expm": 0}
-    step_sizes = []
+    step_sizes, step_ends = [], set()
 
     def counting_kernel(p, _bind=flow.energy_kernel):
         kernel = _bind(p)
@@ -386,6 +390,12 @@ def test_one_energy_evaluation_per_state(monkeypatch):
                 step_sizes.append(args[2])
             return _fn(*args)
         monkeypatch.setattr(owner, name, counted)
+
+    def polar_step(*args, _fn=flow._polar_step):
+        out = _fn(*args)
+        step_ends.add(out[1])    # t at the step's end; no step is rejected here
+        return out
+    monkeypatch.setattr(flow, "_polar_step", polar_step)
     traj = cointegrate_group(torus_presentation([[1], [2]]), [1.0, 1.0] / np.sqrt(2),
                              FlowOptions(t_max=1e3))
     samples, intervals = len(traj) - 1, len(traj.knots) - 1
@@ -394,11 +404,10 @@ def test_one_energy_evaluation_per_state(monkeypatch):
     assert traj.rejected == {"error": 0, "energy": 0, "nonfinite": 0}
     assert calls["_rkf45_step"] == traj.steps
     assert traj.steps <= 2 * samples / 3     # the output grid does not set the step
-    # the polar steps record t at every step end; no sample after t = 0 lies
+    # the polar steps give t at every step end; no sample after t = 0 lies
     # on one here, the last at t_max included: each was read off a step's
     # continuous extension
-    ends = set(traj.step_records["t"])
-    interior = sum(t not in ends for t in traj.t[1:])
+    interior = sum(t not in step_ends for t in traj.t[1:])
     assert interior == samples
     # the start state, then five new stages and the new state per step, and
     # one evaluation per interior grid sample, a row of at most one stacked
@@ -458,9 +467,18 @@ def test_samples_lie_on_the_output_grid():
 # -- rejected steps, by cause ------------------------------------------------
 
 def _quadratic(y):
-    """f = |y|^2 of a state (n,) or of each row of a stack (q, n), whose flow
-    y' = -2y decays without crossing zero."""
-    return (y.conj() * y).real.sum(axis=-1), 2.0 * y
+    """f = |y_0|^2 and grad f - 4 f y of a state (n,) or of each row of a
+    stack (q, n): on the unit sphere, which every step is gauged to, the
+    energy f^ = |y_0|^2 / |y|^2 and its gradient, whose flow from
+    ``_NEAR_E1`` decays as y_0' = -2 y_0 without crossing zero."""
+    f = (y[..., 0].conj() * y[..., 0]).real
+    grad = np.zeros_like(y)
+    grad[..., 0] = 2.0 * y[..., 0]
+    return f, grad - (4.0 * f)[..., None] * y
+
+
+# A unit start near the minimum e_1 of ``_quadratic`` on the sphere.
+_NEAR_E1 = np.array([1e-3, 1.0]) / np.hypot(1e-3, 1.0)
 
 
 def _undefined_below_zero(y):
@@ -480,9 +498,9 @@ def test_rejection_by_local_error_is_counted():
 
 def test_rejection_by_energy_increase_is_counted():
     # h = 2 puts -2h = -4 outside the real stability interval of the pair,
-    # so |y| grows; a loose atol lets the error test pass, the guard rejects
+    # so |y_0| grows; a loose atol lets the error test pass, the guard rejects
     samples, stats = flow._adaptive_flow(
-        _quadratic, [1.0], FlowOptions(t_max=2.0, initial_step=2.0, atol=1e3))
+        _quadratic, _NEAR_E1, FlowOptions(t_max=2.0, initial_step=2.0, atol=1e3))
     assert stats["rejected"] == {"error": 0, "energy": 1, "nonfinite": 0}
     assert stats["steps"] == 2 and samples["t"][-1] == 2.0
 
@@ -491,7 +509,7 @@ def test_rejection_by_nonfinite_state_is_counted():
     # the fourth stage of a unit step overshoots below zero, where this
     # energy is undefined; the half step stays positive
     samples, stats = flow._adaptive_flow(
-        _undefined_below_zero, [1.0], FlowOptions(t_max=1.0, initial_step=1.0, atol=1e3))
+        _undefined_below_zero, _NEAR_E1, FlowOptions(t_max=1.0, initial_step=1.0, atol=1e3))
     assert stats["rejected"] == {"error": 0, "energy": 0, "nonfinite": 1}
     assert stats["steps"] == 2 and samples["t"][-1] == 1.0
 
@@ -508,7 +526,7 @@ def test_evaluations_count_rejected_steps(cause, opts, nonfinite_below_zero):
         calls.append(1 if y.ndim == 1 else len(y))
         return (_undefined_below_zero if nonfinite_below_zero else _quadratic)(y)
 
-    _, stats = flow._adaptive_flow(energy, [1.0], opts)
+    _, stats = flow._adaptive_flow(energy, _NEAR_E1, opts)
     assert stats["rejected"][cause] == 1
     assert stats["evaluations"] == sum(calls)
     # the accepted steps are the two halves of the rejected first step
@@ -607,9 +625,12 @@ def test_batched_lift_matches_per_step_magnus(seed):
     rng = np.random.default_rng(seed)
     p = random_presentation(rng)
     v0 = random_vector(rng, p.dim_v)
-    for traj in (cointegrate_group(p, v0, FlowOptions(t_max=0.5)),
-                 integrate_projective(p, v0, FlowOptions(t_max=2.0), cointegrate=True)):
-        ref = _per_step_magnus_lift(p, knot_clocks(traj), traj.step_records)
+    with packed() as knots_of:
+        trajs = (cointegrate_group(p, v0, FlowOptions(t_max=0.5)),
+                 integrate_projective(p, v0, FlowOptions(t_max=2.0), cointegrate=True))
+    for traj in trajs:
+        records, _, clocks = knots_of(traj)
+        ref = _per_step_magnus_lift(p, clocks, records)
         assert _lift_error(traj.g_knots, ref) <= 1e-12
 
 
@@ -617,18 +638,20 @@ def test_batched_lift_matches_per_step_magnus(seed):
 def test_batched_lift_at_block_boundaries(projective):
     p = su2_sym_presentation(3)
     v0 = np.array([1.0, 0.3 - 0.2j, -0.5, 0.7j])
-    if projective:
-        traj = integrate_projective(p, v0, FlowOptions(t_max=50.0), cointegrate=True)
-    else:
-        traj = cointegrate_group(p, v0, FlowOptions(t_max=50.0))
-    steps = flow._step_extension(traj.step_records, 4)
+    with packed() as knots_of:
+        if projective:
+            traj = integrate_projective(p, v0, FlowOptions(t_max=50.0), cointegrate=True)
+        else:
+            traj = cointegrate_group(p, v0, FlowOptions(t_max=50.0))
+    records, _, clocks = knots_of(traj)
+    steps = flow._step_extension(records, 4)
     block = flow._LIFT_BLOCK
     assert len(traj.knots) > block + 2
     for intervals in (1, block - 1, block, block + 1):
-        knots = knot_clocks(traj)[:intervals + 1]
+        knots = clocks[:intervals + 1]
         g = flow._lift_path(p, knots, steps)
         assert g.shape == (intervals + 1, 4, 4)
-        ref = _per_step_magnus_lift(p, knots, traj.step_records)
+        ref = _per_step_magnus_lift(p, knots, records)
         assert _lift_error(g, ref) <= 1e-12
 
 
@@ -637,8 +660,9 @@ def test_lift_knots_are_the_samples_and_the_ends_of_steps_without_one():
     # sample; su2_symd's tight rtol makes many such steps
     exp = get_builtin("su2_symd")
     opts = exp.flow_opts
-    traj = integrate_projective(exp.presentation, exp.v0, opts, cointegrate=True)
-    ends = list(itertools.accumulate(traj.step_records["h"]))
+    with packed() as knots_of:
+        traj = integrate_projective(exp.presentation, exp.v0, opts, cointegrate=True)
+    ends = list(itertools.accumulate(knots_of(traj)[0]["h"]))
     grid = [0.0]
     while grid[-1] < traj.t[-1]:
         grid.append(flow._grid_after(grid[-1], opts.initial_step))
@@ -665,6 +689,29 @@ def test_lift_of_the_seed_7_wide_start_stays_within_its_bound():
     drift = np.linalg.norm(traj.g @ v0 - traj.v, axis=1).max()
     assert drift <= 1e-6 * np.linalg.norm(v0)
     assert traj.lift_residual <= 1e-6
+
+
+@pytest.mark.parametrize("projective", [False, True])
+def test_lifted_run_releases_its_stages(monkeypatch, projective):
+    # the lift reads the recorded steps while the trajectory is packed; no
+    # returned trajectory keeps a step's stages alive
+    stages = []
+
+    def step(*args, _fn=flow._rkf45_step):
+        out = _fn(*args)
+        stages.append(weakref.ref(out[2]))
+        return out
+
+    monkeypatch.setattr(flow, "_rkf45_step", step)
+    p = su2_sym_presentation(3)
+    v0 = np.array([1.0, 0.3 - 0.2j, -0.5, 0.7j])
+    if projective:
+        traj = integrate_projective(p, v0, FlowOptions(t_max=5.0), cointegrate=True)
+    else:
+        traj = cointegrate_group(p, v0, FlowOptions(t_max=5.0))
+    gc.collect()
+    assert traj.g is not None and len(stages) >= traj.steps > 1
+    assert all(ref() is None for ref in stages)
 
 
 @pytest.mark.parametrize("projective", [False, True])
@@ -699,12 +746,14 @@ _B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100,
 
 def _list_sum_dopri_step(energy, y, h):
     """The Dormand-Prince step as a Python sum over stages, the independent
-    oracle: six stages, the fifth-order solution, its energy and slope as the
-    seventh stage, and the embedded error estimate over all seven."""
+    oracle: six stages, the fifth-order solution gauged to the unit sphere,
+    its energy and slope as the seventh stage, and the embedded error
+    estimate over all seven."""
     ks = [-energy(y)[1]]
     for i in range(1, 6):
         ks.append(-energy(y + h * sum(a * k for a, k in zip(_A[i], ks)))[1])
     y5 = y + h * sum(b * k for b, k in zip(_B5, ks))
+    y5 = y5 / np.linalg.norm(y5)
     f5, grad5 = energy(y5)
     ks.append(-grad5)
     err = h * sum((b5 - b4) * k for b5, b4, k in zip(_B5, _B4, ks))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import knot_states, random_presentation, random_vector
+from conftest import packed, random_presentation, random_vector
 from momentflow.flow import (SAMPLE_GROWTH, FlowOptions, _projective_kernel,
                              cointegrate_group, integrate_kempf_ness,
                              integrate_projective)
@@ -47,13 +47,14 @@ def test_flow_invariants_on_random_presentations(seed):
     assert _f_never_increases(affine)
     assert _on_output_grid(affine, opts)
 
-    lifted = cointegrate_group(p, v0, opts)
+    with packed() as knots_of:
+        lifted = cointegrate_group(p, v0, opts)
     assert lifted.terminated_reason in ENDED
     assert _f_never_increases(lifted)
     drift = np.linalg.norm(lifted.g @ v0 - lifted.v, axis=1)
     assert drift.max() <= 1e-6 * np.linalg.norm(v0)
     # the lift's own residual is the same drift over all its knots
-    knot_drift = np.linalg.norm(lifted.g_knots @ v0 - knot_states(lifted), axis=1)
+    knot_drift = np.linalg.norm(lifted.g_knots @ v0 - knots_of(lifted)[1], axis=1)
     assert lifted.lift_residual == knot_drift.max() / np.linalg.norm(v0)
 
     proj_opts = FlowOptions(t_max=2.0)
@@ -135,8 +136,9 @@ def test_affine_read_off_invariants(seed, s_max, t_max, eps_grad, basis_start):
     v0 = random_vector(rng, p.dim_v)
     if basis_start:
         v0 = v0 * np.eye(p.dim_v)[rng.integers(p.dim_v)]
-    proj = integrate_projective(p, v0, FlowOptions(t_max=s_max), cointegrate=True,
-                                affine=FlowOptions(t_max=t_max, eps_grad=eps_grad))
+    with packed() as knots_of:
+        proj = integrate_projective(p, v0, FlowOptions(t_max=s_max), cointegrate=True,
+                                    affine=FlowOptions(t_max=t_max, eps_grad=eps_grad))
     read = proj.affine
 
     assert read.t[0] == 0.0 and np.all(np.diff(read.t) > 0)
@@ -159,7 +161,7 @@ def test_affine_read_off_invariants(seed, s_max, t_max, eps_grad, basis_start):
     # it ends at the horizon, at a step end with a small gradient, past a
     # projective flow that ended with a small gradient where |grad f| falls
     # to eps_grad, or where the projective flow ends, with its reason
-    step_ends = np.cumsum(proj.step_records["h"]).tolist()
+    step_ends = np.cumsum(knots_of(proj)[0]["h"]).tolist()
     assert read.t[-1] <= t_max
     if read.t[-1] == t_max:
         assert read.terminated_reason == "t_max"

@@ -1,8 +1,9 @@
 """Property test: the integrator's Dormand-Prince step, its grid-sample read
 and the bound energy kernel equal a textbook reference bit for bit, over
-random presentations, affine and projective with the gauge, and step sizes
-1e-3 to 1. The reference keeps the tableau as float rows, writes each slope
-as ``-grad`` and normalizes with ``np.linalg.norm``; the builtins' output
+random presentations, on the two fields the integrator steps (the affine
+flow's sphere form and the projective flow's f^), with the gauge, and step
+sizes 1e-3 to 1. The reference keeps the tableau as float rows, writes each
+slope as ``-grad`` and normalizes with ``np.linalg.norm``; the builtins' output
 files are reproducible across such rewrites only if these agree. The inner
 stages' energies, which a projective run's affine rows integrate, agree too."""
 
@@ -47,11 +48,16 @@ def _projective(p, v):
     return f / n2**2, grad / n2**2 - (4.0 * f / n2**3) * v
 
 
+def _sphere(p, v):
+    f, grad = _energy(p, v)
+    return f, grad - 4.0 * f * v
+
+
 def _gauge(y):
     return y / np.linalg.norm(y)
 
 
-def _step(energy, y, h, k1, postprocess):
+def _step(energy, y, h, k1):
     ks = np.empty((7, y.size), dtype=complex)
     ks[0] = k1
     ha = h * _A
@@ -63,16 +69,15 @@ def _step(energy, y, h, k1, postprocess):
     y_new = y + h * (_B[:6] @ ks[:6])
     f_new, ks[6] = np.nan, np.nan
     if np.all(np.isfinite(y_new)):
-        if postprocess is not None:
-            y_new = postprocess(y_new)
+        y_new = _gauge(y_new)
         f_new, grad = energy(y_new)
         ks[6] = -grad
     return y_new, f_new, ks, fs, h * (_E @ ks)
 
 
-def _grid(energy, y, h, ks, theta, postprocess):
+def _grid(energy, y, h, ks, theta):
     dense = y + h * (theta ** np.arange(1, 5) @ (_P @ ks))
-    rows = [row if postprocess is None else postprocess(row) for row in dense]
+    rows = [_gauge(row) for row in dense]
     fs, ds = zip(*((f, -grad) for f, grad in map(energy, rows)))
     return np.array(rows), list(fs), np.array(ds)
 
@@ -88,20 +93,18 @@ def test_step_and_grid_read_equal_the_reference(seed, projective):
     p = random_presentation(rng)
     n = p.dim_v
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    y /= np.linalg.norm(y)
     h = 10.0 ** rng.uniform(-3, 0)
     kernel = energy_kernel(p)
     if projective:
-        y /= np.linalg.norm(y)
         energy, ref = flow._projective_kernel(kernel), (lambda v: _projective(p, v))
-        gauge, ref_gauge = flow._projective_gauge, _gauge
-    else:
-        energy, ref = kernel, (lambda v: _energy(p, v))
-        gauge = ref_gauge = None
+    else:    # the field an affine run steps in polar form
+        energy, ref = flow._sphere_kernel(kernel), (lambda v: _sphere(p, v))
     k1 = -ref(y)[1]
 
     with np.errstate(over="ignore", invalid="ignore"):    # as in the integrator
-        y_new, f_new, ks, fs, err = flow._rkf45_step(energy, y, h, k1, gauge)
-        ref_y, ref_f, ref_ks, ref_fs, ref_err = _step(ref, y, h, k1, ref_gauge)
+        y_new, f_new, ks, fs, err = flow._rkf45_step(energy, y, h, k1)
+        ref_y, ref_f, ref_ks, ref_fs, ref_err = _step(ref, y, h, k1)
         assert np.array_equal(y_new, ref_y, equal_nan=True)
         assert _same(f_new, ref_f)
         assert np.array_equal(ks, ref_ks, equal_nan=True)
@@ -111,8 +114,8 @@ def test_step_and_grid_read_equal_the_reference(seed, projective):
         if np.isfinite(ks).all():
             # one grid point (the one-state calls) or a block (one stacked call)
             theta = np.sort(rng.uniform(0, 1, size=(int(rng.integers(1, 4)), 1)), axis=0)
-            got = flow._read_grid(energy, y, h, ks, theta, gauge)
-            want = _grid(ref, y, h, ks, theta, ref_gauge)
+            got = flow._read_grid(energy, y, h, ks, theta)
+            want = _grid(ref, y, h, ks, theta)
             for a, b in zip(got, want, strict=True):
                 assert np.array_equal(a, b, equal_nan=True)
 
