@@ -193,17 +193,25 @@ _POLAR_W[:6, :5], _POLAR_W[6, :6] = _DP_A.real, _DP_B6.real
 _POLAR_C = np.column_stack([_DP_B, _DP_E.real, _DP_P.real.T])
 
 
-def _polar_step(l, t, h, fs, opts):
-    """l = log|v|^2 and t after a polar step h from (l, t), the larger of
-    their local errors over rtol and atol + rtol t (inf if not finite), and
-    the lists cl, ct of their extensions l + sum_p theta^p cl[p - 1], from
-    f^ at the seven stages: dl/ds = -8 f^, dt/ds = e^-l."""
+def _polar_step(l, t, h, fs, opts, nxt):
+    """l = log|v|^2 and t after a polar step h from (l, t), from f^ at the
+    seven stages (dl/ds = -8 f^, dt/ds = e^-l); the larger of their local
+    errors over rtol and atol + rtol t (inf if not finite); and the step's
+    rows on the t grid of ``opts``: their t from the grid point ``nxt`` on,
+    step fractions theta and l off the extension, then the grid point after
+    them and whether the step reaches ``t_max``, its last row. A grid point
+    within round-off of the step's end is no row of it (:func:`_walk_grid`)."""
     dl = -8.0 * np.array(fs)
     ls = l + h * (_POLAR_W @ dl)
     (_, l_err, *cl), (t_inc, t_err, *ct) = (h * (np.array([dl, np.exp(-ls)]) @ _POLAR_C)).tolist()
     l_new, t_new = float(ls[6]), t + t_inc
     err = max(abs(l_err) / opts.rtol, abs(t_err) / (opts.atol + opts.rtol * t_new))
-    return l_new, t_new, err if math.isfinite(l_new + t_new + err) else math.inf, cl, ct
+    last = t_new >= opts.t_max * (1 - 1e-15)
+    ts, nxt = _walk_grid(nxt, opts.t_max if last else t_new, opts.initial_step)
+    ts += [opts.t_max] if last else []
+    thetas = [_theta_in_step(x, t, t_new, ct) for x in ts]
+    rows = ts, thetas, [l + x * (cl[0] + x * (cl[1] + x * (cl[2] + x * cl[3]))) for x in thetas]
+    return l_new, t_new, err if math.isfinite(l_new + t_new + err) else math.inf, rows, nxt, last
 
 
 def _theta_in_step(target, t0, t1, ct):
@@ -219,20 +227,6 @@ def _theta_in_step(target, t0, t1, ct):
         if not abs(step) > 1e-12:
             break
     return theta
-
-
-def _t_grid_rows(nxt, t0, t1, l, cl, ct, opts):
-    """The rows on the t grid of ``opts`` in a polar step from (t0, l) to t1,
-    extended by cl, ct (:func:`_polar_step`): their t from the grid point
-    ``nxt`` on, step fractions theta and l, the grid point after them, and
-    whether the step reaches ``t_max``, then the last row. A grid point
-    within round-off of the step's end is no row of it (:func:`_walk_grid`)."""
-    last = t1 >= opts.t_max * (1 - 1e-15)
-    ts, nxt = _walk_grid(nxt, opts.t_max if last else t1, opts.initial_step)
-    ts += [opts.t_max] if last else []
-    thetas = [_theta_in_step(x, t0, t1, ct) for x in ts]
-    ls = [l + x * (cl[0] + x * (cl[1] + x * (cl[2] + x * cl[3]))) for x in thetas]
-    return ts, thetas, ls, nxt, last
 
 
 def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
@@ -253,26 +247,28 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
     With ``record`` each accepted step keeps its start state, size and
     stages in lists, for the lift; else ``step_records`` is None.
 
-    With ``l0`` = log|v0|^2 it is the affine flow from e^(l0/2) y0 in polar
-    form: ``energy`` is f^ on the sphere, and l and the time t, the grid's
-    clock, ride along by :func:`_polar_step`. A step is capped where t
-    would reach ``t_max`` at its start rate e^-l; t is convex in s, so that
-    step holds the last sample. It ends ``gradient_small`` where |grad f(v)|
-    = e^(3l/2) hypot(|grad f^|, 4 f^) < ``eps_grad`` (at once if |v|^3
-    underflows), or where |grad f^| and e^(3l/2) |grad f^| are both below
-    it: a critical point of f^, past which v collapses (:func:`_collapse_rows`).
+    With ``l0`` = log|v0|^2 the run carries the affine flow from e^(l0/2)
+    y0, ``energy`` being f^ on the sphere: l and the time t are quadratures
+    of the stage energies (:func:`_polar_step`), with rows on a t grid. The
+    affine flow ends in the step that reaches its ``t_max``, at a step end
+    where |grad f(v)| = e^(3l/2) hypot(|grad f^|, 4 f^) < its ``eps_grad``
+    (at once if |v|^3 underflows), or with the run, past whose
+    ``gradient_small`` v collapses (:func:`_collapse_rows`).
 
-    With ``affine`` options as well, the run stays projective and carries
-    that affine flow: l and t ride along, outside the error test, and its
-    rows on the t grid of ``affine`` are placed in each accepted step as the
-    polar rows are. The ride ends in the step that reaches ``affine.t_max``,
-    at a step end where |grad f(v)| < ``affine.eps_grad`` (at once if |v|^3
-    underflows), or with the run, past whose ``gradient_small`` v collapses.
-    One stacked ``energy`` call after the run gives the rows' f^ and slopes,
-    outside the energy guard and ``evaluations``; ``stats["affine"]`` holds
-    the rows and their stats.
+    Alone, ``opts`` are its options and the run is that flow in polar form:
+    l and t enter the error test, t is the grid's clock, and the t grid
+    rows are the samples. A step is capped where t would reach ``t_max`` at
+    its start rate e^-l; t is convex in s, so that step holds the last
+    sample. The run also ends ``gradient_small`` at a critical point of f^,
+    where |grad f^| and e^(3l/2) |grad f^| are both below ``eps_grad``.
+    With ``affine`` options for it, the run stays projective and the affine
+    flow rides along, outside the error test, its rows placed in each
+    accepted step. One stacked ``energy`` call after the run gives the
+    rows' f^ and slopes, outside the energy guard and ``evaluations``;
+    ``stats["affine"]`` holds the rows and their stats.
     """
-    polar, riding = l0 is not None and affine is None, affine is not None
+    polar = l0 is not None and affine is None
+    aff = opts if polar else affine    # the affine flow's options, if it runs
     samples = {"t": [], "f": [], "v": [], "d": [], "s": [], "l": []}
     knots_only, hs = [], []
     records = dict(y=[], h=hs, ks=[]) if record else None
@@ -282,9 +278,9 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
             samples[key] += part
 
     def emit_state():    # with its s and l if polar
-        emit([clock], [f], y[None], k1[None], *(([t], [l]) if polar else ()))
+        emit([clock], [f], y[None], k1[None], *(([s], [l]) if polar else ()))
 
-    def ride(ts, ss, ls, us):    # consecutive affine rows; us is (m, n)
+    def ride(ts, ss, ls, us):    # consecutive rows of a riding affine flow; us is (m, n)
         for key, part in zip(("t", "s", "l", "v"), (ts, ss, ls, [us])):
             rows[key] += part
 
@@ -293,33 +289,32 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
         if samples["t"][-1] != clock and not (polar and reason == "t_max"):
             knots_only.append(len(samples["t"]))
             emit_state()
-        if polar and reason == "gradient_small":    # v may collapse on past it
-            reason = _collapse_rows(samples, opts, grid)
+        end = end_a or reason    # the affine flow's end, if it ended before the run
+        if affine is not None:
+            if steps and not end_a:    # the ride ends with the run, at its end
+                ride([t], [s], [l], y[None])
+            f_a, grad_a = energy(np.concatenate(rows["v"]))
+            rows.update(f=f_a.tolist(), d=[-grad_a], knots_only=[])
+        if aff and not end_a and reason == "gradient_small":    # v may collapse on past it
+            end = _collapse_rows(rows, aff, grid_t)
         if knots_only[-1:] == [len(samples["t"]) - 1]:
             knots_only.pop()    # the final state is a sample
         samples["knots_only"] = knots_only
-        stats = dict(terminated_reason=reason, steps=steps, rejected=rejected,
-                     evaluations=evaluations, h_min=min(hs, default=np.nan),
+        stats = dict(terminated_reason=end if polar else reason, steps=steps,
+                     rejected=rejected, evaluations=evaluations, h_min=min(hs, default=np.nan),
                      h_max=max(hs, default=np.nan), step_records=records)
         if affine is not None:
-            if riding and steps:    # the ride ends with the run, at its end
-                ride([t_a], [t], [l_a], y[None])
-            f_a, grad_a = energy(np.concatenate(rows["v"]))
-            rows.update(f=f_a.tolist(), d=[-grad_a], knots_only=[])
-            end_a = reason if riding else reason_a
-            if riding and reason == "gradient_small":    # v collapses on past it
-                end_a = _collapse_rows(rows, affine, grid_a)
-            stats["affine"] = rows, dict(terminated_reason=end_a)
+            stats["affine"] = rows, dict(terminated_reason=end)
         return samples, stats
 
     # an overflowing state, the start included, ends as "nonfinite" silently
     with np.errstate(over="ignore", invalid="ignore"):
-        # t is the clock s of the steps; clock that of the output grid, t
-        # itself unless polar, where l = log|v|^2 (else 0) and err_lt ride along
-        t, clock, l, err_lt, y = 0.0, 0.0, l0 if polar else 0.0, 0.0, np.array(y0, dtype=complex)
-        # a riding affine flow's time t_a, l_a = log|v|^2, next grid point and rows
-        t_a, l_a, grid_a, reason_a = 0.0, l0, riding and affine.initial_step, None
-        rows = dict(t=[0.0], s=[0.0], l=[l0], v=[y[None]])
+        # s is the clock of the steps; clock that of the output grid, t if
+        # polar, else s. The affine flow has its t, l = log|v|^2, next t-grid
+        # point and end; its rows are the samples if polar
+        s = t = clock = err_lt = 0.0
+        l, grid_t, end_a, y = l0, aff and aff.initial_step, None, np.array(y0, dtype=complex)
+        rows = samples if polar else dict(t=[0.0], s=[0.0], l=[l0], v=[y[None]])
         evaluations = int(np.isfinite(y).all())
         f, grad = energy(y) if evaluations else (np.nan, np.full_like(y, np.nan))
         k1 = -grad
@@ -330,18 +325,17 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
             return finish("nonfinite")
         grid = h = opts.initial_step    # the next output-grid point, and the step
         while True:
-            if riding:    # it ends where |grad f(v)| < eps_grad, as a polar run does
-                cube_a = math.exp(min(1.5 * l_a, 709.0))
-                if (cube_a * math.hypot(k1_norm, 4.0 * f) < affine.eps_grad
-                        and (steps or cube_a == 0.0)):
-                    if steps:    # at a step end; a start is a row already
-                        ride([t_a], [t], [l_a], y[None])
-                    riding, reason_a = False, "gradient_small"
             small = k1_norm < opts.eps_grad
-            if polar:
+            if aff and not end_a:    # |grad f(v)| < eps_grad ends the affine flow
                 cube = math.exp(min(1.5 * l, 709.0))    # |v|^3
-                small = (cube * math.hypot(k1_norm, 4.0 * f) < opts.eps_grad
-                         or k1_norm <= opts.eps_grad / max(1.0, cube))
+                gone = (cube * math.hypot(k1_norm, 4.0 * f) < aff.eps_grad
+                        and (steps or cube == 0.0))
+                if polar:    # or at a critical point of f^
+                    small = gone or k1_norm <= opts.eps_grad / max(1.0, cube)
+                elif gone:    # the ride ends; a start is a row already
+                    end_a = "gradient_small"
+                    if steps:
+                        ride([t], [s], [l], y[None])
             if small and (steps or polar and cube == 0.0):
                 return finish("gradient_small")
             if clock >= opts.t_max * (1 - 1e-15):
@@ -351,14 +345,19 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
             if steps + sum(rejected.values()) >= MAX_STEPS:
                 raise DiagnosticError("integrator exceeded the step budget")
 
-            h_eff = min(h, (opts.t_max - clock) * math.exp(min(l, 709.0)))
+            h_eff = min(h, (opts.t_max - clock) * (math.exp(min(l, 709.0)) if polar else 1.0))
             y_new, f_new, ks, fs_in, err = _rkf45_step(energy, y, h_eff, k1)
             evaluations += 6
-            t_new = clock_new = t + h_eff
-            l_new = l
-            if polar:
-                l_new, clock_new, err_lt, cl, ct = _polar_step(
-                    l, clock, h_eff, [f, *fs_in, f_new], opts)
+            s_new = clock_new = s + h_eff
+            if aff and not end_a:
+                l_new, t_new, err_t, rows_t, nxt_t, last_t = _polar_step(
+                    l, t, h_eff, [f, *fs_in, f_new], aff, grid_t)
+            if polar:    # the affine flow's error is tested, and its rows are the run's
+                clock_new, err_lt, (inside, thetas, l_in), nxt, last = (
+                    t_new, err_t, rows_t, nxt_t, last_t)
+            else:
+                (inside, nxt), last = _walk_grid(grid, clock_new, opts.initial_step), False
+                thetas = [(x - s) / h_eff for x in inside]
             if not (math.isfinite(f_new) and math.isfinite(err_lt)
                     and np.isfinite(err).all()):
                 evaluations -= not np.isfinite(y_new).all()    # then not evaluated
@@ -373,12 +372,6 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
                 h = h_eff * max(0.2, 0.9 * err_norm ** -0.2)
                 continue
 
-            if polar:
-                inside, thetas, l_in, nxt, last = _t_grid_rows(
-                    grid, clock, clock_new, l, cl, ct, opts)
-            else:
-                (inside, nxt), last = _walk_grid(grid, clock_new, opts.initial_step), False
-                thetas = [(x - t) / h_eff for x in inside]
             # f along the step, from the lower of the state and the last sample
             fs = [min(f, samples["f"][-1])]
             if inside:
@@ -388,7 +381,7 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
             fs.append(f_new)
             # f is known only to its round-off: rounding y moves f by up to
             # eps |y| |grad f|, more than the relative slack near a zero of mu
-            if not (_never_rises(fs) or _never_rises(fs, _EPS * _norm(y) * k1_norm)):
+            if not _never_rises(fs, _EPS * _norm(y) * k1_norm):
                 rejected["energy"] += 1
                 h = 0.5 * h_eff
                 continue
@@ -399,19 +392,17 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
                 records["ks"].append(ks)
             if inside:    # polar rows keep their s, and l off its extension
                 emit(inside, f_in, dense, d_in,
-                     *(([t + x * h_eff for x in thetas], l_in) if polar else ()))
-            if riding:    # the affine flow's l and t, and its rows in this step
-                l_a1, t_a1, _, cl, ct = _polar_step(l_a, t_a, h_eff, [f, *fs_in, f_new], affine)
-                ts, thetas, ls, grid_a, last_a = _t_grid_rows(
-                    grid_a, t_a, t_a1, l_a, cl, ct, affine)
-                if ts:
-                    ride(ts, [t + x * h_eff for x in thetas], ls,
-                         _projective_gauge(_extension(y, h_eff, ks, np.array(thetas)[:, None])))
-                t_a, l_a = t_a1, l_a1
-                if last_a:
-                    riding, reason_a = False, "t_max"
-            t, y, f, k1, abs_y = t_new, y_new, f_new, ks[6].copy(), abs_new
-            k1_norm, l, clock = _norm(k1), l_new, clock_new
+                     *(([s + x * h_eff for x in thetas], l_in) if polar else ()))
+            if aff and not end_a:
+                if not polar:    # the ride's rows in this step, off its extension
+                    ts, ths, ls = rows_t
+                    if ts:
+                        ride(ts, [s + x * h_eff for x in ths], ls,
+                             _projective_gauge(_extension(y, h_eff, ks, np.array(ths)[:, None])))
+                    end_a = "t_max" if last_t else None
+                t, l, grid_t = t_new, l_new, nxt_t
+            s, y, f, k1, abs_y = s_new, y_new, f_new, ks[6].copy(), abs_new
+            k1_norm, clock = _norm(k1), clock_new
             if last:    # its end lies past t_max, and is no row
                 return finish("t_max")
             if nxt <= clock:    # the step ends on a grid point
@@ -420,10 +411,12 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
                 knots_only.append(len(samples["t"]))
                 emit_state()
             grid = _grid_after(nxt, opts.initial_step) if nxt <= clock else nxt
+            if polar:    # the t grid is the output grid
+                grid_t = grid
             h = h_eff * (5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2)))
 
 
-def _never_rises(fs, slack=0.0):
+def _never_rises(fs, slack):
     """Whether no energy of the list ``fs`` exceeds the one before it by more
     than 1e-12 of it plus ``slack``; a NaN rises."""
     return all(b <= a * (1 + 1e-12) + slack for a, b in zip(fs, fs[1:]))

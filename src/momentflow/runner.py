@@ -124,10 +124,7 @@ class Run:
 
 
 def _num(x):
-    x = float(x)
-    if np.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x)
+    return repr(float(x))
 
 
 def _vec(x):

@@ -314,13 +314,15 @@ def _flow_counters(report):
 def test_criterion_10_reproducibility(tmp_path):
     checks = []
     for name in BUILTIN_NAMES:
-        s1, p1 = run_experiment(get_builtin(name), tmp_path / name / "run1",
-                                seed=0, quiet=True)
-        s2, p2 = run_experiment(get_builtin(name), tmp_path / name / "run2",
-                                seed=0, quiet=True)
+        dirs = [tmp_path / name / run for run in ("run1", "run2")]
+        (s1, p1), (s2, _) = (run_experiment(get_builtin(name), d, seed=0, quiet=True)
+                             for d in dirs)
+        files = sorted(x.name for x in dirs[0].iterdir())
+        same = files == sorted(x.name for x in dirs[1].iterdir()) and all(
+            (dirs[0] / x).read_bytes() == (dirs[1] / x).read_bytes() for x in files)
+        checks.append((f"{name}: exit 0 twice, byte-identical {', '.join(files)}",
+                       s1 == 0 and s2 == 0 and same))
         report = open(p1, "rb").read()
-        checks.append((f"{name}: exit 0 twice, byte-identical report",
-                       s1 == 0 and s2 == 0 and report == open(p2, "rb").read()))
         counters, ceilings = _flow_counters(report.decode()), FLOW_COUNTER_CEILINGS[name]
         checks.append((f"{name}: [FLOW] steps, evaluations, samples {counters} "
                        f"within {ceilings}",

@@ -1,6 +1,6 @@
-import os
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +75,21 @@ def test_parse_config_rejects_bad_mode_and_tmax():
                                          "flow.mode = sideways"))
     with pytest.raises(ConfigError):
         parse_config(GOOD_CONFIG.replace("flow.t_max = 200", "flow.t_max = -1"))
+
+
+@pytest.mark.parametrize("source", ["README", "cli_docstring"])
+def test_documented_example_config_exits_0(tmp_path, source):
+    # the example config of README's CLI section and the one in the cli
+    # module docstring, each read where it is documented
+    if source == "README":
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Config files are flat", 1)[1].split("```")[1]
+    else:
+        block = cli.__doc__.split("Example::", 1)[1].split("\n\n")[1]
+    assert "group.kind = torus" in block and "analyses = " in block
+    config = tmp_path / "example.cfg"
+    config.write_text(block)
+    assert main(["--config", str(config), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 0
 
 
 def test_cli_config_file_exit_codes(tmp_path, capsys):

@@ -2,9 +2,11 @@
 
 scipy stays a dependency of the test suite (the reference exponential and
 logarithm); the package exponentiates through ``linalg.expm`` and takes the
-logarithms of Kempf-Ness path steps by their Mercator series.
+logarithms of Kempf-Ness path steps by their Mercator series. The sources
+and tests import nothing they do not use.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -12,6 +14,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
 
 PROBE = """
 import sys
@@ -51,3 +54,24 @@ def test_no_scipy_import_in_sources():
     hits = [path.name for path in sorted((SRC / "momentflow").glob("*.py"))
             if statement.search(path.read_text())]
     assert hits == []
+
+
+def test_every_import_is_used():
+    # a name a module imports is read in it or exported in its __all__; the
+    # package's __init__ re-exports, so it is left out
+    unused = []
+    paths = sorted((SRC / "momentflow").glob("*.py")) + sorted(TESTS.glob("*.py"))
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        used |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(x, "id", None) == "__all__" for x in node.targets)
+                 for elt in node.value.elts}
+        unused += [f"{path.name}:{node.lineno} {name}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for name in (a.asname or a.name.split(".")[0] for a in node.names)
+                   if name not in used]
+    assert unused == []
