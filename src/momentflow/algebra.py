@@ -125,6 +125,24 @@ class GroupPresentation:
         return np.linalg.inv(self.metric)
 
     @cached_property
+    def _real_form(self):
+        """The moment map as a real quadratic form, for the energy kernel: on
+        the interleaved layout x = v.view(float), P_a = R(H_a) / 2 with H_a =
+        -i xi_a and R the realification, so mu_a = x^T P_a x. Returns the P_a
+        over the identity (x^T I x = |v|^2) as ((k + 1) 2n, 2n), and the
+        inverse metric padded with a zero last row and column."""
+        k, n = self.dim_g, self.dim_v
+        h = -1j * self.basis
+        real = np.empty((k + 1, n, 2, n, 2))
+        real[:k, :, 0, :, 0] = real[:k, :, 1, :, 1] = 0.5 * h.real
+        real[:k, :, 1, :, 0] = 0.5 * h.imag
+        real[:k, :, 0, :, 1] = -0.5 * h.imag
+        real[k] = np.eye(2 * n).reshape(n, 2, n, 2)
+        metric_inv = np.zeros((k + 1, k + 1))
+        metric_inv[:k, :k] = self._metric_inv
+        return real.reshape(-1, 2 * n), metric_inv
+
+    @cached_property
     def structure(self):
         """Structure tensor: ``structure[a, b] = coords([xi_a, xi_b])``."""
         c, _ = self._expand(_brackets(self.basis))

@@ -3,13 +3,16 @@
 The downward gradient flow of f = |mu|^2 is integrated with the embedded
 Dormand-Prince 5(4) pair in the projective clock s, under an energy guard
 that rejects any step raising f beyond its round-off; samples are read off
-the continuous extension on a geometric output grid. The projective flow
-runs on the unit sphere; the affine flow steps in polar form, u = v/|v| on
-the sphere while l = log|v|^2 and the time t are quadratures inside the
-error test, and collapses in closed form past a critical point of f^. A
-projective run may carry the affine flow along, l and t outside its error
-test. The group lift is computed from the finished trajectory by batched
-Magnus steps.
+the continuous extension on a geometric output grid. Both flows step the
+field of f^ = f / |v|^4 on the unit sphere. The stages are real, on the
+layout v.view(float), and each energy call is one realified kernel
+(``representation.energy_kernel``) that writes its slope into the stage
+buffer. The projective flow is that field; the affine flow steps in polar
+form, u = v/|v| on the sphere while l = log|v|^2 and the time t are
+quadratures inside the error test, and collapses in closed form past a
+critical point of f^. A projective run may carry the affine flow along, l
+and t outside its error test. The group lift is computed from the finished
+trajectory by batched Magnus steps.
 """
 
 import math
@@ -154,43 +157,40 @@ _DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 _E0, _E6 = np.eye(7)[[0, 6]]
 _DP_P = np.array([_E0, 3 * _DP_B - 2 * _E0 - _E6 + _DP_D,
                   _E0 + _E6 - 2 * _DP_B - 2 * _DP_D, _DP_D])
-# The stages are complex: the rows are cast once here, not at every product.
-_DP_A, _DP_B6, _DP_E, _DP_P = (x.astype(complex) for x in (_DP_A, _DP_B[:6], _DP_E, _DP_P))
+_DP_B6 = _DP_B[:6]
 _POWERS = np.arange(1, 5)
 
 
 def _rkf45_step(energy, y, h, k1):
-    """One Dormand-Prince step from y, whose slope k1 = -grad is known.
+    """One Dormand-Prince step from the complex y (n,), whose slope k1 =
+    -grad is known, in real arithmetic on the layout y.view(float).
 
     Returns (y_new, f_new, ks, fs, err): the fifth-order solution (through
-    :func:`_projective_gauge`), its energy, the seven stages, the energies
-    of the five inner stages and the embedded error estimate. The last stage
-    is the slope at y_new, so a step makes six energy calls. A non-finite
-    y_new is not evaluated: f_new and the last stage are NaN.
+    :func:`_projective_gauge`), its energy, the seven stages (7, n), the
+    energies of the five inner stages and the embedded error estimate, the
+    arrays as complex views. The last stage is the slope at y_new, so a step
+    makes six energy calls, each writing its slope into the stage buffer. A
+    non-finite y_new is not evaluated: f_new and the last stage are NaN.
     """
-    ks = np.empty((7, y.size), dtype=complex)
-    ks[0] = k1
+    x = y.view(float)
+    ks = np.empty((7, x.size))
+    ks[0] = k1.view(float)
     ha = h * _DP_A
-    fs = []
-    for i in range(1, 6):
-        f, grad = energy(y + ha[i, :i] @ ks[:i])
-        fs.append(f)
-        np.negative(grad, out=ks[i])
-    y_new = y + h * (_DP_B6 @ ks[:6])
+    fs = [energy(x + ha[i, :i].dot(ks[:i]), ks[i]) for i in range(1, 6)]
+    y_new = (x + h * _DP_B6.dot(ks[:6])).view(complex)
     f_new, ks[6] = np.nan, np.nan
     if np.isfinite(y_new).all():
         y_new = _projective_gauge(y_new)
-        f_new, grad = energy(y_new)
-        np.negative(grad, out=ks[6])
-    return y_new, f_new, ks, fs, h * (_DP_E @ ks)
+        f_new = energy(y_new.view(float), ks[6])
+    return y_new, f_new, ks.view(complex), fs, (h * _DP_E.dot(ks)).view(complex)
 
 
 # Weights of the polar quadratures: _POLAR_W takes dl/ds at the stages to l
 # at the six stages that feed a step and at its end; _POLAR_C takes the stage
 # slopes of l or t to the increment, the error estimate and the extension.
 _POLAR_W = np.zeros((7, 7))
-_POLAR_W[:6, :5], _POLAR_W[6, :6] = _DP_A.real, _DP_B6.real
-_POLAR_C = np.column_stack([_DP_B, _DP_E.real, _DP_P.real.T])
+_POLAR_W[:6, :5], _POLAR_W[6, :6] = _DP_A, _DP_B6
+_POLAR_C = np.column_stack([_DP_B, _DP_E, _DP_P.T])
 
 
 def _polar_step(l, t, h, fs, opts, nxt):
@@ -200,11 +200,17 @@ def _polar_step(l, t, h, fs, opts, nxt):
     rows on the t grid of ``opts``: their t from the grid point ``nxt`` on,
     step fractions theta and l off the extension, then the grid point after
     them and whether the step reaches ``t_max``, its last row. A grid point
-    within round-off of the step's end is no row of it (:func:`_walk_grid`)."""
+    within round-off of the step's end is no row of it (:func:`_walk_grid`).
+    The t quadrature weighs e^-l_i - e^-l, and adds h e^-l to the increment
+    and to the extension's linear term, so a step at constant l advances t
+    by exactly h e^-l."""
     dl = -8.0 * np.array(fs)
     ls = l + h * (_POLAR_W @ dl)
-    (_, l_err, *cl), (t_inc, t_err, *ct) = (h * (np.array([dl, np.exp(-ls)]) @ _POLAR_C)).tolist()
-    l_new, t_new = float(ls[6]), t + t_inc
+    rate = math.exp(-l)
+    (_, l_err, *cl), (t_inc, t_err, *ct) = (
+        h * (np.array([dl, np.exp(-ls) - rate]) @ _POLAR_C)).tolist()
+    ct[0] += h * rate
+    l_new, t_new = float(ls[6]), t + (h * rate + t_inc)
     err = max(abs(l_err) / opts.rtol, abs(t_err) / (opts.atol + opts.rtol * t_new))
     last = t_new >= opts.t_max * (1 - 1e-15)
     ts, nxt = _walk_grid(nxt, opts.t_max if last else t_new, opts.initial_step)
@@ -235,15 +241,18 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
     ``evaluations``, ``h_min`` and ``h_max``, and the ``step_records`` that
     :func:`_pack` drops. Every state goes through :func:`_projective_gauge`.
 
-    ``energy(y) -> (f, grad)`` takes a state (n,) or a stack (q, n). The
-    grid points inside a step (:func:`_walk_grid`) are read off its
+    ``energy(x, out) -> f`` (``representation.energy_kernel``) takes the
+    real layout x = y.view(float) of a state (n,) or a stack (q, n) and
+    writes the slope -grad into ``out``. The grid points inside a step
+    (:func:`_walk_grid`) are read off its
     continuous extension as one block, with one stacked ``energy`` call; a
     step end is a sample only on the grid, the final state always. The end
     of a step that holds no sample is a lift knot only, a row listed in
     ``samples["knots_only"]``. A step is rejected when its new state is not
     finite (``"nonfinite"``, also on a silent overflow), when the error test
     fails (``"error"``) or when f would rise, by more than 1e-12 of it and
-    its round-off eps |y| |grad f|, at its end or at a sample (``"energy"``).
+    its round-off eps |y| |grad f|, |y| = 1, at its end or at a sample
+    (``"energy"``).
     With ``record`` each accepted step keeps its start state, size and
     stages in lists, for the lift; else ``step_records`` is None.
 
@@ -293,8 +302,10 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
         if affine is not None:
             if steps and not end_a:    # the ride ends with the run, at its end
                 ride([t], [s], [l], y[None])
-            f_a, grad_a = energy(np.concatenate(rows["v"]))
-            rows.update(f=f_a.tolist(), d=[-grad_a], knots_only=[])
+            v_a = np.concatenate(rows["v"])
+            d_a = np.empty_like(v_a)
+            rows.update(f=energy(v_a.view(float), d_a.view(float)).tolist(), d=[d_a],
+                        knots_only=[])
         if aff and not end_a and reason == "gradient_small":    # v may collapse on past it
             end = _collapse_rows(rows, aff, grid_t)
         if knots_only[-1:] == [len(samples["t"]) - 1]:
@@ -316,12 +327,12 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
         l, grid_t, end_a, y = l0, aff and aff.initial_step, None, np.array(y0, dtype=complex)
         rows = samples if polar else dict(t=[0.0], s=[0.0], l=[l0], v=[y[None]])
         evaluations = int(np.isfinite(y).all())
-        f, grad = energy(y) if evaluations else (np.nan, np.full_like(y, np.nan))
-        k1 = -grad
+        k1 = np.full_like(y, np.nan)
+        f = energy(y.view(float), k1.view(float)) if evaluations else np.nan
         k1_norm, abs_y = _norm(k1), np.abs(y)
         emit_state()
         steps, rejected = 0, {"error": 0, "energy": 0, "nonfinite": 0}
-        if not (math.isfinite(f) and np.isfinite(grad).all()):
+        if not (math.isfinite(f) and np.isfinite(k1).all()):
             return finish("nonfinite")
         grid = h = opts.initial_step    # the next output-grid point, and the step
         while True:
@@ -380,8 +391,9 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
                 fs += f_in
             fs.append(f_new)
             # f is known only to its round-off: rounding y moves f by up to
-            # eps |y| |grad f|, more than the relative slack near a zero of mu
-            if not _never_rises(fs, _EPS * _norm(y) * k1_norm):
+            # eps |y| |grad f|, more than the relative slack near a zero of mu;
+            # every state stepped from is gauged, |y| = 1
+            if not _never_rises(fs, _EPS * k1_norm):
                 rejected["energy"] += 1
                 h = 0.5 * h_eff
                 continue
@@ -438,18 +450,21 @@ def _walk_grid(nxt, end, initial_step):
 
 
 def _extension(y, h, ks, theta):
-    """States (q, n) at step fractions ``theta`` (q, 1) of a step's extension."""
-    return y + h * (theta ** _POWERS @ (_DP_P @ ks))
+    """States (q, n) at step fractions ``theta`` (q, 1) of a step's extension,
+    in real arithmetic."""
+    x = y.view(float) + h * (theta ** _POWERS @ _DP_P.dot(ks.view(float)))
+    return x.view(complex)
 
 
 def _read_grid(energy, y, h, ks, theta):
     """Gauged states (q, n), energy list and slopes d = -grad (q, n) at step
     fractions ``theta`` (q, 1) of the continuous extension; one row goes in
-    as a state (n,), for the kernels' cheaper one-state branch (same bits)."""
+    as a state (n,), for the kernel's cheaper one-state branch (same bits)."""
     dense = _extension(y, h, ks, theta)
     x = _projective_gauge(dense[0] if len(dense) == 1 else dense)
-    f, grad = energy(x)
-    return x.reshape(dense.shape), np.atleast_1d(f).tolist(), -grad.reshape(dense.shape)
+    d = np.empty_like(x)
+    f = energy(x.view(float), d.view(float))
+    return x.reshape(dense.shape), np.atleast_1d(f).tolist(), d.reshape(dense.shape)
 
 
 def _norm(x):
@@ -572,34 +587,6 @@ def _lift_path(p, s, steps):
     return g
 
 
-def _projective_kernel(energy):
-    """Energy and ambient gradient of f^ = |mu^|^2 (degree-0 homogeneous)
-    from the bound kernel ``energy`` of f, of a state (n,) or, bit for bit
-    row by row, of a stack (q, n)."""
-    def projective(v):
-        if v.ndim == 2:    # per row: np.vdot, and the powers of a Python float
-            n2 = (v.conj()[:, None] @ v[..., None])[:, 0, 0].real.tolist()
-            n2_2, n2_3 = np.array([x**2 for x in n2]), np.array([x**3 for x in n2])
-            f, grad = energy(v)
-            return f / n2_2, grad / n2_2[:, None] - (4.0 * f / n2_3)[:, None] * v
-        n2 = float(np.vdot(v, v).real)
-        f, grad = energy(v)
-        return f / n2**2, grad / n2**2 - (4.0 * f / n2**3) * v
-
-    return projective
-
-
-def _sphere_kernel(energy):
-    """f and grad f - 4 f u from the bound kernel ``energy`` of f, of a state
-    (n,) or a stack (q, n): on the unit sphere f^ and grad f^, and they
-    leave it invariant, d|u|^2/ds = -8 f (1 - |u|^2), cheaper than f^'s."""
-    def sphere(u):
-        f, grad = energy(u)
-        return f, grad - (4.0 * f if u.ndim == 1 else (4.0 * f)[:, None]) * u
-
-    return sphere
-
-
 def _projective_gauge(y):
     """The representative y / |y| with |v| = 1 of a state (n,) or, bit for
     bit row by row, of a stack (q, n). No phase is fixed: f^ is
@@ -612,10 +599,14 @@ def _projective_gauge(y):
 
 def _unit_start(v0):
     """(v0, u0 = v0 / |v0|, l0 = log|v0|^2), safe from the under- or overflow
-    of |v0|^2; a zero or non-finite v0 is its own u0."""
+    of |v0|^2. A zero v0 is l0 = -inf with any unit u0, here e_1, where f^
+    is defined; a non-finite v0 is its own u0."""
     v0 = np.asarray(v0, dtype=complex)
     (c,), (norm0,) = _scaled_norms(v0[None])
-    u0 = _projective_gauge(v0 / c) if 0.0 < norm0 < np.inf else v0
+    if 0.0 < norm0 < np.inf:
+        u0 = _projective_gauge(v0 / c)
+    else:
+        u0 = np.eye(v0.size, dtype=complex)[0] if norm0 == 0.0 else v0
     with np.errstate(divide="ignore"):
         return v0, u0, 2.0 * (np.log(c) + np.log(norm0))
 
@@ -625,7 +616,7 @@ def _polar_flow(p, v0, opts, lift):
     if ``lift``; a zero v0 (l0 = -inf) is a fixed point, its only sample."""
     opts = opts or FlowOptions()
     v0, u0, l0 = _unit_start(v0)
-    samples, stats = _adaptive_flow(_sphere_kernel(energy_kernel(p)), u0, opts, record=lift, l0=l0)
+    samples, stats = _adaptive_flow(energy_kernel(p, True), u0, opts, record=lift, l0=l0)
     return _pack(samples, stats, opts.eps_grad, lift=p if lift else None, v0=v0)
 
 
@@ -686,7 +677,7 @@ def integrate_projective(p, v0, opts=None, cointegrate=False, affine=None):
     v0, u0, l0 = _unit_start(v0)
     if not v0.any():
         raise DiagnosticError("projective flow needs a nonzero start vector")
-    samples, stats = _adaptive_flow(_projective_kernel(energy_kernel(p)), u0, opts,
+    samples, stats = _adaptive_flow(energy_kernel(p, True), u0, opts,
                                     record=cointegrate, affine=affine,
                                     l0=None if affine is None else l0)
     rows = stats.pop("affine", None)

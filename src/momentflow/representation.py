@@ -61,25 +61,48 @@ def projective_moment_map(p, v):
     return moment_map(p, v) / n2
 
 
-def energy_kernel(p):
-    """``energy(v) -> (f, grad)`` bound to ``p``: f = |mu(v)|^2 in the
-    g-metric and its exact g0-gradient, of a complex state (n,) or, each row
-    bit for bit the one-state result, of a stack (q, n), which gives (q,)
-    energies and (q, n) gradients. The basis and the inverse metric are
-    looked up once, here, so each call pays only for its arithmetic.
+def energy_kernel(p, projective):
+    """``energy(x, out) -> F`` bound to ``p``, of a real state x =
+    v.view(float) (2n,) or, each row bit for bit the one-state result, of a
+    stack (q, 2n): F is f = |mu(v)|^2 in the g-metric, or with
+    ``projective`` f^ = f / |v|^4, and ``out`` takes the slope -grad F in
+    the layout of x. One product with the presentation's real form
+    (``_real_form``) gives Y = (P_a x, x); Y x gives mu and |v|^2, the
+    inverse metric the coefficients c = mu^#, and one coefficient vector
+    times Y the slope: grad f = 4 c Y and grad f^ = 4 c Y / |v|^4 - 4 f x /
+    |v|^6. A one-state F is a Python float, a stacked one (q,).
     """
-    basis, metric_inv = p.basis, p._metric_inv
+    form, metric_inv = p._real_form
+    k = p.dim_g
 
-    def energy(v):
-        if v.ndim == 2:    # each product keeps a row's one-state shapes and strides
-            lv = np.swapaxes((basis @ v[:, None, :, None])[..., 0], 1, 2)   # (q, n, k)
-            lowered = 0.5 * (v.conj()[:, None] @ lv)[:, 0].imag
-            sharp = metric_inv @ lowered[..., None]
-            return (lowered[:, None] @ sharp)[:, 0, 0], -2j * (lv @ sharp)[..., 0]
-        lv = (basis @ v).T                                  # infinitesimal_action
-        lowered = 0.5 * (v.conj() @ lv).imag                # moment_map
-        sharp = metric_inv @ lowered
-        return float(lowered @ sharp), -2j * (lv @ sharp)
+    def energy(x, out):
+        if x.ndim == 2:    # each product keeps a row's one-state shapes
+            y = (form @ x[..., None]).reshape(len(x), k + 1, -1)
+            m = (y @ x[..., None])[..., 0]
+            c = (metric_inv @ m[..., None])[..., 0]
+            f = (m[:, None] @ c[..., None])[:, 0, 0]
+            if projective:
+                n2 = m[:, k]
+                c *= (-4.0 / (n2 * n2))[:, None]
+                c[:, k] = 4.0 * f / (n2 * n2 * n2)
+                f = f / (n2 * n2)
+            else:
+                c *= -4.0
+            np.matmul(c[:, None], y, out=out[:, None])
+            return f
+        y = form.dot(x).reshape(k + 1, -1)
+        m = y.dot(x)
+        c = metric_inv.dot(m)
+        f = float(m.dot(c))
+        if projective:
+            n2 = float(m[k])
+            c *= -4.0 / (n2 * n2)
+            c[k] = 4.0 * f / (n2 * n2 * n2)
+            f = f / (n2 * n2)
+        else:
+            c *= -4.0
+        c.dot(y, out=out)
+        return f
 
     return energy
 
@@ -87,7 +110,10 @@ def energy_kernel(p):
 def energy_and_gradient(p, v):
     """Energy f = |mu(v)|^2 in the g-metric and its exact g0-gradient, of a
     state (n,) or a stack (q, n); see :func:`energy_kernel`."""
-    return energy_kernel(p)(np.asarray(v, dtype=complex))
+    v = np.ascontiguousarray(v, dtype=complex)
+    slope = np.empty_like(v)
+    f = energy_kernel(p, False)(v.view(float), slope.view(float))
+    return f, -slope
 
 
 def flow_generator(p, v):

@@ -6,7 +6,7 @@ import pytest
 from momentflow import flow
 from momentflow.algebra import (TAU_ALG, su2_presentation, su2_sym_presentation,
                                 torus_presentation, un_presentation)
-from momentflow.representation import energy_and_gradient
+from momentflow.representation import energy_and_gradient, energy_kernel
 
 
 @pytest.fixture
@@ -25,6 +25,18 @@ def fd_gradient(p, v, h=1e-5):
             fm = energy_and_gradient(p, v - h * e)[0]
             out[i] += (fp - fm) / (2 * h) * unit
     return out
+
+
+def projective_field(p):
+    """``field(v) -> (f^, grad f^)`` of a complex state (n,) or stack (q, n)
+    through the integrator's kernel, ``energy_kernel(p, True)``."""
+    kernel = energy_kernel(p, True)
+
+    def field(v):
+        slope = np.empty_like(v)
+        return kernel(v.view(float), slope.view(float)), -slope
+
+    return field
 
 
 def conjugate_coords(p, g, coords):

@@ -20,7 +20,8 @@ from momentflow.errors import DiagnosticError
 from momentflow.flow import (FlowOptions, FlowTrajectory, check_rates,
                              cointegrate_group, fit_lojasiewicz,
                              integrate_kempf_ness, integrate_projective)
-from momentflow.representation import energy_and_gradient, flow_generator, moment_map
+from momentflow.representation import (energy_and_gradient, energy_kernel, flow_generator,
+                                       moment_map)
 from momentflow.runner import Run
 
 
@@ -62,6 +63,15 @@ def test_critical_start_moves_negligibly():
     traj = integrate_kempf_ness(p, v0, FlowOptions(t_max=10.0))
     assert traj.terminated_reason == "gradient_small"
     assert np.linalg.norm(traj.v[-1] - v0) <= 1e-12
+
+
+def test_a_step_at_a_zero_of_mu_advances_t_by_exactly_h():
+    # at a zero of mu, l = log|v|^2 stays put, and a polar step advances t by
+    # exactly h e^-l: mgs_su2's one step of h = 1e-3 from a unit start ends
+    # at t = 1e-3 to the bit, not an ulp short
+    primary = Run(get_builtin("mgs_su2"), 0).primary
+    assert primary.steps == 1 and primary.h_max == 1e-3
+    assert primary.t.tolist() == [0.0, 1e-3]
 
 
 def test_scalar_flow_matches_closed_form():
@@ -373,13 +383,13 @@ def test_one_energy_evaluation_per_state(monkeypatch):
     calls = {"energy": 0, "stacked": 0, "flow_generator": 0, "_rkf45_step": 0, "expm": 0}
     step_sizes, step_ends = [], set()
 
-    def counting_kernel(p, _bind=flow.energy_kernel):
-        kernel = _bind(p)
+    def counting_kernel(p, projective, _bind=flow.energy_kernel):
+        kernel = _bind(p, projective)
 
-        def energy(v):
-            calls["energy"] += len(v) if v.ndim == 2 else 1
-            calls["stacked"] += v.ndim == 2
-            return kernel(v)
+        def energy(x, out):
+            calls["energy"] += len(x) if x.ndim == 2 else 1
+            calls["stacked"] += x.ndim == 2
+            return kernel(x, out)
         return energy
 
     monkeypatch.setattr(flow, "energy_kernel", counting_kernel)
@@ -466,26 +476,28 @@ def test_samples_lie_on_the_output_grid():
 
 # -- rejected steps, by cause ------------------------------------------------
 
-def _quadratic(y):
-    """f = |y_0|^2 and grad f - 4 f y of a state (n,) or of each row of a
-    stack (q, n): on the unit sphere, which every step is gauged to, the
-    energy f^ = |y_0|^2 / |y|^2 and its gradient, whose flow from
-    ``_NEAR_E1`` decays as y_0' = -2 y_0 without crossing zero."""
-    f = (y[..., 0].conj() * y[..., 0]).real
-    grad = np.zeros_like(y)
-    grad[..., 0] = 2.0 * y[..., 0]
-    return f, grad - (4.0 * f)[..., None] * y
+def _quadratic(x, out):
+    """f = |y_0|^2, and the slope -(grad f - 4 f y) written into ``out``, on
+    the real layout x of a state (n,) or of each row of a stack (q, n): on
+    the unit sphere, which every step is gauged to, the energy f^ = |y_0|^2
+    / |y|^2 and its gradient, whose flow from ``_NEAR_E1`` decays as y_0' =
+    -2 y_0 without crossing zero."""
+    f = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
+    np.multiply((4.0 * f)[..., None], x, out=out)
+    out[..., :2] -= 2.0 * x[..., :2]
+    return f
 
 
 # A unit start near the minimum e_1 of ``_quadratic`` on the sphere.
 _NEAR_E1 = np.array([1e-3, 1.0]) / np.hypot(1e-3, 1.0)
 
 
-def _undefined_below_zero(y):
-    """``_quadratic``, NaN on each state with an entry below zero."""
-    f, grad = _quadratic(y)
-    bad = (y.real < 0).any(axis=-1)
-    return np.where(bad, np.nan, f), np.where(bad[..., None], np.nan, grad)
+def _undefined_below_zero(x, out):
+    """``_quadratic``, NaN on each state with a real part below zero."""
+    f = _quadratic(x, out)
+    bad = (x[..., ::2] < 0).any(axis=-1)
+    np.copyto(out, np.nan, where=bad[..., None])
+    return np.where(bad, np.nan, f)
 
 
 def test_rejection_by_local_error_is_counted():
@@ -522,9 +534,9 @@ def test_evaluations_count_rejected_steps(cause, opts, nonfinite_below_zero):
     # the two forced rejections above, with every evaluated state counted
     calls = []
 
-    def energy(y):
-        calls.append(1 if y.ndim == 1 else len(y))
-        return (_undefined_below_zero if nonfinite_below_zero else _quadratic)(y)
+    def energy(x, out):
+        calls.append(1 if x.ndim == 1 else len(x))
+        return (_undefined_below_zero if nonfinite_below_zero else _quadratic)(x, out)
 
     _, stats = flow._adaptive_flow(energy, _NEAR_E1, opts)
     assert stats["rejected"][cause] == 1
@@ -766,7 +778,8 @@ def test_rkf45_tableau_products_match_list_sums(rng):
         energy = partial(energy_and_gradient, p)
         for h in (1e-3, 1e-2, 1e-1):
             y = rng.standard_normal(p.dim_v) + 1j * rng.standard_normal(p.dim_v)
-            y5, f5, ks, _, err = flow._rkf45_step(energy, y, h, -energy(y)[1])
+            y5, f5, ks, _, err = flow._rkf45_step(energy_kernel(p, False), y, h,
+                                                  -energy(y)[1])
             ref_y5, ref_f5, ref_err, ref_ks = _list_sum_dopri_step(energy, y, h)
             assert np.linalg.norm(y5 - ref_y5) <= 1e-14 * np.linalg.norm(ref_y5)
             assert abs(f5 - ref_f5) <= 1e-14 * ref_f5

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import packed, random_presentation, random_vector
-from momentflow.flow import (SAMPLE_GROWTH, FlowOptions, _projective_kernel,
-                             cointegrate_group, integrate_kempf_ness,
-                             integrate_projective)
-from momentflow.representation import energy_and_gradient, energy_kernel
+from conftest import packed, projective_field, random_presentation, random_vector
+from momentflow.flow import (SAMPLE_GROWTH, FlowOptions, cointegrate_group,
+                             integrate_kempf_ness, integrate_projective)
+from momentflow.representation import energy_and_gradient
 
 ENDED = {"t_max", "gradient_small"}
 
@@ -94,12 +93,12 @@ def test_grad_norm_is_the_norm_of_each_sample_gradient(seed, projective):
     v0 = random_vector(rng, p.dim_v)
     if projective:
         traj = integrate_projective(p, v0, FlowOptions(t_max=2.0))
-        gradient = _projective_kernel(energy_kernel(p))
+        gradient = projective_field(p)
         want = [np.linalg.norm(gradient(v)[1]) for v in traj.v]
         assert np.array_equal(traj.grad_norm, want)
         return
     traj = integrate_kempf_ness(p, v0, FlowOptions(t_max=0.5))
-    f, grad = zip(*map(energy_kernel(p), traj.v))
+    f, grad = zip(*(energy_and_gradient(p, v) for v in traj.v))
     scale = np.linalg.norm(traj.v, axis=1)
     assert np.all(np.abs(traj.grad_norm - np.linalg.norm(grad, axis=1)) <= 1e-13 * scale**3)
     assert np.all(np.abs(traj.f - f) <= 1e-13 * scale**4)

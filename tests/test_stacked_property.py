@@ -8,9 +8,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_presentation
-from momentflow.flow import _projective_gauge, _projective_kernel
-from momentflow.representation import energy_and_gradient, energy_kernel
+from conftest import projective_field, random_presentation
+from momentflow.flow import _projective_gauge
+from momentflow.representation import energy_and_gradient
 
 
 def _stack(rng, n):
@@ -36,7 +36,7 @@ def test_stacked_calls_equal_one_state_calls(seed):
     rows = _stack(rng, p.dim_v)
     _assert_rows_equal(energy_and_gradient(p, rows),
                        [energy_and_gradient(p, y) for y in rows])
-    projective = _projective_kernel(energy_kernel(p))
+    projective = projective_field(p)
     _assert_rows_equal(projective(rows), [projective(y) for y in rows])
     for y, v in zip(rows, _projective_gauge(rows), strict=True):
         assert np.array_equal(v, _projective_gauge(y))
@@ -51,7 +51,7 @@ def test_projective_gradient_is_orthogonal_to_v_and_iv(seed):
     rng = np.random.default_rng(seed)
     p = random_presentation(rng)
     rows = _stack(rng, p.dim_v)
-    projective = _projective_kernel(energy_kernel(p))
+    projective = projective_field(p)
     stacked = projective(rows)[1]
     for v, grad_stacked in zip(rows, stacked, strict=True):
         f, grad_f = energy_and_gradient(p, v)
