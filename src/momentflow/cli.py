@@ -283,6 +283,9 @@ def main(argv=None):
     try:
         status, _ = run_experiment(exp, out_dir, seed=seed,
                                    tol_scale=args.tol_scale, quiet=args.quiet)
+    except OSError as err:    # the output directory or a file in it cannot be written
+        print(f"output error: {err}", file=sys.stderr)
+        return 2
     except Exception as err:  # the flow itself failed; a failing analysis
         # is a FAIL check in the report instead
         print(f"numerical failure: {type(err).__name__}: {err}", file=sys.stderr)

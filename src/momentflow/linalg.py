@@ -1,16 +1,14 @@
 """Small dense-matrix helpers used throughout the package.
 
-All matrix functions of Hermitian arguments go through an eigendecomposition
-and re-symmetrize the result, so Hermitian invariants survive round-off.
-General matrices are exponentiated by :func:`expm`, one vectorized pass over
-any stack of matrices.
+Hermitian results are re-symmetrized by :func:`hermitian_part`, so Hermitian
+invariants survive round-off. General matrices are exponentiated by
+:func:`expm`, one vectorized pass over any stack of matrices.
 """
 
 import numpy as np
 
 __all__ = [
     "hermitian_part",
-    "eigh_fun",
     "expm",
     "row_norms",
 ]
@@ -25,12 +23,6 @@ def row_norms(x):
     """``np.linalg.norm`` of each row of a complex (q, n), bit for bit."""
     re, im = x.real, x.imag
     return np.sqrt(re[:, None] @ re[..., None] + im[:, None] @ im[..., None])[:, 0, 0]
-
-
-def eigh_fun(h, fun):
-    """Apply a scalar function to a Hermitian matrix through its spectrum."""
-    w, u = np.linalg.eigh(h)
-    return hermitian_part((u * fun(w)) @ u.conj().T)
 
 
 # Coefficients of the [m/m] Pade approximants of exp and the largest 1-norm

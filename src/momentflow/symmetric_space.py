@@ -6,10 +6,11 @@ the Hermitian square root of H as the factor. The metric is the
 affine-invariant one with the trace norm; on the tangent space at the
 identity it matches the default trace inner product on the Lie algebra.
 
-Every log and distance goes through the SVD of a product of factors, never
-through H = g* g: small singular values, and thus their logarithms, stay
-accurate where H is numerically singular, and far-out points do not overflow.
-H, H^{1/2} and H^{-1/2} are formed lazily, only for points used as a base.
+Every square root, log and distance goes through the SVD of a factor, never
+through H = g* g: g = U diag(sigma) W* gives H^{+-1/2} = W diag(sigma^{+-1}) W*,
+and g1 H0^{-1/2} the log and distance from H0. Small singular values, and thus
+their logarithms, stay accurate where H is singular, and far-out points do not
+overflow. H and the SVD are formed lazily, at most once a point.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NotAsymptoticError, RayDivergenceError
-from .linalg import eigh_fun, hermitian_part, row_norms
+from .linalg import hermitian_part, row_norms
 from .rational import rationalize_direction
 
 THETA_RAY = 1e-3      # Cauchy threshold for successive chord directions
@@ -80,14 +81,17 @@ class SymmetricSpacePoint:
         return hermitian_part(self.factor.conj().T @ self.factor)
 
     @cached_property
-    def sqrt(self):
-        """H^{1/2}."""
-        return eigh_fun(self.H, np.sqrt)
+    def _svd(self):
+        """(sigma, W*) of the factor g = U diag(sigma) W*."""
+        return np.linalg.svd(self.factor)[1:]
 
-    @cached_property
-    def inv_sqrt(self):
-        """H^{-1/2}."""
-        return eigh_fun(self.H, lambda w: 1.0 / np.sqrt(w))
+    def _power(self, k):
+        """H^{k/2} = W diag(sigma^k) W*."""
+        sigma, wh = self._svd
+        return hermitian_part((wh.conj().T * sigma**k) @ wh)
+
+    sqrt = cached_property(lambda self: self._power(1.0))         # H^{1/2}
+    inv_sqrt = cached_property(lambda self: self._power(-1.0))    # H^{-1/2}
 
 
 def _as_point(x):
@@ -107,14 +111,15 @@ def _whitened_log(p0, p1):
 def _along(p0, m, s):
     """The point H0^{1/2} exp(s M) H0^{1/2}, by its factor exp(s M/2) H0^{1/2};
     M is Hermitian, so its exponential goes through its spectrum."""
-    return SymmetricSpacePoint(eigh_fun(0.5 * s * m, np.exp) @ p0.sqrt)
+    w, u = np.linalg.eigh(0.5 * s * m)
+    return SymmetricSpacePoint(hermitian_part((u * np.exp(w)) @ u.conj().T) @ p0.sqrt)
 
 
 def distance(p0, p1):
     """Affine-invariant distance |log(H0^{-1/2} H1 H0^{-1/2})| in trace norm."""
     p0, p1 = _as_point(p0), _as_point(p1)
-    # the singular values of g1 g0^{-1} are those of H1^{1/2} H0^{-1/2}
-    sigma = np.linalg.svd(p1.factor @ np.linalg.inv(p0.factor), compute_uv=False)
+    # the singular values of g1 H0^{-1/2} are those of H1^{1/2} H0^{-1/2}
+    sigma = np.linalg.svd(p1.factor @ p0.inv_sqrt, compute_uv=False)
     return float(np.linalg.norm(2.0 * np.log(sigma)))
 
 
@@ -192,11 +197,14 @@ def extract_asymptotic_ray(factors):
     m_hat = dirs[-1]
     spectrum = np.linalg.eigvalsh(m_hat)
 
-    # exp(M) of the last six directions, by the factors exp(M/2); the last is on the ray
-    ends = [SymmetricSpacePoint(eigh_fun(0.5 * m, np.exp)) for m in dirs[-6:]]
-    resid = [distance(q, ends[-1]) for q in ends[:-1]]
-    diagnostics = RayDiagnostics(distances=dists[tail], angles=angles,
-                                 residuals=np.array(resid), spectrum=spectrum)
+    # exp(M/2) = W diag(sigma^(1/d)) W* of the last six directions M = log H / d, off the
+    # same SVD; the last is on the ray, probe i at 2 |log svd(exp(M_6/2) exp(-M_i/2))| from it
+    k = tail[-6:]
+    r = (sigma[k] ** (1.0 / dists[k, None]))[:, None, :]
+    ends = np.linalg.svd((w[k[-1]] * r[-1]) @ wh[k[-1]] @ (w[k[:-1]] / r[:-1]) @ wh[k[:-1]],
+                         compute_uv=False)
+    diagnostics = RayDiagnostics(distances=dists[tail], angles=angles, spectrum=spectrum,
+                                 residuals=np.linalg.norm(2.0 * np.log(ends), axis=1))
 
     if angles[-1] > THETA_RAY:    # the tail holds 20 or more samples
         raise RayDivergenceError(f"chord directions not Cauchy: last angle {angles[-1]:.3e} "

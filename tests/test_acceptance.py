@@ -6,6 +6,7 @@ independent gate over the whole pipeline.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -322,7 +323,7 @@ def test_criterion_10_reproducibility(tmp_path):
             (dirs[0] / x).read_bytes() == (dirs[1] / x).read_bytes() for x in files)
         checks.append((f"{name}: exit 0 twice, byte-identical {', '.join(files)}",
                        s1 == 0 and s2 == 0 and same))
-        report = open(p1, "rb").read()
+        report = Path(p1).read_bytes()
         counters, ceilings = _flow_counters(report.decode()), FLOW_COUNTER_CEILINGS[name]
         checks.append((f"{name}: [FLOW] steps, evaluations, samples {counters} "
                        f"within {ceilings}",

@@ -105,6 +105,16 @@ def test_cli_config_file_exit_codes(tmp_path, capsys):
     assert main(["--config", str(bad), "--quiet"]) == 2
 
 
+def test_output_directory_that_cannot_be_written_exits_2(tmp_path, capsys):
+    # a regular file where a directory should go: an output error, not a
+    # numerical failure, and no traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["--builtin", "mgs_u1", "--out-dir", str(blocker / "x"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and "Traceback" not in err
+
+
 def test_model_without_m_passes_the_moment_identity(tmp_path, capsys):
     # the weight-zero circle fixes z0, so the normal-form model has dim_m = 0
     cfg = tmp_path / "trivial.cfg"
@@ -158,7 +168,7 @@ def test_report_reproducible_and_deterministic(tmp_path):
     s2, p2 = run_experiment(get_builtin("torus_12"), tmp_path / "b", seed=3,
                             quiet=True)
     assert s1 == s2 == 0
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_impossible_tolerance_flips_status(tmp_path):
@@ -257,7 +267,7 @@ def test_basis_file_config_kind(tmp_path):
 
 def test_report_sections_fixed_order(tmp_path):
     _, path = run_experiment(get_builtin("mgs_u1"), tmp_path / "m", quiet=True)
-    text = open(path).read()
+    text = Path(path).read_text()
     order = [text.index(f"[{s}]") for s in
              ("CONFIG", "FLOW", "RATES", "RAY", "DEGENERATION", "NORMAL_FORM",
               "VERDICT")]
@@ -276,7 +286,7 @@ def test_flow_section_counts_steps_beside_samples(tmp_path):
                    "analyses = rates\n")
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) in (0, 1)
-    flow_lines = open(out / "report.txt").read().split("[FLOW]\n")[1].split("\n\n")[0]
+    flow_lines = (out / "report.txt").read_text().split("[FLOW]\n")[1].split("\n\n")[0]
     fields = dict(line.strip().split(" = ") for line in flow_lines.splitlines())
     assert fields["terminated"] == "gradient_small"
     assert int(fields["samples"]) <= 1000
@@ -292,7 +302,7 @@ def test_rates_section_reports_the_span_it_fits(tmp_path, s_max, final_time):
     # so a short primary ends their span early, and the report shows it
     exp = replace(get_builtin("torus_12"), flow_opts=FlowOptions(t_max=s_max))
     _, path = run_experiment(exp, tmp_path / "out", quiet=True)
-    rates = open(path).read().split("[RATES]\n")[1].split("\n\n")[0].splitlines()
+    rates = Path(path).read_text().split("[RATES]\n")[1].split("\n\n")[0].splitlines()
     fields = dict(line.strip().split(" = ", 1) for line in rates)
     affine = runner.Run(exp, 0).affine
     assert int(fields["samples"]) == len(affine)
@@ -317,7 +327,7 @@ def test_rates_continue_past_a_projective_critical_point(tmp_path, weights, init
                    "analyses = rates\n")
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    text = open(out / "report.txt").read()
+    text = (out / "report.txt").read_text()
     assert "  terminated = gradient_small\n  final_time = 0.001" in text
     rates = text.split("[RATES]\n")[1].split("\n\n")[0].splitlines()
     fields = dict(line.strip().split(" = ", 1) for line in rates)
@@ -343,7 +353,7 @@ def test_rates_read_off_steps_whose_clock_overflows(tmp_path):
                    "analyses = rates\n")
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    text = open(out / "report.txt").read()
+    text = (out / "report.txt").read_text()
     assert "  terminated = t_max\n" in text and "  final_time = 10000.0\n" in text
     verdict = text.split("[VERDICT]\n")[1].splitlines()
     rates = [line for line in verdict if line.startswith("  rates.")]
@@ -400,7 +410,7 @@ def test_projective_flow_from_a_zero_of_mu_exits_0(tmp_path):
                    "flow.t_max = 50\n")
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    text = open(out / "report.txt").read()
+    text = (out / "report.txt").read_text()
     assert "  steps = 1\n" in text
     assert "  rejected = error 0, energy 0, nonfinite 0\n" in text
     assert "  terminated = gradient_small\n" in text
@@ -422,7 +432,7 @@ def test_large_affine_start_steps_without_overflow(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert capsys.readouterr().err == ""
-    flow_lines = open(out / "report.txt").read().split("[FLOW]\n")[1].split("\n\n")[0]
+    flow_lines = (out / "report.txt").read_text().split("[FLOW]\n")[1].split("\n\n")[0]
     fields = dict(line.strip().split(" = ") for line in flow_lines.splitlines())
     assert fields["terminated"] == "t_max" and float(fields["final_time"]) == 1e4
     rejected = dict(part.split() for part in fields["rejected"].split(", "))
@@ -442,7 +452,7 @@ def test_start_whose_energy_overflows_still_flows(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert capsys.readouterr().err == ""
-    report = open(out / "report.txt").read()
+    report = (out / "report.txt").read_text()
     assert "  terminated = t_max\n" in report and "  overall = OK\n" in report
     # |v|^2 overflows, |v| = 1e200 does not
     header, *rows = (out / "trajectory.csv").read_text().splitlines()
@@ -464,8 +474,8 @@ def test_projective_start_whose_norm_under_or_overflows(tmp_path, capsys, scale)
                        "analyses = degeneration\n")
         out = tmp_path / entry
         status = main(["--config", str(cfg), "--out", str(out), "--quiet"])
-        report = open(out / "report.txt").read().split("[FLOW]")[1]   # not [CONFIG]
-        return status, report, open(out / "trajectory.csv").read()
+        report = (out / "report.txt").read_text().split("[FLOW]")[1]   # not [CONFIG]
+        return status, report, (out / "trajectory.csv").read_text()
 
     assert run(scale) == run("1") and run("1")[0] == 0
     assert capsys.readouterr().err == ""
@@ -631,7 +641,7 @@ def test_semistable_oracle_beside_an_unstable_limit_is_a_mismatch(tmp_path):
     exp = replace(exp, v0=expm(sym_power_generator(a, 4)) @ exp.v0,
                   analyses=("degeneration", "oracle"), checks=())
     status, path = run_experiment(exp, tmp_path, quiet=True)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert status == 1
     assert "  oracle = semi-stable (origin in hull)" in lines
     assert "  verdict = mismatch" in lines
@@ -646,7 +656,7 @@ def test_lifted_builtins_report_their_lift_residual(tmp_path, name, residual):
     # largest entry of the residual vector is 2.9e-9 and 8.0e-8 respectively
     status, path = run_experiment(get_builtin(name), tmp_path, quiet=True)
     assert status == 0
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     flow_lines = lines[lines.index("[FLOW]"):lines.index("[RATES]")]
     value = [float(line.split(" = ")[1]) for line in flow_lines
              if line.startswith("  lift_residual = ")]
@@ -659,15 +669,15 @@ def test_lift_residual_gates_the_run(tmp_path, monkeypatch):
     exp = replace(get_builtin("torus_12"), mode="cointegrate", analyses=(), checks=())
     status, path = run_experiment(exp, tmp_path / "ok", quiet=True)
     assert status == 0
-    assert "flow.lift_residual" in open(path).read()
+    assert "flow.lift_residual" in Path(path).read_text()
     monkeypatch.setattr(flow, "_lift_residual", lambda g, v, projective: 2e-6)
     status, path = run_experiment(exp, tmp_path / "drift", quiet=True)
     assert status == 1
-    assert "  flow.lift_residual = 2e-06  in [0.0, 1e-06]  FAIL" in open(path).read()
+    assert "  flow.lift_residual = 2e-06  in [0.0, 1e-06]  FAIL" in Path(path).read_text()
     # an unlifted run neither prints nor checks a lift residual
     status, path = run_experiment(replace(exp, mode="affine"), tmp_path / "affine",
                                   quiet=True)
-    assert status == 0 and "lift_residual" not in open(path).read()
+    assert status == 0 and "lift_residual" not in Path(path).read_text()
 
 
 _NO_ANALYSIS = {"mode": "affine", "analyses": ()}
@@ -688,7 +698,7 @@ def test_flow_that_did_not_run_fails(tmp_path, name, changes, opts, v0, reason):
     exp = replace(get_builtin(name), v0=np.array(v0, dtype=complex),
                   flow_opts=opts, checks=(), **changes)
     status, path = run_experiment(exp, tmp_path / reason, quiet=True)
-    text = open(path).read()
+    text = Path(path).read_text()
     assert status == 1
     assert f"terminated = {reason}" in text
     assert "flow.ok = 0.0  in [1.0, 1.0]  FAIL" in text
@@ -703,7 +713,7 @@ def test_flow_that_did_not_run_fails(tmp_path, name, changes, opts, v0, reason):
                       flow_opts=FlowOptions(t_max=10.0))
     status, path = run_experiment(healthy, tmp_path / "healthy", quiet=True)
     assert status == 0
-    assert "flow.ok" not in open(path).read()
+    assert "flow.ok" not in Path(path).read_text()
 
 
 def test_failing_analysis_is_a_fail_check_in_the_report(tmp_path):
@@ -735,7 +745,7 @@ def test_ray_divergence_diagnostics_in_the_report(tmp_path, monkeypatch):
     exp = replace(get_builtin("u1_weight1"), analyses=("ray",),
                   checks=(("ray.final_angle", 0.0, 1e-3),))
     status, path = run_experiment(exp, tmp_path / "ray", quiet=True)
-    text = open(path).read()
+    text = Path(path).read_text()
     ray = text.split("[RAY]\n", 1)[1].split("\n\n", 1)[0]
     assert ray.splitlines() == [
         "  error = RayDivergenceError: chord directions not Cauchy",
@@ -776,7 +786,7 @@ def test_declared_bound_without_its_check_fails(tmp_path):
     exp = replace(get_builtin("mgs_u1"),
                   checks=(("rates.alpha_hat", 0.73, 0.77),))
     status, path = run_experiment(exp, tmp_path / "m", quiet=True)
-    text = open(path).read()
+    text = Path(path).read_text()
     assert status == 1
     assert "rates.alpha_hat = nan  in [0.73, 0.77]  FAIL" in text
     assert text.rstrip().endswith("overall = FAIL")

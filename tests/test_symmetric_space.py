@@ -119,6 +119,26 @@ def test_factor_points_past_the_overflow_of_h():
                                np.sort(lam), rtol=1e-12)
 
 
+@pytest.mark.parametrize("r", [25.0, 30.0])
+def test_far_out_base_keeps_its_log_and_geodesic(r):
+    # a base at distance r from the identity, H0 = Q* exp(r M0) Q, and the
+    # point one unit further along: H0^{-1/2} off an eigendecomposition of
+    # H0 = g0* g0 has lost its small eigenvalues there; off the factor's SVD
+    # the log at H0 stays Q* M0 Q, and the midpoint halfway
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        m0 = rand_herm(rng, 3)
+        m0 /= np.linalg.norm(m0)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        p0, p1 = (SymmetricSpacePoint.from_group(scipy.linalg.expm(0.5 * x * m0) @ q)
+                  for x in (r, r + 1.0))
+        np.testing.assert_allclose(_whitened_log(p0, p1), q.conj().T @ m0 @ q,
+                                   rtol=0, atol=1e-5)
+        mid = geodesic(p0, p1, 0.5)
+        assert distance(p0, mid) == pytest.approx(0.5, abs=1e-5)
+        assert distance(mid, p1) == pytest.approx(0.5, abs=1e-5)
+
+
 def _well_conditioned(rng, n):
     """exp of a Hermitian matrix of norm <= 2, times a random unitary."""
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -241,21 +261,43 @@ def test_ray_unfactored_points_moderate_range(rng):
     assert angle <= 1e-5
 
 
-def test_ray_with_bounded_wobble(rng):
-    # diagonal ray with a bounded diagonal wobble |B| <= 0.1: the chord
-    # direction comes back within wobble / distance of the true one
+def _wobbled_diagonal_ray():
+    """Unit direction D and factors exp((s D + B(s)) / 2) of a diagonal ray
+    with a bounded diagonal wobble |B| <= 0.1, up to s = 60."""
     lam = np.array([0.8, -0.2, -0.6])
     direction = np.diag(lam / np.linalg.norm(lam)).astype(complex)
     b = 0.1 * np.diag([1.0, -1.0, 0.0]) / np.sqrt(2)
     clocks = np.linspace(0.5, 60.0, 120)
-    pts = []
-    for s in clocks:
-        wob = b * np.sin(np.log1p(s))
-        pts.append(scipy.linalg.expm(0.5 * (s * direction + wob)))
+    return direction, [scipy.linalg.expm(0.5 * (s * direction + b * np.sin(np.log1p(s))))
+                       for s in clocks]
+
+
+def test_ray_with_bounded_wobble(rng):
+    # the chord direction comes back within wobble / distance of the true one
+    direction, pts = _wobbled_diagonal_ray()
     ray, diag = extract_asymptotic_ray(pts)
     angle = np.arccos(np.clip(np.trace(ray.direction @ direction).real, -1, 1))
-    assert angle <= 0.1 / clocks[-1] + 1e-6
+    assert angle <= 0.1 / 60.0 + 1e-6
     assert diag.angles[-1] <= 1e-3
+
+
+def test_ray_residuals_are_the_per_probe_distances():
+    # reference: each of the last six tail directions M = log H / |log H| as
+    # its own point exp(M), by the factor exp(M/2), and its distance to the
+    # last one through the inverse of the factor, probe by probe
+    _, pts = _wobbled_diagonal_ray()
+    _, diag = extract_asymptotic_ray(pts)
+    dirs = []
+    for g in pts:
+        _, sigma, wh = np.linalg.svd(g)
+        m = wh.conj().T @ np.diag(2.0 * np.log(sigma)) @ wh
+        if np.linalg.norm(m) > 5.0:
+            dirs.append(m / np.linalg.norm(m))
+    ends = [scipy.linalg.expm(0.5 * m) for m in dirs[-6:]]
+    want = [np.linalg.norm(2.0 * np.log(np.linalg.svd(ends[-1] @ np.linalg.inv(e),
+                                                      compute_uv=False)))
+            for e in ends[:-1]]
+    np.testing.assert_allclose(diag.residuals, want, rtol=1e-12, atol=0)
 
 
 def test_ray_requires_escape():
