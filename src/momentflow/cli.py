@@ -15,8 +15,9 @@ Example::
     output_dir = out
     seed = 7
 
-Exit status: 0 all enabled checks pass, 1 a numerical check failed,
-2 invalid configuration (the message names the offending line).
+Exit status: 0 all enabled checks pass; 1 a numerical check failed, an
+analysis raised or the flow failed; 2 invalid configuration (the message
+names the offending line) or an output directory that cannot be written.
 """
 
 import argparse

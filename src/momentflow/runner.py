@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import GroupPresentation
 from .degeneration import (ANGLE_TOL, diagonal_torus, hermitian_generator,
                            limit_direction, oracle_angle, torus_oracle)
-from .errors import DiagnosticError, DomainError
+from .errors import DiagnosticError, DomainError, RayDivergenceError
 from .flow import (FlowOptions, _r_squared, check_rates, cointegrate_group,
                    fit_lojasiewicz, integrate_kempf_ness, integrate_projective)
 from .normal_form import build_model, verify_closedness, verify_moment_identity
@@ -150,6 +150,18 @@ def _scale_bounds(lo, hi, scale):
     return lo / scale, hi
 
 
+def _measure(lines, checks, name, value, lo, hi):
+    """Write ``value`` once: as the line of ``name``'s key, and as its check."""
+    lines.append(f"  {name.partition('.')[2]} = {_num(value)}")
+    checks.append((name, value, lo, hi))
+
+
+def _failure(name, err, lines=(), checks=()):
+    """A failed analysis's result: its error line over the lines it reported, .ok FAIL."""
+    return ([f"  error = {type(err).__name__}: {err}", *lines],
+            [*checks, (f"{name}.ok", 0.0, 1.0, 1.0)], None)
+
+
 def _subsample_geometric(clocks):
     idx, target = [], RAY_CLOCK_START
     for i, s in enumerate(clocks):
@@ -168,9 +180,7 @@ def _rates(run):
     try:
         fit = fit_lojasiewicz(affine)
     except DiagnosticError as err:    # the span stays beside the error it explains
-        for line in lines:
-            err.add_note(line)
-        raise
+        return _failure("rates", err, lines)
     lines += [f"  decay_exponent = {_num(fit.decay_exponent)}",
               f"  alpha_hat = {_num(fit.alpha_hat)}",
               f"  fit_quality = {_num(fit.fit_quality)}",
@@ -181,25 +191,21 @@ def _rates(run):
 
     rates = check_rates(affine, fit.alpha_hat)
     if rates.applicable:
-        lines += [f"  f_plateau_ratio = {_num(rates.f_plateau_ratio)}",
-                  f"  dist_plateau_ratio = {_num(rates.dist_plateau_ratio)}"]
-        checks += [("rates.f_plateau_ratio", rates.f_plateau_ratio, 1.0, 1.5),
-                   ("rates.dist_plateau_ratio", rates.dist_plateau_ratio, 1.0, 1.5)]
+        _measure(lines, checks, "rates.f_plateau_ratio", rates.f_plateau_ratio, 1.0, 1.5)
+        _measure(lines, checks, "rates.dist_plateau_ratio", rates.dist_plateau_ratio, 1.0, 1.5)
         # the collapse-rate plateau |v| * sqrt(t) at the stated exponent
         half = check_rates(affine, 0.75)
         if half.limit_is_origin:
-            lines.append(f"  v_plateau_ratio = {_num(half.dist_plateau_ratio)}")
-            checks.append(("rates.v_plateau_ratio", half.dist_plateau_ratio, 1.0, 1.5))
+            _measure(lines, checks, "rates.v_plateau_ratio", half.dist_plateau_ratio, 1.0, 1.5)
     # pointwise |grad f|^4 >= c f^3 on the final decade
     win = affine.t >= affine.t[-1] / 10.0
     with np.errstate(divide="ignore"):
         ratio = affine.grad_norm[win] ** 4 / affine.f[win] ** 3
-    lines.append(f"  grad4_over_f3_min = {_num(ratio.min())}")
-    checks.append(("rates.grad4_over_f3_min", ratio.min(), 1e-2, INF))
+    _measure(lines, checks, "rates.grad4_over_f3_min", ratio.min(), 1e-2, INF)
     # the logarithmic clock: s against log t over the final decade
     slope, r2 = _r_squared(np.log(affine.t[win]), affine.s[win])
-    lines += [f"  s_logt_r2 = {_num(r2)}", f"  s_logt_slope = {_num(slope)}"]
-    checks.append(("rates.s_logt_r2", r2, 0.99, 1.0))
+    _measure(lines, checks, "rates.s_logt_r2", r2, 0.99, 1.0)
+    lines.append(f"  s_logt_slope = {_num(slope)}")
     return lines, checks, None
 
 
@@ -230,17 +236,14 @@ def _degeneration(run):
             # collapse onto the minimizing face: mass off the face must vanish
             off_mass = max((abs(report.limit_point[j]) for j in range(p.dim_v)
                             if j not in oracle.support_face), default=0.0)
-            lines += [f"  verdict = {report.verdict}",
-                      f"  oracle_angle = {_num(angle)}",
-                      f"  off_face_mass = {_num(off_mass)}"]
-            checks += [("degeneration.oracle_angle", angle, 0.0, 1e-3),
-                       ("degeneration.off_face_mass", off_mass, 0.0, 1e-4)]
+            lines.append(f"  verdict = {report.verdict}")
+            _measure(lines, checks, "degeneration.oracle_angle", angle, 0.0, 1e-3)
+            _measure(lines, checks, "degeneration.off_face_mass", off_mass, 0.0, 1e-4)
         else:
             # nonabelian validation goes through conjugacy invariants
             err = float(np.max(np.abs(report.spectrum - run.oracle_spectrum)))
             report.verdict = "match" if err <= 1e-2 else "mismatch"
-            lines.append(f"  spectrum_vs_oracle = {_num(err)}")
-            checks.append(("degeneration.spectrum_vs_oracle", err, 0.0, 1e-2))
+            _measure(lines, checks, "degeneration.spectrum_vs_oracle", err, 0.0, 1e-2)
 
     table = [("spectrum", report.spectrum), ("direction", report.limit_direction),
              ("verdict", [report.verdict])]
@@ -248,35 +251,37 @@ def _degeneration(run):
 
 
 def _ray_diagnostics(diag):
-    """Report lines and checks of ray diagnostics, also emitted when the ray
-    diverges."""
-    lines = [f"  tail_samples = {len(diag.distances)}",
-             f"  final_distance = {_num(diag.distances[-1])}",
-             f"  final_angle = {_num(diag.angles[-1])}",
-             f"  residuals = {_vec(diag.residuals)}"]
+    """Report lines and checks of ray diagnostics, a diverging ray's too."""
+    lines, checks = [f"  tail_samples = {len(diag.distances)}",
+                     f"  final_distance = {_num(diag.distances[-1])}"], []
+    _measure(lines, checks, "ray.final_angle", diag.angles[-1], 0.0, 1e-3)
+    lines.append(f"  residuals = {_vec(diag.residuals)}")
     # Cauchy decrease is asserted on the final stretch (the transit toward
     # the limit set may legitimately swing the chord first), with a slack at
     # the arccos round-off floor, far below the 1e-3 criterion.
     angles_tail = diag.angles[-8:]
     monotone = float(np.all(np.diff(angles_tail) <= 1e-6)) if len(angles_tail) > 1 else 1.0
     resid_dec = float(np.all(np.diff(diag.residuals) <= 1e-6)) if len(diag.residuals) > 1 else 1.0
-    checks = [("ray.final_angle", diag.angles[-1], 0.0, 1e-3),
-              ("ray.angles_monotone", monotone, 1.0, 1.0),
-              ("ray.residuals_decreasing", resid_dec, 1.0, 1.0),
-              ("ray.residual_last", diag.residuals[-1], 0.0, 1e-2)]
+    checks += [("ray.angles_monotone", monotone, 1.0, 1.0),
+               ("ray.residuals_decreasing", resid_dec, 1.0, 1.0),
+               ("ray.residual_last", diag.residuals[-1], 0.0, 1e-2)]
     return lines, checks
 
 
 def _ray(run):
     traj = run.primary
-    ray, diag = extract_asymptotic_ray(traj.g_knots[_subsample_geometric(traj.knots)])
+    try:
+        ray, diag = extract_asymptotic_ray(traj.g_knots[_subsample_geometric(traj.knots)])
+    except RayDivergenceError as err:    # the partial diagnostics stay beside it
+        if err.diagnostics is None:
+            raise
+        return _failure("ray", err, *_ray_diagnostics(err.diagnostics))
     lines, checks = _ray_diagnostics(diag)
     lines += [f"  spectrum = {_vec(diag.spectrum)}", _rational(ray.rational_approx)]
 
     if run.oracle is not None and not run.oracle.semistable:
         err = float(np.max(np.abs(diag.spectrum - run.oracle_spectrum)))
-        lines.append(f"  spectrum_vs_oracle = {_num(err)}")
-        checks.append(("ray.spectrum_vs_oracle", err, 0.0, 1e-2))
+        _measure(lines, checks, "ray.spectrum_vs_oracle", err, 0.0, 1e-2)
 
     table = [("eigenvalue", diag.spectrum), ("angle", diag.angles),
              ("residual", diag.residuals), ("distance", diag.distances)]
@@ -300,28 +305,24 @@ def _normal_form(run):
     draws = rng.standard_normal((n_samples, model.dim_chart + p.dim_g))
     samples = list(zip(scale * draws[:, :model.dim_chart], draws[:, model.dim_chart:]))
     resid_mu = verify_moment_identity(model, samples)
-    lines.append(f"  moment_identity = {_num(resid_mu)}")
-    checks.append(("normal_form.moment_identity", resid_mu, 0.0, 1e-5))
+    _measure(lines, checks, "normal_form.moment_identity", resid_mu, 0.0, 1e-5)
 
     draws = rng.standard_normal((n_samples, 4, model.dim_chart))
     draws[:, 0] *= scale
     resid_d, resid_neg = verify_closedness(model, list(draws))
-    lines.append(f"  closedness = {_num(resid_d)}")
-    checks.append(("normal_form.closedness", resid_d, 0.0, 1e-4))
+    _measure(lines, checks, "normal_form.closedness", resid_d, 0.0, 1e-4)
 
     if model.dim_m > 1 and model.dim_g0 > 0:   # nonabelian
-        lines.append(f"  negative_control = {_num(resid_neg)}")
-        checks.append(("normal_form.negative_control", resid_neg, 1e-2, INF))
+        _measure(lines, checks, "normal_form.negative_control", resid_neg, 1e-2, INF)
     else:
         lines.append("  negative_control = skipped (abelian model)")
     return lines, checks, None
 
 
 # Each analysis maps a Run to (report lines, checks as (name, value, lo, hi),
-# optional CSV table of (kind, values)). An analysis that raises fails its
-# ``.ok`` check, and the report lines it attached to the error as notes stay
-# under the error line. Run order, which is the order of the VERDICT lines;
-# sections print in SECTIONS order.
+# optional CSV table of (kind, values)). A failed analysis returns _failure's
+# section with the lines it reported, or raises and gets a bare one. Run order
+# is the VERDICT order; sections print in SECTIONS order.
 ANALYSES = {"rates": _rates, "degeneration": _degeneration, "ray": _ray,
             "normal_form": _normal_form}
 
@@ -368,15 +369,13 @@ def run_experiment(exp, out_dir, *, seed=0, tol_scale=1.0, quiet=False):
         f"  final_f = {_num(traj.f[-1])}",
         f"  final_grad = {_num(traj.grad_norm[-1])}",
         f"  max_f_increase = {_num(max(0.0, fdiff.max()) if len(fdiff) else 0.0)}"]
-    if traj.g is not None:
-        sections["FLOW"].append(f"  lift_residual = {_num(traj.lift_residual)}")
 
     # a flow that did not run cannot pass, even with no analysis enabled
     found = []
     if traj.terminated_reason in ("step_underflow", "nonfinite"):
         found.append(("flow.ok", 0.0, 1.0, 1.0))
     if traj.g is not None:    # the lift checks itself: |g v0 - v| <= 1e-6 |v0|
-        found.append(("flow.lift_residual", traj.lift_residual, 0.0, LIFT_TOL))
+        _measure(sections["FLOW"], found, "flow.lift_residual", traj.lift_residual, 0.0, LIFT_TOL)
     for name, analysis in ANALYSES.items():
         if name not in exp.analyses:
             sections[name.upper()] = ["  disabled"]
@@ -384,12 +383,7 @@ def run_experiment(exp, out_dir, *, seed=0, tol_scale=1.0, quiet=False):
         try:
             lines, checks, table = analysis(run)
         except (ValueError, RuntimeError) as err:
-            lines, checks, table = [f"  error = {type(err).__name__}: {err}"], [], None
-            lines += getattr(err, "__notes__", [])    # report lines the analysis attached
-            if getattr(err, "diagnostics", None) is not None:
-                diag_lines, checks = _ray_diagnostics(err.diagnostics)
-                lines += diag_lines
-            checks.append((f"{name}.ok", 0.0, 1.0, 1.0))
+            lines, checks, table = _failure(name, err)
         sections[name.upper()] = lines
         found += checks
         if table is not None:

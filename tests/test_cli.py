@@ -734,10 +734,27 @@ def test_failing_analysis_is_a_fail_check_in_the_report(tmp_path):
     assert text.rstrip().endswith("overall = FAIL")
 
 
-def test_ray_divergence_diagnostics_in_the_report(tmp_path, monkeypatch):
-    diag = RayDiagnostics(distances=np.array([11.0, 12.5]), angles=np.array([0.25]),
-                          residuals=np.array([0.5, 0.125]), spectrum=np.zeros(1))
+def test_failing_rates_fit_keeps_its_span_in_the_report(tmp_path):
+    # the projective flow stops at s = 0.05, too early for the rates' tail
+    # fit; the span it fitted stays under the error line
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("group.kind = torus\ngroup.weights = 1; 2\n"
+                   "initial_vector = 0.7071:0, 0.7071:0\n"
+                   "flow.mode = projective\nflow.t_max = 0.05\nanalyses = rates\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 1
+    text = (out / "report.txt").read_text()
+    rates = text.split("[RATES]\n", 1)[1].split("\n\n", 1)[0]
+    assert rates.splitlines() == [
+        "  error = DiagnosticError: not enough positive samples for a tail fit",
+        "  samples = 47", "  final_time = 0.0559633363092886"]
+    assert "rates.ok = 0.0  in [1.0, 1.0]  FAIL" in text
+    assert text.rstrip().endswith("overall = FAIL")
 
+
+def _diverging_ray_report(tmp_path, monkeypatch, diag):
+    """Status, report text and [RAY] lines of u1_weight1 whose ray raises
+    RayDivergenceError carrying ``diag``, with a declared ray.final_angle."""
     def diverging(*args, **kwargs):
         raise RayDivergenceError("chord directions not Cauchy", diagnostics=diag)
 
@@ -746,8 +763,14 @@ def test_ray_divergence_diagnostics_in_the_report(tmp_path, monkeypatch):
                   checks=(("ray.final_angle", 0.0, 1e-3),))
     status, path = run_experiment(exp, tmp_path / "ray", quiet=True)
     text = Path(path).read_text()
-    ray = text.split("[RAY]\n", 1)[1].split("\n\n", 1)[0]
-    assert ray.splitlines() == [
+    return status, text, text.split("[RAY]\n", 1)[1].split("\n\n", 1)[0].splitlines()
+
+
+def test_ray_divergence_diagnostics_in_the_report(tmp_path, monkeypatch):
+    diag = RayDiagnostics(distances=np.array([11.0, 12.5]), angles=np.array([0.25]),
+                          residuals=np.array([0.5, 0.125]), spectrum=np.zeros(1))
+    status, text, ray = _diverging_ray_report(tmp_path, monkeypatch, diag)
+    assert ray == [
         "  error = RayDivergenceError: chord directions not Cauchy",
         "  tail_samples = 2", "  final_distance = 12.5", "  final_angle = 0.25",
         "  residuals = [0.5, 0.125]"]
@@ -755,6 +778,15 @@ def test_ray_divergence_diagnostics_in_the_report(tmp_path, monkeypatch):
     assert "ray.final_angle = 0.25  in [0.0, 0.001]  FAIL" in text
     assert "ray.residual_last = 0.125  in [0.0, 0.01]  FAIL" in text
     assert "ray.ok = 0.0  in [1.0, 1.0]  FAIL" in text
+    assert status == 1
+
+
+def test_ray_divergence_without_diagnostics_reports_its_error_alone(tmp_path, monkeypatch):
+    status, text, ray = _diverging_ray_report(tmp_path, monkeypatch, None)
+    assert ray == ["  error = RayDivergenceError: chord directions not Cauchy"]
+    assert "ray.ok = 0.0  in [1.0, 1.0]  FAIL" in text
+    # no diagnostics, so the declared bound's check never ran
+    assert "ray.final_angle = nan  in [0.0, 0.001]  FAIL" in text
     assert status == 1
 
 

@@ -143,9 +143,11 @@ def test_config_file_through_main_exits_cleanly(text, tmp_path, monkeypatch):
     with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
         cfg = Path(tmp) / "exp.cfg"
         cfg.write_text(text)
-        # a relative output_dir (or the default) lands inside tmp
-        with contextlib.chdir(tmp), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(out):
+        # a relative output_dir (or the default) lands inside tmp; the next
+        # example starts from tmp_path, so the cwd never names a removed tmp
+        monkeypatch.chdir(tmp)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
             status = main(["--config", str(cfg)])
+        monkeypatch.chdir(tmp_path)
     assert status in (0, 1, 2), out.getvalue()
     assert "Traceback" not in out.getvalue()

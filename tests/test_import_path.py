@@ -3,7 +3,8 @@
 scipy stays a dependency of the test suite (the reference exponential and
 logarithm); the package exponentiates through ``linalg.expm`` and takes the
 logarithms of Kempf-Ness path steps by their Mercator series. The sources
-and tests import nothing they do not use.
+and tests import nothing they do not use, and use no API newer than the
+Python 3.10 that pyproject.toml allows.
 """
 
 import ast
@@ -75,3 +76,23 @@ def test_every_import_is_used():
                    for name in (a.asname or a.name.split(".")[0] for a in node.names)
                    if name not in used]
     assert unused == []
+
+
+def _newer_than_python_3_10(node):
+    """Whether ``node`` uses an API new in Python 3.11, which pyproject.toml
+    does not require: ``BaseException.add_note`` or ``contextlib.chdir``."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr == "add_note"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "chdir" and getattr(node.value, "id", None) == "contextlib"
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "contextlib" and any(a.name == "chdir" for a in node.names)
+    return False
+
+
+def test_sources_and_tests_run_on_python_3_10():
+    paths = sorted((SRC / "momentflow").glob("*.py")) + sorted(TESTS.glob("*.py"))
+    hits = [f"{path.name}:{node.lineno}" for path in paths
+            for node in ast.walk(ast.parse(path.read_text()))
+            if _newer_than_python_3_10(node)]
+    assert hits == []
