@@ -1,10 +1,11 @@
 """Numerical integration of the moment-map energy flow and its diagnostics.
 
-The downward gradient flow of f = |mu|^2 is integrated with the embedded
-Dormand-Prince 5(4) pair in the projective clock s, under an energy guard
-that rejects any step raising f beyond its round-off; samples are read off
-the continuous extension on a geometric output grid. Both flows step the
-field of f^ = f / |v|^4 on the unit sphere. The stages are real, on the
+The downward gradient flow of f = |mu|^2 is integrated with the
+Dormand-Prince 8(5,3) pair DOP853 in the projective clock s, under an
+energy guard that rejects any step raising f beyond its round-off; samples
+are read off the step's seventh-order continuous extension on a geometric
+output grid, and the error test bounds that extension too. Both flows step
+the field of f^ = f / |v|^4 on the unit sphere. The stages are real, on the
 layout v.view(float), and each energy call is one realified kernel
 (``representation.energy_kernel``) that writes its slope into the stage
 buffer. The projective flow is that field; the affine flow steps in polar
@@ -71,8 +72,8 @@ class FlowTrajectory:
     sizes, in s; the affine flow a projective run carries has none of these.
     The samples lie on the output grid, plus the final state. A lifted
     trajectory holds g at the samples, and at the knots of the lift (the
-    samples and the ends of the steps that hold none, in the trajectory's
-    clock) in ``knots`` and ``g_knots``; ``lift_residual`` is max |g v0 - v|
+    samples and the step ends, in the trajectory's clock) in ``knots`` and
+    ``g_knots``; ``lift_residual`` is max |g v0 - v|
     / |v0| over the knots, projectively up to phase. ``affine`` is the affine
     flow a projective run integrated with ``affine`` options carries.
     """
@@ -132,105 +133,204 @@ class FlowTrajectory:
             fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in table)
 
 
-# Dormand-Prince 5(4) tableau (Hairer, Norsett and Wanner, Solving ODEs I,
-# II.5); the fifth-order solution is propagated. Row i of _DP_A holds the
-# weights of stages 0..i-1 in stage i. The seventh stage is the slope at the
-# new state, which is also the first stage of the next step (first same as
-# last), so _DP_B has a zero there and _DP_E = b5 - b4 spans all seven stages.
-# The fourth-order continuous extension (II.6) is y(t + theta h) = y + h
-# sum_p theta^p (_DP_P[p - 1] @ ks), p = 1..4; it meets the step's ends in
-# value and slope. The flow is autonomous, so the nodes c_i are not needed.
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+def _table(width, rows):
+    """The rows of dicts {column: entry} as an array (len(rows), width)."""
+    out = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        out[i, list(row)] = list(row.values())
+    return out
+
+
+def _power_basis(rows):
+    """The rows P of sum_p theta^p P[p - 1], p = 1..7, equal to the nested
+    theta (r1 + (1 - theta) (r2 + theta (r3 + ... (1 - theta) (r6 + theta
+    r7)))) of the ``rows`` r1..r7."""
+    p = np.zeros((len(rows) + 1, rows[0].size))
+    for i, row in enumerate(rows[::-1]):
+        p[0] += row
+        shifted = np.roll(p, 1, axis=0)    # theta p
+        p = shifted if i % 2 == 0 else p - shifted
+    return p[1:]
+
+
+# DOP853, the Dormand-Prince 8(5,3) pair (Hairer, Norsett and Wanner, Solving
+# ODEs I, II.10), with the coefficients of Hairer's dop853.f. Row i of _A
+# holds the weights of stages 0..i-1 in stage i. Row 12 is the eighth-order
+# solution, so stage 12 is the slope at the new state, which is also the
+# first stage of the next step (first same as last); rows 13..15 are the
+# three stages of the continuous extension. The seventh-order extension
+# (Hairer's contd8: r1 = B, r2 = e0 - B, r3 = 2 B - e0 - e12 and r4..r7 =
+# D, in units of h ks) is y(t + theta h) = y + h sum_p theta^p (_P[p - 1]
+# @ ks), p = 1..7, over all sixteen stages; it meets the step's ends in
+# value and slope. The rows of _E take the stages to the fifth- and
+# third-order error estimates and to the extension's last term r7, whose
+# weight theta^4 (1 - theta)^3 peaks at _R7. The flow is autonomous, so the
+# nodes c_i are not needed.
+_A = _table(16, [
+    {},
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+     4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+     8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+     8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+    {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+     6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+     8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+     10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
+    {0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
+     7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
+     9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
+     11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+    {0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
+     6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
+     10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
+     12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1},
+    {0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
+     6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
+     8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
+     13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
 ])
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_E = _DP_B - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                          -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-                  -10690763975 / 1880347072, 701980252875 / 199316789632,
-                  -1453857185 / 822651844, 69997945 / 29380423])
-_E0, _E6 = np.eye(7)[[0, 6]]
-_DP_P = np.array([_E0, 3 * _DP_B - 2 * _E0 - _E6 + _DP_D,
-                  _E0 + _E6 - 2 * _DP_B - 2 * _DP_D, _DP_D])
-_DP_B6 = _DP_B[:6]
-_POWERS = np.arange(1, 5)
+_B = _A[12, :12]
+_E5, _B3 = _table(16, [
+    {0: 0.1312004499419488073250102996e-1, 5: -0.1225156446376204440720569753e+1,
+     6: -0.4957589496572501915214079952, 7: 0.1664377182454986536961530415e+1,
+     8: -0.3503288487499736816886487290, 9: 0.3341791187130174790297318841,
+     10: 0.8192320648511571246570742613e-1, 11: -0.2235530786388629525884427845e-1},
+    {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
+     11: 0.220588235294117647058823529412e-1},
+])
+_D = _table(16, [
+    {0: -0.84289382761090128651353491142e+1, 5: 0.56671495351937776962531783590,
+     6: -0.30689499459498916912797304727e+1, 7: 0.23846676565120698287728149680e+1,
+     8: 0.21170345824450282767155149946e+1, 9: -0.87139158377797299206789907490,
+     10: 0.22404374302607882758541771650e+1, 11: 0.63157877876946881815570249290,
+     12: -0.88990336451333310820698117400e-1, 13: 0.18148505520854727256656404962e+2,
+     14: -0.91946323924783554000451984436e+1, 15: -0.44360363875948939664310572000e+1},
+    {0: 0.10427508642579134603413151009e+2, 5: 0.24228349177525818288430175319e+3,
+     6: 0.16520045171727028198505394887e+3, 7: -0.37454675472269020279518312152e+3,
+     8: -0.22113666853125306036270938578e+2, 9: 0.77334326684722638389603898808e+1,
+     10: -0.30674084731089398182061213626e+2, 11: -0.93321305264302278729567221706e+1,
+     12: 0.15697238121770843886131091075e+2, 13: -0.31139403219565177677282850411e+2,
+     14: -0.93529243588444783865713862664e+1, 15: 0.35816841486394083752465898540e+2},
+    {0: 0.19985053242002433820987653617e+2, 5: -0.38703730874935176555105901742e+3,
+     6: -0.18917813819516756882830838328e+3, 7: 0.52780815920542364900561016686e+3,
+     8: -0.11573902539959630126141871134e+2, 9: 0.68812326946963000169666922661e+1,
+     10: -0.10006050966910838403183860980e+1, 11: 0.77771377980534432092869265740,
+     12: -0.27782057523535084065932004339e+1, 13: -0.60196695231264120758267380846e+2,
+     14: 0.84320405506677161018159903784e+2, 15: 0.11992291136182789328035130030e+2},
+    {0: -0.25693933462703749003312586129e+2, 5: -0.15418974869023643374053993627e+3,
+     6: -0.23152937917604549567536039109e+3, 7: 0.35763911791061412378285349910e+3,
+     8: 0.93405324183624310003907691704e+2, 9: -0.37458323136451633156875139351e+2,
+     10: 0.10409964950896230045147246184e+3, 11: 0.29840293426660503123344363579e+2,
+     12: -0.43533456590011143754432175058e+2, 13: 0.96324553959188282948394950600e+2,
+     14: -0.39177261675615439165231486172e+2, 15: -0.14972683625798562581422125276e+3},
+])
+_E0, _E12 = np.eye(16)[[0, 12]]
+_P = _power_basis([_A[12], _E0 - _A[12], 2 * _A[12] - _E0 - _E12, *_D])
+_E = np.array([_E5, _A[12] - _B3, _D[3]])
+_R7 = 4**4 * 3**3 / 7**7
+_POWERS = np.arange(1, 8)
 
 
 def _rkf45_step(energy, y, h, k1):
-    """One Dormand-Prince step from the complex y (n,), whose slope k1 =
-    -grad is known, in real arithmetic on the layout y.view(float).
-
-    Returns (y_new, f_new, ks, fs, err): the fifth-order solution (through
-    :func:`_projective_gauge`), its energy, the seven stages (7, n), the
-    energies of the five inner stages and the embedded error estimate, the
-    arrays as complex views. The last stage is the slope at y_new, so a step
-    makes six energy calls, each writing its slope into the stage buffer. A
-    non-finite y_new is not evaluated: f_new and the last stage are NaN.
-    """
+    """One DOP853 step from the complex y (n,), whose slope k1 = -grad is
+    known, in real arithmetic on the layout y.view(float); the benchmark's
+    tracer binds the name, kept from the pair DOP853 replaced. Returns
+    (y_new, f_new, ks, fs, err): the eighth-order solution (through
+    :func:`_projective_gauge`), its energy, the sixteen stages (16, n) as a
+    complex view, the energies at stages 1..15 (fs[11] = f_new) and
+    :func:`_step_error`. Fifteen energy calls write the slopes into the stage
+    buffer: eleven inner stages, y_new and the extension's three. A
+    non-finite y_new is not evaluated: f_new and its four stages are NaN."""
     x = y.view(float)
-    ks = np.empty((7, x.size))
+    ks = np.full((16, x.size), np.nan)
     ks[0] = k1.view(float)
-    ha = h * _DP_A
-    fs = [energy(x + ha[i, :i].dot(ks[:i]), ks[i]) for i in range(1, 6)]
-    y_new = (x + h * _DP_B6.dot(ks[:6])).view(complex)
-    f_new, ks[6] = np.nan, np.nan
+    ha = h * _A
+    fs = [energy(x + ha[i, :i].dot(ks[:i]), ks[i]) for i in range(1, 12)] + [np.nan] * 4
+    y_new = (x + h * _B.dot(ks[:12])).view(complex)
     if np.isfinite(y_new).all():
         y_new = _projective_gauge(y_new)
-        f_new = energy(y_new.view(float), ks[6])
-    return y_new, f_new, ks.view(complex), fs, (h * _DP_E.dot(ks)).view(complex)
+        fs[11:] = [energy(y_new.view(float) if i == 12 else x + ha[i, :i].dot(ks[:i]), ks[i])
+                   for i in range(12, 16)]
+    err5, err3, r7 = (h * _E.dot(ks)).view(complex)
+    return y_new, fs[11], ks.view(complex), fs, _step_error(err5, err3, r7)
 
 
-# Weights of the polar quadratures: _POLAR_W takes dl/ds at the stages to l
-# at the six stages that feed a step and at its end; _POLAR_C takes the stage
-# slopes of l or t to the increment, the error estimate and the extension.
-_POLAR_W = np.zeros((7, 7))
-_POLAR_W[:6, :5], _POLAR_W[6, :6] = _DP_A, _DP_B6
-_POLAR_C = np.column_stack([_DP_B, _DP_E, _DP_P.T])
+def _step_error(err5, err3, r7):
+    """A step's error estimate per component: the larger of Hairer's err5
+    |err5| / hypot(|err5|, 0.1 |err3|) (0 where both vanish) and the peak
+    _R7 |r7| of the extension's last term, which bounds the extension too."""
+    a5 = np.abs(err5)
+    den = np.hypot(a5, 0.1 * np.abs(err3))
+    return np.maximum(a5 * (a5 / np.where(den > 0.0, den, 1.0)), _R7 * np.abs(r7))
+
+
+# The polar quadratures: _A takes dl/ds at the stages to l at them; _POLAR_C
+# takes the stage slopes of l or t to the increment, errors and extension.
+_POLAR_C = np.column_stack([_A[12], _E.T, _P.T])
 
 
 def _polar_step(l, t, h, fs, opts, nxt):
     """l = log|v|^2 and t after a polar step h from (l, t), from f^ at the
-    seven stages (dl/ds = -8 f^, dt/ds = e^-l); the larger of their local
-    errors over rtol and atol + rtol t (inf if not finite); and the step's
-    rows on the t grid of ``opts``: their t from the grid point ``nxt`` on,
-    step fractions theta and l off the extension, then the grid point after
-    them and whether the step reaches ``t_max``, its last row. A grid point
-    within round-off of the step's end is no row of it (:func:`_walk_grid`).
-    The t quadrature weighs e^-l_i - e^-l, and adds h e^-l to the increment
-    and to the extension's linear term, so a step at constant l advances t
-    by exactly h e^-l."""
+    sixteen stages (dl/ds = -8 f^, dt/ds = e^-l); the larger of their local
+    errors (:func:`_step_error`) over rtol and atol + rtol t (inf if not
+    finite); and the step's rows on the t grid of ``opts``: their t from the
+    grid point ``nxt`` on, step fractions theta and l off the extension,
+    then the grid point after them and whether the step reaches ``t_max``,
+    its last row. A grid point within round-off of the step's end is no row
+    of it (:func:`_walk_grid`). The t quadrature weighs e^-l_i - e^-l, and
+    adds h e^-l to the increment and to the extension's linear term, so a
+    step at constant l advances t by exactly h e^-l."""
     dl = -8.0 * np.array(fs)
-    ls = l + h * (_POLAR_W @ dl)
+    ls = l + h * (_A @ dl)
     rate = math.exp(-l)
-    (_, l_err, *cl), (t_inc, t_err, *ct) = (
-        h * (np.array([dl, np.exp(-ls) - rate]) @ _POLAR_C)).tolist()
+    sums = h * (np.array([dl, np.exp(-ls) - rate]) @ _POLAR_C)
+    l_err, t_err = _step_error(*sums[:, 1:4].T)
+    cl, ct = sums[:, 4:]
     ct[0] += h * rate
-    l_new, t_new = float(ls[6]), t + (h * rate + t_inc)
-    err = max(abs(l_err) / opts.rtol, abs(t_err) / (opts.atol + opts.rtol * t_new))
+    l_new, t_new = float(ls[12]), t + (h * rate + float(sums[1, 0]))
+    err = max(l_err / opts.rtol, t_err / (opts.atol + opts.rtol * t_new))
     last = t_new >= opts.t_max * (1 - 1e-15)
     ts, nxt = _walk_grid(nxt, opts.t_max if last else t_new, opts.initial_step)
     ts += [opts.t_max] if last else []
-    thetas = [_theta_in_step(x, t, t_new, ct) for x in ts]
-    rows = ts, thetas, [l + x * (cl[0] + x * (cl[1] + x * (cl[2] + x * cl[3]))) for x in thetas]
+    thetas = _theta_in_step(np.array(ts), t, t_new, ct)
+    rows = ts, thetas.tolist(), (l + thetas[:, None] ** _POWERS @ cl).tolist()
     return l_new, t_new, err if math.isfinite(l_new + t_new + err) else math.inf, rows, nxt, last
 
 
-def _theta_in_step(target, t0, t1, ct):
-    """The fraction theta of a polar step where t0 + sum_p theta^p ct[p - 1]
-    meets ``target`` in (t0, t1]: Newton on the convex t(theta), in floats."""
-    c1, c2, c3, c4 = ct
-    theta = (target - t0) / (t1 - t0)
+def _theta_in_step(targets, t0, t1, ct):
+    """The fractions theta (q,) of a polar step where t0 + sum_p theta^p
+    ct[p - 1] meets ``targets`` (q,) in (t0, t1]: Newton on convex t(theta)."""
+    theta = (targets - t0) / (t1 - t0)
     for _ in range(50):
-        resid = t0 + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4))) - target
-        slope = c1 + theta * (2.0 * c2 + theta * (3.0 * c3 + theta * 4.0 * c4))
-        step = min(max(theta - resid / slope, 0.0), 1.0) - theta
+        powers = theta[:, None] ** np.arange(8)    # theta^0 .. theta^7
+        value, slope = powers[:, 1:] @ ct, powers[:, :-1] @ (_POWERS * ct)
+        step = np.clip(theta - (t0 + value - targets) / slope, 0.0, 1.0) - theta
         theta += step
-        if not abs(step) > 1e-12:
+        if not np.abs(step).max(initial=0.0) > 1e-12:
             break
     return theta
 
@@ -244,15 +344,14 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
     ``energy(x, out) -> f`` (``representation.energy_kernel``) takes the
     real layout x = y.view(float) of a state (n,) or a stack (q, n) and
     writes the slope -grad into ``out``. The grid points inside a step
-    (:func:`_walk_grid`) are read off its
-    continuous extension as one block, with one stacked ``energy`` call; a
-    step end is a sample only on the grid, the final state always. The end
-    of a step that holds no sample is a lift knot only, a row listed in
+    (:func:`_walk_grid`) are read off its continuous extension as one block,
+    with one stacked ``energy`` call. Every step end is a row: a sample on
+    the grid and at the end, else a lift knot only, listed in
     ``samples["knots_only"]``. A step is rejected when its new state is not
     finite (``"nonfinite"``, also on a silent overflow), when the error test
-    fails (``"error"``) or when f would rise, by more than 1e-12 of it and
-    its round-off eps |y| |grad f|, |y| = 1, at its end or at a sample
-    (``"energy"``).
+    fails (``"error"``) or when f would rise, from the lower of its start and
+    the last sample, by more than 1e-12 of it and its round-off eps |y|
+    |grad f|, |y| = 1, at its end or at a sample (``"energy"``).
     With ``record`` each accepted step keeps its start state, size and
     stages in lists, for the lift; else ``step_records`` is None.
 
@@ -293,11 +392,7 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
         for key, part in zip(("t", "s", "l", "v"), (ts, ss, ls, [us])):
             rows[key] += part
 
-    def finish(reason):
-        # a polar run that ends t_max has its last sample inside its last step
-        if samples["t"][-1] != clock and not (polar and reason == "t_max"):
-            knots_only.append(len(samples["t"]))
-            emit_state()
+    def finish(reason):    # every step end is a row already
         end = end_a or reason    # the affine flow's end, if it ended before the run
         if affine is not None:
             if steps and not end_a:    # the ride ends with the run, at its end
@@ -328,7 +423,7 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
         rows = samples if polar else dict(t=[0.0], s=[0.0], l=[l0], v=[y[None]])
         evaluations = int(np.isfinite(y).all())
         k1 = np.full_like(y, np.nan)
-        f = energy(y.view(float), k1.view(float)) if evaluations else np.nan
+        f_out = f = energy(y.view(float), k1.view(float)) if evaluations else np.nan
         k1_norm, abs_y = _norm(k1), np.abs(y)
         emit_state()
         steps, rejected = 0, {"error": 0, "energy": 0, "nonfinite": 0}
@@ -358,11 +453,11 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
 
             h_eff = min(h, (opts.t_max - clock) * (math.exp(min(l, 709.0)) if polar else 1.0))
             y_new, f_new, ks, fs_in, err = _rkf45_step(energy, y, h_eff, k1)
-            evaluations += 6
+            evaluations += 15
             s_new = clock_new = s + h_eff
             if aff and not end_a:
                 l_new, t_new, err_t, rows_t, nxt_t, last_t = _polar_step(
-                    l, t, h_eff, [f, *fs_in, f_new], aff, grid_t)
+                    l, t, h_eff, [f, *fs_in], aff, grid_t)
             if polar:    # the affine flow's error is tested, and its rows are the run's
                 clock_new, err_lt, (inside, thetas, l_in), nxt, last = (
                     t_new, err_t, rows_t, nxt_t, last_t)
@@ -371,20 +466,20 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
                 thetas = [(x - s) / h_eff for x in inside]
             if not (math.isfinite(f_new) and math.isfinite(err_lt)
                     and np.isfinite(err).all()):
-                evaluations -= not np.isfinite(y_new).all()    # then not evaluated
+                evaluations -= 4 * (not np.isfinite(y_new).all())    # then not evaluated
                 rejected["nonfinite"] += 1
                 h = 0.5 * h_eff
                 continue
             abs_new = np.abs(y_new)
             scale = opts.atol + opts.rtol * np.maximum(abs_y, abs_new)
-            err_norm = max(float((np.abs(err) / scale).max()), err_lt)
+            err_norm = max(float((err / scale).max()), err_lt)
             if err_norm > 1.0:
                 rejected["error"] += 1
-                h = h_eff * max(0.2, 0.9 * err_norm ** -0.2)
+                h = h_eff * max(0.2, 0.9 * err_norm ** -0.125)
                 continue
 
             # f along the step, from the lower of the state and the last sample
-            fs = [min(f, samples["f"][-1])]
+            fs = [min(f, f_out)]
             if inside:
                 dense, f_in, d_in = _read_grid(energy, y, h_eff, ks, np.array(thetas)[:, None])
                 evaluations += len(inside)
@@ -405,6 +500,7 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
             if inside:    # polar rows keep their s, and l off its extension
                 emit(inside, f_in, dense, d_in,
                      *(([s + x * h_eff for x in thetas], l_in) if polar else ()))
+                f_out = f_in[-1]
             if aff and not end_a:
                 if not polar:    # the ride's rows in this step, off its extension
                     ts, ths, ls = rows_t
@@ -413,19 +509,19 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
                              _projective_gauge(_extension(y, h_eff, ks, np.array(ths)[:, None])))
                     end_a = "t_max" if last_t else None
                 t, l, grid_t = t_new, l_new, nxt_t
-            s, y, f, k1, abs_y = s_new, y_new, f_new, ks[6].copy(), abs_new
+            s, y, f, k1, abs_y = s_new, y_new, f_new, ks[12].copy(), abs_new
             k1_norm, clock = _norm(k1), clock_new
             if last:    # its end lies past t_max, and is no row
                 return finish("t_max")
-            if nxt <= clock:    # the step ends on a grid point
-                emit_state()
-            elif not inside:    # a step that holds no sample ends at a lift knot
+            if nxt > clock:    # a step end off the grid is a lift knot only
                 knots_only.append(len(samples["t"]))
-                emit_state()
+            else:
+                f_out = f
+            emit_state()
             grid = _grid_after(nxt, opts.initial_step) if nxt <= clock else nxt
             if polar:    # the t grid is the output grid
                 grid_t = grid
-            h = h_eff * (5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2)))
+            h = h_eff * (5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.125)))
 
 
 def _never_rises(fs, slack):
@@ -452,7 +548,7 @@ def _walk_grid(nxt, end, initial_step):
 def _extension(y, h, ks, theta):
     """States (q, n) at step fractions ``theta`` (q, 1) of a step's extension,
     in real arithmetic."""
-    x = y.view(float) + h * (theta ** _POWERS @ _DP_P.dot(ks.view(float)))
+    x = y.view(float) + h * (theta ** _POWERS @ _P.dot(ks.view(float)))
     return x.view(complex)
 
 
@@ -509,16 +605,14 @@ def _pack(samples, stats, eps_grad, lift=None, v0=None):
             f = np.exp(2.0 * l) * f
             v = np.exp(0.5 * l)[:, None] * v
             v[0] = v0
-    knots = g_knots = residual = None
+    knots = g = g_knots = residual = None
     if lift is not None:
         knots, g_knots = t, _lift_path(lift, s, _step_extension(records, v.shape[1]))
         residual = _lift_residual(g_knots, v, not polar)
-    g = g_knots
-    if samples["knots_only"]:
-        keep = np.ones(len(t), dtype=bool)
-        keep[samples["knots_only"]] = False
-        t, v, f, grad_norm, s = t[keep], v[keep], f[keep], grad_norm[keep], s[keep]
-        g = None if g is None else g[keep]
+    keep = np.ones(len(t), dtype=bool)
+    keep[samples["knots_only"]] = False
+    t, v, f, grad_norm, s = t[keep], v[keep], f[keep], grad_norm[keep], s[keep]
+    g = None if g_knots is None else g_knots[keep]
     return FlowTrajectory(t=t, v=v, f=f, grad_norm=grad_norm, s=s, g=g,
                           kind="affine" if polar else "projective", eps_grad=eps_grad,
                           lift_residual=residual, knots=knots, g_knots=g_knots, **stats)
@@ -549,12 +643,12 @@ _GAUSS = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])[:, None]
 
 def _step_extension(records, n):
     """The continuous extensions of the recorded steps as arrays (t0, h, y,
-    c): step starts and sizes (S,), start states (S, n) and the rows c (S, 4,
+    c): step starts and sizes (S,), start states (S, n) and the rows c (S, 7,
     n) of y(t0 + theta h) = y + sum_p theta^p c[p - 1]. The starts are the
     running sums of the sizes, which are the integrator's clock bit for bit."""
     h = np.array(records["h"])
     t0 = np.concatenate([[0.0], np.cumsum(h)[:-1]])
-    c = h[:, None, None] * (_DP_P @ np.array(records["ks"]).reshape(-1, 7, n))
+    c = h[:, None, None] * (_P @ np.array(records["ks"]).reshape(-1, 16, n))
     return t0, h, np.array(records["y"]).reshape(-1, n), c
 
 
@@ -576,8 +670,7 @@ def _lift_path(p, s, steps):
         tau = s[a:b] + _GAUSS * h                                   # (2, b - a)
         k = np.searchsorted(t0, tau, side="right") - 1              # the step of a node
         theta, c = np.minimum((tau - t0[k]) / hs[k], 1.0)[..., None], cs[k]
-        nodes = ys[k] + theta * (c[..., 0, :] + theta * (
-            c[..., 1, :] + theta * (c[..., 2, :] + theta * c[..., 3, :])))   # (2, b - a, n)
+        nodes = ys[k] + (theta[..., None] ** _POWERS @ c)[..., 0, :]    # (2, b - a, n)
         n2 = np.einsum("...i,...i->...", nodes.conj(), nodes).real
         a1, a2 = flow_generator(p, nodes) / n2[..., None, None]
         h = h[:, None, None]

@@ -294,14 +294,19 @@ def test_criterion_9_mgs_model_verification():
 
 # Ceilings on each builtin's [FLOW] steps, evaluations and samples at seed 0.
 # Work may fall below them; a change that spends more work raises this table
-# on purpose and says why.
+# on purpose and says why. A DOP853 step makes 15 evaluations where a
+# Dormand-Prince 5(4) step made 6, so the flows of u1_weight1, mgs_u1 and
+# mgs_su2, one step at a critical point, cost 9 more. torus_12 and torus_c3
+# stop at the first step end with |grad f^| < eps_grad; their longer steps
+# end there later, one output-grid point past the old end, so each holds one
+# more sample.
 FLOW_COUNTER_CEILINGS = {
-    "u1_weight1": (1, 8, 355),
-    "torus_12": (153, 1116, 201),
-    "torus_c3": (149, 1108, 217),
-    "su2_symd": (458, 2962, 217),
-    "mgs_u1": (1, 7, 2),
-    "mgs_su2": (1, 7, 2),
+    "u1_weight1": (1, 17, 355),
+    "torus_12": (51, 964, 202),
+    "torus_c3": (49, 950, 218),
+    "su2_symd": (94, 1624, 217),
+    "mgs_u1": (1, 16, 2),
+    "mgs_su2": (1, 16, 2),
 }
 
 

@@ -650,10 +650,10 @@ def test_semistable_oracle_beside_an_unstable_limit_is_a_mismatch(tmp_path):
     assert "verdict,0,mismatch" in (tmp_path / "degeneration.csv").read_text()
 
 
-@pytest.mark.parametrize("name, residual", [("torus_c3", 3.40e-9), ("su2_symd", 1.08e-7)])
+@pytest.mark.parametrize("name, residual", [("torus_c3", 1.11e-10), ("su2_symd", 3.25e-7)],
+                         ids=["torus_c3", "su2_symd"])
 def test_lifted_builtins_report_their_lift_residual(tmp_path, name, residual):
-    # both lifts are projective, so the residual is taken up to phase; the
-    # largest entry of the residual vector is 2.9e-9 and 8.0e-8 respectively
+    # both lifts are projective, so the residual is taken up to phase
     status, path = run_experiment(get_builtin(name), tmp_path, quiet=True)
     assert status == 0
     lines = Path(path).read_text().splitlines()
@@ -747,9 +747,26 @@ def test_failing_rates_fit_keeps_its_span_in_the_report(tmp_path):
     rates = text.split("[RATES]\n", 1)[1].split("\n\n", 1)[0]
     assert rates.splitlines() == [
         "  error = DiagnosticError: not enough positive samples for a tail fit",
-        "  samples = 47", "  final_time = 0.0559633363092886"]
+        "  samples = 47", "  final_time = 0.055963336307619994"]
     assert "rates.ok = 0.0  in [1.0, 1.0]  FAIL" in text
     assert text.rstrip().endswith("overall = FAIL")
+
+
+def test_su2_symd_as_a_config_steps_at_the_default_tolerances(tmp_path):
+    # a config cannot set rtol or atol: su2_symd's start, horizon and
+    # eps_grad at the defaults rtol = 1e-8, atol = 1e-12 leave the unstable
+    # stratum sooner, and the lift drifts past its bound
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("group.kind = su2_sym\ngroup.degree = 4\n"
+                   "initial_vector = 0.9999500037496877:0, 0.009999500037496877:0, "
+                   "0:0, 0:0, 0:0\nflow.mode = projective\nflow.t_max = 300\n"
+                   "flow.eps_grad = 1e-5\nanalyses = degeneration, ray\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 1
+    lines = (out / "report.txt").read_text().splitlines()
+    check = next(line for line in lines if line.startswith("  flow.lift_residual = "))
+    assert float(check.split()[2]) == pytest.approx(4.387e-6, rel=1e-3)
+    assert check.endswith("in [0.0, 1e-06]  FAIL")
 
 
 def _diverging_ray_report(tmp_path, monkeypatch, diag):

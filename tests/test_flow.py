@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as DOP853
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -419,10 +420,10 @@ def test_one_energy_evaluation_per_state(monkeypatch):
     # continuous extension
     interior = sum(t not in step_ends for t in traj.t[1:])
     assert interior == samples
-    # the start state, then five new stages and the new state per step, and
-    # one evaluation per interior grid sample, a row of at most one stacked
-    # call per accepted step
-    assert calls["energy"] == 1 + 6 * traj.steps + interior
+    # the start state, then per step eleven new stages, the new state and
+    # the three stages of the extension, and one evaluation per interior
+    # grid sample, a row of at most one stacked call per accepted step
+    assert calls["energy"] == 1 + 15 * traj.steps + interior
     assert 0 < calls["stacked"] <= traj.steps
     assert traj.evaluations == calls["energy"]
     assert (traj.h_min, traj.h_max) == (min(step_sizes), max(step_sizes))
@@ -509,26 +510,27 @@ def test_rejection_by_local_error_is_counted():
 
 
 def test_rejection_by_energy_increase_is_counted():
-    # h = 2 puts -2h = -4 outside the real stability interval of the pair,
-    # so |y_0| grows; a loose atol lets the error test pass, the guard rejects
+    # h = 4 puts -2h = -8 outside the real stability interval [-6.39, 0] of
+    # the pair, so |y_0| grows; a loose atol lets the error test pass, the
+    # guard rejects
     samples, stats = flow._adaptive_flow(
-        _quadratic, _NEAR_E1, FlowOptions(t_max=2.0, initial_step=2.0, atol=1e3))
+        _quadratic, _NEAR_E1, FlowOptions(t_max=4.0, initial_step=4.0, atol=1e3))
     assert stats["rejected"] == {"error": 0, "energy": 1, "nonfinite": 0}
-    assert stats["steps"] == 2 and samples["t"][-1] == 2.0
+    assert stats["steps"] == 2 and samples["t"][-1] == 4.0
 
 
 def test_rejection_by_nonfinite_state_is_counted():
-    # the fourth stage of a unit step overshoots below zero, where this
+    # the twelfth stage of a step of 2 overshoots below zero, where this
     # energy is undefined; the half step stays positive
     samples, stats = flow._adaptive_flow(
-        _undefined_below_zero, _NEAR_E1, FlowOptions(t_max=1.0, initial_step=1.0, atol=1e3))
+        _undefined_below_zero, _NEAR_E1, FlowOptions(t_max=2.0, initial_step=2.0, atol=1e3))
     assert stats["rejected"] == {"error": 0, "energy": 0, "nonfinite": 1}
-    assert stats["steps"] == 2 and samples["t"][-1] == 1.0
+    assert stats["steps"] == 2 and samples["t"][-1] == 2.0
 
 
 @pytest.mark.parametrize("cause, opts, nonfinite_below_zero", [
-    ("energy", FlowOptions(t_max=2.0, initial_step=2.0, atol=1e3), False),
-    ("nonfinite", FlowOptions(t_max=1.0, initial_step=1.0, atol=1e3), True),
+    ("energy", FlowOptions(t_max=4.0, initial_step=4.0, atol=1e3), False),
+    ("nonfinite", FlowOptions(t_max=2.0, initial_step=2.0, atol=1e3), True),
 ])
 def test_evaluations_count_rejected_steps(cause, opts, nonfinite_below_zero):
     # the two forced rejections above, with every evaluated state counted
@@ -575,24 +577,20 @@ def test_projective_flow_from_a_zero_of_mu_ends_gradient_small():
 
 # -- the group lift against the per-step Magnus update --------------------------
 
-# The dense-output weights d_i of Hairer's dopri5, for the extension in its
-# contd5 form; _B5 below holds the fifth-order weights.
-_D5 = [-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-       -10690763975 / 1880347072, 701980252875 / 199316789632,
-       -1453857185 / 822651844, 69997945 / 29380423]
-
-
 def _list_sum_extension(y, h, ks, theta):
     """The continuous extension of one recorded step at the fraction theta,
-    as Python sums over its stages in Hairer's contd5 form, the independent
-    oracle: y + theta (dy + (1 - theta) (r3 + theta (r4 + (1 - theta) r5)))
-    with dy = h sum b_i k_i, r3 = h k_1 - dy, r4 = dy - h k_7 - r3 and
-    r5 = h sum d_i k_i."""
-    dy = h * sum(b * k for b, k in zip(_B5, ks))
-    r3 = h * ks[0] - dy
-    r4 = dy - h * ks[6] - r3
-    r5 = h * sum(d * k for d, k in zip(_D5, ks))
-    return y + theta * (dy + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5)))
+    as Python sums over its sixteen stages in Hairer's contd8 form with
+    scipy's DOP853 coefficients, the independent oracle: y + theta (r1 + (1
+    - theta) (r2 + theta (r3 + (1 - theta) (r4 + theta (r5 + (1 - theta)
+    (r6 + theta r7)))))) with r1 = h sum b_i k_i, r2 = h k_1 - r1, r3 = 2 r1
+    - h (k_1 + k_13) and r4..r7 = h sum d_i k_i over the rows of D."""
+    r1 = h * sum(b * k for b, k in zip(DOP853.B, ks))
+    rows = [r1, h * ks[0] - r1, 2 * r1 - h * (ks[0] + ks[12])]
+    rows += [h * sum(d * k for d, k in zip(d_row, ks)) for d_row in DOP853.D]
+    acc = 0.0
+    for i, r in enumerate(reversed(rows)):
+        acc = (acc + r) * (theta if i % 2 == 0 else 1 - theta)
+    return y + acc
 
 
 def _per_step_magnus_lift(p, knots, records):
@@ -667,9 +665,9 @@ def test_batched_lift_at_block_boundaries(projective):
         assert _lift_error(g, ref) <= 1e-12
 
 
-def test_lift_knots_are_the_samples_and_the_ends_of_steps_without_one():
-    # a step that holds no output-grid point ends at a knot that is no
-    # sample; su2_symd's tight rtol makes many such steps
+def test_lift_knots_are_the_samples_and_the_step_ends():
+    # every step end is a knot, a sample only on the output grid; su2_symd's
+    # long steps leave most samples inside a step
     exp = get_builtin("su2_symd")
     opts = exp.flow_opts
     with packed() as knots_of:
@@ -679,10 +677,8 @@ def test_lift_knots_are_the_samples_and_the_ends_of_steps_without_one():
     while grid[-1] < traj.t[-1]:
         grid.append(flow._grid_after(grid[-1], opts.initial_step))
     np.testing.assert_array_equal(traj.t, grid[:-1] + [traj.t[-1]])
-    held = {int(np.searchsorted(ends, t)) for t in traj.t[1:]}    # steps holding a sample
-    want = sorted(set(traj.t.tolist()) | {e for j, e in enumerate(ends) if j not in held})
-    assert traj.knots.tolist() == want
-    assert len(traj.knots) > len(traj)
+    assert traj.knots.tolist() == sorted(set(traj.t.tolist()) | set(ends))
+    assert len(traj.knots) > len(traj) > len(ends)
 
 
 def test_lift_of_the_seed_7_wide_start_stays_within_its_bound():
@@ -747,29 +743,27 @@ def test_single_sample_lift_is_identity(tmp_path, projective):
             for j in range(2)] == [1.0, 0.0, 0.0, 1.0]
 
 
-_A = [[], [1 / 5], [3 / 40, 9 / 40],
-      [44 / 45, -56 / 15, 32 / 9],
-      [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-      [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]]
-_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
-_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100,
-       1 / 40]
-
-
 def _list_sum_dopri_step(energy, y, h):
-    """The Dormand-Prince step as a Python sum over stages, the independent
-    oracle: six stages, the fifth-order solution gauged to the unit sphere,
-    its energy and slope as the seventh stage, and the embedded error
-    estimate over all seven."""
+    """The DOP853 step as Python sums over stages with scipy's coefficients,
+    the independent oracle: twelve stages, the eighth-order solution gauged
+    to the unit sphere, its energy and slope as the thirteenth stage, the
+    extension's three, and per component the larger of Hairer's combined
+    estimate and the peak of the extension's last term."""
+    a = DOP853.A
     ks = [-energy(y)[1]]
-    for i in range(1, 6):
-        ks.append(-energy(y + h * sum(a * k for a, k in zip(_A[i], ks)))[1])
-    y5 = y + h * sum(b * k for b, k in zip(_B5, ks))
-    y5 = y5 / np.linalg.norm(y5)
-    f5, grad5 = energy(y5)
-    ks.append(-grad5)
-    err = h * sum((b5 - b4) * k for b5, b4, k in zip(_B5, _B4, ks))
-    return y5, f5, err, ks
+    for i in range(1, 12):
+        ks.append(-energy(y + h * sum(a[i, j] * k for j, k in enumerate(ks)))[1])
+    y8 = y + h * sum(b * k for b, k in zip(DOP853.B, ks))
+    y8 = y8 / np.linalg.norm(y8)
+    f8, grad8 = energy(y8)
+    ks.append(-grad8)
+    for i in range(13, 16):
+        ks.append(-energy(y + h * sum(a[i, j] * k for j, k in enumerate(ks)))[1])
+    err5, err3, r7 = (h * sum(e * k for e, k in zip(row, ks))
+                      for row in (DOP853.E5, DOP853.E3, DOP853.D[3]))
+    combined = np.abs(err5) ** 2 / np.hypot(np.abs(err5), 0.1 * np.abs(err3))
+    peak = (4 / 7) ** 4 * (3 / 7) ** 3    # of theta^4 (1 - theta)^3, r7's weight
+    return y8, f8, np.maximum(combined, peak * np.abs(r7)), ks
 
 
 def test_rkf45_tableau_products_match_list_sums(rng):
@@ -778,14 +772,80 @@ def test_rkf45_tableau_products_match_list_sums(rng):
         energy = partial(energy_and_gradient, p)
         for h in (1e-3, 1e-2, 1e-1):
             y = rng.standard_normal(p.dim_v) + 1j * rng.standard_normal(p.dim_v)
-            y5, f5, ks, _, err = flow._rkf45_step(energy_kernel(p, False), y, h,
+            y8, f8, ks, _, err = flow._rkf45_step(energy_kernel(p, False), y, h,
                                                   -energy(y)[1])
-            ref_y5, ref_f5, ref_err, ref_ks = _list_sum_dopri_step(energy, y, h)
-            assert np.linalg.norm(y5 - ref_y5) <= 1e-14 * np.linalg.norm(ref_y5)
-            assert abs(f5 - ref_f5) <= 1e-14 * ref_f5
+            ref_y8, ref_f8, ref_err, ref_ks = _list_sum_dopri_step(energy, y, h)
+            assert np.linalg.norm(y8 - ref_y8) <= 1e-14 * np.linalg.norm(ref_y8)
+            assert abs(f8 - ref_f8) <= 1e-14 * ref_f8
             # err cancels between stages; measure it against its terms
             scale = h * max(np.linalg.norm(k) for k in ref_ks)
             assert np.linalg.norm(err - ref_err) <= 1e-14 * scale
+
+
+def test_tableau_row_sums_are_scipys_nodes():
+    # stage i sits at the node c_i = sum_j a_ij: the twelve stages, the new
+    # state (c = 1) and the extension's three, against scipy's own c
+    np.testing.assert_allclose(flow._A.sum(axis=1), DOP853.C, rtol=0, atol=2e-15)
+
+
+def test_weights_integrate_polynomials_to_order_eight():
+    # sum_i b_i c_i^(q - 1) = 1/q for q = 1..8, the quadrature conditions of
+    # an eighth-order solution, with scipy's nodes c_i
+    for q in range(1, 9):
+        assert abs(flow._B @ DOP853.C[:12] ** (q - 1) - 1.0 / q) <= 2e-15
+
+
+def test_extension_meets_the_step_ends_in_value_and_slope(rng):
+    # theta = 0 gives y and slope h k1, theta = 1 the step's solution before
+    # its gauge and slope h k13, the slope at the gauged new state
+    p = su2_sym_presentation(4)
+    energy = energy_kernel(p, True)
+    y = random_vector(rng, p.dim_v)
+    y /= np.linalg.norm(y)
+    k1 = np.empty_like(y)
+    energy(y.view(float), k1.view(float))
+    h = 0.3
+    y_new, _, ks, _, _ = flow._rkf45_step(energy, y, h, k1)
+    ends = flow._extension(y, h, ks, np.array([[0.0], [1.0]]))
+    x1 = (y.view(float) + h * (DOP853.B @ ks.view(float)[:12])).view(complex)
+    assert np.array_equal(ends[0], y)
+    assert np.abs(ends[1] - x1).max() <= 1e-13
+    np.testing.assert_allclose(ends[1] / np.linalg.norm(ends[1]), y_new, rtol=0, atol=1e-13)
+    slopes = np.array([flow._P[0], flow._POWERS @ flow._P]) @ ks    # d/dtheta / h
+    scale = np.abs(ks).max()
+    assert np.array_equal(slopes[0], k1)
+    assert np.abs(slopes[1] - ks[12]).max() <= 1e-12 * scale
+
+
+def _projected_quadratic(x, out):
+    """f^ = |y_0|^2 / |y|^2 and the slope -grad f^ on the real layout x of a
+    state: tangent to every sphere, so on the unit circle y = (cos phi, sin
+    phi) it is phi' = sin 2 phi, with the closed form tan phi = tan phi_0
+    e^(2t)."""
+    n2 = x @ x
+    f = (x[0] * x[0] + x[1] * x[1]) / n2
+    np.multiply(2.0 * f / n2, x, out=out)
+    out[:2] -= 2.0 * x[:2] / n2
+    return f
+
+
+def test_fixed_steps_show_eighth_order():
+    # the step gauges every state to the unit sphere, so the closed form lives
+    # on it; halving the step from 1/4 to 1/8 over t = 2 shrinks the global
+    # error by at least 2^7.5 (it reads 254)
+    phi0, t_end = 0.3, 2.0
+    exact = np.arctan(np.tan(phi0) * np.exp(2.0 * t_end))
+
+    def error(n):
+        y = np.array([np.cos(phi0), np.sin(phi0)], dtype=complex)
+        k1 = np.empty_like(y)
+        _projected_quadratic(y.view(float), k1.view(float))
+        for _ in range(n):
+            y, _, ks, _, _ = flow._rkf45_step(_projected_quadratic, y, t_end / n, k1)
+            k1 = ks[12].copy()
+        return abs(np.angle(y[0] + 1j * y[1]) - exact)
+
+    assert error(8) >= 2 ** 7.5 * error(16) > 0.0
 
 
 @pytest.mark.parametrize("name", ["torus_12", "torus_c3"])

@@ -35,12 +35,13 @@ def _limit(p, v0):
     return traj, p.norm_lowered(mu), np.linalg.eigvalsh(1j * p.matrix(p.sharp(mu)))
 
 
-# A stiff torus draw that ends at t_max takes 5000 to 25000 steps, 0.5 to
-# 4.5 s each, so two generated draws; the examples pin a semistable torus
-# that ends at t_max near mu^ = 0 (207), one that ends at t_max at |mu^| =
-# 0.5 (202), two tori whose flows converge to |mu^| = 0.77 and 0.48 (116,
-# 24) and one draw whose flows stop far apart without the projective gauge
-# (17).
+# A stiff torus draw can end at t_max after hundreds to thousands of steps
+# (of draws 0 to 59, the flow from v0 of draw 36 does, after 731 steps;
+# 202's take 689), so two generated draws; the examples pin a semistable
+# torus that ends at t_max near mu^ = 0 (207), one that ends at t_max at
+# |mu^| = 0.5 (202), two tori whose flows converge to |mu^| = 0.77 and 0.48
+# (116, 24) and one draw whose flows stop far apart without the projective
+# gauge (17).
 @settings(derandomize=True, max_examples=2, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 @example(seed=207)

@@ -1,37 +1,45 @@
-"""Property test: the integrator's Dormand-Prince step, its grid-sample read
-and the bound energy kernel equal a textbook reference bit for bit, over
-random presentations, on the field the integrator steps (f^ on the real
-layout x = v.view(float)), with the gauge, and step sizes 1e-3 to 1. The
-reference builds the real form afresh from the basis, keeps the tableau as
-float rows, writes each slope as ``-grad`` and normalizes with
-``np.linalg.norm``; the builtins' output files are reproducible across such
-rewrites only if these agree. The inner stages' energies, which a run's
-affine l and t integrate, agree too."""
+"""Property test: the integrator's DOP853 step, its grid-sample read and the
+bound energy kernel equal a textbook reference bit for bit, over random
+presentations, on the field the integrator steps (f^ on the real layout x =
+v.view(float)), with the gauge, and step sizes 1e-3 to 1. The reference
+builds the real form afresh from the basis, takes the tableau from scipy's
+DOP853 coefficients as float rows, writes each slope as ``-grad`` and
+normalizes with ``np.linalg.norm``; the builtins' output files are
+reproducible across such rewrites only if these agree. The stages'
+energies, which a run's affine l and t integrate, agree too."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate._ivp import dop853_coefficients as DOP853
 
 from conftest import random_presentation
 from momentflow import flow
 from momentflow.representation import energy_and_gradient, energy_kernel
 
-_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-])
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = _B - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                    -92097 / 339200, 187 / 2100, 1 / 40])
-_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-               -10690763975 / 1880347072, 701980252875 / 199316789632,
-               -1453857185 / 822651844, 69997945 / 29380423])
-_E0, _E6 = np.eye(7)[[0, 6]]
-_P = np.array([_E0, 3 * _B - 2 * _E0 - _E6 + _D, _E0 + _E6 - 2 * _B - 2 * _D, _D])
+_A, _B = DOP853.A, DOP853.B
+# the error rows over the sixteen stages: fifth and third order, and the
+# extension's last term r7, whose weight theta^4 (1 - theta)^3 peaks at
+# theta = 4/7 at 6912 / 823543
+_E = np.zeros((3, 16))
+_E[0, :13], _E[1, :13], _E[2] = DOP853.E5, DOP853.E3, DOP853.D[3]
+_R7 = 6912 / 823543
+
+
+def _power_basis(rows):
+    """The rows P of sum_p theta^p P[p - 1] equal to Hairer's nested contd8
+    form theta (r1 + (1 - theta) (r2 + theta (r3 + ...))) of the rows r1..r7,
+    multiplied out innermost first."""
+    p = np.zeros((8, 16))
+    for i, row in enumerate(rows[::-1]):
+        p[0] += row
+        shifted = np.vstack([np.zeros(16), p[:-1]])
+        p = shifted if i % 2 == 0 else p - shifted
+    return p[1:]
+
+
+_E0, _E12 = np.eye(16)[[0, 12]]
+_P = _power_basis([_A[12], _E0 - _A[12], 2 * _A[12] - _E0 - _E12, *DOP853.D])
 
 
 def _real_form(p):
@@ -69,26 +77,33 @@ def _gauge(y):
 
 def _step(energy, y, h, k1):
     x = y.view(float)
-    ks = np.empty((7, x.size))
+    ks = np.full((16, x.size), np.nan)
     ks[0] = k1.view(float)
     ha = h * _A
     fs = []
-    for i in range(1, 6):
+    for i in range(1, 12):
         f, grad = energy(x + ha[i, :i] @ ks[:i])
         fs.append(f)
         ks[i] = -grad
-    x_new = x + h * (_B[:6] @ ks[:6])
-    f_new, ks[6] = np.nan, np.nan
+    x_new = x + h * (_B @ ks[:12])
     y_new = x_new.view(complex)
     if np.all(np.isfinite(x_new)):
         y_new = _gauge(y_new)
-        f_new, grad = energy(y_new.view(float))
-        ks[6] = -grad
-    return y_new, f_new, ks.view(complex), fs, (h * (_E @ ks)).view(complex)
+        for i in range(12, 16):
+            f, grad = energy(y_new.view(float) if i == 12 else x + ha[i, :i] @ ks[:i])
+            fs.append(f)
+            ks[i] = -grad
+    else:
+        fs += [np.nan] * 4
+    err5, err3, r7 = (h * (_E @ ks)).view(complex)
+    a5 = np.abs(err5)
+    den = np.hypot(a5, 0.1 * np.abs(err3))
+    err = np.maximum(a5 * (a5 / np.where(den > 0.0, den, 1.0)), _R7 * np.abs(r7))
+    return y_new, fs[11], ks.view(complex), fs, err
 
 
 def _grid(energy, y, h, ks, theta):
-    dense = (y.view(float) + h * (theta ** np.arange(1, 5) @ (_P @ ks.view(float))))
+    dense = (y.view(float) + h * (theta ** np.arange(1, 8) @ (_P @ ks.view(float))))
     rows = [_gauge(row) for row in dense.view(complex)]
     fs, ds = zip(*((f, -grad) for f, grad in (energy(row.view(float)) for row in rows)))
     return np.array(rows), list(fs), np.array(ds).view(complex)
