@@ -271,8 +271,9 @@ def main(argv=None):
             except UnicodeDecodeError as err:
                 raise ConfigError("not valid UTF-8", err.object[:err.start].count(b"\n") + 1)
             exp, cfg_out, seed = parse_config(text)
-    except (ConfigError, KeyError, OSError) as err:
-        print(f"config error: {err}", file=sys.stderr)
+    except (ConfigError, KeyError, OSError) as err:    # a KeyError's str() quotes it
+        print(f"config error: {err.args[0] if isinstance(err, KeyError) else err}",
+              file=sys.stderr)
         return 2
 
     if args.seed is not None:

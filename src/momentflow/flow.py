@@ -335,7 +335,7 @@ def _theta_in_step(targets, t0, t1, ct):
     return theta
 
 
-def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
+def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None, floor=0.0):
     """Shared integrator of y' = -grad; returns (samples, stats), stats the
     trajectory's ``terminated_reason``, ``steps``, ``rejected``,
     ``evaluations``, ``h_min`` and ``h_max``, and the ``step_records`` that
@@ -368,7 +368,8 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
     rows are the samples. A step is capped where t would reach ``t_max`` at
     its start rate e^-l; t is convex in s, so that step holds the last
     sample. The run also ends ``gradient_small`` at a critical point of f^,
-    where |grad f^| and e^(3l/2) |grad f^| are both below ``eps_grad``.
+    where |grad f^| and e^(3l/2) |grad f^| are both below ``eps_grad``, or
+    |grad f^| is at its round-off ``floor`` (:func:`_polar_flow`).
     With ``affine`` options for it, the run stays projective and the affine
     flow rides along, outside the error test, its rows placed in each
     accepted step. One stacked ``energy`` call after the run gives the
@@ -437,7 +438,7 @@ def _adaptive_flow(energy, y0, opts, record=False, l0=None, affine=None):
                 gone = (cube * math.hypot(k1_norm, 4.0 * f) < aff.eps_grad
                         and (steps or cube == 0.0))
                 if polar:    # or at a critical point of f^
-                    small = gone or k1_norm <= opts.eps_grad / max(1.0, cube)
+                    small = gone or k1_norm <= max(opts.eps_grad / max(1.0, cube), floor)
                 elif gone:    # the ride ends; a start is a row already
                     end_a = "gradient_small"
                     if steps:
@@ -709,7 +710,16 @@ def _polar_flow(p, v0, opts, lift):
     if ``lift``; a zero v0 (l0 = -inf) is a fixed point, its only sample."""
     opts = opts or FlowOptions()
     v0, u0, l0 = _unit_start(v0)
-    samples, stats = _adaptive_flow(energy_kernel(p, True), u0, opts, record=lift, l0=l0)
+    # the round-off floor of |grad f^| at |u| = 1, which the critical-point
+    # test cannot get below: the kernel rounds mu_a = u^T P_a u by about eps
+    # |P|, c = G^-1 mu by eps |P| |G^-1|, and grad f^ = 4 c Y - 4 f^ u, |Y|
+    # <= |P|, by a few eps |P|^2 |G^-1| (P the stacked real form, G the
+    # metric). Factor 1: a polystable start of |v0| = 1175 settles at 1/100
+    # of it, while twice it stops a seeded flow short of its critical point
+    form, metric_inv = p._real_form
+    floor = _EPS * np.linalg.norm(form, 2) ** 2 * np.linalg.norm(metric_inv, 2)
+    samples, stats = _adaptive_flow(energy_kernel(p, True), u0, opts, record=lift, l0=l0,
+                                    floor=floor)
     return _pack(samples, stats, opts.eps_grad, lift=p if lift else None, v0=v0)
 
 

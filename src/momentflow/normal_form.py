@@ -3,10 +3,13 @@
 Given a presentation and a vector z0 with mu(z0) = 0, the model splits the
 Lie algebra into the isotropy part g0 = {xi : xi.z0 = 0} and its metric
 complement m, and V into the orbit directions g.z0 + J0 g.z0 and the slice
-N (their real-orthogonal complement). The isotropy group acts linearly on N
-with moment map mu_N. Points of the model near the identity coset are
-charted as [exp(xi_m), rho, v], valid for |xi_m| <= 1; a chart point or
-tangent is one float array (..., dim_chart) laid out [xi_m | rho | v].
+N (their real-orthogonal complement). One SVD of the action map xi -> xi.z0
+gives g0, m and the orbit directions, one more the slice; the rank cut is
+relative to the largest singular value, so c z0 gets the model of z0. The
+isotropy group acts linearly on N with moment map mu_N. Points of the model
+near the identity coset are charted as [exp(xi_m), rho, v], valid for
+|xi_m| <= 1; a chart point or tangent is one float array (..., dim_chart)
+laid out [xi_m | rho | v].
 
 The module evaluates the explicit model symplectic form
 
@@ -56,34 +59,16 @@ def _omega0(a, b):
     return np.sum(b.real * a.imag - b.imag * a.real, axis=-1)
 
 
-def _real_nullspace(a):
-    """Orthonormal basis (rows) of the real nullspace of a real matrix."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return np.eye(a.shape[1])
-    u, s, vt = np.linalg.svd(a)
-    smax = s.max() if len(s) else 0.0
-    tol = 1e-8 * max(smax, 1.0)
-    gray = [x for x in s if tol * 1e-2 < x < tol * 1e2 and x > 0]
-    if smax > 0 and gray:
-        raise DomainError(
-            f"rank decision is numerically degenerate (singular values {gray})"
-        )
-    rank = int(np.sum(s > tol))
-    return vt[rank:]
-
-
-def _g_orthonormalize(rows, metric):
-    """Gram-Schmidt of coordinate rows against the g-metric."""
-    out = []
-    for r in rows:
-        v = r.astype(float).copy()
-        for q in out:
-            v -= (v @ metric @ q) * q
-        nrm = np.sqrt(max(v @ metric @ v, 0.0))
-        if nrm > 1e-12:
-            out.append(v / nrm)
-    return np.array(out) if out else np.zeros((0, metric.shape[0]))
+def _rank(s):
+    """Numerical rank of the descending singular values ``s``: those above
+    1e-4 s[0] count, so a scaled matrix keeps its rank, and the zero map has
+    rank 0. A value in (1e-5, 1e-3) s[0] makes the decision ambiguous, a
+    :class:`DomainError`."""
+    gray = s[(s > 1e-5 * s[0]) & (s < 1e-3 * s[0])]
+    if len(gray):
+        raise DomainError("rank decision is numerically degenerate "
+                          f"(singular values {gray.tolist()})")
+    return int(np.sum(s > 1e-4 * s[0]))
 
 
 @dataclass(frozen=True)
@@ -177,25 +162,25 @@ def build_model(p, z0):
             f"|mu(z0)| = {p.norm_lowered(mu0):.3e} exceeds 1.0e-10; not a zero"
         )
 
-    lv = infinitesimal_action(p, z0)                     # (n, k)
-    a_real = np.vstack([lv.real, lv.imag])               # (2n, k)
-    kernel = _real_nullspace(a_real.T @ a_real)          # rows: g0 coords
-    g0_basis = _g_orthonormalize(kernel, p.metric)
+    # one SVD of the realified action map xi -> xi.z0 in g-orthonormal
+    # coordinates y = R xi, metric = R^T R: rows of V^T past the rank span
+    # g0, the others m, both mapped back through R^-1; the matching columns
+    # of U are the orbit directions
+    n, lv = p.dim_v, infinitesimal_action(p, z0)        # (n, k)
+    r_inv = np.linalg.inv(np.linalg.cholesky(p.metric)).T
+    u, s, vt = np.linalg.svd(np.vstack([lv.real, lv.imag]) @ r_inv)
+    rank = _rank(s)
+    m_basis, g0_basis = vt[:rank] @ r_inv.T, vt[rank:] @ r_inv.T
 
-    m_basis = _g_orthonormalize(_real_nullspace(g0_basis @ p.metric), p.metric)
-
-    if g0_basis.shape[0] + m_basis.shape[0] != p.dim_g:
-        raise DomainError("isotropy splitting failed to decompose g")
-
-    # orbit directions and their J0 rotation, realified
-    tangents = [lv @ row for row in m_basis]
-    tangents += [1j * t for t in tangents]
-    if tangents:
-        t_real = np.stack([np.concatenate([t.real, t.imag]) for t in tangents])
-        n_rows_real = _real_nullspace(t_real)
+    # the slice: real-orthogonal complement of the orbit directions and
+    # their J0 rotations (x, y) -> (-y, x)
+    if rank:
+        orbit = u[:, :rank].T
+        t_real = np.vstack([orbit, np.hstack([-orbit[:, n:], orbit[:, :n]])])
+        _, s_t, vt_t = np.linalg.svd(t_real)
+        n_rows_real = vt_t[_rank(s_t):]
     else:
-        n_rows_real = np.eye(2 * p.dim_v)
-    n = p.dim_v
+        n_rows_real = np.eye(2 * n)
     n_basis = n_rows_real[:, :n] + 1j * n_rows_real[:, n:]
 
     if 2 * m_basis.shape[0] + n_basis.shape[0] != 2 * n:

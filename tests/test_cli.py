@@ -11,7 +11,7 @@ from momentflow.builtins import BUILTIN_NAMES, get_builtin
 from momentflow import cli, flow
 from momentflow.cli import MAX_SYM_DEGREE, ConfigError, main, parse_config
 from momentflow.degeneration import ORACLE_MAX_WEIGHTS, torus_oracle
-from momentflow.errors import DomainError, RayDivergenceError
+from momentflow.errors import DiagnosticError, DomainError, RayDivergenceError
 from momentflow.flow import FlowOptions
 from momentflow.linalg import expm
 from momentflow import runner
@@ -103,6 +103,52 @@ def test_cli_config_file_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(GOOD_CONFIG.replace("group.kind = torus", "group.kind = cube"))
     assert main(["--config", str(bad), "--quiet"]) == 2
+
+
+_TORUS_LINES = "group.kind = torus\ngroup.weights = 1\ninitial_vector = 1:0\n"
+
+
+def _fail_primary_flow(*args, **kwargs):
+    raise DiagnosticError("integrator exceeded the step budget")
+
+
+@pytest.mark.parametrize("config, args, code, stderr", [
+    ("group.kind = torus\nnot an assignment\n", ["--config", "{cfg}"], 2,
+     "config error: line 2: expected 'key = value', got 'not an assignment'"),
+    ("initial_vector = 1:0\n", ["--config", "{cfg}"], 2,
+     "config error: missing required key 'group.kind'"),
+    (_TORUS_LINES + "analyses = rates, bogus\n", ["--config", "{cfg}"], 2,
+     "config error: line 4: unknown analysis 'bogus'; known: "
+     "rates, ray, degeneration, oracle, normal_form"),
+    (_TORUS_LINES + "seed = x\n", ["--config", "{cfg}"], 2,
+     "config error: line 4: seed must be a nonnegative integer, got 'x'"),
+    (None, ["--builtin", "mgs_u1", "--seed", "abc"], 2,
+     "momentflow: error: argument --seed: must be a nonnegative integer, got 'abc'"),
+    (None, [], 2,
+     "momentflow: error: exactly one of --config or --builtin is required"),
+    (_TORUS_LINES, ["--config", "{cfg}", "--builtin", "mgs_u1"], 2,
+     "momentflow: error: exactly one of --config or --builtin is required"),
+    (None, ["--builtin", "nope"], 2,
+     "config error: unknown builtin 'nope'; known: " + ", ".join(BUILTIN_NAMES)),
+    (None, ["--builtin", "u1_weight1", "--tol-scale", "2"], 0, None),
+    (None, ["--builtin", "u1_weight1"], 1,
+     "numerical failure: DiagnosticError: integrator exceeded the step budget"),
+])
+def test_cli_exit_paths(tmp_path, capsys, monkeypatch, config, args, code, stderr):
+    cfg = tmp_path / "exp.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    if code == 1:    # the primary affine flow raises
+        monkeypatch.setattr(runner, "integrate_kempf_ness", _fail_primary_flow)
+    argv = [a.replace("{cfg}", str(cfg)) for a in args]
+    argv += ["--out-dir", str(tmp_path / "out"), "--quiet"]
+    try:
+        status = main(argv)
+    except SystemExit as exc:    # argparse's usage errors
+        status = exc.code
+    assert status == code
+    err = capsys.readouterr().err.splitlines()
+    assert (err[-1] if err else None) == stderr
 
 
 def test_output_directory_that_cannot_be_written_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import warnings
 import weakref
 from functools import partial
 
@@ -573,6 +574,30 @@ def test_projective_flow_from_a_zero_of_mu_ends_gradient_small():
     assert traj.steps == 1
     assert traj.rejected == {"error": 0, "energy": 0, "nonfinite": 0}
     assert traj.f[-1] <= 1e-30
+
+
+def test_random_starts_of_any_scale_end_by_a_declared_reason(monkeypatch):
+    # forty seeded presentations and starts of scale 10^[-3, 3]. Draw 32, a
+    # polystable su(2) start on Sym^3 of |v0| = 1175, settles at the
+    # round-off floor |grad f^| = 2.7e-18, above eps_grad / |v|^3 = 6e-20,
+    # and ran out the step budget before the critical-point test had a
+    # floor. The small budget makes such a regression fail fast instead of
+    # running for minutes
+    monkeypatch.setattr(flow, "MAX_STEPS", 20000)
+    rng = np.random.default_rng(5)
+    ends = {}
+    for i in range(40):
+        p = random_presentation(rng)
+        v0 = random_vector(rng, p.dim_v, 10 ** rng.uniform(-3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = cointegrate_group(p, v0, FlowOptions(t_max=100))
+        ends[i] = traj.terminated_reason
+        assert traj.terminated_reason in ("gradient_small", "t_max"), i
+        assert traj.lift_residual <= 1e-6, i
+        if i == 32:
+            assert traj.steps <= 200
+    assert [i for i, end in ends.items() if end == "gradient_small"] == [0, 7, 19, 20, 23]
 
 
 # -- the group lift against the per-step Magnus update --------------------------

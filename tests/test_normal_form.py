@@ -74,6 +74,81 @@ def test_build_su2_dimensions_and_isotropy():
     assert np.linalg.norm(model.mu_n(np.ones(model.dim_n))) > 1e-3
 
 
+@pytest.mark.parametrize("make, dims", [(u1_model, (0, 1, 2)), (su2_model, (1, 2, 8))])
+@pytest.mark.parametrize("c", [1e-100, 1e-6, 1e-4, 1e-2, 1.0, 1e3])
+def test_scaled_zero_gets_the_same_splitting(make, dims, c):
+    # mu is quadratic, so c z0 is a zero with the isotropy of z0; the rank
+    # cut is relative to the largest singular value, so the dims hold
+    p, model = make()
+    scaled = build_model(p, c * model.z0)
+    assert (scaled.dim_g0, scaled.dim_m, scaled.dim_n) == dims
+
+
+@pytest.mark.parametrize("small, dims", [(1e-2, (0, 2, 4)), (1e-4, None), (1e-12, (1, 1, 6))])
+def test_rank_cut_and_its_gray_zone(small, dims):
+    # two balanced pairs on the axes of T^2; the second pair's modulus is
+    # the ratio of the two singular values of the action map. At 1e-4 it
+    # sits in the gray zone (1e-5, 1e-3) of the relative cut 1e-4 s_max
+    p = torus_presentation([[1, 0], [-1, 0], [0, 1], [0, -1]])
+    z0 = np.array([1.0, 1.0, small, small], dtype=complex)
+    if dims is None:
+        with pytest.raises(DomainError, match="numerically degenerate"):
+            build_model(p, z0)
+    else:
+        model = build_model(p, z0)
+        assert (model.dim_g0, model.dim_m, model.dim_n) == dims
+
+
+def _known_zero(rng):
+    """A zero z0 of mu whose isotropy is known without an SVD, with the
+    expected (dim g0, dim m, dim N): a balanced torus, each weight w_j paired
+    with -w_j at equal moduli, where xi.z0 = 0 iff xi is orthogonal to every
+    supported weight; or a sum of even su2_sym powers at zero-weight vectors,
+    fixed by the maximal torus alone."""
+    scale = 10 ** rng.uniform(-100, 2)
+    if rng.integers(0, 2):
+        k, pairs = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        w = rng.integers(-3, 4, size=(pairs, k))
+        moduli = rng.uniform(0.5, 2.0, size=pairs) * rng.integers(0, 2, size=pairs)
+        moduli[rng.integers(0, pairs)] = 1.0    # at least one supported pair
+        phases = np.exp(2j * np.pi * rng.uniform(size=(2, pairs)))
+        p = torus_presentation(np.concatenate([w, -w]))
+        z0 = scale * np.concatenate(moduli * phases)
+        dim_m = int(np.linalg.matrix_rank(w[moduli > 0]))
+        return p, z0, (k - dim_m, dim_m, 2 * (2 * pairs - dim_m))
+    degrees = [int(d) for d in 2 * rng.integers(1, 4, size=rng.integers(1, 4))]
+    p = direct_sum_presentation([su2_sym_presentation(d) for d in degrees])
+    z0 = np.zeros(p.dim_v, dtype=complex)
+    starts = np.cumsum([0] + [d + 1 for d in degrees[:-1]])
+    moduli = rng.uniform(0.5, 2.0, len(degrees))
+    phases = np.exp(2j * np.pi * rng.uniform(size=len(degrees)))
+    z0[starts + np.array(degrees) // 2] = scale * moduli * phases
+    return p, z0, (1, 2, 2 * p.dim_v - 4)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_splitting_of_zeros_with_known_isotropy(seed):
+    p, z0, dims = _known_zero(np.random.default_rng(seed))
+    model = build_model(p, z0)
+    assert (model.dim_g0, model.dim_m, model.dim_n) == dims
+    norm = np.linalg.norm(z0)
+    assert np.all(np.linalg.norm(model.g0_matrices() @ z0, axis=-1) <= 1e-12 * norm)
+    # g0 and m together: a g-orthonormal basis of g, g0 orthogonal to m
+    basis = np.vstack([model.g0_basis, model.m_basis])
+    np.testing.assert_allclose(basis @ p.metric @ basis.T, np.eye(p.dim_g), rtol=0, atol=1e-12)
+    # the slice: Re<.,.>-orthonormal, orthogonal to the orbit directions and
+    # their J0 rotations, and J0-invariant
+    n_basis = model.n_basis
+    np.testing.assert_allclose((n_basis.conj() @ n_basis.T).real, np.eye(model.dim_n),
+                               rtol=0, atol=1e-12)
+    orbit = p.matrix(model.m_basis) @ z0 / norm
+    for directions in (orbit, 1j * orbit):
+        assert np.all(np.abs((directions.conj() @ n_basis.T).real) <= 1e-12)
+    jn = 1j * n_basis
+    np.testing.assert_allclose(model.slice_coords(jn) @ n_basis, jn, rtol=0, atol=1e-12)
+
+
 def test_build_rejects_non_zero():
     p = torus_presentation([[1], [-1]])
     z0 = np.array([1.0, 0.5], dtype=complex)   # mu(z0) != 0
