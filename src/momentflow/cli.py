@@ -230,26 +230,26 @@ def parse_config(text):
     return exp, out_dir, seed
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="momentflow",
+    description="Moment-map flow experiments: integrate, analyze, report.")
+_PARSER.add_argument("--config", metavar="PATH", help="experiment config file")
+_PARSER.add_argument("--builtin", metavar="NAME", help="run a named builtin experiment")
+_PARSER.add_argument("--list-builtins", action="store_true",
+                     help="print the builtin experiment names and exit")
+_PARSER.add_argument("--out-dir", metavar="PATH",
+                     help="output directory (fallback: config value, then "
+                          "MOMENTFLOW_OUT, then ./momentflow_out)")
+_PARSER.add_argument("--tol-scale", type=_positive_finite, default=1.0, metavar="FLOAT",
+                     help="uniform tolerance relaxation for exploratory runs")
+_PARSER.add_argument("--seed", type=_nonnegative_int, default=None,
+                     help="override the experiment seed")
+_PARSER.add_argument("--quiet", action="store_true",
+                     help="suppress the report echo on stdout")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="momentflow",
-        description="Moment-map flow experiments: integrate, analyze, report.")
-    parser.add_argument("--config", metavar="PATH", help="experiment config file")
-    parser.add_argument("--builtin", metavar="NAME",
-                        help="run a named builtin experiment")
-    parser.add_argument("--list-builtins", action="store_true",
-                        help="print the builtin experiment names and exit")
-    parser.add_argument("--out-dir", metavar="PATH",
-                        help="output directory (fallback: config value, then "
-                             "MOMENTFLOW_OUT, then ./momentflow_out)")
-    parser.add_argument("--tol-scale", type=_positive_finite, default=1.0,
-                        metavar="FLOAT",
-                        help="uniform tolerance relaxation for exploratory runs")
-    parser.add_argument("--seed", type=_nonnegative_int, default=None,
-                        help="override the experiment seed")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress the report echo on stdout")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     if args.list_builtins:
         for name in BUILTIN_NAMES:
@@ -257,7 +257,7 @@ def main(argv=None):
         return 0
 
     if bool(args.config) == bool(args.builtin):
-        parser.error("exactly one of --config or --builtin is required")
+        _PARSER.error("exactly one of --config or --builtin is required")
 
     try:
         if args.builtin:

@@ -25,20 +25,22 @@ differentiation anywhere: the point of this module is an independent
 numerical confirmation.
 
 The group enters only through its Lie algebra: Ad_g for g = exp(x) is the
-real k x k matrix exp(ad_x), and Ad_{g^-1} = exp(-ad_x) comes out of the
-same Van Loan exponential that gives the differential of exp, so no n x n
-group element is ever exponentiated or inverted. That identity holds for a
-basis closed under brackets, which :func:`build_model` checks once per
-model.
+real k x k matrix exp(ad_x); Ad_{g^-1} = exp(-ad_x) and dexp come as one
+pair (e^M, (e^M - 1) / M) of real k x k products, and Ad_g = G^-1
+Ad_{g^-1}^T G (G the metric), so no n x n group element is exponentiated
+or inverted; :func:`build_model` checks once that the presentation is
+valid, as both identities need. The fixed terms of the form are bilinear
+forms of the model, computed once: the orbit map L (rows xi_a.z0) and the
+slice tensor Q_a[j, l] = Omega0(xi_a b_j, b_l).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import validate_presentation
 from .errors import DomainError
-from .linalg import expm
 from .representation import infinitesimal_action, moment_map
 
 __all__ = [
@@ -109,9 +111,6 @@ class NormalFormModel:
 
     # -- embeddings ---------------------------------------------------------
 
-    def g0_matrices(self):
-        return self.parent.matrix(self.g0_basis)
-
     def embed_m(self, rho):
         """m-coordinates (..., dim_m) -> contravariant g-coordinates."""
         return np.asarray(rho, dtype=float) @ self.m_basis
@@ -130,6 +129,19 @@ class NormalFormModel:
         """Re<.,.>-orthogonal projection of u (..., n) onto N, in N-coordinates."""
         return (np.asarray(u, dtype=complex) @ self.n_basis.conj().T).real
 
+    # -- fixed forms, once per model (cached_property as in GroupPresentation)
+
+    @cached_property
+    def _orbit_map(self):
+        """The orbit map L, (k, n) complex with rows xi_a.z0: xi.z0 = xi @ L."""
+        return self.parent.basis @ self.z0
+
+    @cached_property
+    def _slice_form(self):
+        """The slice tensor Q_a[j, l] = Omega0(xi_a b_j, b_l), laid out (j, a, l)."""
+        moved = np.moveaxis(self.parent.matrix(self.g0_basis) @ self.n_basis.T, -1, 0)
+        return _omega0(moved[:, :, None], self.n_basis)
+
     # -- the linearized isotropy action on the slice -------------------------
 
     def mu_n(self, v):
@@ -137,9 +149,9 @@ class NormalFormModel:
         return 0.5 * self.d_mu_n(v, v)
 
     def d_mu_n(self, v, vdot):
-        """Derivative of mu_N at v along vdot, coordinates in g0_basis."""
-        gu = np.einsum("anm,...m->...an", self.g0_matrices(), self.slice_vector(v))
-        return _omega0(gu, self.slice_vector(vdot)[..., None, :])
+        """Derivative v Q vdot of mu_N at v along vdot, coordinates in g0_basis."""
+        vq = np.tensordot(np.asarray(v, dtype=float), self._slice_form, 1)    # (..., d0, dN)
+        return (vq @ np.asarray(vdot, dtype=float)[..., None])[..., 0]
 
 
 def build_model(p, z0):
@@ -147,20 +159,19 @@ def build_model(p, z0):
 
     Raises :class:`DomainError` when the presentation fails
     :func:`validate_presentation` (Ad_g = exp(ad_x) needs a basis closed
-    under brackets), when |mu(z0)| exceeds 1e-10 or z0 vanishes, and on
-    numerically ambiguous rank decisions in the splitting.
+    under brackets), when |mu(z0)| exceeds 1e-10 max(1, |z0|^2) or z0
+    vanishes, and on numerically ambiguous rank decisions in the splitting.
     """
     report = validate_presentation(p)
     if not report.ok:
         raise DomainError(f"presentation fails validation: {report}")
     z0 = np.asarray(z0, dtype=complex)
-    if np.linalg.norm(z0) == 0:
+    norm = np.linalg.norm(z0)
+    if norm == 0:
         raise DomainError("z0 must be nonzero")
-    mu0 = moment_map(p, z0)
-    if p.norm_lowered(mu0) > 1e-10:
-        raise DomainError(
-            f"|mu(z0)| = {p.norm_lowered(mu0):.3e} exceeds 1.0e-10; not a zero"
-        )
+    mu0, bound = p.norm_lowered(moment_map(p, z0)), 1e-10 * max(1.0, norm ** 2)
+    if mu0 > bound:
+        raise DomainError(f"|mu(z0)| = {mu0:.3e} exceeds {bound:.1e}; not a zero")
 
     # one SVD of the realified action map xi -> xi.z0 in g-orthonormal
     # coordinates y = R xi, metric = R^T R: rows of V^T past the rank span
@@ -194,12 +205,12 @@ def build_model(p, z0):
 
 def _check_invariants(model):
     p, z0 = model.parent, model.z0
-    kill = np.linalg.norm(model.g0_matrices() @ z0, axis=-1)
-    if np.any(kill > 1e-10 * max(1, np.linalg.norm(z0))):
+    kill = np.linalg.norm(model.g0_basis @ model._orbit_map, axis=-1)
+    if np.any(kill > 1e-10 * np.linalg.norm(z0)):
         raise DomainError("an isotropy direction fails to annihilate z0")
     if np.any(np.abs(model.g0_basis @ p.metric @ model.m_basis.T) > 1e-12):
         raise DomainError("m is not metric-orthogonal to g0")
-    orbit = model.m_basis @ infinitesimal_action(p, z0).T
+    orbit = model.m_basis @ model._orbit_map
     orbit = np.vstack([orbit, 1j * orbit])
     scale = np.maximum(1.0, np.linalg.norm(orbit, axis=-1))[:, None]
     if np.any(np.abs((orbit.conj() @ model.n_basis.T).real) > 1e-12 * scale):
@@ -223,21 +234,39 @@ def _bracket(p, x_coords, y_coords):
     return 0.5 * (w.reshape(w.shape[:-2] + (-1,)) @ p.structure.reshape(-1, p.dim_g))
 
 
-def _dexp_left(p, x_coords):
-    """The pair (Ad_{exp(-x)}, dexp) at x, with dexp = (1 - e^{-ad_x}) / ad_x
-    the left-trivialized differential of exp.
+_PHI1 = (1.0 / np.cumprod(np.arange(1.0, 21.0))).reshape(5, 4)    # 1/(j + 1)!, j < 20
 
-    Both are blocks of one Van Loan block-triangular exponential:
-    expm([[M, I], [0, 0]]) holds e^M upper left and (e^M - 1) / M upper
-    right, here with M = -ad_x, and e^{-ad_x} is Ad_{exp(-x)} on
-    g-coordinates.
-    """
-    k = p.dim_g
-    block = np.zeros(np.shape(x_coords)[:-1] + (2 * k, 2 * k))
-    block[..., :k, :k] = -_ad_matrix(p, x_coords)
-    block[..., :k, k:] = np.eye(k)
-    block = expm(block)
-    return block[..., :k, :k], block[..., :k, k:]
+
+def _exp_phi1(m):
+    """The pair (e^M, phi1(M)), phi1(M) = (e^M - 1) / M, of a real square
+    matrix or a stack of them, from matrix products alone: at A = M 2^-s,
+    |A|_1 <= 1, phi1's Taylor series to degree 19 (remainder < 1/21!) in
+    blocks (I, A, A^2, A^3) (A^4)^r, and e^A = I + A phi1(A); then s doublings
+    phi1(2A) = phi1(A) (e^A + I) / 2, e^2A = (e^A)^2 where still needed.
+    M = 0 gives exactly (I, I)."""
+    shape = np.shape(m)
+    a = np.asarray(m, dtype=float).reshape((-1,) + shape[-2:])
+    # s = ceil(log2(x)) from x = f 2^e with f in [0.5, 1): exact, and 0 for x = 0
+    mant, e = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))
+    s = np.maximum(e - (mant == 0.5), 0)
+    a = a * (0.5 ** s)[:, None, None]
+    eye, a2 = np.eye(shape[-1]), a @ a
+    blocks = np.tensordot(_PHI1, np.stack(np.broadcast_arrays(eye, a, a2, a2 @ a)), 1)
+    a4, phi = a2 @ a2, blocks[-1]
+    for block in blocks[-2::-1]:
+        phi = block + a4 @ phi
+    ex = eye + a @ phi
+    for j in range(int(s.max(initial=0))):
+        idx = slice(None) if s.min() > j else np.flatnonzero(s > j)
+        phi[idx] = 0.5 * (phi[idx] @ (ex[idx] + eye))
+        ex[idx] = ex[idx] @ ex[idx]
+    return ex.reshape(shape), phi.reshape(shape)
+
+
+def _dexp_left(p, x_coords):
+    """The pair (Ad_{exp(-x)}, dexp) at x, dexp = (1 - e^{-ad_x}) / ad_x the
+    left-trivialized differential of exp: :func:`_exp_phi1` at M = -ad_x."""
+    return _exp_phi1(-_ad_matrix(p, x_coords))
 
 
 def _omega_display(model, at, t1, t2):
@@ -265,7 +294,7 @@ def _omega_display(model, at, t1, t2):
     total = pairing(pair1, z1) - pairing(pair2, z2)
     with_bracket = total + pairing(_fiber_moment(model, at), _bracket(p, z1, z2))
 
-    orbit = _omega0(p.matrix(z1) @ model.z0, p.matrix(z2) @ model.z0)
+    orbit = _omega0(z1 @ model._orbit_map, z2 @ model._orbit_map)
     slice_ = _omega0(model.slice_vector(v1), model.slice_vector(v2))
     return (with_bracket + orbit) + slice_, (total + orbit) + slice_
 
@@ -340,7 +369,7 @@ def model_moment_map(model, at):
     """Moment value Ad_g(mu_N(v) + rho) in metric-lowered g-coordinates, over
     the leading axes of the chart point ``at``; Ad_g = exp(ad_{xi_m})."""
     p = model.parent
-    ad_g = expm(_ad_matrix(p, model.embed_m(model.split(at)[0])))
+    ad_g, _ = _exp_phi1(_ad_matrix(p, model.embed_m(model.split(at)[0])))
     return (ad_g @ _fiber_moment(model, at)[..., None])[..., 0] @ p.metric.T
 
 
@@ -351,10 +380,10 @@ def verify_moment_identity(model, samples):
     g-coordinates. The left side is a central finite difference, step
     ``FD_STEP``, of the pairing along each chart coordinate direction; the
     right side evaluates the model form on the infinitesimal action. All
-    samples go through one pass: one Van Loan exponential per sample gives
-    dexp and Ad_{g^-1}, which feed the right side; its inverse Ad_g serves
-    the points shifted along rho or v, as one (k, k) matrix per sample. Only
-    the points shifted along xi_m get an exponential exp(ad) of their own.
+    samples go through one pass: one :func:`_dexp_left` pair per sample gives
+    dexp and Ad_{g^-1}, which feed the right side; Ad_g = G^-1 Ad_{g^-1}^T G
+    serves the points shifted along rho or v. Only the points shifted along
+    xi_m get an exponential exp(ad) of their own.
     """
     if not samples:
         return 0.0
@@ -364,8 +393,9 @@ def verify_moment_identity(model, samples):
     ad_inv, dexp = _dexp_left(p, x)
     frame = np.eye(model.dim_chart)[:, None]    # (chart direction, 1, chart)
     moved = at + np.array([FD_STEP, -FD_STEP])[:, None, None, None] * frame
-    lam = _fiber_moment(model, moved[:, dm:])
-    mu = np.einsum("...sa,sba->...sb", lam, np.linalg.inv(ad_inv)) @ p.metric.T
+    # lowered, G Ad_g lam = Ad_{g^-1}^T G lam
+    lam = _fiber_moment(model, moved[:, dm:]) @ p.metric.T
+    mu = np.einsum("...sa,sab->...sb", lam, ad_inv, optimize=True)
     mu = np.concatenate([model_moment_map(model, moved[:, :dm]), mu], axis=1)
     plus, minus = np.sum(mu * xi, axis=-1)
     x_xi = _intrinsic(model, dexp, _model_action(model, at, xi, ad_inv, dexp))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import conjugate_coords, random_presentation
@@ -11,7 +12,8 @@ from momentflow.builtins import get_builtin
 from momentflow.cli import main
 from momentflow.errors import DomainError, StructuralError
 from momentflow.linalg import expm
-from momentflow.normal_form import (FD_STEP, _ad_matrix, _dexp_left,
+from momentflow.normal_form import (FD_STEP, NormalFormModel, _ad_matrix,
+                                    _check_invariants, _dexp_left, _exp_phi1,
                                     _model_action, _omega0, build_model,
                                     model_moment_map, model_symplectic_form,
                                     verify_closedness, verify_moment_identity)
@@ -133,7 +135,7 @@ def test_splitting_of_zeros_with_known_isotropy(seed):
     model = build_model(p, z0)
     assert (model.dim_g0, model.dim_m, model.dim_n) == dims
     norm = np.linalg.norm(z0)
-    assert np.all(np.linalg.norm(model.g0_matrices() @ z0, axis=-1) <= 1e-12 * norm)
+    assert np.all(np.linalg.norm(p.matrix(model.g0_basis) @ z0, axis=-1) <= 1e-12 * norm)
     # g0 and m together: a g-orthonormal basis of g, g0 orthogonal to m
     basis = np.vstack([model.g0_basis, model.m_basis])
     np.testing.assert_allclose(basis @ p.metric @ basis.T, np.eye(p.dim_g), rtol=0, atol=1e-12)
@@ -157,6 +159,34 @@ def test_build_rejects_non_zero():
         build_model(p, z0)
     with pytest.raises(DomainError):
         build_model(p, np.zeros(2, dtype=complex))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e3, 1e4, 1e6])
+def test_zero_test_is_relative_to_the_norm(scale):
+    # a balanced torus zero: mu(scale z0) is round-off of size eps scale^2,
+    # which an absolute bound refused from scale 1e3 on; one modulus moved by
+    # 1% is no zero at any scale
+    p = torus_presentation([[1, 2], [-1, -2], [3, -1], [-3, 1]])
+    phases = np.exp(2j * np.pi * np.random.default_rng(3).uniform(size=4))
+    moduli = np.array([1.3, 1.3, 0.7, 0.7])
+    model = build_model(p, scale * moduli * phases)
+    assert (model.dim_g0, model.dim_m, model.dim_n) == (0, 2, 4)
+    moduli[0] *= 1.01
+    with pytest.raises(DomainError, match="not a zero"):
+        build_model(p, scale * moduli * phases)
+
+
+@pytest.mark.parametrize("c", [1e-100, 1e-12, 1e-6, 1.0])
+def test_check_invariants_refuses_a_wrong_isotropy_at_any_scale(c):
+    # all of su(2) as isotropy, m empty and N = V: the orbit directions are
+    # missing, and only the test g0.z0 = 0, relative to |z0|, sees it
+    p, model = su2_model()
+    n = p.dim_v
+    wrong = NormalFormModel(parent=p, z0=c * model.z0, g0_basis=np.eye(p.dim_g),
+                            m_basis=np.zeros((0, p.dim_g)),
+                            n_basis=np.vstack([np.eye(n), 1j * np.eye(n)]))
+    with pytest.raises(DomainError, match="fails to annihilate"):
+        _check_invariants(wrong)
 
 
 def test_build_rejects_a_basis_not_closed_under_brackets():
@@ -425,6 +455,34 @@ def test_ad_exp_matches_conjugation_on_random_presentations(seed):
     assert np.all(np.abs(prod - np.eye(p.dim_g)) <= 1e-12)
 
 
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.one_of(st.just(0.0), st.floats(0.0, 50.0)))
+@example(seed=0, size=0.0)      # u(3) at x = 0
+@example(seed=11, size=30.0)    # a circle: abelian
+@example(seed=0, size=50.0)     # u(3): seven doublings
+def test_exp_phi1_matches_the_van_loan_block(seed, size):
+    # (e^M, phi1(M)) at M = -ad_x against the blocks of scipy's
+    # expm([[M, I], [0, 0]]); past |M|_1 = 1 the doublings run. At x = 0 and
+    # on an abelian algebra M = 0 and the pair is exactly (I, I). The metric
+    # is Ad-invariant, so G^-1 (e^M)^T G is the inverse of e^M.
+    rng = np.random.default_rng(seed)
+    p = random_presentation(rng)
+    k = p.dim_g
+    x = rng.standard_normal(k)
+    x *= size / max(np.linalg.norm(x), 1e-300)
+    m = -_ad_matrix(p, x)
+    ad_inv, dexp = _exp_phi1(m)
+    assert all(np.array_equal(a, b) for a, b in zip(_dexp_left(p, x), (ad_inv, dexp)))
+    if size == 0.0 or not p.structure.any():
+        assert np.array_equal(ad_inv, np.eye(k)) and np.array_equal(dexp, np.eye(k))
+    block = scipy.linalg.expm(np.block([[m, np.eye(k)], [np.zeros((k, 2 * k))]]))
+    tol = 1e-13 * max(1.0, np.abs(m).sum(axis=0).max())
+    np.testing.assert_allclose(ad_inv, block[:k, :k], rtol=0, atol=tol)
+    np.testing.assert_allclose(dexp, block[:k, k:], rtol=0, atol=tol)
+    ad_g = np.linalg.solve(p.metric, ad_inv.T @ p.metric)
+    np.testing.assert_allclose(ad_g, np.linalg.inv(ad_inv), rtol=0, atol=tol)
+
+
 def test_batched_adjoint_rejects_one_non_normalizing_point(rng):
     p, model = su2_model()
     xs = rng.standard_normal((3, p.dim_g))
@@ -477,20 +535,20 @@ def test_verifiers_bound_dexp_calls_per_sample(monkeypatch, rng):
         calls.append(1)
         return _fn(*args)
 
-    def counted_expm(a, _fn=normal_form.expm):
+    def counted_pair(a, _fn=normal_form._exp_phi1):
         exponentials.append(int(np.prod(np.shape(a)[:-2])))
         return _fn(a)
 
     monkeypatch.setattr(normal_form, "_dexp_left", counted)
-    monkeypatch.setattr(normal_form, "expm", counted_expm)
+    monkeypatch.setattr(normal_form, "_exp_phi1", counted_pair)
     for n_samples in (1, 5):
         samples = [(_rand_point(model, rng), rng.standard_normal(p.dim_g))
                    for _ in range(n_samples)]
         calls.clear()
         exponentials.clear()
         verify_moment_identity(model, samples)
-        # one dexp per verification; one exponential per sample for dexp
-        # and Ad_{g^-1}, one per point shifted along xi_m
+        # one dexp per verification; one (exp, phi1) pair per sample for
+        # dexp and Ad_{g^-1}, one per point shifted along xi_m
         assert len(calls) <= 1
         assert 0 < sum(exponentials) <= n_samples * (1 + 2 * model.dim_m)
     calls.clear()
@@ -527,8 +585,8 @@ def test_one_pass_closedness_equals_the_model_form(seed):
 
 def test_mgs_su2_run_forms_dexp_twice(tmp_path, monkeypatch):
     # one dexp for the moment identity, one for closedness and its control;
-    # every exponential is a real k x k exp(ad_x) or a real 2k x 2k Van Loan
-    # block, never an n x n group element
+    # every exponential is an (exp, phi1) pair of real k x k matrices, never
+    # an n x n group element
     k = get_builtin("mgs_su2").presentation.dim_g
     calls, shapes = [], []
 
@@ -536,16 +594,16 @@ def test_mgs_su2_run_forms_dexp_twice(tmp_path, monkeypatch):
         calls.append(1)
         return _fn(*args)
 
-    def counted_expm(a, _fn=normal_form.expm):
+    def counted_pair(a, _fn=normal_form._exp_phi1):
         shapes.append((np.asarray(a).dtype, np.shape(a)[-2:]))
         return _fn(a)
 
     monkeypatch.setattr(normal_form, "_dexp_left", counted)
-    monkeypatch.setattr(normal_form, "expm", counted_expm)
+    monkeypatch.setattr(normal_form, "_exp_phi1", counted_pair)
     assert main(["--builtin", "mgs_su2", "--out-dir", str(tmp_path), "--quiet"]) == 0
     assert len(calls) == 2
     assert shapes and all(dtype == np.float64 for dtype, _ in shapes)
-    assert {shape for _, shape in shapes} <= {(k, k), (2 * k, 2 * k)}
+    assert {shape for _, shape in shapes} == {(k, k)}
 
 
 def _per_sample_draws(model, dim_g, seed, n_samples=100):
