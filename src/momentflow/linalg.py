@@ -1,17 +1,17 @@
 """Small dense-matrix helpers used throughout the package.
 
 Hermitian results are re-symmetrized by :func:`hermitian_part`, so Hermitian
-invariants survive round-off. General matrices are exponentiated by
-:func:`expm`, one vectorized pass over any stack of matrices.
+invariants survive round-off. Every general matrix exponential of the package
+comes from :func:`exp_phi1`, the pair (e^M, phi1(M)) from matrix products
+alone, one vectorized pass over any stack of matrices; :func:`expm` is its
+e^M.
 """
+
+import math
 
 import numpy as np
 
-__all__ = [
-    "hermitian_part",
-    "expm",
-    "row_norms",
-]
+__all__ = ["hermitian_part", "exp_phi1", "expm", "row_norms"]
 
 
 def hermitian_part(a):
@@ -25,68 +25,63 @@ def row_norms(x):
     return np.sqrt(re[:, None] @ re[..., None] + im[:, None] @ im[..., None])[:, 0, 0]
 
 
-# Coefficients of the [m/m] Pade approximants of exp and the largest 1-norm
-# theta_m at which each is accurate to double precision unscaled (Higham, "The
-# scaling and squaring method for the matrix exponential revisited", SIAM J.
-# Matrix Anal. Appl. 26, 2005, Table 2.3 and eq. 2.3), as in scipy.linalg.expm.
-_PADE = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-         16380.0, 182.0, 1.0),
-}
-_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
-          (7, 9.504178996162932e-1), (9, 2.097847961257068e0), (13, 5.371920351148152))
+# phi1's coefficients 1/(j + 1)!, j < 20, in rows of four; theta_q bounds the x
+# with x^q/(q + 1)! <= 2^-53 (Bader, Blanes and Casas, Mathematics 7, 2019).
+_PHI1 = (1.0 / np.cumprod(np.arange(1.0, 21.0))).reshape(5, 4)
+_THETA = np.array([(math.factorial(q + 1) * 2.0 ** -53) ** (1.0 / q) for q in (4, 8, 12, 16, 20)])
+
+
+def exp_phi1(m):
+    """The pair (e^M, phi1(M)), phi1(M) = (e^M - 1) / M, of a real or complex
+    square matrix or of each matrix in a stack.
+
+    A stack of diagonal matrices goes entrywise: e^d, and expm1(d) / d or,
+    where |d| < 2^-53, exactly 1 (within half an ulp of 1 + d/2, and no
+    overflow at a complex subnormal d). Otherwise each matrix is scaled by
+    its own 2^-s to A with |A|_1 <= 1; phi1(A) is its Taylor series to the
+    fewest of 4, 8, 12, 16 and 20 terms whose theta_q bounds the stack's
+    largest |A|_1, in blocks (I, A, A^2, A^3) (A^4)^r, and e^A = I + A
+    phi1(A); then s doublings phi1(2A) = phi1(A) (e^A + I) / 2, e^2A =
+    (e^A)^2, each on the matrices that still need it. There is no solve,
+    M = 0 gives exactly (I, I), and real input gives real results.
+    """
+    m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"exp_phi1 expects square matrices, got shape {m.shape}")
+    a = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+    if a.size == 0:
+        return np.empty_like(a), np.empty_like(a)
+    shape, n = a.shape, a.shape[-1]
+    a = a.reshape(-1, n, n)
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    if np.count_nonzero(a) == np.count_nonzero(diag):
+        ex, phi = np.zeros(a.shape, a.dtype), np.zeros(a.shape, a.dtype)
+        ex.reshape(-1, n * n)[:, ::n + 1] = np.exp(diag)    # the diagonals, in place
+        phi.reshape(-1, n * n)[:, ::n + 1] = np.divide(
+            np.expm1(diag), diag, out=np.ones_like(diag), where=~(np.abs(diag) < 2.0 ** -53))
+        return ex.reshape(shape), phi.reshape(shape)
+    # s = ceil(log2(x)) from x = f 2^e with f in [0.5, 1): exact, and 0 for x = 0
+    mant, e = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))
+    s = np.maximum(e - (mant == 0.5), 0)
+    if s.any():
+        a = a * (0.5 ** s)[:, None, None]
+    rows = 1 + np.searchsorted(_THETA, np.ldexp(mant, e - s).max())    # q = 4 rows
+    eye, a2 = np.eye(n), a @ a
+    powers = np.stack(np.broadcast_arrays(eye, a, a2, a2 @ a))    # on the real view: dgemm
+    blocks = np.tensordot(_PHI1[:rows], powers.view(float), 1).view(a.dtype)
+    phi = blocks[-1]
+    if rows > 1:
+        a4 = a2 @ a2
+        for block in blocks[-2::-1]:
+            phi = block + a4 @ phi
+    ex = eye + a @ phi
+    for j in range(int(s.max())):
+        idx = slice(None) if s.min() > j else np.flatnonzero(s > j)
+        phi[idx] = 0.5 * (phi[idx] @ (ex[idx] + eye))
+        ex[idx] = ex[idx] @ ex[idx]
+    return ex.reshape(shape), phi.reshape(shape)
 
 
 def expm(a):
-    """Matrix exponential of a square matrix or of a stack of them.
-
-    Pade scaling and squaring (Higham 2005), vectorized over all leading
-    axes. The Pade degree m is the lowest of 3, 5, 7, 9 and 13 whose theta_m
-    bounds the stack's largest 1-norm; past theta_13 each matrix is scaled
-    by its own 2^-s, s = ceil(log2(|A|_1 / theta_13)), so a small matrix is
-    not over-scaled by a large one, and the squaring loop squares only the
-    matrices that still need it. The numerator and denominator of the whole
-    stack are formed together and solved in one batched call. A stack of
-    diagonal matrices is exponentiated entrywise, as scipy does. Real input
-    gives a real result, complex a complex one.
-    """
-    a = np.asarray(a)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expm expects square matrices, got shape {a.shape}")
-    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
-    if a.size == 0:
-        return np.empty_like(a)
-    shape, n = a.shape, a.shape[-1]
-    diag = np.diagonal(a, axis1=-2, axis2=-1)
-    if np.count_nonzero(a) == np.count_nonzero(diag):
-        out = np.zeros_like(a)
-        out[..., range(n), range(n)] = np.exp(diag)
-        return out
-    a = a.reshape(-1, n, n)
-    norms = np.abs(a).sum(axis=-2).max(axis=-1)
-    m = next((m for m, theta in _THETA if norms.max() <= theta), 13)
-    # s = ceil(log2(x)) from x = m 2^e with m in [0.5, 1): exact, and 0 for x = 0
-    mant, e = np.frexp(norms / _THETA[-1][1])
-    s = np.maximum(e - (mant == 0.5), 0) if m == 13 else np.zeros(len(a), dtype=int)
-    a = a * (0.5 ** s)[:, None, None]
-    powers = [np.eye(n), a @ a]    # the even powers up to A^(m - 1)
-    for _ in range(m // 2 - 1):
-        powers.append(powers[-1] @ powers[1])
-    b = _PADE[m]
-    u = a @ sum(b[2 * j + 1] * x for j, x in enumerate(powers))
-    v = sum(b[2 * j] * x for j, x in enumerate(powers))
-    r = np.linalg.solve(v - u, v + u)
-    for k in range(int(s.max())):
-        if s.min() > k:
-            r = r @ r
-        else:
-            idx = np.flatnonzero(s > k)
-            r[idx] = r[idx] @ r[idx]
-    return r.reshape(shape)
+    """e^A of a square matrix or of each matrix in a stack: :func:`exp_phi1`'s first."""
+    return exp_phi1(a)[0]

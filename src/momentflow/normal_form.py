@@ -25,13 +25,13 @@ differentiation anywhere: the point of this module is an independent
 numerical confirmation.
 
 The group enters only through its Lie algebra: Ad_g for g = exp(x) is the
-real k x k matrix exp(ad_x); Ad_{g^-1} = exp(-ad_x) and dexp come as one
-pair (e^M, (e^M - 1) / M) of real k x k products, and Ad_g = G^-1
-Ad_{g^-1}^T G (G the metric), so no n x n group element is exponentiated
-or inverted; :func:`build_model` checks once that the presentation is
-valid, as both identities need. The fixed terms of the form are bilinear
-forms of the model, computed once: the orbit map L (rows xi_a.z0) and the
-slice tensor Q_a[j, l] = Omega0(xi_a b_j, b_l).
+real k x k matrix exp(ad_x); Ad_{g^-1} = exp(-ad_x) and dexp are the pair
+(e^M, (e^M - 1) / M) at M = -ad_x from :func:`linalg.exp_phi1`, and Ad_g =
+G^-1 Ad_{g^-1}^T G (G the metric), so no n x n group element is
+exponentiated or inverted; :func:`build_model` checks once that the
+presentation is valid, as both identities need. The fixed terms are forms
+of the model, computed once: the orbit map L (rows xi_a.z0) and the slice
+tensors Q_a[j, l] = Omega0(xi_a b_j, b_l) and R_a[j, l] = Re<xi_a b_j, b_l>.
 """
 
 from dataclasses import dataclass
@@ -41,6 +41,7 @@ import numpy as np
 
 from .algebra import validate_presentation
 from .errors import DomainError
+from .linalg import exp_phi1
 from .representation import infinitesimal_action, moment_map
 
 __all__ = [
@@ -137,10 +138,12 @@ class NormalFormModel:
         return self.parent.basis @ self.z0
 
     @cached_property
-    def _slice_form(self):
-        """The slice tensor Q_a[j, l] = Omega0(xi_a b_j, b_l), laid out (j, a, l)."""
+    def _slice_forms(self):
+        """The slice tensors Q_a[j, l] = Omega0(xi_a b_j, b_l) and R_a[j, l] =
+        Re<xi_a b_j, b_l>, both laid out (j, a, l): v Q vdot is d mu_N(v)(vdot),
+        and c (v R) the action of c in g0-coordinates on v, in N-coordinates."""
         moved = np.moveaxis(self.parent.matrix(self.g0_basis) @ self.n_basis.T, -1, 0)
-        return _omega0(moved[:, :, None], self.n_basis)
+        return _omega0(moved[:, :, None], self.n_basis), (moved @ self.n_basis.conj().T).real
 
     # -- the linearized isotropy action on the slice -------------------------
 
@@ -150,7 +153,7 @@ class NormalFormModel:
 
     def d_mu_n(self, v, vdot):
         """Derivative v Q vdot of mu_N at v along vdot, coordinates in g0_basis."""
-        vq = np.tensordot(np.asarray(v, dtype=float), self._slice_form, 1)    # (..., d0, dN)
+        vq = np.tensordot(np.asarray(v, dtype=float), self._slice_forms[0], 1)    # (..., d0, dN)
         return (vq @ np.asarray(vdot, dtype=float)[..., None])[..., 0]
 
 
@@ -234,39 +237,10 @@ def _bracket(p, x_coords, y_coords):
     return 0.5 * (w.reshape(w.shape[:-2] + (-1,)) @ p.structure.reshape(-1, p.dim_g))
 
 
-_PHI1 = (1.0 / np.cumprod(np.arange(1.0, 21.0))).reshape(5, 4)    # 1/(j + 1)!, j < 20
-
-
-def _exp_phi1(m):
-    """The pair (e^M, phi1(M)), phi1(M) = (e^M - 1) / M, of a real square
-    matrix or a stack of them, from matrix products alone: at A = M 2^-s,
-    |A|_1 <= 1, phi1's Taylor series to degree 19 (remainder < 1/21!) in
-    blocks (I, A, A^2, A^3) (A^4)^r, and e^A = I + A phi1(A); then s doublings
-    phi1(2A) = phi1(A) (e^A + I) / 2, e^2A = (e^A)^2 where still needed.
-    M = 0 gives exactly (I, I)."""
-    shape = np.shape(m)
-    a = np.asarray(m, dtype=float).reshape((-1,) + shape[-2:])
-    # s = ceil(log2(x)) from x = f 2^e with f in [0.5, 1): exact, and 0 for x = 0
-    mant, e = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))
-    s = np.maximum(e - (mant == 0.5), 0)
-    a = a * (0.5 ** s)[:, None, None]
-    eye, a2 = np.eye(shape[-1]), a @ a
-    blocks = np.tensordot(_PHI1, np.stack(np.broadcast_arrays(eye, a, a2, a2 @ a)), 1)
-    a4, phi = a2 @ a2, blocks[-1]
-    for block in blocks[-2::-1]:
-        phi = block + a4 @ phi
-    ex = eye + a @ phi
-    for j in range(int(s.max(initial=0))):
-        idx = slice(None) if s.min() > j else np.flatnonzero(s > j)
-        phi[idx] = 0.5 * (phi[idx] @ (ex[idx] + eye))
-        ex[idx] = ex[idx] @ ex[idx]
-    return ex.reshape(shape), phi.reshape(shape)
-
-
 def _dexp_left(p, x_coords):
     """The pair (Ad_{exp(-x)}, dexp) at x, dexp = (1 - e^{-ad_x}) / ad_x the
-    left-trivialized differential of exp: :func:`_exp_phi1` at M = -ad_x."""
-    return _exp_phi1(-_ad_matrix(p, x_coords))
+    left-trivialized differential of exp: :func:`exp_phi1` at M = -ad_x."""
+    return exp_phi1(-_ad_matrix(p, x_coords))
 
 
 def _omega_display(model, at, t1, t2):
@@ -352,11 +326,10 @@ def _model_action(model, at, xi_g, ad_inv, dexp):
     g0 = np.broadcast_to(model.g0_basis.T, dexp.shape[:-1] + (model.dim_g0,))
     system = np.concatenate([dexp @ model.m_basis.T, g0], axis=-1)
     sol = np.linalg.solve(system, zeta[..., None])[..., 0]
-    z0_coords = model.embed_g0(sol[..., model.dim_m:])     # zeta_0 turns into fiber motion
-    rho_dot = model.project_m(_bracket(p, z0_coords, model.embed_m(rho)))
-    moved = p.matrix(z0_coords) @ model.slice_vector(v)[..., None]
-    return np.concatenate([sol[..., :model.dim_m], rho_dot,
-                           model.slice_coords(moved[..., 0])], axis=-1)
+    c0 = sol[..., model.dim_m:]     # zeta_0 in g0-coordinates turns into fiber motion
+    rho_dot = model.project_m(_bracket(p, model.embed_g0(c0), model.embed_m(rho)))
+    v_dot = c0[..., None, :] @ np.tensordot(v, model._slice_forms[1], 1)
+    return np.concatenate([sol[..., :model.dim_m], rho_dot, v_dot[..., 0, :]], axis=-1)
 
 
 def _fiber_moment(model, at):
@@ -369,7 +342,7 @@ def model_moment_map(model, at):
     """Moment value Ad_g(mu_N(v) + rho) in metric-lowered g-coordinates, over
     the leading axes of the chart point ``at``; Ad_g = exp(ad_{xi_m})."""
     p = model.parent
-    ad_g, _ = _exp_phi1(_ad_matrix(p, model.embed_m(model.split(at)[0])))
+    ad_g, _ = exp_phi1(_ad_matrix(p, model.embed_m(model.split(at)[0])))
     return (ad_g @ _fiber_moment(model, at)[..., None])[..., 0] @ p.metric.T
 
 

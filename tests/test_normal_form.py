@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
-import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import conjugate_coords, random_presentation
@@ -13,7 +12,7 @@ from momentflow.cli import main
 from momentflow.errors import DomainError, StructuralError
 from momentflow.linalg import expm
 from momentflow.normal_form import (FD_STEP, NormalFormModel, _ad_matrix,
-                                    _check_invariants, _dexp_left, _exp_phi1,
+                                    _bracket, _check_invariants, _dexp_left,
                                     _model_action, _omega0, build_model,
                                     model_moment_map, model_symplectic_form,
                                     verify_closedness, verify_moment_identity)
@@ -412,6 +411,37 @@ def test_infinitesimal_action_consistency(rng):
     np.testing.assert_allclose(lhs, rhs, atol=1e-4)
 
 
+def _model_action_reference(model, at, xi_g, ad_inv, dexp):
+    """:func:`_model_action` with the fiber motion as the n x n product
+    slice_coords(matrix(zeta_0) slice_vector(v)), the reference for c0 (v R)."""
+    p, (_, rho, v) = model.parent, model.split(at)
+    zeta = (ad_inv @ np.asarray(xi_g, dtype=float)[..., None])[..., 0]
+    g0 = np.broadcast_to(model.g0_basis.T, dexp.shape[:-1] + (model.dim_g0,))
+    system = np.concatenate([dexp @ model.m_basis.T, g0], axis=-1)
+    sol = np.linalg.solve(system, zeta[..., None])[..., 0]
+    z0_coords = model.embed_g0(sol[..., model.dim_m:])
+    rho_dot = model.project_m(_bracket(p, z0_coords, model.embed_m(rho)))
+    moved = p.matrix(z0_coords) @ model.slice_vector(v)[..., None]
+    return np.concatenate([sol[..., :model.dim_m], rho_dot,
+                           model.slice_coords(moved[..., 0])], axis=-1)
+
+
+@pytest.mark.parametrize("name", ["su2", "mgs_su2"])
+def test_model_action_matches_the_n_by_n_fiber_motion(rng, name):
+    if name == "su2":
+        p, model = su2_model()
+    else:
+        exp = get_builtin(name)
+        p, model = exp.presentation, build_model(exp.presentation, exp.v0)
+    assert model.dim_g0 > 0
+    at = np.stack([_rand_point(model, rng, scale=2.0) for _ in range(20)])
+    xi = 3.0 * rng.standard_normal((20, p.dim_g))
+    pair = _dexp_left(p, model.embed_m(model.split(at)[0]))
+    got = _model_action(model, at, xi, *pair)
+    want = _model_action_reference(model, at, xi, *pair)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
 def _dexp_series(a, terms=30):
     """Truncated series sum_j (-a)^j / (j + 1)!, the reference for dexp."""
     out = term = np.eye(len(a))
@@ -453,34 +483,6 @@ def test_ad_exp_matches_conjugation_on_random_presentations(seed):
     ad_inv, _ = _dexp_left(p, x)
     prod = ad_inv @ ad
     assert np.all(np.abs(prod - np.eye(p.dim_g)) <= 1e-12)
-
-
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), size=st.one_of(st.just(0.0), st.floats(0.0, 50.0)))
-@example(seed=0, size=0.0)      # u(3) at x = 0
-@example(seed=11, size=30.0)    # a circle: abelian
-@example(seed=0, size=50.0)     # u(3): seven doublings
-def test_exp_phi1_matches_the_van_loan_block(seed, size):
-    # (e^M, phi1(M)) at M = -ad_x against the blocks of scipy's
-    # expm([[M, I], [0, 0]]); past |M|_1 = 1 the doublings run. At x = 0 and
-    # on an abelian algebra M = 0 and the pair is exactly (I, I). The metric
-    # is Ad-invariant, so G^-1 (e^M)^T G is the inverse of e^M.
-    rng = np.random.default_rng(seed)
-    p = random_presentation(rng)
-    k = p.dim_g
-    x = rng.standard_normal(k)
-    x *= size / max(np.linalg.norm(x), 1e-300)
-    m = -_ad_matrix(p, x)
-    ad_inv, dexp = _exp_phi1(m)
-    assert all(np.array_equal(a, b) for a, b in zip(_dexp_left(p, x), (ad_inv, dexp)))
-    if size == 0.0 or not p.structure.any():
-        assert np.array_equal(ad_inv, np.eye(k)) and np.array_equal(dexp, np.eye(k))
-    block = scipy.linalg.expm(np.block([[m, np.eye(k)], [np.zeros((k, 2 * k))]]))
-    tol = 1e-13 * max(1.0, np.abs(m).sum(axis=0).max())
-    np.testing.assert_allclose(ad_inv, block[:k, :k], rtol=0, atol=tol)
-    np.testing.assert_allclose(dexp, block[:k, k:], rtol=0, atol=tol)
-    ad_g = np.linalg.solve(p.metric, ad_inv.T @ p.metric)
-    np.testing.assert_allclose(ad_g, np.linalg.inv(ad_inv), rtol=0, atol=tol)
 
 
 def test_batched_adjoint_rejects_one_non_normalizing_point(rng):
@@ -535,12 +537,12 @@ def test_verifiers_bound_dexp_calls_per_sample(monkeypatch, rng):
         calls.append(1)
         return _fn(*args)
 
-    def counted_pair(a, _fn=normal_form._exp_phi1):
+    def counted_pair(a, _fn=normal_form.exp_phi1):
         exponentials.append(int(np.prod(np.shape(a)[:-2])))
         return _fn(a)
 
     monkeypatch.setattr(normal_form, "_dexp_left", counted)
-    monkeypatch.setattr(normal_form, "_exp_phi1", counted_pair)
+    monkeypatch.setattr(normal_form, "exp_phi1", counted_pair)
     for n_samples in (1, 5):
         samples = [(_rand_point(model, rng), rng.standard_normal(p.dim_g))
                    for _ in range(n_samples)]
@@ -594,12 +596,12 @@ def test_mgs_su2_run_forms_dexp_twice(tmp_path, monkeypatch):
         calls.append(1)
         return _fn(*args)
 
-    def counted_pair(a, _fn=normal_form._exp_phi1):
+    def counted_pair(a, _fn=normal_form.exp_phi1):
         shapes.append((np.asarray(a).dtype, np.shape(a)[-2:]))
         return _fn(a)
 
     monkeypatch.setattr(normal_form, "_dexp_left", counted)
-    monkeypatch.setattr(normal_form, "_exp_phi1", counted_pair)
+    monkeypatch.setattr(normal_form, "exp_phi1", counted_pair)
     assert main(["--builtin", "mgs_su2", "--out-dir", str(tmp_path), "--quiet"]) == 0
     assert len(calls) == 2
     assert shapes and all(dtype == np.float64 for dtype, _ in shapes)
