@@ -33,6 +33,7 @@ __all__ = [
     "torus_presentation",
     "matrix_presentation",
     "trace_metric",
+    "bracket",
     "su2_presentation",
     "un_presentation",
     "sym_power_generator",
@@ -42,14 +43,10 @@ __all__ = [
 
 
 def trace_metric(basis):
-    """Gram matrix of the invariant form <xi, eta> = -Re tr(xi eta)."""
-    basis = np.asarray(basis)
-    k = basis.shape[0]
-    g = np.empty((k, k))
-    for a in range(k):
-        for b in range(a, k):
-            g[a, b] = g[b, a] = -np.trace(basis[a] @ basis[b]).real
-    return g
+    """Gram matrix of the invariant form <xi, eta> = -Re tr(xi eta), its
+    upper triangle mirrored so that it is exactly symmetric."""
+    g = -np.einsum("aij,bji->ab", basis, basis).real
+    return np.triu(g) + np.triu(g, 1).T
 
 
 @dataclass(frozen=True)
@@ -195,6 +192,15 @@ class GroupPresentation:
         if tol is not None and residual > tol * max(1.0, np.linalg.norm(xi)):
             raise DomainError(f"matrix is not in the Lie algebra span (residual {residual:.2e})")
         return coords
+
+
+def bracket(p, x_coords, y_coords):
+    """Coordinates of [x, y] through ``p.structure``, from the antisymmetrized
+    products x_a y_b - x_b y_a, so that [y, x] = -[x, y] and [x, x] = 0
+    exactly; leading axes of the coordinates broadcast."""
+    xy = np.asarray(x_coords)[..., :, None] * np.asarray(y_coords)[..., None, :]
+    w = xy - np.swapaxes(xy, -1, -2)
+    return 0.5 * (w.reshape(w.shape[:-2] + (-1,)) @ p.structure.reshape(-1, p.dim_g))
 
 
 def _brackets(basis):

@@ -13,7 +13,10 @@ form, u = v/|v| on the sphere while l = log|v|^2 and the time t are
 quadratures inside the error test, and collapses in closed form past a
 critical point of f^. A projective run may carry the affine flow along, l
 and t outside its error test. The group lift is computed from the finished
-trajectory by batched Magnus steps.
+trajectory in three regimes: fourth-order Magnus exponents in g-coordinates,
+one coefficient call and one stacked exponential per block of knot
+intervals; an entrywise lift for a torus; and a closed form past the last
+step end, where the generator is constant.
 """
 
 import math
@@ -21,9 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import bracket
 from .errors import DiagnosticError
 from .linalg import expm, row_norms
-from .representation import energy_kernel, flow_generator
+from .representation import energy_kernel, moment_coefficients
 
 MIN_STEP = 1e-14          # a step below this ends the flow by step_underflow
 SAMPLE_GROWTH = 0.04      # ratio of the geometric output grid
@@ -633,7 +637,7 @@ def _lift_residual(g, v, projective):
         return float(np.linalg.norm(gv - v, axis=1).max() / np.linalg.norm(v[0]))
 
 
-# Knot intervals per batched Magnus pass: one generator call and one stacked
+# Knot intervals per block of the lift: one coefficient call and one stacked
 # expm per block, while the temporaries stay a fixed size however long the
 # flow runs.
 _LIFT_BLOCK = 64
@@ -654,30 +658,54 @@ def _step_extension(records, n):
 
 
 def _lift_path(p, s, steps):
-    """Group lift at the knots ``s`` by fourth-order Magnus steps: g(0) = id,
-    dg/ds = A(u) g, A = flow_generator(p, u) / |u|^2 (the affine flow's too,
-    as A(v) dt = A(v) / |v|^2 ds). Each interval's two Gauss nodes are read
-    off the extension of the step that holds them (past the last step, its
-    end), so a block of intervals takes one batched generator call and one
-    stacked ``expm``, and g is a running product. Errors sit in the exponent
-    and vanish as the generator converges, so log g stays accurate."""
+    """Group lift at the knots ``s``: g(0) = id, dg/ds = A(u) g, A = 2i
+    xi(c), c = mu^#(u) / |u|^2 (the affine flow's too, as A(v) dt = A(v) /
+    |v|^2 ds). Each knot interval of length h takes the fourth-order Magnus
+    exponent zeta = ih(c1 + c2) - (sqrt(3)/3) h^2 [c2, c1] in g-coordinates,
+    at its two Gauss nodes read off the extension of the step that holds
+    them; a block of intervals takes one :func:`moment_coefficients` call.
+    A torus (commuting diagonal generators) is lifted entrywise: g is the
+    diagonal exp of the running sum of the exponents' diagonals. Otherwise
+    each block takes one stacked ``expm`` of its exponents, and g is a
+    running product up to the last step end; past it every node reads the
+    final state, so A is a constant Hermitian A_e = V diag(lam) V* and g =
+    V e^((s - s_e) lam) V* g_e in closed form from one ``eigh``. Errors sit
+    in the exponent and vanish as the generator converges, so log g stays
+    accurate."""
     t0, hs, ys, cs = steps
     m, n = len(s), ys.shape[1]
-    g = np.empty((m, n, n), dtype=complex)
+    g = np.zeros((m, n, n), dtype=complex)
     g[0] = np.eye(n)
-    for a in range(0, m - 1, _LIFT_BLOCK):
-        b = min(a + _LIFT_BLOCK, m - 1)
+    if m == 1:
+        return g
+    torus = p.kind == "torus"
+    if torus:    # diag xi_a = i w_a, so zeta's diagonals -h (c1 + c2) w are real
+        weights, logs = np.diagonal(p.basis, axis1=1, axis2=2).imag, np.zeros((m, n))
+    e = m - 1 if torus else min(int(np.searchsorted(s, t0[-1] + hs[-1])), m - 1)
+    for a in range(0, e, _LIFT_BLOCK):
+        b = min(a + _LIFT_BLOCK, e)
         h = s[a + 1:b + 1] - s[a:b]
         tau = s[a:b] + _GAUSS * h                                   # (2, b - a)
         k = np.searchsorted(t0, tau, side="right") - 1              # the step of a node
         theta, c = np.minimum((tau - t0[k]) / hs[k], 1.0)[..., None], cs[k]
         nodes = ys[k] + (theta[..., None] ** _POWERS @ c)[..., 0, :]    # (2, b - a, n)
-        n2 = np.einsum("...i,...i->...", nodes.conj(), nodes).real
-        a1, a2 = flow_generator(p, nodes) / n2[..., None, None]
-        h = h[:, None, None]
-        omega = 0.5 * h * (a1 + a2) + (np.sqrt(3) * h * h / 12.0) * (a2 @ a1 - a1 @ a2)
-        for i, step in enumerate(expm(omega), start=a):
+        mu, n2 = moment_coefficients(p, nodes)
+        (c1, c2), h = mu / n2[..., None], h[:, None]
+        if torus:
+            logs[a + 1:b + 1] = -(h * (c1 + c2)) @ weights
+            continue
+        zeta = 1j * h * (c1 + c2) - (np.sqrt(3) / 3) * h * h * bracket(p, c2, c1)
+        for i, step in enumerate(expm(p.matrix(zeta)), start=a):
             np.matmul(step, g[i], out=g[i + 1])
+    if torus:
+        g.reshape(m, -1)[:, ::n + 1] = np.exp(np.cumsum(logs, axis=0))    # the diagonals
+    elif e < m - 1:
+        mu, n2 = moment_coefficients(p, ys[-1] + cs[-1].sum(axis=0))
+        lam, vecs = np.linalg.eigh(2j * p.matrix(mu / n2))
+        right = vecs.conj().T @ g[e]
+        for a in range(e + 1, m, _LIFT_BLOCK):
+            b = min(a + _LIFT_BLOCK, m)
+            np.matmul(vecs * np.exp(np.outer(s[a:b] - s[e], lam))[:, None], right, out=g[a:b])
     return g
 
 

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import validate_presentation
+from .algebra import bracket, validate_presentation
 from .errors import DomainError
 from .linalg import exp_phi1
 from .representation import infinitesimal_action, moment_map
@@ -229,14 +229,6 @@ def _ad_matrix(p, x_coords):
     return np.einsum("...a,abc->...cb", x_coords, p.structure)
 
 
-def _bracket(p, x_coords, y_coords):
-    """Coordinates of [x, y] from the antisymmetrized products
-    x_a y_b - x_b y_a, so that [y, x] = -[x, y] and [x, x] = 0 exactly."""
-    xy = np.asarray(x_coords)[..., :, None] * np.asarray(y_coords)[..., None, :]
-    w = xy - np.swapaxes(xy, -1, -2)
-    return 0.5 * (w.reshape(w.shape[:-2] + (-1,)) @ p.structure.reshape(-1, p.dim_g))
-
-
 def _dexp_left(p, x_coords):
     """The pair (Ad_{exp(-x)}, dexp) at x, dexp = (1 - e^{-ad_x}) / ad_x the
     left-trivialized differential of exp: :func:`exp_phi1` at M = -ad_x."""
@@ -266,7 +258,7 @@ def _omega_display(model, at, t1, t2):
     pair1 = model.embed_m(r2) + model.embed_g0(model.d_mu_n(v, v2))
     pair2 = model.embed_m(r1) + model.embed_g0(model.d_mu_n(v, v1))
     total = pairing(pair1, z1) - pairing(pair2, z2)
-    with_bracket = total + pairing(_fiber_moment(model, at), _bracket(p, z1, z2))
+    with_bracket = total + pairing(_fiber_moment(model, at), bracket(p, z1, z2))
 
     orbit = _omega0(z1 @ model._orbit_map, z2 @ model._orbit_map)
     slice_ = _omega0(model.slice_vector(v1), model.slice_vector(v2))
@@ -327,7 +319,7 @@ def _model_action(model, at, xi_g, ad_inv, dexp):
     system = np.concatenate([dexp @ model.m_basis.T, g0], axis=-1)
     sol = np.linalg.solve(system, zeta[..., None])[..., 0]
     c0 = sol[..., model.dim_m:]     # zeta_0 in g0-coordinates turns into fiber motion
-    rho_dot = model.project_m(_bracket(p, model.embed_g0(c0), model.embed_m(rho)))
+    rho_dot = model.project_m(bracket(p, model.embed_g0(c0), model.embed_m(rho)))
     v_dot = c0[..., None, :] @ np.tensordot(v, model._slice_forms[1], 1)
     return np.concatenate([sol[..., :model.dim_m], rho_dot, v_dot[..., 0, :]], axis=-1)
 

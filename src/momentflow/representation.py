@@ -34,6 +34,7 @@ __all__ = [
     "projective_moment_map",
     "energy_kernel",
     "energy_and_gradient",
+    "moment_coefficients",
     "flow_generator",
     "kempf_ness_value",
 ]
@@ -116,16 +117,31 @@ def energy_and_gradient(p, v):
     return f, -slope
 
 
+def moment_coefficients(p, v):
+    """The pair (mu^#(v), |v|^2) of a state (n,) or a stack (..., n), shapes
+    (..., k) and (...): contravariant moment coordinates and the squared
+    norm, from one product with the presentation's real form
+    (``_real_form``): Y = (P_a x, x) on x = v.view(float), Y x the lowered
+    mu and |v|^2, the inverse metric mu^#."""
+    form, metric_inv = p._real_form
+    x = np.ascontiguousarray(v, dtype=complex).view(float)
+    shape, k = x.shape[:-1], p.dim_g
+    x = x.reshape(-1, x.shape[-1])
+    m = ((x @ form.T).reshape(len(x), k + 1, -1) @ x[..., None])[..., 0]
+    return (m @ metric_inv.T)[:, :k].reshape(shape + (k,)), m[:, k].reshape(shape)
+
+
 def flow_generator(p, v):
     """Matrix 2i mu(v)^ on V; the flow is v' = flow_generator(p, v) @ v.
 
     This equals minus the gradient of f divided out of v, i.e. the downward
-    gradient flow of f = |mu|^2 is the linear action of this g^C element, and
-    the same matrix drives the group lift g' = flow_generator(p, g v0) g.
-    ``v`` may carry leading batch axes (..., n); the result is (..., n, n),
-    so the lift of a whole trajectory block takes one call.
+    gradient flow of f = |mu|^2 is the linear action of this g^C element,
+    and the same matrix drives the group lift g' = flow_generator(p, g v0)
+    g; its coordinates are 2i mu^#(v) from :func:`moment_coefficients`,
+    which the lift reads directly. ``v`` may carry leading batch axes (...,
+    n); the result is (..., n, n).
     """
-    return 2j * p.matrix(p.sharp(moment_map(p, v)[..., None])[..., 0])
+    return 2j * p.matrix(moment_coefficients(p, v)[0])
 
 
 def kempf_ness_value(p, v0, path):

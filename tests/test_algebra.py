@@ -3,9 +3,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from conftest import conjugate_coords, random_presentation
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momentflow.algebra import (GroupPresentation, matrix_presentation,
-                                su2_presentation, su2_sym_presentation,
+from momentflow.algebra import (GroupPresentation, bracket, direct_sum_presentation,
+                                matrix_presentation, su2_presentation, su2_sym_presentation,
                                 sym_power_generator, torus_presentation,
                                 trace_metric, un_presentation,
                                 validate_presentation)
@@ -237,6 +239,42 @@ def test_structure_tensor_matches_lstsq(rng):
                 comm = p.basis[a] @ p.basis[b] - p.basis[b] @ p.basis[a]
                 np.testing.assert_allclose(p.structure[a, b],
                                            _lstsq_coords(p.basis, comm), atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_coordinate_bracket_is_the_matrix_commutator(seed):
+    # matrix() is a Lie-algebra homomorphism on the coordinate bracket, which
+    # the lift's Magnus exponent in g-coordinates rests on
+    rng = np.random.default_rng(seed)
+    p = random_presentation(rng)
+    x, y = rng.standard_normal((2, 3, p.dim_g))
+    got = p.matrix(bracket(p, x, y))
+    xm, ym = p.matrix(x), p.matrix(y)
+    want = xm @ ym - ym @ xm
+    scale = np.linalg.norm(xm, axis=(1, 2)) * np.linalg.norm(ym, axis=(1, 2))
+    assert (np.linalg.norm(got - want, axis=(1, 2)) <= 1e-12 * scale).all()
+    np.testing.assert_array_equal(bracket(p, y, x), -bracket(p, x, y))
+
+
+def _loop_trace_metric(basis):
+    """-Re tr(xi_a xi_b) one product at a time, the reference."""
+    k = len(basis)
+    g = np.empty((k, k))
+    for a in range(k):
+        for b in range(a, k):
+            g[a, b] = g[b, a] = -np.trace(basis[a] @ basis[b]).real
+    return g
+
+
+def test_trace_metric_is_exactly_symmetric_and_matches_the_product_loop():
+    sym = su2_sym_presentation
+    for p in (su2_presentation(), sym(2), sym(3), sym(4), sym(6), un_presentation(3),
+              un_presentation(4), direct_sum_presentation([sym(2), sym(2)]),
+              direct_sum_presentation([sym(2), sym(4)])):
+        g = trace_metric(p.basis)
+        np.testing.assert_array_equal(g, g.T)
+        np.testing.assert_array_equal(g, _loop_trace_metric(p.basis))
 
 
 def test_coords_of_matches_lstsq_and_rejects_out_of_span(rng):

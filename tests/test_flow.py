@@ -382,7 +382,7 @@ def test_trajectory_csv_round_trip(tmp_path):
 def test_one_energy_evaluation_per_state(monkeypatch):
     # the bound energy kernel counts evaluated states: one per one-state
     # call, a row per state of a stacked call
-    calls = {"energy": 0, "stacked": 0, "flow_generator": 0, "_rkf45_step": 0, "expm": 0}
+    calls = {"energy": 0, "stacked": 0, "moment_coefficients": 0, "_rkf45_step": 0, "expm": 0}
     step_sizes, step_ends = [], set()
 
     def counting_kernel(p, projective, _bind=flow.energy_kernel):
@@ -395,7 +395,7 @@ def test_one_energy_evaluation_per_state(monkeypatch):
         return energy
 
     monkeypatch.setattr(flow, "energy_kernel", counting_kernel)
-    for owner, name in ((flow, "flow_generator"), (flow, "_rkf45_step"), (flow, "expm")):
+    for owner, name in ((flow, "moment_coefficients"), (flow, "_rkf45_step"), (flow, "expm")):
         def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
             if _name == "_rkf45_step":
@@ -428,12 +428,31 @@ def test_one_energy_evaluation_per_state(monkeypatch):
     assert 0 < calls["stacked"] <= traj.steps
     assert traj.evaluations == calls["energy"]
     assert (traj.h_min, traj.h_max) == (min(step_sizes), max(step_sizes))
-    # the lift makes one generator call (both Gauss nodes of every knot
-    # interval of a block) and one stacked expm per block of intervals
+    # the lift makes one coefficient call (both Gauss nodes of every knot
+    # interval of a block) per block of intervals, and a torus lift is
+    # entrywise, with no expm
+    assert calls["moment_coefficients"] == math.ceil(intervals / flow._LIFT_BLOCK)
+    assert calls["expm"] == 0
+
+
+def test_lift_takes_one_coefficient_call_and_one_expm_per_block(monkeypatch):
+    # a non-torus lift: one coefficient call and one stacked expm per block
+    # of knot intervals; this stable start ends at a zero of mu, with no
+    # collapse past its last step
+    calls = {"moment_coefficients": 0, "expm": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(flow, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(flow, name, counted)
+    traj = cointegrate_group(su2_sym_presentation(3), np.full(4, 0.5, dtype=complex),
+                             FlowOptions(t_max=1e3))
+    intervals = len(traj.knots) - 1
+    assert traj.terminated_reason == "gradient_small"
+    assert intervals > 2 * flow._LIFT_BLOCK   # the lift spans several blocks
     blocks = math.ceil(intervals / flow._LIFT_BLOCK)
-    assert calls["flow_generator"] == blocks
-    assert calls["expm"] == blocks
-    assert calls["expm"] > 0    # the patched name is the one the lift calls
+    assert calls == {"moment_coefficients": blocks, "expm": blocks}
+    assert traj.lift_residual < 1e-6
 
 
 def _rk4_reference(p, v0, times, h=1e-3):
@@ -667,6 +686,54 @@ def test_batched_lift_matches_per_step_magnus(seed):
         records, _, clocks = knots_of(traj)
         ref = _per_step_magnus_lift(p, clocks, records)
         assert _lift_error(traj.g_knots, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("n, seed", [(3, 1), (3, 2), (4, 1), (4, 2)])
+def test_collapse_tail_lift_is_the_exponential_of_the_final_generator(n, seed):
+    # u(n) holds the centre, so every affine flow collapses past a critical
+    # point of f^; past the last step end every node reads the final state u_e,
+    # and the closed form must match a per-knot product of expm(h A_e)
+    p = un_presentation(n)
+    v0 = random_vector(np.random.default_rng(seed), n)
+    with packed() as knots_of:
+        traj = cointegrate_group(p, v0, FlowOptions(t_max=1e3))
+    records, _, clocks = knots_of(traj)
+    e = int(np.searchsorted(clocks, list(itertools.accumulate(records["h"]))[-1]))
+    assert len(clocks) - e > 0.9 * len(clocks)    # most knots lie past the last step
+    u = traj.v[-1]
+    a_e = flow_generator(p, u) / float(np.vdot(u, u).real)
+    want = traj.g_knots[e]
+    for h, g in zip(np.diff(clocks[e:]), traj.g_knots[e + 1:]):
+        want = scipy.linalg.expm(h * a_e) @ want
+        assert np.linalg.norm(g - want) <= 1e-12 * np.linalg.norm(want)
+    assert traj.lift_residual <= 1e-12
+
+
+@pytest.mark.parametrize("weights", [[[1, 0], [0, 1], [-1, -1]], [[1, 0], [2, 1], [1, -2]],
+                                     [[1, 0], [1, 1], [1, -1]]])
+def test_torus_lift_is_the_exponential_of_its_running_exponent_sum(monkeypatch, weights):
+    # a torus lift is diagonal, g = exp(sum of the exponents' diagonals
+    # -h (c1 + c2) w), from a polystable start, an unstable one and one at
+    # a critical point of f^, which collapses past its only step
+    p = torus_presentation(weights)
+    coefficients = []
+
+    def spy(p, v, _fn=flow.moment_coefficients):
+        mu, n2 = _fn(p, v)
+        coefficients.append(mu / n2[..., None])
+        return mu, n2
+    monkeypatch.setattr(flow, "moment_coefficients", spy)
+    with packed() as knots_of:
+        traj = cointegrate_group(p, np.array([0.6, 0.5j, -0.4 + 0.3j]), FlowOptions(t_max=1e3))
+    clocks = knots_of(traj)[2]
+    c = np.concatenate(coefficients, axis=1)
+    logs = np.cumsum(-np.diff(clocks)[:, None] * ((c[0] + c[1]) @ np.array(weights).T), axis=0)
+    g = traj.g_knots
+    diagonal = np.diagonal(g, axis1=1, axis2=2)
+    np.testing.assert_array_equal(g - diagonal[..., None] * np.eye(3), 0.0)
+    np.testing.assert_array_equal(diagonal.imag, 0.0)
+    np.testing.assert_array_equal(diagonal[0], 1.0)
+    np.testing.assert_allclose(np.log(diagonal[1:].real), logs, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("projective", [False, True])

@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 
 from conftest import conjugate_coords, random_presentation
 from momentflow import normal_form, runner
-from momentflow.algebra import (direct_sum_presentation, matrix_presentation,
+from momentflow.algebra import (bracket, direct_sum_presentation, matrix_presentation,
                                 su2_sym_presentation, torus_presentation)
 from momentflow.builtins import get_builtin
 from momentflow.cli import main
 from momentflow.errors import DomainError, StructuralError
 from momentflow.linalg import expm
 from momentflow.normal_form import (FD_STEP, NormalFormModel, _ad_matrix,
-                                    _bracket, _check_invariants, _dexp_left,
+                                    _check_invariants, _dexp_left,
                                     _model_action, _omega0, build_model,
                                     model_moment_map, model_symplectic_form,
                                     verify_closedness, verify_moment_identity)
@@ -420,7 +420,7 @@ def _model_action_reference(model, at, xi_g, ad_inv, dexp):
     system = np.concatenate([dexp @ model.m_basis.T, g0], axis=-1)
     sol = np.linalg.solve(system, zeta[..., None])[..., 0]
     z0_coords = model.embed_g0(sol[..., model.dim_m:])
-    rho_dot = model.project_m(_bracket(p, z0_coords, model.embed_m(rho)))
+    rho_dot = model.project_m(bracket(p, z0_coords, model.embed_m(rho)))
     moved = p.matrix(z0_coords) @ model.slice_vector(v)[..., None]
     return np.concatenate([sol[..., :model.dim_m], rho_dot,
                            model.slice_coords(moved[..., 0])], axis=-1)
