@@ -15,7 +15,9 @@ by the 1/2 normalization of mu and is pinned by the finite-difference tests.
 
 Moment values are stored metric-lowered: component a of the returned vector
 is the pairing <mu(v), xi_a>. Contravariant coordinates are recovered with
-``p.sharp``.
+``p.sharp``. Every moment value here, mu, mu^# and |v|^2, comes from one
+product with the presentation's realified form ``p._real_form``; only
+:func:`infinitesimal_action` reads the complex basis.
 """
 
 import numpy as np
@@ -35,7 +37,6 @@ __all__ = [
     "energy_kernel",
     "energy_and_gradient",
     "moment_coefficients",
-    "flow_generator",
     "kempf_ness_value",
 ]
 
@@ -45,21 +46,33 @@ def infinitesimal_action(p, v):
     return (p.basis @ np.asarray(v, dtype=complex)).T
 
 
+def _moments(p, v):
+    """Rows (mu(v), |v|^2) of a state (n,) or a stack (..., n), flattened to
+    (q, k + 1), and the leading shape: one product with the presentation's
+    real form (``_real_form``), Y = (P_a x, x) on x = v.view(float) and m =
+    Y x."""
+    x = np.ascontiguousarray(v, dtype=complex).view(float)
+    shape, x = x.shape[:-1], x.reshape(-1, x.shape[-1])
+    y = (x @ p._real_form[0].T).reshape(len(x), p.dim_g + 1, x.shape[-1])
+    return (y @ x[..., None])[..., 0], shape
+
+
 def moment_map(p, v):
     """Metric-lowered moment map of a vector (n,) or a stack (..., n), shape
     (..., k): component a is 1/2 Omega0(xi_a v, v) = 1/2 Im v^dagger (xi_a v)."""
-    v = np.asarray(v, dtype=complex)
-    lv = (p.basis @ v[..., None, :, None])[..., 0]          # (..., k, n): xi_a v
-    return 0.5 * np.einsum("...i,...ai->...a", v.conj(), lv).imag
+    m, shape = _moments(p, v)
+    return m[:, :-1].reshape(shape + (p.dim_g,))
 
 
 def projective_moment_map(p, v):
-    """Moment map of the induced action on P(V): mu(v) / |v|^2."""
-    v = np.asarray(v, dtype=complex)
-    n2 = float(np.vdot(v, v).real)
-    if not MIN_NORM**2 < n2 < np.inf:
+    """Moment map of the induced action on P(V): mu(v) / |v|^2, of a vector
+    (n,) or, row by row, of a stack (..., n)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the |v|^2 check catches both
+        m, shape = _moments(p, v)
+    n2 = m[:, -1:]
+    if not ((MIN_NORM**2 < n2) & (n2 < np.inf)).all():
         raise DegenerateInputError("projective moment map needs a finite |v|^2 away from 0")
-    return moment_map(p, v) / n2
+    return (m[:, :-1] / n2).reshape(shape + (p.dim_g,))
 
 
 def energy_kernel(p, projective):
@@ -119,29 +132,11 @@ def energy_and_gradient(p, v):
 
 def moment_coefficients(p, v):
     """The pair (mu^#(v), |v|^2) of a state (n,) or a stack (..., n), shapes
-    (..., k) and (...): contravariant moment coordinates and the squared
-    norm, from one product with the presentation's real form
-    (``_real_form``): Y = (P_a x, x) on x = v.view(float), Y x the lowered
-    mu and |v|^2, the inverse metric mu^#."""
-    form, metric_inv = p._real_form
-    x = np.ascontiguousarray(v, dtype=complex).view(float)
-    shape, k = x.shape[:-1], p.dim_g
-    x = x.reshape(-1, x.shape[-1])
-    m = ((x @ form.T).reshape(len(x), k + 1, -1) @ x[..., None])[..., 0]
-    return (m @ metric_inv.T)[:, :k].reshape(shape + (k,)), m[:, k].reshape(shape)
-
-
-def flow_generator(p, v):
-    """Matrix 2i mu(v)^ on V; the flow is v' = flow_generator(p, v) @ v.
-
-    This equals minus the gradient of f divided out of v, i.e. the downward
-    gradient flow of f = |mu|^2 is the linear action of this g^C element,
-    and the same matrix drives the group lift g' = flow_generator(p, g v0)
-    g; its coordinates are 2i mu^#(v) from :func:`moment_coefficients`,
-    which the lift reads directly. ``v`` may carry leading batch axes (...,
-    n); the result is (..., n, n).
-    """
-    return 2j * p.matrix(moment_coefficients(p, v)[0])
+    (..., k) and (...): the inverse metric on the lowered mu of
+    :func:`_moments`. The lift's generator on V is 2i p.matrix(mu^#(v))."""
+    m, shape = _moments(p, v)
+    mu = (m @ p._real_form[1].T)[:, :p.dim_g]
+    return mu.reshape(shape + (p.dim_g,)), m[:, -1].reshape(shape)
 
 
 def kempf_ness_value(p, v0, path):
@@ -164,12 +159,11 @@ def kempf_ness_value(p, v0, path):
                                      f"{n} x {n} matrices from the identity, on a finite v0")
     x = _step_logs(np.swapaxes(np.linalg.solve(
         np.swapaxes(g[:-1], -1, -2), np.swapaxes(g[1:] - g[:-1], -1, -2)), -1, -2))
-    w = (expm(0.5 * x) @ (g[:-1] @ v0)[..., None])[..., 0]
-    n2 = np.einsum("ki,ki->k", w.conj(), w).real
-    if (n2 <= MIN_NORM**2).any():
+    m, _ = _moments(p, (expm(0.5 * x) @ (g[:-1] @ v0)[..., None])[..., 0])
+    if (m[:, -1] <= MIN_NORM**2).any():
         raise DegenerateInputError("projective moment map is undefined near v = 0")
     eta = p.coords_of(-1j * hermitian_part(x))  # x = xi + J0 eta, in g-coordinates
-    return -4.0 * float(np.sum(moment_map(p, w) / n2[:, None] * eta))
+    return -4.0 * float(np.sum(m[:, :-1] / m[:, -1:] * eta))
 
 
 def _step_logs(e):

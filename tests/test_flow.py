@@ -22,13 +22,18 @@ from momentflow.errors import DiagnosticError
 from momentflow.flow import (FlowOptions, FlowTrajectory, check_rates,
                              cointegrate_group, fit_lojasiewicz,
                              integrate_kempf_ness, integrate_projective)
-from momentflow.representation import (energy_and_gradient, energy_kernel, flow_generator,
-                                       moment_map)
+from momentflow.representation import (energy_and_gradient, energy_kernel,
+                                       moment_coefficients, moment_map)
 from momentflow.runner import Run
 
 
 def u1():
     return torus_presentation([[1]])
+
+
+def flow_generator(p, v):
+    """The matrix 2i mu^#(v) on V, the flow's generator: v' = flow_generator(p, v) @ v."""
+    return 2j * p.matrix(moment_coefficients(p, v)[0])
 
 
 def _affine_reference(p, v0, t_eval):

@@ -8,8 +8,8 @@ from momentflow.errors import ContractViolationError, DegenerateInputError
 from momentflow.linalg import expm
 from momentflow.representation import (H_PATH, MIN_NORM, _step_logs,
                                        energy_and_gradient, infinitesimal_action,
-                                       kempf_ness_value, moment_map,
-                                       projective_moment_map)
+                                       kempf_ness_value, moment_coefficients,
+                                       moment_map, projective_moment_map)
 
 
 def test_infinitesimal_action_zero_vector():
@@ -98,6 +98,34 @@ def test_projective_moment_map_scale_invariance(rng):
     # weight-1 vertex
     np.testing.assert_allclose(projective_moment_map(p, np.array([1.0, 0.0])),
                                [0.5], atol=1e-14)
+
+
+def test_projective_moment_map_stack_divides_each_row_by_its_own_norm():
+    p = torus_presentation([[1], [2]])
+    rows = np.array([[1.0, 0.0], [0.0, 3.0]], dtype=complex)
+    np.testing.assert_allclose(projective_moment_map(p, rows), [[0.5], [1.0]], rtol=1e-15)
+    for bad in (0.0, np.inf):    # the |v|^2 check covers every row
+        with pytest.raises(DegenerateInputError):
+            projective_moment_map(p, np.array([[1.0, 0.0], [bad, 0.0]]))
+
+
+def test_moment_stacks_match_one_state_rows(rng):
+    # kempf_ness_value relies on this stack contract, the empty stack included
+    for _ in range(20):
+        p = random_presentation(rng)
+        n, k = p.dim_v, p.dim_g
+        vs = random_vector(rng, 6 * n).reshape(2, 3, n)
+        mu, coeffs, n2 = moment_map(p, vs), *moment_coefficients(p, vs)
+        assert mu.shape == coeffs.shape == (2, 3, k) and n2.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            one_mu, (one_c, one_n2) = moment_map(p, vs[i, j]), moment_coefficients(p, vs[i, j])
+            assert np.linalg.norm(mu[i, j] - one_mu) <= 1e-15 * np.linalg.norm(one_mu)
+            assert np.linalg.norm(coeffs[i, j] - one_c) <= 1e-15 * np.linalg.norm(one_c)
+            assert abs(n2[i, j] - one_n2) <= 1e-15 * one_n2
+        empty = np.empty((0, n), dtype=complex)
+        assert moment_map(p, empty).shape == (0, k)
+        c, n2 = moment_coefficients(p, empty)
+        assert c.shape == (0, k) and n2.shape == (0,)
 
 
 def test_projective_moment_map_degenerate_input():
