@@ -140,33 +140,33 @@ class GroupPresentation:
         return real.reshape(-1, 2 * n), metric_inv
 
     @cached_property
+    def _bracket_expansion(self):
+        """The k^2 commutators, formed once (overflow silent) and expanded in the
+        basis: the structure tensor s and the bracket closure, the largest
+        |[xi_a, xi_b] - matrix(s[a, b])|_F."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod = np.einsum("aij,bjk->abik", self.basis, self.basis)
+            brackets = prod - prod.transpose(1, 0, 2, 3)
+        s = self.coords_of(brackets)
+        s.setflags(write=False)
+        return s, np.linalg.norm(brackets - self.matrix(s), axis=(2, 3)).max()
+
+    @cached_property
     def structure(self):
-        """Structure tensor: ``structure[a, b] = coords([xi_a, xi_b])``."""
-        c, _ = self._expand(_brackets(self.basis))
-        c.setflags(write=False)
-        return c
+        """Structure tensor, read-only: ``structure[a, b] = coords([xi_a, xi_b])``."""
+        return self._bracket_expansion[0]
 
     @cached_property
     def _diagnostics(self):
         """The :func:`validate_presentation` report."""
-        basis, s = self.basis, self.structure
+        basis, (s, bracket) = self.basis, self._bracket_expansion
         skewness = np.linalg.norm(basis + basis.conj().transpose(0, 2, 1), axis=(1, 2)).max()
-        bracket = np.linalg.norm(_brackets(basis) - self.matrix(s), axis=(2, 3)).max()
         # <[zeta, xi], eta> + <xi, [zeta, eta]> over basis triples (zeta, xi, eta)
         ad_res = np.abs(s @ self.metric + (s @ self.metric.T).transpose(0, 2, 1)).max()
         ok = skewness <= TAU_ALG and bracket <= TAU_ALG and ad_res <= TAU_ALG
         return DiagnosticsReport(ok=ok, skewness=float(skewness),
                                  bracket_closure=float(bracket),
                                  ad_invariance=float(ad_res))
-
-    def _expand(self, xi):
-        """Coordinates of matrices ``xi`` (..., n, n) and the Frobenius norms
-        of their parts outside the span."""
-        xi = np.asarray(xi)
-        coords = (xi.reshape(xi.shape[:-2] + (xi.shape[-2] * xi.shape[-1],))
-                  @ self._pinv.T).real
-        residual = np.linalg.norm(xi - self.matrix(coords), axis=(-2, -1))
-        return coords, residual
 
     # -- coordinate plumbing ------------------------------------------------
 
@@ -187,10 +187,16 @@ class GroupPresentation:
         return (coords @ self.flat_basis).reshape(coords.shape[:-1] + (n, n))
 
     def coords_of(self, xi, tol=None):
-        """Expand a matrix in the basis; raise if it is not in the span."""
-        coords, residual = self._expand(xi)
-        if tol is not None and residual > tol * max(1.0, np.linalg.norm(xi)):
-            raise DomainError(f"matrix is not in the Lie algebra span (residual {residual:.2e})")
+        """Coordinates of a matrix or a stack ``xi`` (..., n, n); with ``tol``, raise
+        :class:`DomainError` unless each is within ``tol * max(1, |xi|_F)`` of the span."""
+        xi = np.asarray(xi)
+        coords = (xi.reshape(xi.shape[:-2] + (xi.shape[-2] * xi.shape[-1],))
+                  @ self._pinv.T).real
+        if tol is not None:
+            res = np.linalg.norm(xi - self.matrix(coords), axis=(-2, -1))
+            if np.any(res > tol * np.maximum(1.0, np.linalg.norm(xi, axis=(-2, -1)))):
+                raise DomainError(
+                    f"matrix is not in the Lie algebra span (residual {np.max(res):.2e})")
         return coords
 
 
@@ -201,13 +207,6 @@ def bracket(p, x_coords, y_coords):
     xy = np.asarray(x_coords)[..., :, None] * np.asarray(y_coords)[..., None, :]
     w = xy - np.swapaxes(xy, -1, -2)
     return 0.5 * (w.reshape(w.shape[:-2] + (-1,)) @ p.structure.reshape(-1, p.dim_g))
-
-
-def _brackets(basis):
-    """All commutators [xi_a, xi_b] as a (k, k, n, n) array, overflow silent."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        prod = np.einsum("aij,bjk->abik", basis, basis)
-        return prod - prod.transpose(1, 0, 2, 3)
 
 
 @dataclass(frozen=True)

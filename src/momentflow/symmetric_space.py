@@ -8,9 +8,9 @@ identity it matches the default trace inner product on the Lie algebra.
 
 Every square root, log and distance goes through the SVD of a factor, never
 through H = g* g: g = U diag(sigma) W* gives H^{+-1/2} = W diag(sigma^{+-1}) W*,
-and g1 H0^{-1/2} the log and distance from H0. Small singular values, and thus
-their logarithms, stay accurate where H is singular, and far-out points do not
-overflow. H and the SVD are formed lazily, at most once a point.
+and g1 H0^{-1/2} the log from H0, whose norm is the distance. Small singular
+values, and their logs, stay accurate where H is singular, and far-out points do
+not overflow. H and the SVD are formed lazily, at most once a point.
 """
 
 from dataclasses import dataclass
@@ -116,11 +116,9 @@ def _along(p0, m, s):
 
 
 def distance(p0, p1):
-    """Affine-invariant distance |log(H0^{-1/2} H1 H0^{-1/2})| in trace norm."""
-    p0, p1 = _as_point(p0), _as_point(p1)
-    # the singular values of g1 H0^{-1/2} are those of H1^{1/2} H0^{-1/2}
-    sigma = np.linalg.svd(p1.factor @ p0.inv_sqrt, compute_uv=False)
-    return float(np.linalg.norm(2.0 * np.log(sigma)))
+    """Affine-invariant distance |log(H0^{-1/2} H1 H0^{-1/2})| in trace norm:
+    the Frobenius norm of the whitened log, off its one SVD."""
+    return float(np.linalg.norm(_whitened_log(p0, p1)))
 
 
 def geodesic(p0, p1, u):

@@ -232,13 +232,23 @@ def _lstsq_coords(basis, target):
 
 
 def test_structure_tensor_matches_lstsq(rng):
-    for _ in range(20):
-        p = random_presentation(rng)
+    # (i sigma_x/2, i sigma_y/2) is not closed: [xi_x, xi_y] = -i sigma_z/2 lies
+    # wholly outside the span, a residual of 1/sqrt(2)
+    open_pair = matrix_presentation(su2_presentation().basis[:2])
+    for p in [random_presentation(rng) for _ in range(20)] + [open_pair]:
+        closure = 0.0
         for a in range(p.dim_g):
             for b in range(p.dim_g):
                 comm = p.basis[a] @ p.basis[b] - p.basis[b] @ p.basis[a]
                 np.testing.assert_allclose(p.structure[a, b],
                                            _lstsq_coords(p.basis, comm), atol=1e-12)
+                closure = max(closure, np.linalg.norm(comm - p.matrix(p.structure[a, b])))
+        # the validation reports the residual of the structure tensor's own expansion
+        scale = np.linalg.norm(p.basis, axis=(1, 2)).max() ** 2
+        assert abs(validate_presentation(p).bracket_closure - closure) <= 1e-14 * scale
+    report = validate_presentation(open_pair)
+    assert report.bracket_closure == pytest.approx(1 / np.sqrt(2), rel=1e-15)
+    assert not report.ok
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -289,3 +299,10 @@ def test_coords_of_matches_lstsq_and_rejects_out_of_span(rng):
                                    atol=1e-12)
         with pytest.raises(DomainError):
             p.coords_of(off, tol=1e-10)
+        # a stack is checked matrix by matrix, each against its own size, so a
+        # large in-span matrix does not hide an off-span one
+        stack = np.stack([xi, 2.0 * xi, 1e-3 * xi])
+        np.testing.assert_allclose(p.coords_of(stack, tol=1e-10),
+                                   [_lstsq_coords(p.basis, m) for m in stack], atol=1e-12)
+        with pytest.raises(DomainError):
+            p.coords_of(np.stack([1e12 * xi, off]), tol=1e-10)
